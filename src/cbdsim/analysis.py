@@ -106,7 +106,7 @@ def halforder_magnitude_estimate(n: int, h: float, amplitude: float) -> float:
     visible.
     """
     k = n // 2
-    return amplitude * math.comb(max(k - 1, 0), max(k - 1, 0)) / h ** k
+    return amplitude / h ** k
 
 
 # --- trace comparison ---------------------------------------------------------
@@ -233,8 +233,13 @@ def _match_logs(a: Trace, b: Trace, rel_tol: float, report: CompareReport) -> No
 
 def _check_spikes(logged: Trace, plain: Trace, rel_tol: float,
                   report: CompareReport) -> None:
+    index_of: dict[float, int] = {}
+    for i, t in enumerate(logged.times):
+        index_of.setdefault(t, i)
     for event in logged.impulses:
-        index = logged.times.index(event.time)
+        index = index_of.get(event.time)
+        if index is None:
+            raise ValueError(f"impulse time {event.time!r} is not on the time grid")
         if event.order > 0:
             report.findings.append(
                 f"order-{event.order} impulse on {event.signal!r} at "

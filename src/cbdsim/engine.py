@@ -165,61 +165,84 @@ def _as_step_sample(cell: _Sample) -> StepSample:
 
 # --- linear loop solving ----------------------------------------------------
 
-def _gauss_jordan(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) < SINGULAR_TOLERANCE:
-            raise SingularLoop("algebraic loop system is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        a[col] = [value / pivot for value in a[col]]
-        for row in range(n):
-            if row != col and a[row][col] != 0.0:
-                factor = a[row][col]
-                a[row] = [rv - factor * cv for rv, cv in zip(a[row], a[col])]
-    return [a[i][n] for i in range(n)]
+class _LoopPlan:
+    """Solve plan of one linear algebraic loop ``A x = b``.
 
+    Gauss-Jordan pivots and factors depend on ``A`` alone, which changes
+    only with the Multipliers' outside factors.  The plan eliminates ``A``
+    once per tuple of those factors, records the operations on ``b`` and
+    replays them on every ``b``, which is bit-identical to eliminating the
+    augmented matrix.
+    """
 
-def _solve_linear_members(nodes: list[_Node], members: Sequence[int],
-                          known: Callable[[int], float]) -> dict[int, float]:
-    """Solve one limit of an algebraic loop as a linear system."""
-    position = {idx: j for j, idx in enumerate(members)}
-    n = len(members)
-    matrix = [[0.0] * n for _ in range(n)]
-    rhs = [0.0] * n
-    for row, idx in enumerate(members):
-        node = nodes[idx]
-        matrix[row][row] = 1.0
-        if node.kind == "Adder":
-            for dep in node.in_idx:
-                if dep in position:
-                    matrix[row][position[dep]] -= 1.0
-                else:
-                    rhs[row] += known(dep)
-        elif node.kind == "Negator":
-            dep = node.in_idx[0]
-            if dep in position:
-                matrix[row][position[dep]] += 1.0
-            else:
-                rhs[row] -= known(dep)
-        elif node.kind == "Multiplier":
-            loop_deps = [d for d in node.in_idx if d in position]
-            if len(loop_deps) != 1:
+    def __init__(self, nodes: list[_Node], members: Sequence[int]):
+        position = {idx: j for j, idx in enumerate(members)}
+        n = len(members)
+        self.matrix = [[0.0] * n for _ in range(n)]
+        self.rhs: list[tuple[int, float, tuple[int, ...]]] = []
+        self.gains: list[tuple[int, int, tuple[int, ...]]] = []
+        for row, idx in enumerate(members):
+            node = nodes[idx]
+            self.matrix[row][row] = 1.0
+            cols = [position[d] for d in node.in_idx if d in position]
+            outside = tuple(d for d in node.in_idx if d not in position)
+            if node.kind in ("Adder", "Negator"):
+                sign = 1.0 if node.kind == "Adder" else -1.0
+                for col in cols:
+                    self.matrix[row][col] -= sign
+                self.rhs.append((row, sign, outside))
+            elif node.kind != "Multiplier":
                 raise NonlinearLoop(
-                    f"{node.path}: multiplier with {len(loop_deps)} in-loop inputs"
+                    f"{node.path}: {node.kind} is not solvable inside an algebraic loop"
                 )
-            factor = math.prod(
-                known(d) for d in node.in_idx if d not in position
-            )
-            matrix[row][position[loop_deps[0]]] -= factor
-        else:
-            raise NonlinearLoop(
-                f"{node.path}: {node.kind} is not solvable inside an algebraic loop"
-            )
-    solution = _gauss_jordan(matrix, rhs)
-    return {idx: solution[position[idx]] for idx in members}
+            elif len(cols) != 1:
+                raise NonlinearLoop(
+                    f"{node.path}: multiplier with {len(cols)} in-loop inputs"
+                )
+            else:
+                self.gains.append((row, cols[0], outside))
+        self.factors: tuple[float, ...] | None = None
+        self.steps: list[tuple[int, int, float, list[tuple[int, float]]]] = []
+
+    def _factor(self, factors: tuple[float, ...]) -> None:
+        a = [row[:] for row in self.matrix]
+        for (row, col, _), factor in zip(self.gains, factors):
+            a[row][col] -= factor
+        n = len(a)
+        steps = []
+        for col in range(n):
+            pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+            if abs(a[pivot_row][col]) < SINGULAR_TOLERANCE:
+                raise SingularLoop("algebraic loop system is singular")
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            pivot = a[col][col]
+            a[col] = [value / pivot for value in a[col]]
+            eliminations = []
+            for row in range(n):
+                if row != col and a[row][col] != 0.0:
+                    factor = a[row][col]
+                    a[row] = [rv - factor * cv for rv, cv in zip(a[row], a[col])]
+                    eliminations.append((row, factor))
+            steps.append((col, pivot_row, pivot, eliminations))
+        self.factors, self.steps = factors, steps
+
+    def solve(self, known: Callable[[int], float]) -> list[float]:
+        """Member values, in member order, given each outside input's value."""
+        factors = tuple(
+            math.prod(known(d) for d in deps) for _, _, deps in self.gains
+        )
+        if factors != self.factors:
+            self._factor(factors)
+        b = [0.0] * len(self.matrix)
+        for row, sign, deps in self.rhs:
+            for dep in deps:
+                b[row] += sign * known(dep)
+        for col, pivot_row, pivot, eliminations in self.steps:
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            x = b[col] = b[col] / pivot
+            for row, factor in eliminations:
+                b[row] -= factor * x
+        return b
 
 
 def solve_linear_loop(flat: FlatGraph, members: Sequence[str],
@@ -232,11 +255,10 @@ def solve_linear_loop(flat: FlatGraph, members: Sequence[str],
     """
     nodes = _build_nodes(flat)
     index_of = {n.path: n.idx for n in nodes}
-    member_idx = [index_of[p] for p in members]
-    solution = _solve_linear_members(
-        nodes, member_idx, lambda idx: known[nodes[idx].path]
+    solution = _LoopPlan(nodes, [index_of[p] for p in members]).solve(
+        lambda idx: known[nodes[idx].path]
     )
-    return {nodes[idx].path: value for idx, value in solution.items()}
+    return dict(zip(members, solution))
 
 
 # --- the two-phase step -----------------------------------------------------
@@ -373,6 +395,7 @@ class Engine:
         self.watchers = [
             n.idx for n in self.nodes if n.kind in ("Switch", "Decision")
         ]
+        self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
 
     # -- stepping ------------------------------------------------------------
 
@@ -393,19 +416,16 @@ class Engine:
             if not cyclic:
                 run_phase1(members[0])
                 continue
-            for idx in members:
-                samples[idx] = [0.0, 0.0, EMPTY_IMPULSES]
-            solved = self._solve_loop(members, states, samples, dt, side=0)
-            for idx, value in solved.items():
-                samples[idx][0] = value
-                samples[idx][1] = value
+            solved = self._solve_loop(members, samples, side=0)
+            for idx, value in zip(members, solved):
+                samples[idx] = [value, value, EMPTY_IMPULSES]
 
         limit = len(nodes) + 2
         for _ in range(limit):
             changed = False
             for members, cyclic in self.groups:
                 if cyclic:
-                    changed |= self._phase2_loop(members, states, samples, dt)
+                    changed |= self._phase2_loop(members, samples)
                     continue
                 idx = members[0]
                 node = nodes[idx]
@@ -432,36 +452,31 @@ class Engine:
                 )
         return samples
 
-    def _solve_loop(self, members: tuple[int, ...], states: list,
-                    samples: list[_Sample], dt: float, side: int) -> dict[int, float]:
-        member_set = set(members)
-        for idx in members:
-            node = self.nodes[idx]
-            if node.kind not in ("Adder", "Negator", "Multiplier"):
-                raise NonlinearLoop(
-                    f"{node.path}: {node.kind} is not solvable inside an algebraic loop"
-                )
-            for dep in node.in_idx:
-                if dep not in member_set and samples[dep] is None:
-                    raise EngineError(
-                        f"schedule violation: {self.nodes[dep].path} not ready"
-                    )
-        return _solve_linear_members(
-            self.nodes, members, lambda dep: samples[dep][side]
-        )
+    def _solve_loop(self, members: tuple[int, ...], samples: list[_Sample],
+                    side: int) -> list[float]:
+        plan = self.loop_plans.get(members)
+        if plan is None:
+            member_set = set(members)
+            for idx in members:
+                for dep in self.nodes[idx].in_idx:
+                    if dep not in member_set and samples[dep] is None:
+                        raise EngineError(
+                            f"schedule violation: {self.nodes[dep].path} not ready"
+                        )
+            plan = self.loop_plans[members] = _LoopPlan(self.nodes, members)
+        return plan.solve(lambda dep: samples[dep][side])
 
-    def _phase2_loop(self, members: tuple[int, ...], states: list,
-                     samples: list[_Sample], dt: float) -> bool:
-        member_set = set(members)
+    def _phase2_loop(self, members: tuple[int, ...],
+                     samples: list[_Sample]) -> bool:
         for idx in members:
             for dep in self.nodes[idx].in_idx:
                 if not samples[dep][2].is_empty:
                     raise ImpulseInLoop(
                         f"{self.nodes[idx].path}: impulse entering an algebraic loop"
                     )
-        solved = self._solve_loop(members, states, samples, dt, side=1)
+        solved = self._solve_loop(members, samples, side=1)
         changed = False
-        for idx, value in solved.items():
+        for idx, value in zip(members, solved):
             if samples[idx][1] != value:
                 samples[idx][1] = value
                 changed = True
@@ -602,9 +617,9 @@ class _Recorder:
             left = cell[0] + due
             right = cell[1] + due
             if abs(left) > OVERFLOW_LIMIT or abs(right) > OVERFLOW_LIMIT:
-                message = f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} at t={t!r}"
-                if message not in trace.warnings:
-                    trace.warnings.append(message)
+                trace.warnings.append(
+                    f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} at t={t!r}"
+                )
             trace.signals[name].append(StepSample(left, right, EMPTY_IMPULSES))
 
 

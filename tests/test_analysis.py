@@ -162,6 +162,12 @@ class TestCompareTraces:
         report = compare_traces(a, b)
         assert report.ok and report.impulse_checks[0].ok
 
+    def test_spike_time_off_the_grid_rejected(self):
+        event = ImpulseEvent(0.05, "s", 0, 3.0)
+        a = _trace([0.0, 0.1], [0.0, 0.0], [event])
+        with pytest.raises(ValueError):
+            compare_traces(a, _trace([0.0, 0.1], [0.0, 0.0]))
+
 
 class TestAnalyticBouncingBall:
     def test_initial_instant(self):

@@ -128,6 +128,14 @@ class TestEventLocation:
                                    h_min=1e-12))
         assert any("step-underflow" in w for w in trace.warnings)
 
+    def test_overflow_warned_at_every_step(self):
+        model = dsl.load_model(CONSTANT_ONLY.replace("4.25", "1e301"))
+        trace = simulate(model, "Main",
+                         SimConfig(mode="numerical", h=0.25, t_end=1.0))
+        assert trace.warnings == [
+            f"overflow-risk: |y| exceeds 1e+300 at t={t!r}" for t in trace.times
+        ]
+
     def test_locate_crossing_function(self):
         from cbdsim.engine import Engine, locate_crossing
         from cbdsim.graph import flatten
