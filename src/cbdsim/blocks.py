@@ -71,6 +71,22 @@ class ImpulseInNumericalMode(BlockError):
     """Numerical mode received an input with a non-empty impulse vector."""
 
 
+class NonFiniteValue(BlockError):
+    """A block produced an infinite or NaN limit."""
+
+
+class NonIncreasingTime(BlockError):
+    """A commit time did not exceed the block's previous commit time."""
+
+
+def require_later(t: float, previous: float) -> None:
+    """Reject a commit at ``t`` that does not follow one at ``previous``."""
+    if not t > previous:
+        raise NonIncreasingTime(
+            f"commit time {t!r} does not follow the previous commit at {previous!r}"
+        )
+
+
 def heaviside(x: float) -> float:
     """Unit step, 1 for x >= 0."""
     return 1.0 if x >= 0.0 else 0.0
@@ -121,13 +137,15 @@ def input_ports(kind: str, count: int) -> tuple[str, ...]:
 class IntegratorState:
     """Committed integrator state.
 
-    ``slope`` is the order-2 input slope ``(prev.left - prevprev.right) /
-    h_prev`` over the last committed step; it stays ``None`` for order 1
-    and until two inputs have been committed.  ``time`` is the commit time
-    of ``prev_input``, from which the engine takes ``h_prev``.
+    ``prev_right`` is the right limit of the last committed input, ``None``
+    before the first commit.  ``slope`` is the order-2 input slope
+    ``(prev.left - prevprev.right) / h_prev`` over the last committed step;
+    it stays ``None`` for order 1 and until two inputs have been committed.
+    ``time`` is the commit time of the last input, from which the engine
+    takes ``h_prev``.
     """
     accumulator: float
-    prev_input: StepSample | None = None
+    prev_right: float | None = None
     order: int = 1
     slope: float | None = None
     time: float | None = None
@@ -136,7 +154,7 @@ class IntegratorState:
 @dataclass
 class DerivativeState:
     initial: float
-    prev_input: StepSample | None = None
+    prev_right: float | None = None
 
 
 @dataclass
@@ -152,6 +170,8 @@ class MultiplierState:
     lefts: list[tuple[float, ...]] = field(default_factory=list)
 
     def record(self, t: float, values: tuple[float, ...]) -> None:
+        if self.times:
+            require_later(t, self.times[-1])
         self.times.append(t)
         self.lefts.append(values)
         if len(self.times) > self.depth:
@@ -320,15 +340,15 @@ def step_integrator(value: StepSample, state: IntegratorState, h: float,
         _require_impulse_free([value], "Integrator")
     x = state.accumulator
     slope = None
-    if state.prev_input is not None:
-        x = x + state.prev_input.right * h
+    if state.prev_right is not None:
+        x = x + state.prev_right * h
         if state.slope is not None:
             x = x + 0.5 * h * h * state.slope
         if state.order == 2:
-            slope = (value.left - state.prev_input.right) / h
+            slope = (value.left - state.prev_right) / h
     jump, rest = extract_order_zero(value.impulses)
     out = StepSample(x, x + jump, rest)
-    return out, IntegratorState(accumulator=x + jump, prev_input=value,
+    return out, IntegratorState(accumulator=x + jump, prev_right=value.right,
                                 order=state.order, slope=slope)
 
 
@@ -343,14 +363,14 @@ def step_derivative(value: StepSample, state: DerivativeState, h: float,
     """
     if mode == NUMERICAL:
         _require_impulse_free([value], "Derivative")
-    if state.prev_input is None:
+    if state.prev_right is None:
         out = StepSample(state.initial, state.initial, EMPTY_IMPULSES)
-        return out, replace(state, prev_input=value)
-    base = (value.left - state.prev_input.right) / h
+        return out, replace(state, prev_right=value.right)
+    base = (value.left - state.prev_right) / h
     vector = shift_orders_up(value.impulses) if mode == SYMBOLIC else EMPTY_IMPULSES
     if mode == SYMBOLIC and value.left != value.right:
         vector = add_vectors(vector, ImpulseVector({0: value.right - value.left}))
-    return StepSample(base, base, vector), replace(state, prev_input=value)
+    return StepSample(base, base, vector), replace(state, prev_right=value.right)
 
 
 def step_switch(condition: StepSample, state: SwitchState | None = None,

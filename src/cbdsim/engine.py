@@ -8,6 +8,12 @@ Each committed step runs in two phases over the schedule:
   until the samples stop changing so that jumps produced by integrators
   late in the schedule still reach their consumers within the same step.
 
+Jumps and impulses originate only at a Switch or Decision whose selection
+flips and at a Delay replaying a jump or an impulse.  A step where none of
+these fires is quiet: phase 2 would reproduce every left limit, so it is
+skipped.  A non-finite left limit, or a non-finite right limit set by
+phase 2, stops the run with a ``SimulationError`` naming the block.
+
 Both execution modes share this evaluator; they differ only in how the
 trace is encoded.  Symbolic traces keep impulse vectors and log one event
 per coefficient.  Numerical traces fold every coefficient into the
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import blocks as bk
 from .blocks import BlockError, heaviside
@@ -94,6 +100,8 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not self.zc_tol > 0.0:
             raise ValueError("zc_tol must be positive")
+        if self.max_order < 0:
+            raise ValueError("max_order must be non-negative")
 
 
 class ImpulseEvent(NamedTuple):
@@ -276,9 +284,9 @@ def _phase1_left(node: _Node, states: list, samples: list[_Sample],
         return node.params["value"]
     if kind == "Integrator":
         st = states[node.idx]
-        if st.prev_input is None:
+        if st.prev_right is None:
             return st.accumulator
-        x = st.accumulator + st.prev_input.right * dt
+        x = st.accumulator + st.prev_right * dt
         if st.slope is None:
             return x
         return x + 0.5 * dt * dt * st.slope
@@ -287,9 +295,9 @@ def _phase1_left(node: _Node, states: list, samples: list[_Sample],
         return st.initial if st.prev_input is None else st.prev_input.left
     if kind == "Derivative":
         st = states[node.idx]
-        if st.prev_input is None:
+        if st.prev_right is None:
             return st.initial
-        return (samples[node.in_idx[0]][0] - st.prev_input.right) / dt
+        return (samples[node.in_idx[0]][0] - st.prev_right) / dt
     if kind == "Adder":
         total = samples[node.in_idx[0]][0]
         for i in node.in_idx[1:]:
@@ -350,8 +358,7 @@ def _phase2(node: _Node, states: list, samples: list[_Sample],
         jump, rest = extract_order_zero(src[2])
         return cell[0] + jump, rest
     if kind == "Derivative":
-        st = states[node.idx]
-        if st.prev_input is None:
+        if states[node.idx].prev_right is None:
             return cell[0], EMPTY_IMPULSES
         src = samples[node.in_idx[0]]
         vector = shift_orders_up(src[2])
@@ -388,6 +395,13 @@ def _phase2(node: _Node, states: list, samples: list[_Sample],
     raise AssertionError(f"unhandled kind {kind}")
 
 
+def _require_finite_right(node: _Node, right: float) -> None:
+    if not math.isfinite(right):
+        raise SimulationError(node.path, bk.NonFiniteValue(
+            f"right limit {right!r} is not finite"
+        ))
+
+
 class Engine:
     """Owns the flattened graph, schedule and per-block states."""
 
@@ -400,10 +414,17 @@ class Engine:
         self.groups: list[tuple[tuple[int, ...], bool]] = [
             (tuple(index_of[p] for p in g.members), g.cyclic) for g in schedule
         ]
+        self.order = [idx for members, _ in self.groups for idx in members]
         self.states = _initial_states(self.nodes, config.history_depth)
-        self.watchers = [
-            n.idx for n in self.nodes if n.kind in ("Switch", "Decision")
+        self.stateful = [n for n in self.nodes if bk.KINDS[n.kind].stateful]
+        # The sources of jumps and impulses, as (block, condition) indices.
+        self.switches = [
+            (n.idx, n.in_idx[0]) for n in self.nodes if n.kind == "Switch"
         ]
+        self.decisions = [
+            (n.idx, n.in_idx[2]) for n in self.nodes if n.kind == "Decision"
+        ]
+        self.delays = [n.idx for n in self.nodes if n.kind == "Delay"]
         self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
 
     # -- stepping ------------------------------------------------------------
@@ -413,21 +434,22 @@ class Engine:
         nodes = self.nodes
         samples: list[_Sample] = [None] * len(nodes)  # type: ignore[list-item]
 
-        def run_phase1(idx: int) -> None:
-            node = nodes[idx]
+        for members, cyclic in self.groups:
+            if cyclic:
+                solved = self._solve_loop(members, samples, side=0)
+                for idx, value in zip(members, solved):
+                    samples[idx] = [value, value, EMPTY_IMPULSES]
+                continue
+            node = nodes[members[0]]
             try:
                 left = _phase1_left(node, states, samples, dt)
             except BlockError as err:
                 raise SimulationError(node.path, err) from err
-            samples[idx] = [left, left, EMPTY_IMPULSES]
+            samples[node.idx] = [left, left, EMPTY_IMPULSES]
 
-        for members, cyclic in self.groups:
-            if not cyclic:
-                run_phase1(members[0])
-                continue
-            solved = self._solve_loop(members, samples, side=0)
-            for idx, value in zip(members, solved):
-                samples[idx] = [value, value, EMPTY_IMPULSES]
+        self._require_finite(samples)
+        if self._quiet(states, samples):
+            return samples
 
         limit = len(nodes) + 2
         for _ in range(limit):
@@ -444,6 +466,7 @@ class Engine:
                     raise SimulationError(node.path, err) from err
                 cell = samples[idx]
                 if right != cell[1] or vector != cell[2]:
+                    _require_finite_right(node, right)
                     cell[1] = right
                     cell[2] = vector
                     changed = True
@@ -460,6 +483,36 @@ class Engine:
                     f"the configured maximum {max_order}"
                 )
         return samples
+
+    def _require_finite(self, samples: list[_Sample]) -> None:
+        """Name the first block, in schedule order, with a non-finite left limit."""
+        # A sum of finite floats is finite unless it overflows, so one sum
+        # screens every cell and the scan runs only when the sum is not finite.
+        if math.isfinite(sum(cell[0] for cell in samples)):
+            return
+        for idx in self.order:
+            value = samples[idx][0]
+            if not math.isfinite(value):
+                raise SimulationError(self.nodes[idx].path, bk.NonFiniteValue(
+                    f"left limit {value!r} is not finite"
+                ))
+
+    def _quiet(self, states: list, samples: list[_Sample]) -> bool:
+        """Whether phase 2 would leave every phase-1 cell as it is.
+
+        With every cell's right limit equal to its left limit and no
+        impulses, each kind's phase 2 reproduces its left limit, except a
+        Switch or Decision whose condition flipped, and a Delay whose
+        previous input jumped or carried impulses.
+        """
+        for _ in self._flips(states, samples):
+            return False
+        for idx in self.delays:
+            prev = states[idx].prev_input
+            if prev is not None and (prev.left != prev.right
+                                     or not prev.impulses.is_empty):
+                return False
+        return True
 
     def _solve_loop(self, members: tuple[int, ...], samples: list[_Sample],
                     side: int) -> list[float]:
@@ -487,36 +540,37 @@ class Engine:
         changed = False
         for idx, value in zip(members, solved):
             if samples[idx][1] != value:
+                _require_finite_right(self.nodes[idx], value)
                 samples[idx][1] = value
                 changed = True
         return changed
 
     def commit(self, states: list, samples: list[_Sample], t: float) -> None:
-        for node in self.nodes:
-            kind = node.kind
-            if kind == "Integrator":
+        try:
+            for node in self.stateful:
+                kind = node.kind
                 st = states[node.idx]
-                src = samples[node.in_idx[0]]
-                if st.order == 2:
-                    if st.prev_input is not None:
-                        st.slope = (src[0] - st.prev_input.right) / (t - st.time)
-                    st.time = t
-                st.accumulator = samples[node.idx][1]
-                st.prev_input = _as_step_sample(src)
-            elif kind in ("Derivative", "Delay"):
-                states[node.idx].prev_input = _as_step_sample(
-                    samples[node.in_idx[0]]
-                )
-            elif kind == "Multiplier":
-                states[node.idx].record(
-                    t, tuple(samples[i][0] for i in node.in_idx)
-                )
-            elif kind == "Switch":
-                states[node.idx].prev_output = samples[node.idx][1]
-            elif kind == "Decision":
-                states[node.idx].prev_selects_u = (
-                    samples[node.in_idx[2]][1] >= 0.0
-                )
+                if kind == "Integrator":
+                    src = samples[node.in_idx[0]]
+                    if st.order == 2:
+                        if st.prev_right is not None:
+                            bk.require_later(t, st.time)
+                            st.slope = (src[0] - st.prev_right) / (t - st.time)
+                        st.time = t
+                    st.accumulator = samples[node.idx][1]
+                    st.prev_right = src[1]
+                elif kind == "Derivative":
+                    st.prev_right = samples[node.in_idx[0]][1]
+                elif kind == "Delay":
+                    st.prev_input = _as_step_sample(samples[node.in_idx[0]])
+                elif kind == "Multiplier":
+                    st.record(t, tuple(samples[i][0] for i in node.in_idx))
+                elif kind == "Switch":
+                    st.prev_output = samples[node.idx][1]
+                else:  # Decision
+                    st.prev_selects_u = samples[node.in_idx[2]][1] >= 0.0
+        except BlockError as err:
+            raise SimulationError(node.path, err) from err
 
     # -- event handling --------------------------------------------------------
 
@@ -528,20 +582,19 @@ class Engine:
         sample (consequences of an event, not causes) do not re-trigger
         location.
         """
-        flipped = []
-        for idx in self.watchers:
-            node = self.nodes[idx]
-            st = self.states[idx]
-            cond_left = samples[node.in_idx[-1]][0]
-            if node.kind == "Switch":
-                if st.prev_output is not None and \
-                        heaviside(cond_left) != st.prev_output:
-                    flipped.append(idx)
-            else:
-                if st.prev_selects_u is not None and \
-                        (cond_left >= 0.0) != st.prev_selects_u:
-                    flipped.append(idx)
-        return flipped
+        return list(self._flips(self.states, samples))
+
+    def _flips(self, states: list, samples: list[_Sample]) -> Iterator[int]:
+        """Switches and Decisions selecting, from the condition's left
+        limit, otherwise than their committed state."""
+        for idx, cond in self.switches:
+            held = states[idx].prev_output
+            if held is not None and heaviside(samples[cond][0]) != held:
+                yield idx
+        for idx, cond in self.decisions:
+            held = states[idx].prev_selects_u
+            if held is not None and (samples[cond][0] >= 0.0) != held:
+                yield idx
 
     def _condition_magnitude(self, samples: list[_Sample],
                              flipped: list[int]) -> float:
@@ -717,7 +770,8 @@ def step(flat: FlatGraph, config: SimConfig, states: list | None = None,
     Returns ``(samples, states)`` where samples maps block paths to
     StepSamples; states are updated in place when provided.  Successive
     calls on the same states must pass increasing ``t``: Multiplier and
-    order-2 Integrator states divide by committed time differences.
+    order-2 Integrator states divide by committed time differences, and
+    raise a ``SimulationError`` naming the block otherwise.
     """
     if not flat.schedule:
         flat.schedule = dependency_sort(flat)

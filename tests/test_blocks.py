@@ -94,7 +94,7 @@ class TestInverter:
 
 class TestIntegrator:
     def test_riemann_step(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_input=sample(1, 1))
+        state = bk.IntegratorState(accumulator=0.0, prev_right=1.0)
         out, state = bk.step_integrator(sample(1, 1), state, h=0.1)
         assert out == sample(0.1, 0.1)
         assert state.accumulator == pytest.approx(0.1)
@@ -116,13 +116,13 @@ class TestIntegrator:
         assert state.accumulator == -v_minus
 
     def test_higher_orders_shift_down(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_input=sample(0, 0))
+        state = bk.IntegratorState(accumulator=0.0, prev_right=0.0)
         out, _ = bk.step_integrator(sample(0, 0, {1: 5}), state, h=0.1)
         assert out.impulses == ImpulseVector({0: 5})
         assert out.left == out.right == 0.0
 
     def test_unit_impulse_gives_unit_step(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_input=sample(0, 0))
+        state = bk.IntegratorState(accumulator=0.0, prev_right=0.0)
         out, state = bk.step_integrator(sample(0, 0, {0: 1}), state, h=0.1)
         assert (out.left, out.right) == (0.0, 1.0)
         out, state = bk.step_integrator(sample(0, 0), state, h=0.1)
@@ -157,7 +157,7 @@ class TestIntegrator:
 
 class TestDerivative:
     def test_slope(self):
-        state = bk.DerivativeState(initial=0.0, prev_input=sample(0, 0))
+        state = bk.DerivativeState(initial=0.0, prev_right=0.0)
         out, _ = bk.step_derivative(sample(0.3, 0.3), state, h=0.1)
         assert out.left == out.right == pytest.approx(3.0)
         assert not out.has_impulses
@@ -165,12 +165,12 @@ class TestDerivative:
     def test_jump_becomes_impulse(self):
         v0, g, td = 5.0, G, 0.4
         before = v0 - g * td
-        state = bk.DerivativeState(initial=0.0, prev_input=sample(before, before))
+        state = bk.DerivativeState(initial=0.0, prev_right=before)
         out, _ = bk.step_derivative(sample(before, -before), state, h=0.1)
         assert out.impulses == ImpulseVector({0: -2.0 * before})
 
     def test_orders_shift_up(self):
-        state = bk.DerivativeState(initial=0.0, prev_input=sample(0, 0))
+        state = bk.DerivativeState(initial=0.0, prev_right=0.0)
         out, _ = bk.step_derivative(sample(0, 0, {0: 2}), state, h=0.1)
         assert out.impulses == ImpulseVector({1: 2})
 
@@ -307,11 +307,11 @@ def test_modes_agree_bitwise_on_impulse_free_inputs(a, b):
     num, _ = bk.step_multiplier([a, b], bk.MultiplierState(), mode=bk.NUMERICAL)
     assert sym == num
     for mode_pair in [
-        (bk.step_integrator(a, bk.IntegratorState(1.5, prev_input=b), 0.1),
-         bk.step_integrator(a, bk.IntegratorState(1.5, prev_input=b), 0.1,
+        (bk.step_integrator(a, bk.IntegratorState(1.5, prev_right=b.right), 0.1),
+         bk.step_integrator(a, bk.IntegratorState(1.5, prev_right=b.right), 0.1,
                             mode=bk.NUMERICAL)),
-        (bk.step_derivative(a, bk.DerivativeState(0.0, prev_input=b), 0.1),
-         bk.step_derivative(a, bk.DerivativeState(0.0, prev_input=b), 0.1,
+        (bk.step_derivative(a, bk.DerivativeState(0.0, prev_right=b.right), 0.1),
+         bk.step_derivative(a, bk.DerivativeState(0.0, prev_right=b.right), 0.1,
                             mode=bk.NUMERICAL)),
     ]:
         (sym, _), (num, _) = mode_pair

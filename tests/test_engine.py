@@ -8,6 +8,7 @@ from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
     MaxOrderExceeded,
     SimConfig,
+    SimulationError,
     Trace,
     ZenoSuspected,
     simulate,
@@ -332,6 +333,81 @@ class TestGuards:
         assert excinfo.value.block_path == "pos"
         assert "order must be 1 or 2" in str(excinfo.value)
 
+    def test_non_finite_left_limit_names_the_first_block(self):
+        # (1e300)**2 overflows to inf in the Multiplier and the Adder forms
+        # inf - inf = NaN, which used to keep phase 2 sweeping until it
+        # gave up without naming a block.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block big = Constant(1e300);
+          block sq  = Multiplier();
+          block neg = Negator();
+          block sum = Adder();
+          block sw  = Switch();
+          big.out -> sq.in1;
+          big.out -> sq.in2;
+          sq.out -> neg.in;
+          sq.out -> sum.in1;
+          neg.out -> sum.in2;
+          sum.out -> sw.c;
+          sw.out -> y;
+        }
+        """)
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+        assert excinfo.value.block_path == "sq"
+        assert isinstance(excinfo.value.cause, bk.NonFiniteValue)
+
+    def test_non_finite_right_limit_names_the_block(self):
+        # The switch edge becomes an impulse of weight 1e308, which the
+        # integrator adds to its 1e308 state as a jump: only the right
+        # limit overflows, at the located crossing.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block rate  = Constant(1);
+          block ramp  = Integrator(-0.25);
+          block sw    = Switch();
+          block edge  = Derivative();
+          block huge  = Constant(1e308);
+          block scale = Multiplier();
+          block acc   = Integrator(1e308);
+          rate.out -> ramp.in;
+          ramp.out -> sw.c;
+          sw.out -> edge.in;
+          edge.out -> scale.in1;
+          huge.out -> scale.in2;
+          scale.out -> acc.in;
+          acc.out -> y;
+        }
+        """)
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(model, "Main", SimConfig(h=0.1, t_end=0.5))
+        assert excinfo.value.block_path == "acc"
+        assert isinstance(excinfo.value.cause, bk.NonFiniteValue)
+        assert "right limit inf" in str(excinfo.value)
+
+    @pytest.mark.parametrize("wiring", [
+        "block acc = Integrator(0, order=2); one.out -> acc.in;",
+        "block acc = Multiplier(); one.out -> acc.in1; one.out -> acc.in2;",
+    ])
+    def test_repeated_commit_time_names_the_block(self, wiring):
+        # Order-2 integrators and multipliers divide by the time between
+        # commits, so a second step() at the default t = 0.0 is rejected.
+        model = dsl.load_model(f"""
+        cbd Main(out y) {{
+          block one = Constant(1);
+          {wiring}
+          acc.out -> y;
+        }}
+        """)
+        flat = flatten(model, "Main")
+        config = SimConfig(h=0.1, t_end=1.0)
+        _, states = step(flat, config)
+        with pytest.raises(SimulationError) as excinfo:
+            step(flat, config, states)
+        assert excinfo.value.block_path == "acc"
+        assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
+
 
 LOCATED_SECOND_ORDER = """
 cbd Main(out d2) {
@@ -475,3 +551,9 @@ class TestConfigValidation:
             SimConfig(h=1e-3, t_end=1.0, zc_tol=0.0)
         with pytest.raises(ValueError):
             SimConfig(mode="magic", h=1e-3, t_end=1.0)
+
+    def test_rejects_negative_max_order(self):
+        # Impulse orders start at 0; a quiet step checks no orders at all.
+        with pytest.raises(ValueError):
+            SimConfig(h=1e-3, t_end=1.0, max_order=-1)
+        assert SimConfig(h=1e-3, t_end=1.0, max_order=0).max_order == 0

@@ -1,0 +1,205 @@
+"""The quiet-step fast path against the full phase-2 sweep.
+
+``Engine.compute_step`` skips phase 2 when ``Engine._quiet`` finds that no
+Switch, Decision or Delay fires.  Each case runs ``simulate`` as is and
+again with ``_quiet`` patched to always take the sweep, in both modes, and
+requires the same trace, impulse log and warnings, compared through
+``float.hex``, or the same error.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from cbdsim import dsl
+from cbdsim.engine import Engine, EngineError, SimConfig, simulate
+
+MODES = ("symbolic", "numerical")
+# A run that locates an event at every step, as one does whose Switch
+# never commits its flip, crawls towards t_end in steps of h_min; this
+# h_min keeps such a run to a few thousand steps.
+TOLERANCES = dict(zc_tol=1e-4, h_min=1e-4)
+
+
+def _sample_key(s):
+    return (s.left.hex(), s.right.hex(),
+            tuple((order, c.hex()) for order, c in s.impulses.items()))
+
+
+def _outcome(model, watch, config):
+    try:
+        trace = simulate(model, "Main", SimConfig(watch=watch, **config))
+    except EngineError as err:
+        return ("error", type(err).__name__, str(err))
+    return (
+        [t.hex() for t in trace.times],
+        {name: [_sample_key(s) for s in stream]
+         for name, stream in trace.signals.items()},
+        [(e.time.hex(), e.signal, e.order, e.coefficient.hex())
+         for e in trace.impulses],
+        trace.warnings,
+    )
+
+
+def _assert_fast_path_equivalent(text, watch, **config):
+    """Compare both paths in both modes; return the symbolic outcome."""
+    model = dsl.load_model(text)
+    outcomes = {}
+    for mode in MODES:
+        run = dict(TOLERANCES, **config, mode=mode)
+        fast = _outcome(model, watch, run)
+        with mock.patch.object(Engine, "_quiet", lambda *args: False):
+            swept = _outcome(model, watch, run)
+        assert fast == swept, mode
+        outcomes[mode] = fast
+    return outcomes["symbolic"]
+
+
+# --- fixed cases: one per source kind -----------------------------------------
+
+RAMP_INTO = """
+cbd Main(out y) {{
+  block rate = Constant(1);
+  block ramp = Integrator(-0.25);
+  block sw   = Switch();
+  {blocks}
+  rate.out -> ramp.in;
+  ramp.out -> sw.c;
+  {wiring}
+}}
+"""
+
+
+def test_delay_replaying_a_jump():
+    text = RAMP_INTO.format(
+        blocks="block d = Delay(0); block acc = Integrator(0);",
+        wiring="sw.out -> d.in; d.out -> acc.in; d.out -> y;",
+    )
+    _, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("d", "acc", "sw"), h=0.1, t_end=0.6)
+    # The switch edge at t = 0.25 is replayed by the delay one step later.
+    edges = {name: [k for k, s in enumerate(signals[name]) if s[0] != s[1]]
+             for name in ("sw", "d")}
+    assert len(edges["sw"]) == 1
+    assert edges["d"] == [edges["sw"][0] + 1]
+
+
+def test_delay_replaying_an_impulse():
+    text = RAMP_INTO.format(
+        blocks="block e = Derivative(); block d = Delay(0); "
+               "block acc = Integrator(0);",
+        wiring="sw.out -> e.in; e.out -> d.in; d.out -> acc.in; d.out -> y;",
+    )
+    _, signals, impulses, _ = _assert_fast_path_equivalent(
+        text, ("e", "d", "acc"), h=0.1, t_end=0.6)
+    assert [(signal, order) for _, signal, order, _ in impulses] == \
+        [("e", 0), ("d", 0)]
+    assert signals["acc"][-1][1] == (1.0).hex()
+
+
+def test_decision_flip_between_different_branches():
+    # The condition 0.2 - ramp flips at t = 0.45, apart from the switch.
+    text = RAMP_INTO.format(
+        blocks="block hold = Constant(5); block lim = Constant(0.2); "
+               "block neg = Negator(); block cond = Adder(); "
+               "block pick = Decision(); block acc = Integrator(0);",
+        wiring="ramp.out -> neg.in; lim.out -> cond.in1; neg.out -> cond.in2; "
+               "ramp.out -> pick.u; hold.out -> pick.v; cond.out -> pick.c; "
+               "pick.out -> acc.in; pick.out -> y;",
+    )
+    _, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("pick", "acc"), h=0.1, t_end=0.6)
+    flips = [s for s in signals["pick"] if s[0] != s[1]]
+    assert len(flips) == 1 and flips[0][1] == (5.0).hex()
+
+
+def test_switch_flip_at_a_bisection_trial_step():
+    # The crossing at t = 0.25 lies inside the first step of size 0.3, so
+    # it is found by trial steps of bisected sizes.
+    text = RAMP_INTO.format(blocks="block e = Derivative();",
+                            wiring="sw.out -> e.in; sw.out -> y;")
+    times, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("sw", "e"), h=0.3, t_end=0.9)
+    assert abs(float.fromhex(times[1]) - 0.25) <= 1e-4
+    assert signals["sw"][1][0:2] == ((0.0).hex(), (1.0).hex())
+
+
+# --- random diagrams ---------------------------------------------------------
+
+# An oscillator pos'' = -9 pos gives conditions that cross zero both ways,
+# about twice each over the 2 s runs.
+OSCILLATOR = """
+  block pos = Integrator({pos0});
+  block vel = Integrator({vel0});
+  block stiff = Constant(-9);
+  block spring = Multiplier();
+  vel.out -> pos.in;
+  pos.out -> spring.in1;
+  stiff.out -> spring.in2;
+  spring.out -> vel.in;
+"""
+BASE_SIGNALS = ("pos", "vel", "spring")
+VALUES = (-1.0, -0.5, -0.25, 0.0, 0.3, 1.0)
+# Kinds that read their input one step late may close feedback loops.
+LATE = ("Delay", "Integrator", "Integrator2")
+# Switches and Derivatives are drawn twice as often: together they make
+# the jumps and impulses that Delays, Decisions and Integrators pass on.
+KINDS = ("Switch", "Switch", "Derivative", "Derivative", "Decision",
+         "Multiplier", "Adder", "Negator", "Constant", "Loop") + LATE
+
+
+@st.composite
+def diagrams(draw):
+    """Model text and watched block paths of a random small diagram."""
+    count = draw(st.integers(min_value=1, max_value=9))
+    kinds = [draw(st.sampled_from(KINDS)) for _ in range(count)]
+    names = list(BASE_SIGNALS) + [f"b{i}" for i in range(count)]
+    lines = [OSCILLATOR.format(pos0=draw(st.sampled_from((1.0, -0.5))),
+                               vel0=draw(st.sampled_from(VALUES)))]
+    for i, kind in enumerate(kinds):
+        name = f"b{i}"
+        pool = names if kind in LATE else names[:len(BASE_SIGNALS) + i]
+
+        def src():
+            # Half the inputs chain to the previous block.
+            if i and draw(st.booleans()):
+                return f"b{i - 1}.out"
+            return draw(st.sampled_from(pool)) + ".out"
+
+        value = draw(st.sampled_from(VALUES))
+        if kind == "Constant":
+            lines.append(f"block {name} = Constant({value!r});")
+        elif kind in ("Delay", "Derivative"):
+            lines.append(f"block {name} = {kind}({value!r}); "
+                         f"{src()} -> {name}.in;")
+        elif kind in ("Integrator", "Integrator2"):
+            order = 2 if kind == "Integrator2" else 1
+            lines.append(f"block {name} = Integrator({value!r}, order={order}); "
+                         f"{src()} -> {name}.in;")
+        elif kind in ("Switch", "Negator"):
+            port = "c" if kind == "Switch" else "in"
+            lines.append(f"block {name} = {kind}(); {src()} -> {name}.{port};")
+        elif kind in ("Adder", "Multiplier"):
+            lines.append(f"block {name} = {kind}(); {src()} -> {name}.in1; "
+                         f"{src()} -> {name}.in2;")
+        elif kind == "Decision":
+            lines.append(f"block {name} = Decision(); {src()} -> {name}.u; "
+                         f"{src()} -> {name}.v; {src()} -> {name}.c;")
+        else:
+            # b = in + 0.5 b: an Adder closed into an algebraic loop.
+            lines.append(
+                f"block {name} = Adder(); block {name}m = Multiplier(); "
+                f"block {name}g = Constant(0.5); {src()} -> {name}.in1; "
+                f"{name}m.out -> {name}.in2; {name}.out -> {name}m.in1; "
+                f"{name}g.out -> {name}m.in2;"
+            )
+    lines.append(f"{names[-1]}.out -> y;")
+    text = "cbd Main(out y) {\n" + "\n".join(lines) + "\n}\n"
+    return text, tuple(names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagrams(), st.sampled_from((0.1, 0.25)))
+def test_random_diagrams_match_the_full_sweep(diagram, h):
+    text, watch = diagram
+    _assert_fast_path_equivalent(text, watch, h=h, t_end=2.0)
