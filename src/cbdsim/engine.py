@@ -9,10 +9,12 @@ Each committed step runs in two phases over the schedule:
   late in the schedule still reach their consumers within the same step.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
-flips and at a Delay replaying a jump or an impulse.  A step where none of
-these fires is quiet: phase 2 would reproduce every left limit, so it is
-skipped.  A non-finite left limit, or a non-finite right limit set by
-phase 2, stops the run with a ``SimulationError`` naming the block.
+flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
+the cones of the sources that fire, each source with every block that
+reads it within the step (an algebraic loop in a cone is swept whole);
+every other block would reproduce its left limit.  A step where no source
+fires skips phase 2.  A non-finite left limit, or a non-finite right limit
+set by phase 2, stops the run with a ``SimulationError`` naming the block.
 
 Both execution modes share this evaluator; they differ only in how the
 trace is encoded.  Symbolic traces keep impulse vectors and log one event
@@ -25,6 +27,7 @@ step) and keep the impulse log empty.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -425,6 +428,18 @@ class Engine:
             (n.idx, n.in_idx[2]) for n in self.nodes if n.kind == "Decision"
         ]
         self.delays = [n.idx for n in self.nodes if n.kind == "Delay"]
+        # Phase 2 reads every input's cell of the current step, except at a
+        # Delay, which replays its state: a change spreads along these edges.
+        self.readers: list[list[int]] = [[] for _ in self.nodes]
+        for n in self.nodes:
+            if n.kind != "Delay":
+                for dep in n.in_idx:
+                    self.readers[dep].append(n.idx)
+        self.group_of = {
+            idx: g for g, (members, _) in enumerate(self.groups) for idx in members
+        }
+        # Source block -> schedule positions of its cone, built on first firing.
+        self.cones: dict[int, tuple[int, ...]] = {}
         self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
 
     # -- stepping ------------------------------------------------------------
@@ -448,13 +463,14 @@ class Engine:
             samples[node.idx] = [left, left, EMPTY_IMPULSES]
 
         self._require_finite(samples)
-        if self._quiet(states, samples):
+        sweep = self._sweep_groups(states, samples)
+        if not sweep:
             return samples
 
         limit = len(nodes) + 2
         for _ in range(limit):
             changed = False
-            for members, cyclic in self.groups:
+            for members, cyclic in sweep:
                 if cyclic:
                     changed |= self._phase2_loop(members, samples)
                     continue
@@ -475,13 +491,17 @@ class Engine:
         else:
             raise EngineError("impulse propagation failed to stabilise")
 
+        # Cells outside the sweep carry no impulses; the error names the
+        # first offending block in node order.
         max_order = self.config.max_order
-        for idx, cell in enumerate(samples):
-            if cell[2].max_order > max_order:
-                raise MaxOrderExceeded(
-                    f"{nodes[idx].path}: impulse order {cell[2].max_order} exceeds "
-                    f"the configured maximum {max_order}"
-                )
+        over = [idx for members, _ in sweep for idx in members
+                if samples[idx][2].max_order > max_order]
+        if over:
+            idx = min(over)
+            raise MaxOrderExceeded(
+                f"{nodes[idx].path}: impulse order {samples[idx][2].max_order} "
+                f"exceeds the configured maximum {max_order}"
+            )
         return samples
 
     def _require_finite(self, samples: list[_Sample]) -> None:
@@ -497,22 +517,46 @@ class Engine:
                     f"left limit {value!r} is not finite"
                 ))
 
-    def _quiet(self, states: list, samples: list[_Sample]) -> bool:
-        """Whether phase 2 would leave every phase-1 cell as it is.
+    def _sweep_groups(self, states: list, samples: list[_Sample],
+                      ) -> list[tuple[tuple[int, ...], bool]]:
+        """The schedule groups phase 2 must sweep, in schedule order.
 
         With every cell's right limit equal to its left limit and no
-        impulses, each kind's phase 2 reproduces its left limit, except a
-        Switch or Decision whose condition flipped, and a Delay whose
-        previous input jumped or carried impulses.
+        impulses, each kind's phase 2 reproduces its left limit, except at
+        a source: a Switch or Decision whose condition flipped, or a Delay
+        whose previous input jumped or carried impulses.  Only a source's
+        cone, the source and every block reading it within the step, can
+        change; a step with no source sweeps nothing.
         """
-        for _ in self._flips(states, samples):
-            return False
+        sources = list(self._flips(states, samples))
         for idx in self.delays:
             prev = states[idx].prev_input
             if prev is not None and (prev.left != prev.right
                                      or not prev.impulses.is_empty):
-                return False
-        return True
+                sources.append(idx)
+        if not sources:
+            return []
+        if len(sources) == 1:
+            positions = self._cone(sources[0])
+        else:
+            positions = sorted(set().union(*map(self._cone, sources)))
+        return [self.groups[g] for g in positions]
+
+    def _cone(self, source: int) -> tuple[int, ...]:
+        """Schedule positions of the groups holding ``source`` and the blocks
+        that read it, directly or through others, within one step."""
+        cone = self.cones.get(source)
+        if cone is None:
+            seen = {source}
+            frontier = [source]
+            while frontier:
+                for reader in self.readers[frontier.pop()]:
+                    if reader not in seen:
+                        seen.add(reader)
+                        frontier.append(reader)
+            cone = tuple(sorted({self.group_of[idx] for idx in seen}))
+            self.cones[source] = cone
+        return cone
 
     def _solve_loop(self, members: tuple[int, ...], samples: list[_Sample],
                     side: int) -> list[float]:
@@ -666,21 +710,8 @@ class _Recorder:
                     )
                 continue
             due = 0.0
-            remaining = []
-            for entry in self._pending[name]:
-                if entry[0] == 1:
-                    due += entry[1]
-                else:
-                    remaining.append([entry[0] - 1, entry[1]])
-            self._pending[name] = remaining
-            for order, coefficient in cell[2].items():
-                scale = dt ** (order + 1)
-                for m in range(order + 1):
-                    amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
-                    if m == 0:
-                        due += amount
-                    else:
-                        self._pending[name].append([m, amount])
+            if self._pending[name] or not cell[2].is_empty:
+                due = self._spike_due(name, cell[2], dt)
             left = cell[0] + due
             right = cell[1] + due
             if abs(left) > OVERFLOW_LIMIT or abs(right) > OVERFLOW_LIMIT:
@@ -688,6 +719,27 @@ class _Recorder:
                     f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} at t={t!r}"
                 )
             trace.signals[name].append(StepSample(left, right, EMPTY_IMPULSES))
+
+    def _spike_due(self, name: str, vector: ImpulseVector, dt: float) -> float:
+        """Spike value due at this step from ``name``'s pending cascade and
+        ``vector``; later terms of the cascade stay pending."""
+        due = 0.0
+        remaining = []
+        for entry in self._pending[name]:
+            if entry[0] == 1:
+                due += entry[1]
+            else:
+                remaining.append([entry[0] - 1, entry[1]])
+        for order, coefficient in vector.items():
+            scale = dt ** (order + 1)
+            for m in range(order + 1):
+                amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
+                if m == 0:
+                    due += amount
+                else:
+                    remaining.append([m, amount])
+        self._pending[name] = remaining
+        return due
 
 
 def resolve_watches(flat: FlatGraph, watch: Sequence[str]) -> dict[str, int]:
@@ -728,8 +780,8 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     engine.commit(engine.states, samples, t)
     recorder.record(t, samples, config.h)
 
-    consecutive_located = 0
-    window_start = 0.0
+    # Start times of the latest consecutive event-located steps.
+    located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
         trial = engine.compute_step(engine.states, t + config.h, config.h)
@@ -742,22 +794,20 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 recorder.trace.warnings.append(
                     f"step-underflow: tolerance not met at t={t + h_star!r}"
                 )
-            if consecutive_located == 0:
-                window_start = t
-            consecutive_located += 1
+            located_starts.append(t)
         else:
             h_star, samples = config.h, trial
-            consecutive_located = 0
+            located_starts.clear()
         t_new = t + h_star
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")
         engine.commit(engine.states, samples, t_new)
         recorder.record(t_new, samples, h_star)
-        if consecutive_located >= ZENO_WINDOW and \
-                (t_new - window_start) <= ZENO_WINDOW * config.h_min * (1 + 1e-9):
+        if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
+                <= ZENO_WINDOW * config.h_min * (1 + 1e-9):
             raise ZenoSuspected(
-                f"{consecutive_located} consecutive event-located steps "
-                f"advanced only {t_new - window_start!r}s"
+                f"{ZENO_WINDOW} consecutive event-located steps "
+                f"advanced only {t_new - located_starts[0]!r}s"
             )
         t = t_new
     return recorder.trace

@@ -13,6 +13,7 @@ current-step edge.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .blocks import KINDS, VARIADIC_MIN_INPUTS, input_ports
@@ -144,94 +145,73 @@ def flatten(model: Model, top: str) -> FlatGraph:
     # (scope, endpoint) -> (scope, endpoint) of the driver
     drivers: dict[tuple[str, Endpoint], tuple[str, Endpoint]] = {}
     flat_blocks: dict[str, FlatBlock] = {}
+    _expand(model, "", top, scopes, drivers, flat_blocks)
 
-    def scope_path(scope: str, name: str) -> str:
-        return f"{scope}/{name}" if scope else name
-
-    def expand(scope: str, def_name: str) -> None:
-        scopes[scope] = def_name
-        defn = model.definition(def_name)
-        for bname, decl in defn.blocks.items():
-            if decl.kind in KINDS:
-                flat_blocks[scope_path(scope, bname)] = FlatBlock(
-                    path=scope_path(scope, bname), kind=decl.kind,
-                    params=dict(decl.params), inputs={},
-                )
-            else:
-                expand(scope_path(scope, bname), decl.kind)
-        for link in defn.links:
-            key = (scope, link.dst)
-            if key in drivers:
-                raise MultipleDrivers(
-                    f"{def_name}: multiple drivers for {_endpoint_str(link.dst)}"
-                )
-            drivers[key] = (scope, link.src)
-
-    expand("", top)
-
-    def resolve(scope: str, endpoint: Endpoint,
-                trail: set[tuple[str, Endpoint]]) -> str:
+    def resolve(scope: str, endpoint: Endpoint) -> str:
         """Follow a source endpoint through port splices to a primitive block."""
-        key = (scope, endpoint)
-        if key in trail:
-            raise UnconnectedInput(
-                f"cyclic port wiring around {_endpoint_str(endpoint)} in "
-                f"{scopes[scope] or top}"
-            )
-        trail.add(key)
-        block, port = endpoint
-        defn = model.definition(scopes[scope])
-        if block is not None:
-            decl = defn.blocks.get(block)
-            if decl is None:
+        trail: set[tuple[str, Endpoint]] = set()
+        while True:
+            key = (scope, endpoint)
+            if key in trail:
                 raise UnconnectedInput(
-                    f"{defn.name}: link references unknown block {block!r}"
+                    f"cyclic port wiring around {_endpoint_str(endpoint)} in "
+                    f"{scopes[scope] or top}"
                 )
-            if decl.kind in KINDS:
-                return scope_path(scope, block)
-            child_scope = scope_path(scope, block)
-            child_def = model.definition(decl.kind)
-            if port not in child_def.out_ports:
-                raise UnconnectedInput(
-                    f"{defn.name}: {block!r} has no output port {port!r}"
-                )
-            inner = drivers.get((child_scope, (None, port)))
-            if inner is None:
-                raise UnconnectedInput(
-                    f"{decl.kind}: output port {port!r} has no driver"
-                )
-            return resolve(child_scope, inner[1], trail)
-        # Definition-level port used as a source.
-        if port in defn.in_ports:
-            if scope == "":
-                raise UnconnectedInput(f"top-level input port {port!r} is unbound")
-            parent, _, inst = scope.rpartition("/")
-            outer = drivers.get((parent, (inst, port)))
-            if outer is None:
-                raise UnconnectedInput(
-                    f"input port {port!r} of instance {inst!r} has no driver"
-                )
-            return resolve(parent, outer[1], trail)
-        if port in defn.out_ports:
-            inner = drivers.get((scope, (None, port)))
-            if inner is None:
-                raise UnconnectedInput(
-                    f"{defn.name}: output port {port!r} has no driver"
-                )
-            return resolve(scope, inner[1], trail)
-        raise UnconnectedInput(f"{defn.name}: unknown port {port!r}")
+            trail.add(key)
+            block, port = endpoint
+            defn = model.definition(scopes[scope])
+            if block is not None:
+                decl = defn.blocks.get(block)
+                if decl is None:
+                    raise UnconnectedInput(
+                        f"{defn.name}: link references unknown block {block!r}"
+                    )
+                if decl.kind in KINDS:
+                    return _scope_path(scope, block)
+                child_scope = _scope_path(scope, block)
+                child_def = model.definition(decl.kind)
+                if port not in child_def.out_ports:
+                    raise UnconnectedInput(
+                        f"{defn.name}: {block!r} has no output port {port!r}"
+                    )
+                inner = drivers.get((child_scope, (None, port)))
+                if inner is None:
+                    raise UnconnectedInput(
+                        f"{decl.kind}: output port {port!r} has no driver"
+                    )
+                scope, endpoint = child_scope, inner[1]
+            # Definition-level port used as a source.
+            elif port in defn.in_ports:
+                if scope == "":
+                    raise UnconnectedInput(f"top-level input port {port!r} is unbound")
+                parent, _, inst = scope.rpartition("/")
+                outer = drivers.get((parent, (inst, port)))
+                if outer is None:
+                    raise UnconnectedInput(
+                        f"input port {port!r} of instance {inst!r} has no driver"
+                    )
+                scope, endpoint = parent, outer[1]
+            elif port in defn.out_ports:
+                inner = drivers.get((scope, (None, port)))
+                if inner is None:
+                    raise UnconnectedInput(
+                        f"{defn.name}: output port {port!r} has no driver"
+                    )
+                endpoint = inner[1]
+            else:
+                raise UnconnectedInput(f"{defn.name}: unknown port {port!r}")
 
     # Wire every primitive input to its producing primitive block.
+    driven_ports: dict[tuple[str, str | None], list[str]] = {}
+    for scope, (block, port) in drivers:
+        driven_ports.setdefault((scope, block), []).append(port)
     for scope, def_name in scopes.items():
         defn = model.definition(def_name)
         for bname, decl in defn.blocks.items():
             if decl.kind not in KINDS:
                 continue
-            path = scope_path(scope, bname)
-            driven = sorted(
-                (dst_port for (s, (blk, dst_port)) in drivers
-                 if s == scope and blk == bname),
-            )
+            path = _scope_path(scope, bname)
+            driven = sorted(driven_ports.get((scope, bname), ()))
             info = KINDS[decl.kind]
             if info.variadic:
                 expected = input_ports(decl.kind, len(driven))
@@ -253,18 +233,45 @@ def flatten(model: Model, top: str) -> FlatGraph:
                     )
             for port in driven:
                 src_scope, src_endpoint = drivers[(scope, (bname, port))]
-                flat_blocks[path].inputs[port] = resolve(
-                    src_scope, src_endpoint, set()
-                )
+                flat_blocks[path].inputs[port] = resolve(src_scope, src_endpoint)
 
     outputs: dict[str, str] = {}
     for port in top_def.out_ports:
         inner = drivers.get(("", (None, port)))
         if inner is None:
             raise UnconnectedInput(f"{top}: output port {port!r} has no driver")
-        outputs[port] = resolve("", inner[1], set())
+        outputs[port] = resolve("", inner[1])
 
     return FlatGraph(blocks=flat_blocks, outputs=outputs)
+
+
+def _scope_path(scope: str, name: str) -> str:
+    return f"{scope}/{name}" if scope else name
+
+
+def _expand(model: Model, scope: str, def_name: str, scopes: dict[str, str],
+            drivers: dict[tuple[str, Endpoint], tuple[str, Endpoint]],
+            flat_blocks: dict[str, FlatBlock]) -> None:
+    """Record the scope, primitive blocks and link drivers of one instance,
+    depth first.  A module-level function, unlike a recursive closure, leaves
+    no reference cycle, so the tables are freed as soon as flatten returns."""
+    scopes[scope] = def_name
+    defn = model.definition(def_name)
+    for bname, decl in defn.blocks.items():
+        path = _scope_path(scope, bname)
+        if decl.kind in KINDS:
+            flat_blocks[path] = FlatBlock(
+                path=path, kind=decl.kind, params=dict(decl.params), inputs={},
+            )
+        else:
+            _expand(model, path, decl.kind, scopes, drivers, flat_blocks)
+    for link in defn.links:
+        key = (scope, link.dst)
+        if key in drivers:
+            raise MultipleDrivers(
+                f"{def_name}: multiple drivers for {_endpoint_str(link.dst)}"
+            )
+        drivers[key] = (scope, link.src)
 
 
 def _endpoint_str(endpoint: Endpoint) -> str:
@@ -354,22 +361,25 @@ def dependency_sort(flat: FlatGraph) -> tuple[Group, ...]:
                 out_edges[a].add(b)
                 in_degree[b] += 1
 
-    def stateful(c: int) -> bool:
-        return all(
-            KINDS[flat.blocks[paths[i]].kind].previous_input
-            for i in components[c]
+    # Heap entries (stateful, first member, component); the first members
+    # are unique, so the component never decides a comparison.
+    def entry(c: int) -> tuple[bool, int, int]:
+        component = components[c]
+        stateful = all(
+            KINDS[flat.blocks[paths[i]].kind].previous_input for i in component
         )
+        return stateful, min(component), c
 
-    ready = [c for c in range(len(components)) if in_degree[c] == 0]
+    ready = [entry(c) for c in range(len(components)) if in_degree[c] == 0]
+    heapq.heapify(ready)
     ordered: list[int] = []
     while ready:
-        ready.sort(key=lambda c: (stateful(c), min(components[c])))
-        current = ready.pop(0)
+        current = heapq.heappop(ready)[2]
         ordered.append(current)
         for nxt in out_edges[current]:
             in_degree[nxt] -= 1
             if in_degree[nxt] == 0:
-                ready.append(nxt)
+                heapq.heappush(ready, entry(nxt))
 
     groups = []
     for c in ordered:

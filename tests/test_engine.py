@@ -56,6 +56,29 @@ cbd Main(out q) {
 }
 """
 
+# The same square wave, forwarded by a Decision only once a ramp crosses
+# zero at t = 0.255: the streak of located steps begins with that genuine
+# crossing, and the chatter follows in steps of h_min.
+LATE_ALTERNATOR = """
+cbd Main(out q) {
+  block rate = Constant(1);
+  block ramp = Integrator(-0.255);
+  block one  = Constant(1);
+  block d    = Delay(1);
+  block neg  = Negator();
+  block pick = Decision();
+  block sw   = Switch();
+  rate.out -> ramp.in;
+  d.out -> neg.in;
+  neg.out -> d.in;
+  neg.out -> pick.u;
+  one.out -> pick.v;
+  ramp.out -> pick.c;
+  pick.out -> sw.c;
+  sw.out -> q;
+}
+"""
+
 
 class TestStepping:
     def test_constant_model_identical_samples(self):
@@ -215,6 +238,12 @@ class TestEventLocation:
         with pytest.raises(ZenoSuspected):
             simulate(model, "Main",
                      SimConfig(h=0.01, t_end=1.0, h_min=1e-9))
+
+    @pytest.mark.parametrize("h_min", [1e-5, 1e-4])
+    def test_zeno_after_a_genuine_crossing_aborts(self, h_min):
+        model = dsl.load_model(LATE_ALTERNATOR)
+        with pytest.raises(ZenoSuspected):
+            simulate(model, "Main", SimConfig(h=0.01, t_end=0.5, h_min=h_min))
 
 
 @pytest.fixture(scope="module")

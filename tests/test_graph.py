@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl
+from cbdsim.blocks import KINDS
 from cbdsim.engine import (
     ImpulseInLoop,
     NonlinearLoop,
@@ -12,6 +14,7 @@ from cbdsim.engine import (
 from cbdsim.graph import (
     BlockDecl,
     Definition,
+    Group,
     Link,
     Model,
     MultipleDrivers,
@@ -145,6 +148,139 @@ class TestDependencySort:
                     for producer in block.inputs.values():
                         assert producer in seen or producer in group.members
             seen.update(group.members)
+
+
+# --- generated diagrams ------------------------------------------------------
+
+# Input ports per kind; Integrator and Delay read their input one step late.
+PORTS = {
+    "Constant": (), "Negator": ("in",), "Integrator": ("in",),
+    "Delay": ("in",), "Derivative": ("in",), "Switch": ("c",),
+    "Adder": ("in1", "in2", "in3"), "Multiplier": ("in1", "in2"),
+    "Decision": ("u", "v", "c"),
+}
+
+
+@st.composite
+def wirings(draw):
+    """A random diagram as ``[(name, kind, {port: producer name})]`` and a
+    shuffled order for its links; producers may close any loop."""
+    count = draw(st.integers(min_value=1, max_value=14))
+    names = [f"b{i}" for i in range(count)]
+    blocks = []
+    for name in names:
+        kind = draw(st.sampled_from(sorted(PORTS)))
+        inputs = {port: draw(st.sampled_from(names)) for port in PORTS[kind]}
+        blocks.append((name, kind, inputs))
+    links = [(name, port) for name, _, inputs in blocks for port in inputs]
+    return blocks, draw(st.permutations(links))
+
+
+def _flat_model(blocks, links) -> Model:
+    inputs = {name: wired for name, _, wired in blocks}
+    main = Definition(
+        name="Main", out_ports=("y",),
+        blocks={name: BlockDecl(kind) for name, kind, _ in blocks},
+        links=[Link((inputs[name][port], "out"), (name, port))
+               for name, port in links]
+        + [Link((blocks[0][0], "out"), (None, "y"))],
+    )
+    return Model(definitions={"Main": main})
+
+
+def _wrapped_model(blocks, links) -> Model:
+    """Each block inside its own composite ``W<name>``, wired through ports."""
+    definitions = {}
+    for name, kind, wired in blocks:
+        definitions[f"W{name}"] = Definition(
+            name=f"W{name}", in_ports=tuple(wired), out_ports=("y",),
+            blocks={"core": BlockDecl(kind)},
+            links=[Link((None, port), ("core", port)) for port in wired]
+            + [Link(("core", "out"), (None, "y"))],
+        )
+    inputs = {name: wired for name, _, wired in blocks}
+    definitions["Main"] = Definition(
+        name="Main", out_ports=("y",),
+        blocks={f"w{name}": BlockDecl(f"W{name}") for name, _, _ in blocks},
+        links=[Link((f"w{inputs[name][port]}", "y"), (f"w{name}", port))
+               for name, port in links]
+        + [Link((f"w{blocks[0][0]}", "y"), (None, "y"))],
+    )
+    return Model(definitions=definitions)
+
+
+def _reference_schedule(flat) -> tuple[Group, ...]:
+    """The schedule rule by brute force: components from reachability, then
+    Kahn's algorithm that re-sorts the ready list before every pop by
+    (all members read their input one step late, first member)."""
+    paths = list(flat.blocks)
+    index = {path: i for i, path in enumerate(paths)}
+    succ: list[set[int]] = [set() for _ in paths]
+    for path, block in flat.blocks.items():
+        if not KINDS[block.kind].previous_input:
+            for producer in block.inputs.values():
+                succ[index[producer]].add(index[path])
+
+    def reach(i):
+        seen, todo = set(), list(succ[i])
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo.extend(succ[j])
+        return seen
+
+    reach_of = [reach(i) for i in range(len(paths))]
+    components, component_of = [], {}
+    for i in range(len(paths)):
+        if i not in component_of:
+            members = sorted({i} | {j for j in reach_of[i] if i in reach_of[j]})
+            component_of.update((j, len(components)) for j in members)
+            components.append(members)
+    preds = [set() for _ in components]
+    for i, nexts in enumerate(succ):
+        for j in nexts:
+            if component_of[i] != component_of[j]:
+                preds[component_of[j]].add(component_of[i])
+
+    def key(c):
+        late = all(KINDS[flat.blocks[paths[i]].kind].previous_input
+                   for i in components[c])
+        return late, components[c][0]
+
+    done: list[int] = []
+    ready = [c for c in range(len(components)) if not preds[c]]
+    while ready:
+        ready.sort(key=key)
+        done.append(ready.pop(0))
+        ready += [c for c in range(len(components)) if c not in done
+                  and c not in ready and preds[c] <= set(done)]
+    return tuple(
+        Group(tuple(paths[i] for i in components[c]),
+              len(components[c]) > 1 or components[c][0] in succ[components[c][0]])
+        for c in done
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(wirings())
+def test_generated_diagrams_flatten_and_schedule_as_wired(diagram):
+    blocks, links = diagram
+    flat = flatten(_flat_model(blocks, links), "Main")
+    wrapped = flatten(_wrapped_model(blocks, links), "Main")
+    assert list(flat.blocks) == [name for name, _, _ in blocks]
+    assert list(wrapped.blocks) == [f"w{name}/core" for name, _, _ in blocks]
+    for name, _, wired in blocks:
+        expected = sorted(wired.items())
+        assert list(flat.blocks[name].inputs.items()) == expected
+        assert list(wrapped.blocks[f"w{name}/core"].inputs.items()) == \
+            [(port, f"w{producer}/core") for port, producer in expected]
+    schedule = dependency_sort(flat)
+    assert schedule == _reference_schedule(flat)
+    assert dependency_sort(wrapped) == tuple(
+        Group(tuple(f"w{m}/core" for m in g.members), g.cyclic)
+        for g in schedule
+    )
 
 
 FEEDBACK_HALF = """

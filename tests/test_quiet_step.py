@@ -1,10 +1,11 @@
-"""The quiet-step fast path against the full phase-2 sweep.
+"""The cone sweep of phase 2 against the full sweep.
 
-``Engine.compute_step`` skips phase 2 when ``Engine._quiet`` finds that no
-Switch, Decision or Delay fires.  Each case runs ``simulate`` as is and
-again with ``_quiet`` patched to always take the sweep, in both modes, and
-requires the same trace, impulse log and warnings, compared through
-``float.hex``, or the same error.
+``Engine.compute_step`` sweeps only the schedule groups that
+``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
+fires, else the cones of the firing sources.  Each case runs ``simulate``
+as is and again with ``_sweep_groups`` patched to return every group, in
+both modes, and requires the same trace, impulse log and warnings,
+compared through ``float.hex``, or the same error.
 """
 
 from unittest import mock
@@ -48,7 +49,8 @@ def _assert_fast_path_equivalent(text, watch, **config):
     for mode in MODES:
         run = dict(TOLERANCES, **config, mode=mode)
         fast = _outcome(model, watch, run)
-        with mock.patch.object(Engine, "_quiet", lambda *args: False):
+        with mock.patch.object(Engine, "_sweep_groups",
+                               lambda self, *args: self.groups):
             swept = _outcome(model, watch, run)
         assert fast == swept, mode
         outcomes[mode] = fast
@@ -122,6 +124,91 @@ def test_switch_flip_at_a_bisection_trial_step():
         text, ("sw", "e"), h=0.3, t_end=0.9)
     assert abs(float.fromhex(times[1]) - 0.25) <= 1e-4
     assert signals["sw"][1][0:2] == ((0.0).hex(), (1.0).hex())
+
+
+# --- fixed cases: the shape of the cone ---------------------------------------
+
+def test_two_switches_flipping_in_one_trial_step():
+    # sw and sw2 read ramp and -ramp, so both flip at t = 0.25 and the
+    # sweep is the union of two disjoint cones.
+    text = RAMP_INTO.format(
+        blocks="block neg = Negator(); block sw2 = Switch(); "
+               "block e1 = Derivative(); block e2 = Derivative(); "
+               "block acc1 = Integrator(0); block acc2 = Integrator(0);",
+        wiring="ramp.out -> neg.in; neg.out -> sw2.c; sw.out -> e1.in; "
+               "sw2.out -> e2.in; e1.out -> acc1.in; e2.out -> acc2.in; "
+               "acc1.out -> y;",
+    )
+    _, signals, impulses, _ = _assert_fast_path_equivalent(
+        text, ("e1", "e2", "acc1", "acc2"), h=0.1, t_end=0.6)
+    assert [(signal, c) for _, signal, _, c in impulses] == \
+        [("e1", (1.0).hex()), ("e2", (-1.0).hex())]
+    assert impulses[0][0] == impulses[1][0]
+    assert (signals["acc1"][-1][1], signals["acc2"][-1][1]) == \
+        ((1.0).hex(), (-1.0).hex())
+
+
+LOOP = ("block a = Adder(); block m = Multiplier(); block g = Constant(0.5); "
+        "block e = Derivative(); block acc = Integrator(0);")
+# a = in + 0.5 a: an algebraic loop, swept whole inside the cone.
+LOOP_WIRING = "m.out -> a.in2; a.out -> m.in1; g.out -> m.in2; acc.out -> y;"
+
+
+def test_switch_jump_through_an_adder_loop():
+    text = RAMP_INTO.format(
+        blocks=LOOP,
+        wiring="sw.out -> a.in1; a.out -> e.in; e.out -> acc.in; " + LOOP_WIRING,
+    )
+    _, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("a", "e", "acc"), h=0.1, t_end=0.6)
+    jumps = [s[0:2] for s in signals["a"] if s[0] != s[1]]
+    assert jumps == [((0.0).hex(), (2.0).hex())]
+    assert signals["acc"][-1][1] == (2.0).hex()
+
+
+def test_switch_impulse_into_an_adder_loop_is_rejected():
+    text = RAMP_INTO.format(
+        blocks=LOOP,
+        wiring="sw.out -> e.in; e.out -> a.in1; a.out -> acc.in; " + LOOP_WIRING,
+    )
+    outcome = _assert_fast_path_equivalent(text, ("a",), h=0.1, t_end=0.6)
+    assert outcome[:2] == ("error", "ImpulseInLoop")
+
+
+def test_delay_cone_wrapping_around_the_schedule():
+    # Ring d -> e -> i -> n -> add -> d.  The Integrator i is scheduled
+    # before d, so d's cone holds blocks on both sides of it in the
+    # schedule, and i takes the impulse only in the second sweep.
+    text = RAMP_INTO.format(
+        blocks="block i = Integrator(0); block n = Negator(); "
+               "block add = Adder(); block d = Delay(0); "
+               "block e = Derivative();",
+        wiring="sw.out -> add.in1; n.out -> add.in2; add.out -> d.in; "
+               "d.out -> e.in; e.out -> i.in; i.out -> n.in; i.out -> y;",
+    )
+    _, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("sw", "d", "i"), h=0.1, t_end=0.6)
+    edges = {name: [k for k, s in enumerate(signals[name]) if s[0] != s[1]]
+             for name in ("sw", "d", "i")}
+    assert len(edges["sw"]) == 1
+    # From the step after the flip on, d replays a jump and i jumps with it.
+    assert edges["d"] == edges["i"] == \
+        list(range(edges["sw"][0] + 1, len(signals["d"])))
+
+
+def test_max_order_error_names_the_first_block_in_node_order():
+    # e3 is declared first but scheduled last; e2 and e3 both exceed
+    # max_order 0 and the error names e3 as the full sweep does.
+    text = RAMP_INTO.format(
+        blocks="block e3 = Derivative(); block e2 = Derivative(); "
+               "block e1 = Derivative();",
+        wiring="sw.out -> e1.in; e1.out -> e2.in; e2.out -> e3.in; "
+               "e3.out -> y;",
+    )
+    outcome = _assert_fast_path_equivalent(
+        text, ("e3",), h=0.1, t_end=0.6, max_order=0)
+    assert outcome[:2] == ("error", "MaxOrderExceeded")
+    assert outcome[2].startswith("e3: impulse order 2")
 
 
 # --- random diagrams ---------------------------------------------------------
