@@ -48,10 +48,8 @@ from .engine import (
     SingularLoop,
     Trace,
     ZenoSuspected,
-    locate_crossing,
     simulate,
     solve_linear_loop,
-    step,
 )
 from .dsl import ModelTextError, load_model, parse, print_model, validate
 from .analysis import (

@@ -44,20 +44,23 @@ def _fmt(x: float) -> str:
 
 
 def write_trace(trace: Trace, path: Path, fmt: str) -> None:
-    rows = [
-        (t, name, sample.left, sample.right)
-        for i, t in enumerate(trace.times)
-        for name, samples in trace.signals.items()
-        for sample in (samples[i],)
-    ]
+    names = list(trace.signals)
+    streams = list(trace.signals.values())
     if fmt == "csv":
-        lines = [TRACE_HEADER]
-        lines += [f"{_fmt(t)},{name},{_fmt(l)},{_fmt(r)}" for t, name, l, r in rows]
-        path.write_text("\n".join(lines) + "\n")
+        # One time step at a time; "%.17g" % x gives the bytes of _fmt(x).
+        with path.open("w") as out:
+            out.write(TRACE_HEADER + "\n")
+            for i, t in enumerate(trace.times):
+                prefix = "%.17g," % t
+                out.write("".join([
+                    prefix + name + ",%.17g,%.17g\n" % (s[i].left, s[i].right)
+                    for name, s in zip(names, streams)
+                ]))
     else:
         payload = {"trace": [
-            {"time": t, "signal": name, "left": l, "right": r}
-            for t, name, l, r in rows
+            {"time": t, "signal": name, "left": s[i].left, "right": s[i].right}
+            for i, t in enumerate(trace.times)
+            for name, s in zip(names, streams)
         ]}
         path.write_text(json.dumps(payload, indent=1) + "\n")
 

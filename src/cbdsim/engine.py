@@ -16,6 +16,11 @@ every other block would reproduce its left limit.  A step where no source
 fires skips phase 2.  A non-finite left limit, or a non-finite right limit
 set by phase 2, stops the run with a ``SimulationError`` naming the block.
 
+A condition sign change bisects the step.  The bisection trials run phase 1
+over the condition closure only, the blocks the crossing test reads within
+a step, so a discarded trial checks nothing outside it; the full step runs
+at the located size.
+
 Both execution modes share this evaluator; they differ only in how the
 trace is encoded.  Symbolic traces keep impulse vectors and log one event
 per coefficient.  Numerical traces fold every coefficient into the
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import blocks as bk
 from .blocks import BlockError, heaviside
@@ -440,33 +445,38 @@ class Engine:
         }
         # Source block -> schedule positions of its cone, built on first firing.
         self.cones: dict[int, tuple[int, ...]] = {}
+        # The condition closure: the groups whose left limits the crossing
+        # test reads.  The walk goes backwards from every condition input
+        # and stops at Integrators and Delays, whose phase 1 reads only state;
+        # the closure holds the groups of the blocks reached, loops whole.
+        seen: set[int] = set()
+        frontier = [cond for _, cond in self.switches + self.decisions]
+        while frontier:
+            idx = frontier.pop()
+            if idx not in seen:
+                seen.add(idx)
+                if self.nodes[idx].kind not in ("Integrator", "Delay"):
+                    frontier.extend(self.nodes[idx].in_idx)
+        self.closure = [self.groups[g]
+                        for g in sorted({self.group_of[idx] for idx in seen})]
+        self.closure_order = [idx for members, _ in self.closure for idx in members]
         self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
 
     # -- stepping ------------------------------------------------------------
 
-    def compute_step(self, states: list, t: float, dt: float) -> list[_Sample]:
-        """Evaluate every block at time ``t`` for a step of size ``dt``."""
-        nodes = self.nodes
-        samples: list[_Sample] = [None] * len(nodes)  # type: ignore[list-item]
+    def compute_step(self, states: list, t: float, dt: float,
+                     ) -> tuple[list[_Sample], list[int]]:
+        """Evaluate every block at time ``t`` for a step of size ``dt``.
 
-        for members, cyclic in self.groups:
-            if cyclic:
-                solved = self._solve_loop(members, samples, side=0)
-                for idx, value in zip(members, solved):
-                    samples[idx] = [value, value, EMPTY_IMPULSES]
-                continue
-            node = nodes[members[0]]
-            try:
-                left = _phase1_left(node, states, samples, dt)
-            except BlockError as err:
-                raise SimulationError(node.path, err) from err
-            samples[node.idx] = [left, left, EMPTY_IMPULSES]
-
-        self._require_finite(samples)
-        sweep = self._sweep_groups(states, samples)
+        Returns the samples and the flipped conditions.
+        """
+        samples = self._phase1(self.groups, self.order, states, dt)
+        flipped = self.flipped_conditions(states, samples)
+        sweep = self._sweep_groups(states, flipped)
         if not sweep:
-            return samples
+            return samples, flipped
 
+        nodes = self.nodes
         limit = len(nodes) + 2
         for _ in range(limit):
             changed = False
@@ -502,22 +512,49 @@ class Engine:
                 f"{nodes[idx].path}: impulse order {samples[idx][2].max_order} "
                 f"exceeds the configured maximum {max_order}"
             )
+        return samples, flipped
+
+    def _closure_step(self, states: list, t: float, dt: float,
+                      ) -> tuple[list[_Sample], list[int]]:
+        """A bisection trial: phase 1 over the condition closure only.
+
+        The cells outside the closure stay ``None``; the flips and the
+        condition magnitudes read the same floats as ``compute_step``.
+        ``t`` is unused and keeps ``compute_step``'s signature.
+        """
+        samples = self._phase1(self.closure, self.closure_order, states, dt)
+        return samples, self.flipped_conditions(states, samples)
+
+    def _phase1(self, groups: list[tuple[tuple[int, ...], bool]],
+                order: list[int], states: list, dt: float) -> list[_Sample]:
+        """Left limits of ``groups`` (members ``order``, in schedule order),
+        screened for non-finite values; other cells stay ``None``."""
+        nodes = self.nodes
+        samples: list[_Sample] = [None] * len(nodes)  # type: ignore[list-item]
+        for members, cyclic in groups:
+            if cyclic:
+                solved = self._solve_loop(members, samples, side=0)
+                for idx, value in zip(members, solved):
+                    samples[idx] = [value, value, EMPTY_IMPULSES]
+                continue
+            node = nodes[members[0]]
+            try:
+                left = _phase1_left(node, states, samples, dt)
+            except BlockError as err:
+                raise SimulationError(node.path, err) from err
+            samples[node.idx] = [left, left, EMPTY_IMPULSES]
+        # A sum of finite floats is finite unless it overflows, so one sum
+        # screens the cells and the scan runs only when the sum is not finite.
+        if not math.isfinite(sum(samples[idx][0] for idx in order)):
+            for idx in order:
+                value = samples[idx][0]
+                if not math.isfinite(value):
+                    raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
+                        f"left limit {value!r} is not finite"
+                    ))
         return samples
 
-    def _require_finite(self, samples: list[_Sample]) -> None:
-        """Name the first block, in schedule order, with a non-finite left limit."""
-        # A sum of finite floats is finite unless it overflows, so one sum
-        # screens every cell and the scan runs only when the sum is not finite.
-        if math.isfinite(sum(cell[0] for cell in samples)):
-            return
-        for idx in self.order:
-            value = samples[idx][0]
-            if not math.isfinite(value):
-                raise SimulationError(self.nodes[idx].path, bk.NonFiniteValue(
-                    f"left limit {value!r} is not finite"
-                ))
-
-    def _sweep_groups(self, states: list, samples: list[_Sample],
+    def _sweep_groups(self, states: list, flipped: list[int],
                       ) -> list[tuple[tuple[int, ...], bool]]:
         """The schedule groups phase 2 must sweep, in schedule order.
 
@@ -528,7 +565,7 @@ class Engine:
         cone, the source and every block reading it within the step, can
         change; a step with no source sweeps nothing.
         """
-        sources = list(self._flips(states, samples))
+        sources = list(flipped)
         for idx in self.delays:
             prev = states[idx].prev_input
             if prev is not None and (prev.left != prev.right
@@ -618,27 +655,25 @@ class Engine:
 
     # -- event handling --------------------------------------------------------
 
-    def flipped_conditions(self, samples: list[_Sample]) -> list[int]:
-        """Condition blocks whose sign changed relative to the committed state.
-
-        The test compares the trial's condition left limit against the
-        previously committed output, so jumps that happen inside a committed
-        sample (consequences of an event, not causes) do not re-trigger
-        location.
-        """
-        return list(self._flips(self.states, samples))
-
-    def _flips(self, states: list, samples: list[_Sample]) -> Iterator[int]:
+    def flipped_conditions(self, states: list,
+                           samples: list[_Sample]) -> list[int]:
         """Switches and Decisions selecting, from the condition's left
-        limit, otherwise than their committed state."""
+        limit, otherwise than their committed state.
+
+        Comparing the left limit against the committed selection means that
+        jumps inside a committed sample (consequences of an event, not
+        causes) do not re-trigger location.
+        """
+        flipped = []
         for idx, cond in self.switches:
             held = states[idx].prev_output
             if held is not None and heaviside(samples[cond][0]) != held:
-                yield idx
+                flipped.append(idx)
         for idx, cond in self.decisions:
             held = states[idx].prev_selects_u
             if held is not None and (samples[cond][0] >= 0.0) != held:
-                yield idx
+                flipped.append(idx)
+        return flipped
 
     def _condition_magnitude(self, samples: list[_Sample],
                              flipped: list[int]) -> float:
@@ -647,37 +682,40 @@ class Engine:
         )
 
     def locate_crossing(self, t: float, h: float,
-                        trial: list[_Sample] | None = None,
+                        trial: tuple[list[_Sample], list[int]] | None = None,
                         ) -> tuple[float, list[_Sample], bool]:
         """Bisect the trial step onto the earliest condition crossing.
 
-        Returns the located step size, the samples of the step at that
-        size, and whether the bisection bottomed out at ``h_min`` without
-        reaching the value tolerance (the step is committed regardless).
+        ``trial`` is ``compute_step``'s result for the full step ``h``.  The
+        bisection trials evaluate only the condition closure; the full step
+        runs again only at the located size.  Returns the located step size,
+        the samples of the step at that size, and whether the bisection
+        bottomed out at ``h_min`` without reaching the value tolerance (the
+        step is committed regardless).
         """
         cfg = self.config
         if trial is None:
             trial = self.compute_step(self.states, t + h, h)
-        flipped = self.flipped_conditions(trial)
-        if not flipped:
+        samples_hi, flipped_hi = trial
+        if not flipped_hi:
             raise EngineError("locate_crossing called without a sign change")
         lo, hi = 0.0, h
-        samples_hi, flipped_hi = trial, flipped
         while self._condition_magnitude(samples_hi, flipped_hi) > cfg.zc_tol \
                 and (hi - lo) > cfg.h_min:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
-            candidate = self.compute_step(self.states, t + mid, mid)
-            flipped_mid = self.flipped_conditions(candidate)
+            candidate, flipped_mid = self._closure_step(self.states, t + mid, mid)
             if flipped_mid:
                 hi, samples_hi, flipped_hi = mid, candidate, flipped_mid
             else:
                 lo = mid
         if hi < cfg.h_min:
             hi = cfg.h_min
-            samples_hi = self.compute_step(self.states, t + hi, hi)
-            flipped_hi = self.flipped_conditions(samples_hi) or flipped_hi
+            samples_hi, flipped = self.compute_step(self.states, t + hi, hi)
+            flipped_hi = flipped or flipped_hi
+        elif hi < h:
+            samples_hi, flipped_hi = self.compute_step(self.states, t + hi, hi)
         underflow = self._condition_magnitude(samples_hi, flipped_hi) > cfg.zc_tol
         return hi, samples_hi, underflow
 
@@ -776,7 +814,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     recorder = _Recorder(config, resolve_watches(flat, config.watch))
 
     t = 0.0
-    samples = engine.compute_step(engine.states, t, config.h)
+    samples, _ = engine.compute_step(engine.states, t, config.h)
     engine.commit(engine.states, samples, t)
     recorder.record(t, samples, config.h)
 
@@ -785,7 +823,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
         trial = engine.compute_step(engine.states, t + config.h, config.h)
-        flipped = engine.flipped_conditions(trial)
+        samples, flipped = trial
         if flipped:
             h_star, samples, underflow = engine.locate_crossing(
                 t, config.h, trial
@@ -796,7 +834,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 )
             located_starts.append(t)
         else:
-            h_star, samples = config.h, trial
+            h_star = config.h
             located_starts.clear()
         t_new = t + h_star
         if t_new <= t:
@@ -811,43 +849,3 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
             )
         t = t_new
     return recorder.trace
-
-
-def step(flat: FlatGraph, config: SimConfig, states: list | None = None,
-         t: float = 0.0, dt: float | None = None):
-    """Single-step entry point for driving a flat graph directly.
-
-    Returns ``(samples, states)`` where samples maps block paths to
-    StepSamples; states are updated in place when provided.  Successive
-    calls on the same states must pass increasing ``t``: Multiplier and
-    order-2 Integrator states divide by committed time differences, and
-    raise a ``SimulationError`` naming the block otherwise.
-    """
-    if not flat.schedule:
-        flat.schedule = dependency_sort(flat)
-    engine = Engine(flat, config)
-    if states is not None:
-        engine.states = states
-    dt = config.h if dt is None else dt
-    cells = engine.compute_step(engine.states, t, dt)
-    engine.commit(engine.states, cells, t)
-    named = {
-        node.path: _as_step_sample(cells[node.idx]) for node in engine.nodes
-    }
-    return named, engine.states
-
-
-def locate_crossing(flat: FlatGraph, config: SimConfig, states: list,
-                    t: float, h: float) -> tuple[float, bool]:
-    """Locate the earliest condition crossing inside a trial step.
-
-    ``states`` must be the committed block states at time ``t``; they are
-    not modified.  Returns the located step size and whether the bisection
-    bottomed out at ``h_min`` before meeting the value tolerance.
-    """
-    if not flat.schedule:
-        flat.schedule = dependency_sort(flat)
-    engine = Engine(flat, config)
-    engine.states = states
-    h_star, _, underflow = engine.locate_crossing(t, h)
-    return h_star, underflow

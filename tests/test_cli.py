@@ -4,6 +4,8 @@ import math
 import pytest
 
 from cbdsim import cli
+from cbdsim.engine import Trace
+from cbdsim.signals import StepSample
 
 G = 9.81
 
@@ -86,6 +88,21 @@ class TestRun:
         reloaded = tmp_path / "reloaded.csv"
         cli.write_trace(trace, reloaded, "csv")
         assert reloaded.read_text() == out.read_text()
+
+    def test_trace_text_of_special_values(self, tmp_path):
+        inf, nan = math.inf, math.nan
+        trace = Trace(mode="symbolic", times=[0.0, 1 / 3], signals={
+            "a": [StepSample(-0.0, inf), StepSample(nan, -inf)],
+            "b/c": [StepSample(5e-324, 1e308), StepSample(0.1, -2.5)],
+        })
+        out = tmp_path / "special.csv"
+        cli.write_trace(trace, out, "csv")
+        assert out.read_text() == (
+            "time,signal,left,right\n"
+            "0,a,-0,inf\n0,b/c,4.9406564584124654e-324,1e+308\n"
+            "0.33333333333333331,a,nan,-inf\n"
+            "0.33333333333333331,b/c,0.10000000000000001,-2.5\n"
+        )
 
     def test_json_format_mirrors_csv(self, ball_path, tmp_path, capsys):
         code, out_json, imp_json = run_ball(ball_path, tmp_path, fmt="json")

@@ -6,13 +6,13 @@ from cbdsim import blocks as bk
 from cbdsim import dsl
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
+    Engine,
     MaxOrderExceeded,
     SimConfig,
     SimulationError,
     Trace,
     ZenoSuspected,
     simulate,
-    step,
 )
 from cbdsim.graph import ModelError, dependency_sort, flatten
 
@@ -136,9 +136,13 @@ class TestStepping:
         model = dsl.load_model(CONSTANT_ONLY)
         flat = flatten(model, "Main")
         flat.schedule = dependency_sort(flat)
-        samples, states = step(flat, SimConfig(h=0.1, t_end=1.0))
-        assert samples["n"].left == -4.25
-        assert samples["c"].right == 4.25
+        engine = Engine(flat, SimConfig(h=0.1, t_end=1.0))
+        samples, flipped = engine.compute_step(engine.states, 0.0, 0.1)
+        engine.commit(engine.states, samples, 0.0)
+        cell = {node.path: samples[node.idx] for node in engine.nodes}
+        assert cell["n"][0] == -4.25
+        assert cell["c"][1] == 4.25
+        assert flipped == []
 
     def test_unknown_watch_rejected(self, ball_model):
         with pytest.raises(ModelError):
@@ -193,18 +197,15 @@ class TestEventLocation:
         ]
 
     def test_locate_crossing_function(self):
-        from cbdsim.engine import Engine, locate_crossing
-        from cbdsim.graph import flatten
         model = dsl.load_model(DESCENT)
         flat = flatten(model, "Main")
         config = SimConfig(h=0.3, t_end=1.0, zc_tol=1e-9)
         engine = Engine(flat, config)
         # Advance the committed state to t = 0.3 (position 0.2).
         for t in (0.0, 0.3):
-            cells = engine.compute_step(engine.states, t, 0.3)
+            cells, _ = engine.compute_step(engine.states, t, 0.3)
             engine.commit(engine.states, cells, t)
-        h_star, underflow = locate_crossing(flat, config, engine.states,
-                                            0.3, 0.3)
+        h_star, _, underflow = engine.locate_crossing(0.3, 0.3)
         assert not underflow
         assert abs(h_star - 0.2) <= 1e-9
 
@@ -421,7 +422,7 @@ class TestGuards:
     ])
     def test_repeated_commit_time_names_the_block(self, wiring):
         # Order-2 integrators and multipliers divide by the time between
-        # commits, so a second step() at the default t = 0.0 is rejected.
+        # commits, so a second commit at t = 0.0 is rejected.
         model = dsl.load_model(f"""
         cbd Main(out y) {{
           block one = Constant(1);
@@ -429,11 +430,12 @@ class TestGuards:
           acc.out -> y;
         }}
         """)
-        flat = flatten(model, "Main")
-        config = SimConfig(h=0.1, t_end=1.0)
-        _, states = step(flat, config)
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
+        samples, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        engine.commit(engine.states, samples, 0.0)
+        samples, _ = engine.compute_step(engine.states, 0.0, 0.1)
         with pytest.raises(SimulationError) as excinfo:
-            step(flat, config, states)
+            engine.commit(engine.states, samples, 0.0)
         assert excinfo.value.block_path == "acc"
         assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
 

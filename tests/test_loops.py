@@ -169,7 +169,7 @@ def test_ramp_gain_refactors_every_step_until_singular():
     watched = resolve_watches(flat, ())
     y, g = watched["y"], watched["g"]
     for k in range(8):
-        samples = engine.compute_step(engine.states, k * h, h)
+        samples, _ = engine.compute_step(engine.states, k * h, h)
         engine.commit(engine.states, samples, k * h)
         gain = samples[g][0]
         assert gain == k * h

@@ -1,5 +1,6 @@
 """The benchmark harness still runs every workload at a tiny size."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -14,3 +15,13 @@ def test_perfbench_smoke_runs():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] == "smoke: ok"
+
+
+def test_tracer_finds_every_layer():
+    # The tracer wraps cbdsim names by string and reports a missing one as
+    # an absent layer, so a rename would otherwise go unnoticed.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.Tracer().absent == []

@@ -1,11 +1,14 @@
-"""The cone sweep of phase 2 against the full sweep.
+"""The evaluator's shortcuts against the full computation.
 
 ``Engine.compute_step`` sweeps only the schedule groups that
 ``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
-fires, else the cones of the firing sources.  Each case runs ``simulate``
-as is and again with ``_sweep_groups`` patched to return every group, in
-both modes, and requires the same trace, impulse log and warnings,
-compared through ``float.hex``, or the same error.
+fires, else the cones of the firing sources.  ``Engine.locate_crossing``
+bisects with ``Engine._closure_step``, which evaluates only the condition
+closure.  Each case runs ``simulate`` as is, again with ``_sweep_groups``
+patched to return every group, and again with ``_closure_step`` patched
+to the full ``compute_step``, in both modes, and requires the same trace,
+impulse log and warnings, compared through ``float.hex``, or the same
+error.
 """
 
 from unittest import mock
@@ -42,17 +45,23 @@ def _outcome(model, watch, config):
     )
 
 
+# Each reference patches one shortcut back to the full computation.
+REFERENCES = {
+    "full sweep": ("_sweep_groups", lambda self, *args: self.groups),
+    "full trials": ("_closure_step", Engine.compute_step),
+}
+
+
 def _assert_fast_path_equivalent(text, watch, **config):
-    """Compare both paths in both modes; return the symbolic outcome."""
+    """Compare every path in both modes; return the symbolic outcome."""
     model = dsl.load_model(text)
     outcomes = {}
     for mode in MODES:
         run = dict(TOLERANCES, **config, mode=mode)
         fast = _outcome(model, watch, run)
-        with mock.patch.object(Engine, "_sweep_groups",
-                               lambda self, *args: self.groups):
-            swept = _outcome(model, watch, run)
-        assert fast == swept, mode
+        for name, (attr, full) in REFERENCES.items():
+            with mock.patch.object(Engine, attr, full):
+                assert _outcome(model, watch, run) == fast, (mode, name)
         outcomes[mode] = fast
     return outcomes["symbolic"]
 
