@@ -49,7 +49,6 @@ from .engine import (
     Trace,
     ZenoSuspected,
     simulate,
-    solve_linear_loop,
 )
 from .dsl import ModelTextError, load_model, parse, print_model, validate
 from .analysis import (

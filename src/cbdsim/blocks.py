@@ -1,42 +1,41 @@
 """Per-step operational semantics of the primitive blocks.
 
-Each block kind is described by a :class:`KindInfo` entry (ports, parameters)
-and implemented as a pair of phase kernels:
+Each block kind has one :class:`KindInfo` entry in :data:`KINDS`: its
+ports and parameters, and the kernels that define it, shared by the
+symbolic and numerical modes:
 
-* ``phase1`` produces the output's left limit from the inputs' left limits
+* ``left`` produces the output's left limit from the inputs' left limits
   (integrators and delays emit state and ignore current inputs),
-* ``phase2`` produces the right limit and the impulse vector from the full
-  input samples.
+* ``right`` produces the right limit and the impulse vector from the full
+  input samples,
+* ``commit``, for the stateful kinds, advances the block's state once the
+  step is committed; ``new_state`` builds that state from the parameters.
 
-The ``step_<kind>`` functions compose both phases into the one-shot form
-used by unit tests and by anyone driving blocks outside the engine.  In
-numerical mode they first assert that inputs carry no impulse vectors and
-then operate on plain values.
+The kernels work on cells: within a step, ``samples[i]`` is the mutable
+list ``[left, right, ImpulseVector]`` of the block with node index ``i``.
+A node exposes ``idx``, ``in_idx`` (its inputs' indices, in port order)
+and ``params``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .signals import (
     EMPTY_IMPULSES,
-    ImpulseVector,
     StepSample,
-    add_samples,
     add_vectors,
     extract_order_zero,
+    impulses,
     leibniz_product,
-    negate_sample,
+    negate_vector,
     shift_orders_up,
 )
 
-SYMBOLIC = "symbolic"
-NUMERICAL = "numerical"
-
 DIV_TOLERANCE = 1e-300
-DEFAULT_HISTORY_DEPTH = 4
+HISTORY_DEPTH = 4
 
 
 class BlockError(ValueError):
@@ -67,10 +66,6 @@ class ImpulseAtSwitchingInstant(BlockError):
     """Decision branches may not carry impulses while the selection flips."""
 
 
-class ImpulseInNumericalMode(BlockError):
-    """Numerical mode received an input with a non-empty impulse vector."""
-
-
 class NonFiniteValue(BlockError):
     """A block produced an infinite or NaN limit."""
 
@@ -92,43 +87,8 @@ def heaviside(x: float) -> float:
     return 1.0 if x >= 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class KindInfo:
-    name: str
-    inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
-    variadic: bool = False
-    params: tuple[str, ...] = ()
-    stateful: bool = False
-    # True when the block consumes its data input one step late, which
-    # removes it from the current-step dependency graph.
-    previous_input: bool = False
-
-
-KINDS: dict[str, KindInfo] = {
-    "Constant": KindInfo("Constant", (), params=("value",)),
-    "Adder": KindInfo("Adder", (), variadic=True),
-    "Negator": KindInfo("Negator", ("in",)),
-    "Multiplier": KindInfo("Multiplier", (), variadic=True, stateful=True),
-    "Inverter": KindInfo("Inverter", ("in",)),
-    "Integrator": KindInfo("Integrator", ("in",), params=("init", "order"),
-                           stateful=True, previous_input=True),
-    "Derivative": KindInfo("Derivative", ("in",), params=("init",), stateful=True),
-    "Switch": KindInfo("Switch", ("c",), stateful=True),
-    "Decision": KindInfo("Decision", ("u", "v", "c"), stateful=True),
-    "Delay": KindInfo("Delay", ("in",), params=("init",),
-                      stateful=True, previous_input=True),
-}
-
 VARIADIC_MIN_INPUTS = 2
 INTEGRATOR_ORDERS = (1, 2)
-
-
-def input_ports(kind: str, count: int) -> tuple[str, ...]:
-    """Port names for an instance of ``kind`` with ``count`` inputs."""
-    info = KINDS[kind]
-    if info.variadic:
-        return tuple(f"in{i + 1}" for i in range(count))
-    return info.inputs
 
 
 # --- per-kind state -------------------------------------------------------
@@ -141,7 +101,7 @@ class IntegratorState:
     before the first commit.  ``slope`` is the order-2 input slope
     ``(prev.left - prevprev.right) / h_prev`` over the last committed step;
     it stays ``None`` for order 1 and until two inputs have been committed.
-    ``time`` is the commit time of the last input, from which the engine
+    ``time`` is the commit time of the last input, from which the slope
     takes ``h_prev``.
     """
     accumulator: float
@@ -165,7 +125,6 @@ class DelayState:
 
 @dataclass
 class MultiplierState:
-    depth: int = DEFAULT_HISTORY_DEPTH
     times: list[float] = field(default_factory=list)
     lefts: list[tuple[float, ...]] = field(default_factory=list)
 
@@ -174,7 +133,7 @@ class MultiplierState:
             require_later(t, self.times[-1])
         self.times.append(t)
         self.lefts.append(values)
-        if len(self.times) > self.depth:
+        if len(self.times) > HISTORY_DEPTH:
             del self.times[0]
             del self.lefts[0]
 
@@ -189,25 +148,11 @@ class DecisionState:
     prev_selects_u: bool | None = None
 
 
-def initial_state(kind: str, params: dict[str, float],
-                  history_depth: int = DEFAULT_HISTORY_DEPTH):
-    if kind == "Integrator":
-        order = params.get("order", 1)
-        if order not in INTEGRATOR_ORDERS:
-            raise BlockError(f"Integrator order must be 1 or 2, got {order!r}")
-        return IntegratorState(accumulator=params.get("init", 0.0),
-                               order=int(order))
-    if kind == "Derivative":
-        return DerivativeState(initial=params.get("init", 0.0))
-    if kind == "Delay":
-        return DelayState(initial=params.get("init", 0.0))
-    if kind == "Multiplier":
-        return MultiplierState(depth=history_depth)
-    if kind == "Switch":
-        return SwitchState()
-    if kind == "Decision":
-        return DecisionState()
-    return None
+def _new_integrator(params: dict[str, float]) -> IntegratorState:
+    order = params.get("order", 1)
+    if order not in INTEGRATOR_ORDERS:
+        raise BlockError(f"Integrator order must be 1 or 2, got {order!r}")
+    return IntegratorState(accumulator=params.get("init", 0.0), order=int(order))
 
 
 # --- derivative estimation for the Multiplier ----------------------------
@@ -237,198 +182,274 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
     return derivs
 
 
-def _multiplier_impulses(inputs: Sequence[StepSample], state: MultiplierState,
-                         t: float) -> ImpulseVector:
-    impulsive = [i for i, s in enumerate(inputs) if s.has_impulses]
+# --- kernels ----------------------------------------------------------------
+
+def _constant_left(node, states, samples, dt):
+    return node.params["value"]
+
+
+def _constant_right(node, states, samples, t, dt):
+    return node.params["value"], EMPTY_IMPULSES
+
+
+def _adder_left(node, states, samples, dt):
+    total = samples[node.in_idx[0]][0]
+    for i in node.in_idx[1:]:
+        total += samples[i][0]
+    return total
+
+
+def _adder_right(node, states, samples, t, dt):
+    right = samples[node.in_idx[0]][1]
+    vector = samples[node.in_idx[0]][2]
+    for i in node.in_idx[1:]:
+        right += samples[i][1]
+        vector = add_vectors(vector, samples[i][2])
+    return right, vector
+
+
+def _negator_left(node, states, samples, dt):
+    return -samples[node.in_idx[0]][0]
+
+
+def _negator_right(node, states, samples, t, dt):
+    src = samples[node.in_idx[0]]
+    return -src[1], negate_vector(src[2])
+
+
+def _multiplier_left(node, states, samples, dt):
+    return math.prod(samples[i][0] for i in node.in_idx)
+
+
+def _multiplier_right(node, states, samples, t, dt):
+    ins = [samples[i] for i in node.in_idx]
+    right = math.prod(cell[1] for cell in ins)
+    impulsive = [j for j, cell in enumerate(ins) if not cell[2].is_empty]
     if not impulsive:
-        return EMPTY_IMPULSES
+        return right, EMPTY_IMPULSES
     if len(impulsive) > 1:
         raise BothInputsImpulsive(
             "more than one multiplier input carries impulses"
         )
     j = impulsive[0]
-    vector = inputs[j].impulses
+    vector = ins[j][2]
     order = vector.max_order
     # Smooth factor u = product of the other inputs, sampled at left limits.
-    current = math.prod(s.left for i, s in enumerate(inputs) if i != j)
+    current = math.prod(cell[0] for k, cell in enumerate(ins) if k != j)
     if order == 0:
-        return leibniz_product([current], vector)
-    times = list(state.times) + [t]
+        return right, leibniz_product([current], vector)
+    st = states[node.idx]
     series = [
-        math.prod(row[i] for i in range(len(inputs)) if i != j)
-        for row in state.lefts
+        math.prod(row[k] for k in range(len(ins)) if k != j) for row in st.lefts
     ] + [current]
-    u_derivs = estimate_derivatives(times, series, order)
-    return leibniz_product(u_derivs, vector)
+    u_derivs = estimate_derivatives(st.times + [t], series, order)
+    return right, leibniz_product(u_derivs, vector)
 
 
-# --- numerical-mode guard -------------------------------------------------
-
-def _require_impulse_free(inputs: Sequence[StepSample], kind: str) -> None:
-    for s in inputs:
-        if s.has_impulses:
-            raise ImpulseInNumericalMode(
-                f"{kind} received an impulse-carrying input in numerical mode"
-            )
+def _multiplier_commit(node, st, samples, t):
+    st.record(t, tuple(samples[i][0] for i in node.in_idx))
 
 
-# --- one-shot step operations --------------------------------------------
-
-def step_constant(value: float) -> StepSample:
-    return StepSample(float(value), float(value), EMPTY_IMPULSES)
-
-
-def step_adder(inputs: Sequence[StepSample], mode: str = SYMBOLIC) -> StepSample:
-    if mode == NUMERICAL:
-        _require_impulse_free(inputs, "Adder")
-    if len(inputs) < VARIADIC_MIN_INPUTS:
-        raise BlockError("Adder needs at least two inputs")
-    out = inputs[0]
-    for s in inputs[1:]:
-        out = add_samples(out, s)
-    return out
+def _inverter_left(node, states, samples, dt):
+    value = samples[node.in_idx[0]][0]
+    if abs(value) <= DIV_TOLERANCE:
+        raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
+    return 1.0 / value
 
 
-def step_negator(value: StepSample, mode: str = SYMBOLIC) -> StepSample:
-    if mode == NUMERICAL:
-        _require_impulse_free([value], "Negator")
-    return negate_sample(value)
-
-
-def step_multiplier(inputs: Sequence[StepSample], state: MultiplierState,
-                    t: float = 0.0, mode: str = SYMBOLIC,
-                    ) -> tuple[StepSample, MultiplierState]:
-    if len(inputs) < VARIADIC_MIN_INPUTS:
-        raise BlockError("Multiplier needs at least two inputs")
-    if mode == NUMERICAL:
-        _require_impulse_free(inputs, "Multiplier")
-    left = math.prod(s.left for s in inputs)
-    right = math.prod(s.right for s in inputs)
-    vector = _multiplier_impulses(inputs, state, t) if mode == SYMBOLIC \
-        else EMPTY_IMPULSES
-    state.record(t, tuple(s.left for s in inputs))
-    return StepSample(left, right, vector), state
-
-
-def step_inverter(value: StepSample, mode: str = SYMBOLIC,
-                  div_tolerance: float = DIV_TOLERANCE) -> StepSample:
-    if mode == NUMERICAL:
-        _require_impulse_free([value], "Inverter")
-    if value.has_impulses:
+def _inverter_right(node, states, samples, t, dt):
+    src = samples[node.in_idx[0]]
+    if not src[2].is_empty:
         raise ImpulseOnInverter("cannot invert an impulse-carrying signal")
-    for limit in (value.left, value.right):
-        if abs(limit) <= div_tolerance:
-            raise DivisionNearZero(f"inverter input magnitude {limit!r} too small")
-    return StepSample(1.0 / value.left, 1.0 / value.right, EMPTY_IMPULSES)
+    if abs(src[1]) <= DIV_TOLERANCE:
+        raise DivisionNearZero(f"inverter input magnitude {src[1]!r} too small")
+    return 1.0 / src[1], EMPTY_IMPULSES
 
 
-def step_integrator(value: StepSample, state: IntegratorState, h: float,
-                    mode: str = SYMBOLIC) -> tuple[StepSample, IntegratorState]:
-    """Advance one step: accumulate the previous input, then apply impulses.
-
-    Order 1 accumulates explicitly (previous step's right limit times the
-    step size).  Order 2 adds ``h**2 / 2`` times the committed slope, the
-    variable-step two-step Adams-Bashforth update; the slope pairs the
-    previous input's left limit with the one before's right limit, so a jump
-    inside a sample never enters it.  The first step emits the initial
-    condition unchanged and the second, having no slope yet, is explicit.
-    An order-0 impulse on the current input becomes a jump carried by the
-    right limit, higher orders shift down one order and pass through.
-    ``h`` is the size of this step and becomes ``h_prev`` of the next one.
-    """
-    if mode == NUMERICAL:
-        _require_impulse_free([value], "Integrator")
-    x = state.accumulator
-    slope = None
-    if state.prev_right is not None:
-        x = x + state.prev_right * h
-        if state.slope is not None:
-            x = x + 0.5 * h * h * state.slope
-        if state.order == 2:
-            slope = (value.left - state.prev_right) / h
-    jump, rest = extract_order_zero(value.impulses)
-    out = StepSample(x, x + jump, rest)
-    return out, IntegratorState(accumulator=x + jump, prev_right=value.right,
-                                order=state.order, slope=slope)
+def _integrator_left(node, states, samples, dt):
+    """Order 1 accumulates the previous input's right limit over the step;
+    order 2 adds ``dt**2 / 2`` times the committed slope, the variable-step
+    two-step Adams-Bashforth update.  The first step emits the initial
+    condition and the second, having no slope yet, is explicit."""
+    st = states[node.idx]
+    if st.prev_right is None:
+        return st.accumulator
+    x = st.accumulator + st.prev_right * dt
+    if st.slope is None:
+        return x
+    return x + 0.5 * dt * dt * st.slope
 
 
-def step_derivative(value: StepSample, state: DerivativeState, h: float,
-                    mode: str = SYMBOLIC) -> tuple[StepSample, DerivativeState]:
-    """Backward difference plus impulse bookkeeping.
-
-    Input impulses move up one order; an in-sample jump of the input emits
-    an order-0 impulse with the jump as its coefficient.  The impulse-free
-    part is the difference against the previous right limit, excluding the
-    jump, and is emitted with equal limits.
-    """
-    if mode == NUMERICAL:
-        _require_impulse_free([value], "Derivative")
-    if state.prev_right is None:
-        out = StepSample(state.initial, state.initial, EMPTY_IMPULSES)
-        return out, replace(state, prev_right=value.right)
-    base = (value.left - state.prev_right) / h
-    vector = shift_orders_up(value.impulses) if mode == SYMBOLIC else EMPTY_IMPULSES
-    if mode == SYMBOLIC and value.left != value.right:
-        vector = add_vectors(vector, ImpulseVector({0: value.right - value.left}))
-    return StepSample(base, base, vector), replace(state, prev_right=value.right)
+def _integrator_right(node, states, samples, t, dt):
+    """An order-0 impulse on the input becomes a jump carried by the right
+    limit; higher orders shift down one order and pass through."""
+    src = samples[node.in_idx[0]]
+    jump, rest = extract_order_zero(src[2])
+    return samples[node.idx][0] + jump, rest
 
 
-def step_switch(condition: StepSample, state: SwitchState | None = None,
-                mode: str = SYMBOLIC) -> tuple[StepSample, SwitchState]:
-    """Unit step of the condition, limit-wise.
+def _integrator_commit(node, st, samples, t):
+    """The order-2 slope pairs the input's left limit with the previous
+    input's right limit over the committed step, so a jump inside a sample
+    never enters it."""
+    src = samples[node.in_idx[0]]
+    if st.order == 2:
+        if st.prev_right is not None:
+            require_later(t, st.time)
+            st.slope = (src[0] - st.prev_right) / (t - st.time)
+        st.time = t
+    st.accumulator = samples[node.idx][1]
+    st.prev_right = src[1]
 
-    The output's left limit is the previously committed output when one
-    exists: the output stream is piecewise constant, so its left limit at a
-    crossing step is the pre-crossing value.  On the first step (or when
-    driven statelessly) the left limit falls back to the condition's left
-    limit.
-    """
-    if condition.has_impulses:
+
+def _derivative_left(node, states, samples, dt):
+    """Backward difference against the previous right limit, which excludes
+    an in-sample jump; the first step emits the initial output."""
+    st = states[node.idx]
+    if st.prev_right is None:
+        return st.initial
+    return (samples[node.in_idx[0]][0] - st.prev_right) / dt
+
+
+def _derivative_right(node, states, samples, t, dt):
+    """Input impulses move up one order; an in-sample jump of the input
+    emits an order-0 impulse with the jump as its coefficient."""
+    if states[node.idx].prev_right is None:
+        return samples[node.idx][0], EMPTY_IMPULSES
+    src = samples[node.in_idx[0]]
+    vector = shift_orders_up(src[2])
+    if src[0] != src[1]:
+        vector = add_vectors(vector, impulses({0: src[1] - src[0]}))
+    return samples[node.idx][0], vector
+
+
+def _derivative_commit(node, st, samples, t):
+    st.prev_right = samples[node.in_idx[0]][1]
+
+
+def _switch_left(node, states, samples, dt):
+    """The output stream is piecewise constant, so its left limit is the
+    previously committed output; the first step falls back to the unit step
+    of the condition's left limit."""
+    st = states[node.idx]
+    cond_left = samples[node.in_idx[0]][0]
+    return heaviside(cond_left) if st.prev_output is None else st.prev_output
+
+
+def _switch_right(node, states, samples, t, dt):
+    src = samples[node.in_idx[0]]
+    if not src[2].is_empty:
         raise ImpulseOnCondition("switch condition must be impulse-free")
-    state = state or SwitchState()
-    right = heaviside(condition.right)
-    if state.prev_output is None:
-        left = heaviside(condition.left)
-    else:
-        left = state.prev_output
-    return StepSample(left, right, EMPTY_IMPULSES), SwitchState(prev_output=right)
+    return heaviside(src[1]), EMPTY_IMPULSES
 
 
-def step_decision(u: StepSample, v: StepSample, condition: StepSample,
-                  state: DecisionState | None = None, mode: str = SYMBOLIC,
-                  ) -> tuple[StepSample, DecisionState]:
-    """Forward one of two inputs, selected limit-wise by the condition sign."""
-    if condition.has_impulses:
+def _switch_commit(node, st, samples, t):
+    st.prev_output = samples[node.idx][1]
+
+
+def _decision_left(node, states, samples, dt):
+    """Forward ``u`` or ``v``, selected limit-wise by the sign of ``c``."""
+    st = states[node.idx]
+    u, v, c = (samples[i] for i in node.in_idx)
+    selects_u = (c[0] >= 0.0) if st.prev_selects_u is None else st.prev_selects_u
+    return u[0] if selects_u else v[0]
+
+
+def _decision_right(node, states, samples, t, dt):
+    u, v, c = (samples[i] for i in node.in_idx)
+    if not c[2].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
-    if mode == NUMERICAL:
-        _require_impulse_free([u, v], "Decision")
-    state = state or DecisionState()
-    right_selects_u = condition.right >= 0.0
-    if state.prev_selects_u is None:
-        left_selects_u = condition.left >= 0.0
-    else:
-        left_selects_u = state.prev_selects_u
+    st = states[node.idx]
+    right_selects_u = c[1] >= 0.0
+    left_selects_u = (c[0] >= 0.0) if st.prev_selects_u is None \
+        else st.prev_selects_u
     if left_selects_u != right_selects_u:
-        if u.has_impulses or v.has_impulses:
+        if not (u[2].is_empty and v[2].is_empty):
             raise ImpulseAtSwitchingInstant(
                 "decision branches must be impulse-free while the selection flips"
             )
         vector = EMPTY_IMPULSES
     else:
-        vector = (u if right_selects_u else v).impulses
-    left = u.left if left_selects_u else v.left
-    right = u.right if right_selects_u else v.right
-    return (StepSample(left, right, vector),
-            DecisionState(prev_selects_u=right_selects_u))
+        vector = (u if right_selects_u else v)[2]
+    return (u if right_selects_u else v)[1], vector
 
 
-def step_delay(value: StepSample, state: DelayState,
-               mode: str = SYMBOLIC) -> tuple[StepSample, DelayState]:
-    """Emit the previous input sample verbatim; first output is the initial parameter."""
-    if mode == NUMERICAL:
-        _require_impulse_free([value], "Delay")
-    if state.prev_input is None:
-        out = StepSample(state.initial, state.initial, EMPTY_IMPULSES)
-    else:
-        out = state.prev_input
-    return out, replace(state, prev_input=value)
+def _decision_commit(node, st, samples, t):
+    st.prev_selects_u = samples[node.in_idx[2]][1] >= 0.0
+
+
+def _delay_left(node, states, samples, dt):
+    """Replay the previous input sample verbatim; the first output is the
+    initial parameter."""
+    st = states[node.idx]
+    return st.initial if st.prev_input is None else st.prev_input.left
+
+
+def _delay_right(node, states, samples, t, dt):
+    st = states[node.idx]
+    if st.prev_input is None:
+        return st.initial, EMPTY_IMPULSES
+    return st.prev_input.right, st.prev_input.impulses
+
+
+def _delay_commit(node, st, samples, t):
+    src = samples[node.in_idx[0]]
+    st.prev_input = StepSample(src[0], src[1], src[2])
+
+
+# --- the per-kind table -------------------------------------------------------
+
+@dataclass(frozen=True)
+class KindInfo:
+    name: str
+    inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
+    left: Callable
+    right: Callable
+    variadic: bool = False
+    params: tuple[str, ...] = ()
+    # True when the block consumes its data input one step late, which
+    # removes it from the current-step dependency graph.
+    previous_input: bool = False
+    # Set exactly for the stateful kinds.
+    commit: Callable | None = None
+    new_state: Callable[[dict[str, float]], object] | None = None
+
+
+KINDS: dict[str, KindInfo] = {
+    "Constant": KindInfo("Constant", (), _constant_left, _constant_right,
+                         params=("value",)),
+    "Adder": KindInfo("Adder", (), _adder_left, _adder_right, variadic=True),
+    "Negator": KindInfo("Negator", ("in",), _negator_left, _negator_right),
+    "Multiplier": KindInfo("Multiplier", (), _multiplier_left, _multiplier_right,
+                           variadic=True, commit=_multiplier_commit,
+                           new_state=lambda params: MultiplierState()),
+    "Inverter": KindInfo("Inverter", ("in",), _inverter_left, _inverter_right),
+    "Integrator": KindInfo("Integrator", ("in",), _integrator_left,
+                           _integrator_right, params=("init", "order"),
+                           previous_input=True, commit=_integrator_commit,
+                           new_state=_new_integrator),
+    "Derivative": KindInfo("Derivative", ("in",), _derivative_left,
+                           _derivative_right, params=("init",),
+                           commit=_derivative_commit,
+                           new_state=lambda params: DerivativeState(
+                               initial=params.get("init", 0.0))),
+    "Switch": KindInfo("Switch", ("c",), _switch_left, _switch_right,
+                       commit=_switch_commit,
+                       new_state=lambda params: SwitchState()),
+    "Decision": KindInfo("Decision", ("u", "v", "c"), _decision_left,
+                         _decision_right, commit=_decision_commit,
+                         new_state=lambda params: DecisionState()),
+    "Delay": KindInfo("Delay", ("in",), _delay_left, _delay_right,
+                      params=("init",), previous_input=True,
+                      commit=_delay_commit,
+                      new_state=lambda params: DelayState(
+                          initial=params.get("init", 0.0))),
+}
+
+
+def input_ports(kind: str, count: int) -> tuple[str, ...]:
+    """Port names for an instance of ``kind`` with ``count`` inputs."""
+    info = KINDS[kind]
+    if info.variadic:
+        return tuple(f"in{i + 1}" for i in range(count))
+    return info.inputs

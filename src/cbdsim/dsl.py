@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .blocks import INTEGRATOR_ORDERS, KINDS, VARIADIC_MIN_INPUTS
-from .graph import BlockDecl, Definition, Link, Model
+from .graph import BlockDecl, Definition, Link, Model, definition_cycles
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,14 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
     for definition in source.definitions:
         _validate_definition(definition, names, diagnostics)
 
-    _check_recursion(source, names, diagnostics)
+    cycles = definition_cycles(
+        names, lambda name: [b.kind for b in names[name].blocks if b.kind in names]
+    )
+    for cycle in cycles:
+        diagnostics.append(Diagnostic(
+            f"recursive definition chain: {' -> '.join(cycle)}",
+            names[cycle[0]].span,
+        ))
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
@@ -592,30 +599,6 @@ def _validate_definition(definition: SourceDefinition,
                     f"input port {port!r} of {block.name!r} has no driver",
                     block.span,
                 ))
-
-
-def _check_recursion(source: SourceModel, names: dict[str, SourceDefinition],
-                     diagnostics: list[Diagnostic]) -> None:
-    state: dict[str, str] = {}
-
-    def visit(name: str, trail: list[str]) -> None:
-        if state.get(name) == "done":
-            return
-        if state.get(name) == "visiting":
-            cycle = trail[trail.index(name):] + [name]
-            diagnostics.append(Diagnostic(
-                f"recursive definition chain: {' -> '.join(cycle)}",
-                names[name].span,
-            ))
-            return
-        state[name] = "visiting"
-        for block in names[name].blocks:
-            if block.kind in names:
-                visit(block.kind, trail + [name])
-        state[name] = "done"
-
-    for name in names:
-        visit(name, [])
 
 
 # --- pretty printer -----------------------------------------------------------

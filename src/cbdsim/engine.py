@@ -1,12 +1,15 @@
 """Stepping loop, algebraic-loop solving, event location and trace capture.
 
-Each committed step runs in two phases over the schedule:
+Each node binds its kind's kernels from ``blocks.KINDS``, which define
+what a block computes; this module decides when they run.  Each committed
+step runs in two phases over the schedule, then commits:
 
 * phase 1 fixes every signal's left limit (integrators and delays emit
   state, everything else folds its inputs' left limits),
 * phase 2 computes impulse vectors and right limits, sweeping the schedule
   until the samples stop changing so that jumps produced by integrators
-  late in the schedule still reach their consumers within the same step.
+  late in the schedule still reach their consumers within the same step,
+* the commit advances every stateful block's state at the step's time.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -39,16 +42,10 @@ from typing import Callable, NamedTuple, Sequence
 from . import blocks as bk
 from .blocks import BlockError, heaviside
 from .graph import FlatGraph, Model, ModelError, dependency_sort, flatten
-from .signals import (
-    EMPTY_IMPULSES,
-    ImpulseVector,
-    StepSample,
-    add_vectors,
-    extract_order_zero,
-    impulses,
-    negate_vector,
-    shift_orders_up,
-)
+from .signals import EMPTY_IMPULSES, ImpulseVector, StepSample
+
+SYMBOLIC = "symbolic"
+NUMERICAL = "numerical"
 
 SINGULAR_TOLERANCE = 1e-12
 OVERFLOW_LIMIT = 1e300
@@ -97,10 +94,9 @@ class SimConfig:
     h_min: float = 1e-12
     watch: tuple[str, ...] = ()
     max_order: int = 16
-    history_depth: int = bk.DEFAULT_HISTORY_DEPTH
 
     def __post_init__(self) -> None:
-        if self.mode not in (bk.SYMBOLIC, bk.NUMERICAL):
+        if self.mode not in (SYMBOLIC, NUMERICAL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (self.h > 0.0 and 0.0 < self.h_min <= self.h):
             raise ValueError("need 0 < h_min <= h")
@@ -149,6 +145,15 @@ class _Node:
     params: dict[str, float]
     in_ports: tuple[str, ...]
     in_idx: tuple[int, ...]
+    # The kind's kernels from ``blocks.KINDS``; ``commit`` is None for a
+    # stateless kind.
+    left: Callable = field(init=False, repr=False)
+    right: Callable = field(init=False, repr=False)
+    commit: Callable | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        info = bk.KINDS[self.kind]
+        self.left, self.right, self.commit = info.left, info.right, info.commit
 
 
 _Sample = list  # [left, right, ImpulseVector], mutable while stepping
@@ -171,18 +176,15 @@ def _build_nodes(flat: FlatGraph) -> list[_Node]:
     return nodes
 
 
-def _initial_states(nodes: list[_Node], history_depth: int) -> list:
+def _initial_states(nodes: list[_Node]) -> list:
     states = []
     for n in nodes:
+        new_state = bk.KINDS[n.kind].new_state
         try:
-            states.append(bk.initial_state(n.kind, n.params, history_depth))
+            states.append(new_state(n.params) if new_state else None)
         except BlockError as err:
             raise SimulationError(n.path, err) from err
     return states
-
-
-def _as_step_sample(cell: _Sample) -> StepSample:
-    return StepSample(cell[0], cell[1], cell[2])
 
 
 # --- linear loop solving ----------------------------------------------------
@@ -267,142 +269,6 @@ class _LoopPlan:
         return b
 
 
-def solve_linear_loop(flat: FlatGraph, members: Sequence[str],
-                      known: dict[str, float]) -> dict[str, float]:
-    """Solve the values of an algebraic loop given its external inputs.
-
-    ``known`` maps producer paths outside the loop to their values; the
-    returned mapping covers the loop members.  Raises ``NonlinearLoop``,
-    ``SingularLoop`` or ``KeyError`` for an unknown external input.
-    """
-    nodes = _build_nodes(flat)
-    index_of = {n.path: n.idx for n in nodes}
-    solution = _LoopPlan(nodes, [index_of[p] for p in members]).solve(
-        lambda idx: known[nodes[idx].path]
-    )
-    return dict(zip(members, solution))
-
-
-# --- the two-phase step -----------------------------------------------------
-
-def _phase1_left(node: _Node, states: list, samples: list[_Sample],
-                 dt: float) -> float:
-    kind = node.kind
-    if kind == "Constant":
-        return node.params["value"]
-    if kind == "Integrator":
-        st = states[node.idx]
-        if st.prev_right is None:
-            return st.accumulator
-        x = st.accumulator + st.prev_right * dt
-        if st.slope is None:
-            return x
-        return x + 0.5 * dt * dt * st.slope
-    if kind == "Delay":
-        st = states[node.idx]
-        return st.initial if st.prev_input is None else st.prev_input.left
-    if kind == "Derivative":
-        st = states[node.idx]
-        if st.prev_right is None:
-            return st.initial
-        return (samples[node.in_idx[0]][0] - st.prev_right) / dt
-    if kind == "Adder":
-        total = samples[node.in_idx[0]][0]
-        for i in node.in_idx[1:]:
-            total += samples[i][0]
-        return total
-    if kind == "Negator":
-        return -samples[node.in_idx[0]][0]
-    if kind == "Multiplier":
-        return math.prod(samples[i][0] for i in node.in_idx)
-    if kind == "Inverter":
-        value = samples[node.in_idx[0]][0]
-        if abs(value) <= bk.DIV_TOLERANCE:
-            raise bk.DivisionNearZero(f"inverter input magnitude {value!r} too small")
-        return 1.0 / value
-    if kind == "Switch":
-        st = states[node.idx]
-        cond_left = samples[node.in_idx[0]][0]
-        return heaviside(cond_left) if st.prev_output is None else st.prev_output
-    if kind == "Decision":
-        st = states[node.idx]
-        u, v, c = (samples[i] for i in node.in_idx)
-        selects_u = (c[0] >= 0.0) if st.prev_selects_u is None else st.prev_selects_u
-        return u[0] if selects_u else v[0]
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _phase2(node: _Node, states: list, samples: list[_Sample],
-            t: float, dt: float) -> tuple[float, ImpulseVector]:
-    kind = node.kind
-    cell = samples[node.idx]
-    if kind == "Constant":
-        return node.params["value"], EMPTY_IMPULSES
-    if kind == "Adder":
-        right = samples[node.in_idx[0]][1]
-        vector = samples[node.in_idx[0]][2]
-        for i in node.in_idx[1:]:
-            right += samples[i][1]
-            vector = add_vectors(vector, samples[i][2])
-        return right, vector
-    if kind == "Negator":
-        src = samples[node.in_idx[0]]
-        return -src[1], negate_vector(src[2])
-    if kind == "Multiplier":
-        right = math.prod(samples[i][1] for i in node.in_idx)
-        if all(samples[i][2].is_empty for i in node.in_idx):
-            return right, EMPTY_IMPULSES
-        ins = [_as_step_sample(samples[i]) for i in node.in_idx]
-        return right, bk._multiplier_impulses(ins, states[node.idx], t)
-    if kind == "Inverter":
-        src = samples[node.in_idx[0]]
-        if not src[2].is_empty:
-            raise bk.ImpulseOnInverter("cannot invert an impulse-carrying signal")
-        if abs(src[1]) <= bk.DIV_TOLERANCE:
-            raise bk.DivisionNearZero(f"inverter input magnitude {src[1]!r} too small")
-        return 1.0 / src[1], EMPTY_IMPULSES
-    if kind == "Integrator":
-        src = samples[node.in_idx[0]]
-        jump, rest = extract_order_zero(src[2])
-        return cell[0] + jump, rest
-    if kind == "Derivative":
-        if states[node.idx].prev_right is None:
-            return cell[0], EMPTY_IMPULSES
-        src = samples[node.in_idx[0]]
-        vector = shift_orders_up(src[2])
-        if src[0] != src[1]:
-            vector = add_vectors(vector, impulses({0: src[1] - src[0]}))
-        return cell[0], vector
-    if kind == "Switch":
-        src = samples[node.in_idx[0]]
-        if not src[2].is_empty:
-            raise bk.ImpulseOnCondition("switch condition must be impulse-free")
-        return heaviside(src[1]), EMPTY_IMPULSES
-    if kind == "Decision":
-        u, v, c = (samples[i] for i in node.in_idx)
-        if not c[2].is_empty:
-            raise bk.ImpulseOnCondition("decision condition must be impulse-free")
-        st = states[node.idx]
-        right_selects_u = c[1] >= 0.0
-        left_selects_u = (c[0] >= 0.0) if st.prev_selects_u is None \
-            else st.prev_selects_u
-        if left_selects_u != right_selects_u:
-            if not (u[2].is_empty and v[2].is_empty):
-                raise bk.ImpulseAtSwitchingInstant(
-                    "decision branches must be impulse-free while the selection flips"
-                )
-            vector = EMPTY_IMPULSES
-        else:
-            vector = (u if right_selects_u else v)[2]
-        return (u if right_selects_u else v)[1], vector
-    if kind == "Delay":
-        st = states[node.idx]
-        if st.prev_input is None:
-            return st.initial, EMPTY_IMPULSES
-        return st.prev_input.right, st.prev_input.impulses
-    raise AssertionError(f"unhandled kind {kind}")
-
-
 def _require_finite_right(node: _Node, right: float) -> None:
     if not math.isfinite(right):
         raise SimulationError(node.path, bk.NonFiniteValue(
@@ -423,8 +289,8 @@ class Engine:
             (tuple(index_of[p] for p in g.members), g.cyclic) for g in schedule
         ]
         self.order = [idx for members, _ in self.groups for idx in members]
-        self.states = _initial_states(self.nodes, config.history_depth)
-        self.stateful = [n for n in self.nodes if bk.KINDS[n.kind].stateful]
+        self.states = _initial_states(self.nodes)
+        self.stateful = [n for n in self.nodes if n.commit is not None]
         # The sources of jumps and impulses, as (block, condition) indices.
         self.switches = [
             (n.idx, n.in_idx[0]) for n in self.nodes if n.kind == "Switch"
@@ -447,15 +313,16 @@ class Engine:
         self.cones: dict[int, tuple[int, ...]] = {}
         # The condition closure: the groups whose left limits the crossing
         # test reads.  The walk goes backwards from every condition input
-        # and stops at Integrators and Delays, whose phase 1 reads only state;
-        # the closure holds the groups of the blocks reached, loops whole.
+        # and stops at the kinds that consume their input one step late
+        # (Integrators and Delays), whose phase 1 reads only state; the
+        # closure holds the groups of the blocks reached, loops whole.
         seen: set[int] = set()
         frontier = [cond for _, cond in self.switches + self.decisions]
         while frontier:
             idx = frontier.pop()
             if idx not in seen:
                 seen.add(idx)
-                if self.nodes[idx].kind not in ("Integrator", "Delay"):
+                if not bk.KINDS[self.nodes[idx].kind].previous_input:
                     frontier.extend(self.nodes[idx].in_idx)
         self.closure = [self.groups[g]
                         for g in sorted({self.group_of[idx] for idx in seen})]
@@ -487,7 +354,7 @@ class Engine:
                 idx = members[0]
                 node = nodes[idx]
                 try:
-                    right, vector = _phase2(node, states, samples, t, dt)
+                    right, vector = node.right(node, states, samples, t, dt)
                 except BlockError as err:
                     raise SimulationError(node.path, err) from err
                 cell = samples[idx]
@@ -539,7 +406,7 @@ class Engine:
                 continue
             node = nodes[members[0]]
             try:
-                left = _phase1_left(node, states, samples, dt)
+                left = node.left(node, states, samples, dt)
             except BlockError as err:
                 raise SimulationError(node.path, err) from err
             samples[node.idx] = [left, left, EMPTY_IMPULSES]
@@ -629,27 +496,7 @@ class Engine:
     def commit(self, states: list, samples: list[_Sample], t: float) -> None:
         try:
             for node in self.stateful:
-                kind = node.kind
-                st = states[node.idx]
-                if kind == "Integrator":
-                    src = samples[node.in_idx[0]]
-                    if st.order == 2:
-                        if st.prev_right is not None:
-                            bk.require_later(t, st.time)
-                            st.slope = (src[0] - st.prev_right) / (t - st.time)
-                        st.time = t
-                    st.accumulator = samples[node.idx][1]
-                    st.prev_right = src[1]
-                elif kind == "Derivative":
-                    st.prev_right = samples[node.in_idx[0]][1]
-                elif kind == "Delay":
-                    st.prev_input = _as_step_sample(samples[node.in_idx[0]])
-                elif kind == "Multiplier":
-                    st.record(t, tuple(samples[i][0] for i in node.in_idx))
-                elif kind == "Switch":
-                    st.prev_output = samples[node.idx][1]
-                else:  # Decision
-                    st.prev_selects_u = samples[node.in_idx[2]][1] >= 0.0
+                node.commit(node, states[node.idx], samples, t)
         except BlockError as err:
             raise SimulationError(node.path, err) from err
 
@@ -740,8 +587,8 @@ class _Recorder:
         trace.times.append(t)
         for name, idx in self.watched.items():
             cell = samples[idx]
-            if self.mode == bk.SYMBOLIC:
-                trace.signals[name].append(_as_step_sample(cell))
+            if self.mode == SYMBOLIC:
+                trace.signals[name].append(StepSample(cell[0], cell[1], cell[2]))
                 for order, coefficient in cell[2].items():
                     trace.impulses.append(
                         ImpulseEvent(t, name, order, coefficient)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .blocks import KINDS, VARIADIC_MIN_INPUTS, input_ports
 
@@ -103,26 +104,50 @@ class FlatGraph:
     schedule: tuple[Group, ...] = ()
 
 
-def check_no_recursion(model: Model, top: str) -> None:
-    """Reject definitions that reference themselves directly or transitively."""
-    visiting: list[str] = []
+def definition_cycles(roots: Iterable[str],
+                      children: Callable[[str], Iterable[str]],
+                      ) -> Iterator[list[str]]:
+    """Walk the definition references depth first from each root in turn.
 
-    def visit(name: str) -> None:
-        if name in visiting:
-            cycle = " -> ".join(visiting[visiting.index(name):] + [name])
-            raise RecursiveDefinition(f"recursive definition chain: {cycle}")
-        defn = model.definition(name)
-        visiting.append(name)
-        for decl in defn.blocks.values():
+    ``children(name)`` gives the definitions that ``name`` instantiates, in
+    declaration order.  Yields the chain ``[A, B, ..., A]`` of every
+    reference back into the current chain; a definition already walked in
+    full is not walked again.  The walk keeps an explicit stack, so it
+    leaves no reference cycle behind.
+    """
+    done: set[str] = set()
+    chain: list[str] = []
+    pending = [iter(roots)]
+    while pending:
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+            if chain:
+                done.add(chain.pop())
+        elif child in chain:
+            yield chain[chain.index(child):] + [child]
+        elif child not in done:
+            chain.append(child)
+            pending.append(iter(children(child)))
+
+
+def check_no_recursion(model: Model, top: str) -> None:
+    """Reject definitions that reference themselves directly or transitively,
+    and unknown block kinds in the definitions reachable from ``top``."""
+
+    def children(name: str) -> Iterator[str]:
+        for decl in model.definition(name).blocks.values():
             if decl.kind not in KINDS:
                 if decl.kind not in model.definitions:
                     raise UnknownKind(
                         f"{name}: unknown block kind {decl.kind!r}"
                     )
-                visit(decl.kind)
-        visiting.pop()
+                yield decl.kind
 
-    visit(top)
+    for cycle in definition_cycles([top], children):
+        raise RecursiveDefinition(
+            f"recursive definition chain: {' -> '.join(cycle)}"
+        )
 
 
 def flatten(model: Model, top: str) -> FlatGraph:

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
 from cbdsim import dsl
+from cbdsim.graph import flatten
 
 MINIMAL = "cbd Main(out y){ block c = Constant(9.81); c.out -> y; }"
 
@@ -93,6 +95,17 @@ class TestValidate:
         assert model is None
         assert any("recursive" in d.message for d in diagnostics)
 
+    def test_recursive_chain_names_each_definition(self):
+        model, diagnostics = self.load(
+            "cbd Main(out y){ block a = A(); a.y -> y; }\n"
+            "cbd A(out y){ block b = B(); b.y -> y; }\n"
+            "cbd B(out y){ block a = A(); a.y -> y; }"
+        )
+        assert model is None
+        (diagnostic,) = diagnostics
+        assert diagnostic.message == "recursive definition chain: A -> B -> A"
+        assert (diagnostic.span.line, diagnostic.span.col) == (2, 1)
+
     def test_unknown_kind(self):
         model, diagnostics = self.load(
             "cbd Main(out y){ block c = Quux(); c.out -> y; }"
@@ -113,6 +126,18 @@ class TestValidate:
         )
         assert model is None
         assert any("no parameter" in d.message for d in diagnostics)
+
+    @pytest.mark.parametrize("kind", ["Adder", "Multiplier"])
+    def test_variadic_block_needs_two_inputs(self, kind):
+        model, diagnostics = self.load(
+            f"cbd Main(in u; out y){{ block b = {kind}(); "
+            f"u -> b.in1; b.out -> y; }}"
+        )
+        assert model is None
+        (diagnostic,) = diagnostics
+        assert diagnostic.message == (
+            f"'b' ({kind}) needs inputs in1..inN (N >= 2) fully driven"
+        )
 
     @pytest.mark.parametrize("args, accepted", [
         ("0", True), ("0, 1", True), ("10, order=2", True),
@@ -199,3 +224,18 @@ class TestFuzz:
             result = dsl.parse(text)
             if result.ok:
                 dsl.validate(result.model)
+
+
+def test_validate_and_flatten_leave_no_cyclic_garbage(ball_text):
+    # Garbage held only by reference cycles waits for the cycle collector;
+    # with automatic collection off, each call must leave none of it.
+    source = dsl.parse(ball_text).model
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = dsl.validate(source)
+        assert gc.collect() == 0
+        flatten(model, "Main")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

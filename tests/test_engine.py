@@ -98,9 +98,11 @@ class TestStepping:
 
     def test_second_order_integrator_matches_block_kernel(self):
         # The input ramps and jumps by 1 at a located crossing, so the grid
-        # is non-uniform and one input sample has left != right; replaying
-        # the recorded input through blocks.step_integrator must give the
-        # engine's output, whose slope excludes the jump.
+        # is non-uniform and one input sample has left != right; the
+        # variable-step two-step Adams-Bashforth recurrence over the
+        # recorded input must give the engine's output, whose slope pairs
+        # an input's left limit with the previous input's right limit and
+        # so excludes the jump.
         model = dsl.load_model("""
         cbd Main(out u, x) {
           block one  = Constant(1);
@@ -119,13 +121,19 @@ class TestStepping:
         """)
         trace = simulate(model, "Main", SimConfig(h=0.1, t_end=1.0))
         assert any(s.left != s.right for s in trace.signals["u"])
-        state = bk.IntegratorState(accumulator=0.5, order=2)
-        for k, value in enumerate(trace.signals["u"]):
-            h = trace.step_size(k) if k else 0.1
-            out, state = bk.step_integrator(value, state, h)
+        u = trace.signals["u"]
+        acc, slope = 0.5, 0.0
+        for k, value in enumerate(u):
+            if k >= 2:
+                slope = (u[k - 1].left - u[k - 2].right) / trace.step_size(k - 1)
+            if k:
+                h = trace.step_size(k)
+                acc += h * u[k - 1].right + 0.5 * h * h * slope
+            left = acc
+            acc += value.impulses.coefficient(0)
             x = trace.signals["x"][k]
-            assert (x.left, x.right) == (pytest.approx(out.left, rel=1e-14),
-                                         pytest.approx(out.right, rel=1e-14))
+            assert (x.left, x.right) == (pytest.approx(left, rel=1e-14),
+                                         pytest.approx(acc, rel=1e-14))
 
     def test_t_end_below_h_yields_initial_step_only(self):
         model = dsl.load_model(CONSTANT_ONLY)

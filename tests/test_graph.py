@@ -9,7 +9,6 @@ from cbdsim.engine import (
     SimConfig,
     SingularLoop,
     simulate,
-    solve_linear_loop,
 )
 from cbdsim.graph import (
     BlockDecl,
@@ -79,7 +78,8 @@ class TestFlatten:
         a = Definition(name="A", out_ports=("y",),
                        blocks={"inner": BlockDecl("A")},
                        links=[Link(("inner", "y"), (None, "y"))])
-        with pytest.raises(RecursiveDefinition):
+        with pytest.raises(RecursiveDefinition,
+                           match=r"^recursive definition chain: A -> A$"):
             flatten(Model(definitions={"A": a}), "A")
 
     def test_unconnected_input(self):
@@ -89,6 +89,18 @@ class TestFlatten:
             links=[Link(("n", "out"), (None, "y"))],
         )
         with pytest.raises(UnconnectedInput):
+            flatten(Model(definitions={"Main": main}), "Main")
+
+    @pytest.mark.parametrize("kind", ["Adder", "Multiplier"])
+    def test_variadic_block_needs_two_inputs(self, kind):
+        main = Definition(
+            name="Main", out_ports=("y",),
+            blocks={"c": BlockDecl("Constant", {"value": 1.0}),
+                    "b": BlockDecl(kind)},
+            links=[Link(("c", "out"), ("b", "in1")),
+                   Link(("b", "out"), (None, "y"))],
+        )
+        with pytest.raises(UnconnectedInput, match=r"in1\.\.inN \(N >= 2\)"):
             flatten(Model(definitions={"Main": main}), "Main")
 
     def test_multiple_drivers(self):
@@ -329,12 +341,12 @@ class TestAlgebraicLoops:
 
     def test_solve_linear_loop_directly(self):
         model = dsl.load_model(FEEDBACK_HALF)
-        flat = flatten(model, "Main")
-        solution = solve_linear_loop(
-            flat, ["m", "a"], {"half": 0.5, "one": 1.0}
-        )
-        assert solution["a"] == pytest.approx(2.0)
-        assert solution["m"] == pytest.approx(1.0)
+        trace = simulate(model, "Main",
+                         SimConfig(h=0.1, t_end=0.3, watch=("m", "a")))
+        # The loop members' values as the loop solver finds them.
+        for m, a in zip(trace.signals["m"], trace.signals["a"]):
+            assert (m.left, m.right) == (pytest.approx(1.0), pytest.approx(1.0))
+            assert (a.left, a.right) == (pytest.approx(2.0), pytest.approx(2.0))
 
     def test_unit_feedback_is_singular(self):
         model = dsl.load_model(FEEDBACK_SINGULAR)
