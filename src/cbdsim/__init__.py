@@ -46,6 +46,7 @@ from .engine import (
     SimConfig,
     SimulationError,
     SingularLoop,
+    Stream,
     Trace,
     ZenoSuspected,
     simulate,

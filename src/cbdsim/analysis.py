@@ -180,19 +180,23 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
     ):
         raise TimeGridMismatch("committed time grids differ")
 
-    excluded = {(e.signal, e.time) for e in a.impulses}
-    excluded |= {(e.signal, e.time) for e in b.impulses}
+    excluded: dict[str, set[float]] = {}
+    for e in a.impulses + b.impulses:
+        excluded.setdefault(e.signal, set()).add(e.time)
 
     report = CompareReport(ok=True, rel_tol=rel_tol)
-    for name in a.signals:
+    for name, sa in a.signals.items():
+        sb = b.signals[name]
+        skip = excluded.get(name, ())
         worst = 0.0
         worst_time: float | None = None
-        for i, t in enumerate(a.times):
-            if (name, t) in excluded:
+        for t, la, lb, ra, rb in zip(a.times, sa.left, sb.left,
+                                      sa.right, sb.right, strict=True):
+            # Equal limits deviate by 0 (or nan at an infinity), which
+            # never exceeds ``worst``.
+            if la == lb and ra == rb or t in skip:
                 continue
-            sa, sb = a.signals[name][i], b.signals[name][i]
-            deviation = max(_relative(sa.left, sb.left),
-                            _relative(sa.right, sb.right))
+            deviation = max(_relative(la, lb), _relative(ra, rb))
             if deviation > worst:
                 worst, worst_time = deviation, t
         report.deviations.append(SignalDeviation(name, worst, worst_time))
@@ -255,9 +259,9 @@ def _check_spikes(logged: Trace, plain: Trace, rel_tol: float,
             continue
         h_star = logged.times[index] - logged.times[index - 1]
         expected = event.coefficient / h_star
-        base = logged.signals[event.signal][index]
-        value = plain.signals[event.signal][index]
-        actual = value.left - base.left
+        base = logged.signals[event.signal].left[index]
+        value = plain.signals[event.signal].left[index]
+        actual = value - base
         error = _relative(expected, actual)
         report.impulse_checks.append(ImpulseCheck(
             event, expected, actual, error, ok=error <= rel_tol,

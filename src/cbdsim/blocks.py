@@ -401,7 +401,6 @@ def _delay_commit(node, st, samples, t):
 
 @dataclass(frozen=True)
 class KindInfo:
-    name: str
     inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
     left: Callable
     right: Callable
@@ -416,30 +415,29 @@ class KindInfo:
 
 
 KINDS: dict[str, KindInfo] = {
-    "Constant": KindInfo("Constant", (), _constant_left, _constant_right,
+    "Constant": KindInfo((), _constant_left, _constant_right,
                          params=("value",)),
-    "Adder": KindInfo("Adder", (), _adder_left, _adder_right, variadic=True),
-    "Negator": KindInfo("Negator", ("in",), _negator_left, _negator_right),
-    "Multiplier": KindInfo("Multiplier", (), _multiplier_left, _multiplier_right,
+    "Adder": KindInfo((), _adder_left, _adder_right, variadic=True),
+    "Negator": KindInfo(("in",), _negator_left, _negator_right),
+    "Multiplier": KindInfo((), _multiplier_left, _multiplier_right,
                            variadic=True, commit=_multiplier_commit,
                            new_state=lambda params: MultiplierState()),
-    "Inverter": KindInfo("Inverter", ("in",), _inverter_left, _inverter_right),
-    "Integrator": KindInfo("Integrator", ("in",), _integrator_left,
-                           _integrator_right, params=("init", "order"),
-                           previous_input=True, commit=_integrator_commit,
+    "Inverter": KindInfo(("in",), _inverter_left, _inverter_right),
+    "Integrator": KindInfo(("in",), _integrator_left, _integrator_right,
+                           params=("init", "order"), previous_input=True,
+                           commit=_integrator_commit,
                            new_state=_new_integrator),
-    "Derivative": KindInfo("Derivative", ("in",), _derivative_left,
-                           _derivative_right, params=("init",),
-                           commit=_derivative_commit,
+    "Derivative": KindInfo(("in",), _derivative_left, _derivative_right,
+                           params=("init",), commit=_derivative_commit,
                            new_state=lambda params: DerivativeState(
                                initial=params.get("init", 0.0))),
-    "Switch": KindInfo("Switch", ("c",), _switch_left, _switch_right,
+    "Switch": KindInfo(("c",), _switch_left, _switch_right,
                        commit=_switch_commit,
                        new_state=lambda params: SwitchState()),
-    "Decision": KindInfo("Decision", ("u", "v", "c"), _decision_left,
-                         _decision_right, commit=_decision_commit,
+    "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right,
+                         commit=_decision_commit,
                          new_state=lambda params: DecisionState()),
-    "Delay": KindInfo("Delay", ("in",), _delay_left, _delay_right,
+    "Delay": KindInfo(("in",), _delay_left, _delay_right,
                       params=("init",), previous_input=True,
                       commit=_delay_commit,
                       new_state=lambda params: DelayState(

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import analysis, dsl
@@ -25,11 +26,11 @@ from .engine import (
     EngineError,
     ImpulseEvent,
     SimConfig,
+    Stream,
     Trace,
     simulate,
 )
 from .graph import ModelError
-from .signals import StepSample
 
 TRACE_HEADER = "time,signal,left,right"
 IMPULSE_HEADER = "time,signal,order,coefficient"
@@ -44,23 +45,22 @@ def _fmt(x: float) -> str:
 
 
 def write_trace(trace: Trace, path: Path, fmt: str) -> None:
-    names = list(trace.signals)
-    streams = list(trace.signals.values())
+    columns = [(name, s.left, s.right) for name, s in trace.signals.items()]
     if fmt == "csv":
-        # One time step at a time; "%.17g" % x gives the bytes of _fmt(x).
+        # One template holds a time step's rows and is filled from the
+        # columns and the step's time text; "%.17g" % x gives _fmt(x).
+        template = "".join("%s" + name.replace("%", "%%") + ",%.17g,%.17g\n"
+                           for name, _, _ in columns)
+        stamps = ["%.17g," % t for t in trace.times]
+        fields = [c for _, left, right in columns for c in (stamps, left, right)]
         with path.open("w") as out:
             out.write(TRACE_HEADER + "\n")
-            for i, t in enumerate(trace.times):
-                prefix = "%.17g," % t
-                out.write("".join([
-                    prefix + name + ",%.17g,%.17g\n" % (s[i].left, s[i].right)
-                    for name, s in zip(names, streams)
-                ]))
+            out.writelines(map(template.__mod__, zip(*fields, strict=True)))
     else:
         payload = {"trace": [
-            {"time": t, "signal": name, "left": s[i].left, "right": s[i].right}
+            {"time": t, "signal": name, "left": left[i], "right": right[i]}
             for i, t in enumerate(trace.times)
-            for name, s in zip(names, streams)
+            for name, left, right in columns
         ]}
         path.write_text(json.dumps(payload, indent=1) + "\n")
 
@@ -84,28 +84,33 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     """Load a trace file (CSV or JSON by extension) back into a Trace."""
-    rows: list[tuple[float, str, float, float]] = []
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
-        for row in payload["trace"]:
-            rows.append((float(row["time"]), row["signal"],
-                         float(row["left"]), float(row["right"])))
+        rows = ((row["time"], row["signal"], row["left"], row["right"])
+                for row in payload["trace"])
     else:
         lines = path.read_text().splitlines()
         if not lines or lines[0] != TRACE_HEADER:
             raise ValueError(f"{path}: not a trace file")
-        for line in lines[1:]:
-            time_s, name, left_s, right_s = line.split(",")
-            rows.append((float(time_s), name, float(left_s), float(right_s)))
+        rows = map(str.split, islice(lines, 1, None), repeat(","))
     trace = Trace(mode="file")
-    for t, name, left, right in rows:
-        if not trace.times or trace.times[-1] != t:
-            trace.times.append(t)
-        trace.signals.setdefault(name, []).append(
-            StepSample(left, right)
-        )
-    lengths = {len(samples) for samples in trace.signals.values()}
-    if lengths and lengths != {len(trace.times)}:
+    times = trace.times
+    appenders: dict[str, tuple] = {}
+    last = object()  # equal to no time field
+    for time_field, name, left, right in rows:
+        # The rows of one step repeat its time field; parse it once.
+        if time_field != last:
+            last = time_field
+            t = float(time_field)
+            if not times or times[-1] != t:
+                times.append(t)
+        pair = appenders.get(name)
+        if pair is None:
+            stream = trace.signals[name] = Stream()
+            pair = appenders[name] = (stream.left.append, stream.right.append)
+        pair[0](float(left))
+        pair[1](float(right))
+    if any(len(stream) != len(times) for stream in trace.signals.values()):
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:
         trace.impulses.extend(read_impulses(impulse_path))
@@ -249,16 +254,16 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     payload: dict[str, dict] = {}
-    for name, samples in trace.signals.items():
+    for name, stream in trace.signals.items():
         segments: list[list[list[float]]] = []
         current: list[list[float]] = []
-        for t, sample in zip(trace.times, samples):
-            if sample.left != sample.right:
-                current.append([t, sample.left])
+        for t, left, right in zip(trace.times, stream.left, stream.right):
+            if left != right:
+                current.append([t, left])
                 segments.append(current)
-                current = [[t, sample.right]]
+                current = [[t, right]]
             else:
-                current.append([t, sample.left])
+                current.append([t, left])
         if current:
             segments.append(current)
         arrows = [

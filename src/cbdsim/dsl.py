@@ -391,9 +391,11 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
     for definition in source.definitions:
         _validate_definition(definition, names, diagnostics)
 
-    cycles = definition_cycles(
-        names, lambda name: [b.kind for b in names[name].blocks if b.kind in names]
-    )
+    # A definition instantiated twice in one parent is one reference, so
+    # each chain is reported once.
+    cycles = definition_cycles(names, lambda name: dict.fromkeys(
+        b.kind for b in names[name].blocks if b.kind in names
+    ))
     for cycle in cycles:
         diagnostics.append(Diagnostic(
             f"recursive definition chain: {' -> '.join(cycle)}",

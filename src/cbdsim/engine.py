@@ -25,19 +25,24 @@ a step, so a discarded trial checks nothing outside it; the full step runs
 at the located size.
 
 Both execution modes share this evaluator; they differ only in how the
-trace is encoded.  Symbolic traces keep impulse vectors and log one event
-per coefficient.  Numerical traces fold every coefficient into the
-recorded value stream as the finite-difference spike pattern it would have
-produced (an order-0 coefficient ``a`` becomes ``a / h*`` at the impulse
-step) and keep the impulse log empty.
+trace is encoded.  The recorder appends each committed step's watched
+limits as floats to per-signal columns, a :class:`Stream` each.  Symbolic
+traces keep the impulse vectors, sparsely by step, and log one event per
+coefficient.  Numerical traces fold every coefficient into the recorded
+value stream as the finite-difference spike pattern it would have produced
+(an order-0 coefficient ``a`` becomes ``a / h*`` at the impulse step) and
+keep the impulse log empty.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks as bk
 from .blocks import BlockError, heaviside
@@ -115,11 +120,56 @@ class ImpulseEvent(NamedTuple):
     coefficient: float
 
 
+class Stream(Sequence):
+    """One signal's recorded samples, stored as columns.
+
+    ``left`` and ``right`` hold one limit per committed step;
+    ``impulses`` maps a step index to its impulse vector, only at the steps
+    that carry one.  As a read-only sequence it reads like a list of
+    :class:`StepSample`.
+    """
+
+    __slots__ = ("left", "right", "impulses")
+
+    def __init__(self, left: Iterable[float] = (), right: Iterable[float] = (),
+                 impulses: dict[int, ImpulseVector] | None = None):
+        self.left = array("d", left)
+        self.right = array("d", right)
+        self.impulses = {} if impulses is None else impulses
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            steps = range(len(self.left))[index]
+            return Stream(self.left[index], self.right[index], {
+                steps.index(k): vector for k, vector in self.impulses.items()
+                if k in steps
+            })
+        left = self.left[index]
+        if index < 0:
+            index += len(self.left)
+        return StepSample(left, self.right[index],
+                          self.impulses.get(index, EMPTY_IMPULSES))
+
+    def __iter__(self) -> Iterator[StepSample]:
+        vectors = map(self.impulses.get, range(len(self.left)),
+                      repeat(EMPTY_IMPULSES))
+        return map(StepSample, self.left, self.right, vectors)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stream):
+            return NotImplemented
+        return (self.left == other.left and self.right == other.right
+                and self.impulses == other.impulses)
+
+
 @dataclass
 class Trace:
     mode: str
     times: list[float] = field(default_factory=list)
-    signals: dict[str, list[StepSample]] = field(default_factory=dict)
+    signals: dict[str, Stream] = field(default_factory=dict)
     impulses: list[ImpulseEvent] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -143,7 +193,6 @@ class _Node:
     path: str
     kind: str
     params: dict[str, float]
-    in_ports: tuple[str, ...]
     in_idx: tuple[int, ...]
     # The kind's kernels from ``blocks.KINDS``; ``commit`` is None for a
     # stateless kind.
@@ -170,7 +219,7 @@ def _build_nodes(flat: FlatGraph) -> list[_Node]:
             ports = info.inputs
         nodes.append(_Node(
             idx=index_of[path], path=path, kind=block.kind,
-            params=block.params, in_ports=ports,
+            params=block.params,
             in_idx=tuple(index_of[block.inputs[p]] for p in ports),
         ))
     return nodes
@@ -570,61 +619,96 @@ class Engine:
 # --- trace recording --------------------------------------------------------
 
 class _Recorder:
-    def __init__(self, config: SimConfig, watched: dict[str, int]):
-        self.mode = config.mode
-        self.watched = watched
-        self.trace = Trace(mode=config.mode)
-        for name in watched:
-            self.trace.signals[name] = []
-        self._pending: dict[str, list[list]] = {name: [] for name in watched}
+    """Appends each committed step's watched cells to the trace columns.
 
-    def record(self, t: float, samples: list[_Sample], dt: float) -> None:
+    ``record`` is bound once to the mode's method.  Each column entry is
+    ``(name, cell index, append left, append right, extra)``, where
+    ``extra`` is the stream's impulse dict in symbolic mode and the
+    signal's pending spike cascade in numerical mode.
+    """
+
+    def __init__(self, config: SimConfig, watched: dict[str, int]):
+        self.trace = Trace(mode=config.mode)
+        symbolic = config.mode == SYMBOLIC
+        self.columns = []
+        for name, idx in watched.items():
+            stream = self.trace.signals[name] = Stream()
+            self.columns.append((name, idx, stream.left.append,
+                                 stream.right.append,
+                                 stream.impulses if symbolic else []))
+        self.record = self._record_symbolic if symbolic \
+            else self._record_numerical
+
+    def _record_symbolic(self, t: float, samples: list[_Sample],
+                         dt: float) -> None:
+        trace = self.trace
+        step = len(trace.times)
+        trace.times.append(t)
+        for name, idx, add_left, add_right, impulses in self.columns:
+            cell = samples[idx]
+            add_left(cell[0])
+            add_right(cell[1])
+            vector = cell[2]
+            if vector is not EMPTY_IMPULSES and not vector.is_empty:
+                impulses[step] = vector
+                for order, coefficient in vector.items():
+                    trace.impulses.append(
+                        ImpulseEvent(t, name, order, coefficient)
+                    )
+
+    def _record_numerical(self, t: float, samples: list[_Sample],
+                          dt: float) -> None:
         trace = self.trace
         if trace.times:
             # Use the committed time difference so a spike value divided by
             # the step size reconstructs exactly from the recorded times.
             dt = t - trace.times[-1]
         trace.times.append(t)
-        for name, idx in self.watched.items():
+        values = []
+        for _, idx, add_left, add_right, pending in self.columns:
             cell = samples[idx]
-            if self.mode == SYMBOLIC:
-                trace.signals[name].append(StepSample(cell[0], cell[1], cell[2]))
-                for order, coefficient in cell[2].items():
-                    trace.impulses.append(
-                        ImpulseEvent(t, name, order, coefficient)
-                    )
-                continue
+            vector = cell[2]
             due = 0.0
-            if self._pending[name] or not cell[2].is_empty:
-                due = self._spike_due(name, cell[2], dt)
+            if pending or vector is not EMPTY_IMPULSES and not vector.is_empty:
+                due = _spike_due(pending, vector, dt)
             left = cell[0] + due
             right = cell[1] + due
-            if abs(left) > OVERFLOW_LIMIT or abs(right) > OVERFLOW_LIMIT:
-                trace.warnings.append(
-                    f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} at t={t!r}"
-                )
-            trace.signals[name].append(StepSample(left, right, EMPTY_IMPULSES))
+            add_left(left)
+            add_right(right)
+            values += left, right
+        # max and min bound every limit, or return a nan that trips the
+        # screen, so the per-signal scan runs only when one may exceed it.
+        if not (max(values, default=0.0) <= OVERFLOW_LIMIT
+                and min(values, default=0.0) >= -OVERFLOW_LIMIT):
+            for k, (name, *_) in enumerate(self.columns):
+                if abs(values[2 * k]) > OVERFLOW_LIMIT \
+                        or abs(values[2 * k + 1]) > OVERFLOW_LIMIT:
+                    trace.warnings.append(
+                        f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} "
+                        f"at t={t!r}"
+                    )
 
-    def _spike_due(self, name: str, vector: ImpulseVector, dt: float) -> float:
-        """Spike value due at this step from ``name``'s pending cascade and
-        ``vector``; later terms of the cascade stay pending."""
-        due = 0.0
-        remaining = []
-        for entry in self._pending[name]:
-            if entry[0] == 1:
-                due += entry[1]
+
+def _spike_due(pending: list[list], vector: ImpulseVector, dt: float) -> float:
+    """Spike value due at this step from a signal's ``pending`` cascade and
+    ``vector``; later terms of the cascade stay in ``pending``."""
+    due = 0.0
+    remaining = []
+    for entry in pending:
+        if entry[0] == 1:
+            due += entry[1]
+        else:
+            remaining.append([entry[0] - 1, entry[1]])
+    for order, coefficient in vector.items():
+        scale = dt ** (order + 1)
+        for m in range(order + 1):
+            amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
+            if m == 0:
+                due += amount
             else:
-                remaining.append([entry[0] - 1, entry[1]])
-        for order, coefficient in vector.items():
-            scale = dt ** (order + 1)
-            for m in range(order + 1):
-                amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
-                if m == 0:
-                    due += amount
-                else:
-                    remaining.append([m, amount])
-        self._pending[name] = remaining
-        return due
+                remaining.append([m, amount])
+    pending[:] = remaining
+    return due
 
 
 def resolve_watches(flat: FlatGraph, watch: Sequence[str]) -> dict[str, int]:

@@ -10,8 +10,7 @@ from cbdsim.analysis import (
     halforder_magnitude_estimate,
     max_magnitude,
 )
-from cbdsim.engine import ImpulseEvent, Trace
-from cbdsim.signals import sample
+from cbdsim.engine import ImpulseEvent, Stream, Trace
 
 G = 9.81
 
@@ -100,7 +99,7 @@ class TestMaxMagnitude:
 
 def _trace(times, values, impulses=()):
     trace = Trace(mode="symbolic", times=list(times))
-    trace.signals["s"] = [sample(v) for v in values]
+    trace.signals["s"] = Stream(values, values)
     trace.impulses = list(impulses)
     return trace
 
@@ -121,7 +120,7 @@ class TestCompareTraces:
     def test_different_signals_rejected(self):
         a = _trace([0.0], [1.0])
         b = Trace(mode="symbolic", times=[0.0])
-        b.signals["other"] = [sample(1.0)]
+        b.signals["other"] = Stream([1.0], [1.0])
         with pytest.raises(ValueError):
             compare_traces(a, b)
 
@@ -130,6 +129,16 @@ class TestCompareTraces:
         b = _trace([0.0, 0.1], [1.0, 2.5])
         report = compare_traces(a, b, rel_tol=1e-12)
         assert not report.ok
+        assert report.deviations[0].at_time == 0.1
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_deviation_in_one_limit_detected(self, side):
+        a = _trace([0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
+        b = _trace([0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
+        getattr(b.signals["s"], side)[1] = 2.5
+        report = compare_traces(a, b, rel_tol=1e-12)
+        assert not report.ok
+        assert report.deviations[0].max_relative == pytest.approx(0.2)
         assert report.deviations[0].at_time == 0.1
 
     def test_order_zero_spike_match(self):

@@ -4,8 +4,7 @@ import math
 import pytest
 
 from cbdsim import cli
-from cbdsim.engine import Trace
-from cbdsim.signals import StepSample
+from cbdsim.engine import Stream, Trace
 
 G = 9.81
 
@@ -92,8 +91,8 @@ class TestRun:
     def test_trace_text_of_special_values(self, tmp_path):
         inf, nan = math.inf, math.nan
         trace = Trace(mode="symbolic", times=[0.0, 1 / 3], signals={
-            "a": [StepSample(-0.0, inf), StepSample(nan, -inf)],
-            "b/c": [StepSample(5e-324, 1e308), StepSample(0.1, -2.5)],
+            "a": Stream([-0.0, nan], [inf, -inf]),
+            "b/c": Stream([5e-324, 0.1], [1e308, -2.5]),
         })
         out = tmp_path / "special.csv"
         cli.write_trace(trace, out, "csv")

@@ -106,6 +106,18 @@ class TestValidate:
         assert diagnostic.message == "recursive definition chain: A -> B -> A"
         assert (diagnostic.span.line, diagnostic.span.col) == (2, 1)
 
+    def test_recursive_chain_reported_once(self):
+        # B instantiates A twice; both instances close the same chain.
+        model, diagnostics = self.load(
+            "cbd M(out y){ block q = A(); q.y -> y; } "
+            "cbd A(out y){ block i = B(); i.y -> y; } "
+            "cbd B(out y){ block i = A(); block j = A(); i.y -> y; }"
+        )
+        assert model is None
+        assert [str(d) for d in diagnostics] == [
+            "1:42: error: recursive definition chain: A -> B -> A"
+        ]
+
     def test_unknown_kind(self):
         model, diagnostics = self.load(
             "cbd Main(out y){ block c = Quux(); c.out -> y; }"

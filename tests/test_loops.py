@@ -107,8 +107,8 @@ def loops(draw):
             loop_inputs = draw(st.sampled_from([[prev]] * 6 + [[], [prev, prev]]))
             in_idx = loop_inputs + draw(st.lists(from_outside, max_size=2))
         in_idx = draw(st.permutations(in_idx))
-        nodes.append(_Node(idx, f"b{idx}", kind, {}, (), tuple(in_idx)))
-    nodes += [_Node(idx, f"u{idx}", "Constant", {}, (), ())
+        nodes.append(_Node(idx, f"b{idx}", kind, {}, tuple(in_idx)))
+    nodes += [_Node(idx, f"u{idx}", "Constant", {}, ())
               for idx in range(n, n + outside)]
     members = draw(st.permutations(range(n)))
     solves = draw(st.lists(

@@ -1,0 +1,245 @@
+"""The columnar trace: ``Stream`` views, trace files and the recorder.
+
+A ``Trace`` keeps, per watched signal, one ``Stream``: the left and right
+limits as float columns plus a sparse step -> impulse vector dict.  These
+tests read a stream as the sequence of ``StepSample`` it stands for,
+round-trip random traces through the CSV and JSON files bit for bit, keep
+the reader's malformed-file errors, reject ragged in-memory traces and pin
+the numerical recorder's overflow warnings.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cbdsim import cli
+from cbdsim.analysis import compare_traces
+from cbdsim.engine import SimConfig, Stream, Trace, _Recorder, simulate
+from cbdsim.signals import EMPTY_IMPULSES, StepSample, impulses
+
+
+@pytest.fixture(scope="module")
+def ball_trace(ball_model):
+    return simulate(ball_model, "Main",
+                    SimConfig(mode="symbolic", h=1e-3, t_end=2.0,
+                              zc_tol=1e-9, h_min=1e-12))
+
+
+class TestStreamView:
+    def test_simulate_records_streams(self, ball_trace):
+        for stream in ball_trace.signals.values():
+            assert isinstance(stream, Stream)
+            assert len(stream) == len(ball_trace.times)
+
+    def test_impulses_match_the_impulse_log(self, ball_trace):
+        (event,) = ball_trace.impulses
+        force = ball_trace.signals["force"]
+        step = ball_trace.index_of(event.time)
+        assert force.impulses == {step: impulses({0: event.coefficient})}
+        assert force[step].impulses.items() == [(0, event.coefficient)]
+        logged = [(ball_trace.times[k], name, order, c)
+                  for name, stream in ball_trace.signals.items()
+                  for k, vector in stream.impulses.items()
+                  for order, c in vector.items()]
+        assert logged == [tuple(e) for e in ball_trace.impulses]
+
+    def test_iteration_yields_step_samples(self, ball_trace):
+        force = ball_trace.signals["force"]
+        samples = list(force)
+        assert len(samples) == len(force)
+        for k, s in enumerate(samples):
+            assert s == StepSample(force.left[k], force.right[k],
+                                   force.impulses.get(k, EMPTY_IMPULSES))
+        assert [k for k, s in enumerate(samples) if s.has_impulses] == \
+            list(force.impulses)
+
+    def test_negative_index(self, ball_trace):
+        force = ball_trace.signals["force"]
+        samples = list(force)
+        step = next(iter(force.impulses))
+        assert force[-1] == samples[-1]
+        assert force[-len(force)] == samples[0]
+        assert force[step - len(force)] == samples[step]
+        assert force[step - len(force)].has_impulses
+        for index in (len(force), -len(force) - 1):
+            with pytest.raises(IndexError):
+                force[index]
+
+    @pytest.mark.parametrize("offsets", [(-3, 4, None), (0, 1, None),
+                                         (6, -5, -2), (None, None, -3),
+                                         (4, 4, None)])
+    def test_slice(self, ball_trace, offsets):
+        force = ball_trace.signals["force"]
+        step = next(iter(force.impulses))
+        start, stop, stride = _around(step, offsets)
+        part = force[start:stop:stride]
+        assert isinstance(part, Stream)
+        assert list(part) == list(force)[start:stop:stride]
+
+    def test_equality(self, ball_trace):
+        y = ball_trace.signals["y"]
+        copy = Stream(y.left, y.right, dict(y.impulses))
+        assert copy == y
+        assert copy is not y
+        copy.right[3] += 1.0
+        assert copy != y
+        force = ball_trace.signals["force"]
+        bare = Stream(force.left, force.right)
+        assert bare != force
+        assert y != list(y)
+
+
+def _around(step, offsets):
+    start, stop, stride = offsets
+    return (None if start is None else step + start,
+            None if stop is None else step + stop, stride)
+
+
+# --- trace files ------------------------------------------------------------
+
+SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310,
+           2.2250738585072014e-308, 1e308]
+LIMITS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+NAMES = ["y", "v", "force", "det/contact", "b/c", "p%d"]
+
+
+@st.composite
+def traces(draw):
+    times = sorted(set(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=6))))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                          unique=True))
+    column = st.lists(LIMITS, min_size=len(times), max_size=len(times))
+    trace = Trace(mode="symbolic", times=times)
+    for name in names:
+        trace.signals[name] = Stream(draw(column), draw(column))
+    return trace
+
+
+def _hexed(trace):
+    return ([t.hex() for t in trace.times],
+            {name: ([x.hex() for x in s.left], [x.hex() for x in s.right],
+                    s.impulses)
+             for name, s in trace.signals.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=traces(), fmt=st.sampled_from(["csv", "json"]))
+def test_write_read_round_trip(trace, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, f"a.{fmt}"), Path(tmp, f"b.{fmt}")
+        cli.write_trace(trace, first, fmt)
+        back = cli.read_trace(first)
+        assert list(back.signals) == list(trace.signals)
+        assert _hexed(back) == _hexed(trace)
+        cli.write_trace(back, second, fmt)
+        assert second.read_bytes() == first.read_bytes()
+
+
+class TestReadErrors:
+    def test_csv_without_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0,y,1,1\n")
+        with pytest.raises(ValueError, match="not a trace file"):
+            cli.read_trace(path)
+
+    def test_empty_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="not a trace file"):
+            cli.read_trace(path)
+
+    def test_ragged_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,signal,left,right\n"
+                        "0,y,1,1\n0,v,2,2\n0.5,y,3,3\n")
+        with pytest.raises(ValueError, match="ragged trace"):
+            cli.read_trace(path)
+
+    def test_ragged_json(self, tmp_path):
+        path = tmp_path / "t.json"
+        rows = [{"time": 0.0, "signal": "y", "left": 1.0, "right": 1.0},
+                {"time": 0.5, "signal": "y", "left": 2.0, "right": 2.0},
+                {"time": 0.5, "signal": "v", "left": 3.0, "right": 3.0}]
+        path.write_text(json.dumps({"trace": rows}))
+        with pytest.raises(ValueError, match="ragged trace"):
+            cli.read_trace(path)
+
+    def test_row_with_missing_field(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,signal,left,right\n0,y,1\n")
+        with pytest.raises(ValueError):
+            cli.read_trace(path)
+
+
+def _ragged():
+    trace = Trace(mode="symbolic", times=[0.0, 0.5])
+    trace.signals["y"] = Stream([1.0, 2.0], [1.0, 2.0])
+    trace.signals["v"] = Stream([3.0], [3.0])
+    return trace
+
+
+class TestRaggedInMemory:
+    def test_csv_write_rejects_a_short_stream(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_trace(_ragged(), tmp_path / "t.csv", "csv")
+
+    def test_compare_rejects_a_short_stream(self):
+        with pytest.raises(ValueError):
+            compare_traces(_ragged(), _ragged())
+
+
+# --- numerical recorder overflow screen ---------------------------------------
+
+def _recorder(*names):
+    return _Recorder(SimConfig(mode="numerical"),
+                     {name: k for k, name in enumerate(names)})
+
+
+def _warning(name, t):
+    return f"overflow-risk: |{name}| exceeds 1e+300 at t={t!r}"
+
+
+class TestOverflowScreen:
+    def test_nan_limit_warns_nothing(self):
+        recorder = _recorder("a", "b")
+        recorder.record(0.0, [[math.nan, math.nan, EMPTY_IMPULSES],
+                              [1.0, math.nan, EMPTY_IMPULSES]], 0.1)
+        assert recorder.trace.warnings == []
+        assert math.isnan(recorder.trace.signals["a"].left[0])
+
+    def test_nan_ahead_of_a_large_limit(self):
+        recorder = _recorder("a", "b")
+        recorder.record(0.0, [[math.nan, math.nan, EMPTY_IMPULSES],
+                              [1.0, -1e301, EMPTY_IMPULSES]], 0.1)
+        assert recorder.trace.warnings == [_warning("b", 0.0)]
+
+    def test_infinite_spike_warns(self):
+        recorder = _recorder("a")
+        recorder.record(0.0, [[0.0, 0.0, impulses({0: 1.0})]], 1e-310)
+        assert recorder.trace.signals["a"][0] == StepSample(math.inf, math.inf)
+        assert recorder.trace.warnings == [_warning("a", 0.0)]
+
+    def test_warnings_in_signal_order_at_each_step(self):
+        # An order-1 impulse over a step of 1e-160 spikes to +inf and leaves
+        # -inf due at the next step.
+        recorder = _recorder("a", "b", "c")
+        recorder.record(0.0, [[0.0, 0.0, impulses({1: 1.0})],
+                              [1.0, 1.0, EMPTY_IMPULSES],
+                              [1e301, 1e301, EMPTY_IMPULSES]], 1e-160)
+        recorder.record(1e-160, [[0.0, 0.0, EMPTY_IMPULSES],
+                                 [-1e301, 2.0, EMPTY_IMPULSES],
+                                 [1.0, 1.0, EMPTY_IMPULSES]], 1e-160)
+        recorder.record(2e-160, [[0.0, 0.0, EMPTY_IMPULSES],
+                                 [1e300, -1e300, EMPTY_IMPULSES],
+                                 [1.0, 1.0, EMPTY_IMPULSES]], 1e-160)
+        assert recorder.trace.signals["a"].left.tolist() == \
+            [math.inf, -math.inf, 0.0]
+        assert recorder.trace.warnings == [
+            _warning("a", 0.0), _warning("c", 0.0),
+            _warning("a", 1e-160), _warning("b", 1e-160),
+        ]
