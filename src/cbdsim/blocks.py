@@ -139,13 +139,10 @@ class MultiplierState:
 
 
 @dataclass
-class SwitchState:
-    prev_output: float | None = None
-
-
-@dataclass
-class DecisionState:
-    prev_selects_u: bool | None = None
+class SelectionState:
+    """Switch and Decision state: whether the condition's right limit was
+    >= 0 at the last commit, ``None`` before the first."""
+    held: bool | None = None
 
 
 def _new_integrator(params: dict[str, float]) -> IntegratorState:
@@ -329,11 +326,12 @@ def _derivative_commit(node, st, samples, t):
 
 def _switch_left(node, states, samples, dt):
     """The output stream is piecewise constant, so its left limit is the
-    previously committed output; the first step falls back to the unit step
-    of the condition's left limit."""
-    st = states[node.idx]
-    cond_left = samples[node.in_idx[0]][0]
-    return heaviside(cond_left) if st.prev_output is None else st.prev_output
+    held selection; the first step falls back to the unit step of the
+    condition's left limit."""
+    held = states[node.idx].held
+    if held is None:
+        return heaviside(samples[node.in_idx[0]][0])
+    return 1.0 if held else 0.0
 
 
 def _switch_right(node, states, samples, t, dt):
@@ -343,15 +341,11 @@ def _switch_right(node, states, samples, t, dt):
     return heaviside(src[1]), EMPTY_IMPULSES
 
 
-def _switch_commit(node, st, samples, t):
-    st.prev_output = samples[node.idx][1]
-
-
 def _decision_left(node, states, samples, dt):
     """Forward ``u`` or ``v``, selected limit-wise by the sign of ``c``."""
-    st = states[node.idx]
+    held = states[node.idx].held
     u, v, c = (samples[i] for i in node.in_idx)
-    selects_u = (c[0] >= 0.0) if st.prev_selects_u is None else st.prev_selects_u
+    selects_u = (c[0] >= 0.0) if held is None else held
     return u[0] if selects_u else v[0]
 
 
@@ -359,10 +353,9 @@ def _decision_right(node, states, samples, t, dt):
     u, v, c = (samples[i] for i in node.in_idx)
     if not c[2].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
-    st = states[node.idx]
+    held = states[node.idx].held
     right_selects_u = c[1] >= 0.0
-    left_selects_u = (c[0] >= 0.0) if st.prev_selects_u is None \
-        else st.prev_selects_u
+    left_selects_u = (c[0] >= 0.0) if held is None else held
     if left_selects_u != right_selects_u:
         if not (u[2].is_empty and v[2].is_empty):
             raise ImpulseAtSwitchingInstant(
@@ -374,8 +367,9 @@ def _decision_right(node, states, samples, t, dt):
     return (u if right_selects_u else v)[1], vector
 
 
-def _decision_commit(node, st, samples, t):
-    st.prev_selects_u = samples[node.in_idx[2]][1] >= 0.0
+def _selection_commit(node, st, samples, t):
+    """Hold the selection of the condition, the last input of both kinds."""
+    st.held = samples[node.in_idx[-1]][1] >= 0.0
 
 
 def _delay_left(node, states, samples, dt):
@@ -432,11 +426,11 @@ KINDS: dict[str, KindInfo] = {
                            new_state=lambda params: DerivativeState(
                                initial=params.get("init", 0.0))),
     "Switch": KindInfo(("c",), _switch_left, _switch_right,
-                       commit=_switch_commit,
-                       new_state=lambda params: SwitchState()),
+                       commit=_selection_commit,
+                       new_state=lambda params: SelectionState()),
     "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right,
-                         commit=_decision_commit,
-                         new_state=lambda params: DecisionState()),
+                         commit=_selection_commit,
+                         new_state=lambda params: SelectionState()),
     "Delay": KindInfo(("in",), _delay_left, _delay_right,
                       params=("init",), previous_input=True,
                       commit=_delay_commit,

@@ -84,32 +84,36 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     """Load a trace file (CSV or JSON by extension) back into a Trace."""
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        rows = ((row["time"], row["signal"], row["left"], row["right"])
-                for row in payload["trace"])
-    else:
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != TRACE_HEADER:
-            raise ValueError(f"{path}: not a trace file")
-        rows = map(str.split, islice(lines, 1, None), repeat(","))
-    trace = Trace(mode="file")
-    times = trace.times
-    appenders: dict[str, tuple] = {}
-    last = object()  # equal to no time field
-    for time_field, name, left, right in rows:
-        # The rows of one step repeat its time field; parse it once.
-        if time_field != last:
-            last = time_field
-            t = float(time_field)
-            if not times or times[-1] != t:
-                times.append(t)
-        pair = appenders.get(name)
-        if pair is None:
-            stream = trace.signals[name] = Stream()
-            pair = appenders[name] = (stream.left.append, stream.right.append)
-        pair[0](float(left))
-        pair[1](float(right))
+    try:
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            rows = ((row["time"], row["signal"], row["left"], row["right"])
+                    for row in payload["trace"])
+        else:
+            lines = path.read_text().splitlines()
+            if not lines or lines[0] != TRACE_HEADER:
+                raise ValueError(f"{path}: not a trace file")
+            rows = map(str.split, islice(lines, 1, None), repeat(","))
+        trace = Trace(mode="file")
+        times = trace.times
+        appenders: dict[str, tuple] = {}
+        last = object()  # equal to no time field
+        for time_field, name, left, right in rows:
+            # The rows of one step repeat its time field; parse it once.
+            if time_field != last:
+                last = time_field
+                t = float(time_field)
+                if not times or times[-1] != t:
+                    times.append(t)
+            pair = appenders.get(name)
+            if pair is None:
+                stream = trace.signals[name] = Stream()
+                pair = appenders[name] = (stream.left.append,
+                                          stream.right.append)
+            pair[0](float(left))
+            pair[1](float(right))
+    except TypeError as err:  # a JSON field of the wrong type, such as null
+        raise ValueError(f"{path}: malformed trace: {err}") from err
     if any(len(stream) != len(times) for stream in trace.signals.values()):
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:
@@ -121,9 +125,13 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
     events = []
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
-        for row in payload["impulses"]:
-            events.append(ImpulseEvent(float(row["time"]), row["signal"],
-                                       int(row["order"]), float(row["coefficient"])))
+        try:
+            for row in payload["impulses"]:
+                events.append(ImpulseEvent(float(row["time"]), row["signal"],
+                                           int(row["order"]),
+                                           float(row["coefficient"])))
+        except TypeError as err:  # a field of the wrong type, such as null
+            raise ValueError(f"{path}: malformed impulse log: {err}") from err
     else:
         lines = path.read_text().splitlines()
         if not lines or lines[0] != IMPULSE_HEADER:

@@ -16,6 +16,9 @@ The grammar, in EBNF::
 decimal real with optional sign and exponent.  Parsing never raises on bad
 input; every problem becomes a :class:`Diagnostic` carrying its source
 position, and validation reports all violations rather than the first.
+Validation checks here only what a :class:`graph.Model` cannot express;
+the structural rules are :func:`graph.check_model`'s, located back in the
+text.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .blocks import INTEGRATOR_ORDERS, KINDS, VARIADIC_MIN_INPUTS
-from .graph import BlockDecl, Definition, Link, Model, definition_cycles
+from .blocks import INTEGRATOR_ORDERS, KINDS
+from .graph import BlockDecl, Definition, Endpoint, Link, Model, check_model
 
 
 @dataclass(frozen=True)
@@ -373,10 +376,15 @@ def parse(text: str) -> ParseResult:
 # --- validation --------------------------------------------------------------
 
 def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
-    """Check structural rules and build the semantic model.
+    """Check the model's rules and build the semantic model.
 
-    Reports every violation found; returns the model only when no errors
-    were raised.
+    The rules a :class:`Model` cannot express are checked on the text:
+    duplicate definitions, ports and names, parameters, and a bare block
+    name as a link target.  Every structural rule is
+    :func:`graph.check_model`'s, run on the model built from the text and
+    located back in it.  A duplicate definition is reported and not
+    checked further.  Reports every violation found; returns the model only
+    when no errors were raised.
     """
     diagnostics: list[Diagnostic] = []
     names: dict[str, SourceDefinition] = {}
@@ -388,101 +396,46 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
         else:
             names[definition.name] = definition
 
-    for definition in source.definitions:
-        _validate_definition(definition, names, diagnostics)
-
-    # A definition instantiated twice in one parent is one reference, so
-    # each chain is reported once.
-    cycles = definition_cycles(names, lambda name: dict.fromkeys(
-        b.kind for b in names[name].blocks if b.kind in names
-    ))
-    for cycle in cycles:
-        diagnostics.append(Diagnostic(
-            f"recursive definition chain: {' -> '.join(cycle)}",
-            names[cycle[0]].span,
-        ))
+    model = Model()
+    # (definition, locator) of the structural problems a text rule reports
+    reported: set[tuple[str, tuple]] = set()
+    for name, definition in names.items():
+        model.definitions[name] = _build_definition(
+            definition, names, diagnostics, reported
+        )
+    for problem in check_model(model):
+        if (problem.definition, problem.where) not in reported:
+            diagnostics.append(Diagnostic(problem.message, _locate(
+                names[problem.definition], problem.where
+            )))
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
-
-    model = Model()
-    for definition in source.definitions:
-        blocks = {}
-        for block in definition.blocks:
-            params = _bind_params(block, diagnostics, report=False)
-            blocks[block.name] = BlockDecl(kind=block.kind, params=params)
-        model.definitions[definition.name] = Definition(
-            name=definition.name,
-            in_ports=tuple(p.name for p in definition.ports if p.direction == "in"),
-            out_ports=tuple(p.name for p in definition.ports if p.direction == "out"),
-            blocks=blocks,
-            links=[
-                Link(src=_endpoint(link.src, definition),
-                     dst=_endpoint(link.dst, definition))
-                for link in definition.links
-            ],
-        )
     return model, diagnostics
 
 
-def _endpoint(endpoint: SourceEndpoint, definition: SourceDefinition):
-    port_names = {p.name for p in definition.ports}
-    if endpoint.port is None and endpoint.block in port_names:
-        return (None, endpoint.block)
-    if endpoint.port is None:
-        # Bare block name: its single output.
-        return (endpoint.block, "out")
-    return (endpoint.block, endpoint.port)
-
-
-def _bind_params(block: SourceBlock, diagnostics: list[Diagnostic],
-                 report: bool = True) -> dict[str, float]:
-    info = KINDS.get(block.kind)
-    declared = info.params if info else ()
-    params: dict[str, float] = {}
-    for position, arg in enumerate(block.args):
-        if arg.name is None:
-            if position < len(declared):
-                params[declared[position]] = arg.value
-            elif report:
-                diagnostics.append(Diagnostic(
-                    f"{block.kind} takes at most {len(declared)} parameter(s)",
-                    arg.span,
-                ))
-        elif declared and arg.name in declared:
-            params[arg.name] = arg.value
-        elif report:
-            diagnostics.append(Diagnostic(
-                f"{block.kind} has no parameter {arg.name!r}", arg.span
-            ))
-    return params
-
-
-def _validate_definition(definition: SourceDefinition,
-                         names: dict[str, SourceDefinition],
-                         diagnostics: list[Diagnostic]) -> None:
-    seen_ports: set[str] = set()
+def _build_definition(definition: SourceDefinition,
+                      names: dict[str, SourceDefinition],
+                      diagnostics: list[Diagnostic],
+                      reported: set[tuple[str, tuple]]) -> Definition:
+    """Check the text rules of ``definition`` and build it."""
+    port_names: set[str] = set()
     for port in definition.ports:
-        if port.name in seen_ports:
+        if port.name in port_names:
             diagnostics.append(Diagnostic(
                 f"duplicate port {port.name!r}", port.span
             ))
-        seen_ports.add(port.name)
+        port_names.add(port.name)
 
-    block_by_name: dict[str, SourceBlock] = {}
+    blocks: dict[str, BlockDecl] = {}
     for block in definition.blocks:
-        if block.name in block_by_name or block.name in seen_ports:
+        if block.name in blocks or block.name in port_names:
             diagnostics.append(Diagnostic(
                 f"duplicate name {block.name!r}", block.span
             ))
-        block_by_name[block.name] = block
-        if block.kind not in KINDS and block.kind not in names:
-            diagnostics.append(Diagnostic(
-                f"unknown block kind {block.kind!r}", block.span
-            ))
-            continue
+        params: dict[str, float] = {}
         if block.kind in KINDS:
-            params = _bind_params(block, diagnostics, report=True)
+            params = _bind_params(block, diagnostics)
             order = params.get("order", 1)
             if order not in INTEGRATOR_ORDERS:
                 diagnostics.append(Diagnostic(
@@ -495,112 +448,71 @@ def _validate_definition(definition: SourceDefinition,
                 diagnostics.append(Diagnostic(
                     "Constant requires a value parameter", block.span
                 ))
-        elif block.args:
+        elif block.kind in names and block.args:
             diagnostics.append(Diagnostic(
                 f"composite block {block.kind!r} takes no parameters",
                 block.args[0].span,
             ))
+        blocks[block.name] = BlockDecl(kind=block.kind, params=params)
 
-    in_ports = {p.name for p in definition.ports if p.direction == "in"}
-    out_ports = {p.name for p in definition.ports if p.direction == "out"}
-    drivers: dict[tuple[str | None, str], Span] = {}
-
-    def target_ports(block: SourceBlock) -> tuple[set[str], bool]:
-        if block.kind in KINDS:
-            info = KINDS[block.kind]
-            return (set(info.inputs), info.variadic)
-        inner = names.get(block.kind)
-        if inner is None:
-            return set(), False
-        return {p.name for p in inner.ports if p.direction == "in"}, False
-
-    def source_ports(block: SourceBlock) -> set[str]:
-        if block.kind in KINDS:
-            return {"out"}
-        inner = names.get(block.kind)
-        if inner is None:
-            return set()
-        return {p.name for p in inner.ports if p.direction == "out"}
-
-    for link in definition.links:
-        src, dst = link.src, link.dst
-        # source endpoint
-        if src.port is None and src.block in in_ports | out_ports:
-            pass
-        elif src.block in block_by_name:
-            block = block_by_name[src.block]
-            port = src.port if src.port is not None else "out"
-            if block.kind in KINDS or block.kind in names:
-                if port not in source_ports(block):
-                    diagnostics.append(Diagnostic(
-                        f"{src.block!r} has no output port {port!r}", src.span
-                    ))
-        else:
+    links = []
+    for i, link in enumerate(definition.links):
+        dst = _endpoint(link.dst, port_names)
+        if link.dst.port is None and dst[0] in blocks:
             diagnostics.append(Diagnostic(
-                f"unknown link source {src.block!r}", src.span
+                f"link into {dst[0]!r} must name an input port", link.dst.span
             ))
-        # destination endpoint
-        if dst.port is None and dst.block in out_ports:
-            key: tuple[str | None, str] = (None, dst.block)
-        elif dst.port is None and dst.block in in_ports:
-            diagnostics.append(Diagnostic(
-                f"cannot drive input port {dst.block!r} from inside its "
-                f"definition", dst.span
-            ))
-            continue
-        elif dst.block in block_by_name:
-            block = block_by_name[dst.block]
-            if dst.port is None:
+            reported.add((definition.name, ("dst", i)))
+        links.append(Link(src=_endpoint(link.src, port_names), dst=dst))
+    return Definition(
+        name=definition.name,
+        in_ports=tuple(p.name for p in definition.ports if p.direction == "in"),
+        out_ports=tuple(p.name for p in definition.ports if p.direction == "out"),
+        blocks=blocks,
+        links=links,
+    )
+
+
+def _endpoint(endpoint: SourceEndpoint, port_names: set[str]) -> Endpoint:
+    if endpoint.port is None and endpoint.block in port_names:
+        return (None, endpoint.block)
+    if endpoint.port is None:
+        # Bare block name: its single output.
+        return (endpoint.block, "out")
+    return (endpoint.block, endpoint.port)
+
+
+def _locate(definition: SourceDefinition, where: tuple | None) -> Span:
+    """The span in ``definition`` of a :class:`graph.Problem` locator."""
+    if where is None:
+        return definition.span
+    field, key = where
+    if field in ("src", "dst"):
+        return getattr(definition.links[key], field).span
+    items = definition.blocks if field == "block" else definition.ports
+    return [item.span for item in items if item.name == key][-1]
+
+
+def _bind_params(block: SourceBlock,
+                 diagnostics: list[Diagnostic]) -> dict[str, float]:
+    declared = KINDS[block.kind].params
+    params: dict[str, float] = {}
+    for position, arg in enumerate(block.args):
+        if arg.name is None:
+            if position < len(declared):
+                params[declared[position]] = arg.value
+            else:
                 diagnostics.append(Diagnostic(
-                    f"link into {dst.block!r} must name an input port", dst.span
+                    f"{block.kind} takes at most {len(declared)} parameter(s)",
+                    arg.span,
                 ))
-                continue
-            if block.kind in KINDS or block.kind in names:
-                ports, variadic = target_ports(block)
-                valid = dst.port in ports or (
-                    variadic and re.fullmatch(r"in[1-9]\d*", dst.port)
-                )
-                if not valid:
-                    diagnostics.append(Diagnostic(
-                        f"{dst.block!r} has no input port {dst.port!r}", dst.span
-                    ))
-                    continue
-            key = (dst.block, dst.port)
+        elif arg.name in declared:
+            params[arg.name] = arg.value
         else:
             diagnostics.append(Diagnostic(
-                f"unknown link target {dst.block!r}", dst.span
+                f"{block.kind} has no parameter {arg.name!r}", arg.span
             ))
-            continue
-        if key in drivers:
-            diagnostics.append(Diagnostic(
-                f"multiple drivers for {dst.block + '.' + dst.port if dst.port else dst.block}",
-                dst.span,
-            ))
-        else:
-            drivers[key] = dst.span
-
-    # every declared output port and every block input must be driven
-    for port in definition.ports:
-        if port.direction == "out" and (None, port.name) not in drivers:
-            diagnostics.append(Diagnostic(
-                f"output port {port.name!r} has no driver", port.span
-            ))
-    for block in definition.blocks:
-        ports, variadic = target_ports(block)
-        driven = {p for (b, p) in drivers if b == block.name}
-        if variadic:
-            expected = {f"in{i + 1}" for i in range(len(driven))}
-            if len(driven) < VARIADIC_MIN_INPUTS or driven != expected:
-                diagnostics.append(Diagnostic(
-                    f"{block.name!r} ({block.kind}) needs inputs in1..inN "
-                    f"(N >= {VARIADIC_MIN_INPUTS}) fully driven", block.span
-                ))
-        else:
-            for port in sorted(ports - driven):
-                diagnostics.append(Diagnostic(
-                    f"input port {port!r} of {block.name!r} has no driver",
-                    block.span,
-                ))
+    return params
 
 
 # --- pretty printer -----------------------------------------------------------

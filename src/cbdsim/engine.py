@@ -45,7 +45,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks as bk
-from .blocks import BlockError, heaviside
+from .blocks import BlockError
 from .graph import FlatGraph, Model, ModelError, dependency_sort, flatten
 from .signals import EMPTY_IMPULSES, ImpulseVector, StepSample
 
@@ -340,13 +340,9 @@ class Engine:
         self.order = [idx for members, _ in self.groups for idx in members]
         self.states = _initial_states(self.nodes)
         self.stateful = [n for n in self.nodes if n.commit is not None]
-        # The sources of jumps and impulses, as (block, condition) indices.
-        self.switches = [
-            (n.idx, n.in_idx[0]) for n in self.nodes if n.kind == "Switch"
-        ]
-        self.decisions = [
-            (n.idx, n.in_idx[2]) for n in self.nodes if n.kind == "Decision"
-        ]
+        # The Switches and Decisions, as (block, condition input) indices.
+        self.conditions = [(n.idx, n.in_idx[-1]) for n in self.nodes
+                           if n.kind in ("Switch", "Decision")]
         self.delays = [n.idx for n in self.nodes if n.kind == "Delay"]
         # Phase 2 reads every input's cell of the current step, except at a
         # Delay, which replays its state: a change spreads along these edges.
@@ -366,7 +362,7 @@ class Engine:
         # (Integrators and Delays), whose phase 1 reads only state; the
         # closure holds the groups of the blocks reached, loops whole.
         seen: set[int] = set()
-        frontier = [cond for _, cond in self.switches + self.decisions]
+        frontier = [cond for _, cond in self.conditions]
         while frontier:
             idx = frontier.pop()
             if idx not in seen:
@@ -381,7 +377,7 @@ class Engine:
     # -- stepping ------------------------------------------------------------
 
     def compute_step(self, states: list, t: float, dt: float,
-                     ) -> tuple[list[_Sample], list[int]]:
+                     ) -> tuple[list[_Sample], list[tuple[int, int]]]:
         """Evaluate every block at time ``t`` for a step of size ``dt``.
 
         Returns the samples and the flipped conditions.
@@ -431,7 +427,7 @@ class Engine:
         return samples, flipped
 
     def _closure_step(self, states: list, t: float, dt: float,
-                      ) -> tuple[list[_Sample], list[int]]:
+                      ) -> tuple[list[_Sample], list[tuple[int, int]]]:
         """A bisection trial: phase 1 over the condition closure only.
 
         The cells outside the closure stay ``None``; the flips and the
@@ -470,7 +466,7 @@ class Engine:
                     ))
         return samples
 
-    def _sweep_groups(self, states: list, flipped: list[int],
+    def _sweep_groups(self, states: list, flipped: list[tuple[int, int]],
                       ) -> list[tuple[tuple[int, ...], bool]]:
         """The schedule groups phase 2 must sweep, in schedule order.
 
@@ -481,7 +477,7 @@ class Engine:
         cone, the source and every block reading it within the step, can
         change; a step with no source sweeps nothing.
         """
-        sources = list(flipped)
+        sources = [idx for idx, _ in flipped]
         for idx in self.delays:
             prev = states[idx].prev_input
             if prev is not None and (prev.left != prev.right
@@ -551,34 +547,28 @@ class Engine:
 
     # -- event handling --------------------------------------------------------
 
-    def flipped_conditions(self, states: list,
-                           samples: list[_Sample]) -> list[int]:
-        """Switches and Decisions selecting, from the condition's left
-        limit, otherwise than their committed state.
+    def flipped_conditions(self, states: list, samples: list[_Sample],
+                           ) -> list[tuple[int, int]]:
+        """The (block, condition input) pairs of the Switches and Decisions
+        selecting, from the condition's left limit, otherwise than they hold.
 
-        Comparing the left limit against the committed selection means that
+        Comparing the left limit against the held selection means that
         jumps inside a committed sample (consequences of an event, not
         causes) do not re-trigger location.
         """
         flipped = []
-        for idx, cond in self.switches:
-            held = states[idx].prev_output
-            if held is not None and heaviside(samples[cond][0]) != held:
-                flipped.append(idx)
-        for idx, cond in self.decisions:
-            held = states[idx].prev_selects_u
+        for idx, cond in self.conditions:
+            held = states[idx].held
             if held is not None and (samples[cond][0] >= 0.0) != held:
-                flipped.append(idx)
+                flipped.append((idx, cond))
         return flipped
 
     def _condition_magnitude(self, samples: list[_Sample],
-                             flipped: list[int]) -> float:
-        return max(
-            abs(samples[self.nodes[idx].in_idx[-1]][0]) for idx in flipped
-        )
+                             flipped: list[tuple[int, int]]) -> float:
+        return max(abs(samples[cond][0]) for _, cond in flipped)
 
     def locate_crossing(self, t: float, h: float,
-                        trial: tuple[list[_Sample], list[int]] | None = None,
+                        trial: tuple[list[_Sample], list[tuple[int, int]]],
                         ) -> tuple[float, list[_Sample], bool]:
         """Bisect the trial step onto the earliest condition crossing.
 
@@ -590,8 +580,6 @@ class Engine:
         step is committed regardless).
         """
         cfg = self.config
-        if trial is None:
-            trial = self.compute_step(self.states, t + h, h)
         samples_hi, flipped_hi = trial
         if not flipped_hi:
             raise EngineError("locate_crossing called without a sign change")

@@ -2,20 +2,23 @@
 
 A :class:`Model` is a set of named block-diagram definitions.  Each
 definition declares input/output ports, block instances (primitive kinds or
-references to other definitions) and directed links.  :func:`flatten`
-splices composite instances away, leaving only primitive blocks with
-slash-joined hierarchical names, and :func:`dependency_sort` orders them
-into a schedule whose groups are single blocks or strongly connected
-components of the current-step dependency graph.  Integrator and Delay
-consume their data input one step late and therefore contribute no
+references to other definitions) and directed links.  :func:`check_model`
+states every structural rule of the definitions once, for models parsed
+from text and built in code alike.  :func:`flatten` raises its first
+problem, then splices composite instances away, leaving only primitive
+blocks with slash-joined hierarchical names, and :func:`dependency_sort`
+orders them into a schedule whose groups are single blocks or strongly
+connected components of the current-step dependency graph.  Integrator and
+Delay consume their data input one step late and therefore contribute no
 current-step edge.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .blocks import KINDS, VARIADIC_MIN_INPUTS, input_ports
 
@@ -131,23 +134,119 @@ def definition_cycles(roots: Iterable[str],
             pending.append(iter(children(child)))
 
 
-def check_no_recursion(model: Model, top: str) -> None:
-    """Reject definitions that reference themselves directly or transitively,
-    and unknown block kinds in the definitions reachable from ``top``."""
+class Problem(NamedTuple):
+    """One broken structural rule of one definition.
 
-    def children(name: str) -> Iterator[str]:
-        for decl in model.definition(name).blocks.values():
-            if decl.kind not in KINDS:
-                if decl.kind not in model.definitions:
-                    raise UnknownKind(
-                        f"{name}: unknown block kind {decl.kind!r}"
-                    )
-                yield decl.kind
+    ``where`` locates it: ``("block", name)``, ``("port", name)``, or
+    ``("src", i)`` / ``("dst", i)`` for an endpoint of link ``i``; ``None``
+    for the definition as a whole, whose name the message then carries.
+    """
+    error: type[ModelError]
+    definition: str
+    where: tuple[str, str | int] | None
+    message: str
 
-    for cycle in definition_cycles([top], children):
-        raise RecursiveDefinition(
-            f"recursive definition chain: {' -> '.join(cycle)}"
+
+def check_model(model: Model) -> Iterator[Problem]:
+    """Every broken structural rule of every definition, in order: unknown
+    kinds, link endpoints and drivers, undriven ports and block inputs, then
+    recursion.  A model that yields nothing flattens from any top definition
+    that declares no inputs, unless its port wiring is cyclic."""
+    definitions = model.definitions
+    for name, defn in definitions.items():
+        yield from _check_definition(name, defn, definitions)
+    # A definition instanced twice in one parent is one reference, so each
+    # chain is reported once.
+    cycles = definition_cycles(definitions, lambda name: dict.fromkeys(
+        decl.kind for decl in definitions[name].blocks.values()
+        if decl.kind not in KINDS and decl.kind in definitions
+    ))
+    for cycle in cycles:
+        yield Problem(RecursiveDefinition, cycle[0], None,
+                      f"recursive definition chain: {' -> '.join(cycle)}")
+
+
+def _check_definition(name: str, defn: Definition,
+                      definitions: dict[str, Definition]) -> Iterator[Problem]:
+    blocks = defn.blocks
+    for bname, decl in blocks.items():
+        if decl.kind not in KINDS and decl.kind not in definitions:
+            yield Problem(UnknownKind, name, ("block", bname),
+                          f"unknown block kind {decl.kind!r}")
+
+    # block name (None for the definition's own ports) -> driven ports
+    driven: dict[str | None, set[str]] = {}
+    for i, link in enumerate(defn.links):
+        block, port = link.src
+        if block in blocks:
+            if not _has_port(blocks[block].kind, port, "out", definitions):
+                yield Problem(UnconnectedInput, name, ("src", i),
+                              f"{block!r} has no output port {port!r}")
+        elif block is not None or port not in defn.in_ports + defn.out_ports:
+            yield Problem(UnconnectedInput, name, ("src", i),
+                          f"unknown link source {block or port!r}")
+        block, port = link.dst
+        if block is None and port in defn.out_ports:
+            pass
+        elif block is None and port in defn.in_ports:
+            yield Problem(UnconnectedInput, name, ("dst", i),
+                          f"cannot drive input port {port!r} from inside "
+                          f"its definition")
+            continue
+        elif block not in blocks:
+            yield Problem(UnconnectedInput, name, ("dst", i),
+                          f"unknown link target {block or port!r}")
+            continue
+        elif not _has_port(blocks[block].kind, port, "in", definitions):
+            yield Problem(UnconnectedInput, name, ("dst", i),
+                          f"{block!r} has no input port {port!r}")
+            continue
+        ports = driven.setdefault(block, set())
+        if port in ports:
+            yield Problem(MultipleDrivers, name, ("dst", i),
+                          f"multiple drivers for {_endpoint_str(link.dst)}")
+        ports.add(port)
+
+    for port in defn.out_ports:
+        if port not in driven.get(None, ()):
+            yield Problem(UnconnectedInput, name, ("port", port),
+                          f"output port {port!r} has no driver")
+    for bname, decl in blocks.items():
+        ports = driven.get(bname, set())
+        info = KINDS.get(decl.kind)
+        if info is not None and info.variadic:
+            if len(ports) < VARIADIC_MIN_INPUTS or \
+                    ports != set(input_ports(decl.kind, len(ports))):
+                yield Problem(UnconnectedInput, name, ("block", bname),
+                              f"{bname!r} ({decl.kind}) needs inputs in1..inN "
+                              f"(N >= {VARIADIC_MIN_INPUTS}) fully driven")
+            continue
+        if info is not None:
+            declared = info.inputs
+        elif decl.kind in definitions:
+            declared = definitions[decl.kind].in_ports
+        else:
+            continue
+        for port in sorted(set(declared) - ports):
+            yield Problem(UnconnectedInput, name, ("block", bname),
+                          f"input port {port!r} of {bname!r} has no driver")
+
+
+def _has_port(kind: str, port: str, direction: str,
+              definitions: dict[str, Definition]) -> bool:
+    """Whether an instance of ``kind`` has the ``direction`` ("in" or
+    "out") port ``port``; an instance of an unknown kind has every port."""
+    info = KINDS.get(kind)
+    if info is None:
+        defn = definitions.get(kind)
+        return defn is None or port in (
+            defn.in_ports if direction == "in" else defn.out_ports
         )
+    if direction == "out":
+        return port == "out"
+    return port in info.inputs or (
+        info.variadic and re.fullmatch(r"in[1-9]\d*", port) is not None
+    )
 
 
 def flatten(model: Model, top: str) -> FlatGraph:
@@ -155,22 +254,25 @@ def flatten(model: Model, top: str) -> FlatGraph:
 
     Port references are spliced out; the result contains only primitive
     blocks named by their slash-joined instance path, each input wired
-    directly to the producing primitive block.
+    directly to the producing primitive block.  The first problem
+    :func:`check_model` finds in any definition is raised.
     """
     top_def = model.definition(top)
-    check_no_recursion(model, top)
+    for problem in check_model(model):
+        prefix = "" if problem.where is None else f"{problem.definition}: "
+        raise problem.error(prefix + problem.message)
     if top_def.in_ports:
         raise UnconnectedInput(
             f"top-level definition {top!r} has unbound input ports: "
             f"{', '.join(top_def.in_ports)}"
         )
 
-    # scope path -> definition name; "" is the top scope
-    scopes: dict[str, str] = {}
-    # (scope, endpoint) -> (scope, endpoint) of the driver
-    drivers: dict[tuple[str, Endpoint], tuple[str, Endpoint]] = {}
+    # scope path -> definition; "" is the top scope
+    scopes: dict[str, Definition] = {}
+    # (scope, driven endpoint) -> driving endpoint in the same scope
+    drivers: dict[tuple[str, Endpoint], Endpoint] = {}
     flat_blocks: dict[str, FlatBlock] = {}
-    _expand(model, "", top, scopes, drivers, flat_blocks)
+    _expand(model, "", top_def, scopes, drivers, flat_blocks)
 
     def resolve(scope: str, endpoint: Endpoint) -> str:
         """Follow a source endpoint through port splices to a primitive block."""
@@ -180,93 +282,33 @@ def flatten(model: Model, top: str) -> FlatGraph:
             if key in trail:
                 raise UnconnectedInput(
                     f"cyclic port wiring around {_endpoint_str(endpoint)} in "
-                    f"{scopes[scope] or top}"
+                    f"{scopes[scope].name}"
                 )
             trail.add(key)
             block, port = endpoint
-            defn = model.definition(scopes[scope])
             if block is not None:
-                decl = defn.blocks.get(block)
-                if decl is None:
-                    raise UnconnectedInput(
-                        f"{defn.name}: link references unknown block {block!r}"
-                    )
-                if decl.kind in KINDS:
-                    return _scope_path(scope, block)
-                child_scope = _scope_path(scope, block)
-                child_def = model.definition(decl.kind)
-                if port not in child_def.out_ports:
-                    raise UnconnectedInput(
-                        f"{defn.name}: {block!r} has no output port {port!r}"
-                    )
-                inner = drivers.get((child_scope, (None, port)))
-                if inner is None:
-                    raise UnconnectedInput(
-                        f"{decl.kind}: output port {port!r} has no driver"
-                    )
-                scope, endpoint = child_scope, inner[1]
-            # Definition-level port used as a source.
-            elif port in defn.in_ports:
-                if scope == "":
-                    raise UnconnectedInput(f"top-level input port {port!r} is unbound")
-                parent, _, inst = scope.rpartition("/")
-                outer = drivers.get((parent, (inst, port)))
-                if outer is None:
-                    raise UnconnectedInput(
-                        f"input port {port!r} of instance {inst!r} has no driver"
-                    )
-                scope, endpoint = parent, outer[1]
-            elif port in defn.out_ports:
-                inner = drivers.get((scope, (None, port)))
-                if inner is None:
-                    raise UnconnectedInput(
-                        f"{defn.name}: output port {port!r} has no driver"
-                    )
-                endpoint = inner[1]
+                scope = _scope_path(scope, block)
+                if scope in flat_blocks:
+                    return scope
+                endpoint = drivers[(scope, (None, port))]
+            elif port in scopes[scope].in_ports:
+                scope, _, inst = scope.rpartition("/")
+                endpoint = drivers[(scope, (inst, port))]
             else:
-                raise UnconnectedInput(f"{defn.name}: unknown port {port!r}")
+                endpoint = drivers[key]
 
     # Wire every primitive input to its producing primitive block.
     driven_ports: dict[tuple[str, str | None], list[str]] = {}
     for scope, (block, port) in drivers:
         driven_ports.setdefault((scope, block), []).append(port)
-    for scope, def_name in scopes.items():
-        defn = model.definition(def_name)
+    for scope, defn in scopes.items():
         for bname, decl in defn.blocks.items():
-            if decl.kind not in KINDS:
-                continue
-            path = _scope_path(scope, bname)
-            driven = sorted(driven_ports.get((scope, bname), ()))
-            info = KINDS[decl.kind]
-            if info.variadic:
-                expected = input_ports(decl.kind, len(driven))
-                if len(driven) < VARIADIC_MIN_INPUTS or set(driven) != set(expected):
-                    raise UnconnectedInput(
-                        f"{path}: {decl.kind} needs ports in1..inN (N >= "
-                        f"{VARIADIC_MIN_INPUTS}) fully driven, got {driven}"
-                    )
-            else:
-                missing = [p for p in info.inputs if p not in driven]
-                extra = [p for p in driven if p not in info.inputs]
-                if missing:
-                    raise UnconnectedInput(
-                        f"{path}: input port(s) {', '.join(missing)} not driven"
-                    )
-                if extra:
-                    raise UnconnectedInput(
-                        f"{path}: {decl.kind} has no input port(s) {', '.join(extra)}"
-                    )
-            for port in driven:
-                src_scope, src_endpoint = drivers[(scope, (bname, port))]
-                flat_blocks[path].inputs[port] = resolve(src_scope, src_endpoint)
+            if decl.kind in KINDS:
+                inputs = flat_blocks[_scope_path(scope, bname)].inputs
+                for port in sorted(driven_ports.get((scope, bname), ())):
+                    inputs[port] = resolve(scope, drivers[(scope, (bname, port))])
 
-    outputs: dict[str, str] = {}
-    for port in top_def.out_ports:
-        inner = drivers.get(("", (None, port)))
-        if inner is None:
-            raise UnconnectedInput(f"{top}: output port {port!r} has no driver")
-        outputs[port] = resolve("", inner[1])
-
+    outputs = {port: resolve("", (None, port)) for port in top_def.out_ports}
     return FlatGraph(blocks=flat_blocks, outputs=outputs)
 
 
@@ -274,14 +316,14 @@ def _scope_path(scope: str, name: str) -> str:
     return f"{scope}/{name}" if scope else name
 
 
-def _expand(model: Model, scope: str, def_name: str, scopes: dict[str, str],
-            drivers: dict[tuple[str, Endpoint], tuple[str, Endpoint]],
+def _expand(model: Model, scope: str, defn: Definition,
+            scopes: dict[str, Definition],
+            drivers: dict[tuple[str, Endpoint], Endpoint],
             flat_blocks: dict[str, FlatBlock]) -> None:
     """Record the scope, primitive blocks and link drivers of one instance,
     depth first.  A module-level function, unlike a recursive closure, leaves
     no reference cycle, so the tables are freed as soon as flatten returns."""
-    scopes[scope] = def_name
-    defn = model.definition(def_name)
+    scopes[scope] = defn
     for bname, decl in defn.blocks.items():
         path = _scope_path(scope, bname)
         if decl.kind in KINDS:
@@ -289,14 +331,10 @@ def _expand(model: Model, scope: str, def_name: str, scopes: dict[str, str],
                 path=path, kind=decl.kind, params=dict(decl.params), inputs={},
             )
         else:
-            _expand(model, path, decl.kind, scopes, drivers, flat_blocks)
+            _expand(model, path, model.definitions[decl.kind], scopes,
+                    drivers, flat_blocks)
     for link in defn.links:
-        key = (scope, link.dst)
-        if key in drivers:
-            raise MultipleDrivers(
-                f"{def_name}: multiple drivers for {_endpoint_str(link.dst)}"
-            )
-        drivers[key] = (scope, link.src)
+        drivers[(scope, link.dst)] = link.src
 
 
 def _endpoint_str(endpoint: Endpoint) -> str:

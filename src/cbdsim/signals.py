@@ -103,10 +103,6 @@ class StepSample:
     def has_impulses(self) -> bool:
         return not self.impulses.is_empty
 
-    @property
-    def has_jump(self) -> bool:
-        return self.left != self.right
-
 
 def sample(left: float, right: float | None = None,
            coeffs: Mapping[int, float] | None = None) -> StepSample:
@@ -131,12 +127,6 @@ def negate_vector(v: ImpulseVector) -> ImpulseVector:
     if v.is_empty:
         return v
     return impulses({order: -value for order, value in v.items()})
-
-
-def scale_vector(v: ImpulseVector, factor: float) -> ImpulseVector:
-    if v.is_empty:
-        return v
-    return impulses({order: factor * value for order, value in v.items()})
 
 
 def add_samples(a: StepSample, b: StepSample) -> StepSample:

@@ -218,55 +218,55 @@ class TestDerivative:
 
 class TestSwitch:
     def test_negative_condition(self):
-        out, _ = step("Switch", [sample(-1, -1)], bk.SwitchState())
+        out, _ = step("Switch", [sample(-1, -1)], bk.SelectionState())
         assert out == sample(0, 0)
 
     def test_boundary_is_high(self):
-        out, _ = step("Switch", [sample(0, 0)], bk.SwitchState())
+        out, _ = step("Switch", [sample(0, 0)], bk.SelectionState())
         assert out == sample(1, 1)
 
     def test_split_condition(self):
-        out, _ = step("Switch", [sample(-0.5, 0.5)], bk.SwitchState())
+        out, _ = step("Switch", [sample(-0.5, 0.5)], bk.SelectionState())
         assert out == sample(0, 1)
 
     def test_between_step_flip_creates_edge(self):
-        _, state = step("Switch", [sample(-1, -1)], bk.SwitchState())
+        _, state = step("Switch", [sample(-1, -1)], bk.SelectionState())
         out, _ = step("Switch", [sample(0.5, 0.5)], state)
         assert out == sample(0, 1)
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
-            step("Switch", [sample(1, 1, {0: 3})], bk.SwitchState())
+            step("Switch", [sample(1, 1, {0: 3})], bk.SelectionState())
 
 
 class TestDecision:
     def test_selects_u(self):
         out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(3, 3)],
-                      bk.DecisionState())
+                      bk.SelectionState())
         assert out == sample(1, 1)
 
     def test_limit_wise_selection(self):
         out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)],
-                      bk.DecisionState())
+                      bk.SelectionState())
         assert out == sample(2, 1)
 
     def test_impulse_at_switching_instant_rejected(self):
         with pytest.raises(bk.ImpulseAtSwitchingInstant):
             step("Decision",
                  [sample(1, 1, {0: 1}), sample(2, 2), sample(-1, 1)],
-                 bk.DecisionState())
+                 bk.SelectionState())
 
     def test_forwards_selected_branch_impulses(self):
         out, _ = step("Decision",
                       [sample(1, 1, {1: 4}), sample(2, 2), sample(1, 1)],
-                      bk.DecisionState())
+                      bk.SelectionState())
         assert out.impulses == ImpulseVector({1: 4})
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
             step("Decision",
                  [sample(1, 1), sample(2, 2), sample(1, 1, {0: 1})],
-                 bk.DecisionState())
+                 bk.SelectionState())
 
 
 class TestDelay:

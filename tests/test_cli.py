@@ -22,6 +22,18 @@ def run_ball(ball_path, tmp_path, mode="symbolic", fmt="csv", tag=""):
     return code, out, imp
 
 
+def write_null_fields(tmp_path):
+    """A valid JSON trace, and a JSON trace and impulse log with a null field."""
+    row = {"time": 0.0, "signal": "y", "left": 1.0, "right": 1.0}
+    event = {"time": 0.0, "signal": "y", "order": 0, "coefficient": None}
+    paths = [tmp_path / name for name in
+             ("trace.json", "null_trace.json", "null_impulses.json")]
+    paths[0].write_text(json.dumps({"trace": [row]}))
+    paths[1].write_text(json.dumps({"trace": [{**row, "time": None}]}))
+    paths[2].write_text(json.dumps({"impulses": [event]}))
+    return paths
+
+
 class TestRun:
     def test_symbolic_run_writes_trace_and_impulses(self, ball_path, tmp_path,
                                                     capsys):
@@ -198,9 +210,25 @@ class TestCompare:
     def test_unreadable_input(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         assert cli.main(["compare", str(missing), str(missing)]) == 2
+        trace, null_trace, null_log = write_null_fields(tmp_path)
+        assert cli.main(["compare", str(null_trace), str(trace)]) == 2
+        assert cli.main(["compare", str(trace), str(trace),
+                         "--impulses-a", str(null_log)]) == 2
+        errors = capsys.readouterr().err
+        assert str(null_trace) in errors and str(null_log) in errors
 
 
 class TestPlotData:
+    def test_unreadable_input(self, tmp_path, capsys):
+        trace, null_trace, null_log = write_null_fields(tmp_path)
+        plot = str(tmp_path / "plot.json")
+        assert cli.main(["plotdata", "--trace", str(null_trace),
+                         "--out", plot]) == 2
+        assert cli.main(["plotdata", "--trace", str(trace), "--impulses",
+                         str(null_log), "--out", plot]) == 2
+        errors = capsys.readouterr().err
+        assert str(null_trace) in errors and str(null_log) in errors
+
     def test_ball_segments_and_arrows(self, ball_path, tmp_path, capsys):
         _, out, imp = run_ball(ball_path, tmp_path)
         capsys.readouterr()

@@ -8,6 +8,160 @@ from cbdsim.graph import flatten
 
 MINIMAL = "cbd Main(out y){ block c = Constant(9.81); c.out -> y; }"
 
+# Malformed model texts and their diagnostics, in the order reported.
+DIAGNOSED = {
+    "unknown-kind": (
+        "cbd Main(out y){ block c = Quux(); c.out -> y; }",
+        ["1:18: error: unknown block kind 'Quux'"]),
+    "unknown-source": (
+        "cbd Main(out y){ block c = Constant(1); q -> y; }",
+        ["1:41: error: unknown link source 'q'"]),
+    "unknown-source-port": (
+        "cbd Main(in u; out y){ u.x -> y; }",
+        ["1:24: error: unknown link source 'u'"]),
+    "no-output-port": (
+        "cbd Main(out y){ block c = Constant(1); c.val -> y; }",
+        ["1:41: error: 'c' has no output port 'val'"]),
+    "composite-no-output-port": (
+        "cbd S(out z){ block c = Constant(1); c -> z; }\n"
+        "cbd Main(out y){ block s = S(); s.w -> y; }",
+        ["2:33: error: 's' has no output port 'w'"]),
+    "unknown-target": (
+        "cbd Main(out y){ block c = Constant(1); c -> q.in; c -> y; }",
+        ["1:46: error: unknown link target 'q'"]),
+    "unknown-bare-target": (
+        "cbd Main(out y){ block c = Constant(1); c -> q; c -> y; }",
+        ["1:46: error: unknown link target 'q'"]),
+    "no-input-port": (
+        "cbd Main(out y){ block n = Negator(); block c = Constant(1); "
+        "c -> n.x; c -> n.in; n -> y; }",
+        ["1:67: error: 'n' has no input port 'x'"]),
+    "variadic-bad-port": (
+        "cbd Main(out y){ block a = Adder(); block c = Constant(1); "
+        "c -> a.in0; c -> a.in1; c -> a.in2; a -> y; }",
+        ["1:65: error: 'a' has no input port 'in0'"]),
+    "composite-no-input-port": (
+        "cbd S(in u; out z){ u -> z; }\n"
+        "cbd Main(out y){ block c = Constant(1); block s = S(); "
+        "c -> s.v; c -> s.u; s.z -> y; }",
+        ["2:61: error: 's' has no input port 'v'"]),
+    "drive-own-input": (
+        "cbd Main(in u; out y){ block c = Constant(1); c -> u; "
+        "c -> y; }",
+        [
+            "1:52: error: cannot drive input port 'u' from inside its "
+            "definition",
+        ]),
+    "bare-target": (
+        "cbd Main(out y){ block c = Constant(1); block n = Negator(); "
+        "c -> n; n -> y; }",
+        [
+            "1:67: error: link into 'n' must name an input port",
+            "1:41: error: input port 'in' of 'n' has no driver",
+        ]),
+    "bare-target-twice": (
+        "cbd Main(out y){ block c = Constant(1); block n = Negator(); "
+        "c -> n; c -> n; c -> n.in; n -> y; }",
+        [
+            "1:67: error: link into 'n' must name an input port",
+            "1:75: error: link into 'n' must name an input port",
+        ]),
+    "two-drivers-port": (
+        "cbd Main(out y){ block a = Constant(1); "
+        "block b = Constant(2); a -> y; b -> y; }",
+        ["1:77: error: multiple drivers for y"]),
+    "two-drivers-input": (
+        "cbd Main(out y){ block a = Constant(1); "
+        "block b = Constant(2); block n = Negator(); a -> n.in; "
+        "b -> n.in; n -> y; }",
+        ["1:101: error: multiple drivers for n.in"]),
+    "undriven-output": (
+        "cbd Main(out y, z){ block c = Constant(1); c -> y; }",
+        ["1:17: error: output port 'z' has no driver"]),
+    "undriven-input": (
+        "cbd Main(out y){ block n = Decision(); block c = Constant(1); "
+        "c -> n.v; n -> y; }",
+        [
+            "1:18: error: input port 'c' of 'n' has no driver",
+            "1:18: error: input port 'u' of 'n' has no driver",
+        ]),
+    "variadic-gap": (
+        "cbd Main(out y){ block a = Multiplier(); "
+        "block c = Constant(1); c -> a.in1; c -> a.in3; a -> y; }",
+        [
+            "1:18: error: 'a' (Multiplier) needs inputs in1..inN (N >= "
+            "2) fully driven",
+        ]),
+    "variadic-one": (
+        "cbd Main(out y){ block a = Adder(); block c = Constant(1); "
+        "c -> a.in1; a -> y; }",
+        [
+            "1:18: error: 'a' (Adder) needs inputs in1..inN (N >= 2) "
+            "fully driven",
+        ]),
+    "composite-undriven-input": (
+        "cbd S(in u, w; out z){ u -> z; }\n"
+        "cbd Main(out y){ block c = Constant(1); block s = S(); "
+        "c -> s.u; s.z -> y; }",
+        ["2:41: error: input port 'w' of 's' has no driver"]),
+    "unread-composite": (
+        "cbd S(in u; out z){ block n = Negator(); }\n"
+        "cbd Main(out y){ block c = Constant(1); c -> y; }",
+        [
+            "1:17: error: output port 'z' has no driver",
+            "1:21: error: input port 'in' of 'n' has no driver",
+        ]),
+    "recursion": (
+        "cbd A(out y){ block inner = A(); inner.y -> y; }",
+        ["1:1: error: recursive definition chain: A -> A"]),
+    "recursion-chain": (
+        "cbd Main(out y){ block a = A(); a.y -> y; }\n"
+        "cbd A(out y){ block b = B(); b.y -> y; }\n"
+        "cbd B(out y){ block a = A(); a.y -> y; }",
+        ["2:1: error: recursive definition chain: A -> B -> A"]),
+    "duplicate-definition": (
+        "cbd Main(out y){ block c = Constant(1); c -> y; }\n"
+        "cbd Main(out y){ block c = Constant(2); c -> y; }",
+        ["2:1: error: duplicate definition 'Main'"]),
+    "duplicate-port": (
+        "cbd Main(out y; out y){ block c = Constant(1); c -> y; }",
+        ["1:21: error: duplicate port 'y'"]),
+    "duplicate-name": (
+        "cbd Main(in c; out y){ block c = Constant(1); c -> y; }",
+        ["1:24: error: duplicate name 'c'"]),
+    "bad-parameter": (
+        "cbd Main(out y){ block c = Constant(weight=1); c.out -> y; }",
+        [
+            "1:37: error: Constant has no parameter 'weight'",
+            "1:18: error: Constant requires a value parameter",
+        ]),
+    "too-many-parameters": (
+        "cbd Main(out y){ block c = Constant(1, 2); c.out -> y; }",
+        ["1:40: error: Constant takes at most 1 parameter(s)"]),
+    "bad-order": (
+        "cbd Main(in u; out y){ block i = Integrator(0, 3); u -> i.in; "
+        "i -> y; }",
+        ["1:24: error: 'i' (Integrator) order must be 1 or 2, got 3"]),
+    "constant-without-value": (
+        "cbd Main(out y){ block c = Constant(); c.out -> y; }",
+        ["1:18: error: Constant requires a value parameter"]),
+    "composite-parameters": (
+        "cbd S(out z){ block c = Constant(1); c -> z; }\n"
+        "cbd Main(out y){ block s = S(2); s.z -> y; }",
+        ["2:30: error: composite block 'S' takes no parameters"]),
+    "mixed": (
+        "cbd Main(out y, z){ block a = Quux(); block n = Negator(); "
+        "block c = Constant(weight=2); n.out -> y; c -> n; }",
+        [
+            "1:79: error: Constant has no parameter 'weight'",
+            "1:60: error: Constant requires a value parameter",
+            "1:107: error: link into 'n' must name an input port",
+            "1:21: error: unknown block kind 'Quux'",
+            "1:17: error: output port 'z' has no driver",
+            "1:39: error: input port 'in' of 'n' has no driver",
+        ]),
+}
+
 
 class TestParse:
     def test_minimal_model(self):
@@ -166,6 +320,13 @@ class TestValidate:
             assert diagnostic.message.startswith(
                 "'acc' (Integrator) order must be 1 or 2"
             )
+
+    @pytest.mark.parametrize("text, expected", DIAGNOSED.values(),
+                             ids=DIAGNOSED)
+    def test_diagnostics_pinned(self, text, expected):
+        model, diagnostics = self.load(text)
+        assert model is None
+        assert [str(d) for d in diagnostics] == expected
 
     def test_all_violations_reported(self):
         _, diagnostics = self.load("""

@@ -213,7 +213,8 @@ class TestEventLocation:
         for t in (0.0, 0.3):
             cells, _ = engine.compute_step(engine.states, t, 0.3)
             engine.commit(engine.states, cells, t)
-        h_star, _, underflow = engine.locate_crossing(0.3, 0.3)
+        trial = engine.compute_step(engine.states, 0.6, 0.3)
+        h_star, _, underflow = engine.locate_crossing(0.3, 0.3, trial)
         assert not underflow
         assert abs(h_star - 0.2) <= 1e-9
 

@@ -16,6 +16,7 @@ from cbdsim.graph import (
     Group,
     Link,
     Model,
+    ModelError,
     MultipleDrivers,
     RecursiveDefinition,
     UnconnectedInput,
@@ -119,6 +120,37 @@ class TestFlatten:
         )
         with pytest.raises(MultipleDrivers):
             flatten(Model(definitions={"Main": main}), "Main")
+
+    @pytest.mark.parametrize("link, extra, message", [
+        (Link(("c", "out"), ("k", "bogus")), {},
+         r"^Main: 'k' has no input port 'bogus'$"),
+        (Link(("c", "out"), (None, "nowhere")), {},
+         r"^Main: unknown link target 'nowhere'$"),
+        (Link(("c", "out"), ("ghost", "in")), {},
+         r"^Main: unknown link target 'ghost'$"),
+        (None, {"Spare": Definition(name="Spare", out_ports=("z",),
+                                    blocks={"n": BlockDecl("Negator")},
+                                    links=[Link(("n", "out"), (None, "z"))])},
+         r"^Spare: input port 'in' of 'n' has no driver$"),
+        (None, {"Spare": Definition(name="Spare", out_ports=("z",))},
+         r"^Spare: output port 'z' has no driver$"),
+    ], ids=["composite-port", "undeclared-port", "unknown-block",
+            "unread-undriven-input", "unread-undriven-output"])
+    def test_rejects_what_validate_rejects(self, link, extra, message):
+        sub = Definition(name="Sub", in_ports=("u",), out_ports=("y",),
+                         blocks={"n": BlockDecl("Negator")},
+                         links=[Link((None, "u"), ("n", "in")),
+                                Link(("n", "out"), (None, "y"))])
+        main = Definition(
+            name="Main", out_ports=("y",),
+            blocks={"c": BlockDecl("Constant", {"value": 1.0}),
+                    "k": BlockDecl("Sub")},
+            links=[Link(("c", "out"), ("k", "u")),
+                   Link(("k", "y"), (None, "y"))] + ([link] if link else []),
+        )
+        with pytest.raises(UnconnectedInput, match=message):
+            flatten(Model(definitions={"Main": main, "Sub": sub, **extra}),
+                    "Main")
 
 
 class TestDependencySort:
@@ -293,6 +325,60 @@ def test_generated_diagrams_flatten_and_schedule_as_wired(diagram):
         Group(tuple(f"w{m}/core" for m in g.members), g.cyclic)
         for g in schedule
     )
+
+
+@st.composite
+def miswirings(draw):
+    """A wiring from :func:`wirings` as ``(blocks, [(producer, block,
+    port)])`` with one link dropped, duplicated or retargeted to any block
+    and one of its ports, ``in4`` or ``x``."""
+    blocks, links = draw(wirings())
+    inputs = {name: wired for name, _, wired in blocks}
+    wires = [(inputs[name][port], name, port) for name, port in links]
+    if wires:
+        i = draw(st.integers(0, len(wires) - 1))
+        change = draw(st.sampled_from(["drop", "duplicate", "retarget"]))
+        if change == "drop":
+            del wires[i]
+        elif change == "duplicate":
+            wires.insert(draw(st.integers(0, len(wires))), wires[i])
+        else:
+            name, kind, _ = draw(st.sampled_from(blocks))
+            port = draw(st.sampled_from(PORTS[kind] + ("in4", "x")))
+            wires[i] = (wires[i][0], name, port)
+    return blocks, wires
+
+
+@settings(max_examples=200, deadline=None)
+@given(miswirings())
+def test_flatten_accepts_exactly_what_validate_accepts(diagram):
+    blocks, wires = diagram
+    params = {"Constant": "1"}
+    text = "cbd Main(out y) { %s %s %s -> y; }" % (
+        " ".join(f"block {name} = {kind}({params.get(kind, '')});"
+                 for name, kind, _ in blocks),
+        " ".join(f"{producer} -> {name}.{port};"
+                 for producer, name, port in wires),
+        blocks[0][0],
+    )
+    parsed = dsl.parse(text)
+    assert parsed.ok, parsed.diagnostics
+    validated, _ = dsl.validate(parsed.model)
+    main = Definition(
+        name="Main", out_ports=("y",),
+        blocks={name: BlockDecl(kind, {"value": 1.0} if kind == "Constant"
+                                else {}) for name, kind, _ in blocks},
+        links=[Link((producer, "out"), (name, port))
+               for producer, name, port in wires]
+        + [Link((blocks[0][0], "out"), (None, "y"))],
+    )
+    try:
+        flatten(Model(definitions={"Main": main}), "Main")
+    except ModelError:
+        flattened = False
+    else:
+        flattened = True
+    assert flattened == (validated is not None)
 
 
 FEEDBACK_HALF = """
