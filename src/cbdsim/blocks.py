@@ -11,10 +11,17 @@ symbolic and numerical modes:
 * ``commit``, for the stateful kinds, advances the block's state once the
   step is committed; ``new_state`` builds that state from the parameters.
 
-The kernels work on cells: within a step, ``samples[i]`` is the mutable
-list ``[left, right, ImpulseVector]`` of the block with node index ``i``.
-A node exposes ``idx``, ``in_idx`` (its inputs' indices, in port order)
-and ``params``.
+The kernels work on the step's columns: within a step, ``lefts[i]``,
+``rights[i]`` and ``vectors[i]`` are the left limit, right limit and
+ImpulseVector of the block with node index ``i``.  A node exposes ``idx``,
+``in_idx`` (its inputs' indices, in port order) and ``params``.
+
+Most ``left`` kernels and every ``right`` kernel step one node.  The kinds
+whose phase 1 reads only their own state (``previous_input``: Integrator,
+Delay) have a batch ``left`` kernel, and every ``commit`` kernel is a
+batch kernel: it steps all the blocks of its kind, given as
+``(node, state)`` pairs.  A batch kernel that raises a :class:`BlockError`
+sets the error's ``node`` to the block it was stepping.
 """
 
 from __future__ import annotations
@@ -39,7 +46,12 @@ HISTORY_DEPTH = 4
 
 
 class BlockError(ValueError):
-    """Base class for per-block stepping errors."""
+    """Base class for per-block stepping errors.
+
+    ``node`` is the block a batch kernel was stepping when it raised.
+    """
+
+    node = None
 
 
 class BothInputsImpulsive(BlockError):
@@ -93,7 +105,7 @@ INTEGRATOR_ORDERS = (1, 2)
 
 # --- per-kind state -------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class IntegratorState:
     """Committed integrator state.
 
@@ -111,34 +123,32 @@ class IntegratorState:
     time: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivativeState:
     initial: float
     prev_right: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DelayState:
     initial: float
     prev_input: StepSample | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MultiplierState:
+    """``time`` is the last commit time.  With ``history`` set, ``times``
+    and ``lefts`` keep the newest ``HISTORY_DEPTH`` commit times and input
+    left limits, from which an impulse of order >= 1 estimates the other
+    inputs' derivatives; the engine clears ``history`` where no input can
+    carry one."""
+    history: bool = True
+    time: float | None = None
     times: list[float] = field(default_factory=list)
     lefts: list[tuple[float, ...]] = field(default_factory=list)
 
-    def record(self, t: float, values: tuple[float, ...]) -> None:
-        if self.times:
-            require_later(t, self.times[-1])
-        self.times.append(t)
-        self.lefts.append(values)
-        if len(self.times) > HISTORY_DEPTH:
-            del self.times[0]
-            del self.lefts[0]
 
-
-@dataclass
+@dataclass(slots=True)
 class SelectionState:
     """Switch and Decision state: whether the condition's right limit was
     >= 0 at the last commit, ``None`` before the first."""
@@ -181,47 +191,47 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
 
 # --- kernels ----------------------------------------------------------------
 
-def _constant_left(node, states, samples, dt):
+def _constant_left(node, states, lefts, dt):
     return node.params["value"]
 
 
-def _constant_right(node, states, samples, t, dt):
+def _constant_right(node, states, lefts, rights, vectors, t, dt):
     return node.params["value"], EMPTY_IMPULSES
 
 
-def _adder_left(node, states, samples, dt):
-    total = samples[node.in_idx[0]][0]
+def _adder_left(node, states, lefts, dt):
+    total = lefts[node.in_idx[0]]
     for i in node.in_idx[1:]:
-        total += samples[i][0]
+        total += lefts[i]
     return total
 
 
-def _adder_right(node, states, samples, t, dt):
-    right = samples[node.in_idx[0]][1]
-    vector = samples[node.in_idx[0]][2]
+def _adder_right(node, states, lefts, rights, vectors, t, dt):
+    right = rights[node.in_idx[0]]
+    vector = vectors[node.in_idx[0]]
     for i in node.in_idx[1:]:
-        right += samples[i][1]
-        vector = add_vectors(vector, samples[i][2])
+        right += rights[i]
+        vector = add_vectors(vector, vectors[i])
     return right, vector
 
 
-def _negator_left(node, states, samples, dt):
-    return -samples[node.in_idx[0]][0]
+def _negator_left(node, states, lefts, dt):
+    return -lefts[node.in_idx[0]]
 
 
-def _negator_right(node, states, samples, t, dt):
-    src = samples[node.in_idx[0]]
-    return -src[1], negate_vector(src[2])
+def _negator_right(node, states, lefts, rights, vectors, t, dt):
+    src = node.in_idx[0]
+    return -rights[src], negate_vector(vectors[src])
 
 
-def _multiplier_left(node, states, samples, dt):
-    return math.prod(samples[i][0] for i in node.in_idx)
+def _multiplier_left(node, states, lefts, dt):
+    return math.prod(lefts[i] for i in node.in_idx)
 
 
-def _multiplier_right(node, states, samples, t, dt):
-    ins = [samples[i] for i in node.in_idx]
-    right = math.prod(cell[1] for cell in ins)
-    impulsive = [j for j, cell in enumerate(ins) if not cell[2].is_empty]
+def _multiplier_right(node, states, lefts, rights, vectors, t, dt):
+    ins = node.in_idx
+    right = math.prod(rights[i] for i in ins)
+    impulsive = [j for j, i in enumerate(ins) if not vectors[i].is_empty]
     if not impulsive:
         return right, EMPTY_IMPULSES
     if len(impulsive) > 1:
@@ -229,10 +239,10 @@ def _multiplier_right(node, states, samples, t, dt):
             "more than one multiplier input carries impulses"
         )
     j = impulsive[0]
-    vector = ins[j][2]
+    vector = vectors[ins[j]]
     order = vector.max_order
     # Smooth factor u = product of the other inputs, sampled at left limits.
-    current = math.prod(cell[0] for k, cell in enumerate(ins) if k != j)
+    current = math.prod(lefts[i] for k, i in enumerate(ins) if k != j)
     if order == 0:
         return right, leibniz_product([current], vector)
     st = states[node.idx]
@@ -243,152 +253,175 @@ def _multiplier_right(node, states, samples, t, dt):
     return right, leibniz_product(u_derivs, vector)
 
 
-def _multiplier_commit(node, st, samples, t):
-    st.record(t, tuple(samples[i][0] for i in node.in_idx))
+def _multiplier_commit(batch, lefts, rights, vectors, t):
+    try:
+        for node, st in batch:
+            if st.time is not None:
+                require_later(t, st.time)
+            st.time = t
+            if st.history:
+                st.times.append(t)
+                st.lefts.append(tuple(lefts[i] for i in node.in_idx))
+                if len(st.times) > HISTORY_DEPTH:
+                    del st.times[0]
+                    del st.lefts[0]
+    except BlockError as err:
+        err.node = node
+        raise
 
 
-def _inverter_left(node, states, samples, dt):
-    value = samples[node.in_idx[0]][0]
+def _inverter_left(node, states, lefts, dt):
+    value = lefts[node.in_idx[0]]
     if abs(value) <= DIV_TOLERANCE:
         raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
     return 1.0 / value
 
 
-def _inverter_right(node, states, samples, t, dt):
-    src = samples[node.in_idx[0]]
-    if not src[2].is_empty:
+def _inverter_right(node, states, lefts, rights, vectors, t, dt):
+    src = node.in_idx[0]
+    if not vectors[src].is_empty:
         raise ImpulseOnInverter("cannot invert an impulse-carrying signal")
-    if abs(src[1]) <= DIV_TOLERANCE:
-        raise DivisionNearZero(f"inverter input magnitude {src[1]!r} too small")
-    return 1.0 / src[1], EMPTY_IMPULSES
+    value = rights[src]
+    if abs(value) <= DIV_TOLERANCE:
+        raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
+    return 1.0 / value, EMPTY_IMPULSES
 
 
-def _integrator_left(node, states, samples, dt):
+def _integrator_left(batch, lefts, dt):
     """Order 1 accumulates the previous input's right limit over the step;
     order 2 adds ``dt**2 / 2`` times the committed slope, the variable-step
     two-step Adams-Bashforth update.  The first step emits the initial
     condition and the second, having no slope yet, is explicit."""
-    st = states[node.idx]
-    if st.prev_right is None:
-        return st.accumulator
-    x = st.accumulator + st.prev_right * dt
-    if st.slope is None:
-        return x
-    return x + 0.5 * dt * dt * st.slope
+    half_dt2 = 0.5 * dt * dt
+    for node, st in batch:
+        prev = st.prev_right
+        if prev is None:
+            lefts[node.idx] = st.accumulator
+        elif st.slope is None:
+            lefts[node.idx] = st.accumulator + prev * dt
+        else:
+            lefts[node.idx] = st.accumulator + prev * dt + half_dt2 * st.slope
 
 
-def _integrator_right(node, states, samples, t, dt):
+def _integrator_right(node, states, lefts, rights, vectors, t, dt):
     """An order-0 impulse on the input becomes a jump carried by the right
     limit; higher orders shift down one order and pass through."""
-    src = samples[node.in_idx[0]]
-    jump, rest = extract_order_zero(src[2])
-    return samples[node.idx][0] + jump, rest
+    jump, rest = extract_order_zero(vectors[node.in_idx[0]])
+    return lefts[node.idx] + jump, rest
 
 
-def _integrator_commit(node, st, samples, t):
+def _integrator_commit(batch, lefts, rights, vectors, t):
     """The order-2 slope pairs the input's left limit with the previous
     input's right limit over the committed step, so a jump inside a sample
     never enters it."""
-    src = samples[node.in_idx[0]]
-    if st.order == 2:
-        if st.prev_right is not None:
-            require_later(t, st.time)
-            st.slope = (src[0] - st.prev_right) / (t - st.time)
-        st.time = t
-    st.accumulator = samples[node.idx][1]
-    st.prev_right = src[1]
+    try:
+        for node, st in batch:
+            src = node.in_idx[0]
+            if st.order == 2:
+                if st.prev_right is not None:
+                    require_later(t, st.time)
+                    st.slope = (lefts[src] - st.prev_right) / (t - st.time)
+                st.time = t
+            st.accumulator = rights[node.idx]
+            st.prev_right = rights[src]
+    except BlockError as err:
+        err.node = node
+        raise
 
 
-def _derivative_left(node, states, samples, dt):
+def _derivative_left(node, states, lefts, dt):
     """Backward difference against the previous right limit, which excludes
     an in-sample jump; the first step emits the initial output."""
     st = states[node.idx]
     if st.prev_right is None:
         return st.initial
-    return (samples[node.in_idx[0]][0] - st.prev_right) / dt
+    return (lefts[node.in_idx[0]] - st.prev_right) / dt
 
 
-def _derivative_right(node, states, samples, t, dt):
+def _derivative_right(node, states, lefts, rights, vectors, t, dt):
     """Input impulses move up one order; an in-sample jump of the input
     emits an order-0 impulse with the jump as its coefficient."""
     if states[node.idx].prev_right is None:
-        return samples[node.idx][0], EMPTY_IMPULSES
-    src = samples[node.in_idx[0]]
-    vector = shift_orders_up(src[2])
-    if src[0] != src[1]:
-        vector = add_vectors(vector, impulses({0: src[1] - src[0]}))
-    return samples[node.idx][0], vector
+        return lefts[node.idx], EMPTY_IMPULSES
+    src = node.in_idx[0]
+    vector = shift_orders_up(vectors[src])
+    if lefts[src] != rights[src]:
+        vector = add_vectors(vector, impulses({0: rights[src] - lefts[src]}))
+    return lefts[node.idx], vector
 
 
-def _derivative_commit(node, st, samples, t):
-    st.prev_right = samples[node.in_idx[0]][1]
+def _derivative_commit(batch, lefts, rights, vectors, t):
+    for node, st in batch:
+        st.prev_right = rights[node.in_idx[0]]
 
 
-def _switch_left(node, states, samples, dt):
+def _switch_left(node, states, lefts, dt):
     """The output stream is piecewise constant, so its left limit is the
     held selection; the first step falls back to the unit step of the
     condition's left limit."""
     held = states[node.idx].held
     if held is None:
-        return heaviside(samples[node.in_idx[0]][0])
+        return heaviside(lefts[node.in_idx[0]])
     return 1.0 if held else 0.0
 
 
-def _switch_right(node, states, samples, t, dt):
-    src = samples[node.in_idx[0]]
-    if not src[2].is_empty:
+def _switch_right(node, states, lefts, rights, vectors, t, dt):
+    src = node.in_idx[0]
+    if not vectors[src].is_empty:
         raise ImpulseOnCondition("switch condition must be impulse-free")
-    return heaviside(src[1]), EMPTY_IMPULSES
+    return heaviside(rights[src]), EMPTY_IMPULSES
 
 
-def _decision_left(node, states, samples, dt):
+def _decision_left(node, states, lefts, dt):
     """Forward ``u`` or ``v``, selected limit-wise by the sign of ``c``."""
     held = states[node.idx].held
-    u, v, c = (samples[i] for i in node.in_idx)
-    selects_u = (c[0] >= 0.0) if held is None else held
-    return u[0] if selects_u else v[0]
+    u, v, c = node.in_idx
+    selects_u = (lefts[c] >= 0.0) if held is None else held
+    return lefts[u] if selects_u else lefts[v]
 
 
-def _decision_right(node, states, samples, t, dt):
-    u, v, c = (samples[i] for i in node.in_idx)
-    if not c[2].is_empty:
+def _decision_right(node, states, lefts, rights, vectors, t, dt):
+    u, v, c = node.in_idx
+    if not vectors[c].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
     held = states[node.idx].held
-    right_selects_u = c[1] >= 0.0
-    left_selects_u = (c[0] >= 0.0) if held is None else held
+    right_selects_u = rights[c] >= 0.0
+    left_selects_u = (lefts[c] >= 0.0) if held is None else held
+    selected = u if right_selects_u else v
     if left_selects_u != right_selects_u:
-        if not (u[2].is_empty and v[2].is_empty):
+        if not (vectors[u].is_empty and vectors[v].is_empty):
             raise ImpulseAtSwitchingInstant(
                 "decision branches must be impulse-free while the selection flips"
             )
-        vector = EMPTY_IMPULSES
-    else:
-        vector = (u if right_selects_u else v)[2]
-    return (u if right_selects_u else v)[1], vector
+        return rights[selected], EMPTY_IMPULSES
+    return rights[selected], vectors[selected]
 
 
-def _selection_commit(node, st, samples, t):
+def _selection_commit(batch, lefts, rights, vectors, t):
     """Hold the selection of the condition, the last input of both kinds."""
-    st.held = samples[node.in_idx[-1]][1] >= 0.0
+    for node, st in batch:
+        st.held = rights[node.in_idx[-1]] >= 0.0
 
 
-def _delay_left(node, states, samples, dt):
+def _delay_left(batch, lefts, dt):
     """Replay the previous input sample verbatim; the first output is the
     initial parameter."""
-    st = states[node.idx]
-    return st.initial if st.prev_input is None else st.prev_input.left
+    for node, st in batch:
+        prev = st.prev_input
+        lefts[node.idx] = st.initial if prev is None else prev.left
 
 
-def _delay_right(node, states, samples, t, dt):
+def _delay_right(node, states, lefts, rights, vectors, t, dt):
     st = states[node.idx]
     if st.prev_input is None:
         return st.initial, EMPTY_IMPULSES
     return st.prev_input.right, st.prev_input.impulses
 
 
-def _delay_commit(node, st, samples, t):
-    src = samples[node.in_idx[0]]
-    st.prev_input = StepSample(src[0], src[1], src[2])
+def _delay_commit(batch, lefts, rights, vectors, t):
+    for node, st in batch:
+        src = node.in_idx[0]
+        st.prev_input = StepSample(lefts[src], rights[src], vectors[src])
 
 
 # --- the per-kind table -------------------------------------------------------
@@ -401,7 +434,8 @@ class KindInfo:
     variadic: bool = False
     params: tuple[str, ...] = ()
     # True when the block consumes its data input one step late, which
-    # removes it from the current-step dependency graph.
+    # removes it from the current-step dependency graph; its phase 1 reads
+    # only its state, and ``left`` is a batch kernel.
     previous_input: bool = False
     # Set exactly for the stateful kinds.
     commit: Callable | None = None

@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from pathlib import Path
 
 from . import analysis, dsl
@@ -41,6 +42,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_number(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 # --- trace serialization --------------------------------------------------
 
 
@@ -56,13 +62,26 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
         with path.open("w") as out:
             out.write(TRACE_HEADER + "\n")
             out.writelines(map(template.__mod__, zip(*fields, strict=True)))
+    elif not (trace.times and columns):
+        path.write_text('{\n "trace": []\n}\n')
     else:
-        payload = {"trace": [
-            {"time": t, "signal": name, "left": left[i], "right": right[i]}
-            for i, t in enumerate(trace.times)
-            for name, left, right in columns
-        ]}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        # The bytes of json.dumps({"trace": rows}, indent=1), one step at a
+        # time: a template holds a step's rows, filled from the columns.
+        template = ",\n".join(
+            '  {{\n   "time": {0},\n   "signal": %s,\n   "left": {%d},\n'
+            '   "right": {%d}\n  }}' % (
+                json.dumps(name).replace("{", "{{").replace("}", "}}"),
+                2 * k + 1, 2 * k + 2)
+            for k, (name, _, _) in enumerate(columns))
+        values = [map(_json_number, c) for _, left, right in columns
+                  for c in (left, right)]
+        steps = starmap(template.format, zip(map(_json_number, trace.times),
+                                             *values, strict=True))
+        with path.open("w") as out:
+            out.write('{\n "trace": [\n')
+            out.write(next(steps))
+            out.writelines(map(",\n".__add__, steps))
+            out.write("\n ]\n}\n")
 
 
 def write_impulses(trace: Trace, path: Path, fmt: str) -> None:

@@ -7,9 +7,17 @@ step runs in two phases over the schedule, then commits:
 * phase 1 fixes every signal's left limit (integrators and delays emit
   state, everything else folds its inputs' left limits),
 * phase 2 computes impulse vectors and right limits, sweeping the schedule
-  until the samples stop changing so that jumps produced by integrators
+  until the values stop changing so that jumps produced by integrators
   late in the schedule still reach their consumers within the same step,
 * the commit advances every stateful block's state at the step's time.
+
+A step's values are three columns indexed by node, a
+:class:`StepColumns`: ``lefts``, written by phase 1, and ``rights`` and
+``vectors``, created only when phase 2 sweeps; on a step it skips,
+``rights is lefts`` and ``vectors`` is one shared all-empty tuple.  The
+state-only kinds (Integrator, Delay) run phase 1 as one batch per kind
+ahead of the schedule, which skips them, and the commit runs one batch
+per stateful kind.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -187,25 +195,61 @@ class Trace:
 
 # --- internal node table ---------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     idx: int
     path: str
     kind: str
     params: dict[str, float]
     in_idx: tuple[int, ...]
-    # The kind's kernels from ``blocks.KINDS``; ``commit`` is None for a
-    # stateless kind.
+    # The kind's per-node kernels from ``blocks.KINDS``; ``left`` is a
+    # batch kernel for the state-only kinds, which the engine calls per kind.
     left: Callable = field(init=False, repr=False)
     right: Callable = field(init=False, repr=False)
-    commit: Callable | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         info = bk.KINDS[self.kind]
-        self.left, self.right, self.commit = info.left, info.right, info.commit
+        self.left, self.right = info.left, info.right
 
 
-_Sample = list  # [left, right, ImpulseVector], mutable while stepping
+class StepColumns(NamedTuple):
+    """One evaluated step, as columns indexed by node index.
+
+    Phase 1 writes ``lefts``.  ``rights`` and ``vectors`` are built when
+    phase 2 sweeps; on a step it skips, ``rights is lefts`` and ``vectors``
+    is one shared tuple of empty impulse vectors.
+    """
+    lefts: list[float]
+    rights: Sequence[float]
+    vectors: Sequence[ImpulseVector]
+
+
+# Conservative singularity levels of a block's output, in increasing order.
+SMOOTH, JUMP, IMPULSE, HIGHER_IMPULSE = range(4)
+
+
+def _singularity_levels(nodes: list[_Node]) -> list[int]:
+    """The most singular output each block can produce: a fixpoint over
+    the inputs, where Switch and Decision are at least ``JUMP``, a
+    Derivative raises its input's level by one, an Integrator lowers it by
+    one (``HIGHER_IMPULSE``, an impulse of order >= 1, stays) and every
+    other kind takes the maximum over its inputs."""
+    levels = [SMOOTH] * len(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            level = max(map(levels.__getitem__, n.in_idx), default=SMOOTH)
+            if n.kind in ("Switch", "Decision"):
+                level = max(level, JUMP)
+            elif n.kind == "Derivative":
+                level = min(level + 1, HIGHER_IMPULSE)
+            elif n.kind == "Integrator" and level < HIGHER_IMPULSE:
+                level = max(level - 1, SMOOTH)
+            if level > levels[n.idx]:
+                levels[n.idx] = level
+                changed = True
+    return levels
 
 
 def _build_nodes(flat: FlatGraph) -> list[_Node]:
@@ -233,7 +277,24 @@ def _initial_states(nodes: list[_Node]) -> list:
             states.append(new_state(n.params) if new_state else None)
         except BlockError as err:
             raise SimulationError(n.path, err) from err
+    # A Multiplier reads its history only for an impulse of order >= 1.
+    levels = _singularity_levels(nodes)
+    for n in nodes:
+        if n.kind == "Multiplier":
+            states[n.idx].history = any(
+                levels[i] == HIGHER_IMPULSE for i in n.in_idx)
     return states
+
+
+def _batches(kernels: dict[str, Callable], nodes: Iterable[_Node],
+             states: list) -> list[tuple[Callable, list[tuple[_Node, object]]]]:
+    """``(kernel, [(node, state), ...])`` per kind of ``kernels`` among
+    ``nodes``, in order of first appearance."""
+    by_kind: dict[str, list] = {}
+    for n in nodes:
+        if n.kind in kernels:
+            by_kind.setdefault(n.kind, []).append((n, states[n.idx]))
+    return [(kernels[kind], batch) for kind, batch in by_kind.items()]
 
 
 # --- linear loop solving ----------------------------------------------------
@@ -339,12 +400,14 @@ class Engine:
         ]
         self.order = [idx for members, _ in self.groups for idx in members]
         self.states = _initial_states(self.nodes)
-        self.stateful = [n for n in self.nodes if n.commit is not None]
+        self.commits = _batches({kind: info.commit for kind, info
+                                 in bk.KINDS.items() if info.commit},
+                                self.nodes, self.states)
         # The Switches and Decisions, as (block, condition input) indices.
         self.conditions = [(n.idx, n.in_idx[-1]) for n in self.nodes
                            if n.kind in ("Switch", "Decision")]
         self.delays = [n.idx for n in self.nodes if n.kind == "Delay"]
-        # Phase 2 reads every input's cell of the current step, except at a
+        # Phase 2 reads every input's values of the current step, except at a
         # Delay, which replays its state: a change spreads along these edges.
         self.readers: list[list[int]] = [[] for _ in self.nodes]
         for n in self.nodes:
@@ -372,110 +435,146 @@ class Engine:
         self.closure = [self.groups[g]
                         for g in sorted({self.group_of[idx] for idx in seen})]
         self.closure_order = [idx for members, _ in self.closure for idx in members]
+        self.phase1 = self._phase1_plan(self.groups, None)
+        self.closure_phase1 = self._phase1_plan(self.closure, self.closure_order)
+        self.quiet_vectors = (EMPTY_IMPULSES,) * len(self.nodes)
         self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
+
+    def _phase1_plan(self, groups: list[tuple[tuple[int, ...], bool]],
+                     order: list[int] | None) -> tuple:
+        """Phase 1 of ``groups``: the state-only kinds' batches, then
+        ``(node, members)`` for every other group in schedule order, where
+        ``members`` is None for a single block and a loop's members
+        otherwise; ``order`` lists the blocks screened, None for all."""
+        state_only = {kind: info.left for kind, info in bk.KINDS.items()
+                      if info.previous_input}
+        batches = _batches(state_only, (self.nodes[idx] for members, _ in groups
+                                        for idx in members), self.states)
+        entries = []
+        for members, cyclic in groups:
+            node = self.nodes[members[0]]
+            if cyclic:
+                entries.append((node, members))
+            elif node.kind not in state_only:
+                entries.append((node, None))
+        return batches, entries, order
 
     # -- stepping ------------------------------------------------------------
 
+    def _require_own(self, states: list) -> None:
+        """The batches hold the engine's state objects, so a step runs on them."""
+        if states is not self.states:
+            raise ValueError("a step must run on the engine's own states")
+
     def compute_step(self, states: list, t: float, dt: float,
-                     ) -> tuple[list[_Sample], list[tuple[int, int]]]:
+                     ) -> tuple[StepColumns, list[tuple[int, int]]]:
         """Evaluate every block at time ``t`` for a step of size ``dt``.
 
-        Returns the samples and the flipped conditions.
+        Returns the step's columns and the flipped conditions.
         """
-        samples = self._phase1(self.groups, self.order, states, dt)
-        flipped = self.flipped_conditions(states, samples)
+        lefts = self._phase1(self.phase1, states, dt)
+        flipped = self.flipped_conditions(states, lefts)
         sweep = self._sweep_groups(states, flipped)
         if not sweep:
-            return samples, flipped
+            return StepColumns(lefts, lefts, self.quiet_vectors), flipped
 
         nodes = self.nodes
+        rights = lefts[:]
+        vectors = [EMPTY_IMPULSES] * len(nodes)
         limit = len(nodes) + 2
         for _ in range(limit):
             changed = False
             for members, cyclic in sweep:
                 if cyclic:
-                    changed |= self._phase2_loop(members, samples)
+                    changed |= self._phase2_loop(members, rights, vectors)
                     continue
                 idx = members[0]
                 node = nodes[idx]
                 try:
-                    right, vector = node.right(node, states, samples, t, dt)
+                    right, vector = node.right(node, states, lefts, rights,
+                                               vectors, t, dt)
                 except BlockError as err:
                     raise SimulationError(node.path, err) from err
-                cell = samples[idx]
-                if right != cell[1] or vector != cell[2]:
+                if right != rights[idx] or vector != vectors[idx]:
                     _require_finite_right(node, right)
-                    cell[1] = right
-                    cell[2] = vector
+                    rights[idx] = right
+                    vectors[idx] = vector
                     changed = True
             if not changed:
                 break
         else:
             raise EngineError("impulse propagation failed to stabilise")
 
-        # Cells outside the sweep carry no impulses; the error names the
+        # Blocks outside the sweep carry no impulses; the error names the
         # first offending block in node order.
         max_order = self.config.max_order
         over = [idx for members, _ in sweep for idx in members
-                if samples[idx][2].max_order > max_order]
+                if vectors[idx].max_order > max_order]
         if over:
             idx = min(over)
             raise MaxOrderExceeded(
-                f"{nodes[idx].path}: impulse order {samples[idx][2].max_order} "
+                f"{nodes[idx].path}: impulse order {vectors[idx].max_order} "
                 f"exceeds the configured maximum {max_order}"
             )
-        return samples, flipped
+        return StepColumns(lefts, rights, vectors), flipped
 
     def _closure_step(self, states: list, t: float, dt: float,
-                      ) -> tuple[list[_Sample], list[tuple[int, int]]]:
+                      ) -> tuple[StepColumns, list[tuple[int, int]]]:
         """A bisection trial: phase 1 over the condition closure only.
 
-        The cells outside the closure stay ``None``; the flips and the
-        condition magnitudes read the same floats as ``compute_step``.
+        The left limits outside the closure stay ``None``; the flips and
+        the condition magnitudes read the same floats as ``compute_step``.
         ``t`` is unused and keeps ``compute_step``'s signature.
         """
-        samples = self._phase1(self.closure, self.closure_order, states, dt)
-        return samples, self.flipped_conditions(states, samples)
+        lefts = self._phase1(self.closure_phase1, states, dt)
+        return (StepColumns(lefts, lefts, self.quiet_vectors),
+                self.flipped_conditions(states, lefts))
 
-    def _phase1(self, groups: list[tuple[tuple[int, ...], bool]],
-                order: list[int], states: list, dt: float) -> list[_Sample]:
-        """Left limits of ``groups`` (members ``order``, in schedule order),
-        screened for non-finite values; other cells stay ``None``."""
+    def _phase1(self, plan: tuple, states: list, dt: float) -> list[float]:
+        """Left limits of the blocks of ``plan`` (from ``_phase1_plan``),
+        screened for non-finite values; the others stay ``None``."""
+        batches, entries, order = plan
+        self._require_own(states)
         nodes = self.nodes
-        samples: list[_Sample] = [None] * len(nodes)  # type: ignore[list-item]
-        for members, cyclic in groups:
-            if cyclic:
-                solved = self._solve_loop(members, samples, side=0)
-                for idx, value in zip(members, solved):
-                    samples[idx] = [value, value, EMPTY_IMPULSES]
-                continue
-            node = nodes[members[0]]
-            try:
-                left = node.left(node, states, samples, dt)
-            except BlockError as err:
-                raise SimulationError(node.path, err) from err
-            samples[node.idx] = [left, left, EMPTY_IMPULSES]
+        lefts: list = [None] * len(nodes)
+        for kernel, batch in batches:
+            kernel(batch, lefts, dt)
+        try:
+            for node, members in entries:
+                if members is None:
+                    lefts[node.idx] = node.left(node, states, lefts, dt)
+                else:
+                    for idx, value in zip(members,
+                                          self._solve_loop(members, lefts)):
+                        lefts[idx] = value
+        except BlockError as err:
+            raise SimulationError(node.path, err) from err
         # A sum of finite floats is finite unless it overflows, so one sum
-        # screens the cells and the scan runs only when the sum is not finite.
-        if not math.isfinite(sum(samples[idx][0] for idx in order)):
+        # screens the step and the scan runs only when the sum is not finite.
+        if order is None:
+            total = sum(lefts)
+            order = self.order
+        else:
+            total = sum(map(lefts.__getitem__, order))
+        if not math.isfinite(total):
             for idx in order:
-                value = samples[idx][0]
+                value = lefts[idx]
                 if not math.isfinite(value):
                     raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
                         f"left limit {value!r} is not finite"
                     ))
-        return samples
+        return lefts
 
     def _sweep_groups(self, states: list, flipped: list[tuple[int, int]],
                       ) -> list[tuple[tuple[int, ...], bool]]:
         """The schedule groups phase 2 must sweep, in schedule order.
 
-        With every cell's right limit equal to its left limit and no
-        impulses, each kind's phase 2 reproduces its left limit, except at
-        a source: a Switch or Decision whose condition flipped, or a Delay
-        whose previous input jumped or carried impulses.  Only a source's
-        cone, the source and every block reading it within the step, can
-        change; a step with no source sweeps nothing.
+        With every right limit equal to its left limit and no impulses,
+        each kind's phase 2 reproduces its left limit, except at a source:
+        a Switch or Decision whose condition flipped, or a Delay whose
+        previous input jumped or carried impulses.  Only a source's cone,
+        the source and every block reading it within the step, can change;
+        a step with no source sweeps nothing.
         """
         sources = [idx for idx, _ in flipped]
         for idx in self.delays:
@@ -507,47 +606,52 @@ class Engine:
             self.cones[source] = cone
         return cone
 
-    def _solve_loop(self, members: tuple[int, ...], samples: list[_Sample],
-                    side: int) -> list[float]:
+    def _solve_loop(self, members: tuple[int, ...],
+                    values: Sequence[float]) -> list[float]:
+        """Solve a loop from ``values``, one limit per block (lefts or
+        rights)."""
         plan = self.loop_plans.get(members)
         if plan is None:
             member_set = set(members)
             for idx in members:
                 for dep in self.nodes[idx].in_idx:
-                    if dep not in member_set and samples[dep] is None:
+                    if dep not in member_set and values[dep] is None:
                         raise EngineError(
                             f"schedule violation: {self.nodes[dep].path} not ready"
                         )
             plan = self.loop_plans[members] = _LoopPlan(self.nodes, members)
-        return plan.solve(lambda dep: samples[dep][side])
+        return plan.solve(values.__getitem__)
 
-    def _phase2_loop(self, members: tuple[int, ...],
-                     samples: list[_Sample]) -> bool:
+    def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
+                     vectors: list[ImpulseVector]) -> bool:
         for idx in members:
             for dep in self.nodes[idx].in_idx:
-                if not samples[dep][2].is_empty:
+                if not vectors[dep].is_empty:
                     raise ImpulseInLoop(
                         f"{self.nodes[idx].path}: impulse entering an algebraic loop"
                     )
-        solved = self._solve_loop(members, samples, side=1)
+        solved = self._solve_loop(members, rights)
         changed = False
         for idx, value in zip(members, solved):
-            if samples[idx][1] != value:
+            if rights[idx] != value:
                 _require_finite_right(self.nodes[idx], value)
-                samples[idx][1] = value
+                rights[idx] = value
                 changed = True
         return changed
 
-    def commit(self, states: list, samples: list[_Sample], t: float) -> None:
+    def commit(self, states: list, columns: StepColumns, t: float) -> None:
+        """Advance every stateful block's state, one batch per kind."""
+        lefts, rights, vectors = columns
+        self._require_own(states)
         try:
-            for node in self.stateful:
-                node.commit(node, states[node.idx], samples, t)
+            for kernel, batch in self.commits:
+                kernel(batch, lefts, rights, vectors, t)
         except BlockError as err:
-            raise SimulationError(node.path, err) from err
+            raise SimulationError(err.node.path, err) from err
 
     # -- event handling --------------------------------------------------------
 
-    def flipped_conditions(self, states: list, samples: list[_Sample],
+    def flipped_conditions(self, states: list, lefts: list[float],
                            ) -> list[tuple[int, int]]:
         """The (block, condition input) pairs of the Switches and Decisions
         selecting, from the condition's left limit, otherwise than they hold.
@@ -559,58 +663,59 @@ class Engine:
         flipped = []
         for idx, cond in self.conditions:
             held = states[idx].held
-            if held is not None and (samples[cond][0] >= 0.0) != held:
+            if held is not None and (lefts[cond] >= 0.0) != held:
                 flipped.append((idx, cond))
         return flipped
 
-    def _condition_magnitude(self, samples: list[_Sample],
+    def _condition_magnitude(self, lefts: list[float],
                              flipped: list[tuple[int, int]]) -> float:
-        return max(abs(samples[cond][0]) for _, cond in flipped)
+        return max(abs(lefts[cond]) for _, cond in flipped)
 
     def locate_crossing(self, t: float, h: float,
-                        trial: tuple[list[_Sample], list[tuple[int, int]]],
-                        ) -> tuple[float, list[_Sample], bool]:
+                        trial: tuple[StepColumns, list[tuple[int, int]]],
+                        ) -> tuple[float, StepColumns, bool]:
         """Bisect the trial step onto the earliest condition crossing.
 
         ``trial`` is ``compute_step``'s result for the full step ``h``.  The
         bisection trials evaluate only the condition closure; the full step
         runs again only at the located size.  Returns the located step size,
-        the samples of the step at that size, and whether the bisection
+        the columns of the step at that size, and whether the bisection
         bottomed out at ``h_min`` without reaching the value tolerance (the
         step is committed regardless).
         """
         cfg = self.config
-        samples_hi, flipped_hi = trial
+        columns_hi, flipped_hi = trial
         if not flipped_hi:
             raise EngineError("locate_crossing called without a sign change")
         lo, hi = 0.0, h
-        while self._condition_magnitude(samples_hi, flipped_hi) > cfg.zc_tol \
-                and (hi - lo) > cfg.h_min:
+        while self._condition_magnitude(columns_hi.lefts, flipped_hi) \
+                > cfg.zc_tol and (hi - lo) > cfg.h_min:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
             candidate, flipped_mid = self._closure_step(self.states, t + mid, mid)
             if flipped_mid:
-                hi, samples_hi, flipped_hi = mid, candidate, flipped_mid
+                hi, columns_hi, flipped_hi = mid, candidate, flipped_mid
             else:
                 lo = mid
         if hi < cfg.h_min:
             hi = cfg.h_min
-            samples_hi, flipped = self.compute_step(self.states, t + hi, hi)
+            columns_hi, flipped = self.compute_step(self.states, t + hi, hi)
             flipped_hi = flipped or flipped_hi
         elif hi < h:
-            samples_hi, flipped_hi = self.compute_step(self.states, t + hi, hi)
-        underflow = self._condition_magnitude(samples_hi, flipped_hi) > cfg.zc_tol
-        return hi, samples_hi, underflow
+            columns_hi, flipped_hi = self.compute_step(self.states, t + hi, hi)
+        underflow = self._condition_magnitude(columns_hi.lefts, flipped_hi) \
+            > cfg.zc_tol
+        return hi, columns_hi, underflow
 
 
 # --- trace recording --------------------------------------------------------
 
 class _Recorder:
-    """Appends each committed step's watched cells to the trace columns.
+    """Appends each committed step's watched limits to the trace streams.
 
     ``record`` is bound once to the mode's method.  Each column entry is
-    ``(name, cell index, append left, append right, extra)``, where
+    ``(name, node index, append left, append right, extra)``, where
     ``extra`` is the stream's impulse dict in symbolic mode and the
     signal's pending spike cascade in numerical mode.
     """
@@ -627,16 +732,16 @@ class _Recorder:
         self.record = self._record_symbolic if symbolic \
             else self._record_numerical
 
-    def _record_symbolic(self, t: float, samples: list[_Sample],
+    def _record_symbolic(self, t: float, columns: StepColumns,
                          dt: float) -> None:
+        lefts, rights, vectors = columns
         trace = self.trace
         step = len(trace.times)
         trace.times.append(t)
         for name, idx, add_left, add_right, impulses in self.columns:
-            cell = samples[idx]
-            add_left(cell[0])
-            add_right(cell[1])
-            vector = cell[2]
+            add_left(lefts[idx])
+            add_right(rights[idx])
+            vector = vectors[idx]
             if vector is not EMPTY_IMPULSES and not vector.is_empty:
                 impulses[step] = vector
                 for order, coefficient in vector.items():
@@ -644,8 +749,9 @@ class _Recorder:
                         ImpulseEvent(t, name, order, coefficient)
                     )
 
-    def _record_numerical(self, t: float, samples: list[_Sample],
+    def _record_numerical(self, t: float, columns: StepColumns,
                           dt: float) -> None:
+        lefts, rights, vectors = columns
         trace = self.trace
         if trace.times:
             # Use the committed time difference so a spike value divided by
@@ -654,13 +760,12 @@ class _Recorder:
         trace.times.append(t)
         values = []
         for _, idx, add_left, add_right, pending in self.columns:
-            cell = samples[idx]
-            vector = cell[2]
+            vector = vectors[idx]
             due = 0.0
             if pending or vector is not EMPTY_IMPULSES and not vector.is_empty:
                 due = _spike_due(pending, vector, dt)
-            left = cell[0] + due
-            right = cell[1] + due
+            left = lefts[idx] + due
+            right = rights[idx] + due
             add_left(left)
             add_right(right)
             values += left, right
@@ -733,18 +838,18 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     recorder = _Recorder(config, resolve_watches(flat, config.watch))
 
     t = 0.0
-    samples, _ = engine.compute_step(engine.states, t, config.h)
-    engine.commit(engine.states, samples, t)
-    recorder.record(t, samples, config.h)
+    columns, _ = engine.compute_step(engine.states, t, config.h)
+    engine.commit(engine.states, columns, t)
+    recorder.record(t, columns, config.h)
 
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
         trial = engine.compute_step(engine.states, t + config.h, config.h)
-        samples, flipped = trial
+        columns, flipped = trial
         if flipped:
-            h_star, samples, underflow = engine.locate_crossing(
+            h_star, columns, underflow = engine.locate_crossing(
                 t, config.h, trial
             )
             if underflow:
@@ -758,8 +863,8 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         t_new = t + h_star
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")
-        engine.commit(engine.states, samples, t_new)
-        recorder.record(t_new, samples, h_star)
+        engine.commit(engine.states, columns, t_new)
+        recorder.record(t_new, columns, h_star)
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
                 <= ZENO_WINDOW * config.h_min * (1 + 1e-9):
             raise ZenoSuspected(

@@ -1,3 +1,4 @@
+import copy
 import math
 from types import SimpleNamespace
 
@@ -16,20 +17,26 @@ def step(kind, inputs, state=None, t=0.0, dt=0.1, **params):
 
     Runs ``left``, then ``right``, then ``commit`` at time ``t`` for a step
     of size ``dt``, the order the engine runs them in, and returns the
-    output sample and ``state``, which ``commit`` updates in place.
+    output sample and ``state``, which ``commit`` updates in place.  The
+    batch kernels get a batch of one.
     """
     info = bk.KINDS[kind]
     n = len(inputs)
     node = SimpleNamespace(idx=n, in_idx=tuple(range(n)), params=params)
-    samples = [[s.left, s.right, s.impulses] for s in inputs] + [None]
+    lefts = [s.left for s in inputs] + [None]
+    rights = [s.right for s in inputs] + [None]
+    vectors = [s.impulses for s in inputs] + [None]
     states = [None] * n + [state]
-    left = info.left(node, states, samples, dt)
-    samples[n] = [left, left, EMPTY_IMPULSES]
-    right, vector = info.right(node, states, samples, t, dt)
-    samples[n] = [left, right, vector]
+    if info.previous_input:
+        info.left([(node, state)], lefts, dt)
+    else:
+        lefts[n] = info.left(node, states, lefts, dt)
+    rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
+    rights[n], vectors[n] = info.right(node, states, lefts, rights, vectors,
+                                       t, dt)
     if info.commit is not None:
-        info.commit(node, state, samples, t)
-    return StepSample(left, right, vector), state
+        info.commit([(node, state)], lefts, rights, vectors, t)
+    return StepSample(lefts[n], rights[n], vectors[n]), state
 
 
 @pytest.mark.parametrize("kind", sorted(bk.KINDS))
@@ -323,3 +330,54 @@ class TestDerivativeEstimates:
     def test_requires_enough_points(self):
         with pytest.raises(bk.InsufficientHistory):
             bk.estimate_derivatives([0.0, 0.1], [1.0, 2.0], 2)
+
+
+def _hexed(sample):
+    return (sample.left.hex(), sample.right.hex(),
+            [(order, c.hex()) for order, c in sample.impulses.items()])
+
+
+def test_batches_match_batches_of_one():
+    """Integrators of order 1 and 2 and Delays, stepped as one batch per
+    kind over three steps (fresh, after their first commit, after their
+    second), give the floats of the batch-of-one harness."""
+    blocks = [("Integrator", bk.IntegratorState(accumulator=1.5)),
+              ("Delay", bk.DelayState(initial=-2.0)),
+              ("Integrator", bk.IntegratorState(accumulator=0.25, order=2)),
+              ("Integrator", bk.IntegratorState(accumulator=-3.0,
+                                                prev_right=0.5)),
+              ("Delay", bk.DelayState(initial=0.0)),
+              ("Integrator", bk.IntegratorState(accumulator=0.0, order=2))]
+    alone = [copy.deepcopy(state) for _, state in blocks]
+    n = len(blocks)
+    nodes = [SimpleNamespace(idx=n + k, in_idx=(k,), params={})
+             for k in range(n)]
+    t, dt = 0.0, 0.1
+    for step_no in range(3):
+        inputs = [sample(0.3 * k - 0.7 * (k + 1) * step_no,
+                         0.3 * k + 0.5 * k * k * step_no,
+                         {0: 0.5} if (k + step_no) % 3 == 0 else None)
+                  for k in range(n)]
+        lefts = [s.left for s in inputs] + [None] * n
+        for kind in ("Integrator", "Delay"):
+            bk.KINDS[kind].left([(node, state) for node, (k, state)
+                                 in zip(nodes, blocks) if k == kind],
+                                lefts, dt)
+        rights = [s.right for s in inputs] + lefts[n:]
+        vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
+        states = [None] * n + [state for _, state in blocks]
+        for node, (kind, _) in zip(nodes, blocks):
+            rights[node.idx], vectors[node.idx] = bk.KINDS[kind].right(
+                node, states, lefts, rights, vectors, t, dt)
+        for kind in ("Integrator", "Delay"):
+            bk.KINDS[kind].commit([(node, state) for node, (k, state)
+                                   in zip(nodes, blocks) if k == kind],
+                                  lefts, rights, vectors, t)
+        for k, (kind, _) in enumerate(blocks):
+            out, alone[k] = step(kind, [inputs[k]], alone[k], t=t, dt=dt)
+            batch_out = StepSample(lefts[n + k], rights[n + k], vectors[n + k])
+            assert _hexed(batch_out) == _hexed(out), (step_no, k)
+        t += dt
+        dt *= 1.5
+    for (_, state), single in zip(blocks, alone):
+        assert repr(state) == repr(single)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 
@@ -145,11 +146,11 @@ class TestStepping:
         flat = flatten(model, "Main")
         flat.schedule = dependency_sort(flat)
         engine = Engine(flat, SimConfig(h=0.1, t_end=1.0))
-        samples, flipped = engine.compute_step(engine.states, 0.0, 0.1)
-        engine.commit(engine.states, samples, 0.0)
-        cell = {node.path: samples[node.idx] for node in engine.nodes}
-        assert cell["n"][0] == -4.25
-        assert cell["c"][1] == 4.25
+        columns, flipped = engine.compute_step(engine.states, 0.0, 0.1)
+        engine.commit(engine.states, columns, 0.0)
+        index = {node.path: node.idx for node in engine.nodes}
+        assert columns.lefts[index["n"]] == -4.25
+        assert columns.rights[index["c"]] == 4.25
         assert flipped == []
 
     def test_unknown_watch_rejected(self, ball_model):
@@ -447,6 +448,99 @@ class TestGuards:
             engine.commit(engine.states, samples, 0.0)
         assert excinfo.value.block_path == "acc"
         assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
+
+    def test_batch_commit_error_names_the_block(self):
+        # Both Integrators commit in one batch; only the second, of order
+        # 2, checks the commit time.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block one = Constant(1);
+          block a = Integrator(0);
+          block b = Integrator(0, order=2);
+          one.out -> a.in;
+          a.out -> b.in;
+          b.out -> y;
+        }
+        """)
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
+        (kernel, batch), = [(k, b) for k, b in engine.commits
+                            if k is bk.KINDS["Integrator"].commit]
+        assert [node.path for node, _ in batch] == ["a", "b"]
+        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        engine.commit(engine.states, columns, 0.0)
+        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        with pytest.raises(SimulationError) as excinfo:
+            engine.commit(engine.states, columns, 0.0)
+        assert excinfo.value.block_path == "b"
+        assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
+
+    def test_steps_run_on_the_engine_states(self):
+        engine = Engine(flatten(dsl.load_model(CONSTANT_ONLY), "Main"),
+                        SimConfig(h=0.1, t_end=1.0))
+        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        with pytest.raises(ValueError, match="own states"):
+            engine.compute_step(list(engine.states), 0.1, 0.1)
+        with pytest.raises(ValueError, match="own states"):
+            engine.commit(list(engine.states), columns, 0.0)
+
+
+SECOND_DERIVATIVE_PRODUCT = """
+cbd Main(out y) {
+  block rate = Constant(1);
+  block ramp = Integrator(-0.35);
+  block sw   = Switch();
+  block da   = Derivative();
+  block db   = Derivative();
+  block slope = Constant(2);
+  block u    = Integrator(1);
+  block m    = Multiplier();
+  rate.out -> ramp.in;
+  ramp.out -> sw.c;
+  sw.out -> da.in;
+  da.out -> db.in;
+  slope.out -> u.in;
+  u.out -> m.in1;
+  db.out -> m.in2;
+  m.out -> y;
+}
+"""
+
+
+class TestMultiplierHistory:
+    @staticmethod
+    def _history(model, top="Main"):
+        engine = Engine(flatten(model, top), SimConfig(h=0.1, t_end=1.0))
+        return {n.path: engine.states[n.idx].history for n in engine.nodes
+                if n.kind == "Multiplier"}
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numerical"])
+    def test_ball_multipliers_never_estimate_derivatives(self, ball_model,
+                                                         mode):
+        assert self._history(ball_model) == {
+            "imp/rising": False, "imp/scaled": False, "imp/hit": False}
+        spy = mock.Mock(wraps=bk.estimate_derivatives)
+        with mock.patch.object(bk, "estimate_derivatives", spy):
+            trace = simulate(ball_model, "Main",
+                             SimConfig(mode=mode, h=1e-3, t_end=2.0))
+        # The contact at t = 1.43 s is an impulse in symbolic mode and a
+        # spike in numerical mode.
+        assert trace.impulses or max(trace.signals["force"].left) > 0.0
+        assert spy.call_count == 0
+
+    def test_multiplier_after_two_derivatives_keeps_history(self):
+        # db carries an order-1 impulse at the edge t = 0.35, so m expands
+        # u * delta' = u(t) delta' - u'(t) delta with u = 1 + 2 t.
+        model = dsl.load_model(SECOND_DERIVATIVE_PRODUCT)
+        assert self._history(model) == {"m": True}
+        trace = simulate(model, "Main",
+                         SimConfig(h=0.1, t_end=0.6, zc_tol=1e-12))
+        events = {e.order: e for e in trace.impulses if e.signal == "y"}
+        assert sorted(events) == [0, 1]
+        t_edge = events[1].time
+        assert t_edge == pytest.approx(0.35, abs=1e-9)
+        u_edge = 1.0 + 2.0 * t_edge
+        assert events[1].coefficient == pytest.approx(u_edge, rel=1e-9)
+        assert events[0].coefficient == pytest.approx(-2.0, rel=1e-9)
 
 
 LOCATED_SECOND_ORDER = """

@@ -169,13 +169,13 @@ def test_ramp_gain_refactors_every_step_until_singular():
     watched = resolve_watches(flat, ())
     y, g = watched["y"], watched["g"]
     for k in range(8):
-        samples, _ = engine.compute_step(engine.states, k * h, h)
-        engine.commit(engine.states, samples, k * h)
-        gain = samples[g][0]
+        columns, _ = engine.compute_step(engine.states, k * h, h)
+        engine.commit(engine.states, columns, k * h)
+        gain = columns.lefts[g]
         assert gain == k * h
         expected = 3.0 / (1.0 - gain)
-        assert samples[y][0] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert samples[y][1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert columns.lefts[y] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert columns.rights[y] == pytest.approx(expected, rel=1e-12, abs=0.0)
         (plan,) = engine.loop_plans.values()
         assert plan.factors == (gain,)
     with pytest.raises(SingularLoop):

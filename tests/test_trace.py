@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from cbdsim import cli
 from cbdsim.analysis import compare_traces
-from cbdsim.engine import SimConfig, Stream, Trace, _Recorder, simulate
+from cbdsim.engine import (
+    SimConfig, StepColumns, Stream, Trace, _Recorder, simulate,
+)
 from cbdsim.signals import EMPTY_IMPULSES, StepSample, impulses
 
 
@@ -195,6 +197,11 @@ class TestRaggedInMemory:
 
 # --- numerical recorder overflow screen ---------------------------------------
 
+def _columns(*cells):
+    """Step columns from one ``[left, right, vector]`` cell per signal."""
+    return StepColumns(*map(list, zip(*cells)))
+
+
 def _recorder(*names):
     return _Recorder(SimConfig(mode="numerical"),
                      {name: k for k, name in enumerate(names)})
@@ -207,20 +214,20 @@ def _warning(name, t):
 class TestOverflowScreen:
     def test_nan_limit_warns_nothing(self):
         recorder = _recorder("a", "b")
-        recorder.record(0.0, [[math.nan, math.nan, EMPTY_IMPULSES],
-                              [1.0, math.nan, EMPTY_IMPULSES]], 0.1)
+        recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
+                                       [1.0, math.nan, EMPTY_IMPULSES]), 0.1)
         assert recorder.trace.warnings == []
         assert math.isnan(recorder.trace.signals["a"].left[0])
 
     def test_nan_ahead_of_a_large_limit(self):
         recorder = _recorder("a", "b")
-        recorder.record(0.0, [[math.nan, math.nan, EMPTY_IMPULSES],
-                              [1.0, -1e301, EMPTY_IMPULSES]], 0.1)
+        recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
+                                       [1.0, -1e301, EMPTY_IMPULSES]), 0.1)
         assert recorder.trace.warnings == [_warning("b", 0.0)]
 
     def test_infinite_spike_warns(self):
         recorder = _recorder("a")
-        recorder.record(0.0, [[0.0, 0.0, impulses({0: 1.0})]], 1e-310)
+        recorder.record(0.0, _columns([0.0, 0.0, impulses({0: 1.0})]), 1e-310)
         assert recorder.trace.signals["a"][0] == StepSample(math.inf, math.inf)
         assert recorder.trace.warnings == [_warning("a", 0.0)]
 
@@ -228,15 +235,15 @@ class TestOverflowScreen:
         # An order-1 impulse over a step of 1e-160 spikes to +inf and leaves
         # -inf due at the next step.
         recorder = _recorder("a", "b", "c")
-        recorder.record(0.0, [[0.0, 0.0, impulses({1: 1.0})],
-                              [1.0, 1.0, EMPTY_IMPULSES],
-                              [1e301, 1e301, EMPTY_IMPULSES]], 1e-160)
-        recorder.record(1e-160, [[0.0, 0.0, EMPTY_IMPULSES],
-                                 [-1e301, 2.0, EMPTY_IMPULSES],
-                                 [1.0, 1.0, EMPTY_IMPULSES]], 1e-160)
-        recorder.record(2e-160, [[0.0, 0.0, EMPTY_IMPULSES],
-                                 [1e300, -1e300, EMPTY_IMPULSES],
-                                 [1.0, 1.0, EMPTY_IMPULSES]], 1e-160)
+        recorder.record(0.0, _columns([0.0, 0.0, impulses({1: 1.0})],
+                                       [1.0, 1.0, EMPTY_IMPULSES],
+                                       [1e301, 1e301, EMPTY_IMPULSES]), 1e-160)
+        recorder.record(1e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                                          [-1e301, 2.0, EMPTY_IMPULSES],
+                                          [1.0, 1.0, EMPTY_IMPULSES]), 1e-160)
+        recorder.record(2e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                                          [1e300, -1e300, EMPTY_IMPULSES],
+                                          [1.0, 1.0, EMPTY_IMPULSES]), 1e-160)
         assert recorder.trace.signals["a"].left.tolist() == \
             [math.inf, -math.inf, 0.0]
         assert recorder.trace.warnings == [
