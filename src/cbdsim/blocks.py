@@ -16,11 +16,11 @@ The kernels work on the step's columns: within a step, ``lefts[i]``,
 ImpulseVector of the block with node index ``i``.  A node exposes ``idx``,
 ``in_idx`` (its inputs' indices, in port order) and ``params``.
 
-Most ``left`` kernels and every ``right`` kernel step one node.  The kinds
-whose phase 1 reads only their own state (``previous_input``: Integrator,
-Delay) have a batch ``left`` kernel, and every ``commit`` kernel is a
-batch kernel: it steps all the blocks of its kind, given as
-``(node, state)`` pairs.  A batch kernel that raises a :class:`BlockError`
+Every ``left`` and ``right`` kernel steps one node.  The kinds whose
+phase 1 reads only their own state (``previous_input``: Integrator, Delay)
+have a ``left_batch`` kernel instead of ``left``, and every ``commit``
+kernel is a batch kernel: a batch kernel steps all the blocks of its kind,
+given as ``(node, state)`` pairs.  A batch kernel that raises a :class:`BlockError`
 sets the error's ``node`` to the block it was stepping.
 """
 
@@ -429,14 +429,15 @@ def _delay_commit(batch, lefts, rights, vectors, t):
 @dataclass(frozen=True)
 class KindInfo:
     inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
-    left: Callable
+    left: Callable | None     # None exactly where ``left_batch`` is set
     right: Callable
     variadic: bool = False
     params: tuple[str, ...] = ()
     # True when the block consumes its data input one step late, which
     # removes it from the current-step dependency graph; its phase 1 reads
-    # only its state, and ``left`` is a batch kernel.
+    # only its state and runs as ``left_batch``, set exactly for these kinds.
     previous_input: bool = False
+    left_batch: Callable | None = None
     # Set exactly for the stateful kinds.
     commit: Callable | None = None
     new_state: Callable[[dict[str, float]], object] | None = None
@@ -451,8 +452,9 @@ KINDS: dict[str, KindInfo] = {
                            variadic=True, commit=_multiplier_commit,
                            new_state=lambda params: MultiplierState()),
     "Inverter": KindInfo(("in",), _inverter_left, _inverter_right),
-    "Integrator": KindInfo(("in",), _integrator_left, _integrator_right,
+    "Integrator": KindInfo(("in",), None, _integrator_right,
                            params=("init", "order"), previous_input=True,
+                           left_batch=_integrator_left,
                            commit=_integrator_commit,
                            new_state=_new_integrator),
     "Derivative": KindInfo(("in",), _derivative_left, _derivative_right,
@@ -465,8 +467,9 @@ KINDS: dict[str, KindInfo] = {
     "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right,
                          commit=_selection_commit,
                          new_state=lambda params: SelectionState()),
-    "Delay": KindInfo(("in",), _delay_left, _delay_right,
+    "Delay": KindInfo(("in",), None, _delay_right,
                       params=("init",), previous_input=True,
+                      left_batch=_delay_left,
                       commit=_delay_commit,
                       new_state=lambda params: DelayState(
                           initial=params.get("init", 0.0))),

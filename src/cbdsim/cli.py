@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from pathlib import Path
 
 from . import analysis, dsl
@@ -42,11 +41,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_number(x: float) -> str:
-    """``x`` as ``json.dumps`` writes it."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
 # --- trace serialization --------------------------------------------------
 
 
@@ -62,26 +56,14 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
         with path.open("w") as out:
             out.write(TRACE_HEADER + "\n")
             out.writelines(map(template.__mod__, zip(*fields, strict=True)))
-    elif not (trace.times and columns):
-        path.write_text('{\n "trace": []\n}\n')
     else:
-        # The bytes of json.dumps({"trace": rows}, indent=1), one step at a
-        # time: a template holds a step's rows, filled from the columns.
-        template = ",\n".join(
-            '  {{\n   "time": {0},\n   "signal": %s,\n   "left": {%d},\n'
-            '   "right": {%d}\n  }}' % (
-                json.dumps(name).replace("{", "{{").replace("}", "}}"),
-                2 * k + 1, 2 * k + 2)
-            for k, (name, _, _) in enumerate(columns))
-        values = [map(_json_number, c) for _, left, right in columns
-                  for c in (left, right)]
-        steps = starmap(template.format, zip(map(_json_number, trace.times),
-                                             *values, strict=True))
-        with path.open("w") as out:
-            out.write('{\n "trace": [\n')
-            out.write(next(steps))
-            out.writelines(map(",\n".__add__, steps))
-            out.write("\n ]\n}\n")
+        fields = [c for _, left, right in columns for c in (left, right)]
+        payload = {"trace": [
+            {"time": t, "signal": name, "left": left, "right": right}
+            for t, *row in zip(trace.times, *fields, strict=True)
+            for (name, _, _), left, right in zip(columns, row[::2], row[1::2])
+        ]}
+        path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def write_impulses(trace: Trace, path: Path, fmt: str) -> None:

@@ -202,9 +202,9 @@ class _Node:
     kind: str
     params: dict[str, float]
     in_idx: tuple[int, ...]
-    # The kind's per-node kernels from ``blocks.KINDS``; ``left`` is a
-    # batch kernel for the state-only kinds, which the engine calls per kind.
-    left: Callable = field(init=False, repr=False)
+    # The kind's per-node kernels from ``blocks.KINDS``; the state-only
+    # kinds have no per-node ``left`` (None) and run phase 1 per kind.
+    left: Callable | None = field(init=False, repr=False)
     right: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -446,8 +446,8 @@ class Engine:
         ``(node, members)`` for every other group in schedule order, where
         ``members`` is None for a single block and a loop's members
         otherwise; ``order`` lists the blocks screened, None for all."""
-        state_only = {kind: info.left for kind, info in bk.KINDS.items()
-                      if info.previous_input}
+        state_only = {kind: info.left_batch for kind, info in bk.KINDS.items()
+                      if info.left_batch}
         batches = _batches(state_only, (self.nodes[idx] for members, _ in groups
                                         for idx in members), self.states)
         entries = []
@@ -462,7 +462,9 @@ class Engine:
     # -- stepping ------------------------------------------------------------
 
     def _require_own(self, states: list) -> None:
-        """The batches hold the engine's state objects, so a step runs on them."""
+        """The batches hold the engine's state objects, so a step runs on
+        them: the ``states`` argument of ``compute_step``, ``_closure_step``
+        and ``commit`` is vestigial and can only be ``self.states``."""
         if states is not self.states:
             raise ValueError("a step must run on the engine's own states")
 
@@ -470,7 +472,8 @@ class Engine:
                      ) -> tuple[StepColumns, list[tuple[int, int]]]:
         """Evaluate every block at time ``t`` for a step of size ``dt``.
 
-        Returns the step's columns and the flipped conditions.
+        Returns the step's columns and the flipped conditions.  ``states``
+        must be ``self.states`` (see ``_require_own``).
         """
         lefts = self._phase1(self.phase1, states, dt)
         flipped = self.flipped_conditions(states, lefts)
@@ -640,7 +643,8 @@ class Engine:
         return changed
 
     def commit(self, states: list, columns: StepColumns, t: float) -> None:
-        """Advance every stateful block's state, one batch per kind."""
+        """Advance every stateful block's state, one batch per kind;
+        ``states`` must be ``self.states`` (see ``_require_own``)."""
         lefts, rights, vectors = columns
         self._require_own(states)
         try:

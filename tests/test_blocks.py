@@ -27,8 +27,8 @@ def step(kind, inputs, state=None, t=0.0, dt=0.1, **params):
     rights = [s.right for s in inputs] + [None]
     vectors = [s.impulses for s in inputs] + [None]
     states = [None] * n + [state]
-    if info.previous_input:
-        info.left([(node, state)], lefts, dt)
+    if info.left_batch is not None:
+        info.left_batch([(node, state)], lefts, dt)
     else:
         lefts[n] = info.left(node, states, lefts, dt)
     rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
@@ -42,7 +42,11 @@ def step(kind, inputs, state=None, t=0.0, dt=0.1, **params):
 @pytest.mark.parametrize("kind", sorted(bk.KINDS))
 def test_every_kind_has_its_kernels(kind):
     info = bk.KINDS[kind]
-    assert callable(info.left) and callable(info.right)
+    assert callable(info.right)
+    # One phase-1 kernel: a batch one exactly for the state-only kinds.
+    assert callable(info.left_batch if info.previous_input else info.left)
+    assert (info.left is None) == info.previous_input
+    assert (info.left_batch is None) != info.previous_input
     assert (info.commit is not None) == (kind in STATEFUL)
     assert (info.new_state is not None) == (kind in STATEFUL)
 
@@ -360,9 +364,9 @@ def test_batches_match_batches_of_one():
                   for k in range(n)]
         lefts = [s.left for s in inputs] + [None] * n
         for kind in ("Integrator", "Delay"):
-            bk.KINDS[kind].left([(node, state) for node, (k, state)
-                                 in zip(nodes, blocks) if k == kind],
-                                lefts, dt)
+            bk.KINDS[kind].left_batch([(node, state) for node, (k, state)
+                                       in zip(nodes, blocks) if k == kind],
+                                      lefts, dt)
         rights = [s.right for s in inputs] + lefts[n:]
         vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
         states = [None] * n + [state for _, state in blocks]

@@ -7,12 +7,17 @@ from cbdsim import blocks as bk
 from cbdsim import dsl
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
+    HIGHER_IMPULSE,
+    IMPULSE,
+    JUMP,
+    SMOOTH,
     Engine,
     MaxOrderExceeded,
     SimConfig,
     SimulationError,
     Trace,
     ZenoSuspected,
+    _singularity_levels,
     simulate,
 )
 from cbdsim.graph import ModelError, dependency_sort, flatten
@@ -541,6 +546,30 @@ class TestMultiplierHistory:
         u_edge = 1.0 + 2.0 * t_edge
         assert events[1].coefficient == pytest.approx(u_edge, rel=1e-9)
         assert events[0].coefficient == pytest.approx(-2.0, rel=1e-9)
+
+    def test_levels_rise_at_derivatives_and_fall_at_integrators(self):
+        # An impulse of order >= 1 may keep its order through an Integrator,
+        # so the level stays there; a lower level drops by one.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block one = Constant(1);
+          block sw = Switch();
+          block d1 = Derivative(); block d2 = Derivative();
+          block d3 = Derivative();
+          block i1 = Integrator(0); block i2 = Integrator(0);
+          block j1 = Integrator(0); block j2 = Integrator(0);
+          one.out -> sw.c; sw.out -> d1.in; d1.out -> d2.in;
+          d2.out -> d3.in; d3.out -> i1.in; i1.out -> i2.in;
+          d1.out -> j1.in; j1.out -> j2.in; i2.out -> y;
+        }
+        """)
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
+        levels = dict(zip((n.path for n in engine.nodes),
+                          _singularity_levels(engine.nodes)))
+        assert levels == {
+            "one": SMOOTH, "sw": JUMP, "d1": IMPULSE, "d2": HIGHER_IMPULSE,
+            "d3": HIGHER_IMPULSE, "i1": HIGHER_IMPULSE, "i2": HIGHER_IMPULSE,
+            "j1": JUMP, "j2": SMOOTH}
 
 
 LOCATED_SECOND_ORDER = """

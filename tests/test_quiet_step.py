@@ -11,12 +11,16 @@ impulse log and warnings, compared through ``float.hex``, or the same
 error.
 """
 
+import dataclasses
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from cbdsim import dsl
-from cbdsim.engine import Engine, EngineError, SimConfig, simulate
+from cbdsim import blocks as bk, dsl
+from cbdsim.engine import (
+    HIGHER_IMPULSE, IMPULSE, JUMP, SMOOTH, Engine, EngineError, SimConfig,
+    _singularity_levels, simulate,
+)
 
 MODES = ("symbolic", "numerical")
 # A run that locates an event at every step, as one does whose Switch
@@ -240,15 +244,21 @@ VALUES = (-1.0, -0.5, -0.25, 0.0, 0.3, 1.0)
 LATE = ("Delay", "Integrator", "Integrator2")
 # Switches and Derivatives are drawn twice as often: together they make
 # the jumps and impulses that Delays, Decisions and Integrators pass on.
+# A "Product" puts a Switch and two Derivatives ahead of a Multiplier,
+# which turns the Switch's edge into an impulse of order 1 there.
 KINDS = ("Switch", "Switch", "Derivative", "Derivative", "Decision",
-         "Multiplier", "Adder", "Negator", "Constant", "Loop") + LATE
+         "Multiplier", "Adder", "Negator", "Constant", "Loop",
+         "Product") + LATE
 
 
 @st.composite
-def diagrams(draw):
-    """Model text and watched block paths of a random small diagram."""
+def diagrams(draw, last=None):
+    """Model text and watched block paths of a random small diagram, whose
+    last block is of kind ``last`` when given."""
     count = draw(st.integers(min_value=1, max_value=9))
     kinds = [draw(st.sampled_from(KINDS)) for _ in range(count)]
+    if last is not None:
+        kinds[-1] = last
     names = list(BASE_SIGNALS) + [f"b{i}" for i in range(count)]
     lines = [OSCILLATOR.format(pos0=draw(st.sampled_from((1.0, -0.5))),
                                vel0=draw(st.sampled_from(VALUES)))]
@@ -278,6 +288,15 @@ def diagrams(draw):
         elif kind in ("Adder", "Multiplier"):
             lines.append(f"block {name} = {kind}(); {src()} -> {name}.in1; "
                          f"{src()} -> {name}.in2;")
+        elif kind == "Product":
+            late, other = draw(st.permutations(("in1", "in2")))
+            lines.append(
+                f"block {name}s = Switch(); block {name}d = Derivative(); "
+                f"block {name}dd = Derivative(); block {name} = Multiplier(); "
+                f"{src()} -> {name}s.c; {name}s.out -> {name}d.in; "
+                f"{name}d.out -> {name}dd.in; {name}dd.out -> {name}.{late}; "
+                f"{src()} -> {name}.{other};"
+            )
         elif kind == "Decision":
             lines.append(f"block {name} = Decision(); {src()} -> {name}.u; "
                          f"{src()} -> {name}.v; {src()} -> {name}.c;")
@@ -299,3 +318,59 @@ def diagrams(draw):
 def test_random_diagrams_match_the_full_sweep(diagram, h):
     text, watch = diagram
     _assert_fast_path_equivalent(text, watch, h=h, t_end=2.0)
+
+
+# --- singularity levels ------------------------------------------------------
+
+def _observed_level(columns, idx):
+    lefts, rights, vectors = columns
+    vector = vectors[idx]
+    if not vector.is_empty:
+        return HIGHER_IMPULSE if vector.max_order >= 1 else IMPULSE
+    return JUMP if lefts[idx] != rights[idx] else SMOOTH
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagrams(last="Product"), st.sampled_from((0.1, 0.25)),
+       st.sampled_from(MODES))
+def test_singularity_levels_bound_every_step(diagram, h, mode):
+    """No block's output is ever more singular than the level the engine
+    computed for it, and only a Multiplier that keeps history estimates
+    derivatives from it."""
+    text, watch = diagram
+    model = dsl.load_model(text)
+    compute_step = Engine.compute_step
+    multiplier = bk.KINDS["Multiplier"]
+    estimate = bk.estimate_derivatives
+    stepping = []   # the state of the Multiplier whose right kernel runs
+
+    def checked_step(self, states, t, dt):
+        result = compute_step(self, states, t, dt)
+        levels = _singularity_levels(self.nodes)
+        for node in self.nodes:
+            assert _observed_level(result[0], node.idx) <= levels[node.idx], \
+                node.path
+        return result
+
+    def checked_right(node, states, *args):
+        stepping.append(states[node.idx])
+        try:
+            return multiplier.right(node, states, *args)
+        finally:
+            stepping.pop()
+
+    def checked_estimate(*args):
+        assert stepping[-1].history
+        event("a Multiplier estimates derivatives")
+        return estimate(*args)
+
+    kinds = dict(bk.KINDS, Multiplier=dataclasses.replace(
+        multiplier, right=checked_right))
+    with mock.patch.object(Engine, "compute_step", checked_step), \
+            mock.patch.dict(bk.KINDS, kinds), \
+            mock.patch.object(bk, "estimate_derivatives", checked_estimate):
+        try:
+            simulate(model, "Main", SimConfig(watch=watch, mode=mode, h=h,
+                                              t_end=2.0, **TOLERANCES))
+        except EngineError:
+            pass

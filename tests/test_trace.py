@@ -190,6 +190,12 @@ class TestRaggedInMemory:
         with pytest.raises(ValueError):
             cli.write_trace(_ragged(), tmp_path / "t.csv", "csv")
 
+    def test_json_write_rejects_a_short_stream(self, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError):
+            cli.write_trace(_ragged(), path, "json")
+        assert not path.exists()
+
     def test_compare_rejects_a_short_stream(self):
         with pytest.raises(ValueError):
             compare_traces(_ragged(), _ragged())
