@@ -20,8 +20,8 @@ Every ``left`` and ``right`` kernel steps one node.  The kinds whose
 phase 1 reads only their own state (``previous_input``: Integrator, Delay)
 have a ``left_batch`` kernel instead of ``left``, and every ``commit``
 kernel is a batch kernel: a batch kernel steps all the blocks of its kind,
-given as ``(node, state)`` pairs.  A batch kernel that raises a :class:`BlockError`
-sets the error's ``node`` to the block it was stepping.
+given as ``(node, state)`` pairs.  A batch kernel that raises a
+:class:`BlockError` sets the error's ``node`` to the block it was stepping.
 """
 
 from __future__ import annotations
