@@ -46,6 +46,9 @@ def _fmt(x: float) -> str:
 
 def write_trace(trace: Trace, path: Path, fmt: str) -> None:
     columns = [(name, s.left, s.right) for name, s in trace.signals.items()]
+    if any(not len(left) == len(right) == len(trace.times)
+           for _, left, right in columns):
+        raise ValueError(f"{path}: ragged trace")
     if fmt == "csv":
         # One template holds a time step's rows and is filled from the
         # columns and the step's time text; "%.17g" % x gives _fmt(x).
@@ -55,12 +58,12 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
         fields = [c for _, left, right in columns for c in (stamps, left, right)]
         with path.open("w") as out:
             out.write(TRACE_HEADER + "\n")
-            out.writelines(map(template.__mod__, zip(*fields, strict=True)))
+            out.writelines(map(template.__mod__, zip(*fields)))
     else:
         fields = [c for _, left, right in columns for c in (left, right)]
         payload = {"trace": [
             {"time": t, "signal": name, "left": left, "right": right}
-            for t, *row in zip(trace.times, *fields, strict=True)
+            for t, *row in zip(trace.times, *fields)
             for (name, _, _), left, right in zip(columns, row[::2], row[1::2])
         ]}
         path.write_text(json.dumps(payload, indent=1) + "\n")

@@ -546,25 +546,6 @@ def _format_endpoint(endpoint: SourceEndpoint) -> str:
     return f"{endpoint.block}.{endpoint.port}"
 
 
-def structure(source: SourceModel):
-    """Span-free structural view, for fixpoint comparisons."""
-    return tuple(
-        (
-            d.name,
-            tuple((p.direction, p.name) for p in d.ports),
-            tuple(
-                (b.name, b.kind, tuple((a.name, a.value) for a in b.args))
-                for b in d.blocks
-            ),
-            tuple(
-                ((l.src.block, l.src.port), (l.dst.block, l.dst.port))
-                for l in d.links
-            ),
-        )
-        for d in source.definitions
-    )
-
-
 def load_model(text: str) -> Model:
     """Parse and validate in one call, raising on any diagnostic error."""
     result = parse(text)

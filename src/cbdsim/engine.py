@@ -1,8 +1,9 @@
 """Stepping loop, algebraic-loop solving, event location and trace capture.
 
 Each node binds its kind's kernels from ``blocks.KINDS``, which define
-what a block computes; this module decides when they run.  Each committed
-step runs in two phases over the schedule, then commits:
+what a block computes; this module decides when they run.  An
+:class:`Engine` schedules its flat graph and owns every block's state.
+Each committed step runs in two phases over the schedule, then commits:
 
 * phase 1 fixes every signal's left limit (integrators and delays emit
   state, everything else folds its inputs' left limits),
@@ -128,13 +129,13 @@ class ImpulseEvent(NamedTuple):
     coefficient: float
 
 
-class Stream(Sequence):
+class Stream:
     """One signal's recorded samples, stored as columns.
 
     ``left`` and ``right`` hold one limit per committed step;
     ``impulses`` maps a step index to its impulse vector, only at the steps
-    that carry one.  As a read-only sequence it reads like a list of
-    :class:`StepSample`.
+    that carry one.  ``len`` counts the steps, iteration yields one
+    :class:`StepSample` per step and ``==`` compares the columns.
     """
 
     __slots__ = ("left", "right", "impulses")
@@ -147,19 +148,6 @@ class Stream(Sequence):
 
     def __len__(self) -> int:
         return len(self.left)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            steps = range(len(self.left))[index]
-            return Stream(self.left[index], self.right[index], {
-                steps.index(k): vector for k, vector in self.impulses.items()
-                if k in steps
-            })
-        left = self.left[index]
-        if index < 0:
-            index += len(self.left)
-        return StepSample(left, self.right[index],
-                          self.impulses.get(index, EMPTY_IMPULSES))
 
     def __iter__(self) -> Iterator[StepSample]:
         vectors = map(self.impulses.get, range(len(self.left)),
@@ -180,17 +168,6 @@ class Trace:
     signals: dict[str, Stream] = field(default_factory=dict)
     impulses: list[ImpulseEvent] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    def index_of(self, time: float) -> int:
-        return self.times.index(time)
-
-    def sample(self, signal: str, time: float) -> StepSample:
-        return self.signals[signal][self.index_of(time)]
-
-    def step_size(self, index: int) -> float:
-        if index <= 0:
-            raise ValueError("the initial step has no predecessor")
-        return self.times[index] - self.times[index - 1]
 
 
 # --- internal node table ---------------------------------------------------
@@ -213,12 +190,8 @@ class _Node:
 
 
 class StepColumns(NamedTuple):
-    """One evaluated step, as columns indexed by node index.
-
-    Phase 1 writes ``lefts``.  ``rights`` and ``vectors`` are built when
-    phase 2 sweeps; on a step it skips, ``rights is lefts`` and ``vectors``
-    is one shared tuple of empty impulse vectors.
-    """
+    """One evaluated step, as columns indexed by node (see the module
+    docstring for when ``rights is lefts``)."""
     lefts: list[float]
     rights: Sequence[float]
     vectors: Sequence[ImpulseVector]
@@ -286,15 +259,15 @@ def _initial_states(nodes: list[_Node]) -> list:
     return states
 
 
-def _batches(kernels: dict[str, Callable], nodes: Iterable[_Node],
-             states: list) -> list[tuple[Callable, list[tuple[_Node, object]]]]:
-    """``(kernel, [(node, state), ...])`` per kind of ``kernels`` among
-    ``nodes``, in order of first appearance."""
+def _batches(role: str, nodes: Iterable[_Node], states: list,
+             ) -> list[tuple[Callable, list[tuple[_Node, object]]]]:
+    """``(kernel, [(node, state), ...])`` per kind among ``nodes`` with a
+    ``role`` batch kernel, in order of first appearance."""
     by_kind: dict[str, list] = {}
     for n in nodes:
-        if n.kind in kernels:
+        if getattr(bk.KINDS[n.kind], role):
             by_kind.setdefault(n.kind, []).append((n, states[n.idx]))
-    return [(kernels[kind], batch) for kind, batch in by_kind.items()]
+    return [(getattr(bk.KINDS[k], role), b) for k, b in by_kind.items()]
 
 
 # --- linear loop solving ----------------------------------------------------
@@ -387,22 +360,19 @@ def _require_finite_right(node: _Node, right: float) -> None:
 
 
 class Engine:
-    """Owns the flattened graph, schedule and per-block states."""
+    """Owns the node table, schedule and per-block states of a flat graph."""
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
-        self.flat = flat
         self.config = config
         self.nodes = _build_nodes(flat)
-        schedule = flat.schedule or dependency_sort(flat)
         index_of = {n.path: n.idx for n in self.nodes}
         self.groups: list[tuple[tuple[int, ...], bool]] = [
-            (tuple(index_of[p] for p in g.members), g.cyclic) for g in schedule
+            (tuple(index_of[p] for p in g.members), g.cyclic)
+            for g in dependency_sort(flat)
         ]
         self.order = [idx for members, _ in self.groups for idx in members]
         self.states = _initial_states(self.nodes)
-        self.commits = _batches({kind: info.commit for kind, info
-                                 in bk.KINDS.items() if info.commit},
-                                self.nodes, self.states)
+        self.commits = _batches("commit", self.nodes, self.states)
         # The Switches and Decisions, as (block, condition input) indices.
         self.conditions = [(n.idx, n.in_idx[-1]) for n in self.nodes
                            if n.kind in ("Switch", "Decision")]
@@ -446,42 +416,31 @@ class Engine:
         ``(node, members)`` for every other group in schedule order, where
         ``members`` is None for a single block and a loop's members
         otherwise; ``order`` lists the blocks screened, None for all."""
-        state_only = {kind: info.left_batch for kind, info in bk.KINDS.items()
-                      if info.left_batch}
-        batches = _batches(state_only, (self.nodes[idx] for members, _ in groups
-                                        for idx in members), self.states)
+        nodes = [self.nodes[idx] for members, _ in groups for idx in members]
+        batches = _batches("left_batch", nodes, self.states)
         entries = []
         for members, cyclic in groups:
             node = self.nodes[members[0]]
             if cyclic:
                 entries.append((node, members))
-            elif node.kind not in state_only:
+            elif node.left is not None:
                 entries.append((node, None))
         return batches, entries, order
 
     # -- stepping ------------------------------------------------------------
 
-    def _require_own(self, states: list) -> None:
-        """The batches hold the engine's state objects, so a step runs on
-        them: the ``states`` argument of ``compute_step``, ``_closure_step``
-        and ``commit`` is vestigial and can only be ``self.states``."""
-        if states is not self.states:
-            raise ValueError("a step must run on the engine's own states")
-
-    def compute_step(self, states: list, t: float, dt: float,
+    def compute_step(self, t: float, dt: float,
                      ) -> tuple[StepColumns, list[tuple[int, int]]]:
-        """Evaluate every block at time ``t`` for a step of size ``dt``.
-
-        Returns the step's columns and the flipped conditions.  ``states``
-        must be ``self.states`` (see ``_require_own``).
-        """
-        lefts = self._phase1(self.phase1, states, dt)
-        flipped = self.flipped_conditions(states, lefts)
-        sweep = self._sweep_groups(states, flipped)
+        """Evaluate every block at time ``t`` for a step of size ``dt``
+        from the engine's states; returns the step's columns and the
+        flipped conditions."""
+        lefts = self._phase1(self.phase1, dt)
+        flipped = self.flipped_conditions(lefts)
+        sweep = self._sweep_groups(flipped)
         if not sweep:
             return StepColumns(lefts, lefts, self.quiet_vectors), flipped
 
-        nodes = self.nodes
+        nodes, states = self.nodes, self.states
         rights = lefts[:]
         vectors = [EMPTY_IMPULSES] * len(nodes)
         limit = len(nodes) + 2
@@ -521,7 +480,7 @@ class Engine:
             )
         return StepColumns(lefts, rights, vectors), flipped
 
-    def _closure_step(self, states: list, t: float, dt: float,
+    def _closure_step(self, t: float, dt: float,
                       ) -> tuple[StepColumns, list[tuple[int, int]]]:
         """A bisection trial: phase 1 over the condition closure only.
 
@@ -529,16 +488,15 @@ class Engine:
         the condition magnitudes read the same floats as ``compute_step``.
         ``t`` is unused and keeps ``compute_step``'s signature.
         """
-        lefts = self._phase1(self.closure_phase1, states, dt)
+        lefts = self._phase1(self.closure_phase1, dt)
         return (StepColumns(lefts, lefts, self.quiet_vectors),
-                self.flipped_conditions(states, lefts))
+                self.flipped_conditions(lefts))
 
-    def _phase1(self, plan: tuple, states: list, dt: float) -> list[float]:
+    def _phase1(self, plan: tuple, dt: float) -> list[float]:
         """Left limits of the blocks of ``plan`` (from ``_phase1_plan``),
         screened for non-finite values; the others stay ``None``."""
         batches, entries, order = plan
-        self._require_own(states)
-        nodes = self.nodes
+        nodes, states = self.nodes, self.states
         lefts: list = [None] * len(nodes)
         for kernel, batch in batches:
             kernel(batch, lefts, dt)
@@ -568,7 +526,7 @@ class Engine:
                     ))
         return lefts
 
-    def _sweep_groups(self, states: list, flipped: list[tuple[int, int]],
+    def _sweep_groups(self, flipped: list[tuple[int, int]],
                       ) -> list[tuple[tuple[int, ...], bool]]:
         """The schedule groups phase 2 must sweep, in schedule order.
 
@@ -581,7 +539,7 @@ class Engine:
         """
         sources = [idx for idx, _ in flipped]
         for idx in self.delays:
-            prev = states[idx].prev_input
+            prev = self.states[idx].prev_input
             if prev is not None and (prev.left != prev.right
                                      or not prev.impulses.is_empty):
                 sources.append(idx)
@@ -642,11 +600,10 @@ class Engine:
                 changed = True
         return changed
 
-    def commit(self, states: list, columns: StepColumns, t: float) -> None:
-        """Advance every stateful block's state, one batch per kind;
-        ``states`` must be ``self.states`` (see ``_require_own``)."""
+    def commit(self, columns: StepColumns, t: float) -> None:
+        """Advance the engine's stateful blocks to time ``t`` from the
+        step's ``columns``, one batch per kind."""
         lefts, rights, vectors = columns
-        self._require_own(states)
         try:
             for kernel, batch in self.commits:
                 kernel(batch, lefts, rights, vectors, t)
@@ -655,7 +612,7 @@ class Engine:
 
     # -- event handling --------------------------------------------------------
 
-    def flipped_conditions(self, states: list, lefts: list[float],
+    def flipped_conditions(self, lefts: list[float],
                            ) -> list[tuple[int, int]]:
         """The (block, condition input) pairs of the Switches and Decisions
         selecting, from the condition's left limit, otherwise than they hold.
@@ -665,6 +622,7 @@ class Engine:
         causes) do not re-trigger location.
         """
         flipped = []
+        states = self.states
         for idx, cond in self.conditions:
             held = states[idx].held
             if held is not None and (lefts[cond] >= 0.0) != held:
@@ -697,17 +655,17 @@ class Engine:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
-            candidate, flipped_mid = self._closure_step(self.states, t + mid, mid)
+            candidate, flipped_mid = self._closure_step(t + mid, mid)
             if flipped_mid:
                 hi, columns_hi, flipped_hi = mid, candidate, flipped_mid
             else:
                 lo = mid
         if hi < cfg.h_min:
             hi = cfg.h_min
-            columns_hi, flipped = self.compute_step(self.states, t + hi, hi)
+            columns_hi, flipped = self.compute_step(t + hi, hi)
             flipped_hi = flipped or flipped_hi
         elif hi < h:
-            columns_hi, flipped_hi = self.compute_step(self.states, t + hi, hi)
+            columns_hi, flipped_hi = self.compute_step(t + hi, hi)
         underflow = self._condition_magnitude(columns_hi.lefts, flipped_hi) \
             > cfg.zc_tol
         return hi, columns_hi, underflow
@@ -837,20 +795,19 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     land on crossing times within the configured tolerance.
     """
     flat = flatten(model, top)
-    flat.schedule = dependency_sort(flat)
     engine = Engine(flat, config)
     recorder = _Recorder(config, resolve_watches(flat, config.watch))
 
     t = 0.0
-    columns, _ = engine.compute_step(engine.states, t, config.h)
-    engine.commit(engine.states, columns, t)
+    columns, _ = engine.compute_step(t, config.h)
+    engine.commit(columns, t)
     recorder.record(t, columns, config.h)
 
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
-        trial = engine.compute_step(engine.states, t + config.h, config.h)
+        trial = engine.compute_step(t + config.h, config.h)
         columns, flipped = trial
         if flipped:
             h_star, columns, underflow = engine.locate_crossing(
@@ -867,7 +824,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         t_new = t + h_star
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")
-        engine.commit(engine.states, columns, t_new)
+        engine.commit(columns, t_new)
         recorder.record(t_new, columns, h_star)
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
                 <= ZENO_WINDOW * config.h_min * (1 + 1e-9):

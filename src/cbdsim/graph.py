@@ -104,7 +104,6 @@ class FlatGraph:
     blocks: dict[str, FlatBlock]
     # top-level output port name -> producing block path
     outputs: dict[str, str]
-    schedule: tuple[Group, ...] = ()
 
 
 def definition_cycles(roots: Iterable[str],

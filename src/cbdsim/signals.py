@@ -99,10 +99,6 @@ class StepSample:
     right: float
     impulses: ImpulseVector = field(default=EMPTY_IMPULSES)
 
-    @property
-    def has_impulses(self) -> bool:
-        return not self.impulses.is_empty
-
 
 def sample(left: float, right: float | None = None,
            coeffs: Mapping[int, float] | None = None) -> StepSample:
@@ -176,10 +172,15 @@ def leibniz_product(u_derivatives: Sequence[float], v: ImpulseVector) -> Impulse
             f"need {top + 1} derivative values for impulse order {top}, "
             f"got {len(u_derivatives)}"
         )
-    result: dict[int, float] = {}
+    terms: dict[int, list[float]] = {}
     for order, a in v.items():
         for k in range(order + 1):
             term = a * math.comb(order, k) * u_derivatives[k] * (-1.0) ** k
-            target = order - k
-            result[target] = result.get(target, 0.0) + term
-    return impulses(result)
+            terms.setdefault(order - k, []).append(term)
+    # Terms of one order can cancel, so they are summed exactly; fsum
+    # refuses inf - inf and overflowing sums, which get the IEEE sum.
+    try:
+        sums = {o: math.fsum(ts) for o, ts in terms.items()}
+    except (ValueError, OverflowError):
+        sums = {o: sum(ts) for o, ts in terms.items()}
+    return impulses(sums)

@@ -61,15 +61,17 @@ def test_criterion_1_bouncing_ball_vs_closed_form(ball_runs):
 
     assert len(trace.impulses) >= 1
     event = trace.impulses[0]
-    v = trace.sample("v", event.time)
+    index = trace.times.index(event.time)
+    v_left = trace.signals["v"].left[index]
+    v_right = trace.signals["v"].right[index]
 
     time_ok = abs(event.time - t_closed) <= 1e-6
-    momentum_ok = abs(v.right + v.left) <= 1e-9 * abs(v.left)
+    momentum_ok = abs(v_right + v_left) <= 1e-9 * abs(v_left)
     log_ok = (
         len(trace.impulses) == 1
         and event.order == 0
-        and abs(event.coefficient - (-2.0 * v.left))
-        <= 1e-9 * abs(2.0 * v.left)
+        and abs(event.coefficient - (-2.0 * v_left))
+        <= 1e-9 * abs(2.0 * v_left)
     )
     runtime_ok = runtime < 1.0
 
@@ -78,7 +80,7 @@ def test_criterion_1_bouncing_ball_vs_closed_form(ball_runs):
         f"{abs(event.time - t_closed):.3e} vs 1e-6 -> "
         f"{'ok' if time_ok else 'FAIL'}; "
         f"momentum |v_r + v_l|/|v_l| = "
-        f"{abs(v.right + v.left) / abs(v.left):.1e} -> "
+        f"{abs(v_right + v_left) / abs(v_left):.1e} -> "
         f"{'ok' if momentum_ok else 'FAIL'}; "
         f"impulse log (1 event, order 0, -2 v_l) -> "
         f"{'ok' if log_ok else 'FAIL'}; "
@@ -119,9 +121,9 @@ def test_criterion_2_symbolic_equals_numerical(ball_path, ball_runs,
     symbolic = ball_runs["symbolic"]
     numerical = ball_runs["numerical"]
     event = symbolic.impulses[0]
-    index = symbolic.index_of(event.time)
-    h_star = symbolic.step_size(index)
-    spike = numerical.signals["force"][index].left
+    index = symbolic.times.index(event.time)
+    h_star = symbolic.times[index] - symbolic.times[index - 1]
+    spike = numerical.signals["force"].left[index]
     spike_ok = (
         abs(spike - event.coefficient / h_star)
         <= 1e-9 * abs(event.coefficient / h_star)
@@ -185,7 +187,7 @@ def test_criterion_4_derivative_chain_delay(chain_model):
         events = [e for e in symbolic.impulses if e.signal == name]
         single = (len(events) == 1 and events[0].order == k - 1
                   and events[0].time == tau)
-        index = numerical.index_of(tau)
+        index = numerical.times.index(tau)
         stream = numerical.signals[name]
         support = [
             i - index for i, s in enumerate(stream)
@@ -217,13 +219,13 @@ def test_criterion_6_impulse_integrates_to_unit_step(chain_model):
     trace = simulate(chain_model, "Chain",
                      SimConfig(mode="symbolic", h=0.125, t_end=1.0,
                                watch=("held",)))
-    index = trace.index_of(0.5)
+    index = trace.times.index(0.5)
     stream = trace.signals["held"]
-    before_ok = all(s.left == 0.0 and s.right == 0.0
-                    for s in stream[:index])
-    at_ok = stream[index].left == 0.0 and stream[index].right == 1.0
-    after_ok = all(s.left == 1.0 and s.right == 1.0
-                   for s in stream[index + 1:])
+    before_ok = all(x == 0.0 for x in stream.left[:index]
+                    + stream.right[:index])
+    at_ok = stream.left[index] == 0.0 and stream.right[index] == 1.0
+    after_ok = all(x == 1.0 for x in stream.left[index + 1:]
+                   + stream.right[index + 1:])
     ok = before_ok and at_ok and after_ok
     _report(6, ok, (
         f"before all zero: {before_ok}; at impulse (0, 1): {at_ok}; "

@@ -155,7 +155,7 @@ class TestIntegrator:
         )
         assert out.left == v_minus
         assert out.right == -v_minus
-        assert not out.has_impulses
+        assert out.impulses.is_empty
         assert state.accumulator == -v_minus
 
     def test_higher_orders_shift_down(self):
@@ -207,7 +207,7 @@ class TestDerivative:
         state = bk.DerivativeState(initial=0.0, prev_right=0.0)
         out, _ = step("Derivative", [sample(0.3, 0.3)], state, dt=0.1)
         assert out.left == out.right == pytest.approx(3.0)
-        assert not out.has_impulses
+        assert out.impulses.is_empty
 
     def test_jump_becomes_impulse(self):
         v0, g, td = 5.0, G, 0.4

@@ -139,7 +139,7 @@ def test_discarded_trial_skips_blocks_outside_the_closure():
     trace = simulate(model, "Main", config)
     assert abs(trace.times[1] - 0.3) <= 1e-9
     assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
-    assert trace.signals["y"][1].left == pytest.approx(1.0 / -0.2)
+    assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.2)
     # Full-step trials evaluate the inverter at p = 0 and stop the run.
     with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
         with pytest.raises(SimulationError) as excinfo:

@@ -20,7 +20,7 @@ from cbdsim.engine import (
     _singularity_levels,
     simulate,
 )
-from cbdsim.graph import ModelError, dependency_sort, flatten
+from cbdsim.graph import ModelError, flatten
 
 G = 9.81
 
@@ -127,18 +127,19 @@ class TestStepping:
         """)
         trace = simulate(model, "Main", SimConfig(h=0.1, t_end=1.0))
         assert any(s.left != s.right for s in trace.signals["u"])
-        u = trace.signals["u"]
+        u, x = trace.signals["u"], trace.signals["x"]
+        times = trace.times
         acc, slope = 0.5, 0.0
         for k, value in enumerate(u):
             if k >= 2:
-                slope = (u[k - 1].left - u[k - 2].right) / trace.step_size(k - 1)
+                slope = ((u.left[k - 1] - u.right[k - 2])
+                         / (times[k - 1] - times[k - 2]))
             if k:
-                h = trace.step_size(k)
-                acc += h * u[k - 1].right + 0.5 * h * h * slope
+                h = times[k] - times[k - 1]
+                acc += h * u.right[k - 1] + 0.5 * h * h * slope
             left = acc
             acc += value.impulses.coefficient(0)
-            x = trace.signals["x"][k]
-            assert (x.left, x.right) == (pytest.approx(left, rel=1e-14),
+            assert (x.left[k], x.right[k]) == (pytest.approx(left, rel=1e-14),
                                          pytest.approx(acc, rel=1e-14))
 
     def test_t_end_below_h_yields_initial_step_only(self):
@@ -149,10 +150,9 @@ class TestStepping:
     def test_step_helper_drives_flat_graph(self):
         model = dsl.load_model(CONSTANT_ONLY)
         flat = flatten(model, "Main")
-        flat.schedule = dependency_sort(flat)
         engine = Engine(flat, SimConfig(h=0.1, t_end=1.0))
-        columns, flipped = engine.compute_step(engine.states, 0.0, 0.1)
-        engine.commit(engine.states, columns, 0.0)
+        columns, flipped = engine.compute_step(0.0, 0.1)
+        engine.commit(columns, 0.0)
         index = {node.path: node.idx for node in engine.nodes}
         assert columns.lefts[index["n"]] == -4.25
         assert columns.rights[index["c"]] == 4.25
@@ -187,8 +187,8 @@ class TestEventLocation:
                          SimConfig(h=0.125, t_end=1.0, watch=("step",)))
         assert trace.times == [k * 0.125 for k in range(9)]
         samples = trace.signals["step"]
-        index = trace.index_of(0.5)
-        assert (samples[index].left, samples[index].right) == (0.0, 1.0)
+        index = trace.times.index(0.5)
+        assert (samples.left[index], samples.right[index]) == (0.0, 1.0)
 
     def test_no_crossing_means_uniform_grid(self):
         model = dsl.load_model(CONSTANT_ONLY)
@@ -217,9 +217,9 @@ class TestEventLocation:
         engine = Engine(flat, config)
         # Advance the committed state to t = 0.3 (position 0.2).
         for t in (0.0, 0.3):
-            cells, _ = engine.compute_step(engine.states, t, 0.3)
-            engine.commit(engine.states, cells, t)
-        trial = engine.compute_step(engine.states, 0.6, 0.3)
+            cells, _ = engine.compute_step(t, 0.3)
+            engine.commit(cells, t)
+        trial = engine.compute_step(0.6, 0.3)
         h_star, _, underflow = engine.locate_crossing(0.3, 0.3, trial)
         assert not underflow
         assert abs(h_star - 0.2) <= 1e-9
@@ -244,10 +244,9 @@ class TestEventLocation:
                          SimConfig(h=1.0, t_end=2.0, zc_tol=1e-9))
         assert abs(trace.times[1] - 0.4) <= 1e-9
         assert abs(trace.times[2] - 0.55) <= 1e-9
-        edge_a = trace.signals["a"][1]
-        edge_b = trace.signals["b"][2]
-        assert (edge_a.left, edge_a.right) == (0.0, 1.0)
-        assert (edge_b.left, edge_b.right) == (0.0, 1.0)
+        a, b = trace.signals["a"], trace.signals["b"]
+        assert (a.left[1], a.right[1]) == (0.0, 1.0)
+        assert (b.left[2], b.right[2]) == (0.0, 1.0)
 
     def test_zeno_alternation_aborts(self):
         model = dsl.load_model(ALTERNATOR)
@@ -278,22 +277,23 @@ class TestBouncingBall:
 
     def test_velocity_reflects_at_contact(self, symbolic):
         event = symbolic.impulses[0]
-        v = symbolic.sample("v", event.time)
-        assert v.right == -v.left
-        assert event.coefficient == -2.0 * v.left
+        index = symbolic.times.index(event.time)
+        v = symbolic.signals["v"]
+        assert v.right[index] == -v.left[index]
+        assert event.coefficient == -2.0 * v.left[index]
 
     def test_position_recovers_after_contact(self, symbolic):
         event = symbolic.impulses[0]
-        index = symbolic.index_of(event.time)
-        later = symbolic.signals["y"][index + 5]
-        assert later.left > 0.0
+        index = symbolic.times.index(event.time)
+        assert symbolic.signals["y"].left[index + 5] > 0.0
 
     def test_no_spurious_force_after_contact(self, symbolic):
         event = symbolic.impulses[0]
-        index = symbolic.index_of(event.time)
-        tail = symbolic.signals["force"][index + 1:]
-        assert all(s.left == 0.0 and s.right == 0.0 and not s.has_impulses
-                   for s in tail)
+        index = symbolic.times.index(event.time)
+        force = symbolic.signals["force"]
+        assert all(x == 0.0 for x in force.left[index + 1:]
+                   + force.right[index + 1:])
+        assert all(k <= index for k in force.impulses)
 
     def test_modes_share_grid_and_streams(self, ball_model, symbolic):
         numerical = simulate(ball_model, "Main",
@@ -304,10 +304,10 @@ class TestBouncingBall:
         report = compare_traces(symbolic, numerical, rel_tol=1e-12)
         assert report.ok
         event = symbolic.impulses[0]
-        index = symbolic.index_of(event.time)
-        h_star = symbolic.step_size(index)
-        spike = numerical.signals["force"][index]
-        assert spike.left == pytest.approx(event.coefficient / h_star,
+        index = symbolic.times.index(event.time)
+        h_star = symbolic.times[index] - symbolic.times[index - 1]
+        spike = numerical.signals["force"].left[index]
+        assert spike == pytest.approx(event.coefficient / h_star,
                                            rel=1e-9)
 
     def test_flight_matches_discrete_closed_form(self, ball_text, symbolic):
@@ -329,10 +329,10 @@ class TestBouncingBall:
             ab2_y = 10.0 - 0.5 * G * t_k * t_k + 0.5 * G * h * h if k else 10.0
             euler_y = 10.0 - 0.5 * G * t_k * (t_k - h)
             for trace, y_exact in ((symbolic, ab2_y), (euler, euler_y)):
-                v = trace.signals["v"][k]
-                y = trace.signals["y"][k]
-                assert v.left == pytest.approx(-G * k * h, rel=1e-11, abs=1e-12)
-                assert y.left == pytest.approx(y_exact, rel=1e-11)
+                v = trace.signals["v"].left[k]
+                y = trace.signals["y"].left[k]
+                assert v == pytest.approx(-G * k * h, rel=1e-11, abs=1e-12)
+                assert y == pytest.approx(y_exact, rel=1e-11)
 
     def test_two_bounces_conserve_energy(self, ball_model):
         trace = simulate(ball_model, "Main",
@@ -341,8 +341,8 @@ class TestBouncingBall:
         first, second = trace.impulses
         # Elastic contact: the second flight lasts twice the first fall.
         assert second.time == pytest.approx(3.0 * first.time, rel=2e-3)
-        i1, i2 = trace.index_of(first.time), trace.index_of(second.time)
-        apex = max(s.left for s in trace.signals["y"][i1:i2])
+        i1, i2 = trace.times.index(first.time), trace.times.index(second.time)
+        apex = max(trace.signals["y"].left[i1:i2])
         assert apex == pytest.approx(10.0, abs=0.05)
 
     def test_determinism(self, ball_model, symbolic):
@@ -446,11 +446,11 @@ class TestGuards:
         }}
         """)
         engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
-        samples, _ = engine.compute_step(engine.states, 0.0, 0.1)
-        engine.commit(engine.states, samples, 0.0)
-        samples, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        samples, _ = engine.compute_step(0.0, 0.1)
+        engine.commit(samples, 0.0)
+        samples, _ = engine.compute_step(0.0, 0.1)
         with pytest.raises(SimulationError) as excinfo:
-            engine.commit(engine.states, samples, 0.0)
+            engine.commit(samples, 0.0)
         assert excinfo.value.block_path == "acc"
         assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
 
@@ -471,22 +471,13 @@ class TestGuards:
         (kernel, batch), = [(k, b) for k, b in engine.commits
                             if k is bk.KINDS["Integrator"].commit]
         assert [node.path for node, _ in batch] == ["a", "b"]
-        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
-        engine.commit(engine.states, columns, 0.0)
-        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
+        columns, _ = engine.compute_step(0.0, 0.1)
+        engine.commit(columns, 0.0)
+        columns, _ = engine.compute_step(0.0, 0.1)
         with pytest.raises(SimulationError) as excinfo:
-            engine.commit(engine.states, columns, 0.0)
+            engine.commit(columns, 0.0)
         assert excinfo.value.block_path == "b"
         assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
-
-    def test_steps_run_on_the_engine_states(self):
-        engine = Engine(flatten(dsl.load_model(CONSTANT_ONLY), "Main"),
-                        SimConfig(h=0.1, t_end=1.0))
-        columns, _ = engine.compute_step(engine.states, 0.0, 0.1)
-        with pytest.raises(ValueError, match="own states"):
-            engine.compute_step(list(engine.states), 0.1, 0.1)
-        with pytest.raises(ValueError, match="own states"):
-            engine.commit(list(engine.states), columns, 0.0)
 
 
 SECOND_DERIVATIVE_PRODUCT = """
@@ -598,13 +589,13 @@ class TestNumericalLoweringAtLocatedStep:
         numerical = simulate(model, "Main", SimConfig(mode="numerical", **config))
         (event,) = symbolic.impulses
         assert event.order == 1
-        index = symbolic.index_of(event.time)
-        h_star = symbolic.step_size(index)
-        stream = numerical.signals["d2"]
-        assert stream[index].left == pytest.approx(1.0 / h_star ** 2)
-        assert stream[index + 1].left == pytest.approx(-1.0 / h_star ** 2)
-        assert stream[index + 2].left == 0.0
-        assert stream[index - 1].left == 0.0
+        index = symbolic.times.index(event.time)
+        h_star = symbolic.times[index] - symbolic.times[index - 1]
+        left = numerical.signals["d2"].left
+        assert left[index] == pytest.approx(1.0 / h_star ** 2)
+        assert left[index + 1] == pytest.approx(-1.0 / h_star ** 2)
+        assert left[index + 2] == 0.0
+        assert left[index - 1] == 0.0
 
 
 DECISION_CLIP = """
@@ -640,12 +631,12 @@ class TestDecisionThroughEngine:
         index = min(range(len(trace.times)),
                     key=lambda i: abs(trace.times[i] - 1.5))
         assert abs(trace.times[index] - 1.5) <= 1e-9
-        crossing = trace.signals["out"][index]
+        out = trace.signals["out"]
         # Left limit still tracks the ramp branch, right limit the held one.
-        assert crossing.left == pytest.approx(trace.times[index], abs=1e-9)
-        assert crossing.right == 1.5
-        assert all(s.left == 1.5 and s.right == 1.5
-                   for s in trace.signals["out"][index + 1:])
+        assert out.left[index] == pytest.approx(trace.times[index], abs=1e-9)
+        assert out.right[index] == 1.5
+        assert all(x == 1.5 for x in out.left[index + 1:]
+                   + out.right[index + 1:])
 
 
 class TestImpulseRouting:
@@ -674,10 +665,10 @@ class TestImpulseRouting:
         model = dsl.load_model(text)
         trace = simulate(model, "Main", SimConfig(h=0.125, t_end=1.0))
         assert [(e.signal, e.order) for e in trace.impulses] == [("y", 0)]
-        index = trace.index_of(0.5)
+        index = trace.times.index(0.5)
         held = trace.signals["held"]
-        assert (held[index].left, held[index].right) == (0.0, 1.0)
-        assert held[index + 1].left == 1.0
+        assert (held.left[index], held.right[index]) == (0.0, 1.0)
+        assert held.left[index + 1] == 1.0
 
 
 class TestErrorWrapping:

@@ -18,7 +18,7 @@ from cbdsim.engine import (
     resolve_watches,
     simulate,
 )
-from cbdsim.graph import dependency_sort, flatten
+from cbdsim.graph import flatten
 
 
 # --- reference: assemble the augmented system and eliminate it per solve ----
@@ -164,13 +164,12 @@ cbd Main(out y, g) {
 def test_ramp_gain_refactors_every_step_until_singular():
     h = 0.125
     flat = flatten(dsl.load_model(RAMP_GAIN), "Main")
-    flat.schedule = dependency_sort(flat)
     engine = Engine(flat, SimConfig(h=h, t_end=2.0))
     watched = resolve_watches(flat, ())
     y, g = watched["y"], watched["g"]
     for k in range(8):
-        columns, _ = engine.compute_step(engine.states, k * h, h)
-        engine.commit(engine.states, columns, k * h)
+        columns, _ = engine.compute_step(k * h, h)
+        engine.commit(columns, k * h)
         gain = columns.lefts[g]
         assert gain == k * h
         expected = 3.0 / (1.0 - gain)
@@ -179,7 +178,7 @@ def test_ramp_gain_refactors_every_step_until_singular():
         (plan,) = engine.loop_plans.values()
         assert plan.factors == (gain,)
     with pytest.raises(SingularLoop):
-        engine.compute_step(engine.states, 8 * h, h)
+        engine.compute_step(8 * h, h)
 
 
 def test_constant_gain_is_factored_once(monkeypatch):

@@ -344,8 +344,8 @@ def test_singularity_levels_bound_every_step(diagram, h, mode):
     estimate = bk.estimate_derivatives
     stepping = []   # the state of the Multiplier whose right kernel runs
 
-    def checked_step(self, states, t, dt):
-        result = compute_step(self, states, t, dt)
+    def checked_step(self, t, dt):
+        result = compute_step(self, t, dt)
         levels = _singularity_levels(self.nodes)
         for node in self.nodes:
             assert _observed_level(result[0], node.idx) <= levels[node.idx], \
