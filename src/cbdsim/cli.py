@@ -157,14 +157,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    result = dsl.parse(text)
-    if not result.ok:
-        for diagnostic in result.diagnostics:
-            print(f"{source_path}:{diagnostic}", file=sys.stderr)
-        return 1
-    model, diagnostics = dsl.validate(result.model)
-    if model is None:
-        for diagnostic in diagnostics:
+    try:
+        model = dsl.load_model(text)
+    except dsl.ModelTextError as err:
+        for diagnostic in err.diagnostics:
             print(f"{source_path}:{diagnostic}", file=sys.stderr)
         return 1
 

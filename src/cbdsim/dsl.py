@@ -13,9 +13,13 @@ The grammar, in EBNF::
     endpoint  := NAME [ "." NAME ] ;
 
 ``//`` starts a comment running to the end of the line.  NUMBER is a
-decimal real with optional sign and exponent.  Parsing never raises on bad
-input; every problem becomes a :class:`Diagnostic` carrying its source
-position, and validation reports all violations rather than the first.
+decimal real with optional sign and exponent.  The tokenizer is one master
+regular expression with a named group per token class, matched in order at
+each position (the "Writing a Tokenizer" idiom of the :mod:`re` docs); any
+other character becomes an ERROR token.  Parsing never raises on bad
+input; every problem becomes a :class:`Diagnostic`, always an error,
+carrying its source position, and validation reports all violations rather
+than the first.
 Validation checks here only what a :class:`graph.Model` cannot express;
 the structural rules are :func:`graph.check_model`'s, located back in the
 text.
@@ -25,13 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .blocks import INTEGRATOR_ORDERS, KINDS
 from .graph import BlockDecl, Definition, Endpoint, Link, Model, check_model
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
 
@@ -43,10 +47,9 @@ class Span:
 class Diagnostic:
     message: str
     span: Span
-    severity: str = "error"
 
     def __str__(self) -> str:
-        return f"{self.span}: {self.severity}: {self.message}"
+        return f"{self.span}: error: {self.message}"
 
 
 @dataclass
@@ -106,18 +109,23 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not self.diagnostics
 
 
 # --- tokenizer --------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = ("->", "(", ")", "{", "}", ";", ",", ".", "=")
+_TOKEN_RE = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+|//[^\n]*)
+  | (?P<ARROW>->)
+  | (?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<PUNCT>[(){};,.=])
+  | (?P<ERROR>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # IDENT, NUMBER, punctuation literal, EOF, ERROR
     text: str
     span: Span
@@ -126,63 +134,22 @@ class Token:
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span() -> Span:
-        return Span(line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            if end == -1:
-                break
-            col += end - i
-            i = end
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("->", "->", span()))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit() or (ch in "+-." and i + 1 < n and
-                            (text[i + 1].isdigit() or
-                             (ch in "+-" and text[i + 1] == "." and
-                              i + 2 < n and text[i + 2].isdigit()))):
-            match = _NUMBER_RE.match(text, i)
-            if match:
-                tokens.append(Token("NUMBER", match.group(), span()))
-                length = match.end() - i
-                i += length
-                col += length
-                continue
-        match = _IDENT_RE.match(text, i)
-        if match:
-            tokens.append(Token("IDENT", match.group(), span()))
-            length = match.end() - i
-            i += length
-            col += length
-            continue
-        if ch in "(){};,.=":
-            tokens.append(Token(ch, ch, span()))
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(Diagnostic(f"unexpected character {ch!r}", span()))
-        tokens.append(Token("ERROR", ch, span()))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", Span(line, col)))
+            line_start = match.end()
+        elif kind != "SKIP":
+            value = match.group()
+            span = Span(line, match.start() - line_start + 1)
+            if kind == "ERROR":
+                diagnostics.append(Diagnostic(
+                    f"unexpected character {value!r}", span))
+            elif kind in ("ARROW", "PUNCT"):
+                kind = value
+            tokens.append(Token(kind, value, span))
+    tokens.append(Token("EOF", "", Span(line, len(text) - line_start + 1)))
     return tokens, diagnostics
 
 
@@ -384,7 +351,7 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
     :func:`graph.check_model`'s, run on the model built from the text and
     located back in it.  A duplicate definition is reported and not
     checked further.  Reports every violation found; returns the model only
-    when no errors were raised.
+    when there is none.
     """
     diagnostics: list[Diagnostic] = []
     names: dict[str, SourceDefinition] = {}
@@ -409,7 +376,7 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
                 names[problem.definition], problem.where
             )))
 
-    if any(d.severity == "error" for d in diagnostics):
+    if diagnostics:
         return None, diagnostics
     return model, diagnostics
 

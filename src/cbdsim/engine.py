@@ -352,11 +352,17 @@ class _LoopPlan:
         return b
 
 
-def _require_finite_right(node: _Node, right: float) -> None:
+def _require_finite_right(node: _Node, right: float,
+                          vector: ImpulseVector) -> None:
     if not math.isfinite(right):
         raise SimulationError(node.path, bk.NonFiniteValue(
             f"right limit {right!r} is not finite"
         ))
+    for order, value in vector.items():
+        if not math.isfinite(value):
+            raise SimulationError(node.path, bk.NonFiniteValue(
+                f"order-{order} impulse coefficient {value!r} is not finite"
+            ))
 
 
 class Engine:
@@ -458,7 +464,7 @@ class Engine:
                 except BlockError as err:
                     raise SimulationError(node.path, err) from err
                 if right != rights[idx] or vector != vectors[idx]:
-                    _require_finite_right(node, right)
+                    _require_finite_right(node, right, vector)
                     rights[idx] = right
                     vectors[idx] = vector
                     changed = True
@@ -595,7 +601,7 @@ class Engine:
         changed = False
         for idx, value in zip(members, solved):
             if rights[idx] != value:
-                _require_finite_right(self.nodes[idx], value)
+                _require_finite_right(self.nodes[idx], value, vectors[idx])
                 rights[idx] = value
                 changed = True
         return changed

@@ -72,6 +72,36 @@ class TestRun:
         assert code == 1
         assert "unknown block kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, expected", [
+        # parse errors: the scanner's, then the parser's
+        ("cbd Main(out y){ block c = Constant(1) c.out -> y; @ }", [
+            "1:52: error: unexpected character '@'",
+            "1:40: error: expected ';', got 'c'",
+            "1:52: error: expected 'block' or a link, got '@'",
+        ]),
+        # validation errors
+        ("cbd Main(out y){\n  block c = Constant(1);\n"
+         "  block n = Negator();\n  c -> n;\n  q -> y;\n}\n", [
+             "4:8: error: link into 'n' must name an input port",
+             "5:3: error: unknown link source 'q'",
+             "3:3: error: input port 'in' of 'n' has no driver",
+         ]),
+    ])
+    def test_model_errors_print_every_diagnostic(self, tmp_path, capsys,
+                                                 text, expected):
+        bad = tmp_path / "bad.cbd"
+        bad.write_text(text)
+        code = cli.main([
+            "run", str(bad), "--top", "Main", "--step", "1e-3",
+            "--end", "1", "--out", str(tmp_path / "t.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{bad}:{line}"
+                                             for line in expected]
+        assert not (tmp_path / "t.csv").exists()
+
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         broken = tmp_path / "div.cbd"
         broken.write_text(

@@ -1,7 +1,9 @@
 import gc
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl
 from cbdsim.graph import flatten
@@ -416,6 +418,51 @@ class TestFuzz:
             result = dsl.parse(text)
             if result.ok:
                 dsl.validate(result.model)
+
+
+# Pieces of scanner input: comments, blanks, number and identifier forms,
+# and non-ASCII digits ("٣" starts a NUMBER, "²" does not).
+SCANNER_ALPHABET = ["//", "/", "\r", "\n", " ", "\t", "->", "-", "+", ".",
+                    "+.5", "1e5", "e", "3", "x_1", "²", "٣", "@", "(", ")",
+                    "{", "}", ";", ",", "="]
+# What tokens may leave between them; "\0" marks a token's characters, and
+# a comment runs to the end of its line, so it holds no token.
+GAPS = re.compile(r"(?:[ \t\r\n\0]|//[^\n\0]*(?=\n|$))*")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_ALPHABET), max_size=30).map("".join))
+def test_scanner_covers_the_text(text):
+    tokens, diagnostics = dsl.tokenize(text)
+    *tokens, eof = tokens
+    # EOF sits one past the last character.
+    assert eof == dsl.Token("EOF", "", dsl.Span(
+        text.count("\n") + 1, len(text) - text.rfind("\n")))
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    rest = list(text)
+    previous_end = 0
+    for token in tokens:
+        start = line_starts[token.span.line - 1] + token.span.col - 1
+        assert token.text and text.startswith(token.text, start)
+        assert start >= previous_end
+        previous_end = start + len(token.text)
+        rest[start:previous_end] = "\0" * len(token.text)
+    assert GAPS.fullmatch("".join(rest))
+    errors = [t for t in tokens if t.type == "ERROR"]
+    # Of the alphabet, only these start no token ("٣" is a NUMBER).
+    assert all(t.text in "/+-²@" for t in errors)
+    assert [(d.message, d.span) for d in diagnostics] == [
+        (f"unexpected character {t.text!r}", t.span) for t in errors]
+
+
+@pytest.mark.parametrize("text, eof", [
+    ("a //x", "1:6"),
+    ("a //x\n", "2:1"),
+    ("", "1:1"),
+])
+def test_eof_sits_one_past_the_text(text, eof):
+    tokens, _ = dsl.tokenize(text)
+    assert tokens[-1].type == "EOF" and str(tokens[-1].span) == eof
 
 
 def test_validate_and_flatten_leave_no_cyclic_garbage(ball_text):

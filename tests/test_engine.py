@@ -431,6 +431,38 @@ class TestGuards:
         assert isinstance(excinfo.value.cause, bk.NonFiniteValue)
         assert "right limit inf" in str(excinfo.value)
 
+    @pytest.mark.parametrize("mode", ["symbolic", "numerical"])
+    def test_non_finite_impulse_coefficient_names_the_block(self, mode):
+        # The sum jumps from -1e308 to 1e308, both finite, so only the
+        # derivative's impulse coefficient (2e308) overflows.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block rate = Constant(1);
+          block ramp = Integrator(-0.5);
+          block sw   = Switch();
+          block huge = Constant(1e308);
+          block a    = Multiplier();
+          block low  = Constant(-1e308);
+          block sum  = Adder();
+          block d    = Derivative();
+          rate.out -> ramp.in;
+          ramp.out -> sw.c;
+          sw.out -> a.in1;
+          huge.out -> a.in2;
+          low.out -> sum.in1;
+          a.out -> sum.in2;
+          a.out -> sum.in3;
+          sum.out -> d.in;
+          d.out -> y;
+        }
+        """)
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(model, "Main", SimConfig(mode=mode, h=0.1, t_end=1.0))
+        assert excinfo.value.block_path == "d"
+        assert isinstance(excinfo.value.cause, bk.NonFiniteValue)
+        assert str(excinfo.value) == (
+            "d: order-0 impulse coefficient inf is not finite")
+
     @pytest.mark.parametrize("wiring", [
         "block acc = Integrator(0, order=2); one.out -> acc.in;",
         "block acc = Multiplier(); one.out -> acc.in1; one.out -> acc.in2;",
