@@ -27,6 +27,7 @@ from .graph import (
     BlockDecl,
     Definition,
     FlatGraph,
+    InvalidParameter,
     Link,
     Model,
     ModelError,

@@ -31,6 +31,7 @@ from .engine import (
     simulate,
 )
 from .graph import ModelError
+from .signals import EMPTY_IMPULSES, add_vectors, impulses
 
 TRACE_HEADER = "time,signal,left,right"
 IMPULSE_HEADER = "time,signal,order,coefficient"
@@ -122,6 +123,14 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:
         trace.impulses.extend(read_impulses(impulse_path))
+        # Each logged coefficient also goes into its stream's vector at its
+        # step; an event off the time grid stays in the log only.
+        step_of = {t: step for step, t in enumerate(times)}
+        for e in trace.impulses:
+            if e.time in step_of and e.signal in trace.signals:
+                vectors, step = trace.signals[e.signal].impulses, step_of[e.time]
+                vectors[step] = add_vectors(vectors.get(step, EMPTY_IMPULSES),
+                                            impulses({e.order: e.coefficient}))
     return trace
 
 

@@ -421,6 +421,10 @@ def _build_definition(definition: SourceDefinition,
                 block.args[0].span,
             ))
         blocks[block.name] = BlockDecl(kind=block.kind, params=params)
+    # check_model states the Constant rule again on the built model.
+    reported.update((definition.name, ("block", name))
+                    for name, decl in blocks.items()
+                    if decl.kind == "Constant" and "value" not in decl.params)
 
     links = []
     for i, link in enumerate(definition.links):

@@ -2,8 +2,9 @@
 
 Each node binds its kind's kernels from ``blocks.KINDS``, which define
 what a block computes; this module decides when they run.  An
-:class:`Engine` schedules its flat graph and owns every block's state.
-Each committed step runs in two phases over the schedule, then commits:
+:class:`Engine` schedules its flat graph, owns every block's state and
+builds every table a step reads once, when it is constructed.  Each
+committed step runs in two phases over the schedule, then commits:
 
 * phase 1 fixes every signal's left limit (integrators and delays emit
   state, everything else folds its inputs' left limits),
@@ -64,6 +65,8 @@ NUMERICAL = "numerical"
 SINGULAR_TOLERANCE = 1e-12
 OVERFLOW_LIMIT = 1e300
 ZENO_WINDOW = 1000
+# The highest impulse order a step may carry before MaxOrderExceeded.
+MAX_ORDER = 16
 
 
 class EngineError(RuntimeError):
@@ -107,7 +110,6 @@ class SimConfig:
     zc_tol: float = 1e-9
     h_min: float = 1e-12
     watch: tuple[str, ...] = ()
-    max_order: int = 16
 
     def __post_init__(self) -> None:
         if self.mode not in (SYMBOLIC, NUMERICAL):
@@ -118,8 +120,6 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if not self.zc_tol > 0.0:
             raise ValueError("zc_tol must be positive")
-        if self.max_order < 0:
-            raise ValueError("max_order must be non-negative")
 
 
 class ImpulseEvent(NamedTuple):
@@ -225,23 +225,6 @@ def _singularity_levels(nodes: list[_Node]) -> list[int]:
     return levels
 
 
-def _build_nodes(flat: FlatGraph) -> list[_Node]:
-    index_of = {p: i for i, p in enumerate(flat.blocks)}
-    nodes = []
-    for path, block in flat.blocks.items():
-        info = bk.KINDS[block.kind]
-        if info.variadic:
-            ports = tuple(sorted(block.inputs, key=lambda p: int(p[2:])))
-        else:
-            ports = info.inputs
-        nodes.append(_Node(
-            idx=index_of[path], path=path, kind=block.kind,
-            params=block.params,
-            in_idx=tuple(index_of[block.inputs[p]] for p in ports),
-        ))
-    return nodes
-
-
 def _initial_states(nodes: list[_Node]) -> list:
     states = []
     for n in nodes:
@@ -270,6 +253,19 @@ def _batches(role: str, nodes: Iterable[_Node], states: list,
     return [(getattr(bk.KINDS[k], role), b) for k, b in by_kind.items()]
 
 
+def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
+           ) -> set[int]:
+    """``starts`` and every block reached from them along ``step``."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for idx in step(frontier.pop()):
+            if idx not in seen:
+                seen.add(idx)
+                frontier.append(idx)
+    return seen
+
+
 # --- linear loop solving ----------------------------------------------------
 
 class _LoopPlan:
@@ -283,6 +279,7 @@ class _LoopPlan:
     """
 
     def __init__(self, nodes: list[_Node], members: Sequence[int]):
+        self.members = members
         position = {idx: j for j, idx in enumerate(members)}
         n = len(members)
         self.matrix = [[0.0] * n for _ in range(n)]
@@ -366,61 +363,71 @@ def _require_finite_right(node: _Node, right: float,
 
 
 class Engine:
-    """Owns the node table, schedule and per-block states of a flat graph."""
+    """Owns the node table, schedule and per-block states of a flat graph.
+
+    Construction builds the tables the steps read: the node table and
+    schedule groups, the initial states and commit batches, a solve plan
+    per algebraic loop (``NonlinearLoop`` for a loop that is not linear),
+    the cone of every Switch, Decision and Delay, the condition closure,
+    and the phase-1 plans of the full step and of the bisection trials.
+    """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
         self.config = config
-        self.nodes = _build_nodes(flat)
-        index_of = {n.path: n.idx for n in self.nodes}
+        index_of = {path: i for i, path in enumerate(flat.blocks)}
+        self.nodes = nodes = [
+            _Node(i, path, block.kind, block.params, tuple(
+                index_of[block.inputs[port]]
+                for port in bk.input_ports(block.kind, len(block.inputs))))
+            for i, (path, block) in enumerate(flat.blocks.items())
+        ]
         self.groups: list[tuple[tuple[int, ...], bool]] = [
             (tuple(index_of[p] for p in g.members), g.cyclic)
             for g in dependency_sort(flat)
         ]
         self.order = [idx for members, _ in self.groups for idx in members]
-        self.states = _initial_states(self.nodes)
-        self.commits = _batches("commit", self.nodes, self.states)
+        self.states = _initial_states(nodes)
+        self.commits = _batches("commit", nodes, self.states)
+        self.loop_plans = {members: _LoopPlan(nodes, members)
+                           for members, cyclic in self.groups if cyclic}
         # The Switches and Decisions, as (block, condition input) indices.
-        self.conditions = [(n.idx, n.in_idx[-1]) for n in self.nodes
+        self.conditions = [(n.idx, n.in_idx[-1]) for n in nodes
                            if n.kind in ("Switch", "Decision")]
-        self.delays = [n.idx for n in self.nodes if n.kind == "Delay"]
+        self.delays = [n.idx for n in nodes if n.kind == "Delay"]
+        group_of = {idx: g for g, (members, _) in enumerate(self.groups)
+                    for idx in members}
         # Phase 2 reads every input's values of the current step, except at a
         # Delay, which replays its state: a change spreads along these edges.
-        self.readers: list[list[int]] = [[] for _ in self.nodes]
-        for n in self.nodes:
-            if n.kind != "Delay":
-                for dep in n.in_idx:
-                    self.readers[dep].append(n.idx)
-        self.group_of = {
-            idx: g for g, (members, _) in enumerate(self.groups) for idx in members
+        readers: list[list[int]] = [[] for _ in nodes]
+        for n in nodes:
+            for dep in () if n.kind == "Delay" else n.in_idx:
+                readers[dep].append(n.idx)
+        # Source block -> schedule positions of its cone: the groups of the
+        # source and of every block that reads it within one step.
+        self.cones = {
+            idx: sorted({group_of[i] for i in _reach([idx], readers.__getitem__)})
+            for idx in [block for block, _ in self.conditions] + self.delays
         }
-        # Source block -> schedule positions of its cone, built on first firing.
-        self.cones: dict[int, tuple[int, ...]] = {}
         # The condition closure: the groups whose left limits the crossing
         # test reads.  The walk goes backwards from every condition input
         # and stops at the kinds that consume their input one step late
         # (Integrators and Delays), whose phase 1 reads only state; the
         # closure holds the groups of the blocks reached, loops whole.
-        seen: set[int] = set()
-        frontier = [cond for _, cond in self.conditions]
-        while frontier:
-            idx = frontier.pop()
-            if idx not in seen:
-                seen.add(idx)
-                if not bk.KINDS[self.nodes[idx].kind].previous_input:
-                    frontier.extend(self.nodes[idx].in_idx)
+        inputs = [() if bk.KINDS[n.kind].previous_input else n.in_idx
+                  for n in nodes]
+        seen = _reach([cond for _, cond in self.conditions], inputs.__getitem__)
         self.closure = [self.groups[g]
-                        for g in sorted({self.group_of[idx] for idx in seen})]
+                        for g in sorted({group_of[idx] for idx in seen})]
         self.closure_order = [idx for members, _ in self.closure for idx in members]
         self.phase1 = self._phase1_plan(self.groups, None)
         self.closure_phase1 = self._phase1_plan(self.closure, self.closure_order)
-        self.quiet_vectors = (EMPTY_IMPULSES,) * len(self.nodes)
-        self.loop_plans: dict[tuple[int, ...], _LoopPlan] = {}
+        self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
 
     def _phase1_plan(self, groups: list[tuple[tuple[int, ...], bool]],
                      order: list[int] | None) -> tuple:
         """Phase 1 of ``groups``: the state-only kinds' batches, then
-        ``(node, members)`` for every other group in schedule order, where
-        ``members`` is None for a single block and a loop's members
+        ``(node, plan)`` for every other group in schedule order, where
+        ``plan`` is None for a single block and a loop's solve plan
         otherwise; ``order`` lists the blocks screened, None for all."""
         nodes = [self.nodes[idx] for members, _ in groups for idx in members]
         batches = _batches("left_batch", nodes, self.states)
@@ -428,7 +435,7 @@ class Engine:
         for members, cyclic in groups:
             node = self.nodes[members[0]]
             if cyclic:
-                entries.append((node, members))
+                entries.append((node, self.loop_plans[members]))
             elif node.left is not None:
                 entries.append((node, None))
         return batches, entries, order
@@ -475,14 +482,13 @@ class Engine:
 
         # Blocks outside the sweep carry no impulses; the error names the
         # first offending block in node order.
-        max_order = self.config.max_order
         over = [idx for members, _ in sweep for idx in members
-                if vectors[idx].max_order > max_order]
+                if vectors[idx].max_order > MAX_ORDER]
         if over:
             idx = min(over)
             raise MaxOrderExceeded(
                 f"{nodes[idx].path}: impulse order {vectors[idx].max_order} "
-                f"exceeds the configured maximum {max_order}"
+                f"exceeds the maximum {MAX_ORDER}"
             )
         return StepColumns(lefts, rights, vectors), flipped
 
@@ -507,12 +513,12 @@ class Engine:
         for kernel, batch in batches:
             kernel(batch, lefts, dt)
         try:
-            for node, members in entries:
-                if members is None:
+            for node, plan in entries:
+                if plan is None:
                     lefts[node.idx] = node.left(node, states, lefts, dt)
                 else:
-                    for idx, value in zip(members,
-                                          self._solve_loop(members, lefts)):
+                    for idx, value in zip(plan.members,
+                                          plan.solve(lefts.__getitem__)):
                         lefts[idx] = value
         except BlockError as err:
             raise SimulationError(node.path, err) from err
@@ -551,43 +557,8 @@ class Engine:
                 sources.append(idx)
         if not sources:
             return []
-        if len(sources) == 1:
-            positions = self._cone(sources[0])
-        else:
-            positions = sorted(set().union(*map(self._cone, sources)))
-        return [self.groups[g] for g in positions]
-
-    def _cone(self, source: int) -> tuple[int, ...]:
-        """Schedule positions of the groups holding ``source`` and the blocks
-        that read it, directly or through others, within one step."""
-        cone = self.cones.get(source)
-        if cone is None:
-            seen = {source}
-            frontier = [source]
-            while frontier:
-                for reader in self.readers[frontier.pop()]:
-                    if reader not in seen:
-                        seen.add(reader)
-                        frontier.append(reader)
-            cone = tuple(sorted({self.group_of[idx] for idx in seen}))
-            self.cones[source] = cone
-        return cone
-
-    def _solve_loop(self, members: tuple[int, ...],
-                    values: Sequence[float]) -> list[float]:
-        """Solve a loop from ``values``, one limit per block (lefts or
-        rights)."""
-        plan = self.loop_plans.get(members)
-        if plan is None:
-            member_set = set(members)
-            for idx in members:
-                for dep in self.nodes[idx].in_idx:
-                    if dep not in member_set and values[dep] is None:
-                        raise EngineError(
-                            f"schedule violation: {self.nodes[dep].path} not ready"
-                        )
-            plan = self.loop_plans[members] = _LoopPlan(self.nodes, members)
-        return plan.solve(values.__getitem__)
+        positions = set().union(*map(self.cones.__getitem__, sources))
+        return [self.groups[g] for g in sorted(positions)]
 
     def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
                      vectors: list[ImpulseVector]) -> bool:
@@ -597,7 +568,7 @@ class Engine:
                     raise ImpulseInLoop(
                         f"{self.nodes[idx].path}: impulse entering an algebraic loop"
                     )
-        solved = self._solve_loop(members, rights)
+        solved = self.loop_plans[members].solve(rights.__getitem__)
         changed = False
         for idx, value in zip(members, solved):
             if rights[idx] != value:

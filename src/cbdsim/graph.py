@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -44,6 +45,10 @@ class MultipleDrivers(ModelError):
 
 
 class UnknownKind(ModelError):
+    pass
+
+
+class InvalidParameter(ModelError):
     pass
 
 
@@ -148,9 +153,10 @@ class Problem(NamedTuple):
 
 def check_model(model: Model) -> Iterator[Problem]:
     """Every broken structural rule of every definition, in order: unknown
-    kinds, link endpoints and drivers, undriven ports and block inputs, then
-    recursion.  A model that yields nothing flattens from any top definition
-    that declares no inputs, unless its port wiring is cyclic."""
+    kinds and parameters, link endpoints and drivers, undriven ports and
+    block inputs, then recursion.  A model that yields nothing flattens from
+    any top definition that declares no inputs, unless its port wiring is
+    cyclic."""
     definitions = model.definitions
     for name, defn in definitions.items():
         yield from _check_definition(name, defn, definitions)
@@ -169,9 +175,20 @@ def _check_definition(name: str, defn: Definition,
                       definitions: dict[str, Definition]) -> Iterator[Problem]:
     blocks = defn.blocks
     for bname, decl in blocks.items():
-        if decl.kind not in KINDS and decl.kind not in definitions:
+        info = KINDS.get(decl.kind)
+        if info is None and decl.kind not in definitions:
             yield Problem(UnknownKind, name, ("block", bname),
                           f"unknown block kind {decl.kind!r}")
+            continue
+        declared = info.params if info else ()  # a composite takes none
+        for param in decl.params:
+            if param not in declared:
+                yield Problem(InvalidParameter, name, ("block", bname),
+                              f"{bname!r} ({decl.kind}) has no parameter "
+                              f"{param!r}")
+        if decl.kind == "Constant" and "value" not in decl.params:
+            yield Problem(InvalidParameter, name, ("block", bname),
+                          f"{bname!r} (Constant) requires a value parameter")
 
     # block name (None for the definition's own ports) -> driven ports
     driven: dict[str | None, set[str]] = {}
@@ -346,109 +363,75 @@ def dependency_sort(flat: FlatGraph) -> tuple[Group, ...]:
 
     Strongly connected components of the dependency graph are emitted as
     single groups in topological order; algebraic loops are reported by the
-    ``cyclic`` flag, not rejected here.
+    ``cyclic`` flag, not rejected here.  Among the ready components, those
+    made only of Integrators and Delays go last, and ties go to the first
+    member in block order: scheduling integrators and delays after their
+    input producers lets an impulse created this step reach them in the
+    first propagation sweep.
     """
     paths = list(flat.blocks)
-    index_of = {p: i for i, p in enumerate(paths)}
+    index_of = {path: i for i, path in enumerate(paths)}
+    late = [KINDS[block.kind].previous_input for block in flat.blocks.values()]
     succ: list[list[int]] = [[] for _ in paths]
-    for path, block in flat.blocks.items():
-        if KINDS[block.kind].previous_input:
-            continue
-        for producer in block.inputs.values():
-            succ[index_of[producer]].append(index_of[path])
+    for i, block in enumerate(flat.blocks.values()):
+        for producer in () if late[i] else block.inputs.values():
+            succ[index_of[producer]].append(i)
 
-    # Tarjan's algorithm; components come out in reverse topological order.
-    order = [0] * len(paths)
-    low = [0] * len(paths)
-    on_stack = [False] * len(paths)
-    visited = [False] * len(paths)
+    # Tarjan's algorithm over a stack of (node, successor iterator) pairs.
+    # A visited node stays on ``stack`` until its component is emitted, and
+    # a component is emitted after every component it reaches, so the
+    # components it feeds are known by then.
+    rank: dict[int, int] = {}
+    low: dict[int, int] = {}
+    component_of: dict[int, int] = {}
     stack: list[int] = []
-    components: list[list[int]] = []
-    counter = [0]
-
-    def strongconnect(start: int) -> None:
-        work = [(start, 0)]
+    # Per component: its heap key (all members late, members, cyclic) and
+    # the components it feeds.
+    keys: list[tuple[bool, list[int], bool]] = []
+    feeds: list[set[int]] = []
+    for root in range(len(paths)):
+        if root in rank:
+            continue
+        work = [(root, iter(succ[root]))]
         while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                visited[node] = True
-                order[node] = low[node] = counter[0]
-                counter[0] += 1
+            node, successors = work[-1]
+            if node not in rank:
+                rank[node] = low[node] = len(rank)
                 stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for i in range(edge_i, len(succ[node])):
-                nxt = succ[node][i]
-                if not visited[nxt]:
-                    work[-1] = (node, i + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], order[nxt])
-            if advanced:
-                continue
-            if low[node] == order[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            nxt = next(successors, None)
+            if nxt is None:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == rank[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    c = len(keys)
+                    component_of.update(dict.fromkeys(members, c))
+                    out = {component_of[n] for m in members for n in succ[m]}
+                    out.discard(c)
+                    feeds.append(out)
+                    members.sort()
+                    keys.append((all(map(late.__getitem__, members)), members,
+                                 len(members) > 1 or node in succ[node]))
+            elif nxt not in rank:
+                work.append((nxt, iter(succ[nxt])))
+            elif nxt not in component_of:
+                low[node] = min(low[node], rank[nxt])
 
-    for i in range(len(paths)):
-        if not visited[i]:
-            strongconnect(i)
-
-    # Order the components with Kahn's algorithm, preferring stateless
-    # blocks among the ready set: scheduling integrators and delays after
-    # their input producers lets an impulse created this step reach them in
-    # the first propagation sweep.
-    component_of = {}
-    for c, component in enumerate(components):
-        for node in component:
-            component_of[node] = c
-    in_degree = [0] * len(components)
-    out_edges: list[set[int]] = [set() for _ in components]
-    for node in range(len(paths)):
-        for nxt in succ[node]:
-            a, b = component_of[node], component_of[nxt]
-            if a != b and b not in out_edges[a]:
-                out_edges[a].add(b)
-                in_degree[b] += 1
-
-    # Heap entries (stateful, first member, component); the first members
-    # are unique, so the component never decides a comparison.
-    def entry(c: int) -> tuple[bool, int, int]:
-        component = components[c]
-        stateful = all(
-            KINDS[flat.blocks[paths[i]].kind].previous_input for i in component
-        )
-        return stateful, min(component), c
-
-    ready = [entry(c) for c in range(len(components)) if in_degree[c] == 0]
+    # Kahn's algorithm; first members are unique, so they decide every
+    # comparison of two heap keys.
+    waiting = Counter(c for out in feeds for c in out)
+    ready = [key for c, key in enumerate(keys) if not waiting[c]]
     heapq.heapify(ready)
-    ordered: list[int] = []
-    while ready:
-        current = heapq.heappop(ready)[2]
-        ordered.append(current)
-        for nxt in out_edges[current]:
-            in_degree[nxt] -= 1
-            if in_degree[nxt] == 0:
-                heapq.heappush(ready, entry(nxt))
-
     groups = []
-    for c in ordered:
-        component = components[c]
-        members = tuple(paths[i] for i in sorted(component))
-        cyclic = len(component) > 1 or any(
-            component[0] == nxt for nxt in succ[component[0]]
-        )
-        groups.append(Group(members=members, cyclic=cyclic))
+    while ready:
+        _, members, cyclic = heapq.heappop(ready)
+        groups.append(Group(tuple(paths[i] for i in members), cyclic))
+        for c in feeds[component_of[members[0]]]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, keys[c])
     return tuple(groups)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cbdsim import cli
-from cbdsim.engine import Stream, Trace
+from cbdsim.engine import SimConfig, Stream, Trace, simulate
 
 G = 9.81
 
@@ -144,6 +144,19 @@ class TestRun:
             "0.33333333333333331,a,nan,-inf\n"
             "0.33333333333333331,b/c,0.10000000000000001,-2.5\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_read_back_streams_equal_the_simulated_ones(
+            self, ball_path, ball_model, tmp_path, capsys, fmt):
+        code, out, imp = run_ball(ball_path, tmp_path, fmt=fmt)
+        capsys.readouterr()
+        simulated = simulate(ball_model, "Main", SimConfig(
+            h=1e-3, t_end=2.0, zc_tol=1e-9, h_min=1e-12))
+        back = cli.read_trace(out, imp)
+        assert back.times == simulated.times
+        assert back.impulses == simulated.impulses
+        assert back.signals == simulated.signals
+        assert len(back.signals["force"].impulses) == 1
 
     def test_json_format_mirrors_csv(self, ball_path, tmp_path, capsys):
         code, out_json, imp_json = run_ball(ball_path, tmp_path, fmt="json")

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 
 from cbdsim import blocks as bk
-from cbdsim import dsl
+from cbdsim import dsl, engine
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
     HIGHER_IMPULSE,
@@ -356,15 +356,15 @@ class TestBouncingBall:
 
 
 class TestGuards:
-    def test_max_order_guard(self, chain_model):
+    def test_max_order_guard(self, chain_model, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_ORDER", 2)
         with pytest.raises(MaxOrderExceeded):
-            simulate(chain_model, "Chain",
-                     SimConfig(h=0.125, t_end=1.0, max_order=2))
+            simulate(chain_model, "Chain", SimConfig(h=0.125, t_end=1.0))
 
-    def test_impulse_orders_within_guard_pass(self, chain_model):
+    def test_impulse_orders_within_guard_pass(self, chain_model, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_ORDER", 3)
         trace = simulate(chain_model, "Chain",
-                         SimConfig(h=0.125, t_end=1.0, max_order=3,
-                                   watch=("d4",)))
+                         SimConfig(h=0.125, t_end=1.0, watch=("d4",)))
         assert [e.order for e in trace.impulses] == [3]
 
     def test_unknown_integrator_order_names_the_block(self):
@@ -737,9 +737,3 @@ class TestConfigValidation:
             SimConfig(h=1e-3, t_end=1.0, zc_tol=0.0)
         with pytest.raises(ValueError):
             SimConfig(mode="magic", h=1e-3, t_end=1.0)
-
-    def test_rejects_negative_max_order(self):
-        # Impulse orders start at 0; a quiet step checks no orders at all.
-        with pytest.raises(ValueError):
-            SimConfig(h=1e-3, t_end=1.0, max_order=-1)
-        assert SimConfig(h=1e-3, t_end=1.0, max_order=0).max_order == 0

@@ -4,17 +4,23 @@ Each case runs a bundled model through the command line in one mode and
 hashes the trace (CSV and JSON) and the impulse log it writes.  A change
 to the evaluator or to the writers that alters one bit of a value, of the
 time grid or of the file layout fails here.  The ball runs past its second
-contact, so both located events and their impulses are covered.
+contact, so both located events and their impulses are covered.  The
+benchmark's workloads are pinned the same way: one operation of each at
+its smoke size and seed 1, hashing every trace file it writes.
 """
 
 import hashlib
+import importlib.util
 import pathlib
+import sys
+import time
 
 import pytest
 
 from cbdsim import cli
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 CASES = {
     # (model file, top, step, end)
@@ -71,3 +77,43 @@ def test_written_files_are_pinned(model, mode, tmp_path, capsys):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in written.items()}
     assert digests == GOLDEN[(model, mode)]
+
+
+WORKLOAD_GOLDEN = {
+    "ball_verify": {
+        "symbolic.csv": "ad5a55c3624bbf808562f109fe49ee97c8ffd25ae755abbece3f9cb2103879b3",
+        "numerical.csv": "41eef1d5fde63a945638bfcd41ba040a2475cc427398301fa3b3b026e083d800",
+        "symbolic_impulses.csv": "a13cf17bb0d74a614447e15f1203384b0409f63a863902edde54484eec0a1979",
+        "numerical_impulses.csv": "f1f3ee27da8699134d36aa2c1f32de734746229a42bd25e48259071b6c37654b",
+    },
+    "chain200": {
+        "chain.csv": "ca94ca97cb7cd802eae86e2c5f24441aa5a0230c005cd8d153960832f91a48ab",
+    },
+    "loop40": {
+        "loop.csv": "d3a1849c88e5efa5dc3d91f27ece9e916372b3375bb35f310deb22715fc7b986",
+    },
+    "switch_dense": {
+        "numerical.csv": "052ee0114cd87568adfefb3cde25a68129a815462363ddeb7d5f0895c69b4d7a",
+    },
+}
+
+
+def _workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "perfbench" / "workloads.py")
+        # dataclasses looks the defining module up in sys.modules.
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+def test_workload_trace_files_are_pinned(name, tmp_path):
+    workload = _workloads().WORKLOADS[name](ROOT, 1, True)
+    result = workload.operation(tmp_path, time.perf_counter)
+    assert workload.check(result) == []
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in result.trace_files + result.impulse_files}
+    assert digests == WORKLOAD_GOLDEN[name]

@@ -1,9 +1,12 @@
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbdsim import dsl
 from cbdsim.blocks import KINDS
 from cbdsim.engine import (
+    Engine,
     ImpulseInLoop,
     NonlinearLoop,
     SimConfig,
@@ -14,6 +17,7 @@ from cbdsim.graph import (
     BlockDecl,
     Definition,
     Group,
+    InvalidParameter,
     Link,
     Model,
     ModelError,
@@ -22,6 +26,7 @@ from cbdsim.graph import (
     UnconnectedInput,
     UnknownDefinition,
     UnknownKind,
+    check_model,
     dependency_sort,
     flatten,
 )
@@ -153,6 +158,35 @@ class TestFlatten:
                     "Main")
 
 
+def _with_block(decl: BlockDecl) -> Model:
+    """``Main`` wiring ``decl`` as block ``c`` to its output, beside a
+    composite ``Sub``."""
+    sub = Definition(
+        name="Sub", out_ports=("y",),
+        blocks={"k": BlockDecl("Constant", {"value": 1.0})},
+        links=[Link(("k", "out"), (None, "y"))],
+    )
+    port = "y" if decl.kind == "Sub" else "out"
+    main = Definition(name="Main", out_ports=("y",), blocks={"c": decl},
+                      links=[Link(("c", port), (None, "y"))])
+    return Model(definitions={"Main": main, "Sub": sub})
+
+
+@pytest.mark.parametrize("decl, message", [
+    (BlockDecl("Constant"), "'c' (Constant) requires a value parameter"),
+    (BlockDecl("Constant", {"value": 1.0, "weight": 2.0}),
+     "'c' (Constant) has no parameter 'weight'"),
+    (BlockDecl("Sub", {"gain": 2.0}),
+     "'c' (Sub) has no parameter 'gain'"),
+])
+def test_parameters_of_models_built_in_code(decl, message):
+    model = _with_block(decl)
+    assert list(check_model(model)) == [
+        (InvalidParameter, "Main", ("block", "c"), message)]
+    with pytest.raises(InvalidParameter, match=f"^Main: {re.escape(message)}$"):
+        simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+
+
 class TestDependencySort:
     def test_ball_schedule_is_acyclic(self, ball_model):
         flat = flatten(ball_model, "Main")
@@ -220,11 +254,15 @@ def wirings(draw):
     return blocks, draw(st.permutations(links))
 
 
+def _decl(kind: str) -> BlockDecl:
+    return BlockDecl(kind, {"value": 1.0} if kind == "Constant" else {})
+
+
 def _flat_model(blocks, links) -> Model:
     inputs = {name: wired for name, _, wired in blocks}
     main = Definition(
         name="Main", out_ports=("y",),
-        blocks={name: BlockDecl(kind) for name, kind, _ in blocks},
+        blocks={name: _decl(kind) for name, kind, _ in blocks},
         links=[Link((inputs[name][port], "out"), (name, port))
                for name, port in links]
         + [Link((blocks[0][0], "out"), (None, "y"))],
@@ -238,7 +276,7 @@ def _wrapped_model(blocks, links) -> Model:
     for name, kind, wired in blocks:
         definitions[f"W{name}"] = Definition(
             name=f"W{name}", in_ports=tuple(wired), out_ports=("y",),
-            blocks={"core": BlockDecl(kind)},
+            blocks={"core": _decl(kind)},
             links=[Link((None, port), ("core", port)) for port in wired]
             + [Link(("core", "out"), (None, "y"))],
         )
@@ -308,6 +346,23 @@ def _reference_schedule(flat) -> tuple[Group, ...]:
 
 @settings(max_examples=200, deadline=None)
 @given(wirings())
+# A self-looped Adder.
+@example(([("b0", "Adder", {"in1": "b0", "in2": "b1", "in3": "b1"}),
+           ("b1", "Constant", {})],
+          [("b0", "in3"), ("b0", "in1"), ("b0", "in2")]))
+# A ring made only of Integrators: no current-step edge, so no loop.
+@example(([("b0", "Integrator", {"in": "b2"}),
+           ("b1", "Integrator", {"in": "b0"}),
+           ("b2", "Integrator", {"in": "b1"})],
+          [("b1", "in"), ("b2", "in"), ("b0", "in")]))
+# Two loops feeding one reader, which is declared first.
+@example(([("b0", "Adder", {"in1": "b3", "in2": "b1", "in3": "b3"}),
+           ("b1", "Negator", {"in": "b2"}),
+           ("b2", "Negator", {"in": "b1"}),
+           ("b3", "Multiplier", {"in1": "b4", "in2": "b1"}),
+           ("b4", "Negator", {"in": "b3"})],
+          [("b0", "in1"), ("b0", "in2"), ("b0", "in3"), ("b1", "in"),
+           ("b2", "in"), ("b3", "in1"), ("b3", "in2"), ("b4", "in")]))
 def test_generated_diagrams_flatten_and_schedule_as_wired(diagram):
     blocks, links = diagram
     flat = flatten(_flat_model(blocks, links), "Main")
@@ -443,6 +498,12 @@ class TestAlgebraicLoops:
         model = dsl.load_model(FEEDBACK_NONLINEAR)
         with pytest.raises(NonlinearLoop):
             simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+
+    def test_nonlinear_loop_is_rejected_when_the_engine_is_built(self):
+        flat = flatten(dsl.load_model(FEEDBACK_NONLINEAR), "Main")
+        with pytest.raises(NonlinearLoop, match=r"^inv: Inverter is not "
+                                                r"solvable inside an algebraic"):
+            Engine(flat, SimConfig(h=0.1, t_end=0.3))
 
     def test_impulse_entering_loop_is_rejected(self):
         text = """

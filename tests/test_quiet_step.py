@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
 
-from cbdsim import blocks as bk, dsl
+from cbdsim import blocks as bk, dsl, engine
 from cbdsim.engine import (
     HIGHER_IMPULSE, IMPULSE, JUMP, SMOOTH, Engine, EngineError, SimConfig,
     _singularity_levels, simulate,
@@ -209,9 +209,10 @@ def test_delay_cone_wrapping_around_the_schedule():
         list(range(edges["sw"][0] + 1, len(signals["d"])))
 
 
-def test_max_order_error_names_the_first_block_in_node_order():
+def test_max_order_error_names_the_first_block_in_node_order(monkeypatch):
     # e3 is declared first but scheduled last; e2 and e3 both exceed
-    # max_order 0 and the error names e3 as the full sweep does.
+    # MAX_ORDER 0 and the error names e3 as the full sweep does.
+    monkeypatch.setattr(engine, "MAX_ORDER", 0)
     text = RAMP_INTO.format(
         blocks="block e3 = Derivative(); block e2 = Derivative(); "
                "block e1 = Derivative();",
@@ -219,7 +220,7 @@ def test_max_order_error_names_the_first_block_in_node_order():
                "e3.out -> y;",
     )
     outcome = _assert_fast_path_equivalent(
-        text, ("e3",), h=0.1, t_end=0.6, max_order=0)
+        text, ("e3",), h=0.1, t_end=0.6)
     assert outcome[:2] == ("error", "MaxOrderExceeded")
     assert outcome[2].startswith("e3: impulse order 2")
 
