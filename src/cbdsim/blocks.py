@@ -156,10 +156,8 @@ class SelectionState:
 
 
 def _new_integrator(params: dict[str, float]) -> IntegratorState:
-    order = params.get("order", 1)
-    if order not in INTEGRATOR_ORDERS:
-        raise BlockError(f"Integrator order must be 1 or 2, got {order!r}")
-    return IntegratorState(accumulator=params.get("init", 0.0), order=int(order))
+    return IntegratorState(accumulator=params.get("init", 0.0),
+                           order=int(params.get("order", 1)))
 
 
 # --- derivative estimation for the Multiplier ----------------------------

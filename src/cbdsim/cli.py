@@ -162,9 +162,9 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
 def cmd_run(args: argparse.Namespace) -> int:
     source_path = Path(args.model)
     try:
-        text = source_path.read_text()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+        text = source_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: {source_path}: {err}", file=sys.stderr)
         return 1
     try:
         model = dsl.load_model(text)
@@ -193,10 +193,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     out_path = Path(args.out)
-    write_trace(trace, out_path, args.format)
     impulse_path = Path(args.impulses) if args.impulses else None
-    if impulse_path is not None:
-        write_impulses(trace, impulse_path, args.format)
+    try:
+        write_trace(trace, out_path, args.format)
+        if impulse_path is not None:
+            write_impulses(trace, impulse_path, args.format)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     manifest = {
         "top": args.top,

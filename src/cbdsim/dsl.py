@@ -18,21 +18,39 @@ regular expression with a named group per token class, matched in order at
 each position (the "Writing a Tokenizer" idiom of the :mod:`re` docs); any
 other character becomes an ERROR token.  Parsing never raises on bad
 input; every problem becomes a :class:`Diagnostic`, always an error,
-carrying its source position, and validation reports all violations rather
+carrying its source position.
+
+There is one representation of a model: the parser builds each
+:class:`graph.Definition` while it reads it, records the span of every
+item a :class:`graph.Problem` can locate, and checks each rule that only
+text can break where its text is read:
+
+- a number out of range, in the argument list (a syntax error);
+- a duplicate port, in the port list;
+- a duplicate name, the parameter list against the kind and the Constant
+  value, in the block;
+- a bare block name as a link target, at the definition's ``}``, which
+  needs every block;
+- parameters on a composite block, at the end of the text, since the
+  composite may be defined later;
+- a duplicate definition: the first wins, and the later one is reported
+  and not checked further.
+
+:func:`validate` reports those, then every structural rule of
+:func:`graph.check_model` located back in the text: all violations rather
 than the first.
-Validation checks here only what a :class:`graph.Model` cannot express;
-the structural rules are :func:`graph.check_model`'s, located back in the
-text.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .blocks import INTEGRATOR_ORDERS, KINDS
-from .graph import BlockDecl, Definition, Endpoint, Link, Model, check_model
+from .blocks import KINDS
+from .graph import (BlockDecl, Definition, Endpoint, Link, Model,
+                    _endpoint_str, check_model)
 
 
 class Span(NamedTuple):
@@ -53,53 +71,15 @@ class Diagnostic:
 
 
 @dataclass
-class SourcePort:
-    direction: str
-    name: str
-    span: Span
-
-
-@dataclass
-class SourceArg:
-    name: str | None
-    value: float
-    span: Span
-
-
-@dataclass
-class SourceBlock:
-    name: str
-    kind: str
-    args: list[SourceArg]
-    span: Span
-
-
-@dataclass
-class SourceEndpoint:
-    block: str
-    port: str | None
-    span: Span
-
-
-@dataclass
-class SourceLink:
-    src: SourceEndpoint
-    dst: SourceEndpoint
-    span: Span
-
-
-@dataclass
-class SourceDefinition:
-    name: str
-    ports: list[SourcePort]
-    blocks: list[SourceBlock]
-    links: list[SourceLink]
-    span: Span
-
-
-@dataclass
-class SourceModel:
-    definitions: list[SourceDefinition] = field(default_factory=list)
+class SourceModel(Model):
+    """The model a text defines, with what :func:`validate` needs of the
+    text: the span of every ``(definition, locator)`` a
+    :class:`graph.Problem` can name, the diagnostics of the rules only text
+    can break, and the locators whose structural problem such a
+    diagnostic already reports."""
+    spans: dict[tuple[str, tuple | None], Span] = field(default_factory=dict)
+    rule_diagnostics: list[Diagnostic] = field(default_factory=list)
+    reported: set[tuple[str, tuple]] = field(default_factory=set)
 
 
 @dataclass
@@ -155,11 +135,20 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 
 # --- parser ------------------------------------------------------------------
 
+# A block argument: its name (None if positional), value and span.
+_Arg = tuple[str | None, float, Span]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
+        self.model = SourceModel()
+        self.duplicates: list[Diagnostic] = []
+        # The text-rule diagnostics of the definitions kept, each with the
+        # composite kind it stands on (None: it stands).
+        self.notes: list[tuple[str | None, Diagnostic]] = []
 
     @property
     def current(self) -> Token:
@@ -199,54 +188,79 @@ class _Parser:
                 return
             self.advance()
 
-    # grammar productions
+    def note(self, message: str, span: Span, kind: str | None = None) -> None:
+        self.defn_notes.append((kind, Diagnostic(message, span)))
+
+    # grammar productions; a definition's items go straight into its
+    # Definition, their spans into ``spans`` and their text-rule diagnostics
+    # into ``defn_notes``
 
     def parse_model(self) -> SourceModel:
-        model = SourceModel()
+        model = self.model
         while not self.check("EOF"):
             if self.check("IDENT", "cbd"):
-                definition = self.parse_definition()
-                if definition is not None:
-                    model.definitions.append(definition)
+                self.parse_definition()
             else:
                 self.error("'cbd'")
                 self.advance()
+        # A composite kind's diagnostic stands once the kind is defined.
+        model.rule_diagnostics = self.duplicates + [
+            diagnostic for kind, diagnostic in self.notes
+            if kind is None or kind in model.definitions
+        ]
         return model
 
-    def parse_definition(self) -> SourceDefinition | None:
+    def parse_definition(self) -> None:
         start = self.advance().span  # 'cbd'
         name = self.expect("IDENT", "definition name")
-        if name is None:
+        if name is None or self.expect("(") is None:
             self.synchronize("}")
-            return None
-        if self.expect("(") is None:
-            self.synchronize("}")
-            return None
-        ports: list[SourcePort] = []
+            return
+        self.spans: dict[tuple | None, Span] = {None: start}
+        self.defn_notes: list[tuple[str | None, Diagnostic]] = []
+        self.port_names: set[str] = set()
+        ports: dict[str, list[str]] = {"in": [], "out": []}
         if not self.check(")"):
             self.parse_ports(ports)
         self.expect(")")
         if self.expect("{") is None:
             self.synchronize("}")
-            return None
-        blocks: list[SourceBlock] = []
-        links: list[SourceLink] = []
+            return
+        defn = self.defn = Definition(name.text, tuple(ports["in"]),
+                                      tuple(ports["out"]))
+        # (link index, target) of each link into a bare name
+        self.bare: list[tuple[int, Token]] = []
         while not self.check("}") and not self.check("EOF"):
             if self.check("IDENT", "block"):
-                block = self.parse_block()
-                if block is not None:
-                    blocks.append(block)
+                self.parse_block()
             elif self.check("IDENT"):
-                link = self.parse_link()
-                if link is not None:
-                    links.append(link)
+                self.parse_link()
             else:
                 self.error("'block' or a link")
                 self.synchronize(";")
         self.expect("}")
-        return SourceDefinition(name.text, ports, blocks, links, start)
 
-    def parse_ports(self, ports: list[SourcePort]) -> None:
+        model = self.model
+        if defn.name in model.definitions:
+            self.duplicates.append(Diagnostic(
+                f"duplicate definition {defn.name!r}", start))
+            return
+        model.definitions[defn.name] = defn
+        model.spans.update(((defn.name, where), span)
+                           for where, span in self.spans.items())
+        for i, target in self.bare:
+            if target.text in defn.blocks:
+                self.note(f"link into {target.text!r} must name an input "
+                          f"port", target.span)
+                model.reported.add((defn.name, ("dst", i)))
+        # check_model states the Constant rule again on the model.
+        model.reported.update(
+            (defn.name, ("block", bname))
+            for bname, decl in defn.blocks.items()
+            if decl.kind == "Constant" and "value" not in decl.params)
+        self.notes += self.defn_notes
+
+    def parse_ports(self, ports: dict[str, list[str]]) -> None:
         while True:
             direction = self.current
             if not (self.check("IDENT", "in") or self.check("IDENT", "out")):
@@ -259,7 +273,11 @@ class _Parser:
             while True:
                 name = self.expect("IDENT", "port name")
                 if name is not None:
-                    ports.append(SourcePort(direction.text, name.text, name.span))
+                    if name.text in self.port_names:
+                        self.note(f"duplicate port {name.text!r}", name.span)
+                    self.port_names.add(name.text)
+                    ports[direction.text].append(name.text)
+                    self.spans["port", name.text] = name.span
                 if self.check(","):
                     self.advance()
                     continue
@@ -269,29 +287,44 @@ class _Parser:
                 continue
             return
 
-    def parse_block(self) -> SourceBlock | None:
+    def parse_block(self) -> None:
         start = self.advance().span  # 'block'
         name = self.expect("IDENT", "block name")
         ok = name is not None
         ok = ok and self.expect("=") is not None
         kind = self.expect("IDENT", "block kind") if ok else None
         ok = ok and kind is not None and self.expect("(") is not None
-        args: list[SourceArg] = []
+        args: list[_Arg] = []
         if ok and not self.check(")"):
             ok = self.parse_args(args)
         ok = ok and self.expect(")") is not None
         ok = ok and self.expect(";", "';'") is not None
         if not ok:
             self.synchronize(";")
-            return None
-        return SourceBlock(name.text, kind.text, args, start)
+            return
+        name, kind = name.text, kind.text
+        blocks = self.defn.blocks
+        if name in blocks or name in self.port_names:
+            self.note(f"duplicate name {name!r}", start)
+        params: dict[str, float] = {}
+        if kind in KINDS:
+            params = self.bind_params(kind, args)
+            if kind == "Constant" and not any(
+                arg_name in (None, "value") for arg_name, _, _ in args
+            ):
+                self.note("Constant requires a value parameter", start)
+        elif args:
+            self.note(f"composite block {kind!r} takes no parameters",
+                      args[0][2], kind)
+        blocks[name] = BlockDecl(kind, params)
+        self.spans["block", name] = start
 
-    def parse_args(self, args: list[SourceArg]) -> bool:
+    def parse_args(self, args: list[_Arg]) -> bool:
         while True:
             token = self.current
             if token.type == "NUMBER":
                 self.advance()
-                args.append(SourceArg(None, float(token.text), token.span))
+                args.append((None, self.number(token), token.span))
             elif token.type == "IDENT":
                 self.advance()
                 if self.expect("=") is None:
@@ -299,7 +332,7 @@ class _Parser:
                 number = self.expect("NUMBER", "a number")
                 if number is None:
                     return False
-                args.append(SourceArg(token.text, float(number.text), token.span))
+                args.append((token.text, self.number(number), token.span))
             else:
                 self.error("a number or NAME '=' NUMBER")
                 return False
@@ -308,213 +341,117 @@ class _Parser:
                 continue
             return True
 
-    def parse_endpoint(self) -> SourceEndpoint | None:
+    def number(self, token: Token) -> float:
+        value = float(token.text)
+        if math.isinf(value):
+            self.diagnostics.append(Diagnostic(
+                f"number {token.text!r} is out of range", token.span))
+        return value
+
+    def bind_params(self, kind: str, args: list[_Arg]) -> dict[str, float]:
+        declared = KINDS[kind].params
+        params: dict[str, float] = {}
+        for position, (name, value, span) in enumerate(args):
+            if name is None:
+                if position < len(declared):
+                    params[declared[position]] = value
+                else:
+                    self.note(f"{kind} takes at most {len(declared)} "
+                              f"parameter(s)", span)
+            elif name in declared:
+                params[name] = value
+            else:
+                self.note(f"{kind} has no parameter {name!r}", span)
+        return params
+
+    def parse_endpoint(self) -> tuple[Token, str | None] | None:
+        """The endpoint's name token and port, None for a bare name."""
         name = self.expect("IDENT", "an endpoint")
         if name is None:
             return None
-        port = None
-        if self.check("."):
-            self.advance()
-            port_token = self.expect("IDENT", "port name")
-            if port_token is None:
-                return None
-            port = port_token.text
-        return SourceEndpoint(name.text, port, name.span)
+        if not self.check("."):
+            return name, None
+        self.advance()
+        port = self.expect("IDENT", "port name")
+        return None if port is None else (name, port.text)
 
-    def parse_link(self) -> SourceLink | None:
+    def endpoint(self, name: Token, port: str | None) -> Endpoint:
+        if port is not None:
+            return (name.text, port)
+        if name.text in self.port_names:
+            return (None, name.text)
+        return (name.text, "out")  # a bare block name: its single output
+
+    def parse_link(self) -> None:
         src = self.parse_endpoint()
         ok = src is not None and self.expect("->", "'->'") is not None
         dst = self.parse_endpoint() if ok else None
         ok = ok and dst is not None and self.expect(";", "';'") is not None
         if not ok:
             self.synchronize(";")
-            return None
-        return SourceLink(src, dst, src.span)
+            return
+        links = self.defn.links
+        i = len(links)
+        self.spans["src", i] = src[0].span
+        self.spans["dst", i] = dst[0].span
+        if dst[1] is None and dst[0].text not in self.port_names:
+            self.bare.append((i, dst[0]))
+        links.append(Link(self.endpoint(*src), self.endpoint(*dst)))
 
 
 def parse(text: str) -> ParseResult:
-    """Parse model source text; problems become diagnostics, never raises."""
+    """Parse model source text into the model it defines; problems become
+    diagnostics, never raises."""
     tokens, diagnostics = tokenize(text)
-    parser = _Parser(tokens, diagnostics)
-    model = parser.parse_model()
+    model = _Parser(tokens, diagnostics).parse_model()
     return ParseResult(model, diagnostics)
 
 
 # --- validation --------------------------------------------------------------
 
 def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
-    """Check the model's rules and build the semantic model.
-
-    The rules a :class:`Model` cannot express are checked on the text:
-    duplicate definitions, ports and names, parameters, and a bare block
-    name as a link target.  Every structural rule is
-    :func:`graph.check_model`'s, run on the model built from the text and
-    located back in it.  A duplicate definition is reported and not
-    checked further.  Reports every violation found; returns the model only
+    """Report every broken rule of a parsed model; return the model only
     when there is none.
+
+    The diagnostics of the rules only text can break, which :func:`parse`
+    found, come first, then every structural problem
+    :func:`graph.check_model` finds, at the span recorded for its locator,
+    unless a text rule already reports it.  The model returned is a plain
+    :class:`Model` of the parsed definitions.
     """
-    diagnostics: list[Diagnostic] = []
-    names: dict[str, SourceDefinition] = {}
-    for definition in source.definitions:
-        if definition.name in names:
-            diagnostics.append(Diagnostic(
-                f"duplicate definition {definition.name!r}", definition.span
-            ))
-        else:
-            names[definition.name] = definition
-
-    model = Model()
-    # (definition, locator) of the structural problems a text rule reports
-    reported: set[tuple[str, tuple]] = set()
-    for name, definition in names.items():
-        model.definitions[name] = _build_definition(
-            definition, names, diagnostics, reported
-        )
-    for problem in check_model(model):
-        if (problem.definition, problem.where) not in reported:
-            diagnostics.append(Diagnostic(problem.message, _locate(
-                names[problem.definition], problem.where
-            )))
-
+    diagnostics = list(source.rule_diagnostics)
+    for problem in check_model(source):
+        key = (problem.definition, problem.where)
+        if key not in source.reported:
+            diagnostics.append(Diagnostic(problem.message, source.spans[key]))
     if diagnostics:
         return None, diagnostics
-    return model, diagnostics
-
-
-def _build_definition(definition: SourceDefinition,
-                      names: dict[str, SourceDefinition],
-                      diagnostics: list[Diagnostic],
-                      reported: set[tuple[str, tuple]]) -> Definition:
-    """Check the text rules of ``definition`` and build it."""
-    port_names: set[str] = set()
-    for port in definition.ports:
-        if port.name in port_names:
-            diagnostics.append(Diagnostic(
-                f"duplicate port {port.name!r}", port.span
-            ))
-        port_names.add(port.name)
-
-    blocks: dict[str, BlockDecl] = {}
-    for block in definition.blocks:
-        if block.name in blocks or block.name in port_names:
-            diagnostics.append(Diagnostic(
-                f"duplicate name {block.name!r}", block.span
-            ))
-        params: dict[str, float] = {}
-        if block.kind in KINDS:
-            params = _bind_params(block, diagnostics)
-            order = params.get("order", 1)
-            if order not in INTEGRATOR_ORDERS:
-                diagnostics.append(Diagnostic(
-                    f"{block.name!r} ({block.kind}) order must be 1 or 2, "
-                    f"got {order:g}", block.span
-                ))
-            if block.kind == "Constant" and not any(
-                arg.name in (None, "value") for arg in block.args
-            ):
-                diagnostics.append(Diagnostic(
-                    "Constant requires a value parameter", block.span
-                ))
-        elif block.kind in names and block.args:
-            diagnostics.append(Diagnostic(
-                f"composite block {block.kind!r} takes no parameters",
-                block.args[0].span,
-            ))
-        blocks[block.name] = BlockDecl(kind=block.kind, params=params)
-    # check_model states the Constant rule again on the built model.
-    reported.update((definition.name, ("block", name))
-                    for name, decl in blocks.items()
-                    if decl.kind == "Constant" and "value" not in decl.params)
-
-    links = []
-    for i, link in enumerate(definition.links):
-        dst = _endpoint(link.dst, port_names)
-        if link.dst.port is None and dst[0] in blocks:
-            diagnostics.append(Diagnostic(
-                f"link into {dst[0]!r} must name an input port", link.dst.span
-            ))
-            reported.add((definition.name, ("dst", i)))
-        links.append(Link(src=_endpoint(link.src, port_names), dst=dst))
-    return Definition(
-        name=definition.name,
-        in_ports=tuple(p.name for p in definition.ports if p.direction == "in"),
-        out_ports=tuple(p.name for p in definition.ports if p.direction == "out"),
-        blocks=blocks,
-        links=links,
-    )
-
-
-def _endpoint(endpoint: SourceEndpoint, port_names: set[str]) -> Endpoint:
-    if endpoint.port is None and endpoint.block in port_names:
-        return (None, endpoint.block)
-    if endpoint.port is None:
-        # Bare block name: its single output.
-        return (endpoint.block, "out")
-    return (endpoint.block, endpoint.port)
-
-
-def _locate(definition: SourceDefinition, where: tuple | None) -> Span:
-    """The span in ``definition`` of a :class:`graph.Problem` locator."""
-    if where is None:
-        return definition.span
-    field, key = where
-    if field in ("src", "dst"):
-        return getattr(definition.links[key], field).span
-    items = definition.blocks if field == "block" else definition.ports
-    return [item.span for item in items if item.name == key][-1]
-
-
-def _bind_params(block: SourceBlock,
-                 diagnostics: list[Diagnostic]) -> dict[str, float]:
-    declared = KINDS[block.kind].params
-    params: dict[str, float] = {}
-    for position, arg in enumerate(block.args):
-        if arg.name is None:
-            if position < len(declared):
-                params[declared[position]] = arg.value
-            else:
-                diagnostics.append(Diagnostic(
-                    f"{block.kind} takes at most {len(declared)} parameter(s)",
-                    arg.span,
-                ))
-        elif arg.name in declared:
-            params[arg.name] = arg.value
-        else:
-            diagnostics.append(Diagnostic(
-                f"{block.kind} has no parameter {arg.name!r}", arg.span
-            ))
-    return params
+    return Model(source.definitions), diagnostics
 
 
 # --- pretty printer -----------------------------------------------------------
 
-def print_model(source: SourceModel) -> str:
-    """Canonical text form; re-parsing yields a structurally identical model."""
+def print_model(model: Model) -> str:
+    """Canonical text of ``model``: ports as ``in ...; out ...``, named
+    parameters and ``block.port`` endpoints.  :func:`load_model` of the
+    text gives back an equal model whenever the model flattens and its
+    parameters are finite, for a model read from text and one built in
+    code alike."""
     chunks: list[str] = []
-    for definition in source.definitions:
+    for name, defn in model.definitions.items():
         ports = "; ".join(
-            f"{p.direction} {p.name}" for p in definition.ports
+            f"{direction} {', '.join(names)}" for direction, names
+            in (("in", defn.in_ports), ("out", defn.out_ports)) if names
         )
-        chunks.append(f"cbd {definition.name}({ports}) {{")
-        for block in definition.blocks:
-            args = ", ".join(
-                repr(a.value) if a.name is None else f"{a.name}={a.value!r}"
-                for a in block.args
-            )
-            chunks.append(f"  block {block.name} = {block.kind}({args});")
-        for link in definition.links:
-            chunks.append(
-                f"  {_format_endpoint(link.src)} -> {_format_endpoint(link.dst)};"
-            )
-        chunks.append("}")
-        chunks.append("")
+        chunks.append(f"cbd {name}({ports}) {{")
+        for bname, decl in defn.blocks.items():
+            args = ", ".join(f"{k}={v!r}" for k, v in decl.params.items())
+            chunks.append(f"  block {bname} = {decl.kind}({args});")
+        for link in defn.links:
+            chunks.append(f"  {_endpoint_str(link.src)} -> "
+                          f"{_endpoint_str(link.dst)};")
+        chunks.append("}\n")
     return "\n".join(chunks)
-
-
-def _format_endpoint(endpoint: SourceEndpoint) -> str:
-    if endpoint.port is None:
-        return endpoint.block
-    return f"{endpoint.block}.{endpoint.port}"
 
 
 def load_model(text: str) -> Model:

@@ -21,7 +21,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .blocks import KINDS, VARIADIC_MIN_INPUTS, input_ports
+from .blocks import (INTEGRATOR_ORDERS, KINDS, VARIADIC_MIN_INPUTS,
+                     input_ports)
 
 
 class ModelError(ValueError):
@@ -153,10 +154,10 @@ class Problem(NamedTuple):
 
 def check_model(model: Model) -> Iterator[Problem]:
     """Every broken structural rule of every definition, in order: unknown
-    kinds and parameters, link endpoints and drivers, undriven ports and
-    block inputs, then recursion.  A model that yields nothing flattens from
-    any top definition that declares no inputs, unless its port wiring is
-    cyclic."""
+    kinds, parameters and Integrator orders, link endpoints and drivers,
+    undriven ports and block inputs, then recursion.  A model that yields
+    nothing flattens from any top definition that declares no inputs,
+    unless its port wiring is cyclic."""
     definitions = model.definitions
     for name, defn in definitions.items():
         yield from _check_definition(name, defn, definitions)
@@ -186,6 +187,13 @@ def _check_definition(name: str, defn: Definition,
                 yield Problem(InvalidParameter, name, ("block", bname),
                               f"{bname!r} ({decl.kind}) has no parameter "
                               f"{param!r}")
+        order = decl.params.get("order", 1)
+        if decl.kind == "Integrator" and order not in INTEGRATOR_ORDERS:
+            got = (f"{order:g}" if isinstance(order, (int, float))
+                   else repr(order))
+            yield Problem(InvalidParameter, name, ("block", bname),
+                          f"{bname!r} (Integrator) order must be 1 or 2, "
+                          f"got {got}")
         if decl.kind == "Constant" and "value" not in decl.params:
             yield Problem(InvalidParameter, name, ("block", bname),
                           f"{bname!r} (Constant) requires a value parameter")

@@ -115,6 +115,36 @@ class TestRun:
         assert code == 2
         assert "i:" in capsys.readouterr().err
 
+    def test_model_file_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cbd"
+        bad.write_bytes("// caf\xe9\n".encode("latin-1"))
+        code = cli.main([
+            "run", str(bad), "--top", "Main", "--step", "1e-3",
+            "--end", "1", "--out", str(tmp_path / "t.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert "utf-8" in captured.err
+
+    @pytest.mark.parametrize("option", ["--out", "--impulses"])
+    def test_write_into_missing_directory_exits_two(self, ball_path, tmp_path,
+                                                    capsys, option):
+        paths = {"--out": str(tmp_path / "t.csv"),
+                 "--impulses": str(tmp_path / "i.csv")}
+        paths[option] = str(tmp_path / "missing" / "x.csv")
+        code = cli.main([
+            "run", str(ball_path), "--top", "Main", "--step", "1e-2",
+            "--end", "0.1", "--out", paths["--out"],
+            "--impulses", paths["--impulses"],
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "missing" in captured.err
+
     def test_numerical_impulse_file_is_header_only(self, ball_path, tmp_path,
                                                    capsys):
         code, out, imp = run_ball(ball_path, tmp_path, mode="numerical")

@@ -1,33 +1,21 @@
 import gc
+import importlib.util
+import pathlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl
-from cbdsim.graph import flatten
+from cbdsim.graph import BlockDecl, Link, Model, flatten
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 MINIMAL = "cbd Main(out y){ block c = Constant(9.81); c.out -> y; }"
 
-
-def structure(source):
-    """Span-free structural view, for fixpoint comparisons."""
-    return tuple(
-        (
-            d.name,
-            tuple((p.direction, p.name) for p in d.ports),
-            tuple(
-                (b.name, b.kind, tuple((a.name, a.value) for a in b.args))
-                for b in d.blocks
-            ),
-            tuple(
-                ((l.src.block, l.src.port), (l.dst.block, l.dst.port))
-                for l in d.links
-            ),
-        )
-        for d in source.definitions
-    )
 
 # Malformed model texts and their diagnostics, in the order reported.
 DIAGNOSED = {
@@ -188,13 +176,12 @@ class TestParse:
     def test_minimal_model(self):
         result = dsl.parse(MINIMAL)
         assert result.ok
-        (definition,) = result.model.definitions
+        (definition,) = result.model.definitions.values()
         assert definition.name == "Main"
-        assert [(p.direction, p.name) for p in definition.ports] == [("out", "y")]
-        assert len(definition.blocks) == 1
-        assert definition.blocks[0].kind == "Constant"
-        assert definition.blocks[0].args[0].value == 9.81
-        assert len(definition.links) == 1
+        assert (definition.in_ports, definition.out_ports) == ((), ("y",))
+        assert definition.blocks == {"c": BlockDecl("Constant",
+                                                     {"value": 9.81})}
+        assert definition.links == [Link(("c", "out"), (None, "y"))]
 
     def test_missing_semicolon_names_position(self):
         result = dsl.parse("cbd Main(out y){ block c = Constant(1)\nc.out -> y; }")
@@ -206,8 +193,8 @@ class TestParse:
     def test_ball_model_has_four_definitions(self, ball_text):
         result = dsl.parse(ball_text)
         assert result.ok
-        names = [d.name for d in result.model.definitions]
-        assert names == ["Ball", "CollisionDetector", "ImpulseCalculator", "Main"]
+        assert list(result.model.definitions) == [
+            "Ball", "CollisionDetector", "ImpulseCalculator", "Main"]
 
     def test_comments_and_number_forms(self):
         text = """
@@ -223,16 +210,26 @@ class TestParse:
         """
         result = dsl.parse(text)
         assert result.ok
-        blocks = result.model.definitions[0].blocks
-        assert blocks[0].args[0].value == -2.5e-3
-        assert blocks[1].args[0].name == "value"
-        assert blocks[1].args[0].value == 0.5
+        blocks = result.model.definitions["Main"].blocks
+        assert blocks["a"].params == {"value": -2.5e-3}
+        assert blocks["b"].params == {"value": 0.5}
+
+    @pytest.mark.parametrize("number, col", [
+        ("1e999", 37), ("-1e400", 37), ("value=1e999", 43)])
+    def test_number_out_of_range(self, number, col):
+        # float() of such a number is infinite, which the printer would
+        # write as "inf", which does not parse.
+        result = dsl.parse(
+            f"cbd Main(out y){{ block c = Constant({number}); c.out -> y; }}")
+        value = number.rpartition("=")[2]
+        assert [str(d) for d in result.diagnostics] == [
+            f"1:{col}: error: number {value!r} is out of range"]
 
     def test_error_recovery_finds_later_definitions(self):
         text = "cbd Broken(out y){ block ; }\ncbd Fine(out y){ block c = Constant(1); c.out -> y; }"
         result = dsl.parse(text)
         assert not result.ok
-        assert any(d.name == "Fine" for d in result.model.definitions)
+        assert "Fine" in result.model.definitions
 
 
 class TestValidate:
@@ -363,6 +360,19 @@ class TestValidate:
         assert "no driver" in messages          # negator input
 
 
+def _workload_texts():
+    """The model text of each benchmark workload at seed 1, full size."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "perfbench" / "workloads.py")
+        # dataclasses looks the defining module up in sys.modules.
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return {workload: make(ROOT, 1, False).text
+            for workload, make in sys.modules[name].WORKLOADS.items()}
+
+
 class TestPrintFixpoint:
     @pytest.mark.parametrize("text", [
         MINIMAL,
@@ -382,21 +392,19 @@ class TestPrintFixpoint:
           acc.out -> y;
         }
         """, id="integrator-order-2"),
+        pytest.param((MODELS / "step_chain.cbd").read_text(),
+                     id="step_chain.cbd"),
+        *(pytest.param(text, id=f"workload-{name}")
+          for name, text in _workload_texts().items()),
     ])
     def test_print_then_parse_is_identity(self, text):
-        first = dsl.parse(text)
-        assert first.ok
-        printed = dsl.print_model(first.model)
-        second = dsl.parse(printed)
-        assert second.ok
-        assert structure(first.model) == structure(second.model)
+        model = dsl.load_model(text)
+        printed = dsl.print_model(model)
+        assert dsl.load_model(printed) == model
+        assert dsl.print_model(dsl.load_model(printed)) == printed
 
     def test_ball_model_fixpoint(self, ball_text):
-        first = dsl.parse(ball_text)
-        printed = dsl.print_model(first.model)
-        second = dsl.parse(printed)
-        assert second.ok
-        assert structure(first.model) == structure(second.model)
+        self.test_print_then_parse_is_identity(ball_text)
 
 
 class TestFuzz:
@@ -478,3 +486,44 @@ def test_validate_and_flatten_leave_no_cyclic_garbage(ball_text):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _token_pieces(text):
+    """``text`` as the text before each token, the tokens' texts and the
+    text after the last token."""
+    tokens, _ = dsl.tokenize(text)
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    gaps, words, end = [], [], 0
+    for token in tokens[:-1]:
+        start = line_starts[token.span.line - 1] + token.span.col - 1
+        gaps.append(text[end:start])
+        words.append(token.text)
+        end = start + len(token.text)
+    return gaps, words, text[end:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bouncing_ball.cbd", "step_chain.cbd"]),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 10**4),
+                          st.integers(0, 10**4)), min_size=1, max_size=4))
+def test_malformed_model_text_is_diagnosed_in_the_text(name, edits):
+    # Each edit deletes one token of a bundled model (True) or swaps two.
+    gaps, words, tail = _token_pieces((MODELS / name).read_text())
+    for delete, i, j in edits:
+        i, j = i % len(words), j % len(words)
+        if delete:
+            words[i] = ""
+        else:
+            words[i], words[j] = words[j], words[i]
+    text = "".join(gap + word for gap, word in zip(gaps, words)) + tail
+    try:
+        model = dsl.load_model(text)
+    except dsl.ModelTextError as err:
+        assert err.diagnostics
+        lines = text.split("\n")
+        for diagnostic in err.diagnostics:
+            line, col = diagnostic.span
+            assert 1 <= line <= len(lines)
+            assert 1 <= col <= len(lines[line - 1]) + 1
+    else:
+        assert type(model) is Model

@@ -20,7 +20,7 @@ from cbdsim.engine import (
     _singularity_levels,
     simulate,
 )
-from cbdsim.graph import ModelError, flatten
+from cbdsim.graph import InvalidParameter, ModelError, flatten
 
 G = 9.81
 
@@ -368,15 +368,15 @@ class TestGuards:
         assert [e.order for e in trace.impulses] == [3]
 
     def test_unknown_integrator_order_names_the_block(self):
-        # A model built without the text validator still rejects an
-        # integrator order other than 1 or 2 instead of running Euler.
+        # A model built without the text front end still rejects an
+        # integrator order other than 1 or 2 instead of running Euler:
+        # check_model states the rule for both.
         model = dsl.load_model(DESCENT)
         model.definitions["Main"].blocks["pos"].params["order"] = 3.0
-        from cbdsim.engine import SimulationError
-        with pytest.raises(SimulationError) as excinfo:
+        with pytest.raises(InvalidParameter) as excinfo:
             simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
-        assert excinfo.value.block_path == "pos"
-        assert "order must be 1 or 2" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "Main: 'pos' (Integrator) order must be 1 or 2, got 3")
 
     def test_non_finite_left_limit_names_the_first_block(self):
         # (1e300)**2 overflows to inf in the Multiplier and the Adder forms

@@ -427,12 +427,15 @@ def test_flatten_accepts_exactly_what_validate_accepts(diagram):
                for producer, name, port in wires]
         + [Link((blocks[0][0], "out"), (None, "y"))],
     )
+    model = Model(definitions={"Main": main})
     try:
-        flatten(Model(definitions={"Main": main}), "Main")
+        flatten(model, "Main")
     except ModelError:
         flattened = False
     else:
         flattened = True
+        # The canonical text of a model that flattens reads back equal.
+        assert dsl.load_model(dsl.print_model(model)) == model
     assert flattened == (validated is not None)
 
 
