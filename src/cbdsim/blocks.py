@@ -5,34 +5,41 @@ ports and parameters, and the kernels that define it, shared by the
 symbolic and numerical modes:
 
 * ``left`` produces the output's left limit from the inputs' left limits
-  (integrators and delays emit state and ignore current inputs),
+  (integrators and delays replay the last committed step and ignore
+  current inputs),
 * ``right`` produces the right limit and the impulse vector from the full
-  input samples,
-* ``commit``, for the stateful kinds, advances the block's state once the
-  step is committed; ``new_state`` builds that state from the parameters.
+  input samples.
 
 The kernels work on the step's columns: within a step, ``lefts[i]``,
 ``rights[i]`` and ``vectors[i]`` are the left limit, right limit and
 ImpulseVector of the block with node index ``i``.  A node exposes ``idx``,
-``in_idx`` (its inputs' indices, in port order) and ``params``.
+``in_idx`` (its inputs' indices, in port order) and ``const`` (what its
+kind's ``const`` computed from its parameters, None for a kind without).
+
+No block keeps state: a block's memory is a value of a committed step.
+Every kernel also reads ``past``, the newest ``HISTORY_DEPTH`` committed
+steps as :class:`Committed` columns, oldest first and empty before the
+first commit.  An Integrator accumulates onto the last step's right
+limits, a Derivative differences against them, a Delay replays its
+input's last sample, a Switch or Decision holds the sign its condition had
+at the last commit, and a Multiplier estimates derivatives over every
+step of ``past``.
 
 Every ``left`` and ``right`` kernel steps one node.  The kinds whose
-phase 1 reads only their own state (``previous_input``: Integrator, Delay)
-have a ``left_batch`` kernel instead of ``left``, and every ``commit``
-kernel is a batch kernel: a batch kernel steps all the blocks of its kind,
-given as ``(node, state)`` pairs.  A batch kernel that raises a
-:class:`BlockError` sets the error's ``node`` to the block it was stepping.
+phase 1 reads only the committed steps (``previous_input``: Integrator,
+Delay) have a ``left_batch`` kernel instead of ``left``, which steps all
+the blocks of its kind, given as a list of nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .signals import (
     EMPTY_IMPULSES,
-    StepSample,
+    ImpulseVector,
     add_vectors,
     extract_order_zero,
     impulses,
@@ -42,16 +49,13 @@ from .signals import (
 )
 
 DIV_TOLERANCE = 1e-300
+# The newest committed steps the engine keeps, the longest history a
+# Multiplier estimates derivatives from.
 HISTORY_DEPTH = 4
 
 
 class BlockError(ValueError):
-    """Base class for per-block stepping errors.
-
-    ``node`` is the block a batch kernel was stepping when it raised.
-    """
-
-    node = None
+    """Base class for per-block stepping errors."""
 
 
 class BothInputsImpulsive(BlockError):
@@ -82,18 +86,6 @@ class NonFiniteValue(BlockError):
     """A block produced an infinite or NaN limit."""
 
 
-class NonIncreasingTime(BlockError):
-    """A commit time did not exceed the block's previous commit time."""
-
-
-def require_later(t: float, previous: float) -> None:
-    """Reject a commit at ``t`` that does not follow one at ``previous``."""
-    if not t > previous:
-        raise NonIncreasingTime(
-            f"commit time {t!r} does not follow the previous commit at {previous!r}"
-        )
-
-
 def heaviside(x: float) -> float:
     """Unit step, 1 for x >= 0."""
     return 1.0 if x >= 0.0 else 0.0
@@ -103,61 +95,14 @@ VARIADIC_MIN_INPUTS = 2
 INTEGRATOR_ORDERS = (1, 2)
 
 
-# --- per-kind state -------------------------------------------------------
+# --- the committed steps -------------------------------------------------
 
-@dataclass(slots=True)
-class IntegratorState:
-    """Committed integrator state.
-
-    ``prev_right`` is the right limit of the last committed input, ``None``
-    before the first commit.  ``slope`` is the order-2 input slope
-    ``(prev.left - prevprev.right) / h_prev`` over the last committed step;
-    it stays ``None`` for order 1 and until two inputs have been committed.
-    ``time`` is the commit time of the last input, from which the slope
-    takes ``h_prev``.
-    """
-    accumulator: float
-    prev_right: float | None = None
-    order: int = 1
-    slope: float | None = None
-    time: float | None = None
-
-
-@dataclass(slots=True)
-class DerivativeState:
-    initial: float
-    prev_right: float | None = None
-
-
-@dataclass(slots=True)
-class DelayState:
-    initial: float
-    prev_input: StepSample | None = None
-
-
-@dataclass(slots=True)
-class MultiplierState:
-    """``time`` is the last commit time.  With ``history`` set, ``times``
-    and ``lefts`` keep the newest ``HISTORY_DEPTH`` commit times and input
-    left limits, from which an impulse of order >= 1 estimates the other
-    inputs' derivatives; the engine clears ``history`` where no input can
-    carry one."""
-    history: bool = True
-    time: float | None = None
-    times: list[float] = field(default_factory=list)
-    lefts: list[tuple[float, ...]] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class SelectionState:
-    """Switch and Decision state: whether the condition's right limit was
-    >= 0 at the last commit, ``None`` before the first."""
-    held: bool | None = None
-
-
-def _new_integrator(params: dict[str, float]) -> IntegratorState:
-    return IntegratorState(accumulator=params.get("init", 0.0),
-                           order=int(params.get("order", 1)))
+class Committed(NamedTuple):
+    """One committed step: its time and its columns, indexed by node."""
+    t: float
+    lefts: Sequence[float]
+    rights: Sequence[float]
+    vectors: Sequence[ImpulseVector]
 
 
 # --- derivative estimation for the Multiplier ----------------------------
@@ -189,22 +134,22 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
 
 # --- kernels ----------------------------------------------------------------
 
-def _constant_left(node, states, lefts, dt):
-    return node.params["value"]
+def _constant_left(node, past, lefts, dt):
+    return node.const
 
 
-def _constant_right(node, states, lefts, rights, vectors, t, dt):
-    return node.params["value"], EMPTY_IMPULSES
+def _constant_right(node, past, lefts, rights, vectors, t, dt):
+    return node.const, EMPTY_IMPULSES
 
 
-def _adder_left(node, states, lefts, dt):
+def _adder_left(node, past, lefts, dt):
     total = lefts[node.in_idx[0]]
     for i in node.in_idx[1:]:
         total += lefts[i]
     return total
 
 
-def _adder_right(node, states, lefts, rights, vectors, t, dt):
+def _adder_right(node, past, lefts, rights, vectors, t, dt):
     right = rights[node.in_idx[0]]
     vector = vectors[node.in_idx[0]]
     for i in node.in_idx[1:]:
@@ -213,20 +158,23 @@ def _adder_right(node, states, lefts, rights, vectors, t, dt):
     return right, vector
 
 
-def _negator_left(node, states, lefts, dt):
+def _negator_left(node, past, lefts, dt):
     return -lefts[node.in_idx[0]]
 
 
-def _negator_right(node, states, lefts, rights, vectors, t, dt):
+def _negator_right(node, past, lefts, rights, vectors, t, dt):
     src = node.in_idx[0]
     return -rights[src], negate_vector(vectors[src])
 
 
-def _multiplier_left(node, states, lefts, dt):
+def _multiplier_left(node, past, lefts, dt):
     return math.prod(lefts[i] for i in node.in_idx)
 
 
-def _multiplier_right(node, states, lefts, rights, vectors, t, dt):
+def _multiplier_right(node, past, lefts, rights, vectors, t, dt):
+    """An impulse of order >= 1 expands against the derivatives of the
+    other inputs' product, estimated from its values at the committed
+    steps and at this step's left limits."""
     ins = node.in_idx
     right = math.prod(rights[i] for i in ins)
     impulsive = [j for j, i in enumerate(ins) if not vectors[i].is_empty]
@@ -243,39 +191,23 @@ def _multiplier_right(node, states, lefts, rights, vectors, t, dt):
     current = math.prod(lefts[i] for k, i in enumerate(ins) if k != j)
     if order == 0:
         return right, leibniz_product([current], vector)
-    st = states[node.idx]
     series = [
-        math.prod(row[k] for k in range(len(ins)) if k != j) for row in st.lefts
+        math.prod(step.lefts[i] for k, i in enumerate(ins) if k != j)
+        for step in past
     ] + [current]
-    u_derivs = estimate_derivatives(st.times + [t], series, order)
+    u_derivs = estimate_derivatives([step.t for step in past] + [t],
+                                    series, order)
     return right, leibniz_product(u_derivs, vector)
 
 
-def _multiplier_commit(batch, lefts, rights, vectors, t):
-    try:
-        for node, st in batch:
-            if st.time is not None:
-                require_later(t, st.time)
-            st.time = t
-            if st.history:
-                st.times.append(t)
-                st.lefts.append(tuple(lefts[i] for i in node.in_idx))
-                if len(st.times) > HISTORY_DEPTH:
-                    del st.times[0]
-                    del st.lefts[0]
-    except BlockError as err:
-        err.node = node
-        raise
-
-
-def _inverter_left(node, states, lefts, dt):
+def _inverter_left(node, past, lefts, dt):
     value = lefts[node.in_idx[0]]
     if abs(value) <= DIV_TOLERANCE:
         raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
     return 1.0 / value
 
 
-def _inverter_right(node, states, lefts, rights, vectors, t, dt):
+def _inverter_right(node, past, lefts, rights, vectors, t, dt):
     src = node.in_idx[0]
     if not vectors[src].is_empty:
         raise ImpulseOnInverter("cannot invert an impulse-carrying signal")
@@ -285,61 +217,51 @@ def _inverter_right(node, states, lefts, rights, vectors, t, dt):
     return 1.0 / value, EMPTY_IMPULSES
 
 
-def _integrator_left(batch, lefts, dt):
-    """Order 1 accumulates the previous input's right limit over the step;
-    order 2 adds ``dt**2 / 2`` times the committed slope, the variable-step
-    two-step Adams-Bashforth update.  The first step emits the initial
-    condition and the second, having no slope yet, is explicit."""
+def _integrator_left(nodes, past, lefts, dt):
+    """Order 1 adds the previous input's right limit times the step to the
+    previous output's right limit; order 2 adds ``dt**2 / 2`` times the
+    input's slope over the last committed step, the variable-step two-step
+    Adams-Bashforth update.  The slope pairs the input's left limit with
+    the right limit before it, so a jump inside a sample never enters it.
+    The first step emits the initial condition and the second, having no
+    slope yet, is explicit."""
+    if not past:
+        for node in nodes:
+            lefts[node.idx] = node.const[0]
+        return
+    last = past[-1]
+    rights = last.rights
+    before = past[-2] if len(past) > 1 else None
     half_dt2 = 0.5 * dt * dt
-    for node, st in batch:
-        prev = st.prev_right
-        if prev is None:
-            lefts[node.idx] = st.accumulator
-        elif st.slope is None:
-            lefts[node.idx] = st.accumulator + prev * dt
-        else:
-            lefts[node.idx] = st.accumulator + prev * dt + half_dt2 * st.slope
+    for node in nodes:
+        src = node.in_idx[0]
+        left = rights[node.idx] + rights[src] * dt
+        if before is not None and node.const[1]:
+            slope = (last.lefts[src] - before.rights[src]) / (last.t - before.t)
+            left += half_dt2 * slope
+        lefts[node.idx] = left
 
 
-def _integrator_right(node, states, lefts, rights, vectors, t, dt):
+def _integrator_right(node, past, lefts, rights, vectors, t, dt):
     """An order-0 impulse on the input becomes a jump carried by the right
     limit; higher orders shift down one order and pass through."""
     jump, rest = extract_order_zero(vectors[node.in_idx[0]])
     return lefts[node.idx] + jump, rest
 
 
-def _integrator_commit(batch, lefts, rights, vectors, t):
-    """The order-2 slope pairs the input's left limit with the previous
-    input's right limit over the committed step, so a jump inside a sample
-    never enters it."""
-    try:
-        for node, st in batch:
-            src = node.in_idx[0]
-            if st.order == 2:
-                if st.prev_right is not None:
-                    require_later(t, st.time)
-                    st.slope = (lefts[src] - st.prev_right) / (t - st.time)
-                st.time = t
-            st.accumulator = rights[node.idx]
-            st.prev_right = rights[src]
-    except BlockError as err:
-        err.node = node
-        raise
-
-
-def _derivative_left(node, states, lefts, dt):
+def _derivative_left(node, past, lefts, dt):
     """Backward difference against the previous right limit, which excludes
     an in-sample jump; the first step emits the initial output."""
-    st = states[node.idx]
-    if st.prev_right is None:
-        return st.initial
-    return (lefts[node.in_idx[0]] - st.prev_right) / dt
+    if not past:
+        return node.const
+    src = node.in_idx[0]
+    return (lefts[src] - past[-1].rights[src]) / dt
 
 
-def _derivative_right(node, states, lefts, rights, vectors, t, dt):
+def _derivative_right(node, past, lefts, rights, vectors, t, dt):
     """Input impulses move up one order; an in-sample jump of the input
     emits an order-0 impulse with the jump as its coefficient."""
-    if states[node.idx].prev_right is None:
+    if not past:
         return lefts[node.idx], EMPTY_IMPULSES
     src = node.in_idx[0]
     vector = shift_orders_up(vectors[src])
@@ -348,43 +270,38 @@ def _derivative_right(node, states, lefts, rights, vectors, t, dt):
     return lefts[node.idx], vector
 
 
-def _derivative_commit(batch, lefts, rights, vectors, t):
-    for node, st in batch:
-        st.prev_right = rights[node.in_idx[0]]
+def _held(past, lefts):
+    """The condition column a Switch or Decision selects by on the left:
+    the right limits at the last commit, which hold until this step; the
+    first step has only its own left limits."""
+    return past[-1].rights if past else lefts
 
 
-def _switch_left(node, states, lefts, dt):
+def _switch_left(node, past, lefts, dt):
     """The output stream is piecewise constant, so its left limit is the
-    held selection; the first step falls back to the unit step of the
-    condition's left limit."""
-    held = states[node.idx].held
-    if held is None:
-        return heaviside(lefts[node.in_idx[0]])
-    return 1.0 if held else 0.0
+    held selection."""
+    return heaviside(_held(past, lefts)[node.in_idx[0]])
 
 
-def _switch_right(node, states, lefts, rights, vectors, t, dt):
+def _switch_right(node, past, lefts, rights, vectors, t, dt):
     src = node.in_idx[0]
     if not vectors[src].is_empty:
         raise ImpulseOnCondition("switch condition must be impulse-free")
     return heaviside(rights[src]), EMPTY_IMPULSES
 
 
-def _decision_left(node, states, lefts, dt):
+def _decision_left(node, past, lefts, dt):
     """Forward ``u`` or ``v``, selected limit-wise by the sign of ``c``."""
-    held = states[node.idx].held
     u, v, c = node.in_idx
-    selects_u = (lefts[c] >= 0.0) if held is None else held
-    return lefts[u] if selects_u else lefts[v]
+    return lefts[u] if _held(past, lefts)[c] >= 0.0 else lefts[v]
 
 
-def _decision_right(node, states, lefts, rights, vectors, t, dt):
+def _decision_right(node, past, lefts, rights, vectors, t, dt):
     u, v, c = node.in_idx
     if not vectors[c].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
-    held = states[node.idx].held
     right_selects_u = rights[c] >= 0.0
-    left_selects_u = (lefts[c] >= 0.0) if held is None else held
+    left_selects_u = _held(past, lefts)[c] >= 0.0
     selected = u if right_selects_u else v
     if left_selects_u != right_selects_u:
         if not (vectors[u].is_empty and vectors[v].is_empty):
@@ -395,31 +312,28 @@ def _decision_right(node, states, lefts, rights, vectors, t, dt):
     return rights[selected], vectors[selected]
 
 
-def _selection_commit(batch, lefts, rights, vectors, t):
-    """Hold the selection of the condition, the last input of both kinds."""
-    for node, st in batch:
-        st.held = rights[node.in_idx[-1]] >= 0.0
-
-
-def _delay_left(batch, lefts, dt):
+def _delay_left(nodes, past, lefts, dt):
     """Replay the previous input sample verbatim; the first output is the
     initial parameter."""
-    for node, st in batch:
-        prev = st.prev_input
-        lefts[node.idx] = st.initial if prev is None else prev.left
+    if not past:
+        for node in nodes:
+            lefts[node.idx] = node.const
+        return
+    previous = past[-1].lefts
+    for node in nodes:
+        lefts[node.idx] = previous[node.in_idx[0]]
 
 
-def _delay_right(node, states, lefts, rights, vectors, t, dt):
-    st = states[node.idx]
-    if st.prev_input is None:
-        return st.initial, EMPTY_IMPULSES
-    return st.prev_input.right, st.prev_input.impulses
+def _delay_right(node, past, lefts, rights, vectors, t, dt):
+    if not past:
+        return node.const, EMPTY_IMPULSES
+    last = past[-1]
+    src = node.in_idx[0]
+    return last.rights[src], last.vectors[src]
 
 
-def _delay_commit(batch, lefts, rights, vectors, t):
-    for node, st in batch:
-        src = node.in_idx[0]
-        st.prev_input = StepSample(lefts[src], rights[src], vectors[src])
+def _init(params: dict[str, float]) -> float:
+    return params.get("init", 0.0)
 
 
 # --- the per-kind table -------------------------------------------------------
@@ -433,44 +347,36 @@ class KindInfo:
     params: tuple[str, ...] = ()
     # True when the block consumes its data input one step late, which
     # removes it from the current-step dependency graph; its phase 1 reads
-    # only its state and runs as ``left_batch``, set exactly for these kinds.
+    # only the committed steps and runs as ``left_batch``, set exactly for
+    # these kinds.
     previous_input: bool = False
     left_batch: Callable | None = None
-    # Set exactly for the stateful kinds.
-    commit: Callable | None = None
-    new_state: Callable[[dict[str, float]], object] | None = None
+    # The node's constants from its parameters, computed once into
+    # ``node.const``; set exactly for the kinds with parameters.
+    const: Callable[[dict[str, float]], object] | None = None
 
 
 KINDS: dict[str, KindInfo] = {
     "Constant": KindInfo((), _constant_left, _constant_right,
-                         params=("value",)),
+                         params=("value",),
+                         const=lambda params: params["value"]),
     "Adder": KindInfo((), _adder_left, _adder_right, variadic=True),
     "Negator": KindInfo(("in",), _negator_left, _negator_right),
     "Multiplier": KindInfo((), _multiplier_left, _multiplier_right,
-                           variadic=True, commit=_multiplier_commit,
-                           new_state=lambda params: MultiplierState()),
+                           variadic=True),
     "Inverter": KindInfo(("in",), _inverter_left, _inverter_right),
     "Integrator": KindInfo(("in",), None, _integrator_right,
                            params=("init", "order"), previous_input=True,
                            left_batch=_integrator_left,
-                           commit=_integrator_commit,
-                           new_state=_new_integrator),
+                           const=lambda params: (
+                               _init(params), params.get("order", 1) == 2)),
     "Derivative": KindInfo(("in",), _derivative_left, _derivative_right,
-                           params=("init",), commit=_derivative_commit,
-                           new_state=lambda params: DerivativeState(
-                               initial=params.get("init", 0.0))),
-    "Switch": KindInfo(("c",), _switch_left, _switch_right,
-                       commit=_selection_commit,
-                       new_state=lambda params: SelectionState()),
-    "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right,
-                         commit=_selection_commit,
-                         new_state=lambda params: SelectionState()),
+                           params=("init",), const=_init),
+    "Switch": KindInfo(("c",), _switch_left, _switch_right),
+    "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right),
     "Delay": KindInfo(("in",), None, _delay_right,
                       params=("init",), previous_input=True,
-                      left_batch=_delay_left,
-                      commit=_delay_commit,
-                      new_state=lambda params: DelayState(
-                          initial=params.get("init", 0.0))),
+                      left_batch=_delay_left, const=_init),
 }
 
 

@@ -292,7 +292,12 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             for e in trace.impulses if e.signal == name
         ]
         payload[name] = {"segments": segments, "arrows": arrows}
-    Path(args.out).write_text(json.dumps({"signals": payload}, indent=1) + "\n")
+    text = json.dumps({"signals": payload}, indent=1) + "\n"
+    try:
+        Path(args.out).write_text(text)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

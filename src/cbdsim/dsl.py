@@ -434,9 +434,8 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
 def print_model(model: Model) -> str:
     """Canonical text of ``model``: ports as ``in ...; out ...``, named
     parameters and ``block.port`` endpoints.  :func:`load_model` of the
-    text gives back an equal model whenever the model flattens and its
-    parameters are finite, for a model read from text and one built in
-    code alike."""
+    text gives back an equal model whenever the model flattens, for a model
+    read from text and one built in code alike."""
     chunks: list[str] = []
     for name, defn in model.definitions.items():
         ports = "; ".join(

@@ -2,24 +2,24 @@
 
 Each node binds its kind's kernels from ``blocks.KINDS``, which define
 what a block computes; this module decides when they run.  An
-:class:`Engine` schedules its flat graph, owns every block's state and
-builds every table a step reads once, when it is constructed.  Each
+:class:`Engine` schedules its flat graph, keeps its newest committed steps
+and builds every table a step reads once, when it is constructed.  Each
 committed step runs in two phases over the schedule, then commits:
 
-* phase 1 fixes every signal's left limit (integrators and delays emit
-  state, everything else folds its inputs' left limits),
+* phase 1 fixes every signal's left limit (integrators and delays replay
+  the last committed step, everything else folds its inputs' left limits),
 * phase 2 computes impulse vectors and right limits, sweeping the schedule
   until the values stop changing so that jumps produced by integrators
   late in the schedule still reach their consumers within the same step,
-* the commit advances every stateful block's state at the step's time.
+* the commit appends the step's columns, at the step's time, to
+  ``Engine.past``, the committed steps every kernel reads.
 
 A step's values are three columns indexed by node, a
 :class:`StepColumns`: ``lefts``, written by phase 1, and ``rights`` and
 ``vectors``, created only when phase 2 sweeps; on a step it skips,
 ``rights is lefts`` and ``vectors`` is one shared all-empty tuple.  The
-state-only kinds (Integrator, Delay) run phase 1 as one batch per kind
-ahead of the schedule, which skips them, and the commit runs one batch
-per stateful kind.
+kinds whose phase 1 reads only the committed steps (Integrator, Delay)
+run it as one batch per kind ahead of the schedule, which skips them.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -93,6 +93,10 @@ class MaxOrderExceeded(EngineError):
     pass
 
 
+class NonIncreasingTime(EngineError):
+    """A commit time did not exceed the previous commit time."""
+
+
 class SimulationError(EngineError):
     """A block error with the offending block path attached."""
 
@@ -114,6 +118,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in (SYMBOLIC, NUMERICAL):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("h", "h_min", "t_end", "zc_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.h > 0.0 and 0.0 < self.h_min <= self.h):
             raise ValueError("need 0 < h_min <= h")
         if not self.t_end > 0.0:
@@ -179,14 +187,18 @@ class _Node:
     kind: str
     params: dict[str, float]
     in_idx: tuple[int, ...]
-    # The kind's per-node kernels from ``blocks.KINDS``; the state-only
-    # kinds have no per-node ``left`` (None) and run phase 1 per kind.
+    # The kind's per-node kernels from ``blocks.KINDS``; the kinds that
+    # read only the committed steps in phase 1 have no per-node ``left``
+    # (None) and run it per kind.
     left: Callable | None = field(init=False, repr=False)
     right: Callable = field(init=False, repr=False)
+    # The kind's constants from ``params``, None for a kind without.
+    const: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         info = bk.KINDS[self.kind]
         self.left, self.right = info.left, info.right
+        self.const = info.const(self.params) if info.const else None
 
 
 class StepColumns(NamedTuple):
@@ -197,60 +209,14 @@ class StepColumns(NamedTuple):
     vectors: Sequence[ImpulseVector]
 
 
-# Conservative singularity levels of a block's output, in increasing order.
-SMOOTH, JUMP, IMPULSE, HIGHER_IMPULSE = range(4)
-
-
-def _singularity_levels(nodes: list[_Node]) -> list[int]:
-    """The most singular output each block can produce: a fixpoint over
-    the inputs, where Switch and Decision are at least ``JUMP``, a
-    Derivative raises its input's level by one, an Integrator lowers it by
-    one (``HIGHER_IMPULSE``, an impulse of order >= 1, stays) and every
-    other kind takes the maximum over its inputs."""
-    levels = [SMOOTH] * len(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            level = max(map(levels.__getitem__, n.in_idx), default=SMOOTH)
-            if n.kind in ("Switch", "Decision"):
-                level = max(level, JUMP)
-            elif n.kind == "Derivative":
-                level = min(level + 1, HIGHER_IMPULSE)
-            elif n.kind == "Integrator" and level < HIGHER_IMPULSE:
-                level = max(level - 1, SMOOTH)
-            if level > levels[n.idx]:
-                levels[n.idx] = level
-                changed = True
-    return levels
-
-
-def _initial_states(nodes: list[_Node]) -> list:
-    states = []
+def _batches(nodes: Iterable[_Node]) -> list[tuple[Callable, list[_Node]]]:
+    """``(left_batch kernel, nodes)`` per kind among ``nodes`` with one, in
+    order of first appearance."""
+    by_kind: dict[str, list[_Node]] = {}
     for n in nodes:
-        new_state = bk.KINDS[n.kind].new_state
-        try:
-            states.append(new_state(n.params) if new_state else None)
-        except BlockError as err:
-            raise SimulationError(n.path, err) from err
-    # A Multiplier reads its history only for an impulse of order >= 1.
-    levels = _singularity_levels(nodes)
-    for n in nodes:
-        if n.kind == "Multiplier":
-            states[n.idx].history = any(
-                levels[i] == HIGHER_IMPULSE for i in n.in_idx)
-    return states
-
-
-def _batches(role: str, nodes: Iterable[_Node], states: list,
-             ) -> list[tuple[Callable, list[tuple[_Node, object]]]]:
-    """``(kernel, [(node, state), ...])`` per kind among ``nodes`` with a
-    ``role`` batch kernel, in order of first appearance."""
-    by_kind: dict[str, list] = {}
-    for n in nodes:
-        if getattr(bk.KINDS[n.kind], role):
-            by_kind.setdefault(n.kind, []).append((n, states[n.idx]))
-    return [(getattr(bk.KINDS[k], role), b) for k, b in by_kind.items()]
+        if bk.KINDS[n.kind].left_batch:
+            by_kind.setdefault(n.kind, []).append(n)
+    return [(bk.KINDS[k].left_batch, b) for k, b in by_kind.items()]
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -363,13 +329,14 @@ def _require_finite_right(node: _Node, right: float,
 
 
 class Engine:
-    """Owns the node table, schedule and per-block states of a flat graph.
+    """Owns the node table and schedule of a flat graph and ``past``, its
+    newest ``blocks.HISTORY_DEPTH`` committed steps, oldest first.
 
     Construction builds the tables the steps read: the node table and
-    schedule groups, the initial states and commit batches, a solve plan
-    per algebraic loop (``NonlinearLoop`` for a loop that is not linear),
-    the cone of every Switch, Decision and Delay, the condition closure,
-    and the phase-1 plans of the full step and of the bisection trials.
+    schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
+    for a loop that is not linear), the cone of every Switch, Decision and
+    Delay, the condition closure, and the phase-1 plans of the full step
+    and of the bisection trials.
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
@@ -386,18 +353,19 @@ class Engine:
             for g in dependency_sort(flat)
         ]
         self.order = [idx for members, _ in self.groups for idx in members]
-        self.states = _initial_states(nodes)
-        self.commits = _batches("commit", nodes, self.states)
+        self.past: deque[bk.Committed] = deque(maxlen=bk.HISTORY_DEPTH)
         self.loop_plans = {members: _LoopPlan(nodes, members)
                            for members, cyclic in self.groups if cyclic}
         # The Switches and Decisions, as (block, condition input) indices.
         self.conditions = [(n.idx, n.in_idx[-1]) for n in nodes
                            if n.kind in ("Switch", "Decision")]
-        self.delays = [n.idx for n in nodes if n.kind == "Delay"]
+        # The Delays, as (block, input) indices.
+        self.delays = [(n.idx, n.in_idx[0]) for n in nodes if n.kind == "Delay"]
         group_of = {idx: g for g, (members, _) in enumerate(self.groups)
                     for idx in members}
         # Phase 2 reads every input's values of the current step, except at a
-        # Delay, which replays its state: a change spreads along these edges.
+        # Delay, which replays the last committed step: a change spreads
+        # along these edges.
         readers: list[list[int]] = [[] for _ in nodes]
         for n in nodes:
             for dep in () if n.kind == "Delay" else n.in_idx:
@@ -406,13 +374,14 @@ class Engine:
         # source and of every block that reads it within one step.
         self.cones = {
             idx: sorted({group_of[i] for i in _reach([idx], readers.__getitem__)})
-            for idx in [block for block, _ in self.conditions] + self.delays
+            for idx, _ in self.conditions + self.delays
         }
         # The condition closure: the groups whose left limits the crossing
         # test reads.  The walk goes backwards from every condition input
         # and stops at the kinds that consume their input one step late
-        # (Integrators and Delays), whose phase 1 reads only state; the
-        # closure holds the groups of the blocks reached, loops whole.
+        # (Integrators and Delays), whose phase 1 reads only the committed
+        # steps; the closure holds the groups of the blocks reached, loops
+        # whole.
         inputs = [() if bk.KINDS[n.kind].previous_input else n.in_idx
                   for n in nodes]
         seen = _reach([cond for _, cond in self.conditions], inputs.__getitem__)
@@ -425,12 +394,12 @@ class Engine:
 
     def _phase1_plan(self, groups: list[tuple[tuple[int, ...], bool]],
                      order: list[int] | None) -> tuple:
-        """Phase 1 of ``groups``: the state-only kinds' batches, then
+        """Phase 1 of ``groups``: the ``left_batch`` kinds' batches, then
         ``(node, plan)`` for every other group in schedule order, where
         ``plan`` is None for a single block and a loop's solve plan
         otherwise; ``order`` lists the blocks screened, None for all."""
         nodes = [self.nodes[idx] for members, _ in groups for idx in members]
-        batches = _batches("left_batch", nodes, self.states)
+        batches = _batches(nodes)
         entries = []
         for members, cyclic in groups:
             node = self.nodes[members[0]]
@@ -445,15 +414,15 @@ class Engine:
     def compute_step(self, t: float, dt: float,
                      ) -> tuple[StepColumns, list[tuple[int, int]]]:
         """Evaluate every block at time ``t`` for a step of size ``dt``
-        from the engine's states; returns the step's columns and the
-        flipped conditions."""
+        after the engine's committed steps; returns the step's columns and
+        the flipped conditions."""
         lefts = self._phase1(self.phase1, dt)
         flipped = self.flipped_conditions(lefts)
         sweep = self._sweep_groups(flipped)
         if not sweep:
             return StepColumns(lefts, lefts, self.quiet_vectors), flipped
 
-        nodes, states = self.nodes, self.states
+        nodes, past = self.nodes, self.past
         rights = lefts[:]
         vectors = [EMPTY_IMPULSES] * len(nodes)
         limit = len(nodes) + 2
@@ -466,7 +435,7 @@ class Engine:
                 idx = members[0]
                 node = nodes[idx]
                 try:
-                    right, vector = node.right(node, states, lefts, rights,
+                    right, vector = node.right(node, past, lefts, rights,
                                                vectors, t, dt)
                 except BlockError as err:
                     raise SimulationError(node.path, err) from err
@@ -508,14 +477,14 @@ class Engine:
         """Left limits of the blocks of ``plan`` (from ``_phase1_plan``),
         screened for non-finite values; the others stay ``None``."""
         batches, entries, order = plan
-        nodes, states = self.nodes, self.states
+        nodes, past = self.nodes, self.past
         lefts: list = [None] * len(nodes)
         for kernel, batch in batches:
-            kernel(batch, lefts, dt)
+            kernel(batch, past, lefts, dt)
         try:
             for node, plan in entries:
                 if plan is None:
-                    lefts[node.idx] = node.left(node, states, lefts, dt)
+                    lefts[node.idx] = node.left(node, past, lefts, dt)
                 else:
                     for idx, value in zip(plan.members,
                                           plan.solve(lefts.__getitem__)):
@@ -550,11 +519,12 @@ class Engine:
         a step with no source sweeps nothing.
         """
         sources = [idx for idx, _ in flipped]
-        for idx in self.delays:
-            prev = self.states[idx].prev_input
-            if prev is not None and (prev.left != prev.right
-                                     or not prev.impulses.is_empty):
-                sources.append(idx)
+        if self.past:
+            last = self.past[-1]
+            for idx, src in self.delays:
+                if last.lefts[src] != last.rights[src] \
+                        or not last.vectors[src].is_empty:
+                    sources.append(idx)
         if not sources:
             return []
         positions = set().union(*map(self.cones.__getitem__, sources))
@@ -578,14 +548,15 @@ class Engine:
         return changed
 
     def commit(self, columns: StepColumns, t: float) -> None:
-        """Advance the engine's stateful blocks to time ``t`` from the
-        step's ``columns``, one batch per kind."""
-        lefts, rights, vectors = columns
-        try:
-            for kernel, batch in self.commits:
-                kernel(batch, lefts, rights, vectors, t)
-        except BlockError as err:
-            raise SimulationError(err.node.path, err) from err
+        """Append the step's ``columns`` at time ``t`` to ``past``, which
+        drops its oldest step when full; ``t`` must follow the last commit."""
+        past = self.past
+        if past and not t > past[-1].t:
+            raise NonIncreasingTime(
+                f"commit time {t!r} does not follow the previous commit "
+                f"at {past[-1].t!r}"
+            )
+        past.append(bk.Committed(t, *columns))
 
     # -- event handling --------------------------------------------------------
 
@@ -599,11 +570,11 @@ class Engine:
         causes) do not re-trigger location.
         """
         flipped = []
-        states = self.states
-        for idx, cond in self.conditions:
-            held = states[idx].held
-            if held is not None and (lefts[cond] >= 0.0) != held:
-                flipped.append((idx, cond))
+        if self.past:
+            held = self.past[-1].rights
+            for idx, cond in self.conditions:
+                if (lefts[cond] >= 0.0) != (held[cond] >= 0.0):
+                    flipped.append((idx, cond))
         return flipped
 
     def _condition_magnitude(self, lefts: list[float],

@@ -16,6 +16,7 @@ current-step edge.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -154,10 +155,11 @@ class Problem(NamedTuple):
 
 def check_model(model: Model) -> Iterator[Problem]:
     """Every broken structural rule of every definition, in order: unknown
-    kinds, parameters and Integrator orders, link endpoints and drivers,
-    undriven ports and block inputs, then recursion.  A model that yields
-    nothing flattens from any top definition that declares no inputs,
-    unless its port wiring is cyclic."""
+    kinds, unknown and non-finite parameters and Integrator orders, link
+    endpoints and drivers, undriven ports and block inputs, then
+    recursion.  A model that yields nothing flattens from any top
+    definition that declares no inputs, unless its port wiring is
+    cyclic."""
     definitions = model.definitions
     for name, defn in definitions.items():
         yield from _check_definition(name, defn, definitions)
@@ -182,11 +184,15 @@ def _check_definition(name: str, defn: Definition,
                           f"unknown block kind {decl.kind!r}")
             continue
         declared = info.params if info else ()  # a composite takes none
-        for param in decl.params:
+        for param, value in decl.params.items():
             if param not in declared:
                 yield Problem(InvalidParameter, name, ("block", bname),
                               f"{bname!r} ({decl.kind}) has no parameter "
                               f"{param!r}")
+            elif isinstance(value, float) and not math.isfinite(value):
+                yield Problem(InvalidParameter, name, ("block", bname),
+                              f"{bname!r} ({decl.kind}) parameter {param!r} "
+                              f"must be finite, got {value!r}")
         order = decl.params.get("order", 1)
         if decl.kind == "Integrator" and order not in INTEGRATOR_ORDERS:
             got = (f"{order:g}" if isinstance(order, (int, float))

@@ -1,5 +1,5 @@
-import copy
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -9,34 +9,52 @@ from cbdsim.signals import EMPTY_IMPULSES, ImpulseVector, StepSample, sample
 
 G = 9.81
 
-STATEFUL = {"Multiplier", "Integrator", "Derivative", "Switch", "Decision", "Delay"}
+
+def new_node(kind, idx, in_idx, params):
+    info = bk.KINDS[kind]
+    return SimpleNamespace(idx=idx, in_idx=in_idx,
+                           const=info.const(params) if info.const else None)
 
 
-def step(kind, inputs, state=None, t=0.0, dt=0.1, **params):
+def committed(t, samples):
+    """A committed step at ``t`` whose columns hold ``samples``."""
+    return bk.Committed(t, [s.left for s in samples],
+                        [s.right for s in samples],
+                        [s.impulses for s in samples])
+
+
+def seeded(*samples, t=-0.1):
+    """A ``past`` ring holding one committed step at ``t``: the inputs'
+    samples, then the block's own."""
+    return deque([committed(t, samples)], maxlen=bk.HISTORY_DEPTH)
+
+
+def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
     """One step of a lone ``kind`` block fed ``inputs``, through its kernels.
 
-    Runs ``left``, then ``right``, then ``commit`` at time ``t`` for a step
-    of size ``dt``, the order the engine runs them in, and returns the
-    output sample and ``state``, which ``commit`` updates in place.  The
-    batch kernels get a batch of one.
+    Runs ``left``, then ``right`` at time ``t`` for a step of size ``dt``
+    after the committed steps ``past`` (none when None), then commits the
+    step to ``past`` as the engine does, and returns the output sample and
+    ``past``.  The node's inputs are nodes ``0 .. n - 1`` and the block is
+    node ``n``.  The batch kernels get a batch of one.
     """
     info = bk.KINDS[kind]
+    if past is None:
+        past = deque(maxlen=bk.HISTORY_DEPTH)
     n = len(inputs)
-    node = SimpleNamespace(idx=n, in_idx=tuple(range(n)), params=params)
+    node = new_node(kind, n, tuple(range(n)), params)
     lefts = [s.left for s in inputs] + [None]
     rights = [s.right for s in inputs] + [None]
     vectors = [s.impulses for s in inputs] + [None]
-    states = [None] * n + [state]
     if info.left_batch is not None:
-        info.left_batch([(node, state)], lefts, dt)
+        info.left_batch([node], past, lefts, dt)
     else:
-        lefts[n] = info.left(node, states, lefts, dt)
+        lefts[n] = info.left(node, past, lefts, dt)
     rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
-    rights[n], vectors[n] = info.right(node, states, lefts, rights, vectors,
+    rights[n], vectors[n] = info.right(node, past, lefts, rights, vectors,
                                        t, dt)
-    if info.commit is not None:
-        info.commit([(node, state)], lefts, rights, vectors, t)
-    return StepSample(lefts[n], rights[n], vectors[n]), state
+    past.append(bk.Committed(t, lefts, rights, vectors))
+    return StepSample(lefts[n], rights[n], vectors[n]), past
 
 
 @pytest.mark.parametrize("kind", sorted(bk.KINDS))
@@ -47,8 +65,7 @@ def test_every_kind_has_its_kernels(kind):
     assert callable(info.left_batch if info.previous_input else info.left)
     assert (info.left is None) == info.previous_input
     assert (info.left_batch is None) != info.previous_input
-    assert (info.commit is not None) == (kind in STATEFUL)
-    assert (info.new_state is not None) == (kind in STATEFUL)
+    assert (info.const is None) == (not info.params)
 
 
 class TestConstant:
@@ -66,30 +83,28 @@ class TestAdder:
 
 class TestMultiplier:
     def test_plain_product(self):
-        out, _ = step("Multiplier", [sample(2, 2), sample(3, 3)],
-                      bk.MultiplierState())
+        out, _ = step("Multiplier", [sample(2, 2), sample(3, 3)])
         assert out == sample(6, 6)
 
     def test_contact_scaling(self):
         # Constant -2*v(tc-) against a unit contact impulse.
         v_minus = -math.sqrt(2.0 * G * 10.0)
         u = sample(-2.0 * v_minus, -2.0 * v_minus)
-        out, _ = step("Multiplier", [u, sample(1, 1, {0: 1})],
-                      bk.MultiplierState())
+        out, _ = step("Multiplier", [u, sample(1, 1, {0: 1})])
         assert out.impulses == ImpulseVector({0: -2.0 * v_minus})
 
     def test_linear_factor_against_order_two(self):
         # u(t) = -g t sampled up to t = 1.44 against {2: 20}.
-        state = bk.MultiplierState()
+        past = None
         h = 0.01
         for k in (2, 1):
             t = 1.44 - k * h
-            step("Multiplier", [sample(-G * t, -G * t), sample(1, 1)],
-                 state, t=t)
+            _, past = step("Multiplier",
+                           [sample(-G * t, -G * t), sample(1, 1)], past, t=t)
         out, _ = step(
             "Multiplier",
             [sample(-G * 1.44, -G * 1.44), sample(1, 1, {2: 20})],
-            state, t=1.44,
+            past, t=1.44,
         )
         assert out.impulses.coefficient(2) == pytest.approx(-28.8 * G, rel=1e-12)
         assert out.impulses.coefficient(1) == pytest.approx(40.0 * G, rel=1e-12)
@@ -98,7 +113,6 @@ class TestMultiplier:
         out, _ = step(
             "Multiplier",
             [sample(2, 2), sample(1, 1, {0: 5}), sample(3, 3)],
-            bk.MultiplierState(),
         )
         assert out.left == out.right == 6.0
         assert out.impulses == ImpulseVector({0: 30.0})
@@ -108,15 +122,11 @@ class TestMultiplier:
             step(
                 "Multiplier",
                 [sample(1, 1, {0: 1}), sample(1, 1, {0: 1})],
-                bk.MultiplierState(),
             )
 
     def test_insufficient_history(self):
         with pytest.raises(bk.InsufficientHistory):
-            step(
-                "Multiplier",
-                [sample(2, 2), sample(1, 1, {1: 1})], bk.MultiplierState()
-            )
+            step("Multiplier", [sample(2, 2), sample(1, 1, {1: 1})])
 
 
 class TestInverter:
@@ -137,38 +147,37 @@ class TestInverter:
 
 class TestIntegrator:
     def test_riemann_step(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_right=1.0)
-        out, state = step("Integrator", [sample(1, 1)], state, dt=0.1)
+        past = seeded(sample(1, 1), sample(0, 0))
+        out, past = step("Integrator", [sample(1, 1)], past, dt=0.1)
         assert out == sample(0.1, 0.1)
-        assert state.accumulator == pytest.approx(0.1)
+        assert past[-1].rights[1] == pytest.approx(0.1)
 
     def test_first_step_emits_initial_condition(self):
-        state = bk.IntegratorState(accumulator=5.0)
-        out, _ = step("Integrator", [sample(99, 99)], state, dt=0.1)
+        out, _ = step("Integrator", [sample(99, 99)], dt=0.1, init=5.0)
         assert out == sample(5.0, 5.0)
 
     def test_contact_jump_reflects_velocity(self):
         v_minus = -math.sqrt(2.0 * G * 10.0)
-        state = bk.IntegratorState(accumulator=v_minus)
-        out, state = step(
-            "Integrator", [sample(0, 0, {0: -2.0 * v_minus})], state, dt=1e-3
+        out, past = step(
+            "Integrator", [sample(0, 0, {0: -2.0 * v_minus})], dt=1e-3,
+            init=v_minus,
         )
         assert out.left == v_minus
         assert out.right == -v_minus
         assert out.impulses.is_empty
-        assert state.accumulator == -v_minus
+        assert past[-1].rights[1] == -v_minus
 
     def test_higher_orders_shift_down(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_right=0.0)
-        out, _ = step("Integrator", [sample(0, 0, {1: 5})], state, dt=0.1)
+        past = seeded(sample(0, 0), sample(0, 0))
+        out, _ = step("Integrator", [sample(0, 0, {1: 5})], past, dt=0.1)
         assert out.impulses == ImpulseVector({0: 5})
         assert out.left == out.right == 0.0
 
     def test_unit_impulse_gives_unit_step(self):
-        state = bk.IntegratorState(accumulator=0.0, prev_right=0.0)
-        out, state = step("Integrator", [sample(0, 0, {0: 1})], state, dt=0.1)
+        past = seeded(sample(0, 0), sample(0, 0))
+        out, past = step("Integrator", [sample(0, 0, {0: 1})], past, dt=0.1)
         assert (out.left, out.right) == (0.0, 1.0)
-        out, state = step("Integrator", [sample(0, 0)], state, dt=0.1)
+        out, past = step("Integrator", [sample(0, 0)], past, dt=0.1)
         assert (out.left, out.right) == (1.0, 1.0)
 
 
@@ -178,125 +187,127 @@ class TestIntegrator:
         # happen at the grid times, from which the slope takes its step.
         a, b = 0.75, -2.0
         times = [0.0, 0.1, 0.35, 0.4, 0.7, 1.0]
-        state = bk.IntegratorState(accumulator=1.0, order=2)
-        out, state = step("Integrator", [sample(a, a)], state, t=0.0, dt=0.1)
+        out, past = step("Integrator", [sample(a, a)], t=0.0, dt=0.1,
+                         init=1.0, order=2)
         assert out == sample(1.0, 1.0)
         x1 = 1.0 + 0.1 * a
         for t_prev, t in zip(times, times[1:]):
             u = a + b * t
-            out, state = step("Integrator", [sample(u, u)], state,
-                              t=t, dt=t - t_prev)
+            out, past = step("Integrator", [sample(u, u)], past,
+                             t=t, dt=t - t_prev, order=2)
             exact = x1 + a * (t - 0.1) + 0.5 * b * (t * t - 0.01)
             assert out.left == pytest.approx(exact, rel=1e-12)
         # A jump inside the input sample and an order-0 impulse on it move
         # the output's right limit but stay out of the next step's slope.
-        state = bk.IntegratorState(accumulator=0.0, order=2)
+        past = None
         t = 0.0
         for value in (sample(1, 1), sample(1, 1), sample(1, 3, {0: 5})):
-            out, state = step("Integrator", [value], state, t=t, dt=0.1)
+            out, past = step("Integrator", [value], past, t=t, dt=0.1,
+                             order=2)
             t += 0.1
         assert (out.left, out.right) == (pytest.approx(0.2), pytest.approx(5.2))
-        assert state.slope == 0.0
-        out, state = step("Integrator", [sample(3, 3)], state, t=t, dt=0.1)
+        assert committed_slope(past) == 0.0
+        out, past = step("Integrator", [sample(3, 3)], past, t=t, dt=0.1,
+                         order=2)
         assert out.left == pytest.approx(5.5, rel=1e-15)
-        assert state.slope == 0.0
+        assert committed_slope(past) == 0.0
+
+
+def committed_slope(past):
+    """The input slope over the last committed step that an order-2
+    Integrator fed by node 0 adds to its next step."""
+    last, before = past[-1], past[-2]
+    return (last.lefts[0] - before.rights[0]) / (last.t - before.t)
 
 
 class TestDerivative:
     def test_slope(self):
-        state = bk.DerivativeState(initial=0.0, prev_right=0.0)
-        out, _ = step("Derivative", [sample(0.3, 0.3)], state, dt=0.1)
+        past = seeded(sample(0, 0), sample(0, 0))
+        out, _ = step("Derivative", [sample(0.3, 0.3)], past, dt=0.1)
         assert out.left == out.right == pytest.approx(3.0)
         assert out.impulses.is_empty
 
     def test_jump_becomes_impulse(self):
         v0, g, td = 5.0, G, 0.4
         before = v0 - g * td
-        state = bk.DerivativeState(initial=0.0, prev_right=before)
-        out, _ = step("Derivative", [sample(before, -before)], state, dt=0.1)
+        past = seeded(sample(before, before), sample(0, 0))
+        out, _ = step("Derivative", [sample(before, -before)], past, dt=0.1)
         assert out.impulses == ImpulseVector({0: -2.0 * before})
 
     def test_orders_shift_up(self):
-        state = bk.DerivativeState(initial=0.0, prev_right=0.0)
-        out, _ = step("Derivative", [sample(0, 0, {0: 2})], state, dt=0.1)
+        past = seeded(sample(0, 0), sample(0, 0))
+        out, _ = step("Derivative", [sample(0, 0, {0: 2})], past, dt=0.1)
         assert out.impulses == ImpulseVector({1: 2})
 
     def test_first_step_emits_initial_output(self):
-        state = bk.DerivativeState(initial=7.5)
-        out, _ = step("Derivative", [sample(1, 2)], state, dt=0.1)
+        out, _ = step("Derivative", [sample(1, 2)], dt=0.1, init=7.5)
         assert out == sample(7.5, 7.5)
 
 
 class TestSwitch:
     def test_negative_condition(self):
-        out, _ = step("Switch", [sample(-1, -1)], bk.SelectionState())
+        out, _ = step("Switch", [sample(-1, -1)])
         assert out == sample(0, 0)
 
     def test_boundary_is_high(self):
-        out, _ = step("Switch", [sample(0, 0)], bk.SelectionState())
+        out, _ = step("Switch", [sample(0, 0)])
         assert out == sample(1, 1)
 
     def test_split_condition(self):
-        out, _ = step("Switch", [sample(-0.5, 0.5)], bk.SelectionState())
+        out, _ = step("Switch", [sample(-0.5, 0.5)])
         assert out == sample(0, 1)
 
     def test_between_step_flip_creates_edge(self):
-        _, state = step("Switch", [sample(-1, -1)], bk.SelectionState())
-        out, _ = step("Switch", [sample(0.5, 0.5)], state)
+        _, past = step("Switch", [sample(-1, -1)])
+        out, _ = step("Switch", [sample(0.5, 0.5)], past)
         assert out == sample(0, 1)
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
-            step("Switch", [sample(1, 1, {0: 3})], bk.SelectionState())
+            step("Switch", [sample(1, 1, {0: 3})])
 
 
 class TestDecision:
     def test_selects_u(self):
-        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(3, 3)],
-                      bk.SelectionState())
+        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(3, 3)])
         assert out == sample(1, 1)
 
     def test_limit_wise_selection(self):
-        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)],
-                      bk.SelectionState())
+        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)])
         assert out == sample(2, 1)
 
     def test_impulse_at_switching_instant_rejected(self):
         with pytest.raises(bk.ImpulseAtSwitchingInstant):
             step("Decision",
-                 [sample(1, 1, {0: 1}), sample(2, 2), sample(-1, 1)],
-                 bk.SelectionState())
+                 [sample(1, 1, {0: 1}), sample(2, 2), sample(-1, 1)])
 
     def test_forwards_selected_branch_impulses(self):
         out, _ = step("Decision",
-                      [sample(1, 1, {1: 4}), sample(2, 2), sample(1, 1)],
-                      bk.SelectionState())
+                      [sample(1, 1, {1: 4}), sample(2, 2), sample(1, 1)])
         assert out.impulses == ImpulseVector({1: 4})
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
             step("Decision",
-                 [sample(1, 1), sample(2, 2), sample(1, 1, {0: 1})],
-                 bk.SelectionState())
+                 [sample(1, 1), sample(2, 2), sample(1, 1, {0: 1})])
 
 
 class TestDelay:
     def test_first_step_initial(self):
-        out, state = step("Delay", [sample(9, 9)], bk.DelayState(initial=0.0))
+        out, _ = step("Delay", [sample(9, 9)], init=0.0)
         assert out == sample(0, 0)
 
     def test_previous_sample_verbatim(self):
-        _, state = step("Delay", [sample(3, 4, {0: 1})],
-                        bk.DelayState(initial=0.0))
-        out, _ = step("Delay", [sample(7, 7)], state)
+        _, past = step("Delay", [sample(3, 4, {0: 1})], init=0.0)
+        out, _ = step("Delay", [sample(7, 7)], past)
         assert out == sample(3, 4, {0: 1})
 
     def test_two_delays_shift_two_steps(self):
-        s1, s2 = bk.DelayState(initial=0.0), bk.DelayState(initial=0.0)
+        p1 = p2 = None
         seen = []
         for value in (1.0, 2.0, 3.0, 4.0):
-            mid, s1 = step("Delay", [sample(value, value)], s1)
-            out, s2 = step("Delay", [mid], s2)
+            mid, p1 = step("Delay", [sample(value, value)], p1, init=0.0)
+            out, p2 = step("Delay", [mid], p2, init=0.0)
             seen.append(out.left)
         assert seen == [0.0, 0.0, 1.0, 2.0]
 
@@ -304,14 +315,13 @@ class TestDelay:
 class TestChainInvariants:
     def test_derivative_integrator_reproduce_in_sample_jump(self):
         """A jump travelling through d/dt then integration lands exactly."""
-        der = bk.DerivativeState(initial=0.0)
-        integ = bk.IntegratorState(accumulator=0.0)
+        der = integ = None
         h = 0.25
         stream = [sample(0, 0), sample(0, 0), sample(0, 1), sample(1, 1)]
         outputs = []
         for value in stream:
-            mid, der = step("Derivative", [value], der, dt=h)
-            out, integ = step("Integrator", [mid], integ, dt=h)
+            mid, der = step("Derivative", [value], der, dt=h, init=0.0)
+            out, integ = step("Integrator", [mid], integ, dt=h, init=0.0)
             outputs.append(out)
         assert [o.right for o in outputs] == [v.right for v in stream]
 
@@ -343,19 +353,33 @@ def _hexed(sample):
 
 def test_batches_match_batches_of_one():
     """Integrators of order 1 and 2 and Delays, stepped as one batch per
-    kind over three steps (fresh, after their first commit, after their
-    second), give the floats of the batch-of-one harness."""
-    blocks = [("Integrator", bk.IntegratorState(accumulator=1.5)),
-              ("Delay", bk.DelayState(initial=-2.0)),
-              ("Integrator", bk.IntegratorState(accumulator=0.25, order=2)),
-              ("Integrator", bk.IntegratorState(accumulator=-3.0,
-                                                prev_right=0.5)),
-              ("Delay", bk.DelayState(initial=0.0)),
-              ("Integrator", bk.IntegratorState(accumulator=0.0, order=2))]
-    alone = [copy.deepcopy(state) for _, state in blocks]
+    kind over three steps (fresh or after a seeded committed step, then
+    after their first commit, after their second), give the floats of the
+    batch-of-one harness."""
+    for seed in (False, True):
+        _check_batches(seed)
+
+
+def _check_batches(seed):
+    blocks = [("Integrator", {"init": 1.5}),
+              ("Delay", {"init": -2.0}),
+              ("Integrator", {"init": 0.25, "order": 2}),
+              ("Integrator", {"init": -3.0}),
+              ("Delay", {"init": 0.0}),
+              ("Integrator", {"init": 0.0, "order": 2})]
     n = len(blocks)
-    nodes = [SimpleNamespace(idx=n + k, in_idx=(k,), params={})
-             for k in range(n)]
+    nodes = [new_node(kind, n + k, (k,), params)
+             for k, (kind, params) in enumerate(blocks)]
+    past = deque(maxlen=bk.HISTORY_DEPTH)
+    alone = [None] * n
+    if seed:
+        # The previous inputs jump, one carries an impulse; the fourth
+        # block's output was -3.0 with its input's right limit at 0.5.
+        before_in = [sample(0.1 * k, 0.5, {0: 0.25} if k == 1 else None)
+                     for k in range(n)]
+        before_out = [sample(v, v) for v in (1.5, -2.0, 0.25, -3.0, 0.0, 0.0)]
+        past.append(committed(-0.1, before_in + before_out))
+        alone = [seeded(i, o) for i, o in zip(before_in, before_out)]
     t, dt = 0.0, 0.1
     for step_no in range(3):
         inputs = [sample(0.3 * k - 0.7 * (k + 1) * step_no,
@@ -364,24 +388,19 @@ def test_batches_match_batches_of_one():
                   for k in range(n)]
         lefts = [s.left for s in inputs] + [None] * n
         for kind in ("Integrator", "Delay"):
-            bk.KINDS[kind].left_batch([(node, state) for node, (k, state)
+            bk.KINDS[kind].left_batch([node for node, (k, _)
                                        in zip(nodes, blocks) if k == kind],
-                                      lefts, dt)
+                                      past, lefts, dt)
         rights = [s.right for s in inputs] + lefts[n:]
         vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
-        states = [None] * n + [state for _, state in blocks]
         for node, (kind, _) in zip(nodes, blocks):
             rights[node.idx], vectors[node.idx] = bk.KINDS[kind].right(
-                node, states, lefts, rights, vectors, t, dt)
-        for kind in ("Integrator", "Delay"):
-            bk.KINDS[kind].commit([(node, state) for node, (k, state)
-                                   in zip(nodes, blocks) if k == kind],
-                                  lefts, rights, vectors, t)
-        for k, (kind, _) in enumerate(blocks):
-            out, alone[k] = step(kind, [inputs[k]], alone[k], t=t, dt=dt)
+                node, past, lefts, rights, vectors, t, dt)
+        past.append(bk.Committed(t, lefts, rights, vectors))
+        for k, (kind, params) in enumerate(blocks):
+            out, alone[k] = step(kind, [inputs[k]], alone[k], t=t, dt=dt,
+                                 **params)
             batch_out = StepSample(lefts[n + k], rights[n + k], vectors[n + k])
             assert _hexed(batch_out) == _hexed(out), (step_no, k)
         t += dt
         dt *= 1.5
-    for (_, state), single in zip(blocks, alone):
-        assert repr(state) == repr(single)

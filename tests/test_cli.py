@@ -1,10 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 
 from cbdsim import cli
 from cbdsim.engine import SimConfig, Stream, Trace, simulate
+
+from conftest import MODELS
 
 G = 9.81
 
@@ -144,6 +147,29 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "missing" in captured.err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--end", "inf"), ("--step", "inf"), ("--zc-tol", "nan"),
+        ("--min-step", "-inf"),
+    ])
+    def test_non_finite_config_exits_one(self, tmp_path, capsys, option,
+                                         value):
+        # An infinite end time would run forever; no simulation may start.
+        argv = {"--step": "0.1", "--end": "1", "--zc-tol": "1e-9",
+                "--min-step": "1e-12", option: value}
+        with mock.patch.object(cli, "simulate",
+                               side_effect=AssertionError("simulated")):
+            code = cli.main([
+                "run", str(MODELS / "step_chain.cbd"), "--top", "Chain",
+                "--out", str(tmp_path / "x.csv"),
+                *(f"{name}={text}" for name, text in argv.items()),
+            ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "must be finite" in captured.err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_numerical_impulse_file_is_header_only(self, ball_path, tmp_path,
                                                    capsys):
@@ -301,6 +327,16 @@ class TestPlotData:
                          str(null_log), "--out", plot]) == 2
         errors = capsys.readouterr().err
         assert str(null_trace) in errors and str(null_log) in errors
+
+    def test_write_into_missing_directory_exits_two(self, tmp_path, capsys):
+        trace, _, _ = write_null_fields(tmp_path)
+        code = cli.main(["plotdata", "--trace", str(trace), "--out",
+                         str(tmp_path / "missing" / "p.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "missing" in captured.err
 
     def test_ball_segments_and_arrows(self, ball_path, tmp_path, capsys):
         _, out, imp = run_ball(ball_path, tmp_path)

@@ -7,17 +7,13 @@ from cbdsim import blocks as bk
 from cbdsim import dsl, engine
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
-    HIGHER_IMPULSE,
-    IMPULSE,
-    JUMP,
-    SMOOTH,
     Engine,
     MaxOrderExceeded,
+    NonIncreasingTime,
     SimConfig,
     SimulationError,
     Trace,
     ZenoSuspected,
-    _singularity_levels,
     simulate,
 )
 from cbdsim.graph import InvalidParameter, ModelError, flatten
@@ -466,10 +462,12 @@ class TestGuards:
     @pytest.mark.parametrize("wiring", [
         "block acc = Integrator(0, order=2); one.out -> acc.in;",
         "block acc = Multiplier(); one.out -> acc.in1; one.out -> acc.in2;",
+        "block acc = Integrator(0); one.out -> acc.in;",
     ])
     def test_repeated_commit_time_names_the_block(self, wiring):
         # Order-2 integrators and multipliers divide by the time between
-        # commits, so a second commit at t = 0.0 is rejected.
+        # the committed steps, so every engine rejects a second commit at
+        # t = 0.0, whatever its blocks.
         model = dsl.load_model(f"""
         cbd Main(out y) {{
           block one = Constant(1);
@@ -481,35 +479,10 @@ class TestGuards:
         samples, _ = engine.compute_step(0.0, 0.1)
         engine.commit(samples, 0.0)
         samples, _ = engine.compute_step(0.0, 0.1)
-        with pytest.raises(SimulationError) as excinfo:
+        with pytest.raises(NonIncreasingTime, match=(
+                "commit time 0.0 does not follow the previous commit at 0.0")):
             engine.commit(samples, 0.0)
-        assert excinfo.value.block_path == "acc"
-        assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
-
-    def test_batch_commit_error_names_the_block(self):
-        # Both Integrators commit in one batch; only the second, of order
-        # 2, checks the commit time.
-        model = dsl.load_model("""
-        cbd Main(out y) {
-          block one = Constant(1);
-          block a = Integrator(0);
-          block b = Integrator(0, order=2);
-          one.out -> a.in;
-          a.out -> b.in;
-          b.out -> y;
-        }
-        """)
-        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
-        (kernel, batch), = [(k, b) for k, b in engine.commits
-                            if k is bk.KINDS["Integrator"].commit]
-        assert [node.path for node, _ in batch] == ["a", "b"]
-        columns, _ = engine.compute_step(0.0, 0.1)
-        engine.commit(columns, 0.0)
-        columns, _ = engine.compute_step(0.0, 0.1)
-        with pytest.raises(SimulationError) as excinfo:
-            engine.commit(columns, 0.0)
-        assert excinfo.value.block_path == "b"
-        assert isinstance(excinfo.value.cause, bk.NonIncreasingTime)
+        assert len(engine.past) == 1
 
 
 SECOND_DERIVATIVE_PRODUCT = """
@@ -535,17 +508,9 @@ cbd Main(out y) {
 
 
 class TestMultiplierHistory:
-    @staticmethod
-    def _history(model, top="Main"):
-        engine = Engine(flatten(model, top), SimConfig(h=0.1, t_end=1.0))
-        return {n.path: engine.states[n.idx].history for n in engine.nodes
-                if n.kind == "Multiplier"}
-
     @pytest.mark.parametrize("mode", ["symbolic", "numerical"])
     def test_ball_multipliers_never_estimate_derivatives(self, ball_model,
                                                          mode):
-        assert self._history(ball_model) == {
-            "imp/rising": False, "imp/scaled": False, "imp/hit": False}
         spy = mock.Mock(wraps=bk.estimate_derivatives)
         with mock.patch.object(bk, "estimate_derivatives", spy):
             trace = simulate(ball_model, "Main",
@@ -559,7 +524,6 @@ class TestMultiplierHistory:
         # db carries an order-1 impulse at the edge t = 0.35, so m expands
         # u * delta' = u(t) delta' - u'(t) delta with u = 1 + 2 t.
         model = dsl.load_model(SECOND_DERIVATIVE_PRODUCT)
-        assert self._history(model) == {"m": True}
         trace = simulate(model, "Main",
                          SimConfig(h=0.1, t_end=0.6, zc_tol=1e-12))
         events = {e.order: e for e in trace.impulses if e.signal == "y"}
@@ -569,30 +533,6 @@ class TestMultiplierHistory:
         u_edge = 1.0 + 2.0 * t_edge
         assert events[1].coefficient == pytest.approx(u_edge, rel=1e-9)
         assert events[0].coefficient == pytest.approx(-2.0, rel=1e-9)
-
-    def test_levels_rise_at_derivatives_and_fall_at_integrators(self):
-        # An impulse of order >= 1 may keep its order through an Integrator,
-        # so the level stays there; a lower level drops by one.
-        model = dsl.load_model("""
-        cbd Main(out y) {
-          block one = Constant(1);
-          block sw = Switch();
-          block d1 = Derivative(); block d2 = Derivative();
-          block d3 = Derivative();
-          block i1 = Integrator(0); block i2 = Integrator(0);
-          block j1 = Integrator(0); block j2 = Integrator(0);
-          one.out -> sw.c; sw.out -> d1.in; d1.out -> d2.in;
-          d2.out -> d3.in; d3.out -> i1.in; i1.out -> i2.in;
-          d1.out -> j1.in; j1.out -> j2.in; i2.out -> y;
-        }
-        """)
-        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
-        levels = dict(zip((n.path for n in engine.nodes),
-                          _singularity_levels(engine.nodes)))
-        assert levels == {
-            "one": SMOOTH, "sw": JUMP, "d1": IMPULSE, "d2": HIGHER_IMPULSE,
-            "d3": HIGHER_IMPULSE, "i1": HIGHER_IMPULSE, "i2": HIGHER_IMPULSE,
-            "j1": JUMP, "j2": SMOOTH}
 
 
 LOCATED_SECOND_ORDER = """
@@ -737,3 +677,11 @@ class TestConfigValidation:
             SimConfig(h=1e-3, t_end=1.0, zc_tol=0.0)
         with pytest.raises(ValueError):
             SimConfig(mode="magic", h=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["h", "h_min", "t_end", "zc_tol"])
+    def test_rejects_non_finite_values(self, name, value):
+        config = dict(h=1e-3, h_min=1e-12, t_end=1.0, zc_tol=1e-9)
+        config[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            SimConfig(**config)

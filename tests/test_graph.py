@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -178,6 +179,10 @@ def _with_block(decl: BlockDecl) -> Model:
      "'c' (Constant) has no parameter 'weight'"),
     (BlockDecl("Sub", {"gain": 2.0}),
      "'c' (Sub) has no parameter 'gain'"),
+    (BlockDecl("Constant", {"value": math.inf}),
+     "'c' (Constant) parameter 'value' must be finite, got inf"),
+    (BlockDecl("Constant", {"value": -math.inf}),
+     "'c' (Constant) parameter 'value' must be finite, got -inf"),
 ])
 def test_parameters_of_models_built_in_code(decl, message):
     model = _with_block(decl)
@@ -185,6 +190,24 @@ def test_parameters_of_models_built_in_code(decl, message):
         (InvalidParameter, "Main", ("block", "c"), message)]
     with pytest.raises(InvalidParameter, match=f"^Main: {re.escape(message)}$"):
         simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+
+
+@pytest.mark.parametrize("block, param, value", [
+    ("gravity", "value", math.nan), ("posInt", "init", math.inf)])
+def test_non_finite_parameter_of_a_loaded_model(ball_text, block, param,
+                                                value):
+    # The parser rejects such numbers; a model changed in code meets the
+    # same rule in check_model, and so in flatten.
+    model = dsl.load_model(ball_text)
+    blocks = model.definitions["Ball"].blocks
+    kind = blocks[block].kind
+    blocks[block] = BlockDecl(kind, {**blocks[block].params, param: value})
+    message = (f"{block!r} ({kind}) parameter {param!r} must be finite, "
+               f"got {value!r}")
+    assert list(check_model(model)) == [
+        (InvalidParameter, "Ball", ("block", block), message)]
+    with pytest.raises(InvalidParameter, match=f"^Ball: {re.escape(message)}$"):
+        flatten(model, "Main")
 
 
 class TestDependencySort:

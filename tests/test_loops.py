@@ -108,7 +108,7 @@ def loops(draw):
             in_idx = loop_inputs + draw(st.lists(from_outside, max_size=2))
         in_idx = draw(st.permutations(in_idx))
         nodes.append(_Node(idx, f"b{idx}", kind, {}, tuple(in_idx)))
-    nodes += [_Node(idx, f"u{idx}", "Constant", {}, ())
+    nodes += [_Node(idx, f"u{idx}", "Constant", {"value": 0.0}, ())
               for idx in range(n, n + outside)]
     members = draw(st.permutations(range(n)))
     solves = draw(st.lists(

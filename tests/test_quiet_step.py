@@ -11,16 +11,12 @@ impulse log and warnings, compared through ``float.hex``, or the same
 error.
 """
 
-import dataclasses
 from unittest import mock
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cbdsim import blocks as bk, dsl, engine
-from cbdsim.engine import (
-    HIGHER_IMPULSE, IMPULSE, JUMP, SMOOTH, Engine, EngineError, SimConfig,
-    _singularity_levels, simulate,
-)
+from cbdsim import dsl, engine
+from cbdsim.engine import Engine, EngineError, SimConfig, simulate
 
 MODES = ("symbolic", "numerical")
 # A run that locates an event at every step, as one does whose Switch
@@ -314,64 +310,11 @@ def diagrams(draw, last=None):
     return text, tuple(names)
 
 
+# About half the diagrams end in a "Product", whose Multiplier estimates the
+# other input's derivatives from the committed steps.
 @settings(max_examples=100, deadline=None)
-@given(diagrams(), st.sampled_from((0.1, 0.25)))
+@given(st.one_of(diagrams(), diagrams(last="Product")),
+       st.sampled_from((0.1, 0.25)))
 def test_random_diagrams_match_the_full_sweep(diagram, h):
     text, watch = diagram
     _assert_fast_path_equivalent(text, watch, h=h, t_end=2.0)
-
-
-# --- singularity levels ------------------------------------------------------
-
-def _observed_level(columns, idx):
-    lefts, rights, vectors = columns
-    vector = vectors[idx]
-    if not vector.is_empty:
-        return HIGHER_IMPULSE if vector.max_order >= 1 else IMPULSE
-    return JUMP if lefts[idx] != rights[idx] else SMOOTH
-
-
-@settings(max_examples=100, deadline=None)
-@given(diagrams(last="Product"), st.sampled_from((0.1, 0.25)),
-       st.sampled_from(MODES))
-def test_singularity_levels_bound_every_step(diagram, h, mode):
-    """No block's output is ever more singular than the level the engine
-    computed for it, and only a Multiplier that keeps history estimates
-    derivatives from it."""
-    text, watch = diagram
-    model = dsl.load_model(text)
-    compute_step = Engine.compute_step
-    multiplier = bk.KINDS["Multiplier"]
-    estimate = bk.estimate_derivatives
-    stepping = []   # the state of the Multiplier whose right kernel runs
-
-    def checked_step(self, t, dt):
-        result = compute_step(self, t, dt)
-        levels = _singularity_levels(self.nodes)
-        for node in self.nodes:
-            assert _observed_level(result[0], node.idx) <= levels[node.idx], \
-                node.path
-        return result
-
-    def checked_right(node, states, *args):
-        stepping.append(states[node.idx])
-        try:
-            return multiplier.right(node, states, *args)
-        finally:
-            stepping.pop()
-
-    def checked_estimate(*args):
-        assert stepping[-1].history
-        event("a Multiplier estimates derivatives")
-        return estimate(*args)
-
-    kinds = dict(bk.KINDS, Multiplier=dataclasses.replace(
-        multiplier, right=checked_right))
-    with mock.patch.object(Engine, "compute_step", checked_step), \
-            mock.patch.dict(bk.KINDS, kinds), \
-            mock.patch.object(bk, "estimate_derivatives", checked_estimate):
-        try:
-            simulate(model, "Main", SimConfig(watch=watch, mode=mode, h=h,
-                                              t_end=2.0, **TOLERANCES))
-        except EngineError:
-            pass
