@@ -1,14 +1,14 @@
 """Per-step operational semantics of the primitive blocks.
 
 Each block kind has one :class:`KindInfo` entry in :data:`KINDS`: its
-ports and parameters, and the kernels that define it, shared by the
+ports and parameters, and the two parts that define it, shared by the
 symbolic and numerical modes:
 
-* ``left`` produces the output's left limit from the inputs' left limits
-  (integrators and delays replay the last committed step and ignore
-  current inputs),
-* ``right`` produces the right limit and the impulse vector from the full
-  input samples.
+* a phase-1 template, the source of an expression for the output's left
+  limit from the inputs' left limits (integrators and delays replay the
+  last committed step and ignore current inputs),
+* a ``right`` kernel, which produces the right limit and the impulse
+  vector from the full input samples.
 
 The kernels work on the step's columns: within a step, ``lefts[i]``,
 ``rights[i]`` and ``vectors[i]`` are the left limit, right limit and
@@ -25,16 +25,21 @@ input's last sample, a Switch or Decision holds the sign its condition had
 at the last commit, and a Multiplier estimates derivatives over every
 step of ``past``.
 
-Every ``left`` and ``right`` kernel steps one node.  The kinds whose
-phase 1 reads only the committed steps (``previous_input``: Integrator,
-Delay) have a ``left_batch`` kernel instead of ``left``, which steps all
-the blocks of its kind, given as a list of nodes.
+A template is a ``str.format`` string over ``{x[j]}``, the name of input
+``j``'s left limit in this step (``{x:SEP}`` joins them all by ``SEP``),
+``{s[j]}``, input ``j``'s node index, ``{i}``, the block's own, and
+``{k}``, the name bound to its ``const``.  Its expression reads ``L`` and
+``R``, the last step's left and right limits (``R`` is also the held
+condition column), ``dt``, ``slope`` (true from the third step on), ``Q``,
+the right limits of the step before the last, ``dq``, the time between
+the two, ``h2``, ``dt**2 / 2``, and this module's names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import prod  # noqa: F401  (read by the Multiplier's template)
 from typing import Callable, NamedTuple, Sequence
 
 from .signals import (
@@ -132,21 +137,10 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
     return derivs
 
 
-# --- kernels ----------------------------------------------------------------
-
-def _constant_left(node, past, lefts, dt):
-    return node.const
-
+# --- right kernels and templates -------------------------------------------
 
 def _constant_right(node, past, lefts, rights, vectors, t, dt):
     return node.const, EMPTY_IMPULSES
-
-
-def _adder_left(node, past, lefts, dt):
-    total = lefts[node.in_idx[0]]
-    for i in node.in_idx[1:]:
-        total += lefts[i]
-    return total
 
 
 def _adder_right(node, past, lefts, rights, vectors, t, dt):
@@ -158,17 +152,9 @@ def _adder_right(node, past, lefts, rights, vectors, t, dt):
     return right, vector
 
 
-def _negator_left(node, past, lefts, dt):
-    return -lefts[node.in_idx[0]]
-
-
 def _negator_right(node, past, lefts, rights, vectors, t, dt):
     src = node.in_idx[0]
     return -rights[src], negate_vector(vectors[src])
-
-
-def _multiplier_left(node, past, lefts, dt):
-    return math.prod(lefts[i] for i in node.in_idx)
 
 
 def _multiplier_right(node, past, lefts, rights, vectors, t, dt):
@@ -200,11 +186,8 @@ def _multiplier_right(node, past, lefts, rights, vectors, t, dt):
     return right, leibniz_product(u_derivs, vector)
 
 
-def _inverter_left(node, past, lefts, dt):
-    value = lefts[node.in_idx[0]]
-    if abs(value) <= DIV_TOLERANCE:
-        raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
-    return 1.0 / value
+def _too_small(value: float) -> DivisionNearZero:
+    return DivisionNearZero(f"inverter input magnitude {value!r} too small")
 
 
 def _inverter_right(node, past, lefts, rights, vectors, t, dt):
@@ -213,11 +196,11 @@ def _inverter_right(node, past, lefts, rights, vectors, t, dt):
         raise ImpulseOnInverter("cannot invert an impulse-carrying signal")
     value = rights[src]
     if abs(value) <= DIV_TOLERANCE:
-        raise DivisionNearZero(f"inverter input magnitude {value!r} too small")
+        raise _too_small(value)
     return 1.0 / value, EMPTY_IMPULSES
 
 
-def _integrator_left(nodes, past, lefts, dt):
+def _integrator_template(params: dict[str, float]) -> str:
     """Order 1 adds the previous input's right limit times the step to the
     previous output's right limit; order 2 adds ``dt**2 / 2`` times the
     input's slope over the last committed step, the variable-step two-step
@@ -225,21 +208,11 @@ def _integrator_left(nodes, past, lefts, dt):
     the right limit before it, so a jump inside a sample never enters it.
     The first step emits the initial condition and the second, having no
     slope yet, is explicit."""
-    if not past:
-        for node in nodes:
-            lefts[node.idx] = node.const[0]
-        return
-    last = past[-1]
-    rights = last.rights
-    before = past[-2] if len(past) > 1 else None
-    half_dt2 = 0.5 * dt * dt
-    for node in nodes:
-        src = node.in_idx[0]
-        left = rights[node.idx] + rights[src] * dt
-        if before is not None and node.const[1]:
-            slope = (last.lefts[src] - before.rights[src]) / (last.t - before.t)
-            left += half_dt2 * slope
-        lefts[node.idx] = left
+    explicit = "R[{i}] + R[{s[0]}] * dt"
+    if params.get("order", 1) != 2:
+        return explicit
+    return (f"{explicit} + h2 * ((L[{{s[0]}}] - Q[{{s[0]}}]) / dq) "
+            f"if slope else {explicit}")
 
 
 def _integrator_right(node, past, lefts, rights, vectors, t, dt):
@@ -247,15 +220,6 @@ def _integrator_right(node, past, lefts, rights, vectors, t, dt):
     limit; higher orders shift down one order and pass through."""
     jump, rest = extract_order_zero(vectors[node.in_idx[0]])
     return lefts[node.idx] + jump, rest
-
-
-def _derivative_left(node, past, lefts, dt):
-    """Backward difference against the previous right limit, which excludes
-    an in-sample jump; the first step emits the initial output."""
-    if not past:
-        return node.const
-    src = node.in_idx[0]
-    return (lefts[src] - past[-1].rights[src]) / dt
 
 
 def _derivative_right(node, past, lefts, rights, vectors, t, dt):
@@ -270,19 +234,6 @@ def _derivative_right(node, past, lefts, rights, vectors, t, dt):
     return lefts[node.idx], vector
 
 
-def _held(past, lefts):
-    """The condition column a Switch or Decision selects by on the left:
-    the right limits at the last commit, which hold until this step; the
-    first step has only its own left limits."""
-    return past[-1].rights if past else lefts
-
-
-def _switch_left(node, past, lefts, dt):
-    """The output stream is piecewise constant, so its left limit is the
-    held selection."""
-    return heaviside(_held(past, lefts)[node.in_idx[0]])
-
-
 def _switch_right(node, past, lefts, rights, vectors, t, dt):
     src = node.in_idx[0]
     if not vectors[src].is_empty:
@@ -290,18 +241,14 @@ def _switch_right(node, past, lefts, rights, vectors, t, dt):
     return heaviside(rights[src]), EMPTY_IMPULSES
 
 
-def _decision_left(node, past, lefts, dt):
-    """Forward ``u`` or ``v``, selected limit-wise by the sign of ``c``."""
-    u, v, c = node.in_idx
-    return lefts[u] if _held(past, lefts)[c] >= 0.0 else lefts[v]
-
-
 def _decision_right(node, past, lefts, rights, vectors, t, dt):
     u, v, c = node.in_idx
     if not vectors[c].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
     right_selects_u = rights[c] >= 0.0
-    left_selects_u = _held(past, lefts)[c] >= 0.0
+    # The held selection: the condition's right limit at the last commit,
+    # on the first step its own left limit.
+    left_selects_u = (past[-1].rights if past else lefts)[c] >= 0.0
     selected = u if right_selects_u else v
     if left_selects_u != right_selects_u:
         if not (vectors[u].is_empty and vectors[v].is_empty):
@@ -310,18 +257,6 @@ def _decision_right(node, past, lefts, rights, vectors, t, dt):
             )
         return rights[selected], EMPTY_IMPULSES
     return rights[selected], vectors[selected]
-
-
-def _delay_left(nodes, past, lefts, dt):
-    """Replay the previous input sample verbatim; the first output is the
-    initial parameter."""
-    if not past:
-        for node in nodes:
-            lefts[node.idx] = node.const
-        return
-    previous = past[-1].lefts
-    for node in nodes:
-        lefts[node.idx] = previous[node.in_idx[0]]
 
 
 def _delay_right(node, past, lefts, rights, vectors, t, dt):
@@ -341,42 +276,57 @@ def _init(params: dict[str, float]) -> float:
 @dataclass(frozen=True)
 class KindInfo:
     inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
-    left: Callable | None     # None exactly where ``left_batch`` is set
+    # The phase-1 template after the first step, or a function of the
+    # block's parameters that picks it (the Integrator's order).
+    template: str | Callable[[dict[str, float]], str]
     right: Callable
     variadic: bool = False
     params: tuple[str, ...] = ()
     # True when the block consumes its data input one step late, which
-    # removes it from the current-step dependency graph; its phase 1 reads
-    # only the committed steps and runs as ``left_batch``, set exactly for
-    # these kinds.
+    # removes it from the current-step dependency graph; its template reads
+    # only the committed steps.
     previous_input: bool = False
-    left_batch: Callable | None = None
+    # The first step's template, where it differs from ``template``.
+    first: str | None = None
+    # (condition template, error from the inputs' left limits), for a kind
+    # whose phase 1 can fail.
+    guard: tuple[str, Callable[..., BlockError]] | None = None
     # The node's constants from its parameters, computed once into
     # ``node.const``; set exactly for the kinds with parameters.
     const: Callable[[dict[str, float]], object] | None = None
 
 
 KINDS: dict[str, KindInfo] = {
-    "Constant": KindInfo((), _constant_left, _constant_right,
-                         params=("value",),
+    "Constant": KindInfo((), "{k}", _constant_right, params=("value",),
                          const=lambda params: params["value"]),
-    "Adder": KindInfo((), _adder_left, _adder_right, variadic=True),
-    "Negator": KindInfo(("in",), _negator_left, _negator_right),
-    "Multiplier": KindInfo((), _multiplier_left, _multiplier_right,
+    "Adder": KindInfo((), "{x: + }", _adder_right, variadic=True),
+    "Negator": KindInfo(("in",), "-{x[0]}", _negator_right),
+    "Multiplier": KindInfo((), "prod(({x:, },))", _multiplier_right,
                            variadic=True),
-    "Inverter": KindInfo(("in",), _inverter_left, _inverter_right),
-    "Integrator": KindInfo(("in",), None, _integrator_right,
+    "Inverter": KindInfo(("in",), "1.0 / {x[0]}", _inverter_right,
+                         guard=("abs({x[0]}) <= DIV_TOLERANCE", _too_small)),
+    "Integrator": KindInfo(("in",), _integrator_template, _integrator_right,
                            params=("init", "order"), previous_input=True,
-                           left_batch=_integrator_left,
-                           const=lambda params: (
-                               _init(params), params.get("order", 1) == 2)),
-    "Derivative": KindInfo(("in",), _derivative_left, _derivative_right,
-                           params=("init",), const=_init),
-    "Switch": KindInfo(("c",), _switch_left, _switch_right),
-    "Decision": KindInfo(("u", "v", "c"), _decision_left, _decision_right),
-    "Delay": KindInfo(("in",), None, _delay_right,
-                      params=("init",), previous_input=True,
-                      left_batch=_delay_left, const=_init),
+                           first="{k}", const=_init),
+    # Backward difference against the previous right limit, which excludes
+    # an in-sample jump; the first step emits the initial output.
+    "Derivative": KindInfo(("in",), "({x[0]} - R[{s[0]}]) / dt",
+                           _derivative_right, params=("init",), first="{k}",
+                           const=_init),
+    # The output stream is piecewise constant, so its left limit is the
+    # held selection: the sign of the condition's right limit at the last
+    # commit, and on the first step of its own left limit.
+    "Switch": KindInfo(("c",), "1.0 if R[{s[0]}] >= 0.0 else 0.0",
+                       _switch_right,
+                       first="1.0 if {x[0]} >= 0.0 else 0.0"),
+    # Forward ``u`` or ``v``, selected limit-wise by the held sign of ``c``.
+    "Decision": KindInfo(("u", "v", "c"), "{x[0]} if R[{s[2]}] >= 0.0 else {x[1]}",
+                         _decision_right,
+                         first="{x[0]} if {x[2]} >= 0.0 else {x[1]}"),
+    # Replay the previous input sample verbatim; the first output is the
+    # initial parameter.
+    "Delay": KindInfo(("in",), "L[{s[0]}]", _delay_right, params=("init",),
+                      previous_input=True, first="{k}", const=_init),
 }
 
 

@@ -1,13 +1,14 @@
 """Stepping loop, algebraic-loop solving, event location and trace capture.
 
-Each node binds its kind's kernels from ``blocks.KINDS``, which define
-what a block computes; this module decides when they run.  An
+Each kind's phase-1 template and ``right`` kernel in ``blocks.KINDS``
+define what a block computes; this module decides when they run.  An
 :class:`Engine` schedules its flat graph, keeps its newest committed steps
 and builds every table a step reads once, when it is constructed.  Each
 committed step runs in two phases over the schedule, then commits:
 
 * phase 1 fixes every signal's left limit (integrators and delays replay
   the last committed step, everything else folds its inputs' left limits),
+  in one function generated per phase-1 plan,
 * phase 2 computes impulse vectors and right limits, sweeping the schedule
   until the values stop changing so that jumps produced by integrators
   late in the schedule still reach their consumers within the same step,
@@ -17,9 +18,11 @@ committed step runs in two phases over the schedule, then commits:
 A step's values are three columns indexed by node, a
 :class:`StepColumns`: ``lefts``, written by phase 1, and ``rights`` and
 ``vectors``, created only when phase 2 sweeps; on a step it skips,
-``rights is lefts`` and ``vectors`` is one shared all-empty tuple.  The
-kinds whose phase 1 reads only the committed steps (Integrator, Delay)
-run it as one batch per kind ahead of the schedule, which skips them.
+``rights is lefts`` and ``vectors`` is one shared all-empty tuple.
+Phase 1 runs as generated straight-line source: each block's template
+filled in, in schedule order, and a solve call per algebraic loop.  The
+source names every parameter, so it depends only on the diagram's
+structure and its compiled code is cached by the source.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -46,7 +49,11 @@ keep the impulse log empty.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import linecache
 import math
+import weakref
 from array import array
 from collections import deque
 from collections.abc import Sequence
@@ -187,17 +194,13 @@ class _Node:
     kind: str
     params: dict[str, float]
     in_idx: tuple[int, ...]
-    # The kind's per-node kernels from ``blocks.KINDS``; the kinds that
-    # read only the committed steps in phase 1 have no per-node ``left``
-    # (None) and run it per kind.
-    left: Callable | None = field(init=False, repr=False)
     right: Callable = field(init=False, repr=False)
     # The kind's constants from ``params``, None for a kind without.
     const: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         info = bk.KINDS[self.kind]
-        self.left, self.right = info.left, info.right
+        self.right = info.right
         self.const = info.const(self.params) if info.const else None
 
 
@@ -209,14 +212,85 @@ class StepColumns(NamedTuple):
     vectors: Sequence[ImpulseVector]
 
 
-def _batches(nodes: Iterable[_Node]) -> list[tuple[Callable, list[_Node]]]:
-    """``(left_batch kernel, nodes)`` per kind among ``nodes`` with one, in
-    order of first appearance."""
-    by_kind: dict[str, list[_Node]] = {}
-    for n in nodes:
-        if bk.KINDS[n.kind].left_batch:
-            by_kind.setdefault(n.kind, []).append(n)
-    return [(bk.KINDS[k].left_batch, b) for k, b in by_kind.items()]
+class _Cells(tuple):
+    """A node's input cell names; formatted with a separator as its
+    format spec (``{x: + }``), they join into ``a + b``."""
+
+    def __format__(self, sep: str) -> str:
+        return sep.join(self)
+
+
+# A linecache name per compiled plan, even for one source compiled twice.
+_serial = itertools.count(1)
+
+
+@functools.lru_cache(maxsize=16)
+def _compile(source: str):
+    """The code of a generated module, whose source ``linecache`` holds
+    while the code lives, so a traceback through it shows its lines."""
+    filename = f"<cbdsim phase-1 plan {next(_serial)}>"
+    code = compile(source, filename, "exec")
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    weakref.finalize(code, linecache.cache.pop, filename, None)
+    return code
+
+
+def _phase1_function(nodes: Sequence[_Node],
+                     groups: list[tuple[tuple[int, ...], bool]],
+                     loop_plans: dict, first: bool) -> Callable:
+    """Phase 1 of ``groups``, in one function ``(past, dt, known=None)``
+    that returns the left limits, indexed by node and None outside
+    ``groups``, and reads an input outside them as ``known[j]``; ``first``
+    picks the first step's templates.  A guarded block checks its guard
+    first and raises a ``SimulationError`` naming the block."""
+    inside = {idx for members, _ in groups for idx in members}
+
+    def cells(in_idx):
+        return _Cells(f"v{j}" if j in inside else f"known[{j}]" for j in in_idx)
+
+    def fail(idx, *values):
+        cause = bk.KINDS[nodes[idx].kind].guard[1](*values)
+        raise SimulationError(nodes[idx].path, cause) from cause
+
+    bound = {"fail": fail}
+    body = [] if first else [
+        "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
+        "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
+        "h2 = 0.5 * dt * dt"]
+    for members, cyclic in groups:
+        if cyclic:
+            plan = loop_plans[members]
+            deps = sorted({d for *_, ds in plan.gains + plan.rhs for d in ds})
+            known = ", ".join(f"{d}: {x}" for d, x in zip(deps, cells(deps)))
+            bound[f"solve{members[0]}"] = plan.solve
+            body.append(f"{''.join(f'v{m}, ' for m in members)}= "
+                        f"solve{members[0]}({{{known}}}.__getitem__)")
+            continue
+        node = nodes[members[0]]
+        info = bk.KINDS[node.kind]
+        template = (first and info.first) or info.template
+        if callable(template):
+            template = template(node.params)
+        x = cells(node.in_idx)
+        if node.const is not None:
+            bound[f"k{node.idx}"] = node.const
+        if info.guard:
+            body += [f"if {info.guard[0].format(x=x)}:",
+                     f"    fail({node.idx}, {x:, })"]
+        body.append(f"v{node.idx} = " + template.format(
+            x=x, s=node.in_idx, i=node.idx, k=f"k{node.idx}"))
+    name = "first_step" if first else "later_steps"
+    lefts = ", ".join(f"v{i}" if i in inside else "None"
+                      for i in range(len(nodes)))
+    source = "\n".join(
+        [f"def bind({', '.join(bound)}):",
+         f"    def {name}(past, dt, known=None):"]
+        + [f"        {line}" for line in body]
+        + [f"        return [{lefts}]", f"    return {name}", ""])
+    namespace: dict = {}
+    exec(_compile(source), vars(bk), namespace)
+    return namespace["bind"](*bound.values())
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -335,8 +409,8 @@ class Engine:
     Construction builds the tables the steps read: the node table and
     schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
     for a loop that is not linear), the cone of every Switch, Decision and
-    Delay, the condition closure, and the phase-1 plans of the full step
-    and of the bisection trials.
+    Delay, the condition closure, and the phase-1 functions of the first
+    step, of later full steps and of the bisection trials (never first).
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
@@ -388,26 +462,12 @@ class Engine:
         self.closure = [self.groups[g]
                         for g in sorted({group_of[idx] for idx in seen})]
         self.closure_order = [idx for members, _ in self.closure for idx in members]
-        self.phase1 = self._phase1_plan(self.groups, None)
-        self.closure_phase1 = self._phase1_plan(self.closure, self.closure_order)
+        plans = nodes, self.groups, self.loop_plans
+        self.first_phase1 = _phase1_function(*plans, first=True)
+        self.phase1 = _phase1_function(*plans, first=False)
+        self.closure_phase1 = _phase1_function(nodes, self.closure,
+                                               self.loop_plans, first=False)
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
-
-    def _phase1_plan(self, groups: list[tuple[tuple[int, ...], bool]],
-                     order: list[int] | None) -> tuple:
-        """Phase 1 of ``groups``: the ``left_batch`` kinds' batches, then
-        ``(node, plan)`` for every other group in schedule order, where
-        ``plan`` is None for a single block and a loop's solve plan
-        otherwise; ``order`` lists the blocks screened, None for all."""
-        nodes = [self.nodes[idx] for members, _ in groups for idx in members]
-        batches = _batches(nodes)
-        entries = []
-        for members, cyclic in groups:
-            node = self.nodes[members[0]]
-            if cyclic:
-                entries.append((node, self.loop_plans[members]))
-            elif node.left is not None:
-                entries.append((node, None))
-        return batches, entries, order
 
     # -- stepping ------------------------------------------------------------
 
@@ -416,7 +476,8 @@ class Engine:
         """Evaluate every block at time ``t`` for a step of size ``dt``
         after the engine's committed steps; returns the step's columns and
         the flipped conditions."""
-        lefts = self._phase1(self.phase1, dt)
+        phase1 = self.phase1 if self.past else self.first_phase1
+        lefts = self._screened(phase1(self.past, dt), None)
         flipped = self.flipped_conditions(lefts)
         sweep = self._sweep_groups(flipped)
         if not sweep:
@@ -469,28 +530,14 @@ class Engine:
         the condition magnitudes read the same floats as ``compute_step``.
         ``t`` is unused and keeps ``compute_step``'s signature.
         """
-        lefts = self._phase1(self.closure_phase1, dt)
+        lefts = self._screened(self.closure_phase1(self.past, dt),
+                               self.closure_order)
         return (StepColumns(lefts, lefts, self.quiet_vectors),
                 self.flipped_conditions(lefts))
 
-    def _phase1(self, plan: tuple, dt: float) -> list[float]:
-        """Left limits of the blocks of ``plan`` (from ``_phase1_plan``),
-        screened for non-finite values; the others stay ``None``."""
-        batches, entries, order = plan
-        nodes, past = self.nodes, self.past
-        lefts: list = [None] * len(nodes)
-        for kernel, batch in batches:
-            kernel(batch, past, lefts, dt)
-        try:
-            for node, plan in entries:
-                if plan is None:
-                    lefts[node.idx] = node.left(node, past, lefts, dt)
-                else:
-                    for idx, value in zip(plan.members,
-                                          plan.solve(lefts.__getitem__)):
-                        lefts[idx] = value
-        except BlockError as err:
-            raise SimulationError(node.path, err) from err
+    def _screened(self, lefts: list, order: list[int] | None) -> list:
+        """``lefts`` from a phase-1 function, screened for non-finite values
+        at the blocks of ``order``, None for all."""
         # A sum of finite floats is finite unless it overflows, so one sum
         # screens the step and the scan runs only when the sum is not finite.
         if order is None:
@@ -502,9 +549,9 @@ class Engine:
             for idx in order:
                 value = lefts[idx]
                 if not math.isfinite(value):
-                    raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
-                        f"left limit {value!r} is not finite"
-                    ))
+                    raise SimulationError(
+                        self.nodes[idx].path, bk.NonFiniteValue(
+                            f"left limit {value!r} is not finite"))
         return lefts
 
     def _sweep_groups(self, flipped: list[tuple[int, int]],

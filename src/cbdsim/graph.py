@@ -194,7 +194,9 @@ def _check_definition(name: str, defn: Definition,
                               f"{bname!r} ({decl.kind}) parameter {param!r} "
                               f"must be finite, got {value!r}")
         order = decl.params.get("order", 1)
-        if decl.kind == "Integrator" and order not in INTEGRATOR_ORDERS:
+        # A non-finite order was reported as such above.
+        if decl.kind == "Integrator" and order not in INTEGRATOR_ORDERS \
+                and not (isinstance(order, float) and not math.isfinite(order)):
             got = (f"{order:g}" if isinstance(order, (int, float))
                    else repr(order))
             yield Problem(InvalidParameter, name, ("block", bname),

@@ -1,19 +1,34 @@
 import math
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
 from cbdsim import blocks as bk
+from cbdsim.engine import SimulationError, _Cells, _Node, _phase1_function
 from cbdsim.signals import EMPTY_IMPULSES, ImpulseVector, StepSample, sample
 
 G = 9.81
 
 
 def new_node(kind, idx, in_idx, params):
-    info = bk.KINDS[kind]
-    return SimpleNamespace(idx=idx, in_idx=in_idx,
-                           const=info.const(params) if info.const else None)
+    return _Node(idx, f"b{idx}", kind, params, in_idx)
+
+
+def phase1(nodes, past, lefts, dt):
+    """Fill in ``lefts`` at ``nodes``, each its own schedule group, from one
+    function generated from their templates; the other entries of
+    ``lefts`` are the inputs' left limits.  Raises the block's own error."""
+    groups = [((node.idx,), False) for node in nodes]
+    table = [None] * len(lefts)
+    for node in nodes:
+        table[node.idx] = node
+    function = _phase1_function(table, groups, {}, first=not past)
+    try:
+        computed = function(past, dt, lefts)
+    except SimulationError as err:
+        raise err.cause
+    for node in nodes:
+        lefts[node.idx] = computed[node.idx]
 
 
 def committed(t, samples):
@@ -30,13 +45,14 @@ def seeded(*samples, t=-0.1):
 
 
 def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
-    """One step of a lone ``kind`` block fed ``inputs``, through its kernels.
+    """One step of a lone ``kind`` block fed ``inputs``.
 
-    Runs ``left``, then ``right`` at time ``t`` for a step of size ``dt``
-    after the committed steps ``past`` (none when None), then commits the
-    step to ``past`` as the engine does, and returns the output sample and
+    Runs a one-node phase-1 plan compiled from its template, then its
+    ``right`` kernel, at time ``t`` for a step of size ``dt`` after the
+    committed steps ``past`` (none when None), then commits the step to
+    ``past`` as the engine does, and returns the output sample and
     ``past``.  The node's inputs are nodes ``0 .. n - 1`` and the block is
-    node ``n``.  The batch kernels get a batch of one.
+    node ``n``.
     """
     info = bk.KINDS[kind]
     if past is None:
@@ -46,10 +62,7 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
     lefts = [s.left for s in inputs] + [None]
     rights = [s.right for s in inputs] + [None]
     vectors = [s.impulses for s in inputs] + [None]
-    if info.left_batch is not None:
-        info.left_batch([node], past, lefts, dt)
-    else:
-        lefts[n] = info.left(node, past, lefts, dt)
+    phase1([node], past, lefts, dt)
     rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
     rights[n], vectors[n] = info.right(node, past, lefts, rights, vectors,
                                        t, dt)
@@ -61,10 +74,16 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
 def test_every_kind_has_its_kernels(kind):
     info = bk.KINDS[kind]
     assert callable(info.right)
-    # One phase-1 kernel: a batch one exactly for the state-only kinds.
-    assert callable(info.left_batch if info.previous_input else info.left)
-    assert (info.left is None) == info.previous_input
-    assert (info.left_batch is None) != info.previous_input
+    # One phase-1 template, picked by the Integrator's order, whose every
+    # form is one expression; a first-step form for the kinds that replay
+    # the committed steps.
+    forms = [info.template] if isinstance(info.template, str) else \
+        [info.template({}), info.template({"order": 2})]
+    forms += [info.first] if info.first else []
+    fields = dict(x=_Cells(("a", "b", "c")), s=(0, 1, 2), i=3, k="k")
+    for form in forms:
+        compile(form.format(**fields), kind, "eval")
+    assert info.first is not None or not info.previous_input
     assert (info.const is None) == (not info.params)
 
 
@@ -352,10 +371,10 @@ def _hexed(sample):
 
 
 def test_batches_match_batches_of_one():
-    """Integrators of order 1 and 2 and Delays, stepped as one batch per
-    kind over three steps (fresh or after a seeded committed step, then
-    after their first commit, after their second), give the floats of the
-    batch-of-one harness."""
+    """Integrators of order 1 and 2 and Delays, stepped by one phase-1
+    function over three steps (fresh or after a seeded committed step,
+    then after their first commit, after their second), give the floats
+    of the one-node harness."""
     for seed in (False, True):
         _check_batches(seed)
 
@@ -387,10 +406,7 @@ def _check_batches(seed):
                          {0: 0.5} if (k + step_no) % 3 == 0 else None)
                   for k in range(n)]
         lefts = [s.left for s in inputs] + [None] * n
-        for kind in ("Integrator", "Delay"):
-            bk.KINDS[kind].left_batch([node for node, (k, _)
-                                       in zip(nodes, blocks) if k == kind],
-                                      past, lefts, dt)
+        phase1(nodes, past, lefts, dt)
         rights = [s.right for s in inputs] + lefts[n:]
         vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
         for node, (kind, _) in zip(nodes, blocks):

@@ -1,4 +1,7 @@
 import math
+import sys
+import traceback
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -14,9 +17,10 @@ from cbdsim.engine import (
     SimulationError,
     Trace,
     ZenoSuspected,
+    _phase1_function,
     simulate,
 )
-from cbdsim.graph import InvalidParameter, ModelError, flatten
+from cbdsim.graph import BlockDecl, InvalidParameter, ModelError, flatten
 
 G = 9.81
 
@@ -464,7 +468,7 @@ class TestGuards:
         "block acc = Multiplier(); one.out -> acc.in1; one.out -> acc.in2;",
         "block acc = Integrator(0); one.out -> acc.in;",
     ])
-    def test_repeated_commit_time_names_the_block(self, wiring):
+    def test_commit_rejects_a_non_increasing_time(self, wiring):
         # Order-2 integrators and multipliers divide by the time between
         # the committed steps, so every engine rejects a second commit at
         # t = 0.0, whatever its blocks.
@@ -520,7 +524,7 @@ class TestMultiplierHistory:
         assert trace.impulses or max(trace.signals["force"].left) > 0.0
         assert spy.call_count == 0
 
-    def test_multiplier_after_two_derivatives_keeps_history(self):
+    def test_order_one_impulse_expands_against_estimated_slope(self):
         # db carries an order-1 impulse at the edge t = 0.35, so m expands
         # u * delta' = u(t) delta' - u'(t) delta with u = 1 + 2 t.
         model = dsl.load_model(SECOND_DERIVATIVE_PRODUCT)
@@ -685,3 +689,136 @@ class TestConfigValidation:
         config[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             SimConfig(**config)
+
+
+# Every kind, an order-2 Integrator and an algebraic loop; the Switch and
+# the Decision flip at t = 0.25, the Inverter's input stays above 2.
+EVERY_KIND = """
+cbd Main(out y) {
+  block one  = Constant(1);
+  block off  = Constant(2.5);
+  block half = Constant(0.5);
+  block ramp = Integrator(-0.25);
+  block sw   = Switch();
+  block sum  = Adder();
+  block inv  = Inverter();
+  block neg  = Negator();
+  block m    = Multiplier();
+  block d    = Derivative(0.75);
+  block acc  = Integrator(0.5, order=2);
+  block del  = Delay(-1.5);
+  block pick = Decision();
+  block loop = Adder();
+  block gain = Multiplier();
+  one.out -> ramp.in;
+  ramp.out -> sw.c;
+  ramp.out -> sum.in1;
+  off.out -> sum.in2;
+  sw.out -> sum.in3;
+  sum.out -> inv.in;
+  inv.out -> neg.in;
+  neg.out -> m.in1;
+  ramp.out -> m.in2;
+  m.out -> d.in;
+  d.out -> acc.in;
+  acc.out -> del.in;
+  del.out -> pick.u;
+  acc.out -> pick.v;
+  ramp.out -> pick.c;
+  pick.out -> loop.in1;
+  gain.out -> loop.in2;
+  loop.out -> gain.in1;
+  half.out -> gain.in2;
+  loop.out -> y;
+}
+"""
+
+
+def _engine(text, **config):
+    return Engine(flatten(dsl.load_model(text), "Main"), SimConfig(**config))
+
+
+def _codes(engine):
+    return [f.__code__ for f in (engine.first_phase1, engine.phase1,
+                                 engine.closure_phase1)]
+
+
+class TestGeneratedPhase1:
+    def test_one_node_plans_give_the_whole_plan_floats(self):
+        # Steps 0 and 1 run the first-step and the explicit forms, step 2
+        # the order-2 Integrator's slope from two committed steps; the
+        # uneven steps cross t = 0.25.
+        engine = _engine(EVERY_KIND, h=0.1, t_end=1.0)
+        assert {n.kind for n in engine.nodes} == set(bk.KINDS)
+        past = engine.past
+        for t, dt in [(0.0, 0.1), (0.1, 0.1), (0.3, 0.2), (0.35, 0.05),
+                      (0.6, 0.25)]:
+            whole = (engine.phase1 if past else engine.first_phase1)(past, dt)
+            for group in engine.groups:
+                alone = _phase1_function(engine.nodes, [group],
+                                         engine.loop_plans, first=not past)
+                lefts = alone(past, dt, whole)
+                for idx in group[0]:
+                    assert lefts[idx].hex() == whole[idx].hex(), \
+                        (t, engine.nodes[idx].path)
+            columns, _ = engine.compute_step(t, dt)
+            assert columns.lefts == whole
+            engine.commit(columns, t)
+
+    def test_code_depends_on_the_structure_only(self):
+        base = _codes(_engine(DESCENT, h=0.1))
+        for text, config in [
+                (DESCENT.replace("Constant(-1)", "Constant(-3)"), {}),
+                (DESCENT.replace("Integrator(0.5)", "Integrator(0.75)"), {}),
+                (DESCENT, {"mode": "numerical"})]:
+            assert all(a is b for a, b in zip(
+                base, _codes(_engine(text, h=0.1, **config))))
+        for text in [
+                DESCENT.replace("Integrator(0.5)", "Integrator(0.5, order=2)"),
+                DESCENT.replace("negY.out -> sw.c", "pos.out -> sw.c")]:
+            assert base[1] is not _codes(_engine(text, h=0.1))[1]
+
+    def test_concurrent_simulations_share_the_code_cache(self):
+        texts = [DESCENT.replace("Constant(-1)", f"Constant(-{k})")
+                 for k in range(1, 7)]
+
+        def run(text):
+            return simulate(dsl.load_model(text), "Main",
+                            SimConfig(h=0.01, t_end=0.5))
+
+        expected = [run(text) for text in texts]
+        engine._compile.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(texts)) as pool:
+                traces = list(pool.map(run, texts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert traces == expected
+
+    def test_constant_built_in_code_keeps_its_value_object(self):
+        model = dsl.load_model(CONSTANT_ONLY)
+        value = 10 ** 20
+        model.definitions["Main"].blocks["c"] = BlockDecl(
+            "Constant", {"value": value})
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1))
+        columns, _ = engine.compute_step(0.0, 0.1)
+        index = {node.path: node.idx for node in engine.nodes}
+        assert columns.lefts[index["c"]] is value
+
+    def test_traceback_shows_the_generated_line(self):
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block zero = Constant(0);
+          block inv  = Inverter();
+          zero.out -> inv.in;
+          inv.out -> y;
+        }
+        """)
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+        frames = [frame for frame in traceback.extract_tb(excinfo.tb)
+                  if frame.filename.startswith("<cbdsim phase-1 plan ")]
+        assert [(frame.name, frame.line) for frame in frames] == [
+            ("first_step", "fail(1, v0)")]

@@ -210,6 +210,16 @@ def test_non_finite_parameter_of_a_loaded_model(ball_text, block, param,
         flatten(model, "Main")
 
 
+@pytest.mark.parametrize("order", [math.inf, math.nan])
+def test_non_finite_integrator_order_is_reported_once(order):
+    model = primitive_model()
+    model.definitions["Main"].blocks["i"] = BlockDecl(
+        "Integrator", {"init": 0.0, "order": order})
+    assert list(check_model(model)) == [
+        (InvalidParameter, "Main", ("block", "i"),
+         f"'i' (Integrator) parameter 'order' must be finite, got {order!r}")]
+
+
 class TestDependencySort:
     def test_ball_schedule_is_acyclic(self, ball_model):
         flat = flatten(ball_model, "Main")
