@@ -6,13 +6,16 @@ every further column divides the previous one's backward difference by the
 step size.  Column n is the numerical image of the impulse derivative of
 order n - 1; its nonzero support spans exactly n steps, which is what
 limits how faithfully plain value streams can carry impulse derivatives.
+The trace comparison, the oracle that the two modes agree, replays an
+impulse log through ``engine.spike_due``, the numerical recorder's own step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from .engine import ImpulseEvent, Trace
+from .engine import OVERFLOW_LIMIT, ImpulseEvent, Stream, Trace, spike_due
 
 
 class TimeGridMismatch(ValueError):
@@ -76,9 +79,6 @@ class MagnitudeEstimate:
     overflow_risk: bool
 
 
-OVERFLOW_THRESHOLD = 1e300
-
-
 def max_magnitude(n: int, h: float, amplitude: float) -> MagnitudeEstimate:
     """Largest absolute value a difference cascade of depth n can produce.
 
@@ -95,7 +95,7 @@ def max_magnitude(n: int, h: float, amplitude: float) -> MagnitudeEstimate:
     table = finite_difference_table(n, h)
     peak = max(abs(v) for v in table.column(n))
     value = amplitude * peak
-    return MagnitudeEstimate(value=value, overflow_risk=value > OVERFLOW_THRESHOLD)
+    return MagnitudeEstimate(value=value, overflow_risk=value > OVERFLOW_LIMIT)
 
 
 def halforder_magnitude_estimate(n: int, h: float, amplitude: float) -> float:
@@ -121,6 +121,9 @@ class SignalDeviation:
 
 @dataclass
 class ImpulseCheck:
+    """A logged event against a second log (the two coefficients) or a plain
+    trace: the replayed spike on its step, the plain minus the logged left
+    limit, and the plain left limit's error from the logged plus the spike."""
     event: ImpulseEvent
     expected: float
     actual: float
@@ -164,15 +167,10 @@ def _relative(x: float, y: float) -> float:
 
 
 def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
-    """Align two traces on their committed times and measure deviations.
-
-    Steps carrying logged impulses are excluded from the plain stream
-    comparison; each order-0 impulse is instead checked as a spike of
-    ``coefficient / h*`` in the trace without a log, where ``h*`` is the
-    size of the step landing on the impulse time.  Higher orders are
-    reported as expected-delay findings, since their value-stream encoding
-    spreads over following steps.
-    """
+    """Align two traces on their committed times and compare every step of
+    every stream.  Against a trace without a log, an impulse log is first
+    replayed onto its trace's limits as the numerical recorder encodes it
+    (see ``engine.spike_due``); two logs are matched event by event."""
     if set(a.signals) != set(b.signals):
         raise ValueError("traces watch different signals")
     if len(a.times) != len(b.times) or any(
@@ -180,21 +178,23 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
     ):
         raise TimeGridMismatch("committed time grids differ")
 
-    excluded: dict[str, set[float]] = {}
-    for e in a.impulses + b.impulses:
-        excluded.setdefault(e.signal, set()).add(e.time)
-
     report = CompareReport(ok=True, rel_tol=rel_tol)
-    for name, sa in a.signals.items():
-        sb = b.signals[name]
-        skip = excluded.get(name, ())
+    if a.impulses and b.impulses:
+        _match_logs(a, b, rel_tol, report)
+        signals_a, signals_b = a.signals, b.signals
+    else:  # at most one log; an empty one replays to its trace's streams
+        signals_a = _replay(a, b, rel_tol, report)
+        signals_b = _replay(b, a, rel_tol, report)
+
+    for name, sa in signals_a.items():
+        sb = signals_b[name]
         worst = 0.0
         worst_time: float | None = None
         for t, la, lb, ra, rb in zip(a.times, sa.left, sb.left,
                                       sa.right, sb.right, strict=True):
             # Equal limits deviate by 0 (or nan at an infinity), which
             # never exceeds ``worst``.
-            if la == lb and ra == rb or t in skip:
+            if la == lb and ra == rb:
                 continue
             deviation = max(_relative(la, lb), _relative(ra, rb))
             if deviation > worst:
@@ -202,12 +202,6 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
         report.deviations.append(SignalDeviation(name, worst, worst_time))
         if worst > rel_tol:
             report.ok = False
-
-    if a.impulses and b.impulses:
-        _match_logs(a, b, rel_tol, report)
-    elif a.impulses or b.impulses:
-        logged, plain = (a, b) if a.impulses else (b, a)
-        _check_spikes(logged, plain, rel_tol, report)
     return report
 
 
@@ -235,39 +229,44 @@ def _match_logs(a: Trace, b: Trace, rel_tol: float, report: CompareReport) -> No
         report.ok = False
 
 
-def _check_spikes(logged: Trace, plain: Trace, rel_tol: float,
-                  report: CompareReport) -> None:
-    index_of: dict[float, int] = {}
-    for i, t in enumerate(logged.times):
-        index_of.setdefault(t, i)
-    for event in logged.impulses:
-        index = index_of.get(event.time)
-        if index is None:
-            raise ValueError(f"impulse time {event.time!r} is not on the time grid")
-        if event.order > 0:
-            report.findings.append(
-                f"order-{event.order} impulse on {event.signal!r} at "
-                f"t={event.time!r}: the value-stream encoding spreads over "
-                f"{event.order + 1} steps (a {event.order} step delay)"
-            )
-            continue
-        if index == 0:
-            report.findings.append(
-                f"impulse at the initial step cannot be checked: {event}"
-            )
-            report.ok = False
-            continue
-        h_star = logged.times[index] - logged.times[index - 1]
-        expected = event.coefficient / h_star
-        base = logged.signals[event.signal].left[index]
-        value = plain.signals[event.signal].left[index]
-        actual = value - base
-        error = _relative(expected, actual)
-        report.impulse_checks.append(ImpulseCheck(
-            event, expected, actual, error, ok=error <= rel_tol,
-        ))
-        if error > rel_tol:
-            report.ok = False
+def _replay(logged: Trace, plain: Trace, rel_tol: float,
+            report: CompareReport) -> dict[str, Stream]:
+    """``logged``'s streams as the numerical recorder writes them: each
+    signal's log replayed by ``spike_due`` over the steps its cascades
+    touch, with an ImpulseCheck of each event's step against ``plain``."""
+    times, streams = logged.times, dict(logged.signals)
+    events: dict[str, dict[int, list[ImpulseEvent]]] = {}
+    for e in logged.impulses:
+        step = bisect_left(times, e.time)  # committed times increase
+        if not 0 < step < len(times) or times[step] != e.time:
+            raise ValueError(f"impulse time {e.time!r} is not on the time "
+                             f"grid after its first step")
+        if e.signal not in streams:
+            raise ValueError(f"impulse on {e.signal!r}, which the trace "
+                             f"does not hold")
+        events.setdefault(e.signal, {}).setdefault(step, []).append(e)
+    for name, at in events.items():
+        base, other = streams[name], plain.signals[name]
+        stream = streams[name] = Stream(base.left, base.right)
+        starts, pending = iter(sorted(at)), []
+        step = next(starts)
+        while step < len(times):
+            here = at.get(step, ())
+            due = spike_due(pending, sorted((e.order, e.coefficient) for e in here),
+                            times[step] - times[step - 1])
+            stream.left[step] += due
+            stream.right[step] += due
+            for e in here:
+                # On the limit the recorder summed; ``actual`` may round.
+                error = _relative(stream.left[step], other.left[step])
+                report.impulse_checks.append(ImpulseCheck(
+                    e, due, other.left[step] - base.left[step], error,
+                    ok=error <= rel_tol))
+                report.ok = report.ok and error <= rel_tol
+            # The next step while terms are pending, else the next event's.
+            step = step + 1 if pending else next(
+                (k for k in starts if k > step), len(times))
+    return streams
 
 
 # --- closed-form bouncing ball -------------------------------------------------

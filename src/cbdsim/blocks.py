@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce  # noqa: F401  (read by wide Adders' template)
 from math import prod  # noqa: F401  (read by the Multiplier's template)
+from operator import add  # noqa: F401  (read by wide Adders' template)
 from typing import Callable, NamedTuple, Sequence
 
 from .signals import (
@@ -97,6 +99,7 @@ def heaviside(x: float) -> float:
 
 
 VARIADIC_MIN_INPUTS = 2
+WIDE_ADDER = 100  # Adders this wide fold by reduce: a + b + … nests too deep
 INTEGRATOR_ORDERS = (1, 2)
 
 
@@ -139,11 +142,11 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
 
 # --- right kernels and templates -------------------------------------------
 
-def _constant_right(node, past, lefts, rights, vectors, t, dt):
+def _constant_right(node, past, lefts, rights, vectors, t):
     return node.const, EMPTY_IMPULSES
 
 
-def _adder_right(node, past, lefts, rights, vectors, t, dt):
+def _adder_right(node, past, lefts, rights, vectors, t):
     right = rights[node.in_idx[0]]
     vector = vectors[node.in_idx[0]]
     for i in node.in_idx[1:]:
@@ -152,12 +155,12 @@ def _adder_right(node, past, lefts, rights, vectors, t, dt):
     return right, vector
 
 
-def _negator_right(node, past, lefts, rights, vectors, t, dt):
+def _negator_right(node, past, lefts, rights, vectors, t):
     src = node.in_idx[0]
     return -rights[src], negate_vector(vectors[src])
 
 
-def _multiplier_right(node, past, lefts, rights, vectors, t, dt):
+def _multiplier_right(node, past, lefts, rights, vectors, t):
     """An impulse of order >= 1 expands against the derivatives of the
     other inputs' product, estimated from its values at the committed
     steps and at this step's left limits."""
@@ -190,7 +193,7 @@ def _too_small(value: float) -> DivisionNearZero:
     return DivisionNearZero(f"inverter input magnitude {value!r} too small")
 
 
-def _inverter_right(node, past, lefts, rights, vectors, t, dt):
+def _inverter_right(node, past, lefts, rights, vectors, t):
     src = node.in_idx[0]
     if not vectors[src].is_empty:
         raise ImpulseOnInverter("cannot invert an impulse-carrying signal")
@@ -200,7 +203,7 @@ def _inverter_right(node, past, lefts, rights, vectors, t, dt):
     return 1.0 / value, EMPTY_IMPULSES
 
 
-def _integrator_template(params: dict[str, float]) -> str:
+def _integrator_template(node) -> str:
     """Order 1 adds the previous input's right limit times the step to the
     previous output's right limit; order 2 adds ``dt**2 / 2`` times the
     input's slope over the last committed step, the variable-step two-step
@@ -209,20 +212,20 @@ def _integrator_template(params: dict[str, float]) -> str:
     The first step emits the initial condition and the second, having no
     slope yet, is explicit."""
     explicit = "R[{i}] + R[{s[0]}] * dt"
-    if params.get("order", 1) != 2:
+    if node.params.get("order", 1) != 2:
         return explicit
     return (f"{explicit} + h2 * ((L[{{s[0]}}] - Q[{{s[0]}}]) / dq) "
             f"if slope else {explicit}")
 
 
-def _integrator_right(node, past, lefts, rights, vectors, t, dt):
+def _integrator_right(node, past, lefts, rights, vectors, t):
     """An order-0 impulse on the input becomes a jump carried by the right
     limit; higher orders shift down one order and pass through."""
     jump, rest = extract_order_zero(vectors[node.in_idx[0]])
     return lefts[node.idx] + jump, rest
 
 
-def _derivative_right(node, past, lefts, rights, vectors, t, dt):
+def _derivative_right(node, past, lefts, rights, vectors, t):
     """Input impulses move up one order; an in-sample jump of the input
     emits an order-0 impulse with the jump as its coefficient."""
     if not past:
@@ -234,14 +237,14 @@ def _derivative_right(node, past, lefts, rights, vectors, t, dt):
     return lefts[node.idx], vector
 
 
-def _switch_right(node, past, lefts, rights, vectors, t, dt):
+def _switch_right(node, past, lefts, rights, vectors, t):
     src = node.in_idx[0]
     if not vectors[src].is_empty:
         raise ImpulseOnCondition("switch condition must be impulse-free")
     return heaviside(rights[src]), EMPTY_IMPULSES
 
 
-def _decision_right(node, past, lefts, rights, vectors, t, dt):
+def _decision_right(node, past, lefts, rights, vectors, t):
     u, v, c = node.in_idx
     if not vectors[c].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
@@ -259,7 +262,7 @@ def _decision_right(node, past, lefts, rights, vectors, t, dt):
     return rights[selected], vectors[selected]
 
 
-def _delay_right(node, past, lefts, rights, vectors, t, dt):
+def _delay_right(node, past, lefts, rights, vectors, t):
     if not past:
         return node.const, EMPTY_IMPULSES
     last = past[-1]
@@ -277,8 +280,8 @@ def _init(params: dict[str, float]) -> float:
 class KindInfo:
     inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
     # The phase-1 template after the first step, or a function of the
-    # block's parameters that picks it (the Integrator's order).
-    template: str | Callable[[dict[str, float]], str]
+    # node that picks it (by the Integrator's order, the Adder's width).
+    template: str | Callable[..., str]
     right: Callable
     variadic: bool = False
     params: tuple[str, ...] = ()
@@ -299,7 +302,8 @@ class KindInfo:
 KINDS: dict[str, KindInfo] = {
     "Constant": KindInfo((), "{k}", _constant_right, params=("value",),
                          const=lambda params: params["value"]),
-    "Adder": KindInfo((), "{x: + }", _adder_right, variadic=True),
+    "Adder": KindInfo((), lambda node: "{x: + }" if len(node.in_idx) < WIDE_ADDER
+                      else "reduce(add, ({x:, },))", _adder_right, variadic=True),
     "Negator": KindInfo(("in",), "-{x[0]}", _negator_right),
     "Multiplier": KindInfo((), "prod(({x:, },))", _multiplier_right,
                            variadic=True),

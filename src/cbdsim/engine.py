@@ -42,9 +42,9 @@ trace is encoded.  The recorder appends each committed step's watched
 limits as floats to per-signal columns, a :class:`Stream` each.  Symbolic
 traces keep the impulse vectors, sparsely by step, and log one event per
 coefficient.  Numerical traces fold every coefficient into the recorded
-value stream as the finite-difference spike pattern it would have produced
-(an order-0 coefficient ``a`` becomes ``a / h*`` at the impulse step) and
-keep the impulse log empty.
+value stream as the finite-difference spikes it stands for, one step of
+:func:`spike_due` per committed step (an order-n coefficient spreads over
+n + 1 steps), and keep the impulse log empty; ``compare_traces`` replays it.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _phase1_function(nodes: Sequence[_Node],
         info = bk.KINDS[node.kind]
         template = (first and info.first) or info.template
         if callable(template):
-            template = template(node.params)
+            template = template(node)
         x = cells(node.in_idx)
         if node.const is not None:
             bound[f"k{node.idx}"] = node.const
@@ -497,7 +497,7 @@ class Engine:
                 node = nodes[idx]
                 try:
                     right, vector = node.right(node, past, lefts, rights,
-                                               vectors, t, dt)
+                                               vectors, t)
                 except BlockError as err:
                     raise SimulationError(node.path, err) from err
                 if right != rights[idx] or vector != vectors[idx]:
@@ -689,8 +689,7 @@ class _Recorder:
         self.record = self._record_symbolic if symbolic \
             else self._record_numerical
 
-    def _record_symbolic(self, t: float, columns: StepColumns,
-                         dt: float) -> None:
+    def _record_symbolic(self, t: float, columns: StepColumns) -> None:
         lefts, rights, vectors = columns
         trace = self.trace
         step = len(trace.times)
@@ -706,21 +705,17 @@ class _Recorder:
                         ImpulseEvent(t, name, order, coefficient)
                     )
 
-    def _record_numerical(self, t: float, columns: StepColumns,
-                          dt: float) -> None:
+    def _record_numerical(self, t: float, columns: StepColumns) -> None:
         lefts, rights, vectors = columns
         trace = self.trace
-        if trace.times:
-            # Use the committed time difference so a spike value divided by
-            # the step size reconstructs exactly from the recorded times.
-            dt = t - trace.times[-1]
         trace.times.append(t)
         values = []
         for _, idx, add_left, add_right, pending in self.columns:
             vector = vectors[idx]
             due = 0.0
             if pending or vector is not EMPTY_IMPULSES and not vector.is_empty:
-                due = _spike_due(pending, vector, dt)
+                # Step 0 has none: nothing flips or fires before a commit.
+                due = spike_due(pending, vector.items(), t - trace.times[-2])
             left = lefts[idx] + due
             right = rights[idx] + due
             add_left(left)
@@ -739,9 +734,11 @@ class _Recorder:
                     )
 
 
-def _spike_due(pending: list[list], vector: ImpulseVector, dt: float) -> float:
-    """Spike value due at this step from a signal's ``pending`` cascade and
-    ``vector``; later terms of the cascade stay in ``pending``."""
+def spike_due(pending: list[list], terms: Iterable, dt: float) -> float:
+    """The spike due at this step of a signal, one step of the numerical
+    encoding: (order n, coefficient a) in ``terms`` is due as ``a (-1)**m
+    C(n, m) / dt**(n + 1)`` m = 0 .. n steps on.  ``pending`` keeps the
+    later terms; call at every step where it or ``terms`` is not empty."""
     due = 0.0
     remaining = []
     for entry in pending:
@@ -749,7 +746,7 @@ def _spike_due(pending: list[list], vector: ImpulseVector, dt: float) -> float:
             due += entry[1]
         else:
             remaining.append([entry[0] - 1, entry[1]])
-    for order, coefficient in vector.items():
+    for order, coefficient in terms:
         scale = dt ** (order + 1)
         for m in range(order + 1):
             amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
@@ -796,7 +793,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     t = 0.0
     columns, _ = engine.compute_step(t, config.h)
     engine.commit(columns, t)
-    recorder.record(t, columns, config.h)
+    recorder.record(t, columns)
 
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
@@ -820,7 +817,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")
         engine.commit(columns, t_new)
-        recorder.record(t_new, columns, h_star)
+        recorder.record(t_new, columns)
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
                 <= ZENO_WINDOW * config.h_min * (1 + 1e-9):
             raise ZenoSuspected(

@@ -156,13 +156,44 @@ class TestCompareTraces:
         report = compare_traces(a, b, rel_tol=1e-12)
         assert not report.ok
 
-    def test_higher_order_reported_as_delay_finding(self):
+    def test_order_two_spike_spreads_over_three_steps(self):
+        # {2: 1} at t = 0.1 is due as (1, -2, 1) / h**3 at that step and the
+        # two after it; a plain trace without the cascade fails.
         event = ImpulseEvent(0.1, "s", 2, 1.0)
-        a = _trace([0.0, 0.1], [0.0, 0.0], [event])
-        b = _trace([0.0, 0.1], [0.0, 0.0])
+        times = [0.0, 0.1, 0.2, 0.3, 0.4]
+        a = _trace(times, [0.0] * 5, [event])
+        cascade = [0.0] + [c / 0.1 ** 3 for c in (1.0, -2.0, 1.0)] + [0.0]
+        report = compare_traces(a, _trace(times, cascade), rel_tol=1e-12)
+        assert report.ok and report.findings == []
+        assert report.deviations[0].max_relative == 0.0
+        [check] = report.impulse_checks
+        assert (check.expected, check.actual, check.ok) == \
+            (cascade[1], cascade[1], True)
+        report = compare_traces(a, _trace(times, [0.0] * 5), rel_tol=1e-12)
+        assert not report.ok and not report.impulse_checks[0].ok
+        assert report.deviations[0].at_time == 0.1
+
+    def test_cascade_left_due_reaches_a_later_event(self):
+        # An order-1 term still due at the step of a second event adds to
+        # that event's spike.
+        events = [ImpulseEvent(0.1, "s", 1, 1.0), ImpulseEvent(0.2, "s", 0, 3.0)]
+        times = [0.0, 0.1, 0.2, 0.3]
+        a = _trace(times, [1.0] * 4, events)
+        spikes = [0.0, 1.0 / 0.1 ** 2, -1.0 / 0.1 ** 2 + 3.0 / 0.1, 0.0]
+        b = _trace(times, [1.0 + spike for spike in spikes])
         report = compare_traces(a, b, rel_tol=1e-12)
         assert report.ok
-        assert any("2 steps" in f or "order-2" in f for f in report.findings)
+        assert [c.expected for c in report.impulse_checks] == spikes[1:3]
+
+    @pytest.mark.parametrize("event, message", [
+        (ImpulseEvent(0.1, "ghost", 0, 3.0), "'ghost'"),
+        # The recorder never writes one: step 0 has no step length.
+        (ImpulseEvent(0.0, "s", 0, 3.0), "after its first step"),
+    ])
+    def test_impulse_the_recorder_cannot_write_rejected(self, event, message):
+        a = _trace([0.0, 0.1], [0.0, 0.0], [event])
+        with pytest.raises(ValueError, match=message):
+            compare_traces(a, _trace([0.0, 0.1], [0.0, 30.0]))
 
     def test_log_to_log_comparison(self):
         event = ImpulseEvent(0.1, "s", 0, 3.0)

@@ -64,8 +64,7 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
     vectors = [s.impulses for s in inputs] + [None]
     phase1([node], past, lefts, dt)
     rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
-    rights[n], vectors[n] = info.right(node, past, lefts, rights, vectors,
-                                       t, dt)
+    rights[n], vectors[n] = info.right(node, past, lefts, rights, vectors, t)
     past.append(bk.Committed(t, lefts, rights, vectors))
     return StepSample(lefts[n], rights[n], vectors[n]), past
 
@@ -74,11 +73,12 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
 def test_every_kind_has_its_kernels(kind):
     info = bk.KINDS[kind]
     assert callable(info.right)
-    # One phase-1 template, picked by the Integrator's order, whose every
-    # form is one expression; a first-step form for the kinds that replay
-    # the committed steps.
-    forms = [info.template] if isinstance(info.template, str) else \
-        [info.template({}), info.template({"order": 2})]
+    # One phase-1 template, picked by the Integrator's order or the Adder's
+    # width, whose every form is one expression; a first-step form for the
+    # kinds that replay the committed steps.
+    forms = [info.template] if isinstance(info.template, str) else [
+        info.template(new_node(kind, n, tuple(range(n)), params))
+        for n, params in ((3, {}), (3, {"order": 2}), (bk.WIDE_ADDER, {}))]
     forms += [info.first] if info.first else []
     fields = dict(x=_Cells(("a", "b", "c")), s=(0, 1, 2), i=3, k="k")
     for form in forms:
@@ -98,6 +98,20 @@ class TestAdder:
     def test_folds_samples(self):
         out, _ = step("Adder", [sample(1, 1), sample(2, 2, {0: 3})])
         assert out == sample(3, 3, {0: 3})
+
+    @pytest.mark.parametrize("values", [
+        [-0.0] * 150,
+        [1e16, 1.0, -1e16, 1.0, 0.1, -0.0] * 25,
+    ])
+    def test_wide_adder_keeps_the_left_fold(self, values):
+        # From WIDE_ADDER inputs on the template changes, not the floats: the
+        # sum of -0.0s stays -0.0 and the rounding follows port order.
+        assert len(values) >= bk.WIDE_ADDER
+        expected = values[0]
+        for value in values[1:]:
+            expected = expected + value
+        out, _ = step("Adder", [sample(v, v) for v in values])
+        assert out.left.hex() == out.right.hex() == expected.hex()
 
 
 class TestMultiplier:
@@ -411,7 +425,7 @@ def _check_batches(seed):
         vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
         for node, (kind, _) in zip(nodes, blocks):
             rights[node.idx], vectors[node.idx] = bk.KINDS[kind].right(
-                node, past, lefts, rights, vectors, t, dt)
+                node, past, lefts, rights, vectors, t)
         past.append(bk.Committed(t, lefts, rights, vectors))
         for k, (kind, params) in enumerate(blocks):
             out, alone[k] = step(kind, [inputs[k]], alone[k], t=t, dt=dt,

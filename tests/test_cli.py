@@ -25,6 +25,19 @@ def run_ball(ball_path, tmp_path, mode="symbolic", fmt="csv", tag=""):
     return code, out, imp
 
 
+def run_chain(tmp_path, mode):
+    """The bundled step_chain model run to t = 1 at h = 0.1 in ``mode``."""
+    out = tmp_path / f"chain_{mode}.csv"
+    imp = tmp_path / f"chain_impulses_{mode}.csv"
+    code = cli.main([
+        "run", str(MODELS / "step_chain.cbd"), "--top", "Chain",
+        "--mode", mode, "--step", "0.1", "--end", "1",
+        "--out", str(out), "--impulses", str(imp),
+    ])
+    assert code == 0
+    return out, imp
+
+
 def write_null_fields(tmp_path):
     """A valid JSON trace, and a JSON trace and impulse log with a null field."""
     row = {"time": 0.0, "signal": "y", "left": 1.0, "right": 1.0}
@@ -295,6 +308,40 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["ok"]
         assert len(report["impulse_checks"]) == 1
+
+    def test_step_chain_modes_agree_at_every_order(self, tmp_path, capsys):
+        # Orders 0, 1 and 2 at t = 0.5, the last two spreading over the
+        # following steps of the numerical trace.
+        sym, sym_imp = run_chain(tmp_path, "symbolic")
+        num, _ = run_chain(tmp_path, "numerical")
+        capsys.readouterr()
+        code = cli.main(["compare", str(sym), str(num),
+                         "--impulses-a", str(sym_imp)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["ok"]
+        logged = [line.split(",")[1:3]
+                  for line in sym_imp.read_text().splitlines()[1:]]
+        assert logged == [["d1", "0"], ["d2", "1"], ["d3", "2"]]
+        assert [[c["signal"], str(c["order"])]
+                for c in report["impulse_checks"]] == logged
+        assert all(c["relative_error"] == 0.0
+                   for c in report["impulse_checks"])
+        assert all(d["max_relative"] == 0.0 for d in report["deviations"])
+        assert report["findings"] == []
+
+    def test_impulse_on_an_unknown_signal_exits_two(self, tmp_path, capsys):
+        sym, sym_imp = run_chain(tmp_path, "symbolic")
+        num, _ = run_chain(tmp_path, "numerical")
+        time_field = sym_imp.read_text().splitlines()[1].split(",")[0]
+        with sym_imp.open("a") as log:
+            log.write(f"{time_field},ghost,0,1\n")
+        capsys.readouterr()
+        code = cli.main(["compare", str(sym), str(num),
+                         "--impulses-a", str(sym_imp)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "'ghost'" in captured.err
 
     def test_mismatched_step_exits_three(self, ball_path, tmp_path, capsys):
         _, out1, _ = run_ball(ball_path, tmp_path, tag="_a")

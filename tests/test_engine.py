@@ -20,7 +20,15 @@ from cbdsim.engine import (
     _phase1_function,
     simulate,
 )
-from cbdsim.graph import BlockDecl, InvalidParameter, ModelError, flatten
+from cbdsim.graph import (
+    BlockDecl,
+    Definition,
+    InvalidParameter,
+    Link,
+    Model,
+    ModelError,
+    flatten,
+)
 
 G = 9.81
 
@@ -806,6 +814,21 @@ class TestGeneratedPhase1:
         columns, _ = engine.compute_step(0.0, 0.1)
         index = {node.path: node.idx for node in engine.nodes}
         assert columns.lefts[index["c"]] is value
+
+    def test_wide_adder_compiles(self):
+        # One Constant wired to every port of a 5,000-input Adder: an
+        # ``a + b + …`` source that wide nests too deep to compile.
+        width = 5000
+        main = Definition(
+            name="Main", out_ports=("y",),
+            blocks={"c": BlockDecl("Constant", {"value": 1}),
+                    "a": BlockDecl("Adder")},
+            links=[Link(("c", "out"), ("a", f"in{k + 1}")) for k in range(width)]
+            + [Link(("a", "out"), (None, "y"))],
+        )
+        trace = simulate(Model(definitions={"Main": main}), "Main",
+                         SimConfig(h=0.1, t_end=0.2))
+        assert trace.signals["y"].left.tolist() == [5000.0] * 3
 
     def test_traceback_shows_the_generated_line(self):
         model = dsl.load_model("""

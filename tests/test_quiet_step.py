@@ -8,7 +8,8 @@ closure.  Each case runs ``simulate`` as is, again with ``_sweep_groups``
 patched to return every group, and again with ``_closure_step`` patched
 to the full ``compute_step``, in both modes, and requires the same trace,
 impulse log and warnings, compared through ``float.hex``, or the same
-error.
+error.  When both modes complete, ``compare_traces`` must find their
+traces equal at every step.
 """
 
 from unittest import mock
@@ -16,6 +17,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl, engine
+from cbdsim.analysis import compare_traces
 from cbdsim.engine import Engine, EngineError, SimConfig, simulate
 
 MODES = ("symbolic", "numerical")
@@ -30,11 +32,17 @@ def _sample_key(s):
             tuple((order, c.hex()) for order, c in s.impulses.items()))
 
 
-def _outcome(model, watch, config):
+def _run(model, watch, config):
+    """The run's trace, or its error as ("error", kind, message)."""
     try:
-        trace = simulate(model, "Main", SimConfig(watch=watch, **config))
+        return simulate(model, "Main", SimConfig(watch=watch, **config))
     except EngineError as err:
         return ("error", type(err).__name__, str(err))
+
+
+def _outcome(trace):
+    if isinstance(trace, tuple):
+        return trace
     return (
         [t.hex() for t in trace.times],
         {name: [_sample_key(s) for s in stream]
@@ -53,17 +61,25 @@ REFERENCES = {
 
 
 def _assert_fast_path_equivalent(text, watch, **config):
-    """Compare every path in both modes; return the symbolic outcome."""
+    """Compare every path in both modes, and the two modes' traces when
+    both complete; return the symbolic outcome."""
     model = dsl.load_model(text)
-    outcomes = {}
+    traces = {}
     for mode in MODES:
         run = dict(TOLERANCES, **config, mode=mode)
-        fast = _outcome(model, watch, run)
+        traces[mode] = _run(model, watch, run)
+        fast = _outcome(traces[mode])
         for name, (attr, full) in REFERENCES.items():
             with mock.patch.object(Engine, attr, full):
-                assert _outcome(model, watch, run) == fast, (mode, name)
-        outcomes[mode] = fast
-    return outcomes["symbolic"]
+                assert _outcome(_run(model, watch, run)) == fast, (mode, name)
+    symbolic, numerical = traces.values()
+    if not isinstance(symbolic, tuple) and not isinstance(numerical, tuple):
+        # The impulse log replayed as the numerical recorder encodes it
+        # gives the numerical trace exactly.
+        report = compare_traces(symbolic, numerical, 1e-12)
+        assert report.ok, report.to_dict()
+        assert all(d.max_relative == 0.0 for d in report.deviations)
+    return _outcome(symbolic)
 
 
 # --- fixed cases: one per source kind -----------------------------------------

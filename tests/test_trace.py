@@ -196,39 +196,44 @@ class TestOverflowScreen:
     def test_nan_limit_warns_nothing(self):
         recorder = _recorder("a", "b")
         recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
-                                       [1.0, math.nan, EMPTY_IMPULSES]), 0.1)
+                                       [1.0, math.nan, EMPTY_IMPULSES]))
         assert recorder.trace.warnings == []
         assert math.isnan(recorder.trace.signals["a"].left[0])
 
     def test_nan_ahead_of_a_large_limit(self):
         recorder = _recorder("a", "b")
         recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
-                                       [1.0, -1e301, EMPTY_IMPULSES]), 0.1)
+                                       [1.0, -1e301, EMPTY_IMPULSES]))
         assert recorder.trace.warnings == [_warning("b", 0.0)]
 
     def test_infinite_spike_warns(self):
+        # A quiet first step, then an order-0 impulse over a step of 1e-310.
         recorder = _recorder("a")
-        recorder.record(0.0, _columns([0.0, 0.0, impulses({0: 1.0})]), 1e-310)
+        recorder.record(0.0, _columns([0.0, 0.0, EMPTY_IMPULSES]))
+        recorder.record(1e-310, _columns([0.0, 0.0, impulses({0: 1.0})]))
         a = recorder.trace.signals["a"]
-        assert (a.left[0], a.right[0], a.impulses) == (math.inf, math.inf, {})
-        assert recorder.trace.warnings == [_warning("a", 0.0)]
+        assert (a.left[1], a.right[1], a.impulses) == (math.inf, math.inf, {})
+        assert recorder.trace.warnings == [_warning("a", 1e-310)]
 
     def test_warnings_in_signal_order_at_each_step(self):
-        # An order-1 impulse over a step of 1e-160 spikes to +inf and leaves
-        # -inf due at the next step.
+        # After a quiet first step, an order-1 impulse over a step of
+        # 1e-160 spikes to +inf and leaves -inf due at the next step.
         recorder = _recorder("a", "b", "c")
-        recorder.record(0.0, _columns([0.0, 0.0, impulses({1: 1.0})],
+        recorder.record(0.0, _columns([0.0, 0.0, EMPTY_IMPULSES],
                                        [1.0, 1.0, EMPTY_IMPULSES],
-                                       [1e301, 1e301, EMPTY_IMPULSES]), 1e-160)
-        recorder.record(1e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
-                                          [-1e301, 2.0, EMPTY_IMPULSES],
-                                          [1.0, 1.0, EMPTY_IMPULSES]), 1e-160)
+                                       [1.0, 1.0, EMPTY_IMPULSES]))
+        recorder.record(1e-160, _columns([0.0, 0.0, impulses({1: 1.0})],
+                                          [1.0, 1.0, EMPTY_IMPULSES],
+                                          [1e301, 1e301, EMPTY_IMPULSES]))
         recorder.record(2e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                                          [-1e301, 2.0, EMPTY_IMPULSES],
+                                          [1.0, 1.0, EMPTY_IMPULSES]))
+        recorder.record(3e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
                                           [1e300, -1e300, EMPTY_IMPULSES],
-                                          [1.0, 1.0, EMPTY_IMPULSES]), 1e-160)
+                                          [1.0, 1.0, EMPTY_IMPULSES]))
         assert recorder.trace.signals["a"].left.tolist() == \
-            [math.inf, -math.inf, 0.0]
+            [0.0, math.inf, -math.inf, 0.0]
         assert recorder.trace.warnings == [
-            _warning("a", 0.0), _warning("c", 0.0),
-            _warning("a", 1e-160), _warning("b", 1e-160),
+            _warning("a", 1e-160), _warning("c", 1e-160),
+            _warning("a", 2e-160), _warning("b", 2e-160),
         ]
