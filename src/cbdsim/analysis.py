@@ -177,6 +177,8 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
         x != y for x, y in zip(a.times, b.times)
     ):
         raise TimeGridMismatch("committed time grids differ")
+    if any(len(s) != len(a.times) for x in (a, b) for s in x.signals.values()):
+        raise ValueError("ragged trace")
 
     report = CompareReport(ok=True, rel_tol=rel_tol)
     if a.impulses and b.impulses:
@@ -190,15 +192,17 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
         sb = signals_b[name]
         worst = 0.0
         worst_time: float | None = None
-        for t, la, lb, ra, rb in zip(a.times, sa.left, sb.left,
-                                      sa.right, sb.right, strict=True):
-            # Equal limits deviate by 0 (or nan at an infinity), which
-            # never exceeds ``worst``.
-            if la == lb and ra == rb:
-                continue
-            deviation = max(_relative(la, lb), _relative(ra, rb))
-            if deviation > worst:
-                worst, worst_time = deviation, t
+        # Equal limits deviate by 0 (or nan at an infinity), which never
+        # exceeds ``worst``; memoryviews compare whole columns in C.
+        if (memoryview(sa.left) != memoryview(sb.left)
+                or memoryview(sa.right) != memoryview(sb.right)):
+            for t, la, lb, ra, rb in zip(a.times, sa.left, sb.left,
+                                          sa.right, sb.right):
+                if la == lb and ra == rb:
+                    continue
+                deviation = max(_relative(la, lb), _relative(ra, rb))
+                if deviation > worst:
+                    worst, worst_time = deviation, t
         report.deviations.append(SignalDeviation(name, worst, worst_time))
         if worst > rel_tol:
             report.ok = False

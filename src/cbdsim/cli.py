@@ -31,7 +31,6 @@ from .engine import (
     simulate,
 )
 from .graph import ModelError
-from .signals import EMPTY_IMPULSES, add_vectors, impulses
 
 TRACE_HEADER = "time,signal,left,right"
 IMPULSE_HEADER = "time,signal,order,coefficient"
@@ -88,7 +87,8 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
 
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
-    """Load a trace file (CSV or JSON by extension) back into a Trace."""
+    """Load a trace file (CSV or JSON by extension) back into a Trace, and
+    the impulse log into ``Trace.impulses``, its only impulse record."""
     try:
         if path.suffix == ".json":
             payload = json.loads(path.read_text())
@@ -123,14 +123,6 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:
         trace.impulses.extend(read_impulses(impulse_path))
-        # Each logged coefficient also goes into its stream's vector at its
-        # step; an event off the time grid stays in the log only.
-        step_of = {t: step for step, t in enumerate(times)}
-        for e in trace.impulses:
-            if e.time in step_of and e.signal in trace.signals:
-                vectors, step = trace.signals[e.signal].impulses, step_of[e.time]
-                vectors[step] = add_vectors(vectors.get(step, EMPTY_IMPULSES),
-                                            impulses({e.order: e.coefficient}))
     return trace
 
 
@@ -141,7 +133,7 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
         try:
             for row in payload["impulses"]:
                 events.append(ImpulseEvent(float(row["time"]), row["signal"],
-                                           int(row["order"]),
+                                           row["order"],
                                            float(row["coefficient"])))
         except TypeError as err:  # a field of the wrong type, such as null
             raise ValueError(f"{path}: malformed impulse log: {err}") from err
@@ -153,6 +145,10 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
             time_s, name, order_s, coeff_s = line.split(",")
             events.append(ImpulseEvent(float(time_s), name,
                                        int(order_s), float(coeff_s)))
+    for e in events:  # a bool is an int to isinstance, but no order
+        if type(e.order) is not int or e.order < 0:
+            raise ValueError(f"{path}: impulse order {e.order!r} is not a "
+                             f"non-negative integer")
     return events
 
 

@@ -40,8 +40,8 @@ at the located size.
 Both execution modes share this evaluator; they differ only in how the
 trace is encoded.  The recorder appends each committed step's watched
 limits as floats to per-signal columns, a :class:`Stream` each.  Symbolic
-traces keep the impulse vectors, sparsely by step, and log one event per
-coefficient.  Numerical traces fold every coefficient into the recorded
+traces log one event per impulse coefficient, ``Trace.impulses``, the only
+impulse record.  Numerical traces fold every coefficient into the recorded
 value stream as the finite-difference spikes it stands for, one step of
 :func:`spike_due` per committed step (an order-n coefficient spreads over
 n + 1 steps), and keep the impulse log empty; ``compare_traces`` replays it.
@@ -58,13 +58,12 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks as bk
 from .blocks import BlockError
 from .graph import FlatGraph, Model, ModelError, dependency_sort, flatten
-from .signals import EMPTY_IMPULSES, ImpulseVector, StepSample
+from .signals import EMPTY_IMPULSES, ImpulseVector
 
 SYMBOLIC = "symbolic"
 NUMERICAL = "numerical"
@@ -144,36 +143,36 @@ class ImpulseEvent(NamedTuple):
     coefficient: float
 
 
-class Stream:
-    """One signal's recorded samples, stored as columns.
+class Limits(NamedTuple):
+    left: float
+    right: float
 
-    ``left`` and ``right`` hold one limit per committed step;
-    ``impulses`` maps a step index to its impulse vector, only at the steps
-    that carry one.  ``len`` counts the steps, iteration yields one
-    :class:`StepSample` per step and ``==`` compares the columns.
+
+class Stream:
+    """One signal's recorded limits, stored as columns.
+
+    ``left`` and ``right`` hold one limit per committed step; the signal's
+    impulses are the trace's, in ``Trace.impulses``.  ``len`` counts the
+    steps, iteration yields one :class:`Limits` per step and ``==``
+    compares the columns.
     """
 
-    __slots__ = ("left", "right", "impulses")
+    __slots__ = ("left", "right")
 
-    def __init__(self, left: Iterable[float] = (), right: Iterable[float] = (),
-                 impulses: dict[int, ImpulseVector] | None = None):
+    def __init__(self, left: Iterable[float] = (), right: Iterable[float] = ()):
         self.left = array("d", left)
         self.right = array("d", right)
-        self.impulses = {} if impulses is None else impulses
 
     def __len__(self) -> int:
         return len(self.left)
 
-    def __iter__(self) -> Iterator[StepSample]:
-        vectors = map(self.impulses.get, range(len(self.left)),
-                      repeat(EMPTY_IMPULSES))
-        return map(StepSample, self.left, self.right, vectors)
+    def __iter__(self) -> Iterator[Limits]:
+        return map(Limits, self.left, self.right)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Stream):
             return NotImplemented
-        return (self.left == other.left and self.right == other.right
-                and self.impulses == other.impulses)
+        return self.left == other.left and self.right == other.right
 
 
 @dataclass
@@ -320,6 +319,7 @@ class _LoopPlan:
 
     def __init__(self, nodes: list[_Node], members: Sequence[int]):
         self.members = members
+        self.path = nodes[members[0]].path
         position = {idx: j for j, idx in enumerate(members)}
         n = len(members)
         self.matrix = [[0.0] * n for _ in range(n)]
@@ -357,7 +357,7 @@ class _LoopPlan:
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
             if abs(a[pivot_row][col]) < SINGULAR_TOLERANCE:
-                raise SingularLoop("algebraic loop system is singular")
+                raise SingularLoop(f"{self.path}: algebraic loop system is singular")
             a[col], a[pivot_row] = a[pivot_row], a[col]
             pivot = a[col][col]
             a[col] = [value / pivot for value in a[col]]
@@ -672,9 +672,8 @@ class _Recorder:
     """Appends each committed step's watched limits to the trace streams.
 
     ``record`` is bound once to the mode's method.  Each column entry is
-    ``(name, node index, append left, append right, extra)``, where
-    ``extra`` is the stream's impulse dict in symbolic mode and the
-    signal's pending spike cascade in numerical mode.
+    ``(name, node index, append left, append right)``, followed in
+    numerical mode by the signal's pending spike cascade.
     """
 
     def __init__(self, config: SimConfig, watched: dict[str, int]):
@@ -683,23 +682,20 @@ class _Recorder:
         self.columns = []
         for name, idx in watched.items():
             stream = self.trace.signals[name] = Stream()
-            self.columns.append((name, idx, stream.left.append,
-                                 stream.right.append,
-                                 stream.impulses if symbolic else []))
+            column = (name, idx, stream.left.append, stream.right.append)
+            self.columns.append(column if symbolic else column + ([],))
         self.record = self._record_symbolic if symbolic \
             else self._record_numerical
 
     def _record_symbolic(self, t: float, columns: StepColumns) -> None:
         lefts, rights, vectors = columns
         trace = self.trace
-        step = len(trace.times)
         trace.times.append(t)
-        for name, idx, add_left, add_right, impulses in self.columns:
+        for name, idx, add_left, add_right in self.columns:
             add_left(lefts[idx])
             add_right(rights[idx])
             vector = vectors[idx]
             if vector is not EMPTY_IMPULSES and not vector.is_empty:
-                impulses[step] = vector
                 for order, coefficient in vector.items():
                     trace.impulses.append(
                         ImpulseEvent(t, name, order, coefficient)

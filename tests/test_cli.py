@@ -225,7 +225,7 @@ class TestRun:
         assert back.times == simulated.times
         assert back.impulses == simulated.impulses
         assert back.signals == simulated.signals
-        assert len(back.signals["force"].impulses) == 1
+        assert [e.signal for e in back.impulses] == ["force"]
 
     def test_json_format_mirrors_csv(self, ball_path, tmp_path, capsys):
         code, out_json, imp_json = run_ball(ball_path, tmp_path, fmt="json")
@@ -362,6 +362,51 @@ class TestCompare:
                          "--impulses-a", str(null_log)]) == 2
         errors = capsys.readouterr().err
         assert str(null_trace) in errors and str(null_log) in errors
+
+
+def run_with_order(tmp_path, capsys, fmt, order):
+    """The impulse log, and ``compare``'s and ``plotdata``'s exit codes and
+    standard error, for a two-step trace of ``y`` with one impulse of
+    ``order`` logged at its second step."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"trace": [
+        {"time": t, "signal": "y", "left": 0.0, "right": 0.0}
+        for t in (0.0, 1.0)]}))
+    log = tmp_path / f"impulses.{fmt}"
+    if fmt == "csv":
+        log.write_text(f"{cli.IMPULSE_HEADER}\n1,y,{order},1\n")
+    else:
+        log.write_text(json.dumps({"impulses": [
+            {"time": 1.0, "signal": "y", "order": order, "coefficient": 1.0}]}))
+    outcomes = []
+    for argv in (["compare", str(trace), str(trace), "--impulses-a", str(log)],
+                 ["plotdata", "--trace", str(trace), "--impulses", str(log),
+                  "--out", str(tmp_path / "plot.json")]):
+        code = cli.main(argv)
+        outcomes.append((code, capsys.readouterr().err))
+    return log, outcomes
+
+
+class TestImpulseOrders:
+    """An impulse log is outside input: every order must be a non-negative
+    integer, or ``compare`` and ``plotdata`` stop with exit code 2."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_order_exits_two(self, tmp_path, capsys, fmt):
+        _, outcomes = run_with_order(tmp_path, capsys, fmt, -1)
+        for code, err in outcomes:
+            assert code == 2
+            assert err.startswith("error: ")
+            assert "non-negative integer" in err
+
+    @pytest.mark.parametrize("order", [0.75, True])
+    def test_fractional_or_boolean_json_order_exits_two(self, tmp_path,
+                                                        capsys, order):
+        log, outcomes = run_with_order(tmp_path, capsys, "json", order)
+        for code, err in outcomes:
+            assert code == 2
+            assert err == (f"error: {log}: impulse order {order!r} is not "
+                           f"a non-negative integer\n")
 
 
 class TestPlotData:

@@ -32,6 +32,8 @@ from cbdsim.graph import (
     flatten,
 )
 
+from strategies import PORTS, wirings
+
 
 def primitive_model() -> Model:
     main = Definition(
@@ -262,30 +264,6 @@ class TestDependencySort:
 
 
 # --- generated diagrams ------------------------------------------------------
-
-# Input ports per kind; Integrator and Delay read their input one step late.
-PORTS = {
-    "Constant": (), "Negator": ("in",), "Integrator": ("in",),
-    "Delay": ("in",), "Derivative": ("in",), "Switch": ("c",),
-    "Adder": ("in1", "in2", "in3"), "Multiplier": ("in1", "in2"),
-    "Decision": ("u", "v", "c"),
-}
-
-
-@st.composite
-def wirings(draw):
-    """A random diagram as ``[(name, kind, {port: producer name})]`` and a
-    shuffled order for its links; producers may close any loop."""
-    count = draw(st.integers(min_value=1, max_value=14))
-    names = [f"b{i}" for i in range(count)]
-    blocks = []
-    for name in names:
-        kind = draw(st.sampled_from(sorted(PORTS)))
-        inputs = {port: draw(st.sampled_from(names)) for port in PORTS[kind]}
-        blocks.append((name, kind, inputs))
-    links = [(name, port) for name, _, inputs in blocks for port in inputs]
-    return blocks, draw(st.permutations(links))
-
 
 def _decl(kind: str) -> BlockDecl:
     return BlockDecl(kind, {"value": 1.0} if kind == "Constant" else {})
@@ -527,7 +505,8 @@ class TestAlgebraicLoops:
 
     def test_unit_feedback_is_singular(self):
         model = dsl.load_model(FEEDBACK_SINGULAR)
-        with pytest.raises(SingularLoop):
+        with pytest.raises(SingularLoop, match=r"^a: algebraic loop system "
+                                               r"is singular$"):
             simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
 
     def test_inverter_in_loop_is_nonlinear(self):

@@ -1,12 +1,13 @@
 """The columnar trace: ``Stream`` columns, trace files and the recorder.
 
 A ``Trace`` keeps, per watched signal, one ``Stream``: the left and right
-limits as float columns plus a sparse step -> impulse vector dict.  These
-tests read a stream's columns, its length, its iteration as one
-``StepSample`` per step and its equality, round-trip random traces
-through the CSV and JSON files bit for bit, keep the reader's
-malformed-file errors, reject ragged in-memory traces without writing a
-file and pin the numerical recorder's overflow warnings.
+limits as float columns.  A step's impulses are read from the trace's
+event log, ``Trace.impulses``, the only impulse record.  These tests read
+a stream's columns, its length, its iteration as one ``Limits`` per step
+and its equality, round-trip random traces through the CSV and JSON files
+bit for bit, keep the reader's malformed-file errors, reject ragged
+in-memory traces without writing a file and pin the numerical recorder's
+overflow warnings.
 """
 
 import json
@@ -17,12 +18,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbdsim import cli
+from cbdsim import cli, dsl
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
-    SimConfig, StepColumns, Stream, Trace, _Recorder, simulate,
+    EngineError, Limits, SimConfig, StepColumns, Stream, Trace, _Recorder,
+    simulate,
 )
-from cbdsim.signals import EMPTY_IMPULSES, StepSample, impulses
+from cbdsim.signals import EMPTY_IMPULSES, impulses
+
+from strategies import diagrams
 
 
 @pytest.fixture(scope="module")
@@ -38,39 +42,26 @@ class TestStreamView:
             assert isinstance(stream, Stream)
             assert len(stream) == len(ball_trace.times)
 
-    def test_impulses_match_the_impulse_log(self, ball_trace):
-        (event,) = ball_trace.impulses
-        force = ball_trace.signals["force"]
-        step = ball_trace.times.index(event.time)
-        assert force.impulses == {step: impulses({0: event.coefficient})}
-        vector = force.impulses.get(step, EMPTY_IMPULSES)
-        assert vector.items() == [(0, event.coefficient)]
-        logged = [(ball_trace.times[k], name, order, c)
-                  for name, stream in ball_trace.signals.items()
-                  for k, vector in stream.impulses.items()
-                  for order, c in vector.items()]
-        assert logged == [tuple(e) for e in ball_trace.impulses]
-
-    def test_iteration_yields_step_samples(self, ball_trace):
+    def test_iteration_yields_limits_only(self, ball_trace):
         force = ball_trace.signals["force"]
         samples = list(force)
         assert len(samples) == len(force)
         for k, s in enumerate(samples):
-            assert s == StepSample(force.left[k], force.right[k],
-                                   force.impulses.get(k, EMPTY_IMPULSES))
-        assert [k for k, s in enumerate(samples)
-                if not s.impulses.is_empty] == list(force.impulses)
+            assert type(s) is Limits
+            assert (s.left, s.right) == (force.left[k], force.right[k])
+        # A reader of per-step impulses fails loudly: they are in the log.
+        assert not hasattr(samples[0], "impulses")
 
     def test_equality(self, ball_trace):
         y = ball_trace.signals["y"]
-        copy = Stream(y.left, y.right, dict(y.impulses))
+        copy = Stream(y.left, y.right)
         assert copy == y
         assert copy is not y
         copy.right[3] += 1.0
         assert copy != y
-        force = ball_trace.signals["force"]
-        bare = Stream(force.left, force.right)
-        assert bare != force
+        copy = Stream(y.left, y.right)
+        copy.left[3] += 1.0
+        assert copy != y
         assert y != list(y)
 
 
@@ -97,8 +88,7 @@ def traces(draw):
 
 def _hexed(trace):
     return ([t.hex() for t in trace.times],
-            {name: ([x.hex() for x in s.left], [x.hex() for x in s.right],
-                    s.impulses)
+            {name: ([x.hex() for x in s.left], [x.hex() for x in s.right])
              for name, s in trace.signals.items()})
 
 
@@ -113,6 +103,37 @@ def test_write_read_round_trip(trace, fmt):
         assert _hexed(back) == _hexed(trace)
         cli.write_trace(back, second, fmt)
         assert second.read_bytes() == first.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(diagrams(), diagrams(last="Product")),
+       st.sampled_from((0.1, 0.25)))
+def test_random_diagram_files_round_trip(diagram, h):
+    """Each mode's CSV trace and impulse log read back to the simulated
+    trace, and a second run writes the same bytes."""
+    text, watch = diagram
+    model = dsl.load_model(text)
+    for mode in ("symbolic", "numerical"):
+        config = SimConfig(mode=mode, h=h, t_end=2.0, zc_tol=1e-4,
+                           h_min=1e-4, watch=watch)
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for run in ("a", "b"):
+                try:
+                    trace = simulate(model, "Main", config)
+                except EngineError:
+                    break  # only a completed run writes files
+                out = Path(tmp, f"{run}.csv")
+                log = Path(tmp, f"{run}_impulses.csv")
+                cli.write_trace(trace, out, "csv")
+                cli.write_impulses(trace, log, "csv")
+                back = cli.read_trace(out, log)
+                assert back.times == trace.times
+                assert list(back.signals) == list(trace.signals)
+                assert back.signals == trace.signals
+                assert back.impulses == trace.impulses
+                written.append((out.read_bytes(), log.read_bytes()))
+        assert len(set(written)) <= 1
 
 
 class TestReadErrors:
@@ -212,7 +233,8 @@ class TestOverflowScreen:
         recorder.record(0.0, _columns([0.0, 0.0, EMPTY_IMPULSES]))
         recorder.record(1e-310, _columns([0.0, 0.0, impulses({0: 1.0})]))
         a = recorder.trace.signals["a"]
-        assert (a.left[1], a.right[1], a.impulses) == (math.inf, math.inf, {})
+        assert (a.left[1], a.right[1], recorder.trace.impulses) == \
+            (math.inf, math.inf, [])
         assert recorder.trace.warnings == [_warning("a", 1e-310)]
 
     def test_warnings_in_signal_order_at_each_step(self):
