@@ -6,16 +6,16 @@ every further column divides the previous one's backward difference by the
 step size.  Column n is the numerical image of the impulse derivative of
 order n - 1; its nonzero support spans exactly n steps, which is what
 limits how faithfully plain value streams can carry impulse derivatives.
-The trace comparison, the oracle that the two modes agree, replays an
-impulse log through ``engine.spike_due``, the numerical recorder's own step.
+The trace comparison, the oracle that the two modes agree, folds an
+impulse log into a copy of its trace with ``engine.fold_impulses``, the
+function that makes a numerical run's trace.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from .engine import OVERFLOW_LIMIT, ImpulseEvent, Stream, Trace, spike_due
+from .engine import OVERFLOW_LIMIT, ImpulseEvent, Stream, Trace, fold_impulses
 
 
 class TimeGridMismatch(ValueError):
@@ -122,7 +122,7 @@ class SignalDeviation:
 @dataclass
 class ImpulseCheck:
     """A logged event against a second log (the two coefficients) or a plain
-    trace: the replayed spike on its step, the plain minus the logged left
+    trace: the folded spike due on its step, the plain minus the logged left
     limit, and the plain left limit's error from the logged plus the spike."""
     event: ImpulseEvent
     expected: float
@@ -169,13 +169,14 @@ def _relative(x: float, y: float) -> float:
 def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
     """Align two traces on their committed times and compare every step of
     every stream.  Against a trace without a log, an impulse log is first
-    replayed onto its trace's limits as the numerical recorder encodes it
-    (see ``engine.spike_due``); two logs are matched event by event."""
+    folded into its trace's limits as a numerical run encodes it (see
+    ``engine.fold_impulses``); two logs are matched event by event."""
     if set(a.signals) != set(b.signals):
         raise ValueError("traces watch different signals")
-    if len(a.times) != len(b.times) or any(
-        x != y for x, y in zip(a.times, b.times)
-    ):
+    # List ``!=`` runs in C but matches a shared nan object by identity; a
+    # finite sum shows that the grid holds no nan.
+    if a.times != b.times or (not math.isfinite(sum(a.times)) and any(
+            x != y for x, y in zip(a.times, b.times))):
         raise TimeGridMismatch("committed time grids differ")
     if any(len(s) != len(a.times) for x in (a, b) for s in x.signals.values()):
         raise ValueError("ragged trace")
@@ -184,9 +185,9 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
     if a.impulses and b.impulses:
         _match_logs(a, b, rel_tol, report)
         signals_a, signals_b = a.signals, b.signals
-    else:  # at most one log; an empty one replays to its trace's streams
-        signals_a = _replay(a, b, rel_tol, report)
-        signals_b = _replay(b, a, rel_tol, report)
+    else:  # at most one log; an empty one folds to its trace's streams
+        signals_a = _fold(a, b, rel_tol, report)
+        signals_b = _fold(b, a, rel_tol, report)
 
     for name, sa in signals_a.items():
         sb = signals_b[name]
@@ -233,44 +234,25 @@ def _match_logs(a: Trace, b: Trace, rel_tol: float, report: CompareReport) -> No
         report.ok = False
 
 
-def _replay(logged: Trace, plain: Trace, rel_tol: float,
-            report: CompareReport) -> dict[str, Stream]:
-    """``logged``'s streams as the numerical recorder writes them: each
-    signal's log replayed by ``spike_due`` over the steps its cascades
-    touch, with an ImpulseCheck of each event's step against ``plain``."""
-    times, streams = logged.times, dict(logged.signals)
-    events: dict[str, dict[int, list[ImpulseEvent]]] = {}
-    for e in logged.impulses:
-        step = bisect_left(times, e.time)  # committed times increase
-        if not 0 < step < len(times) or times[step] != e.time:
-            raise ValueError(f"impulse time {e.time!r} is not on the time "
-                             f"grid after its first step")
-        if e.signal not in streams:
-            raise ValueError(f"impulse on {e.signal!r}, which the trace "
-                             f"does not hold")
-        events.setdefault(e.signal, {}).setdefault(step, []).append(e)
-    for name, at in events.items():
-        base, other = streams[name], plain.signals[name]
-        stream = streams[name] = Stream(base.left, base.right)
-        starts, pending = iter(sorted(at)), []
-        step = next(starts)
-        while step < len(times):
-            here = at.get(step, ())
-            due = spike_due(pending, sorted((e.order, e.coefficient) for e in here),
-                            times[step] - times[step - 1])
-            stream.left[step] += due
-            stream.right[step] += due
-            for e in here:
-                # On the limit the recorder summed; ``actual`` may round.
-                error = _relative(stream.left[step], other.left[step])
-                report.impulse_checks.append(ImpulseCheck(
-                    e, due, other.left[step] - base.left[step], error,
-                    ok=error <= rel_tol))
-                report.ok = report.ok and error <= rel_tol
-            # The next step while terms are pending, else the next event's.
-            step = step + 1 if pending else next(
-                (k for k in starts if k > step), len(times))
-    return streams
+def _fold(logged: Trace, plain: Trace, rel_tol: float,
+          report: CompareReport) -> dict[str, Stream]:
+    """``logged``'s streams as a numerical run writes them: copies of the
+    streams with events folded by ``engine.fold_impulses``, with an
+    ImpulseCheck of each event's step against ``plain``."""
+    named = {e.signal for e in logged.impulses}
+    folded = {name: Stream(s.left, s.right)
+              for name, s in logged.signals.items() if name in named}
+    spikes = fold_impulses(Trace(logged.mode, logged.times, folded,
+                                 list(logged.impulses)))
+    for e, (step, due) in zip(logged.impulses, spikes):
+        base, other = logged.signals[e.signal], plain.signals[e.signal]
+        # On the limit the fold summed; ``actual`` may round.
+        error = _relative(folded[e.signal].left[step], other.left[step])
+        report.impulse_checks.append(ImpulseCheck(
+            e, due, other.left[step] - base.left[step], error,
+            ok=error <= rel_tol))
+        report.ok = report.ok and error <= rel_tol
+    return {**logged.signals, **folded}
 
 
 # --- closed-form bouncing ball -------------------------------------------------

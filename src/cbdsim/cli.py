@@ -141,10 +141,14 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
         lines = path.read_text().splitlines()
         if not lines or lines[0] != IMPULSE_HEADER:
             raise ValueError(f"{path}: not an impulse log")
-        for line in lines[1:]:
-            time_s, name, order_s, coeff_s = line.split(",")
-            events.append(ImpulseEvent(float(time_s), name,
-                                       int(order_s), float(coeff_s)))
+        for number, line in enumerate(lines[1:], 2):
+            try:
+                time_s, name, order_s, coeff_s = line.split(",")
+                events.append(ImpulseEvent(float(time_s), name,
+                                           int(order_s), float(coeff_s)))
+            except ValueError as err:
+                raise ValueError(f"{path}: malformed impulse log: line "
+                                 f"{number}: {err}") from err
     for e in events:  # a bool is an int to isinstance, but no order
         if type(e.order) is not int or e.order < 0:
             raise ValueError(f"{path}: impulse order {e.order!r} is not a "

@@ -37,14 +37,15 @@ over the condition closure only, the blocks the crossing test reads within
 a step, so a discarded trial checks nothing outside it; the full step runs
 at the located size.
 
-Both execution modes share this evaluator; they differ only in how the
-trace is encoded.  The recorder appends each committed step's watched
-limits as floats to per-signal columns, a :class:`Stream` each.  Symbolic
-traces log one event per impulse coefficient, ``Trace.impulses``, the only
-impulse record.  Numerical traces fold every coefficient into the recorded
-value stream as the finite-difference spikes it stands for, one step of
-:func:`spike_due` per committed step (an order-n coefficient spreads over
-n + 1 steps), and keep the impulse log empty; ``compare_traces`` replays it.
+Both execution modes share this evaluator and one recorder, which appends
+each committed step's watched limits as floats to per-signal columns, a
+:class:`Stream` each, and logs one event per impulse coefficient,
+``Trace.impulses``, the only impulse record.  That is the symbolic trace.
+A numerical trace is a function of it: after the run,
+:func:`fold_impulses` folds every coefficient into its signal's columns as
+the finite-difference spikes it stands for (an order-n coefficient spreads
+over n + 1 steps), empties the log and screens the columns for overflow.
+``compare_traces`` runs the same fold on a copy of a symbolic trace.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ import functools
 import itertools
 import linecache
 import math
+import operator
 import weakref
 from array import array
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -669,25 +672,19 @@ class Engine:
 # --- trace recording --------------------------------------------------------
 
 class _Recorder:
-    """Appends each committed step's watched limits to the trace streams.
-
-    ``record`` is bound once to the mode's method.  Each column entry is
-    ``(name, node index, append left, append right)``, followed in
-    numerical mode by the signal's pending spike cascade.
-    """
+    """Appends each committed step's time, watched limits and impulse
+    events to a symbolic trace.  Each column entry is ``(name, node index,
+    append left, append right)``."""
 
     def __init__(self, config: SimConfig, watched: dict[str, int]):
         self.trace = Trace(mode=config.mode)
-        symbolic = config.mode == SYMBOLIC
         self.columns = []
         for name, idx in watched.items():
             stream = self.trace.signals[name] = Stream()
-            column = (name, idx, stream.left.append, stream.right.append)
-            self.columns.append(column if symbolic else column + ([],))
-        self.record = self._record_symbolic if symbolic \
-            else self._record_numerical
+            self.columns.append((name, idx, stream.left.append,
+                                 stream.right.append))
 
-    def _record_symbolic(self, t: float, columns: StepColumns) -> None:
+    def record(self, t: float, columns: StepColumns) -> None:
         lefts, rights, vectors = columns
         trace = self.trace
         trace.times.append(t)
@@ -701,57 +698,70 @@ class _Recorder:
                         ImpulseEvent(t, name, order, coefficient)
                     )
 
-    def _record_numerical(self, t: float, columns: StepColumns) -> None:
-        lefts, rights, vectors = columns
-        trace = self.trace
-        trace.times.append(t)
-        values = []
-        for _, idx, add_left, add_right, pending in self.columns:
-            vector = vectors[idx]
-            due = 0.0
-            if pending or vector is not EMPTY_IMPULSES and not vector.is_empty:
-                # Step 0 has none: nothing flips or fires before a commit.
-                due = spike_due(pending, vector.items(), t - trace.times[-2])
-            left = lefts[idx] + due
-            right = rights[idx] + due
-            add_left(left)
-            add_right(right)
-            values += left, right
-        # max and min bound every limit, or return a nan that trips the
-        # screen, so the per-signal scan runs only when one may exceed it.
-        if not (max(values, default=0.0) <= OVERFLOW_LIMIT
-                and min(values, default=0.0) >= -OVERFLOW_LIMIT):
-            for k, (name, *_) in enumerate(self.columns):
-                if abs(values[2 * k]) > OVERFLOW_LIMIT \
-                        or abs(values[2 * k + 1]) > OVERFLOW_LIMIT:
-                    trace.warnings.append(
-                        f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} "
-                        f"at t={t!r}"
-                    )
+
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 
 
-def spike_due(pending: list[list], terms: Iterable, dt: float) -> float:
-    """The spike due at this step of a signal, one step of the numerical
-    encoding: (order n, coefficient a) in ``terms`` is due as ``a (-1)**m
-    C(n, m) / dt**(n + 1)`` m = 0 .. n steps on.  ``pending`` keeps the
-    later terms; call at every step where it or ``terms`` is not empty."""
-    due = 0.0
-    remaining = []
-    for entry in pending:
-        if entry[0] == 1:
-            due += entry[1]
-        else:
-            remaining.append([entry[0] - 1, entry[1]])
-    for order, coefficient in terms:
-        scale = dt ** (order + 1)
+def fold_impulses(trace: Trace) -> list[tuple[int, float]]:
+    """Encode a symbolic ``trace`` numerically, in place, one column at a
+    time; returns each logged event's step and the spike due there.
+
+    An event (order n, coefficient a) at a step of length ``dt`` is due as
+    ``a (-1)**m C(n, m) / dt**(n + 1)`` m = 0 .. n steps on, on both
+    limits, and every limit gains ``+ 0.0``, so ``-0.0`` becomes ``0.0``.
+    The log is then cleared, and each limit beyond ``OVERFLOW_LIMIT`` warns
+    in step and then signal order, after the run's warnings at its step.
+    An event off the time grid, at step 0 (which has no step length) or on
+    a signal the trace does not hold is a ``ValueError``.
+    """
+    times, log, signals = trace.times, trace.impulses, trace.signals
+    steps = [bisect_left(times, e.time) for e in log]  # times increase
+    # The terms due at each (signal, step), in the order they are summed:
+    # by the step, then the order, of the event each comes from.
+    terms: dict[tuple[str, int], list[float]] = {}
+    for step, (t, name, order, coefficient) in sorted(zip(steps, log)):
+        if not 0 < step < len(times) or times[step] != t:
+            raise ValueError(f"impulse time {t!r} is not on the time grid "
+                             f"after its first step")
+        if name not in signals:
+            raise ValueError(f"impulse on {name!r}, which the trace does "
+                             f"not hold")
+        scale = (t - times[step - 1]) ** (order + 1)
         for m in range(order + 1):
-            amount = coefficient * (-1.0) ** m * math.comb(order, m) / scale
-            if m == 0:
-                due += amount
-            else:
-                remaining.append([m, amount])
-    pending[:] = remaining
-    return due
+            terms.setdefault((name, step + m), []).append(
+                coefficient * (-1.0) ** m * math.comb(order, m) / scale)
+    # Summed in order from 0.0: ``sum`` compensates since Python 3.12.
+    due = {key: functools.reduce(operator.add, amounts, 0.0)
+           for key, amounts in terms.items()}
+    for (name, step), spike in due.items():
+        if step < len(times):
+            signals[name].left[step] += spike
+            signals[name].right[step] += spike
+    flagged = []
+    for position, (name, stream) in enumerate(signals.items()):
+        left, right = stream.left, stream.right
+        for column in left, right:
+            # x + 0.0 changes only a -0.0; the byte search may also match
+            # across two floats, which costs one needless pass.
+            if _NEGATIVE_ZERO in column.tobytes():
+                column[:] = array("d", [x + 0.0 for x in column])
+        # max and min bound a column, or return a nan that trips the screen,
+        # so the per-step scan runs only when a limit may exceed it.
+        if not all(max(c, default=0.0) <= OVERFLOW_LIMIT
+                   and min(c, default=0.0) >= -OVERFLOW_LIMIT
+                   for c in (left, right)):
+            flagged += ((k, position, name)
+                        for k, (a, b) in enumerate(zip(left, right))
+                        if abs(a) > OVERFLOW_LIMIT or abs(b) > OVERFLOW_LIMIT)
+    spikes = [(step, due[e.signal, step]) for e, step in zip(log, steps)]
+    log.clear()
+    if flagged:
+        flagged.sort()
+        trace.warnings += (f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} "
+                           f"at t={times[k]!r}" for k, _, name in flagged)
+        # Every warning ends with its step's time; the sort is stable.
+        trace.warnings.sort(key=lambda w: float(w.rpartition("t=")[2]))
+    return spikes
 
 
 def resolve_watches(flat: FlatGraph, watch: Sequence[str]) -> dict[str, int]:
@@ -780,7 +790,8 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     The first committed step is the initial instant t = 0; thereafter the
     loop takes nominal steps of size ``h``, shortened by bisection whenever
     a Switch or Decision condition changes sign, so that committed steps
-    land on crossing times within the configured tolerance.
+    land on crossing times within the configured tolerance.  A numerical
+    run then folds its impulse log into its streams (:func:`fold_impulses`).
     """
     flat = flatten(model, top)
     engine = Engine(flat, config)
@@ -821,4 +832,6 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 f"advanced only {t_new - located_starts[0]!r}s"
             )
         t = t_new
+    if config.mode == NUMERICAL:
+        fold_impulses(recorder.trace)
     return recorder.trace

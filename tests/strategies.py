@@ -28,8 +28,9 @@ LATE = ("Delay", "Integrator", "Integrator2")
 # the jumps and impulses that Delays, Decisions and Integrators pass on.
 # A "Product" puts a Switch and two Derivatives ahead of a Multiplier,
 # which turns the Switch's edge into an impulse of order 1 there.
+# The Inverter is the only kind whose phase 1 raises (DivisionNearZero).
 KINDS = ("Switch", "Switch", "Derivative", "Derivative", "Decision",
-         "Multiplier", "Adder", "Negator", "Constant", "Loop",
+         "Multiplier", "Adder", "Negator", "Inverter", "Constant", "Loop",
          "Product") + LATE
 
 
@@ -64,7 +65,7 @@ def diagrams(draw, last=None):
             order = 2 if kind == "Integrator2" else 1
             lines.append(f"block {name} = Integrator({value!r}, order={order}); "
                          f"{src()} -> {name}.in;")
-        elif kind in ("Switch", "Negator"):
+        elif kind in ("Switch", "Negator", "Inverter"):
             port = "c" if kind == "Switch" else "in"
             lines.append(f"block {name} = {kind}(); {src()} -> {name}.{port};")
         elif kind in ("Adder", "Multiplier"):

@@ -117,6 +117,13 @@ class TestCompareTraces:
         with pytest.raises(TimeGridMismatch):
             compare_traces(a, b)
 
+    def test_shared_nan_time_is_a_mismatch(self):
+        # One nan object in both grids: a list ``==`` would match it by
+        # identity, but nan equals no time.
+        times = [0.0, math.nan]
+        with pytest.raises(TimeGridMismatch):
+            compare_traces(_trace(times, [1.0, 2.0]), _trace(times, [1.0, 2.0]))
+
     def test_different_signals_rejected(self):
         a = _trace([0.0], [1.0])
         b = Trace(mode="symbolic", times=[0.0])

@@ -368,16 +368,21 @@ def run_with_order(tmp_path, capsys, fmt, order):
     """The impulse log, and ``compare``'s and ``plotdata``'s exit codes and
     standard error, for a two-step trace of ``y`` with one impulse of
     ``order`` logged at its second step."""
+    if fmt == "csv":
+        return run_with_log(tmp_path, capsys, "csv", f"1,y,{order},1")
+    return run_with_log(tmp_path, capsys, "json", json.dumps({"impulses": [
+        {"time": 1.0, "signal": "y", "order": order, "coefficient": 1.0}]}))
+
+
+def run_with_log(tmp_path, capsys, fmt, body):
+    """As ``run_with_order``, for an impulse log of ``body``, after the
+    header in CSV."""
     trace = tmp_path / "trace.json"
     trace.write_text(json.dumps({"trace": [
         {"time": t, "signal": "y", "left": 0.0, "right": 0.0}
         for t in (0.0, 1.0)]}))
     log = tmp_path / f"impulses.{fmt}"
-    if fmt == "csv":
-        log.write_text(f"{cli.IMPULSE_HEADER}\n1,y,{order},1\n")
-    else:
-        log.write_text(json.dumps({"impulses": [
-            {"time": 1.0, "signal": "y", "order": order, "coefficient": 1.0}]}))
+    log.write_text(f"{cli.IMPULSE_HEADER}\n{body}\n" if fmt == "csv" else body)
     outcomes = []
     for argv in (["compare", str(trace), str(trace), "--impulses-a", str(log)],
                  ["plotdata", "--trace", str(trace), "--impulses", str(log),
@@ -407,6 +412,19 @@ class TestImpulseOrders:
             assert code == 2
             assert err == (f"error: {log}: impulse order {order!r} is not "
                            f"a non-negative integer\n")
+
+    @pytest.mark.parametrize("row, cause", [
+        ("1,y,1.5,1", "invalid literal for int() with base 10: '1.5'"),
+        ("1,y,1", "not enough values to unpack (expected 4, got 3)"),
+        ("soon,y,0,1", "could not convert string to float: 'soon'"),
+    ], ids=["fractional-order", "three-fields", "non-numeric-time"])
+    def test_malformed_csv_row_names_the_file(self, tmp_path, capsys, row,
+                                              cause):
+        log, outcomes = run_with_log(tmp_path, capsys, "csv", row)
+        for code, err in outcomes:
+            assert code == 2
+            assert err == (f"error: {log}: malformed impulse log: line 2: "
+                           f"{cause}\n")
 
 
 class TestPlotData:

@@ -56,6 +56,18 @@ cbd Main(out y) {
 
 FAST_DESCENT = DESCENT.replace("Constant(-1)", "Constant(-1e12)")
 
+BIG_BESIDE_DESCENT = """
+cbd Main(out y) {
+  block big  = Constant(1e301);
+  block rate = Constant(-1e6);
+  block pos  = Integrator(0.001);
+  block sw   = Switch();
+  rate.out -> pos.in;
+  pos.out -> sw.c;
+  big.out -> y;
+}
+"""
+
 ALTERNATOR = """
 // Square wave +-1 via a negated self-delay; its sign flips between every
 // pair of committed steps, so every step demands event location.
@@ -220,6 +232,20 @@ class TestEventLocation:
         assert trace.warnings == [
             f"overflow-risk: |y| exceeds 1e+300 at t={t!r}" for t in trace.times
         ]
+
+    def test_overflow_and_underflow_warnings_interleave_by_step(self):
+        # The located step's underflow warning comes ahead of the overflow
+        # warning at its time, after the one at t = 0.
+        model = dsl.load_model(BIG_BESIDE_DESCENT)
+        trace = simulate(model, "Main",
+                         SimConfig(mode="numerical", h=1e-3, t_end=0.003,
+                                   zc_tol=1e-30))
+        overflow = [f"overflow-risk: |y| exceeds 1e+300 at t={t!r}"
+                    for t in trace.times]
+        assert trace.times[1] == 1.000240445137024e-09
+        assert trace.warnings == overflow[:1] + [
+            "step-underflow: tolerance not met at t=1.000240445137024e-09",
+        ] + overflow[1:]
 
     def test_locate_crossing_function(self):
         model = dsl.load_model(DESCENT)

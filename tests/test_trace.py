@@ -6,8 +6,8 @@ event log, ``Trace.impulses``, the only impulse record.  These tests read
 a stream's columns, its length, its iteration as one ``Limits`` per step
 and its equality, round-trip random traces through the CSV and JSON files
 bit for bit, keep the reader's malformed-file errors, reject ragged
-in-memory traces without writing a file and pin the numerical recorder's
-overflow warnings.
+in-memory traces without writing a file and pin the overflow warnings
+of the numerical fold.
 """
 
 import json
@@ -22,7 +22,7 @@ from cbdsim import cli, dsl
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
     EngineError, Limits, SimConfig, StepColumns, Stream, Trace, _Recorder,
-    simulate,
+    fold_impulses, simulate,
 )
 from cbdsim.signals import EMPTY_IMPULSES, impulses
 
@@ -197,16 +197,22 @@ class TestRaggedInMemory:
             compare_traces(_ragged(), _ragged())
 
 
-# --- numerical recorder overflow screen ---------------------------------------
+# --- overflow screen of the numerical fold -----------------------------------
 
 def _columns(*cells):
     """Step columns from one ``[left, right, vector]`` cell per signal."""
     return StepColumns(*map(list, zip(*cells)))
 
 
-def _recorder(*names):
-    return _Recorder(SimConfig(mode="numerical"),
-                     {name: k for k, name in enumerate(names)})
+def _folded(names, *steps):
+    """The trace a numerical run makes of ``(t, columns)`` steps: recorded
+    symbolically, then folded and screened by ``fold_impulses``."""
+    recorder = _Recorder(SimConfig(mode="numerical"),
+                         {name: k for k, name in enumerate(names)})
+    for t, columns in steps:
+        recorder.record(t, columns)
+    fold_impulses(recorder.trace)
+    return recorder.trace
 
 
 def _warning(name, t):
@@ -215,47 +221,45 @@ def _warning(name, t):
 
 class TestOverflowScreen:
     def test_nan_limit_warns_nothing(self):
-        recorder = _recorder("a", "b")
-        recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
-                                       [1.0, math.nan, EMPTY_IMPULSES]))
-        assert recorder.trace.warnings == []
-        assert math.isnan(recorder.trace.signals["a"].left[0])
+        trace = _folded("ab", (0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
+                                             [1.0, math.nan, EMPTY_IMPULSES])))
+        assert trace.warnings == []
+        assert math.isnan(trace.signals["a"].left[0])
 
     def test_nan_ahead_of_a_large_limit(self):
-        recorder = _recorder("a", "b")
-        recorder.record(0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
-                                       [1.0, -1e301, EMPTY_IMPULSES]))
-        assert recorder.trace.warnings == [_warning("b", 0.0)]
+        trace = _folded("ab", (0.0, _columns([math.nan, math.nan, EMPTY_IMPULSES],
+                                             [1.0, -1e301, EMPTY_IMPULSES])))
+        assert trace.warnings == [_warning("b", 0.0)]
 
     def test_infinite_spike_warns(self):
         # A quiet first step, then an order-0 impulse over a step of 1e-310.
-        recorder = _recorder("a")
-        recorder.record(0.0, _columns([0.0, 0.0, EMPTY_IMPULSES]))
-        recorder.record(1e-310, _columns([0.0, 0.0, impulses({0: 1.0})]))
-        a = recorder.trace.signals["a"]
-        assert (a.left[1], a.right[1], recorder.trace.impulses) == \
+        trace = _folded("a", (0.0, _columns([0.0, 0.0, EMPTY_IMPULSES])),
+                        (1e-310, _columns([0.0, 0.0, impulses({0: 1.0})])))
+        a = trace.signals["a"]
+        assert (a.left[1], a.right[1], trace.impulses) == \
             (math.inf, math.inf, [])
-        assert recorder.trace.warnings == [_warning("a", 1e-310)]
+        assert trace.warnings == [_warning("a", 1e-310)]
 
     def test_warnings_in_signal_order_at_each_step(self):
         # After a quiet first step, an order-1 impulse over a step of
         # 1e-160 spikes to +inf and leaves -inf due at the next step.
-        recorder = _recorder("a", "b", "c")
-        recorder.record(0.0, _columns([0.0, 0.0, EMPTY_IMPULSES],
-                                       [1.0, 1.0, EMPTY_IMPULSES],
-                                       [1.0, 1.0, EMPTY_IMPULSES]))
-        recorder.record(1e-160, _columns([0.0, 0.0, impulses({1: 1.0})],
-                                          [1.0, 1.0, EMPTY_IMPULSES],
-                                          [1e301, 1e301, EMPTY_IMPULSES]))
-        recorder.record(2e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
-                                          [-1e301, 2.0, EMPTY_IMPULSES],
-                                          [1.0, 1.0, EMPTY_IMPULSES]))
-        recorder.record(3e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
-                                          [1e300, -1e300, EMPTY_IMPULSES],
-                                          [1.0, 1.0, EMPTY_IMPULSES]))
-        assert recorder.trace.signals["a"].left.tolist() == \
+        trace = _folded(
+            "abc",
+            (0.0, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                           [1.0, 1.0, EMPTY_IMPULSES],
+                           [1.0, 1.0, EMPTY_IMPULSES])),
+            (1e-160, _columns([0.0, 0.0, impulses({1: 1.0})],
+                              [1.0, 1.0, EMPTY_IMPULSES],
+                              [1e301, 1e301, EMPTY_IMPULSES])),
+            (2e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                              [-1e301, 2.0, EMPTY_IMPULSES],
+                              [1.0, 1.0, EMPTY_IMPULSES])),
+            (3e-160, _columns([0.0, 0.0, EMPTY_IMPULSES],
+                              [1e300, -1e300, EMPTY_IMPULSES],
+                              [1.0, 1.0, EMPTY_IMPULSES])))
+        assert trace.signals["a"].left.tolist() == \
             [0.0, math.inf, -math.inf, 0.0]
-        assert recorder.trace.warnings == [
+        assert trace.warnings == [
             _warning("a", 1e-160), _warning("c", 1e-160),
             _warning("a", 2e-160), _warning("b", 2e-160),
         ]
