@@ -7,8 +7,8 @@ step size.  Column n is the numerical image of the impulse derivative of
 order n - 1; its nonzero support spans exactly n steps, which is what
 limits how faithfully plain value streams can carry impulse derivatives.
 The trace comparison, the oracle that the two modes agree, folds an
-impulse log into a copy of its trace with ``engine.fold_impulses``, the
-function that makes a numerical run's trace.
+impulse log into copies of its streams with ``engine.fold_impulses``, the
+spike cascade that a numerical run folds into its own trace.
 """
 
 from __future__ import annotations
@@ -242,8 +242,7 @@ def _fold(logged: Trace, plain: Trace, rel_tol: float,
     named = {e.signal for e in logged.impulses}
     folded = {name: Stream(s.left, s.right)
               for name, s in logged.signals.items() if name in named}
-    spikes = fold_impulses(Trace(logged.mode, logged.times, folded,
-                                 list(logged.impulses)))
+    spikes = fold_impulses(logged.times, folded, logged.impulses)
     for e, (step, due) in zip(logged.impulses, spikes):
         base, other = logged.signals[e.signal], plain.signals[e.signal]
         # On the limit the fold summed; ``actual`` may round.

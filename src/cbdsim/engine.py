@@ -44,13 +44,14 @@ each committed step's watched limits as floats to per-signal columns, a
 A numerical trace is a function of it: after the run,
 :func:`fold_impulses` folds every coefficient into its signal's columns as
 the finite-difference spikes it stands for (an order-n coefficient spreads
-over n + 1 steps), empties the log and screens the columns for overflow.
-``compare_traces`` runs the same fold on a copy of a symbolic trace.
+over n + 1 steps), and the run empties the log, makes ``-0.0`` limits ``0.0``
+and screens for overflow.  ``compare_traces`` folds copies of the streams.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import linecache
 import math
@@ -73,6 +74,7 @@ NUMERICAL = "numerical"
 
 SINGULAR_TOLERANCE = 1e-12
 OVERFLOW_LIMIT = 1e300
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 ZENO_WINDOW = 1000
 # The highest impulse order a step may carry before MaxOrderExceeded.
 MAX_ORDER = 16
@@ -699,22 +701,16 @@ class _Recorder:
                     )
 
 
-_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
-
-
-def fold_impulses(trace: Trace) -> list[tuple[int, float]]:
-    """Encode a symbolic ``trace`` numerically, in place, one column at a
-    time; returns each logged event's step and the spike due there.
+def fold_impulses(times: list[float], signals: dict[str, Stream],
+                  log: list[ImpulseEvent]) -> list[tuple[int, float]]:
+    """Fold ``log`` into the columns of ``signals``, in place, as spikes;
+    returns each event's step and the spike due there.
 
     An event (order n, coefficient a) at a step of length ``dt`` is due as
     ``a (-1)**m C(n, m) / dt**(n + 1)`` m = 0 .. n steps on, on both
-    limits, and every limit gains ``+ 0.0``, so ``-0.0`` becomes ``0.0``.
-    The log is then cleared, and each limit beyond ``OVERFLOW_LIMIT`` warns
-    in step and then signal order, after the run's warnings at its step.
-    An event off the time grid, at step 0 (which has no step length) or on
-    a signal the trace does not hold is a ``ValueError``.
+    limits.  An event off the time grid, at step 0 (which has no step
+    length) or on a signal missing from ``signals`` is a ``ValueError``.
     """
-    times, log, signals = trace.times, trace.impulses, trace.signals
     steps = [bisect_left(times, e.time) for e in log]  # times increase
     # The terms due at each (signal, step), in the order they are summed:
     # by the step, then the order, of the event each comes from.
@@ -737,10 +733,19 @@ def fold_impulses(trace: Trace) -> list[tuple[int, float]]:
         if step < len(times):
             signals[name].left[step] += spike
             signals[name].right[step] += spike
+    return [(step, due[e.signal, step]) for e, step in zip(log, steps)]
+
+
+def _encode_numerically(trace: Trace) -> list[tuple[int, int, str]]:
+    """Make a symbolic ``trace`` numerical, in place, one column at a time:
+    fold and empty its log and make every ``-0.0`` limit ``0.0``.  Returns
+    an ``overflow-risk`` warning for each step and signal with a limit
+    beyond ``OVERFLOW_LIMIT``, as (step, signal position, message)."""
+    fold_impulses(trace.times, trace.signals, trace.impulses)
+    trace.impulses.clear()
     flagged = []
-    for position, (name, stream) in enumerate(signals.items()):
-        left, right = stream.left, stream.right
-        for column in left, right:
+    for position, (name, stream) in enumerate(trace.signals.items()):
+        for column in stream.left, stream.right:
             # x + 0.0 changes only a -0.0; the byte search may also match
             # across two floats, which costs one needless pass.
             if _NEGATIVE_ZERO in column.tobytes():
@@ -749,19 +754,12 @@ def fold_impulses(trace: Trace) -> list[tuple[int, float]]:
         # so the per-step scan runs only when a limit may exceed it.
         if not all(max(c, default=0.0) <= OVERFLOW_LIMIT
                    and min(c, default=0.0) >= -OVERFLOW_LIMIT
-                   for c in (left, right)):
-            flagged += ((k, position, name)
-                        for k, (a, b) in enumerate(zip(left, right))
+                   for c in (stream.left, stream.right)):
+            flagged += ((k, position, f"overflow-risk: |{name}| exceeds "
+                         f"{OVERFLOW_LIMIT:g} at t={trace.times[k]!r}")
+                        for k, (a, b) in enumerate(stream)
                         if abs(a) > OVERFLOW_LIMIT or abs(b) > OVERFLOW_LIMIT)
-    spikes = [(step, due[e.signal, step]) for e, step in zip(log, steps)]
-    log.clear()
-    if flagged:
-        flagged.sort()
-        trace.warnings += (f"overflow-risk: |{name}| exceeds {OVERFLOW_LIMIT:g} "
-                           f"at t={times[k]!r}" for k, _, name in flagged)
-        # Every warning ends with its step's time; the sort is stable.
-        trace.warnings.sort(key=lambda w: float(w.rpartition("t=")[2]))
-    return spikes
+    return sorted(flagged)
 
 
 def resolve_watches(flat: FlatGraph, watch: Sequence[str]) -> dict[str, int]:
@@ -791,7 +789,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     loop takes nominal steps of size ``h``, shortened by bisection whenever
     a Switch or Decision condition changes sign, so that committed steps
     land on crossing times within the configured tolerance.  A numerical
-    run then folds its impulse log into its streams (:func:`fold_impulses`).
+    run then folds its log into its streams (:func:`_encode_numerically`).
     """
     flat = flatten(model, top)
     engine = Engine(flat, config)
@@ -802,6 +800,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     engine.commit(columns, t)
     recorder.record(t, columns)
 
+    underflows = []  # (step, -1, message), ahead of the step's overflows
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * config.h
@@ -813,9 +812,9 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 t, config.h, trial
             )
             if underflow:
-                recorder.trace.warnings.append(
-                    f"step-underflow: tolerance not met at t={t + h_star!r}"
-                )
+                underflows.append((len(recorder.trace.times), -1,
+                                   f"step-underflow: tolerance not met at "
+                                   f"t={t + h_star!r}"))
             located_starts.append(t)
         else:
             h_star = config.h
@@ -832,6 +831,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 f"advanced only {t_new - located_starts[0]!r}s"
             )
         t = t_new
-    if config.mode == NUMERICAL:
-        fold_impulses(recorder.trace)
-    return recorder.trace
+    trace = recorder.trace
+    overflows = _encode_numerically(trace) if config.mode == NUMERICAL else []
+    trace.warnings = [w for *_, w in heapq.merge(underflows, overflows)]
+    return trace

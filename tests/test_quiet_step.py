@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl, engine
 from cbdsim.analysis import compare_traces
-from cbdsim.engine import Engine, EngineError, SimConfig, simulate
+from cbdsim.engine import (Engine, EngineError, SimConfig,
+                           SimulationError, simulate)
 
 from strategies import diagrams
 
@@ -54,14 +55,33 @@ def _outcome(trace):
     )
 
 
+def _condition_closure(engine):
+    """The paths of the blocks a crossing test reads, from the closure's
+    definition: reached backwards from every Switch and Decision condition
+    input, not through an Integrator or Delay, which read the committed
+    steps only."""
+    stack = [n.in_idx[-1] for n in engine.nodes
+             if n.kind in ("Switch", "Decision")]
+    seen = set()
+    while stack:
+        idx = stack.pop()
+        if idx not in seen:
+            seen.add(idx)
+            if engine.nodes[idx].kind not in ("Integrator", "Delay"):
+                stack.extend(engine.nodes[idx].in_idx)
+    return {engine.nodes[idx].path for idx in seen}
+
+
 def _full_trial(self, t, dt, closure_step=Engine._closure_step):
-    """A bisection trial over every block.  A trial is never committed, and
-    an error outside the condition closure in one does not stop the run
-    (``test_discarded_trial_skips_blocks_outside_the_closure``), so a full
-    trial that raises gives the closure trial instead."""
+    """A bisection trial over every block.  A discarded trial does not stop
+    the run for an error at a block outside the condition closure
+    (``test_discarded_trial_skips_blocks_outside_the_closure``), so only
+    such an error gives the closure trial instead; any other error stands."""
     try:
         return Engine.compute_step(self, t, dt)
-    except EngineError:
+    except SimulationError as err:
+        if err.block_path in _condition_closure(self):
+            raise
         return closure_step(self, t, dt)
 
 
@@ -247,6 +267,48 @@ def test_max_order_error_names_the_first_block_in_node_order(monkeypatch):
         text, ("e3",), h=0.1, t_end=0.6)
     assert outcome[:2] == ("error", "MaxOrderExceeded")
     assert outcome[2].startswith("e3: impulse order 2")
+
+
+# A diagram drawn by the property below: two Products whose Switches read
+# a Delay and an Adder of the spring system.  The Multiplier b5, outside
+# the condition closure, raises in a full mid trial that is discarded.
+TWO_PRODUCTS = """
+cbd Main(out y) {
+  block pos = Integrator(1.0);
+  block vel = Integrator(-1.0);
+  block stiff = Constant(-9);
+  block spring = Multiplier();
+  vel.out -> pos.in;
+  pos.out -> spring.in1;
+  stiff.out -> spring.in2;
+  spring.out -> vel.in;
+  block b0 = Derivative(-1.0); vel.out -> b0.in;
+  block b1 = Derivative(-1.0); b0.out -> b1.in;
+  block b2 = Adder(); spring.out -> b2.in1; b1.out -> b2.in2;
+  block b3 = Delay(-1.0); b2.out -> b3.in;
+  block b4s = Switch(); block b4d = Derivative(); block b4dd = Derivative();
+  block b4 = Multiplier();
+  b3.out -> b4s.c; b4s.out -> b4d.in; b4d.out -> b4dd.in;
+  b4dd.out -> b4.in1; b3.out -> b4.in2;
+  block b5s = Switch(); block b5d = Derivative(); block b5dd = Derivative();
+  block b5 = Multiplier();
+  b2.out -> b5s.c; b5s.out -> b5d.in; b5d.out -> b5dd.in;
+  b5dd.out -> b5.in1; b4.out -> b5.in2;
+  b5.out -> y;
+}
+"""
+
+
+def test_full_trial_error_outside_the_closure_is_discarded():
+    watch = ("pos", "vel", "spring", "b0", "b1", "b2", "b3", "b4", "b5")
+    model = dsl.load_model(TWO_PRODUCTS)
+    run = dict(TOLERANCES, h=0.25, t_end=2.0)
+    assert not isinstance(_run(model, watch, run), tuple)
+    with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
+        outcome = _run(model, watch, run)
+    assert outcome[:2] == ("error", "SimulationError")
+    assert outcome[2].startswith("b5: ")
+    _assert_fast_path_equivalent(TWO_PRODUCTS, watch, h=0.25, t_end=2.0)
 
 
 # --- random diagrams ---------------------------------------------------------

@@ -22,7 +22,7 @@ from cbdsim import cli, dsl
 from cbdsim.analysis import compare_traces
 from cbdsim.engine import (
     EngineError, Limits, SimConfig, StepColumns, Stream, Trace, _Recorder,
-    fold_impulses, simulate,
+    _encode_numerically, simulate,
 )
 from cbdsim.signals import EMPTY_IMPULSES, impulses
 
@@ -206,13 +206,15 @@ def _columns(*cells):
 
 def _folded(names, *steps):
     """The trace a numerical run makes of ``(t, columns)`` steps: recorded
-    symbolically, then folded and screened by ``fold_impulses``."""
+    symbolically, then encoded by ``_encode_numerically``, whose overflow
+    warnings are the trace's."""
     recorder = _Recorder(SimConfig(mode="numerical"),
                          {name: k for k, name in enumerate(names)})
     for t, columns in steps:
         recorder.record(t, columns)
-    fold_impulses(recorder.trace)
-    return recorder.trace
+    trace = recorder.trace
+    trace.warnings = [w for *_, w in _encode_numerically(trace)]
+    return trace
 
 
 def _warning(name, t):
