@@ -20,9 +20,10 @@ A step's values are three columns indexed by node, a
 ``vectors``, created only when phase 2 sweeps; on a step it skips,
 ``rights is lefts`` and ``vectors`` is one shared all-empty tuple.
 Phase 1 runs as generated straight-line source: each block's template
-filled in, in schedule order, and a solve call per algebraic loop.  The
-source names every parameter, so it depends only on the diagram's
-structure and its compiled code is cached by the source.
+filled in, in schedule order, and a solve call per algebraic loop, which
+replays the loop's elimination as generated source too.  Values are bound
+by name, so a plan's source depends only on the diagram's structure, a
+replay's only on the elimination's shape; code is cached by the source.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -75,6 +76,9 @@ NUMERICAL = "numerical"
 SINGULAR_TOLERANCE = 1e-12
 OVERFLOW_LIMIT = 1e300
 _NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+# A double whose high byte, sign masked, is below 0x7E has |x| < 2**993 < 1e300.
+_HIGH_BYTE = _NEGATIVE_ZERO.index(0x80)
+_BELOW_LIMIT = bytes(b for b in range(256) if b & 0x7F < 0x7E)
 ZENO_WINDOW = 1000
 # The highest impulse order a step may carry before MaxOrderExceeded.
 MAX_ORDER = 16
@@ -224,7 +228,7 @@ class _Cells(tuple):
         return sep.join(self)
 
 
-# A linecache name per compiled plan, even for one source compiled twice.
+# A linecache name per compiled source, even for one source compiled twice.
 _serial = itertools.count(1)
 
 
@@ -232,12 +236,23 @@ _serial = itertools.count(1)
 def _compile(source: str):
     """The code of a generated module, whose source ``linecache`` holds
     while the code lives, so a traceback through it shows its lines."""
-    filename = f"<cbdsim phase-1 plan {next(_serial)}>"
+    filename = f"<cbdsim generated code {next(_serial)}>"
     code = compile(source, filename, "exec")
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     weakref.finalize(code, linecache.cache.pop, filename, None)
     return code
+
+
+def _generate(params: Iterable[str], signature: str, body: list[str]) -> Callable:
+    """``bind(*params)`` of generated code: it binds ``params`` by name and
+    returns the function ``signature`` whose lines are ``body``."""
+    namespace: dict = {}
+    exec(_compile("\n".join(
+        [f"def bind({', '.join(params)}):", f"    def {signature}:"]
+        + [f"        {line}" for line in body]
+        + [f"    return {signature.partition('(')[0]}", ""])), vars(bk), namespace)
+    return namespace["bind"]
 
 
 def _phase1_function(nodes: Sequence[_Node],
@@ -265,8 +280,7 @@ def _phase1_function(nodes: Sequence[_Node],
     for members, cyclic in groups:
         if cyclic:
             plan = loop_plans[members]
-            deps = sorted({d for *_, ds in plan.gains + plan.rhs for d in ds})
-            known = ", ".join(f"{d}: {x}" for d, x in zip(deps, cells(deps)))
+            known = ", ".join(map("{}: {}".format, plan.inputs, cells(plan.inputs)))
             bound[f"solve{members[0]}"] = plan.solve
             body.append(f"{''.join(f'v{m}, ' for m in members)}= "
                         f"solve{members[0]}({{{known}}}.__getitem__)")
@@ -287,14 +301,8 @@ def _phase1_function(nodes: Sequence[_Node],
     name = "first_step" if first else "later_steps"
     lefts = ", ".join(f"v{i}" if i in inside else "None"
                       for i in range(len(nodes)))
-    source = "\n".join(
-        [f"def bind({', '.join(bound)}):",
-         f"    def {name}(past, dt, known=None):"]
-        + [f"        {line}" for line in body]
-        + [f"        return [{lefts}]", f"    return {name}", ""])
-    namespace: dict = {}
-    exec(_compile(source), vars(bk), namespace)
-    return namespace["bind"](*bound.values())
+    return _generate(bound, f"{name}(past, dt, known=None)",
+                     body + [f"return [{lefts}]"])(*bound.values())
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -317,18 +325,20 @@ class _LoopPlan:
 
     Gauss-Jordan pivots and factors depend on ``A`` alone, which changes
     only with the Multipliers' outside factors.  The plan eliminates ``A``
-    once per tuple of those factors, records the operations on ``b`` and
-    replays them on every ``b``, which is bit-identical to eliminating the
-    augmented matrix.
+    once per tuple of those factors into straight-line code that replays
+    the operations on each ``b`` (row swaps as renamings), bit-identical to
+    eliminating the augmented matrix.  It binds pivots and factors by name,
+    so a refactor with the same pivot rows and eliminations re-binds them.
     """
 
     def __init__(self, nodes: list[_Node], members: Sequence[int]):
-        self.members = members
         self.path = nodes[members[0]].path
         position = {idx: j for j, idx in enumerate(members)}
         n = len(members)
         self.matrix = [[0.0] * n for _ in range(n)]
-        self.rhs: list[tuple[int, float, tuple[int, ...]]] = []
+        self.inputs = sorted({d for i in members for d in nodes[i].in_idx} - {*position})
+        # The replay's first lines: each outside input read once, then b.
+        self.rhs = [f"k{d} = known({d})" for d in self.inputs]
         self.gains: list[tuple[int, int, tuple[int, ...]]] = []
         for row, idx in enumerate(members):
             node = nodes[idx]
@@ -339,7 +349,9 @@ class _LoopPlan:
                 sign = 1.0 if node.kind == "Adder" else -1.0
                 for col in cols:
                     self.matrix[row][col] -= sign
-                self.rhs.append((row, sign, outside))
+                # b[row] summed from 0.0 in input order, one statement a term.
+                self.rhs += [f"b{row} = {f'b{row}' if k else '0.0'} + {sign} * k{d}"
+                             for k, d in enumerate(outside)] or [f"b{row} = 0.0"]
             elif node.kind != "Multiplier":
                 raise NonlinearLoop(
                     f"{node.path}: {node.kind} is not solvable inside an algebraic loop"
@@ -350,30 +362,38 @@ class _LoopPlan:
                 )
             else:
                 self.gains.append((row, cols[0], outside))
-        self.factors: tuple[float, ...] | None = None
-        self.steps: list[tuple[int, int, float, list[tuple[int, float]]]] = []
+                self.rhs.append(f"b{row} = 0.0")
+        self.factors = self.body = None
 
     def _factor(self, factors: tuple[float, ...]) -> None:
         a = [row[:] for row in self.matrix]
         for (row, col, _), factor in zip(self.gains, factors):
             a[row][col] -= factor
         n = len(a)
-        steps = []
+        b, body, values = [f"b{row}" for row in range(n)], self.rhs[:], {}
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
             if abs(a[pivot_row][col]) < SINGULAR_TOLERANCE:
                 raise SingularLoop(f"{self.path}: algebraic loop system is singular")
             a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
             pivot = a[col][col]
-            a[col] = [value / pivot for value in a[col]]
-            eliminations = []
+            # No later step reads a column <= col, and an update reads only
+            # its own column: the columns after col change alone.
+            a[col][col + 1:] = tail = [value / pivot for value in a[col][col + 1:]]
+            body.append(f"{b[col]} = {b[col]} / p{col}")
+            values[f"p{col}"] = pivot
             for row in range(n):
                 if row != col and a[row][col] != 0.0:
                     factor = a[row][col]
-                    a[row] = [rv - factor * cv for rv, cv in zip(a[row], a[col])]
-                    eliminations.append((row, factor))
-            steps.append((col, pivot_row, pivot, eliminations))
-        self.factors, self.steps = factors, steps
+                    a[row][col + 1:] = [rv - factor * cv for rv, cv
+                                        in zip(a[row][col + 1:], tail)]
+                    body.append(f"{b[row]} = {b[row]} - f{col}_{row} * {b[col]}")
+                    values[f"f{col}_{row}"] = factor
+        body.append(f"return [{', '.join(b)}]")
+        if body != self.body:
+            self.body, self.bind = body, _generate(values, "replay(known)", body)
+        self.factors, self.replay = factors, self.bind(*values.values())
 
     def solve(self, known: Callable[[int], float]) -> list[float]:
         """Member values, in member order, given each outside input's value."""
@@ -382,16 +402,7 @@ class _LoopPlan:
         )
         if factors != self.factors:
             self._factor(factors)
-        b = [0.0] * len(self.matrix)
-        for row, sign, deps in self.rhs:
-            for dep in deps:
-                b[row] += sign * known(dep)
-        for col, pivot_row, pivot, eliminations in self.steps:
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-            x = b[col] = b[col] / pivot
-            for row, factor in eliminations:
-                b[row] -= factor * x
-        return b
+        return self.replay(known)
 
 
 def _require_finite_right(node: _Node, right: float,
@@ -750,11 +761,9 @@ def _encode_numerically(trace: Trace) -> list[tuple[int, int, str]]:
             # across two floats, which costs one needless pass.
             if _NEGATIVE_ZERO in column.tobytes():
                 column[:] = array("d", [x + 0.0 for x in column])
-        # max and min bound a column, or return a nan that trips the screen,
-        # so the per-step scan runs only when a limit may exceed it.
-        if not all(max(c, default=0.0) <= OVERFLOW_LIMIT
-                   and min(c, default=0.0) >= -OVERFLOW_LIMIT
-                   for c in (stream.left, stream.right)):
+        # The per-step scan runs only if some high byte allows |x| > the limit.
+        if any(c.tobytes()[_HIGH_BYTE::8].translate(None, _BELOW_LIMIT)
+               for c in (stream.left, stream.right)):
             flagged += ((k, position, f"overflow-risk: |{name}| exceeds "
                          f"{OVERFLOW_LIMIT:g} at t={trace.times[k]!r}")
                         for k, (a, b) in enumerate(stream)
@@ -805,7 +814,11 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
-        trial = engine.compute_step(t + config.h, config.h)
+        try:
+            trial, failed = engine.compute_step(t + config.h, config.h), None
+        except SimulationError as err:
+            # As in bisection, a block outside the closure fails only a full step.
+            trial, failed = engine._closure_step(t + config.h, config.h), err
         columns, flipped = trial
         if flipped:
             h_star, columns, underflow = engine.locate_crossing(
@@ -819,6 +832,8 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         else:
             h_star = config.h
             located_starts.clear()
+        if failed and h_star == config.h:
+            raise failed
         t_new = t + h_star
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")

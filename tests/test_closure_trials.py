@@ -146,3 +146,33 @@ def test_discarded_trial_skips_blocks_outside_the_closure():
             simulate(model, "Main", config)
     assert excinfo.value.block_path == "inv"
     assert isinstance(excinfo.value.cause, bk.DivisionNearZero)
+
+
+def test_failing_full_trial_is_discarded_like_a_bisection_trial():
+    # p reaches zero at the full trial t = 1, where the inverter fails; the
+    # event at t = 0.3 commits first, and no later step reaches p = 0.
+    model = dsl.load_model(DISCARDED_TRIAL.replace("Integrator(-0.5)",
+                                                   "Integrator(-1.0)"))
+    config = SimConfig(h=1.0, t_end=2.0)
+    trace = simulate(model, "Main", config)
+    assert abs(trace.times[1] - 0.3) <= 1e-9
+    assert len(trace.times) == 3
+    assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
+    assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.7)
+    with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(model, "Main", config)
+    assert excinfo.value.block_path == "inv"
+
+
+@pytest.mark.parametrize("q0", [
+    0.3,    # no condition flips over the failing step
+    -1.0,   # q crosses zero exactly at the failing step's end
+])
+def test_failing_full_trial_stands_unless_an_earlier_event_commits(q0):
+    model = dsl.load_model(DISCARDED_TRIAL.replace(
+        "Integrator(-0.5)", "Integrator(-1.0)").replace(
+        "Integrator(-0.3)", f"Integrator({q0})"))
+    with pytest.raises(SimulationError) as excinfo:
+        simulate(model, "Main", SimConfig(h=1.0, t_end=2.0))
+    assert excinfo.value.block_path == "inv"

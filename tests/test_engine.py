@@ -872,6 +872,6 @@ class TestGeneratedPhase1:
         with pytest.raises(SimulationError) as excinfo:
             simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
         frames = [frame for frame in traceback.extract_tb(excinfo.tb)
-                  if frame.filename.startswith("<cbdsim phase-1 plan ")]
+                  if frame.filename.startswith("<cbdsim generated code ")]
         assert [(frame.name, frame.line) for frame in frames] == [
             ("first_step", "fail(1, v0)")]

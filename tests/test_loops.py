@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbdsim import dsl
+from cbdsim import dsl, engine
 from cbdsim.engine import (
     SINGULAR_TOLERANCE,
     Engine,
@@ -77,8 +77,11 @@ def reference_solve(nodes, members, known):
 
 # Small values repeat often, so consecutive solves share factorisations and
 # hit exact cancellations (singular systems) as well as general values.
+# Magnitudes whose gain products overflow or underflow (±1e200, ±1e-200)
+# make inf and nan pivots, factors and outcomes.
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]),
+    st.sampled_from([1e200, -1e200, 1e-200, -1e-200]),
     st.floats(-4.0, 4.0, allow_nan=False),
 )
 
@@ -194,3 +197,57 @@ def test_constant_gain_is_factored_once(monkeypatch):
     trace = simulate(dsl.load_model(text), "Main", SimConfig(h=0.1, t_end=1.0))
     assert len(trace.times) == 11
     assert calls == [(0.0,)]
+
+
+def test_ramp_gain_generates_the_replay_once(monkeypatch):
+    # The gain runs 2, 2.125, ...: a new factorisation every step, each of
+    # the same shape, so only the first generates code.
+    factored, generated = [], []
+    factor, generate = _LoopPlan._factor, engine._generate
+
+    def counting_factor(plan, factors):
+        factored.append(factors)
+        factor(plan, factors)
+
+    def counting_generate(params, signature, body):
+        generated.append(signature)
+        return generate(params, signature, body)
+
+    monkeypatch.setattr(_LoopPlan, "_factor", counting_factor)
+    monkeypatch.setattr(engine, "_generate", counting_generate)
+    text = RAMP_GAIN.replace("Integrator(0);", "Integrator(2);", 1)
+    trace = simulate(dsl.load_model(text), "Main",
+                     SimConfig(h=0.125, t_end=2.0))
+    assert len(trace.times) == len(factored) == 17
+    assert len(set(factored)) == 17
+    assert generated.count("replay(known)") == 1
+    y, g = trace.signals["y"], trace.signals["g"]
+    for gain, value in zip(g.left, y.left):
+        assert value == pytest.approx(3.0 / (1.0 - gain), rel=1e-12, abs=0.0)
+
+
+def _ring(adders, width):
+    """Nodes of ``adders`` Adders in a ring closed by a Multiplier: the
+    first Adder reads the Multiplier and ``width`` outside inputs, each
+    other Adder its predecessor and one; the Multiplier reads the last
+    Adder and the outside gain, the last node."""
+    m, first = adders, adders + 1
+    nodes = [_Node(0, "a0", "Adder", {}, (m,) + tuple(range(first, first + width)))]
+    nodes += [_Node(k, f"a{k}", "Adder", {}, (k - 1, first)) for k in range(1, adders)]
+    gain = first + width
+    nodes.append(_Node(m, "m", "Multiplier", {}, (adders - 1, gain)))
+    nodes += [_Node(idx, f"u{idx}", "Constant", {"value": 0.0}, ())
+              for idx in range(first, gain + 1)]
+    return nodes, list(range(adders + 1)), gain
+
+
+@pytest.mark.parametrize("adders, width", [(1, 5000), (300, 1)])
+def test_large_loops_compile_and_match_the_reference(adders, width):
+    # One flat statement per operation: a nested ``a + b + …`` this long
+    # would not compile.
+    nodes, members, gain = _ring(adders, width)
+    plan = _LoopPlan(nodes, members)
+    for g in (-0.4, 0.25):
+        known = lambda dep: g if dep == gain else 0.5 + dep % 7  # noqa: E731
+        assert _outcome(lambda: plan.solve(known)) == \
+            _outcome(lambda: reference_solve(nodes, members, known))

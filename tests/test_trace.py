@@ -265,3 +265,18 @@ class TestOverflowScreen:
             _warning("a", 1e-160), _warning("c", 1e-160),
             _warning("a", 2e-160), _warning("b", 2e-160),
         ]
+
+    @pytest.mark.parametrize("value, warns", [
+        (1e300, False),
+        (-1e300, False),
+        (math.nextafter(1e300, math.inf), True),
+        (-math.nextafter(1e300, math.inf), True),
+        # The screen's byte test first passes at 2**993; the scan decides.
+        (2.0 ** 996, False),
+        (2.0 ** 997, True),
+        (-2.0 ** 997, True),
+    ])
+    def test_limit_at_the_boundary(self, value, warns):
+        trace = _folded("ab", (0.0, _columns([1.0, 1.0, EMPTY_IMPULSES],
+                                             [1.0, value, EMPTY_IMPULSES])))
+        assert trace.warnings == ([_warning("b", 0.0)] if warns else [])
