@@ -26,6 +26,7 @@ from .blocks import (
 from .graph import (
     BlockDecl,
     Definition,
+    DuplicateName,
     FlatGraph,
     InvalidParameter,
     Link,

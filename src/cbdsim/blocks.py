@@ -18,8 +18,9 @@ kind's ``const`` computed from its parameters, None for a kind without).
 
 No block keeps state: a block's memory is a value of a committed step.
 Every kernel also reads ``past``, the newest ``HISTORY_DEPTH`` committed
-steps as :class:`Committed` columns, oldest first and empty before the
-first commit.  An Integrator accumulates onto the last step's right
+steps as :class:`Committed` columns, oldest first, never empty when a
+kernel runs (the engine commits t = 0 from the first-step templates
+alone).  An Integrator accumulates onto the last step's right
 limits, a Derivative differences against them, a Delay replays its
 input's last sample, a Switch or Decision holds the sign its condition had
 at the last commit, and a Multiplier estimates derivatives over every
@@ -228,8 +229,6 @@ def _integrator_right(node, past, lefts, rights, vectors, t):
 def _derivative_right(node, past, lefts, rights, vectors, t):
     """Input impulses move up one order; an in-sample jump of the input
     emits an order-0 impulse with the jump as its coefficient."""
-    if not past:
-        return lefts[node.idx], EMPTY_IMPULSES
     src = node.in_idx[0]
     vector = shift_orders_up(vectors[src])
     if lefts[src] != rights[src]:
@@ -249,9 +248,8 @@ def _decision_right(node, past, lefts, rights, vectors, t):
     if not vectors[c].is_empty:
         raise ImpulseOnCondition("decision condition must be impulse-free")
     right_selects_u = rights[c] >= 0.0
-    # The held selection: the condition's right limit at the last commit,
-    # on the first step its own left limit.
-    left_selects_u = (past[-1].rights if past else lefts)[c] >= 0.0
+    # The held selection: the condition's right limit at the last commit.
+    left_selects_u = past[-1].rights[c] >= 0.0
     selected = u if right_selects_u else v
     if left_selects_u != right_selects_u:
         if not (vectors[u].is_empty and vectors[v].is_empty):
@@ -263,8 +261,6 @@ def _decision_right(node, past, lefts, rights, vectors, t):
 
 
 def _delay_right(node, past, lefts, rights, vectors, t):
-    if not past:
-        return node.const, EMPTY_IMPULSES
     last = past[-1]
     src = node.in_idx[0]
     return last.rights[src], last.vectors[src]

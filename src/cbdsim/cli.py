@@ -88,28 +88,36 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     """Load a trace file (CSV or JSON by extension) back into a Trace, and
-    the impulse log into ``Trace.impulses``, its only impulse record."""
+    the impulse log into ``Trace.impulses``, its only impulse record.  A
+    malformed row, such as one whose time goes backwards, is a
+    ``ValueError`` naming the file and the row (JSON) or line (CSV)."""
+    is_json = path.suffix == ".json"
+    if is_json:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict) or "trace" not in payload:
+            raise ValueError(f"{path}: not a trace file")
+        rows = ((row["time"], row["signal"], row["left"], row["right"])
+                for row in payload["trace"])
+    else:
+        lines = path.read_text().splitlines()
+        if not lines or lines[0] != TRACE_HEADER:
+            raise ValueError(f"{path}: not a trace file")
+        rows = map(str.split, islice(lines, 1, None), repeat(","))
+    trace = Trace(mode="file")
+    times = trace.times
+    appenders: dict[str, tuple] = {}
+    last = object()  # equal to no time field
     try:
-        if path.suffix == ".json":
-            payload = json.loads(path.read_text())
-            rows = ((row["time"], row["signal"], row["left"], row["right"])
-                    for row in payload["trace"])
-        else:
-            lines = path.read_text().splitlines()
-            if not lines or lines[0] != TRACE_HEADER:
-                raise ValueError(f"{path}: not a trace file")
-            rows = map(str.split, islice(lines, 1, None), repeat(","))
-        trace = Trace(mode="file")
-        times = trace.times
-        appenders: dict[str, tuple] = {}
-        last = object()  # equal to no time field
         for time_field, name, left, right in rows:
             # The rows of one step repeat its time field; parse it once.
             if time_field != last:
                 last = time_field
                 t = float(time_field)
-                if not times or times[-1] != t:
+                if not times or t > times[-1]:
                     times.append(t)
+                elif t != times[-1]:
+                    raise ValueError(f"time {t!r} does not follow "
+                                     f"{times[-1]!r}")
             pair = appenders.get(name)
             if pair is None:
                 stream = trace.signals[name] = Stream()
@@ -117,8 +125,14 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
                                           stream.right.append)
             pair[0](float(left))
             pair[1](float(right))
-    except TypeError as err:  # a JSON field of the wrong type, such as null
-        raise ValueError(f"{path}: malformed trace: {err}") from err
+    # A KeyError or TypeError is a JSON row without a field or with one of
+    # the wrong type, such as null.
+    except (KeyError, TypeError, ValueError) as err:
+        # Every row read in full appended one right limit.
+        row = sum(len(stream.right) for stream in trace.signals.values())
+        where = f"row {row + 1}" if is_json else f"line {row + 2}"
+        cause = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"{path}: malformed trace: {where}: {cause}") from err
     if any(len(stream) != len(times) for stream in trace.signals.values()):
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:

@@ -26,9 +26,8 @@ item a :class:`graph.Problem` can locate, and checks each rule that only
 text can break where its text is read:
 
 - a number out of range, in the argument list (a syntax error);
-- a duplicate port, in the port list;
-- a duplicate name, the parameter list against the kind and the Constant
-  value, in the block;
+- a duplicate block name, the parameter list against the kind and the
+  Constant value, in the block;
 - a bare block name as a link target, at the definition's ``}``, which
   needs every block;
 - parameters on a composite block, at the end of the text, since the
@@ -273,8 +272,6 @@ class _Parser:
             while True:
                 name = self.expect("IDENT", "port name")
                 if name is not None:
-                    if name.text in self.port_names:
-                        self.note(f"duplicate port {name.text!r}", name.span)
                     self.port_names.add(name.text)
                     ports[direction.text].append(name.text)
                     self.spans["port", name.text] = name.span
@@ -304,7 +301,8 @@ class _Parser:
             return
         name, kind = name.text, kind.text
         blocks = self.defn.blocks
-        if name in blocks or name in self.port_names:
+        # check_model states the rule for a block named like a port.
+        if name in blocks and name not in self.port_names:
             self.note(f"duplicate name {name!r}", start)
         params: dict[str, float] = {}
         if kind in KINDS:

@@ -3,8 +3,10 @@
 Each kind's phase-1 template and ``right`` kernel in ``blocks.KINDS``
 define what a block computes; this module decides when they run.  An
 :class:`Engine` schedules its flat graph, keeps its newest committed steps
-and builds every table a step reads once, when it is constructed.  Each
-committed step runs in two phases over the schedule, then commits:
+and builds every table a step reads once, when it is constructed, then
+commits t = 0, a state: phase 1 alone, from the first-step templates, every
+right limit its left limit and no impulses.  Each later committed step
+runs in two phases over the schedule, then commits:
 
 * phase 1 fixes every signal's left limit (integrators and delays replay
   the last committed step, everything else folds its inputs' left limits),
@@ -20,10 +22,11 @@ A step's values are three columns indexed by node, a
 ``vectors``, created only when phase 2 sweeps; on a step it skips,
 ``rights is lefts`` and ``vectors`` is one shared all-empty tuple.
 Phase 1 runs as generated straight-line source: each block's template
-filled in, in schedule order, and a solve call per algebraic loop, which
-replays the loop's elimination as generated source too.  Values are bound
-by name, so a plan's source depends only on the diagram's structure, a
-replay's only on the elimination's shape; code is cached by the source.
+filled in, in schedule order, a solve call per algebraic loop, which
+replays the loop's elimination as generated source too, then one sum
+screening every left limit.  Values are bound by name, so a plan's source
+depends only on the diagram's structure, a replay's only on the
+elimination's shape; code is cached by the source.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -262,8 +265,10 @@ def _phase1_function(nodes: Sequence[_Node],
     that returns the left limits, indexed by node and None outside
     ``groups``, and reads an input outside them as ``known[j]``; ``first``
     picks the first step's templates.  A guarded block checks its guard
-    first and raises a ``SimulationError`` naming the block."""
-    inside = {idx for members, _ in groups for idx in members}
+    first, and a non-finite left limit is screened after the last block;
+    either raises a ``SimulationError`` naming the block."""
+    order = [idx for members, _ in groups for idx in members]
+    inside = set(order)
 
     def cells(in_idx):
         return _Cells(f"v{j}" if j in inside else f"known[{j}]" for j in in_idx)
@@ -272,7 +277,13 @@ def _phase1_function(nodes: Sequence[_Node],
         cause = bk.KINDS[nodes[idx].kind].guard[1](*values)
         raise SimulationError(nodes[idx].path, cause) from cause
 
-    bound = {"fail": fail}
+    def screen(lefts):
+        for idx in order:
+            if not math.isfinite(lefts[idx]):
+                raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
+                    f"left limit {lefts[idx]!r} is not finite"))
+
+    bound = {"fail": fail, "screen": screen}
     body = [] if first else [
         "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
         "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
@@ -301,8 +312,13 @@ def _phase1_function(nodes: Sequence[_Node],
     name = "first_step" if first else "later_steps"
     lefts = ", ".join(f"v{i}" if i in inside else "None"
                       for i in range(len(nodes)))
-    return _generate(bound, f"{name}(past, dt, known=None)",
-                     body + [f"return [{lefts}]"])(*bound.values())
+    # A sum of finite floats is finite unless it overflows, so one sum
+    # screens the step and the scan runs only when the sum is not finite.
+    total = "lefts" if len(inside) == len(nodes) else \
+        f"({''.join(f'v{i}, ' for i in order)})"
+    return _generate(bound, f"{name}(past, dt, known=None)", body + [
+        f"lefts = [{lefts}]", f"if not math.isfinite(sum({total})):",
+        "    screen(lefts)", "return lefts"])(*bound.values())
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -425,8 +441,8 @@ class Engine:
     Construction builds the tables the steps read: the node table and
     schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
     for a loop that is not linear), the cone of every Switch, Decision and
-    Delay, the condition closure, and the phase-1 functions of the first
-    step, of later full steps and of the bisection trials (never first).
+    Delay, the condition closure and the phase-1 functions of full steps
+    and of the bisection trials, then commits t = 0 (module docstring).
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
@@ -442,7 +458,6 @@ class Engine:
             (tuple(index_of[p] for p in g.members), g.cyclic)
             for g in dependency_sort(flat)
         ]
-        self.order = [idx for members, _ in self.groups for idx in members]
         self.past: deque[bk.Committed] = deque(maxlen=bk.HISTORY_DEPTH)
         self.loop_plans = {members: _LoopPlan(nodes, members)
                            for members, cyclic in self.groups if cyclic}
@@ -477,13 +492,13 @@ class Engine:
         seen = _reach([cond for _, cond in self.conditions], inputs.__getitem__)
         self.closure = [self.groups[g]
                         for g in sorted({group_of[idx] for idx in seen})]
-        self.closure_order = [idx for members, _ in self.closure for idx in members]
         plans = nodes, self.groups, self.loop_plans
-        self.first_phase1 = _phase1_function(*plans, first=True)
         self.phase1 = _phase1_function(*plans, first=False)
         self.closure_phase1 = _phase1_function(nodes, self.closure,
                                                self.loop_plans, first=False)
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
+        lefts = _phase1_function(*plans, first=True)(self.past, config.h)
+        self.past.append(bk.Committed(0.0, lefts, lefts, self.quiet_vectors))
 
     # -- stepping ------------------------------------------------------------
 
@@ -492,8 +507,7 @@ class Engine:
         """Evaluate every block at time ``t`` for a step of size ``dt``
         after the engine's committed steps; returns the step's columns and
         the flipped conditions."""
-        phase1 = self.phase1 if self.past else self.first_phase1
-        lefts = self._screened(phase1(self.past, dt), None)
+        lefts = self.phase1(self.past, dt)
         flipped = self.flipped_conditions(lefts)
         sweep = self._sweep_groups(flipped)
         if not sweep:
@@ -546,29 +560,9 @@ class Engine:
         the condition magnitudes read the same floats as ``compute_step``.
         ``t`` is unused and keeps ``compute_step``'s signature.
         """
-        lefts = self._screened(self.closure_phase1(self.past, dt),
-                               self.closure_order)
+        lefts = self.closure_phase1(self.past, dt)
         return (StepColumns(lefts, lefts, self.quiet_vectors),
                 self.flipped_conditions(lefts))
-
-    def _screened(self, lefts: list, order: list[int] | None) -> list:
-        """``lefts`` from a phase-1 function, screened for non-finite values
-        at the blocks of ``order``, None for all."""
-        # A sum of finite floats is finite unless it overflows, so one sum
-        # screens the step and the scan runs only when the sum is not finite.
-        if order is None:
-            total = sum(lefts)
-            order = self.order
-        else:
-            total = sum(map(lefts.__getitem__, order))
-        if not math.isfinite(total):
-            for idx in order:
-                value = lefts[idx]
-                if not math.isfinite(value):
-                    raise SimulationError(
-                        self.nodes[idx].path, bk.NonFiniteValue(
-                            f"left limit {value!r} is not finite"))
-        return lefts
 
     def _sweep_groups(self, flipped: list[tuple[int, int]],
                       ) -> list[tuple[tuple[int, ...], bool]]:
@@ -582,12 +576,11 @@ class Engine:
         a step with no source sweeps nothing.
         """
         sources = [idx for idx, _ in flipped]
-        if self.past:
-            last = self.past[-1]
-            for idx, src in self.delays:
-                if last.lefts[src] != last.rights[src] \
-                        or not last.vectors[src].is_empty:
-                    sources.append(idx)
+        last = self.past[-1]
+        for idx, src in self.delays:
+            if last.lefts[src] != last.rights[src] \
+                    or not last.vectors[src].is_empty:
+                sources.append(idx)
         if not sources:
             return []
         positions = set().union(*map(self.cones.__getitem__, sources))
@@ -614,7 +607,7 @@ class Engine:
         """Append the step's ``columns`` at time ``t`` to ``past``, which
         drops its oldest step when full; ``t`` must follow the last commit."""
         past = self.past
-        if past and not t > past[-1].t:
+        if not t > past[-1].t:
             raise NonIncreasingTime(
                 f"commit time {t!r} does not follow the previous commit "
                 f"at {past[-1].t!r}"
@@ -633,11 +626,10 @@ class Engine:
         causes) do not re-trigger location.
         """
         flipped = []
-        if self.past:
-            held = self.past[-1].rights
-            for idx, cond in self.conditions:
-                if (lefts[cond] >= 0.0) != (held[cond] >= 0.0):
-                    flipped.append((idx, cond))
+        held = self.past[-1].rights
+        for idx, cond in self.conditions:
+            if (lefts[cond] >= 0.0) != (held[cond] >= 0.0):
+                flipped.append((idx, cond))
         return flipped
 
     def _condition_magnitude(self, lefts: list[float],
@@ -805,9 +797,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     recorder = _Recorder(config, resolve_watches(flat, config.watch))
 
     t = 0.0
-    columns, _ = engine.compute_step(t, config.h)
-    engine.commit(columns, t)
-    recorder.record(t, columns)
+    recorder.record(t, engine.past[-1][1:])
 
     underflows = []  # (step, -1, message), ahead of the step's overflows
     # Start times of the latest consecutive event-located steps.

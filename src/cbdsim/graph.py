@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -52,6 +53,10 @@ class UnknownKind(ModelError):
 
 class InvalidParameter(ModelError):
     pass
+
+
+class DuplicateName(ModelError):
+    """A port name repeated in one definition, or a block named like one."""
 
 
 # An endpoint is (block_name, port_name); block_name None addresses a port
@@ -154,12 +159,12 @@ class Problem(NamedTuple):
 
 
 def check_model(model: Model) -> Iterator[Problem]:
-    """Every broken structural rule of every definition, in order: unknown
-    kinds, unknown and non-finite parameters and Integrator orders, link
-    endpoints and drivers, undriven ports and block inputs, then
-    recursion.  A model that yields nothing flattens from any top
-    definition that declares no inputs, unless its port wiring is
-    cyclic."""
+    """Every broken structural rule of every definition, in order: port
+    and block names, unknown kinds, unknown parameters, parameters that are
+    not finite numbers and Integrator orders, link endpoints and drivers,
+    undriven ports and block inputs, then recursion.  A model that yields
+    nothing flattens from any top definition that declares no inputs,
+    unless its port wiring is cyclic."""
     definitions = model.definitions
     for name, defn in definitions.items():
         yield from _check_definition(name, defn, definitions)
@@ -177,7 +182,15 @@ def check_model(model: Model) -> Iterator[Problem]:
 def _check_definition(name: str, defn: Definition,
                       definitions: dict[str, Definition]) -> Iterator[Problem]:
     blocks = defn.blocks
+    port_names = defn.in_ports + defn.out_ports
+    for k, port in enumerate(port_names):
+        if port in port_names[:k]:
+            yield Problem(DuplicateName, name, ("port", port),
+                          f"duplicate port {port!r}")
     for bname, decl in blocks.items():
+        if bname in port_names:
+            yield Problem(DuplicateName, name, ("block", bname),
+                          f"duplicate name {bname!r}")
         info = KINDS.get(decl.kind)
         if info is None and decl.kind not in definitions:
             yield Problem(UnknownKind, name, ("block", bname),
@@ -189,19 +202,18 @@ def _check_definition(name: str, defn: Definition,
                 yield Problem(InvalidParameter, name, ("block", bname),
                               f"{bname!r} ({decl.kind}) has no parameter "
                               f"{param!r}")
-            elif isinstance(value, float) and not math.isfinite(value):
+            elif _not_a_finite_number(value):
                 yield Problem(InvalidParameter, name, ("block", bname),
                               f"{bname!r} ({decl.kind}) parameter {param!r} "
-                              f"must be finite, got {value!r}")
+                              f"must be {_not_a_finite_number(value)}, "
+                              f"got {reprlib.repr(value)}")
         order = decl.params.get("order", 1)
-        # A non-finite order was reported as such above.
+        # An order that is not a finite number was reported as such above.
         if decl.kind == "Integrator" and order not in INTEGRATOR_ORDERS \
-                and not (isinstance(order, float) and not math.isfinite(order)):
-            got = (f"{order:g}" if isinstance(order, (int, float))
-                   else repr(order))
+                and not _not_a_finite_number(order):
             yield Problem(InvalidParameter, name, ("block", bname),
                           f"{bname!r} (Integrator) order must be 1 or 2, "
-                          f"got {got}")
+                          f"got {order:g}")
         if decl.kind == "Constant" and "value" not in decl.params:
             yield Problem(InvalidParameter, name, ("block", bname),
                           f"{bname!r} (Constant) requires a value parameter")
@@ -262,6 +274,16 @@ def _check_definition(name: str, defn: Definition,
         for port in sorted(set(declared) - ports):
             yield Problem(UnconnectedInput, name, ("block", bname),
                           f"input port {port!r} of {bname!r} has no driver")
+
+
+def _not_a_finite_number(value: object) -> str:
+    """What a parameter value fails to be, "" for a finite int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "a number"
+    try:
+        return "" if math.isfinite(value) else "finite"
+    except OverflowError:  # an int beyond the float range
+        return "finite"
 
 
 def _has_port(kind: str, port: str, direction: str,

@@ -49,10 +49,11 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
 
     Runs a one-node phase-1 plan compiled from its template, then its
     ``right`` kernel, at time ``t`` for a step of size ``dt`` after the
-    committed steps ``past`` (none when None), then commits the step to
-    ``past`` as the engine does, and returns the output sample and
-    ``past``.  The node's inputs are nodes ``0 .. n - 1`` and the block is
-    node ``n``.
+    committed steps ``past``, then commits the step to ``past`` as the
+    engine does, and returns the output sample and ``past``.  With no
+    ``past`` the step is the engine's initial instant: the first-step
+    template alone, the right limit equal to the left and no impulses.
+    The node's inputs are nodes ``0 .. n - 1`` and the block is node ``n``.
     """
     info = bk.KINDS[kind]
     if past is None:
@@ -64,7 +65,9 @@ def step(kind, inputs, past=None, t=0.0, dt=0.1, **params):
     vectors = [s.impulses for s in inputs] + [None]
     phase1([node], past, lefts, dt)
     rights[n], vectors[n] = lefts[n], EMPTY_IMPULSES
-    rights[n], vectors[n] = info.right(node, past, lefts, rights, vectors, t)
+    if past:
+        rights[n], vectors[n] = info.right(node, past, lefts, rights,
+                                           vectors, t)
     past.append(bk.Committed(t, lefts, rights, vectors))
     return StepSample(lefts[n], rights[n], vectors[n]), past
 
@@ -90,13 +93,14 @@ def test_every_kind_has_its_kernels(kind):
 class TestConstant:
     @pytest.mark.parametrize("value", [9.81, 0.0, -1.0])
     def test_emits_both_limits(self, value):
-        out, _ = step("Constant", [], value=value)
+        out, _ = step("Constant", [], seeded(sample(0, 0)), value=value)
         assert out == sample(value, value)
 
 
 class TestAdder:
     def test_folds_samples(self):
-        out, _ = step("Adder", [sample(1, 1), sample(2, 2, {0: 3})])
+        past = seeded(sample(0, 0), sample(0, 0), sample(0, 0))
+        out, _ = step("Adder", [sample(1, 1), sample(2, 2, {0: 3})], past)
         assert out == sample(3, 3, {0: 3})
 
     @pytest.mark.parametrize("values", [
@@ -110,20 +114,23 @@ class TestAdder:
         expected = values[0]
         for value in values[1:]:
             expected = expected + value
-        out, _ = step("Adder", [sample(v, v) for v in values])
+        past = seeded(*[sample(0, 0)] * (len(values) + 1))
+        out, _ = step("Adder", [sample(v, v) for v in values], past)
         assert out.left.hex() == out.right.hex() == expected.hex()
 
 
 class TestMultiplier:
     def test_plain_product(self):
-        out, _ = step("Multiplier", [sample(2, 2), sample(3, 3)])
+        past = seeded(sample(2, 2), sample(3, 3), sample(6, 6))
+        out, _ = step("Multiplier", [sample(2, 2), sample(3, 3)], past)
         assert out == sample(6, 6)
 
     def test_contact_scaling(self):
         # Constant -2*v(tc-) against a unit contact impulse.
         v_minus = -math.sqrt(2.0 * G * 10.0)
         u = sample(-2.0 * v_minus, -2.0 * v_minus)
-        out, _ = step("Multiplier", [u, sample(1, 1, {0: 1})])
+        past = seeded(u, sample(1, 1), sample(0, 0))
+        out, _ = step("Multiplier", [u, sample(1, 1, {0: 1})], past)
         assert out.impulses == ImpulseVector({0: -2.0 * v_minus})
 
     def test_linear_factor_against_order_two(self):
@@ -146,6 +153,7 @@ class TestMultiplier:
         out, _ = step(
             "Multiplier",
             [sample(2, 2), sample(1, 1, {0: 5}), sample(3, 3)],
+            seeded(sample(2, 2), sample(1, 1), sample(3, 3), sample(6, 6)),
         )
         assert out.left == out.right == 6.0
         assert out.impulses == ImpulseVector({0: 30.0})
@@ -155,27 +163,35 @@ class TestMultiplier:
             step(
                 "Multiplier",
                 [sample(1, 1, {0: 1}), sample(1, 1, {0: 1})],
+                seeded(sample(1, 1), sample(1, 1), sample(1, 1)),
             )
 
     def test_insufficient_history(self):
+        # An order-2 impulse needs three samples: one committed step and
+        # this step's left limits are two.
+        past = seeded(sample(2, 2), sample(1, 1), sample(2, 2))
         with pytest.raises(bk.InsufficientHistory):
-            step("Multiplier", [sample(2, 2), sample(1, 1, {1: 1})])
+            step("Multiplier", [sample(2, 2), sample(1, 1, {2: 1})], past)
 
 
 class TestInverter:
+    PAST = (sample(1, 1), sample(1, 1))
+
     def test_reciprocal(self):
-        assert step("Inverter", [sample(2, 2)])[0] == sample(0.5, 0.5)
+        out, _ = step("Inverter", [sample(2, 2)], seeded(*self.PAST))
+        assert out == sample(0.5, 0.5)
 
     def test_limit_wise(self):
-        assert step("Inverter", [sample(4, -4)])[0] == sample(0.25, -0.25)
+        out, _ = step("Inverter", [sample(4, -4)], seeded(*self.PAST))
+        assert out == sample(0.25, -0.25)
 
     def test_impulse_rejected(self):
         with pytest.raises(bk.ImpulseOnInverter):
-            step("Inverter", [sample(1, 1, {0: 3})])
+            step("Inverter", [sample(1, 1, {0: 3})], seeded(*self.PAST))
 
     def test_near_zero_rejected(self):
         with pytest.raises(bk.DivisionNearZero):
-            step("Inverter", [sample(0.0, 1.0)])
+            step("Inverter", [sample(0.0, 1.0)], seeded(*self.PAST))
 
 
 class TestIntegrator:
@@ -191,8 +207,9 @@ class TestIntegrator:
 
     def test_contact_jump_reflects_velocity(self):
         v_minus = -math.sqrt(2.0 * G * 10.0)
+        past = seeded(sample(0, 0), sample(v_minus, v_minus))
         out, past = step(
-            "Integrator", [sample(0, 0, {0: -2.0 * v_minus})], dt=1e-3,
+            "Integrator", [sample(0, 0, {0: -2.0 * v_minus})], past, dt=1e-3,
             init=v_minus,
         )
         assert out.left == v_minus
@@ -278,17 +295,26 @@ class TestDerivative:
 
 
 class TestSwitch:
+    # The condition held negative at the last commit, or non-negative.
+    LOW = (sample(-1, -1), sample(0, 0))
+    HIGH = (sample(1, 1), sample(1, 1))
+
     def test_negative_condition(self):
-        out, _ = step("Switch", [sample(-1, -1)])
+        out, _ = step("Switch", [sample(-1, -1)], seeded(*self.LOW))
         assert out == sample(0, 0)
 
     def test_boundary_is_high(self):
-        out, _ = step("Switch", [sample(0, 0)])
+        out, _ = step("Switch", [sample(0, 0)], seeded(*self.HIGH))
         assert out == sample(1, 1)
 
     def test_split_condition(self):
-        out, _ = step("Switch", [sample(-0.5, 0.5)])
+        out, _ = step("Switch", [sample(-0.5, 0.5)], seeded(*self.LOW))
         assert out == sample(0, 1)
+
+    def test_initial_instant_reads_the_condition_left_limit(self):
+        for value, selected in ((-1, 0), (0, 1), (-0.5, 0)):
+            out, _ = step("Switch", [sample(value, -value)])
+            assert out == sample(selected, selected)
 
     def test_between_step_flip_creates_edge(self):
         _, past = step("Switch", [sample(-1, -1)])
@@ -297,32 +323,46 @@ class TestSwitch:
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
-            step("Switch", [sample(1, 1, {0: 3})])
+            step("Switch", [sample(1, 1, {0: 3})], seeded(*self.HIGH))
 
 
 class TestDecision:
+    # Branches u = 1 and v = 2, the condition held non-negative at the
+    # last commit, or negative.
+    HELD_U = (sample(1, 1), sample(2, 2), sample(3, 3), sample(1, 1))
+    HELD_V = (sample(1, 1), sample(2, 2), sample(-1, -1), sample(2, 2))
+
     def test_selects_u(self):
-        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(3, 3)])
+        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(3, 3)],
+                      seeded(*self.HELD_U))
         assert out == sample(1, 1)
 
     def test_limit_wise_selection(self):
-        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)])
+        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)],
+                      seeded(*self.HELD_V))
         assert out == sample(2, 1)
+
+    def test_initial_instant_reads_the_condition_left_limit(self):
+        out, _ = step("Decision", [sample(1, 1), sample(2, 2), sample(-1, 1)])
+        assert out == sample(2, 2)
 
     def test_impulse_at_switching_instant_rejected(self):
         with pytest.raises(bk.ImpulseAtSwitchingInstant):
             step("Decision",
-                 [sample(1, 1, {0: 1}), sample(2, 2), sample(-1, 1)])
+                 [sample(1, 1, {0: 1}), sample(2, 2), sample(-1, 1)],
+                 seeded(*self.HELD_V))
 
     def test_forwards_selected_branch_impulses(self):
         out, _ = step("Decision",
-                      [sample(1, 1, {1: 4}), sample(2, 2), sample(1, 1)])
+                      [sample(1, 1, {1: 4}), sample(2, 2), sample(1, 1)],
+                      seeded(*self.HELD_U))
         assert out.impulses == ImpulseVector({1: 4})
 
     def test_impulse_condition_rejected(self):
         with pytest.raises(bk.ImpulseOnCondition):
             step("Decision",
-                 [sample(1, 1), sample(2, 2), sample(1, 1, {0: 1})])
+                 [sample(1, 1), sample(2, 2), sample(1, 1, {0: 1})],
+                 seeded(*self.HELD_U))
 
 
 class TestDelay:
@@ -423,7 +463,8 @@ def _check_batches(seed):
         phase1(nodes, past, lefts, dt)
         rights = [s.right for s in inputs] + lefts[n:]
         vectors = [s.impulses for s in inputs] + [EMPTY_IMPULSES] * n
-        for node, (kind, _) in zip(nodes, blocks):
+        # The initial instant, an empty past, runs no kernel.
+        for node, (kind, _) in zip(nodes, blocks) if past else ():
             rights[node.idx], vectors[node.idx] = bk.KINDS[kind].right(
                 node, past, lefts, rights, vectors, t)
         past.append(bk.Committed(t, lefts, rights, vectors))

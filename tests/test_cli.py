@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -425,6 +426,48 @@ class TestImpulseOrders:
             assert code == 2
             assert err == (f"error: {log}: malformed impulse log: line 2: "
                            f"{cause}\n")
+
+
+class TestMalformedTraces:
+    """A trace file is outside input too: a malformed row stops ``compare``
+    with exit code 2 and an error naming the file and the row."""
+
+    @pytest.mark.parametrize("rows, where, cause", [
+        ("0,y,1,1\n0.1,y,2\n", "line 3",
+         "not enough values to unpack (expected 4, got 3)"),
+        ("0,y,1,1\n0.1,y,2,2,2\n", "line 3",
+         "too many values to unpack (expected 4)"),
+        ("0,y,1,1\n0.1,y,abc,2\n", "line 3",
+         "could not convert string to float: 'abc'"),
+        ("0,y,1,1\n0.1,y,2,abc\n", "line 3",
+         "could not convert string to float: 'abc'"),
+        ("0,y,1,1\n0,v,1,1\n0.2,y,2,2\n0.2,v,2,2\n0.1,y,3,3\n",
+         "line 6", "time 0.1 does not follow 0.2"),
+    ], ids=["three-fields", "five-fields", "non-numeric-left",
+            "non-numeric-right", "time-backwards"])
+    def test_csv_row(self, tmp_path, capsys, rows, where, cause):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{cli.TRACE_HEADER}\n{rows}")
+        assert cli.main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed trace: {where}: {cause}\n")
+
+    def test_json_row_with_a_missing_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"trace": [
+            {"time": 0.0, "signal": "y", "left": 1.0, "right": 1.0},
+            {"time": 0.1, "signal": "y", "left": 2.0}]}))
+        assert cli.main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed trace: row 2: missing key 'right'\n")
+
+    @pytest.mark.parametrize("payload", [[], {"rows": []}])
+    def test_json_without_trace_rows(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a "
+                                             f"trace file$"):
+            cli.read_trace(bad)
 
 
 class TestPlotData:

@@ -39,11 +39,15 @@ def _engine(text, top="Main"):
     return Engine(flatten(dsl.load_model(text), top), SimConfig())
 
 
+def _order(groups):
+    return [idx for members, _ in groups for idx in members]
+
+
 def _closure(engine):
-    paths = [engine.nodes[idx].path for idx in engine.closure_order]
+    paths = [engine.nodes[idx].path for idx in _order(engine.closure)]
     # The closure is a run of whole schedule groups, in schedule order.
-    assert engine.closure_order == [idx for idx in engine.order
-                                    if engine.nodes[idx].path in paths]
+    assert _order(engine.closure) == [idx for idx in _order(engine.groups)
+                                      if engine.nodes[idx].path in paths]
     assert all(group in engine.groups for group in engine.closure)
     return set(paths)
 
@@ -63,7 +67,7 @@ def test_ball_closure_is_the_detector_input(ball_text):
 @pytest.mark.parametrize("workload", ["chain200", "loop40"])
 def test_closure_is_empty_without_conditions(workload):
     engine = _engine(getattr(_workloads(), workload)(ROOT, 1, False).text)
-    assert engine.closure == [] and engine.closure_order == []
+    assert engine.closure == []
 
 
 def test_walk_passes_a_derivative_and_stops_at_an_integrator():

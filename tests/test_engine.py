@@ -1,6 +1,7 @@
 import math
 import sys
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -174,8 +175,10 @@ class TestStepping:
         model = dsl.load_model(CONSTANT_ONLY)
         flat = flatten(model, "Main")
         engine = Engine(flat, SimConfig(h=0.1, t_end=1.0))
-        columns, flipped = engine.compute_step(0.0, 0.1)
-        engine.commit(columns, 0.0)
+        initial = engine.past[-1]
+        assert initial.t == 0.0 and initial.rights is initial.lefts
+        columns, flipped = engine.compute_step(0.1, 0.1)
+        engine.commit(columns, 0.1)
         index = {node.path: node.idx for node in engine.nodes}
         assert columns.lefts[index["n"]] == -4.25
         assert columns.rights[index["c"]] == 4.25
@@ -253,9 +256,8 @@ class TestEventLocation:
         config = SimConfig(h=0.3, t_end=1.0, zc_tol=1e-9)
         engine = Engine(flat, config)
         # Advance the committed state to t = 0.3 (position 0.2).
-        for t in (0.0, 0.3):
-            cells, _ = engine.compute_step(t, 0.3)
-            engine.commit(cells, t)
+        cells, _ = engine.compute_step(0.3, 0.3)
+        engine.commit(cells, 0.3)
         trial = engine.compute_step(0.6, 0.3)
         h_star, _, underflow = engine.locate_crossing(0.3, 0.3, trial)
         assert not underflow
@@ -508,8 +510,8 @@ class TestGuards:
     ])
     def test_commit_rejects_a_non_increasing_time(self, wiring):
         # Order-2 integrators and multipliers divide by the time between
-        # the committed steps, so every engine rejects a second commit at
-        # t = 0.0, whatever its blocks.
+        # the committed steps, so every engine rejects a commit at t = 0.0
+        # after the initial instant, whatever its blocks.
         model = dsl.load_model(f"""
         cbd Main(out y) {{
           block one = Constant(1);
@@ -518,8 +520,6 @@ class TestGuards:
         }}
         """)
         engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
-        samples, _ = engine.compute_step(0.0, 0.1)
-        engine.commit(samples, 0.0)
         samples, _ = engine.compute_step(0.0, 0.1)
         with pytest.raises(NonIncreasingTime, match=(
                 "commit time 0.0 does not follow the previous commit at 0.0")):
@@ -777,31 +777,35 @@ def _engine(text, **config):
 
 
 def _codes(engine):
-    return [f.__code__ for f in (engine.first_phase1, engine.phase1,
-                                 engine.closure_phase1)]
+    first = _phase1_function(engine.nodes, engine.groups, engine.loop_plans,
+                             first=True)
+    return [f.__code__ for f in (first, engine.phase1, engine.closure_phase1)]
 
 
 class TestGeneratedPhase1:
     def test_one_node_plans_give_the_whole_plan_floats(self):
-        # Steps 0 and 1 run the first-step and the explicit forms, step 2
-        # the order-2 Integrator's slope from two committed steps; the
-        # uneven steps cross t = 0.25.
+        # The initial instant and step 1 run the first-step and the
+        # explicit forms, step 2 the order-2 Integrator's slope from two
+        # committed steps; the uneven steps cross t = 0.25.
         engine = _engine(EVERY_KIND, h=0.1, t_end=1.0)
         assert {n.kind for n in engine.nodes} == set(bk.KINDS)
         past = engine.past
         for t, dt in [(0.0, 0.1), (0.1, 0.1), (0.3, 0.2), (0.35, 0.05),
                       (0.6, 0.25)]:
-            whole = (engine.phase1 if past else engine.first_phase1)(past, dt)
+            first = t == 0.0
+            history = deque() if first else past
+            whole = past[0].lefts if first else engine.phase1(past, dt)
             for group in engine.groups:
                 alone = _phase1_function(engine.nodes, [group],
-                                         engine.loop_plans, first=not past)
-                lefts = alone(past, dt, whole)
+                                         engine.loop_plans, first=first)
+                lefts = alone(history, dt, whole)
                 for idx in group[0]:
                     assert lefts[idx].hex() == whole[idx].hex(), \
                         (t, engine.nodes[idx].path)
-            columns, _ = engine.compute_step(t, dt)
-            assert columns.lefts == whole
-            engine.commit(columns, t)
+            if not first:
+                columns, _ = engine.compute_step(t, dt)
+                assert columns.lefts == whole
+                engine.commit(columns, t)
 
     def test_code_depends_on_the_structure_only(self):
         base = _codes(_engine(DESCENT, h=0.1))

@@ -17,6 +17,7 @@ from cbdsim.engine import (
 from cbdsim.graph import (
     BlockDecl,
     Definition,
+    DuplicateName,
     Group,
     InvalidParameter,
     Link,
@@ -185,6 +186,13 @@ def _with_block(decl: BlockDecl) -> Model:
      "'c' (Constant) parameter 'value' must be finite, got inf"),
     (BlockDecl("Constant", {"value": -math.inf}),
      "'c' (Constant) parameter 'value' must be finite, got -inf"),
+    (BlockDecl("Constant", {"value": 10 ** 400}),
+     "'c' (Constant) parameter 'value' must be finite, got "
+     "100000000000000000...0000000000000000000"),
+    (BlockDecl("Constant", {"value": "3"}),
+     "'c' (Constant) parameter 'value' must be a number, got '3'"),
+    (BlockDecl("Constant", {"value": True}),
+     "'c' (Constant) parameter 'value' must be a number, got True"),
 ])
 def test_parameters_of_models_built_in_code(decl, message):
     model = _with_block(decl)
@@ -192,6 +200,42 @@ def test_parameters_of_models_built_in_code(decl, message):
         (InvalidParameter, "Main", ("block", "c"), message)]
     with pytest.raises(InvalidParameter, match=f"^Main: {re.escape(message)}$"):
         simulate(model, "Main", SimConfig(h=0.1, t_end=0.3))
+
+
+def _negating(name: str, in_ports: tuple, out_ports: tuple,
+              links: list) -> Definition:
+    return Definition(name=name, in_ports=in_ports, out_ports=out_ports,
+                      blocks={"n": BlockDecl("Negator")}, links=links)
+
+
+@pytest.mark.parametrize("model, where, message", [
+    (Model(definitions={"Main": Definition(
+        name="Main", out_ports=("y", "y"),
+        blocks={"c": BlockDecl("Constant", {"value": 1.0})},
+        links=[Link(("c", "out"), (None, "y"))])}),
+     ("port", "y"), "duplicate port 'y'"),
+    (Model(definitions={"Main": Definition(
+        name="Main", out_ports=("y",),
+        blocks={"y": BlockDecl("Constant", {"value": 1.0})},
+        links=[Link(("y", "out"), (None, "y"))])}),
+     ("block", "y"), "duplicate name 'y'"),
+    (Model(definitions={"Main": Definition(
+        name="Main", in_ports=("x",), out_ports=("x",),
+        blocks={"n": BlockDecl("Negator")},
+        links=[Link((None, "x"), ("n", "in")),
+               Link(("n", "out"), (None, "x"))])}),
+     ("port", "x"), "duplicate port 'x'"),
+], ids=["repeated-output", "block-named-like-a-port", "input-and-output"])
+def test_port_names_of_models_built_in_code(model, where, message):
+    # The parser reads these names into the same model, so the rule holds
+    # once, in check_model, and validate reports it once.
+    assert list(check_model(model)) == [(DuplicateName, "Main", where,
+                                         message)]
+    with pytest.raises(DuplicateName, match=f"^Main: {re.escape(message)}$"):
+        flatten(model, "Main")
+    with pytest.raises(dsl.ModelTextError) as excinfo:
+        dsl.load_model(dsl.print_model(model))
+    assert [d.message for d in excinfo.value.diagnostics] == [message]
 
 
 @pytest.mark.parametrize("block, param, value", [
@@ -220,6 +264,16 @@ def test_non_finite_integrator_order_is_reported_once(order):
     assert list(check_model(model)) == [
         (InvalidParameter, "Main", ("block", "i"),
          f"'i' (Integrator) parameter 'order' must be finite, got {order!r}")]
+
+
+@pytest.mark.parametrize("order", ["2", True])
+def test_integrator_order_not_a_number_is_reported_once(order):
+    model = primitive_model()
+    model.definitions["Main"].blocks["i"] = BlockDecl(
+        "Integrator", {"init": 0.0, "order": order})
+    assert list(check_model(model)) == [
+        (InvalidParameter, "Main", ("block", "i"),
+         f"'i' (Integrator) parameter 'order' must be a number, got {order!r}")]
 
 
 class TestDependencySort:

@@ -171,8 +171,10 @@ def test_ramp_gain_refactors_every_step_until_singular():
     watched = resolve_watches(flat, ())
     y, g = watched["y"], watched["g"]
     for k in range(8):
-        columns, _ = engine.compute_step(k * h, h)
-        engine.commit(columns, k * h)
+        if k:  # the engine commits t = 0 itself
+            columns, _ = engine.compute_step(k * h, h)
+            engine.commit(columns, k * h)
+        columns = engine.past[-1]
         gain = columns.lefts[g]
         assert gain == k * h
         expected = 3.0 / (1.0 - gain)

@@ -110,7 +110,9 @@ def test_write_read_round_trip(trace, fmt):
        st.sampled_from((0.1, 0.25)))
 def test_random_diagram_files_round_trip(diagram, h):
     """Each mode's CSV trace and impulse log read back to the simulated
-    trace, and a second run writes the same bytes."""
+    trace, and a second run writes the same bytes.  The initial instant
+    t = 0 is a state: every right limit equals its left limit and no
+    impulse is logged there."""
     text, watch = diagram
     model = dsl.load_model(text)
     for mode in ("symbolic", "numerical"):
@@ -123,6 +125,9 @@ def test_random_diagram_files_round_trip(diagram, h):
                     trace = simulate(model, "Main", config)
                 except EngineError:
                     break  # only a completed run writes files
+                assert all(s.left[0].hex() == s.right[0].hex()
+                           for s in trace.signals.values())
+                assert all(e.time != 0.0 for e in trace.impulses)
                 out = Path(tmp, f"{run}.csv")
                 log = Path(tmp, f"{run}_impulses.csv")
                 cli.write_trace(trace, out, "csv")
