@@ -5,22 +5,22 @@ define what a block computes; this module decides when they run.  An
 :class:`Engine` schedules its flat graph, keeps its newest committed steps
 and builds every table a step reads once, when it is constructed, then
 commits t = 0, a state: phase 1 alone, from the first-step templates, every
-right limit its left limit and no impulses.  Each later committed step
-runs in two phases over the schedule, then commits:
+right limit its left limit and no impulses.  Each later step runs in two
+phases over the schedule:
 
 * phase 1 fixes every signal's left limit (integrators and delays replay
   the last committed step, everything else folds its inputs' left limits),
-  in one function generated per phase-1 plan,
-* phase 2 computes impulse vectors and right limits, sweeping the schedule
-  until the values stop changing so that jumps produced by integrators
-  late in the schedule still reach their consumers within the same step,
-* the commit appends the step's columns, at the step's time, to
-  ``Engine.past``, the committed steps every kernel reads.
+  in one function generated per phase-1 plan; a trial step is phase 1 only,
+* the commit of the step that stands runs phase 2, which computes impulse
+  vectors and right limits, sweeping the schedule until the values stop
+  changing so that jumps produced by integrators late in the schedule still
+  reach their consumers within the same step, then appends the step, at
+  its time, to ``Engine.past``, the committed steps every kernel reads.
 
-A step's values are three columns indexed by node, a
-:class:`StepColumns`: ``lefts``, written by phase 1, and ``rights`` and
-``vectors``, created only when phase 2 sweeps; on a step it skips,
-``rights is lefts`` and ``vectors`` is one shared all-empty tuple.
+A step's values are three columns indexed by node, a ``blocks.Committed``:
+``lefts``, written by phase 1, and ``rights`` and ``vectors``, created only
+when phase 2 sweeps; on a step it skips, ``rights is lefts`` and
+``vectors`` is one shared all-empty tuple.
 Phase 1 runs as generated straight-line source: each block's template
 filled in, in schedule order, a solve call per algebraic loop, which
 replays the loop's elimination as generated source too, then one sum
@@ -38,8 +38,9 @@ set by phase 2, stops the run with a ``SimulationError`` naming the block.
 
 A condition sign change bisects the step.  The bisection trials run phase 1
 over the condition closure only, the blocks the crossing test reads within
-a step, so a discarded trial checks nothing outside it; the full step runs
-at the located size.
+a step, so a discarded trial checks nothing outside it; the full step's
+phase 1 runs again at the located size.  An ``EngineError`` in the full
+step's trial likewise stands only if no earlier event commits.
 
 Both execution modes share this evaluator and one recorder, which appends
 each committed step's watched limits as floats to per-signal columns, a
@@ -215,14 +216,6 @@ class _Node:
         self.const = info.const(self.params) if info.const else None
 
 
-class StepColumns(NamedTuple):
-    """One evaluated step, as columns indexed by node (see the module
-    docstring for when ``rights is lefts``)."""
-    lefts: list[float]
-    rights: Sequence[float]
-    vectors: Sequence[ImpulseVector]
-
-
 class _Cells(tuple):
     """A node's input cell names; formatted with a separator as its
     format spec (``{x: + }``), they join into ``a + b``."""
@@ -291,10 +284,9 @@ def _phase1_function(nodes: Sequence[_Node],
     for members, cyclic in groups:
         if cyclic:
             plan = loop_plans[members]
-            known = ", ".join(map("{}: {}".format, plan.inputs, cells(plan.inputs)))
             bound[f"solve{members[0]}"] = plan.solve
             body.append(f"{''.join(f'v{m}, ' for m in members)}= "
-                        f"solve{members[0]}({{{known}}}.__getitem__)")
+                        f"solve{members[0]}({cells(plan.inputs):, })")
             continue
         node = nodes[members[0]]
         info = bk.KINDS[node.kind]
@@ -352,9 +344,9 @@ class _LoopPlan:
         position = {idx: j for j, idx in enumerate(members)}
         n = len(members)
         self.matrix = [[0.0] * n for _ in range(n)]
+        # The outside inputs: ``solve``'s arguments and the replay's ``kJ``.
         self.inputs = sorted({d for i in members for d in nodes[i].in_idx} - {*position})
-        # The replay's first lines: each outside input read once, then b.
-        self.rhs = [f"k{d} = known({d})" for d in self.inputs]
+        self.rhs: list[str] = []
         self.gains: list[tuple[int, int, tuple[int, ...]]] = []
         for row, idx in enumerate(members):
             node = nodes[idx]
@@ -377,7 +369,7 @@ class _LoopPlan:
                     f"{node.path}: multiplier with {len(cols)} in-loop inputs"
                 )
             else:
-                self.gains.append((row, cols[0], outside))
+                self.gains.append((row, cols[0], tuple(map(self.inputs.index, outside))))
                 self.rhs.append(f"b{row} = 0.0")
         self.factors = self.body = None
 
@@ -408,17 +400,17 @@ class _LoopPlan:
                     values[f"f{col}_{row}"] = factor
         body.append(f"return [{', '.join(b)}]")
         if body != self.body:
-            self.body, self.bind = body, _generate(values, "replay(known)", body)
+            self.body, self.bind = body, _generate(
+                values, f"replay({', '.join(f'k{d}' for d in self.inputs)})", body)
         self.factors, self.replay = factors, self.bind(*values.values())
 
-    def solve(self, known: Callable[[int], float]) -> list[float]:
-        """Member values, in member order, given each outside input's value."""
-        factors = tuple(
-            math.prod(known(d) for d in deps) for _, _, deps in self.gains
-        )
+    def solve(self, *values: float) -> list[float]:
+        """Member values, in member order, given the values of ``inputs``."""
+        factors = tuple(math.prod(map(values.__getitem__, positions))
+                        for _, _, positions in self.gains)
         if factors != self.factors:
             self._factor(factors)
-        return self.replay(known)
+        return self.replay(*values)
 
 
 def _require_finite_right(node: _Node, right: float,
@@ -443,6 +435,8 @@ class Engine:
     for a loop that is not linear), the cone of every Switch, Decision and
     Delay, the condition closure and the phase-1 functions of full steps
     and of the bisection trials, then commits t = 0 (module docstring).
+    A trial (``compute_step``, ``_closure_step``) is phase 1 and leaves
+    ``past`` as is; ``commit`` runs phase 2 of the step that stands.
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
@@ -502,18 +496,78 @@ class Engine:
 
     # -- stepping ------------------------------------------------------------
 
-    def compute_step(self, t: float, dt: float,
-                     ) -> tuple[StepColumns, list[tuple[int, int]]]:
-        """Evaluate every block at time ``t`` for a step of size ``dt``
-        after the engine's committed steps; returns the step's columns and
-        the flipped conditions."""
+    def compute_step(self, dt: float) -> tuple[list[float], list[tuple[int, int]]]:
+        """Phase 1 of a step of size ``dt`` after the engine's committed
+        steps: the step's left limits and its flipped conditions."""
         lefts = self.phase1(self.past, dt)
-        flipped = self.flipped_conditions(lefts)
+        return lefts, self.flipped_conditions(lefts)
+
+    def _closure_step(self, dt: float) -> tuple[list[float], list[tuple[int, int]]]:
+        """A bisection trial: phase 1 over the condition closure only.
+
+        The left limits outside the closure stay ``None``; the flips and
+        the condition magnitudes read the same floats as ``compute_step``.
+        """
+        lefts = self.closure_phase1(self.past, dt)
+        return lefts, self.flipped_conditions(lefts)
+
+    def _sweep_groups(self, flipped: list[tuple[int, int]],
+                      ) -> list[tuple[tuple[int, ...], bool]]:
+        """The schedule groups phase 2 must sweep, in schedule order.
+
+        With every right limit equal to its left limit and no impulses,
+        each kind's phase 2 reproduces its left limit, except at a source:
+        a Switch or Decision whose condition flipped, or a Delay whose
+        previous input jumped or carried impulses.  Only a source's cone,
+        the source and every block reading it within the step, can change;
+        a step with no source sweeps nothing.
+        """
+        sources = [idx for idx, _ in flipped]
+        last = self.past[-1]
+        for idx, src in self.delays:
+            if last.lefts[src] != last.rights[src] \
+                    or not last.vectors[src].is_empty:
+                sources.append(idx)
+        if not sources:
+            return []
+        positions = set().union(*map(self.cones.__getitem__, sources))
+        return [self.groups[g] for g in sorted(positions)]
+
+    def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
+                     vectors: list[ImpulseVector]) -> bool:
+        for idx in members:
+            for dep in self.nodes[idx].in_idx:
+                if not vectors[dep].is_empty:
+                    raise ImpulseInLoop(
+                        f"{self.nodes[idx].path}: impulse entering an algebraic loop"
+                    )
+        plan = self.loop_plans[members]
+        solved = plan.solve(*map(rights.__getitem__, plan.inputs))
+        changed = False
+        for idx, value in zip(members, solved):
+            if rights[idx] != value:
+                _require_finite_right(self.nodes[idx], value, vectors[idx])
+                rights[idx] = value
+                changed = True
+        return changed
+
+    def commit(self, t: float, lefts: list[float],
+               flipped: list[tuple[int, int]]) -> bk.Committed:
+        """Phase 2 of the step at time ``t`` whose phase 1 gave ``lefts``
+        and ``flipped``; appends the step to ``past``, which drops its
+        oldest step when full, and returns it.  ``t`` must follow the last
+        commit."""
+        nodes, past = self.nodes, self.past
+        if not t > past[-1].t:
+            raise NonIncreasingTime(
+                f"commit time {t!r} does not follow the previous commit "
+                f"at {past[-1].t!r}"
+            )
         sweep = self._sweep_groups(flipped)
         if not sweep:
-            return StepColumns(lefts, lefts, self.quiet_vectors), flipped
+            past.append(bk.Committed(t, lefts, lefts, self.quiet_vectors))
+            return past[-1]
 
-        nodes, past = self.nodes, self.past
         rights = lefts[:]
         vectors = [EMPTY_IMPULSES] * len(nodes)
         limit = len(nodes) + 2
@@ -550,69 +604,8 @@ class Engine:
                 f"{nodes[idx].path}: impulse order {vectors[idx].max_order} "
                 f"exceeds the maximum {MAX_ORDER}"
             )
-        return StepColumns(lefts, rights, vectors), flipped
-
-    def _closure_step(self, t: float, dt: float,
-                      ) -> tuple[StepColumns, list[tuple[int, int]]]:
-        """A bisection trial: phase 1 over the condition closure only.
-
-        The left limits outside the closure stay ``None``; the flips and
-        the condition magnitudes read the same floats as ``compute_step``.
-        ``t`` is unused and keeps ``compute_step``'s signature.
-        """
-        lefts = self.closure_phase1(self.past, dt)
-        return (StepColumns(lefts, lefts, self.quiet_vectors),
-                self.flipped_conditions(lefts))
-
-    def _sweep_groups(self, flipped: list[tuple[int, int]],
-                      ) -> list[tuple[tuple[int, ...], bool]]:
-        """The schedule groups phase 2 must sweep, in schedule order.
-
-        With every right limit equal to its left limit and no impulses,
-        each kind's phase 2 reproduces its left limit, except at a source:
-        a Switch or Decision whose condition flipped, or a Delay whose
-        previous input jumped or carried impulses.  Only a source's cone,
-        the source and every block reading it within the step, can change;
-        a step with no source sweeps nothing.
-        """
-        sources = [idx for idx, _ in flipped]
-        last = self.past[-1]
-        for idx, src in self.delays:
-            if last.lefts[src] != last.rights[src] \
-                    or not last.vectors[src].is_empty:
-                sources.append(idx)
-        if not sources:
-            return []
-        positions = set().union(*map(self.cones.__getitem__, sources))
-        return [self.groups[g] for g in sorted(positions)]
-
-    def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
-                     vectors: list[ImpulseVector]) -> bool:
-        for idx in members:
-            for dep in self.nodes[idx].in_idx:
-                if not vectors[dep].is_empty:
-                    raise ImpulseInLoop(
-                        f"{self.nodes[idx].path}: impulse entering an algebraic loop"
-                    )
-        solved = self.loop_plans[members].solve(rights.__getitem__)
-        changed = False
-        for idx, value in zip(members, solved):
-            if rights[idx] != value:
-                _require_finite_right(self.nodes[idx], value, vectors[idx])
-                rights[idx] = value
-                changed = True
-        return changed
-
-    def commit(self, columns: StepColumns, t: float) -> None:
-        """Append the step's ``columns`` at time ``t`` to ``past``, which
-        drops its oldest step when full; ``t`` must follow the last commit."""
-        past = self.past
-        if not t > past[-1].t:
-            raise NonIncreasingTime(
-                f"commit time {t!r} does not follow the previous commit "
-                f"at {past[-1].t!r}"
-            )
-        past.append(bk.Committed(t, *columns))
+        past.append(bk.Committed(t, lefts, rights, vectors))
+        return past[-1]
 
     # -- event handling --------------------------------------------------------
 
@@ -636,42 +629,39 @@ class Engine:
                              flipped: list[tuple[int, int]]) -> float:
         return max(abs(lefts[cond]) for _, cond in flipped)
 
-    def locate_crossing(self, t: float, h: float,
-                        trial: tuple[StepColumns, list[tuple[int, int]]],
-                        ) -> tuple[float, StepColumns, bool]:
-        """Bisect the trial step onto the earliest condition crossing.
+    def locate_crossing(self, h: float, lefts: list[float],
+                        flipped: list[tuple[int, int]],
+                        ) -> tuple[float, list[float], list[tuple[int, int]], bool]:
+        """Bisect the step of size ``h`` onto the earliest condition crossing.
 
-        ``trial`` is ``compute_step``'s result for the full step ``h``.  The
-        bisection trials evaluate only the condition closure; the full step
-        runs again only at the located size.  Returns the located step size,
-        the columns of the step at that size, and whether the bisection
-        bottomed out at ``h_min`` without reaching the value tolerance (the
-        step is committed regardless).
+        ``lefts`` and ``flipped`` are ``compute_step``'s result for the full
+        step ``h``.  The bisection trials evaluate only the condition
+        closure; the full step's phase 1 runs again only at the located
+        size.  Returns the located step size, that step's left limits and
+        flipped conditions, and whether the bisection bottomed out at
+        ``h_min`` without reaching the value tolerance (the step is
+        committed regardless).
         """
         cfg = self.config
-        columns_hi, flipped_hi = trial
-        if not flipped_hi:
+        if not flipped:
             raise EngineError("locate_crossing called without a sign change")
-        lo, hi = 0.0, h
-        while self._condition_magnitude(columns_hi.lefts, flipped_hi) \
-                > cfg.zc_tol and (hi - lo) > cfg.h_min:
+        lo, hi, crossing = 0.0, h, flipped
+        while self._condition_magnitude(lefts, crossing) > cfg.zc_tol \
+                and (hi - lo) > cfg.h_min:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
-            candidate, flipped_mid = self._closure_step(t + mid, mid)
+            lefts_mid, flipped_mid = self._closure_step(mid)
             if flipped_mid:
-                hi, columns_hi, flipped_hi = mid, candidate, flipped_mid
+                hi, lefts, crossing = mid, lefts_mid, flipped_mid
             else:
                 lo = mid
-        if hi < cfg.h_min:
-            hi = cfg.h_min
-            columns_hi, flipped = self.compute_step(t + hi, hi)
-            flipped_hi = flipped or flipped_hi
-        elif hi < h:
-            columns_hi, flipped_hi = self.compute_step(t + hi, hi)
-        underflow = self._condition_magnitude(columns_hi.lefts, flipped_hi) \
+        if hi < h:
+            hi = max(hi, cfg.h_min)
+            lefts, flipped = self.compute_step(hi)
+        underflow = self._condition_magnitude(lefts, flipped or crossing) \
             > cfg.zc_tol
-        return hi, columns_hi, underflow
+        return hi, lefts, flipped, underflow
 
 
 # --- trace recording --------------------------------------------------------
@@ -689,8 +679,8 @@ class _Recorder:
             self.columns.append((name, idx, stream.left.append,
                                  stream.right.append))
 
-    def record(self, t: float, columns: StepColumns) -> None:
-        lefts, rights, vectors = columns
+    def record(self, step: bk.Committed) -> None:
+        t, lefts, rights, vectors = step
         trace = self.trace
         trace.times.append(t)
         for name, idx, add_left, add_right in self.columns:
@@ -797,7 +787,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     recorder = _Recorder(config, resolve_watches(flat, config.watch))
 
     t = 0.0
-    recorder.record(t, engine.past[-1][1:])
+    recorder.record(engine.past[-1])
 
     underflows = []  # (step, -1, message), ahead of the step's overflows
     # Start times of the latest consecutive event-located steps.
@@ -805,14 +795,13 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
         try:
-            trial, failed = engine.compute_step(t + config.h, config.h), None
-        except SimulationError as err:
+            (lefts, flipped), failed = engine.compute_step(config.h), None
+        except EngineError as err:
             # As in bisection, a block outside the closure fails only a full step.
-            trial, failed = engine._closure_step(t + config.h, config.h), err
-        columns, flipped = trial
+            (lefts, flipped), failed = engine._closure_step(config.h), err
         if flipped:
-            h_star, columns, underflow = engine.locate_crossing(
-                t, config.h, trial
+            h_star, lefts, flipped, underflow = engine.locate_crossing(
+                config.h, lefts, flipped
             )
             if underflow:
                 underflows.append((len(recorder.trace.times), -1,
@@ -827,8 +816,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         t_new = t + h_star
         if t_new <= t:
             raise EngineError("step size underflowed the time resolution")
-        engine.commit(columns, t_new)
-        recorder.record(t_new, columns)
+        recorder.record(engine.commit(t_new, lefts, flipped))
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
                 <= ZENO_WINDOW * config.h_min * (1 + 1e-9):
             raise ZenoSuspected(

@@ -1,11 +1,12 @@
 """Distribution-valued step samples and the impulse coefficient algebra.
 
-Every signal is observed once per committed step as a :class:`StepSample`:
-a left limit, a right limit and a sparse :class:`ImpulseVector` of impulse
-coefficients indexed by derivative order (order 0 is the plain impulse,
-order 1 its first derivative, and so on).  A single vector serves both
-limits, so a jump in a signal lives entirely in the left/right pair and
-never in the impulse part.
+At each committed step a signal has a left limit, a right limit and a
+sparse :class:`ImpulseVector` of impulse coefficients indexed by derivative
+order (order 0 is the plain impulse, order 1 its first derivative, and so
+on).  The engine keeps them as columns indexed by node, one per quantity
+(``blocks.Committed``); a :class:`StepSample` is one signal's three values
+at one step.  A single vector serves both limits, so a jump in a signal
+lives entirely in the left/right pair and never in the impulse part.
 
 All operations here are pure; samples and vectors are immutable values.
 """

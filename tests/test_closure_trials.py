@@ -18,7 +18,8 @@ import pytest
 
 from cbdsim import blocks as bk
 from cbdsim import dsl
-from cbdsim.engine import Engine, SimConfig, SimulationError, simulate
+from cbdsim.engine import (Engine, ImpulseInLoop, SimConfig, SimulationError,
+                           SingularLoop, simulate)
 from cbdsim.graph import flatten
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -180,3 +181,66 @@ def test_failing_full_trial_stands_unless_an_earlier_event_commits(q0):
     with pytest.raises(SimulationError) as excinfo:
         simulate(model, "Main", SimConfig(h=1.0, t_end=2.0))
     assert excinfo.value.block_path == "inv"
+
+
+# DISCARDED_TRIAL's event alone, q crossing zero at t = 0.3, ahead of a
+# loop that fails only at the full trial t = 1, which no commit reaches.
+Q_EVENT = """
+cbd Main(out y, c) {{
+  block one = Constant(1);
+  block q = Integrator(-0.3);
+  block sw = Switch();
+  one.out -> q.in;
+  q.out -> sw.c;
+  sw.out -> c;
+  {blocks}
+  a.out -> y;
+}}
+"""
+# sw2 reads r - the integral of sw, r = t - 0.8: 0.2 at t = 1, but -0.5 at
+# t = 0.3 and 1.3.  Its edge at t = 1 gives e an impulse into a = e + 0.5 a.
+IMPULSE_INTO_LOOP = """
+  block r = Integrator(-0.8); block i = Integrator(0); block n = Negator();
+  block gap = Adder(); block sw2 = Switch(); block e = Derivative();
+  block a = Adder(); block m = Multiplier(); block g = Constant(0.5);
+  one.out -> r.in; sw.out -> i.in; i.out -> n.in; r.out -> gap.in1;
+  n.out -> gap.in2; gap.out -> sw2.c; sw2.out -> e.in; e.out -> a.in1;
+  m.out -> a.in2; a.out -> m.in1; g.out -> m.in2;
+"""
+# a = 3 + g a with g = t, singular at t = 1.
+SINGULAR_AT_ONE = """
+  block g = Integrator(0); block three = Constant(3);
+  block a = Adder(); block m = Multiplier();
+  one.out -> g.in; three.out -> a.in1; m.out -> a.in2;
+  a.out -> m.in1; g.out -> m.in2;
+"""
+
+
+@pytest.mark.parametrize("blocks, error", [
+    (IMPULSE_INTO_LOOP, ImpulseInLoop),
+    (SINGULAR_AT_ONE, SingularLoop),
+])
+def test_any_failing_full_trial_is_discarded_when_an_earlier_event_commits(
+        blocks, error):
+    text = Q_EVENT.format(blocks=blocks)
+    # The full step t = 1, committed, fails in phase 1 or in phase 2.
+    engine = _engine(text)
+    with pytest.raises(error, match="^a: "):
+        engine.commit(1.0, *engine.compute_step(1.0))
+    trace = simulate(dsl.load_model(text), "Main", SimConfig(h=1.0, t_end=2.0))
+    assert len(trace.times) == 3
+    assert abs(trace.times[1] - 0.3) <= 1e-9
+    assert abs(trace.times[2] - 1.3) <= 1e-9
+
+
+@pytest.mark.parametrize("workload", ["ball", "switch_dense"])
+def test_phase2_runs_once_per_committed_step(workload, ball_text):
+    if workload == "ball":
+        text, config = ball_text, SimConfig(h=1e-3, t_end=2.0)
+    else:
+        text = _workloads().switch_dense(ROOT, 1, False).text
+        config = SimConfig(h=1e-3, t_end=1.0, zc_tol=1e-9, h_min=1e-12)
+    with mock.patch.object(Engine, "_sweep_groups", autospec=True,
+                           side_effect=Engine._sweep_groups) as sweeps:
+        trace = simulate(dsl.load_model(text), "Main", config)
+    assert sweeps.call_count == len(trace.times) - 1

@@ -177,11 +177,12 @@ class TestStepping:
         engine = Engine(flat, SimConfig(h=0.1, t_end=1.0))
         initial = engine.past[-1]
         assert initial.t == 0.0 and initial.rights is initial.lefts
-        columns, flipped = engine.compute_step(0.1, 0.1)
-        engine.commit(columns, 0.1)
+        lefts, flipped = engine.compute_step(0.1)
+        step = engine.commit(0.1, lefts, flipped)
+        assert step is engine.past[-1] and step.lefts is lefts
         index = {node.path: node.idx for node in engine.nodes}
-        assert columns.lefts[index["n"]] == -4.25
-        assert columns.rights[index["c"]] == 4.25
+        assert step.lefts[index["n"]] == -4.25
+        assert step.rights[index["c"]] == 4.25
         assert flipped == []
 
     def test_unknown_watch_rejected(self, ball_model):
@@ -256,10 +257,10 @@ class TestEventLocation:
         config = SimConfig(h=0.3, t_end=1.0, zc_tol=1e-9)
         engine = Engine(flat, config)
         # Advance the committed state to t = 0.3 (position 0.2).
-        cells, _ = engine.compute_step(0.3, 0.3)
-        engine.commit(cells, 0.3)
-        trial = engine.compute_step(0.6, 0.3)
-        h_star, _, underflow = engine.locate_crossing(0.3, 0.3, trial)
+        engine.commit(0.3, *engine.compute_step(0.3))
+        h_star, _, flipped, underflow = engine.locate_crossing(
+            0.3, *engine.compute_step(0.3))
+        assert len(flipped) == 1
         assert not underflow
         assert abs(h_star - 0.2) <= 1e-9
 
@@ -520,10 +521,10 @@ class TestGuards:
         }}
         """)
         engine = Engine(flatten(model, "Main"), SimConfig(h=0.1, t_end=1.0))
-        samples, _ = engine.compute_step(0.0, 0.1)
+        lefts, flipped = engine.compute_step(0.1)
         with pytest.raises(NonIncreasingTime, match=(
                 "commit time 0.0 does not follow the previous commit at 0.0")):
-            engine.commit(samples, 0.0)
+            engine.commit(0.0, lefts, flipped)
         assert len(engine.past) == 1
 
 
@@ -803,9 +804,9 @@ class TestGeneratedPhase1:
                     assert lefts[idx].hex() == whole[idx].hex(), \
                         (t, engine.nodes[idx].path)
             if not first:
-                columns, _ = engine.compute_step(t, dt)
-                assert columns.lefts == whole
-                engine.commit(columns, t)
+                lefts, flipped = engine.compute_step(dt)
+                assert lefts == whole
+                engine.commit(t, lefts, flipped)
 
     def test_code_depends_on_the_structure_only(self):
         base = _codes(_engine(DESCENT, h=0.1))
@@ -845,9 +846,9 @@ class TestGeneratedPhase1:
         model.definitions["Main"].blocks["c"] = BlockDecl(
             "Constant", {"value": value})
         engine = Engine(flatten(model, "Main"), SimConfig(h=0.1))
-        columns, _ = engine.compute_step(0.0, 0.1)
+        lefts, _ = engine.compute_step(0.1)
         index = {node.path: node.idx for node in engine.nodes}
-        assert columns.lefts[index["c"]] is value
+        assert lefts[index["c"]] is value
 
     def test_wide_adder_compiles(self):
         # One Constant wired to every port of a 5,000-input Adder: an

@@ -140,7 +140,7 @@ def test_plan_replay_is_bitwise_equal_to_reference(case):
         return
     for values in solves:
         known = lambda dep: values[dep - n]  # noqa: E731
-        assert _outcome(lambda: plan.solve(known)) == \
+        assert _outcome(lambda: plan.solve(*map(known, plan.inputs))) == \
             _outcome(lambda: reference_solve(nodes, members, known))
 
 
@@ -172,8 +172,7 @@ def test_ramp_gain_refactors_every_step_until_singular():
     y, g = watched["y"], watched["g"]
     for k in range(8):
         if k:  # the engine commits t = 0 itself
-            columns, _ = engine.compute_step(k * h, h)
-            engine.commit(columns, k * h)
+            engine.commit(k * h, *engine.compute_step(h))
         columns = engine.past[-1]
         gain = columns.lefts[g]
         assert gain == k * h
@@ -183,7 +182,7 @@ def test_ramp_gain_refactors_every_step_until_singular():
         (plan,) = engine.loop_plans.values()
         assert plan.factors == (gain,)
     with pytest.raises(SingularLoop):
-        engine.compute_step(8 * h, h)
+        engine.compute_step(h)
 
 
 def test_constant_gain_is_factored_once(monkeypatch):
@@ -222,7 +221,7 @@ def test_ramp_gain_generates_the_replay_once(monkeypatch):
                      SimConfig(h=0.125, t_end=2.0))
     assert len(trace.times) == len(factored) == 17
     assert len(set(factored)) == 17
-    assert generated.count("replay(known)") == 1
+    assert [s.partition("(")[0] for s in generated].count("replay") == 1
     y, g = trace.signals["y"], trace.signals["g"]
     for gain, value in zip(g.left, y.left):
         assert value == pytest.approx(3.0 / (1.0 - gain), rel=1e-12, abs=0.0)
@@ -251,5 +250,5 @@ def test_large_loops_compile_and_match_the_reference(adders, width):
     plan = _LoopPlan(nodes, members)
     for g in (-0.4, 0.25):
         known = lambda dep: g if dep == gain else 0.5 + dep % 7  # noqa: E731
-        assert _outcome(lambda: plan.solve(known)) == \
+        assert _outcome(lambda: plan.solve(*map(known, plan.inputs))) == \
             _outcome(lambda: reference_solve(nodes, members, known))

@@ -1,7 +1,7 @@
 """The evaluator's shortcuts against the full computation.
 
-``Engine.compute_step`` sweeps only the schedule groups that
-``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
+Phase 2, which ``Engine.commit`` runs, sweeps only the schedule groups
+that ``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
 fires, else the cones of the firing sources.  ``Engine.locate_crossing``
 bisects with ``Engine._closure_step``, which evaluates only the condition
 closure.  Each case runs ``simulate`` as is, again with ``_sweep_groups``
@@ -21,7 +21,7 @@ from cbdsim.analysis import compare_traces
 from cbdsim.engine import (Engine, EngineError, SimConfig,
                            SimulationError, simulate)
 
-from strategies import diagrams
+from strategies import BASE_SIGNALS, OSCILLATOR, diagrams
 
 MODES = ("symbolic", "numerical")
 # A run that locates an event at every step, as one does whose Switch
@@ -72,17 +72,30 @@ def _condition_closure(engine):
     return {engine.nodes[idx].path for idx in seen}
 
 
-def _full_trial(self, t, dt, closure_step=Engine._closure_step):
+def _full_trial(self, dt, closure_step=Engine._closure_step):
     """A bisection trial over every block.  A discarded trial does not stop
     the run for an error at a block outside the condition closure
     (``test_discarded_trial_skips_blocks_outside_the_closure``), so only
     such an error gives the closure trial instead; any other error stands."""
     try:
-        return Engine.compute_step(self, t, dt)
+        return Engine.compute_step(self, dt)
     except SimulationError as err:
         if err.block_path in _condition_closure(self):
             raise
-        return closure_step(self, t, dt)
+        return closure_step(self, dt)
+
+
+def _trial_with_phase2(self, dt):
+    """A full trial that also runs phase 2, as ``commit`` would, on a copy
+    of ``past`` that it then drops: every error of the step stands."""
+    lefts, flipped = Engine.compute_step(self, dt)
+    past = self.past
+    self.past = past.copy()
+    try:
+        Engine.commit(self, past[-1].t + dt, lefts, flipped)
+    finally:
+        self.past = past
+    return lefts, flipped
 
 
 # Each reference patches one shortcut back to the full computation.
@@ -304,11 +317,36 @@ def test_full_trial_error_outside_the_closure_is_discarded():
     model = dsl.load_model(TWO_PRODUCTS)
     run = dict(TOLERANCES, h=0.25, t_end=2.0)
     assert not isinstance(_run(model, watch, run), tuple)
-    with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
+    with mock.patch.object(Engine, "_closure_step", _trial_with_phase2):
         outcome = _run(model, watch, run)
     assert outcome[:2] == ("error", "SimulationError")
     assert outcome[2].startswith("b5: ")
     _assert_fast_path_equivalent(TWO_PRODUCTS, watch, h=0.25, t_end=2.0)
+
+
+# A diagram drawn by the property below, pinned: with full trials that ran
+# phase 2, a discarded bisection trial raised ImpulseAtSwitchingInstant at
+# the Decision b3, which a trial of phase 1 alone never checks.
+DECISION_ON_A_PRODUCT = "cbd Main(out y) {" + OSCILLATOR.format(
+    pos0=1.0, vel0=-1.0) + """
+  block b0 = Multiplier(); pos.out -> b0.in1; vel.out -> b0.in2;
+  block b1 = Integrator(-1.0, order=1); b4.out -> b1.in;
+  block b2s = Switch(); block b2d = Derivative(); block b2dd = Derivative();
+  block b2 = Multiplier();
+  b1.out -> b2s.c; b2s.out -> b2d.in; b2d.out -> b2dd.in;
+  b2dd.out -> b2.in1; pos.out -> b2.in2;
+  block b3 = Decision(); b2.out -> b3.u; b0.out -> b3.v; pos.out -> b3.c;
+  block b4 = Multiplier(); b1.out -> b4.in1; b3.out -> b4.in2;
+  block b5 = Switch(); b4.out -> b5.c;
+  b5.out -> y;
+}
+"""
+
+
+def test_decision_on_a_product_matches_full_trials():
+    watch = BASE_SIGNALS + tuple(f"b{i}" for i in range(6))
+    _assert_fast_path_equivalent(DECISION_ON_A_PRODUCT, watch,
+                                 h=0.25, t_end=2.0)
 
 
 # --- random diagrams ---------------------------------------------------------

@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from cbdsim import cli, dsl
 from cbdsim.analysis import compare_traces
+from cbdsim.blocks import Committed
 from cbdsim.engine import (
-    EngineError, Limits, SimConfig, StepColumns, Stream, Trace, _Recorder,
+    EngineError, Limits, SimConfig, Stream, Trace, _Recorder,
     _encode_numerically, simulate,
 )
 from cbdsim.signals import EMPTY_IMPULSES, impulses
@@ -206,7 +207,7 @@ class TestRaggedInMemory:
 
 def _columns(*cells):
     """Step columns from one ``[left, right, vector]`` cell per signal."""
-    return StepColumns(*map(list, zip(*cells)))
+    return list(map(list, zip(*cells)))
 
 
 def _folded(names, *steps):
@@ -216,7 +217,7 @@ def _folded(names, *steps):
     recorder = _Recorder(SimConfig(mode="numerical"),
                          {name: k for k, name in enumerate(names)})
     for t, columns in steps:
-        recorder.record(t, columns)
+        recorder.record(Committed(t, *columns))
     trace = recorder.trace
     trace.warnings = [w for *_, w in _encode_numerically(trace)]
     return trace
