@@ -71,35 +71,39 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
 
 def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
     if fmt == "csv":
-        lines = [IMPULSE_HEADER]
-        lines += [
-            f"{_fmt(e.time)},{e.signal},{e.order},{_fmt(e.coefficient)}"
-            for e in trace.impulses
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as out:
+            out.write(IMPULSE_HEADER + "\n")
+            out.writelines(map("%.17g,%s,%d,%.17g\n".__mod__, trace.impulses))
     else:
-        payload = {"impulses": [
-            {"time": e.time, "signal": e.signal, "order": e.order,
-             "coefficient": e.coefficient}
-            for e in trace.impulses
-        ]}
+        payload = {"impulses": [e._asdict() for e in trace.impulses]}
         path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def _load(path: Path, is_json: bool):
+    """The text of ``path``, or its JSON value when ``is_json``; a file
+    that is not UTF-8, or not JSON, is a ``ValueError`` naming it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        return json.loads(text) if is_json else text
+    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(f"{path}: {err}") from err
 
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     """Load a trace file (CSV or JSON by extension) back into a Trace, and
-    the impulse log into ``Trace.impulses``, its only impulse record.  A
-    malformed row, such as one whose time goes backwards, is a
-    ``ValueError`` naming the file and the row (JSON) or line (CSV)."""
+    the impulse log into ``Trace.impulses``, its only impulse record.  An
+    unreadable file or a malformed row, such as one whose time goes
+    backwards, is a ``ValueError`` naming the file and any row (JSON) or
+    line (CSV)."""
     is_json = path.suffix == ".json"
     if is_json:
-        payload = json.loads(path.read_text())
+        payload = _load(path, True)
         if not isinstance(payload, dict) or "trace" not in payload:
             raise ValueError(f"{path}: not a trace file")
         rows = ((row["time"], row["signal"], row["left"], row["right"])
                 for row in payload["trace"])
     else:
-        lines = path.read_text().splitlines()
+        lines = _load(path, False).splitlines()
         if not lines or lines[0] != TRACE_HEADER:
             raise ValueError(f"{path}: not a trace file")
         rows = map(str.split, islice(lines, 1, None), repeat(","))
@@ -141,18 +145,27 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
 
 
 def read_impulses(path: Path) -> list[ImpulseEvent]:
+    """Load an impulse log (CSV or JSON by extension).  An unreadable file
+    or a malformed row is a ``ValueError`` naming the file and any row
+    (JSON) or line (CSV)."""
     events = []
     if path.suffix == ".json":
-        payload = json.loads(path.read_text())
+        payload = _load(path, True)
+        if not isinstance(payload, dict) or "impulses" not in payload:
+            raise ValueError(f"{path}: not an impulse log")
         try:
             for row in payload["impulses"]:
                 events.append(ImpulseEvent(float(row["time"]), row["signal"],
                                            row["order"],
                                            float(row["coefficient"])))
-        except TypeError as err:  # a field of the wrong type, such as null
-            raise ValueError(f"{path}: malformed impulse log: {err}") from err
+        # As in read_trace, a KeyError or TypeError is a row without a
+        # field or with one of the wrong type, such as null.
+        except (KeyError, TypeError, ValueError) as err:
+            cause = f"missing key {err}" if isinstance(err, KeyError) else err
+            raise ValueError(f"{path}: malformed impulse log: row "
+                             f"{len(events) + 1}: {cause}") from err
     else:
-        lines = path.read_text().splitlines()
+        lines = _load(path, False).splitlines()
         if not lines or lines[0] != IMPULSE_HEADER:
             raise ValueError(f"{path}: not an impulse log")
         for number, line in enumerate(lines[1:], 2):
@@ -266,7 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                              if args.impulses_a else None)
         trace_b = read_trace(Path(args.b), Path(args.impulses_b)
                              if args.impulses_b else None)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
@@ -285,7 +298,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     try:
         trace = read_trace(Path(args.trace),
                            Path(args.impulses) if args.impulses else None)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     payload: dict[str, dict] = {}

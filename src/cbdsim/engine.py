@@ -22,11 +22,11 @@ A step's values are three columns indexed by node, a ``blocks.Committed``:
 when phase 2 sweeps; on a step it skips, ``rights is lefts`` and
 ``vectors`` is one shared all-empty tuple.
 Phase 1 runs as generated straight-line source: each block's template
-filled in, in schedule order, a solve call per algebraic loop, which
-replays the loop's elimination as generated source too, then one sum
-screening every left limit.  Values are bound by name, so a plan's source
-depends only on the diagram's structure, a replay's only on the
-elimination's shape; code is cached by the source.
+filled in, in schedule order but the condition closure's first (below), a
+solve call per algebraic loop, which replays the loop's elimination as
+generated source too, then one sum screening every left limit.  Values are
+bound by name, so a plan's source depends only on the diagram's structure,
+a replay's only on the elimination's shape; code is cached by the source.
 
 Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
@@ -36,11 +36,12 @@ every other block would reproduce its left limit.  A step where no source
 fires skips phase 2.  A non-finite left limit, or a non-finite right limit
 set by phase 2, stops the run with a ``SimulationError`` naming the block.
 
-A condition sign change bisects the step.  The bisection trials run phase 1
-over the condition closure only, the blocks the crossing test reads within
-a step, so a discarded trial checks nothing outside it; the full step's
-phase 1 runs again at the located size.  An ``EngineError`` in the full
-step's trial likewise stands only if no earlier event commits.
+A condition sign change bisects the step.  A bisection trial,
+``compute_step(dt, closure=True)``, stops phase 1 after the condition
+closure, the blocks the crossing test reads within a step, so a discarded
+trial checks nothing outside it; the full step's phase 1 runs again at the
+located size.  An ``EngineError`` in the full step's trial likewise stands
+only if no earlier event commits.
 
 Both execution modes share this evaluator and one recorder, which appends
 each committed step's watched limits as floats to per-signal columns, a
@@ -253,15 +254,15 @@ def _generate(params: Iterable[str], signature: str, body: list[str]) -> Callabl
 
 def _phase1_function(nodes: Sequence[_Node],
                      groups: list[tuple[tuple[int, ...], bool]],
-                     loop_plans: dict, first: bool) -> Callable:
-    """Phase 1 of ``groups``, in one function ``(past, dt, known=None)``
-    that returns the left limits, indexed by node and None outside
-    ``groups``, and reads an input outside them as ``known[j]``; ``first``
-    picks the first step's templates.  A guarded block checks its guard
-    first, and a non-finite left limit is screened after the last block;
-    either raises a ``SimulationError`` naming the block."""
-    order = [idx for members, _ in groups for idx in members]
-    inside = set(order)
+                     loop_plans: dict, first: bool, closure: Iterable = (),
+                     ) -> Callable:
+    """Phase 1 of ``groups``, in one function ``(past, dt, known=None,
+    closure=False)`` that returns the left limits, indexed by node and None
+    outside ``groups`` (with ``closure``, outside ``closure``'s groups, which
+    run first), and reads an input outside them as ``known[j]``; ``first``
+    picks the first step's templates.  A block's guard, and then a screen of
+    the left limits, raise a ``SimulationError`` naming the failing block."""
+    inside = {idx for members, _ in groups for idx in members}
 
     def cells(in_idx):
         return _Cells(f"v{j}" if j in inside else f"known[{j}]" for j in in_idx)
@@ -272,16 +273,31 @@ def _phase1_function(nodes: Sequence[_Node],
 
     def screen(lefts):
         for idx in order:
-            if not math.isfinite(lefts[idx]):
+            if lefts[idx] is not None and not math.isfinite(lefts[idx]):
                 raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
                     f"left limit {lefts[idx]!r} is not finite"))
+
+    def result(computed):
+        named = {i: f"v{i}" for i in computed}
+        lefts = ", ".join(named.get(i, "None") for i in range(len(nodes)))
+        # A sum of finite floats is finite unless it overflows, so one sum
+        # screens the step and the scan runs only when the sum is not finite.
+        total = "lefts" if len(computed) == len(nodes) else \
+            f"({''.join(f'v{i}, ' for i in computed)})"
+        return [f"lefts = [{lefts}]", f"if not math.isfinite(sum({total})):",
+                "    screen(lefts)", "return lefts"]
 
     bound = {"fail": fail, "screen": screen}
     body = [] if first else [
         "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
         "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
         "h2 = 0.5 * dt * dt"]
-    for members, cyclic in groups:
+    closure, order = set(closure), []
+    for k, (members, cyclic) in enumerate(
+            sorted(groups, key=lambda group: group not in closure)):
+        if k == len(closure):
+            body += ["if closure:"] + [f"    {line}" for line in result(order)]
+        order += members
         if cyclic:
             plan = loop_plans[members]
             bound[f"solve{members[0]}"] = plan.solve
@@ -302,15 +318,8 @@ def _phase1_function(nodes: Sequence[_Node],
         body.append(f"v{node.idx} = " + template.format(
             x=x, s=node.in_idx, i=node.idx, k=f"k{node.idx}"))
     name = "first_step" if first else "later_steps"
-    lefts = ", ".join(f"v{i}" if i in inside else "None"
-                      for i in range(len(nodes)))
-    # A sum of finite floats is finite unless it overflows, so one sum
-    # screens the step and the scan runs only when the sum is not finite.
-    total = "lefts" if len(inside) == len(nodes) else \
-        f"({''.join(f'v{i}, ' for i in order)})"
-    return _generate(bound, f"{name}(past, dt, known=None)", body + [
-        f"lefts = [{lefts}]", f"if not math.isfinite(sum({total})):",
-        "    screen(lefts)", "return lefts"])(*bound.values())
+    return _generate(bound, f"{name}(past, dt, known=None, closure=False)",
+                     body + result(order))(*bound.values())
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -433,10 +442,10 @@ class Engine:
     Construction builds the tables the steps read: the node table and
     schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
     for a loop that is not linear), the cone of every Switch, Decision and
-    Delay, the condition closure and the phase-1 functions of full steps
-    and of the bisection trials, then commits t = 0 (module docstring).
-    A trial (``compute_step``, ``_closure_step``) is phase 1 and leaves
-    ``past`` as is; ``commit`` runs phase 2 of the step that stands.
+    Delay, the condition closure and the phase-1 function of later steps,
+    then commits t = 0 (module docstring).  A trial, ``compute_step``, is
+    phase 1 and leaves ``past`` as is; ``commit`` runs phase 2 of the step
+    that stands.
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
@@ -487,28 +496,19 @@ class Engine:
         self.closure = [self.groups[g]
                         for g in sorted({group_of[idx] for idx in seen})]
         plans = nodes, self.groups, self.loop_plans
-        self.phase1 = _phase1_function(*plans, first=False)
-        self.closure_phase1 = _phase1_function(nodes, self.closure,
-                                               self.loop_plans, first=False)
+        self.phase1 = _phase1_function(*plans, first=False, closure=self.closure)
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
         self.past.append(bk.Committed(0.0, lefts, lefts, self.quiet_vectors))
 
     # -- stepping ------------------------------------------------------------
 
-    def compute_step(self, dt: float) -> tuple[list[float], list[tuple[int, int]]]:
+    def compute_step(self, dt: float, closure: bool = False,
+                     ) -> tuple[list[float], list[tuple[int, int]]]:
         """Phase 1 of a step of size ``dt`` after the engine's committed
-        steps: the step's left limits and its flipped conditions."""
-        lefts = self.phase1(self.past, dt)
-        return lefts, self.flipped_conditions(lefts)
-
-    def _closure_step(self, dt: float) -> tuple[list[float], list[tuple[int, int]]]:
-        """A bisection trial: phase 1 over the condition closure only.
-
-        The left limits outside the closure stay ``None``; the flips and
-        the condition magnitudes read the same floats as ``compute_step``.
-        """
-        lefts = self.closure_phase1(self.past, dt)
+        steps, of the condition closure alone with ``closure`` (a bisection
+        trial): the step's left limits, None outside, and flipped conditions."""
+        lefts = self.phase1(self.past, dt, None, closure)
         return lefts, self.flipped_conditions(lefts)
 
     def _sweep_groups(self, flipped: list[tuple[int, int]],
@@ -651,7 +651,7 @@ class Engine:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
-            lefts_mid, flipped_mid = self._closure_step(mid)
+            lefts_mid, flipped_mid = self.compute_step(mid, closure=True)
             if flipped_mid:
                 hi, lefts, crossing = mid, lefts_mid, flipped_mid
             else:
@@ -798,7 +798,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
             (lefts, flipped), failed = engine.compute_step(config.h), None
         except EngineError as err:
             # As in bisection, a block outside the closure fails only a full step.
-            (lefts, flipped), failed = engine._closure_step(config.h), err
+            (lefts, flipped), failed = engine.compute_step(config.h, closure=True), err
         if flipped:
             h_star, lefts, flipped, underflow = engine.locate_crossing(
                 config.h, lefts, flipped

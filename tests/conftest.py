@@ -1,10 +1,27 @@
+import functools
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 from cbdsim import dsl
 
-MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
+
+
+@functools.cache
+def perfbench_module(name: str):
+    """The benchmark module ``perfbench/<name>.py``, loaded once by its
+    file path, as ``perfbench`` is no package.  It is registered in
+    ``sys.modules`` as ``perfbench_<name>``, where its dataclasses resolve
+    their annotations."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 RAMP_EDGE_CHAIN = """
 cbd Chain(out step, d1, d2, d3, d4, held) {

@@ -428,6 +428,45 @@ class TestImpulseOrders:
                            f"{cause}\n")
 
 
+EVENT = {"time": 1.0, "signal": "y", "order": 0, "coefficient": 1.0}
+
+
+@pytest.mark.parametrize("target, name, body, cause", [
+    ("log", "bad.json", b'{"impulses": [}',
+     "Expecting value: line 1 column 15 (char 14)"),
+    ("trace", "bad.csv", b"\xfftime,signal,left,right\n",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("log", "bad.json", json.dumps({"rows": [EVENT]}).encode(),
+     "not an impulse log"),
+    ("log", "bad.json", json.dumps({"impulses": [
+        EVENT, {k: v for k, v in EVENT.items() if k != "coefficient"}]}
+    ).encode(), "malformed impulse log: row 2: missing key 'coefficient'"),
+    ("log", "bad.json", json.dumps({"impulses": [{**EVENT, "time": "abc"}]}
+                                   ).encode(),
+     "malformed impulse log: row 1: could not convert string to float: "
+     "'abc'"),
+], ids=["invalid-json", "invalid-utf8", "no-impulses-key", "missing-field",
+        "non-numeric-string"])
+def test_unreadable_file_is_named(tmp_path, capsys, target, name, body,
+                                  cause):
+    """``compare`` and ``plotdata`` exit 2 and name the file they cannot
+    read, whatever stops the reading."""
+    bad, trace, log = (tmp_path / n for n in (name, "trace.json", "log.json"))
+    bad.write_bytes(body)
+    trace.write_text(json.dumps({"trace": [
+        {"time": t, "signal": "y", "left": 0.0, "right": 0.0}
+        for t in (0.0, 1.0)]}))
+    log.write_text(json.dumps({"impulses": [EVENT]}))
+    paths = {"trace": str(trace), "log": str(log), target: str(bad)}
+    for argv in (["compare", paths["trace"], paths["trace"],
+                  "--impulses-a", paths["log"]],
+                 ["plotdata", "--trace", paths["trace"],
+                  "--impulses", paths["log"],
+                  "--out", str(tmp_path / "plot.json")]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {cause}\n"
+
+
 class TestMalformedTraces:
     """A trace file is outside input too: a malformed row stops ``compare``
     with exit code 2 and an error naming the file and the row."""

@@ -1,16 +1,15 @@
 """The condition closure that bisection trials evaluate.
 
-``Engine.locate_crossing`` bisects with ``Engine._closure_step``, which
-runs phase 1 over the condition closure only: the schedule groups reached
-backwards from every Switch and Decision condition input, stopping at
-Integrators and Delays.  ``tests/test_quiet_step.py`` compares whole runs
-against full-step trials; this file pins the closure's contents and the
-one declared difference.
+``Engine.locate_crossing`` bisects with ``Engine.compute_step(dt,
+closure=True)``, which runs phase 1 over the condition closure only: the
+schedule groups reached backwards from every Switch and Decision condition
+input, stopping at Integrators and Delays.  The later-steps function runs
+those groups first and stops after them in such a trial.
+``tests/test_quiet_step.py`` compares whole runs against full-step trials;
+this file pins the closure's contents, its trials and the declared
+differences.
 """
 
-import functools
-import importlib.util
-import pathlib
 import sys
 from unittest import mock
 
@@ -22,18 +21,16 @@ from cbdsim.engine import (Engine, ImpulseInLoop, SimConfig, SimulationError,
                            SingularLoop, simulate)
 from cbdsim.graph import flatten
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import ROOT, perfbench_module
 
 
-@functools.cache
 def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses resolve their annotations through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+    return perfbench_module("workloads")
+
+
+def _full_trials(self, dt, closure=False, compute_step=Engine.compute_step):
+    """``compute_step`` with every trial over every block."""
+    return compute_step(self, dt)
 
 
 def _engine(text, top="Main"):
@@ -146,7 +143,7 @@ def test_discarded_trial_skips_blocks_outside_the_closure():
     assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
     assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.2)
     # Full-step trials evaluate the inverter at p = 0 and stop the run.
-    with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
+    with mock.patch.object(Engine, "compute_step", _full_trials):
         with pytest.raises(SimulationError) as excinfo:
             simulate(model, "Main", config)
     assert excinfo.value.block_path == "inv"
@@ -164,7 +161,7 @@ def test_failing_full_trial_is_discarded_like_a_bisection_trial():
     assert len(trace.times) == 3
     assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
     assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.7)
-    with mock.patch.object(Engine, "_closure_step", Engine.compute_step):
+    with mock.patch.object(Engine, "compute_step", _full_trials):
         with pytest.raises(SimulationError) as excinfo:
             simulate(model, "Main", config)
     assert excinfo.value.block_path == "inv"
@@ -233,14 +230,103 @@ def test_any_failing_full_trial_is_discarded_when_an_earlier_event_commits(
     assert abs(trace.times[2] - 1.3) <= 1e-9
 
 
+# The switch reads r - 0.05 + 0 * inner, crossing at t = 0.05; outer and
+# inner both invert r - 0.1, which is 0 at t = 0.1.  outer is scheduled
+# first, and only inner is in the condition closure.
+TWO_INVERTERS = """
+cbd Main(out y, c) {
+  block one = Constant(1); block r = Integrator(0);
+  block off = Constant(-0.1); block gap = Adder();
+  block outer = Inverter(); block inner = Inverter();
+  block zero = Constant(0); block m = Multiplier();
+  block half = Constant(-0.05); block cond = Adder(); block sum = Adder();
+  block sw = Switch();
+  one.out -> r.in; r.out -> gap.in1; off.out -> gap.in2;
+  gap.out -> outer.in; gap.out -> inner.in;
+  inner.out -> m.in1; zero.out -> m.in2;
+  r.out -> cond.in1; half.out -> cond.in2;
+  cond.out -> sum.in1; m.out -> sum.in2;
+  sum.out -> sw.c;
+  outer.out -> y; sw.out -> c;
+}
+"""
+
+
+@pytest.mark.parametrize("h", [
+    1.0,  # the bisection stops at 0.0625, and the step is raised to h_min
+    0.1,  # the full step's trial fails, and so does its closure trial
+])
+def test_a_step_failing_inside_and_outside_the_closure_names_the_closure(h):
+    engine = _engine(TWO_INVERTERS)
+    order = [engine.nodes[idx].path for idx in _order(engine.groups)]
+    assert order.index("outer") < order.index("inner")
+    assert "inner" in _closure(engine) and "outer" not in _closure(engine)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate(dsl.load_model(TWO_INVERTERS), "Main",
+                 SimConfig(h=h, t_end=2.0, h_min=0.1))
+    assert excinfo.value.block_path == "inner"
+
+
+# The benchmark's switch_dense workload at its configuration, and the 2-s
+# ball: the models with a condition closure.
+def _bisected_runs(ball_text):
+    return {
+        "ball": (ball_text, SimConfig(h=1e-3, t_end=2.0)),
+        "switch_dense": (_workloads().switch_dense(ROOT, 1, False).text,
+                         SimConfig(h=1e-3, t_end=1.0, zc_tol=1e-9,
+                                   h_min=1e-12)),
+    }
+
+
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
 def test_phase2_runs_once_per_committed_step(workload, ball_text):
-    if workload == "ball":
-        text, config = ball_text, SimConfig(h=1e-3, t_end=2.0)
-    else:
-        text = _workloads().switch_dense(ROOT, 1, False).text
-        config = SimConfig(h=1e-3, t_end=1.0, zc_tol=1e-9, h_min=1e-12)
+    text, config = _bisected_runs(ball_text)[workload]
     with mock.patch.object(Engine, "_sweep_groups", autospec=True,
                            side_effect=Engine._sweep_groups) as sweeps:
         trace = simulate(dsl.load_model(text), "Main", config)
     assert sweeps.call_count == len(trace.times) - 1
+
+
+@pytest.mark.parametrize("workload", ["ball", "switch_dense"])
+def test_closure_trial_is_the_full_step_on_the_closure(workload, ball_text):
+    text, config = _bisected_runs(ball_text)[workload]
+    trials = []
+
+    def checked(self, dt, closure=False, compute_step=Engine.compute_step):
+        if closure:
+            inside = {idx for members, _ in self.closure for idx in members}
+            lefts = self.phase1(self.past, dt, None, True)
+            full = self.phase1(self.past, dt)
+            assert [idx for idx, x in enumerate(lefts) if x is not None] \
+                == sorted(inside)
+            assert [lefts[idx].hex() for idx in sorted(inside)] \
+                == [full[idx].hex() for idx in sorted(inside)]
+            trials.append(dt)
+        return compute_step(self, dt, closure)
+
+    with mock.patch.object(Engine, "compute_step", checked):
+        simulate(dsl.load_model(text), "Main", config)
+    assert trials
+
+
+# Each run's located events and bisection iterations.
+@pytest.mark.parametrize("workload, events, iterations", [
+    ("ball", 2, 48),
+    ("switch_dense", 80, 1711),
+])
+def test_every_bisection_iteration_is_one_closure_trial(
+        workload, events, iterations, ball_text):
+    text, config = _bisected_runs(ball_text)[workload]
+    callers = []
+
+    def counted(self, dt, closure=False, compute_step=Engine.compute_step):
+        if closure:
+            callers.append(sys._getframe(1).f_code)
+        return compute_step(self, dt, closure)
+
+    with mock.patch.object(Engine, "compute_step", counted), \
+            mock.patch.object(Engine, "locate_crossing", autospec=True,
+                              side_effect=Engine.locate_crossing) as located:
+        simulate(dsl.load_model(text), "Main", config)
+    assert located.call_count == events
+    assert callers == [Engine.locate_crossing.__code__] * iterations

@@ -1,9 +1,6 @@
 import gc
-import importlib.util
-import pathlib
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cbdsim import dsl
 from cbdsim.graph import BlockDecl, Link, Model, flatten
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODELS = ROOT / "models"
+from conftest import MODELS, ROOT, perfbench_module
 
 MINIMAL = "cbd Main(out y){ block c = Constant(9.81); c.out -> y; }"
 
@@ -362,15 +358,8 @@ class TestValidate:
 
 def _workload_texts():
     """The model text of each benchmark workload at seed 1, full size."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, ROOT / "perfbench" / "workloads.py")
-        # dataclasses looks the defining module up in sys.modules.
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return {workload: make(ROOT, 1, False).text
-            for workload, make in sys.modules[name].WORKLOADS.items()}
+    return {workload: make(ROOT, 1, False).text for workload, make
+            in perfbench_module("workloads").WORKLOADS.items()}
 
 
 class TestPrintFixpoint:

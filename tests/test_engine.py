@@ -780,7 +780,7 @@ def _engine(text, **config):
 def _codes(engine):
     first = _phase1_function(engine.nodes, engine.groups, engine.loop_plans,
                              first=True)
-    return [f.__code__ for f in (first, engine.phase1, engine.closure_phase1)]
+    return [f.__code__ for f in (first, engine.phase1)]
 
 
 class TestGeneratedPhase1:

@@ -1,13 +1,11 @@
 """The benchmark harness still runs every workload at a tiny size."""
 
-import importlib.util
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import ROOT, perfbench_module
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +38,4 @@ def test_every_traced_layer_reads_time(smoke):
 def test_tracer_finds_every_layer():
     # The tracer wraps cbdsim names by string and reports a missing one as
     # an absent layer, so a rename would otherwise go unnoticed.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    assert tracer.Tracer().absent == []
+    assert perfbench_module("tracer").Tracer().absent == []

@@ -3,10 +3,11 @@
 Phase 2, which ``Engine.commit`` runs, sweeps only the schedule groups
 that ``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
 fires, else the cones of the firing sources.  ``Engine.locate_crossing``
-bisects with ``Engine._closure_step``, which evaluates only the condition
-closure.  Each case runs ``simulate`` as is, again with ``_sweep_groups``
-patched to return every group, and again with ``_closure_step`` patched
-to the full ``compute_step`` (see ``_full_trial``), in both modes, and
+bisects with ``Engine.compute_step(dt, closure=True)``, which evaluates
+only the condition closure.  Each case runs ``simulate`` as is, again with
+``_sweep_groups`` patched to return every group, and again with
+``compute_step`` patched to evaluate every block in every trial (see
+``_full_trial``), in both modes, and
 requires the same trace, impulse log and warnings, compared through
 ``float.hex``, or the same error.  When both modes complete,
 ``compare_traces`` must find their traces equal at every step.
@@ -72,23 +73,28 @@ def _condition_closure(engine):
     return {engine.nodes[idx].path for idx in seen}
 
 
-def _full_trial(self, dt, closure_step=Engine._closure_step):
-    """A bisection trial over every block.  A discarded trial does not stop
-    the run for an error at a block outside the condition closure
+def _full_trial(self, dt, closure=False, compute_step=Engine.compute_step):
+    """``compute_step`` with a bisection trial over every block.  A
+    discarded trial does not stop the run for an error at a block outside
+    the condition closure
     (``test_discarded_trial_skips_blocks_outside_the_closure``), so only
     such an error gives the closure trial instead; any other error stands."""
     try:
-        return Engine.compute_step(self, dt)
+        return compute_step(self, dt)
     except SimulationError as err:
-        if err.block_path in _condition_closure(self):
+        if not closure or err.block_path in _condition_closure(self):
             raise
-        return closure_step(self, dt)
+        return compute_step(self, dt, closure=True)
 
 
-def _trial_with_phase2(self, dt):
-    """A full trial that also runs phase 2, as ``commit`` would, on a copy
-    of ``past`` that it then drops: every error of the step stands."""
-    lefts, flipped = Engine.compute_step(self, dt)
+def _trial_with_phase2(self, dt, closure=False,
+                       compute_step=Engine.compute_step):
+    """``compute_step`` with a bisection trial over every block that also
+    runs phase 2, as ``commit`` would, on a copy of ``past`` that it then
+    drops: every error of the step stands."""
+    lefts, flipped = compute_step(self, dt)
+    if not closure:
+        return lefts, flipped
     past = self.past
     self.past = past.copy()
     try:
@@ -101,7 +107,7 @@ def _trial_with_phase2(self, dt):
 # Each reference patches one shortcut back to the full computation.
 REFERENCES = {
     "full sweep": ("_sweep_groups", lambda self, *args: self.groups),
-    "full trials": ("_closure_step", _full_trial),
+    "full trials": ("compute_step", _full_trial),
 }
 
 
@@ -317,7 +323,7 @@ def test_full_trial_error_outside_the_closure_is_discarded():
     model = dsl.load_model(TWO_PRODUCTS)
     run = dict(TOLERANCES, h=0.25, t_end=2.0)
     assert not isinstance(_run(model, watch, run), tuple)
-    with mock.patch.object(Engine, "_closure_step", _trial_with_phase2):
+    with mock.patch.object(Engine, "compute_step", _trial_with_phase2):
         outcome = _run(model, watch, run)
     assert outcome[:2] == ("error", "SimulationError")
     assert outcome[2].startswith("b5: ")
