@@ -14,7 +14,7 @@ spike cascade that a numerical run folds into its own trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from .engine import OVERFLOW_LIMIT, ImpulseEvent, Stream, Trace, fold_impulses
 
 
@@ -58,8 +58,8 @@ def finite_difference_table(n: int, h: float) -> DiffTable:
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    if not h > 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
     rows = n + 2  # offsets -1 .. n
     column = tuple(0.0 if m == 0 else 1.0 for m in range(rows))
     columns = [column]
@@ -88,11 +88,10 @@ def max_magnitude(n: int, h: float, amplitude: float) -> MagnitudeEstimate:
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if not h > 0.0:
-        raise ValueError("step size must be positive")
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be non-negative")
     table = finite_difference_table(n, h)
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError(f"amplitude must be non-negative and finite, got "
+                         f"{amplitude!r}")
     peak = max(abs(v) for v in table.column(n))
     value = amplitude * peak
     return MagnitudeEstimate(value=value, overflow_risk=value > OVERFLOW_LIMIT)
@@ -140,23 +139,12 @@ class CompareReport:
     findings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rel_tol": self.rel_tol,
-            "deviations": [
-                {"signal": d.signal, "max_relative": d.max_relative,
-                 "at_time": d.at_time}
-                for d in self.deviations
-            ],
-            "impulse_checks": [
-                {"time": c.event.time, "signal": c.event.signal,
-                 "order": c.event.order, "coefficient": c.event.coefficient,
-                 "expected": c.expected, "actual": c.actual,
-                 "relative_error": c.relative_error, "ok": c.ok}
-                for c in self.impulse_checks
-            ],
-            "findings": self.findings,
-        }
+        """The fields as JSON-ready values, with each impulse check's event
+        fields in place of its ``event``."""
+        report = asdict(self)
+        report["impulse_checks"] = [{**check.pop("event")._asdict(), **check}
+                                    for check in report["impulse_checks"]]
+        return report
 
 
 def _relative(x: float, y: float) -> float:
@@ -170,7 +158,11 @@ def compare_traces(a: Trace, b: Trace, rel_tol: float = 1e-12) -> CompareReport:
     """Align two traces on their committed times and compare every step of
     every stream.  Against a trace without a log, an impulse log is first
     folded into its trace's limits as a numerical run encodes it (see
-    ``engine.fold_impulses``); two logs are matched event by event."""
+    ``engine.fold_impulses``); two logs are matched event by event.
+    ``rel_tol`` must be non-negative and finite."""
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be non-negative and finite, got "
+                         f"{rel_tol!r}")
     if set(a.signals) != set(b.signals):
         raise ValueError("traces watch different signals")
     # List ``!=`` runs in C but matches a shared nan object by identity; a

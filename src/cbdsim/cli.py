@@ -6,7 +6,11 @@ standard output as a single JSON manifest.  ``table`` prints the
 backward-difference cascade of a unit step together with both magnitude
 estimates.  ``compare`` aligns two trace files and reports deviations.
 ``plotdata`` turns a trace into polyline segments split at discontinuities
-plus an arrow list for the impulses.
+plus an arrow list for the impulses.  Both read their trace and impulse
+files through one row reader, ``_rows``, which chooses CSV or JSON by the
+file's extension and refuses a file of the wrong form; a malformed row is
+named by its line (CSV) or row (JSON), and a log is checked against the
+time grid and signals of the trace it is read with.
 
 Exit codes: 0 success, 1 model errors, 2 runtime/simulation errors,
 3 time-grid mismatch in ``compare``.
@@ -19,6 +23,7 @@ import hashlib
 import json
 import sys
 from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from . import analysis, dsl
@@ -28,6 +33,7 @@ from .engine import (
     SimConfig,
     Stream,
     Trace,
+    impulse_steps,
     simulate,
 )
 from .graph import ModelError
@@ -79,14 +85,39 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
         path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def _load(path: Path, is_json: bool):
-    """The text of ``path``, or its JSON value when ``is_json``; a file
-    that is not UTF-8, or not JSON, is a ``ValueError`` naming it."""
+def _rows(path: Path, header: str, key: str, what: str):
+    """The rows of the CSV or JSON (by extension) file ``path``, each a
+    sequence of the fields ``header`` names, in its order, and whether the
+    file is CSV.  A CSV file holds ``header`` on its first line, a JSON
+    file an object whose ``key`` holds a list of rows; a JSON row reads its
+    fields by name, so a missing one is a ``KeyError`` when it is read.  A
+    file that is not UTF-8, not JSON or not of this form is a
+    ``ValueError`` naming it, with ``what`` for the form."""
+    csv = path.suffix != ".json"
     try:
         text = path.read_text(encoding="utf-8")
-        return json.loads(text) if is_json else text
+        payload = text.splitlines() if csv else json.loads(text)
     except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
         raise ValueError(f"{path}: {err}") from err
+    if csv:
+        if payload[:1] != [header]:
+            raise ValueError(f"{path}: {what}")
+        return map(str.split, islice(payload, 1, None), repeat(",")), csv
+    rows = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: {what}")
+    return map(itemgetter(*header.split(",")), rows), csv
+
+
+def _malformed(path: Path, what: str, csv: bool, row: int,
+               err: Exception) -> ValueError:
+    """The error for row ``row`` (from 1) of ``path``, which ``err`` stops:
+    a CSV file names its line, a JSON file the row.  A KeyError or
+    TypeError is a JSON row without a field or with one of the wrong type,
+    such as null."""
+    where = f"line {row + 1}" if csv else f"row {row}"
+    cause = f"missing key {err}" if isinstance(err, KeyError) else err
+    return ValueError(f"{path}: malformed {what}: {where}: {cause}")
 
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
@@ -94,19 +125,9 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     the impulse log into ``Trace.impulses``, its only impulse record.  An
     unreadable file or a malformed row, such as one whose time goes
     backwards, is a ``ValueError`` naming the file and any row (JSON) or
-    line (CSV)."""
-    is_json = path.suffix == ".json"
-    if is_json:
-        payload = _load(path, True)
-        if not isinstance(payload, dict) or "trace" not in payload:
-            raise ValueError(f"{path}: not a trace file")
-        rows = ((row["time"], row["signal"], row["left"], row["right"])
-                for row in payload["trace"])
-    else:
-        lines = _load(path, False).splitlines()
-        if not lines or lines[0] != TRACE_HEADER:
-            raise ValueError(f"{path}: not a trace file")
-        rows = map(str.split, islice(lines, 1, None), repeat(","))
+    line (CSV); so is a logged event that ``engine.impulse_steps``
+    refuses on this trace, naming the log."""
+    rows, csv = _rows(path, TRACE_HEADER, "trace", "not a trace file")
     trace = Trace(mode="file")
     times = trace.times
     appenders: dict[str, tuple] = {}
@@ -129,53 +150,39 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
                                           stream.right.append)
             pair[0](float(left))
             pair[1](float(right))
-    # A KeyError or TypeError is a JSON row without a field or with one of
-    # the wrong type, such as null.
     except (KeyError, TypeError, ValueError) as err:
         # Every row read in full appended one right limit.
         row = sum(len(stream.right) for stream in trace.signals.values())
-        where = f"row {row + 1}" if is_json else f"line {row + 2}"
-        cause = f"missing key {err}" if isinstance(err, KeyError) else err
-        raise ValueError(f"{path}: malformed trace: {where}: {cause}") from err
+        raise _malformed(path, "trace", csv, row + 1, err) from err
     if any(len(stream) != len(times) for stream in trace.signals.values()):
         raise ValueError(f"{path}: ragged trace")
     if impulse_path is not None:
         trace.impulses.extend(read_impulses(impulse_path))
+        # A TypeError is a JSON signal that is no dict key, such as a
+        # list, or that does not sort with another at its step.
+        try:
+            impulse_steps(times, trace.signals, trace.impulses)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{impulse_path}: {err}") from err
     return trace
 
 
 def read_impulses(path: Path) -> list[ImpulseEvent]:
-    """Load an impulse log (CSV or JSON by extension).  An unreadable file
-    or a malformed row is a ``ValueError`` naming the file and any row
-    (JSON) or line (CSV)."""
+    """Load an impulse log (CSV or JSON by extension).  An unreadable file,
+    a malformed row or an order that is not a non-negative integer is a
+    ``ValueError`` naming the file and any row (JSON) or line (CSV).  A
+    CSV order is parsed by ``int``; a JSON order keeps its JSON type."""
+    rows, csv = _rows(path, IMPULSE_HEADER, "impulses",
+                      "not an impulse log")
     events = []
-    if path.suffix == ".json":
-        payload = _load(path, True)
-        if not isinstance(payload, dict) or "impulses" not in payload:
-            raise ValueError(f"{path}: not an impulse log")
-        try:
-            for row in payload["impulses"]:
-                events.append(ImpulseEvent(float(row["time"]), row["signal"],
-                                           row["order"],
-                                           float(row["coefficient"])))
-        # As in read_trace, a KeyError or TypeError is a row without a
-        # field or with one of the wrong type, such as null.
-        except (KeyError, TypeError, ValueError) as err:
-            cause = f"missing key {err}" if isinstance(err, KeyError) else err
-            raise ValueError(f"{path}: malformed impulse log: row "
-                             f"{len(events) + 1}: {cause}") from err
-    else:
-        lines = _load(path, False).splitlines()
-        if not lines or lines[0] != IMPULSE_HEADER:
-            raise ValueError(f"{path}: not an impulse log")
-        for number, line in enumerate(lines[1:], 2):
-            try:
-                time_s, name, order_s, coeff_s = line.split(",")
-                events.append(ImpulseEvent(float(time_s), name,
-                                           int(order_s), float(coeff_s)))
-            except ValueError as err:
-                raise ValueError(f"{path}: malformed impulse log: line "
-                                 f"{number}: {err}") from err
+    try:
+        for time_field, name, order, coefficient in rows:
+            events.append(ImpulseEvent(float(time_field), name,
+                                       int(order) if csv else order,
+                                       float(coefficient)))
+    except (KeyError, TypeError, ValueError) as err:
+        raise _malformed(path, "impulse log", csv, len(events) + 1,
+                         err) from err
     for e in events:  # a bool is an int to isinstance, but no order
         if type(e.order) is not int or e.order < 0:
             raise ValueError(f"{path}: impulse order {e.order!r} is not a "
@@ -253,6 +260,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     try:
         table = analysis.finite_difference_table(args.order, args.step)
+        if args.order >= 1:
+            estimate = analysis.max_magnitude(args.order, args.step,
+                                              args.amplitude)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -262,7 +272,6 @@ def cmd_table(args: argparse.Namespace) -> int:
         row = [str(m)] + [_fmt(table.value(m, k)) for k in range(args.order + 1)]
         print(",".join(row))
     if args.order >= 1:
-        estimate = analysis.max_magnitude(args.order, args.step, args.amplitude)
         alternative = analysis.halforder_magnitude_estimate(
             args.order, args.step, args.amplitude
         )

@@ -694,6 +694,23 @@ class _Recorder:
                     )
 
 
+def impulse_steps(times: list[float], signals: dict[str, Stream],
+                  log: list[ImpulseEvent]) -> list[int]:
+    """The step of ``times`` at which each event of ``log`` sits.  An event
+    off the time grid, at step 0 (which has no step length) or on a signal
+    missing from ``signals`` is a ``ValueError``; the events are checked
+    by step, then as tuples."""
+    steps = [bisect_left(times, e.time) for e in log]  # times increase
+    for step, (t, name, _, _) in sorted(zip(steps, log)):
+        if not 0 < step < len(times) or times[step] != t:
+            raise ValueError(f"impulse time {t!r} is not on the time grid "
+                             f"after its first step")
+        if name not in signals:
+            raise ValueError(f"impulse on {name!r}, which the trace does "
+                             f"not hold")
+    return steps
+
+
 def fold_impulses(times: list[float], signals: dict[str, Stream],
                   log: list[ImpulseEvent]) -> list[tuple[int, float]]:
     """Fold ``log`` into the columns of ``signals``, in place, as spikes;
@@ -701,20 +718,13 @@ def fold_impulses(times: list[float], signals: dict[str, Stream],
 
     An event (order n, coefficient a) at a step of length ``dt`` is due as
     ``a (-1)**m C(n, m) / dt**(n + 1)`` m = 0 .. n steps on, on both
-    limits.  An event off the time grid, at step 0 (which has no step
-    length) or on a signal missing from ``signals`` is a ``ValueError``.
+    limits.  An event that ``impulse_steps`` refuses is a ``ValueError``.
     """
-    steps = [bisect_left(times, e.time) for e in log]  # times increase
+    steps = impulse_steps(times, signals, log)
     # The terms due at each (signal, step), in the order they are summed:
     # by the step, then the order, of the event each comes from.
     terms: dict[tuple[str, int], list[float]] = {}
     for step, (t, name, order, coefficient) in sorted(zip(steps, log)):
-        if not 0 < step < len(times) or times[step] != t:
-            raise ValueError(f"impulse time {t!r} is not on the time grid "
-                             f"after its first step")
-        if name not in signals:
-            raise ValueError(f"impulse on {name!r}, which the trace does "
-                             f"not hold")
         scale = (t - times[step - 1]) ** (order + 1)
         for m in range(order + 1):
             terms.setdefault((name, step + m), []).append(

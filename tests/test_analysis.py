@@ -84,6 +84,16 @@ class TestMaxMagnitude:
         estimate = max_magnitude(12, 1e-30, 1.0)
         assert estimate.overflow_risk
 
+    @pytest.mark.parametrize("h, amplitude, message", [
+        (math.inf, 1.0, "step size"), (0.1, math.nan, "amplitude"),
+        (0.1, math.inf, "amplitude"),
+    ])
+    def test_non_finite_step_or_amplitude_rejected(self, h, amplitude,
+                                                   message):
+        # The step is checked by ``finite_difference_table``.
+        with pytest.raises(ValueError, match=f"^{message} must be "):
+            max_magnitude(2, h, amplitude)
+
     def test_halforder_estimate(self):
         assert halforder_magnitude_estimate(6, 0.1, 1.0) == pytest.approx(1e3)
         assert halforder_magnitude_estimate(1, 0.1, 2.0) == pytest.approx(2.0)
@@ -105,6 +115,13 @@ def _trace(times, values, impulses=()):
 
 
 class TestCompareTraces:
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+    def test_rel_tol_must_be_non_negative_and_finite(self, rel_tol):
+        a = _trace([0.0, 0.1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^rel_tol must be non-negative "
+                                             "and finite"):
+            compare_traces(a, a, rel_tol)
+
     def test_identical_traces(self):
         a = _trace([0.0, 0.1, 0.2], [1.0, 2.0, 3.0])
         report = compare_traces(a, _trace([0.0, 0.1, 0.2], [1.0, 2.0, 3.0]))

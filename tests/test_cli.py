@@ -285,6 +285,18 @@ class TestTable:
     def test_invalid_arguments(self, capsys):
         assert cli.main(["table", "--order", "2", "--step", "0"]) == 1
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--step", "inf", "step size"), ("--amplitude", "nan", "amplitude"),
+        ("--amplitude", "inf", "amplitude"),
+    ])
+    def test_non_finite_step_or_amplitude_exits_one(self, capsys, option,
+                                                    value, name):
+        argv = ["table", "--order", "2", "--step", "0.1", option, value]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be ")
+
 
 class TestCompare:
     def test_identical_files(self, ball_path, tmp_path, capsys):
@@ -329,6 +341,37 @@ class TestCompare:
                    for c in report["impulse_checks"])
         assert all(d["max_relative"] == 0.0 for d in report["deviations"])
         assert report["findings"] == []
+
+    def test_report_keys_follow_the_dataclass_fields(self, tmp_path, capsys):
+        sym, sym_imp = run_chain(tmp_path, "symbolic")
+        num, _ = run_chain(tmp_path, "numerical")
+        capsys.readouterr()
+        cli.main(["compare", str(sym), str(num), "--impulses-a", str(sym_imp)])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["ok", "rel_tol", "deviations",
+                                "impulse_checks", "findings"]
+        assert list(report["deviations"][0]) == ["signal", "max_relative",
+                                                 "at_time"]
+        assert list(report["impulse_checks"][0]) == [
+            "time", "signal", "order", "coefficient", "expected", "actual",
+            "relative_error", "ok"]
+
+    @pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1"])
+    def test_rel_tol_negative_or_not_finite_exits_two(
+            self, tmp_path, capsys, rel_tol):
+        # Two traces 80% apart: a nan tolerance would pass them.
+        paths = []
+        for name, value in (("a", 1.0), ("b", 5.0)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"trace": [
+                {"time": t, "signal": "y", "left": value, "right": value}
+                for t in (0.0, 1.0)]}))
+        assert cli.main(["compare", *map(str, paths),
+                         "--rel-tol", rel_tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: rel_tol must be non-negative and "
+                                f"finite, got {float(rel_tol)!r}\n")
 
     def test_impulse_on_an_unknown_signal_exits_two(self, tmp_path, capsys):
         sym, sym_imp = run_chain(tmp_path, "symbolic")
@@ -445,8 +488,24 @@ EVENT = {"time": 1.0, "signal": "y", "order": 0, "coefficient": 1.0}
                                    ).encode(),
      "malformed impulse log: row 1: could not convert string to float: "
      "'abc'"),
+    ("trace", "bad.json", b'{"trace": [}',
+     "Expecting value: line 1 column 12 (char 11)"),
+    ("log", "bad.csv", b"\xfftime,signal,order,coefficient\n",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("log", "bad.csv", f"{cli.TRACE_HEADER}\n1,y,0,1\n".encode(),
+     "not an impulse log"),
+    ("log", "bad.json", json.dumps([EVENT]).encode(), "not an impulse log"),
+    ("log", "bad.json", b'{"impulses": 5}', "not an impulse log"),
+    ("log", "bad.json", b'{"impulses": null}', "not an impulse log"),
+    ("log", "bad.json", json.dumps({"impulses": EVENT}).encode(),
+     "not an impulse log"),
+    ("trace", "bad.json", b'{"trace": 5}', "not a trace file"),
+    ("trace", "bad.json", b'{"trace": null}', "not a trace file"),
 ], ids=["invalid-json", "invalid-utf8", "no-impulses-key", "missing-field",
-        "non-numeric-string"])
+        "non-numeric-string", "trace-invalid-json", "log-invalid-utf8",
+        "log-with-trace-header", "log-list", "log-rows-number",
+        "log-rows-null", "log-rows-object", "trace-rows-number",
+        "trace-rows-null"])
 def test_unreadable_file_is_named(tmp_path, capsys, target, name, body,
                                   cause):
     """``compare`` and ``plotdata`` exit 2 and name the file they cannot
@@ -465,6 +524,25 @@ def test_unreadable_file_is_named(tmp_path, capsys, target, name, body,
                   "--out", str(tmp_path / "plot.json")]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {bad}: {cause}\n"
+
+
+@pytest.mark.parametrize("event, cause", [
+    ({**EVENT, "time": 0.5},
+     "impulse time 0.5 is not on the time grid after its first step"),
+    ({**EVENT, "time": 0.0},
+     "impulse time 0.0 is not on the time grid after its first step"),
+    ({**EVENT, "signal": "q"}, "impulse on 'q', which the trace does not hold"),
+    ({**EVENT, "signal": ["y"]}, "unhashable type: 'list'"),
+], ids=["off-grid", "first-step", "unknown-signal", "list-signal"])
+def test_log_that_does_not_fit_its_trace_is_named(tmp_path, capsys, event,
+                                                  cause):
+    """``compare`` and ``plotdata`` check each logged event against the
+    trace the log is read with, and name the log."""
+    log, outcomes = run_with_log(tmp_path, capsys, "json",
+                                 json.dumps({"impulses": [event]}))
+    for code, err in outcomes:
+        assert code == 2
+        assert err == f"error: {log}: {cause}\n"
 
 
 class TestMalformedTraces:
@@ -500,7 +578,8 @@ class TestMalformedTraces:
         assert capsys.readouterr().err == (
             f"error: {bad}: malformed trace: row 2: missing key 'right'\n")
 
-    @pytest.mark.parametrize("payload", [[], {"rows": []}])
+    @pytest.mark.parametrize("payload", [
+        [], {"rows": []}, {"trace": 5}, {"trace": None}, {"trace": {"a": 1}}])
     def test_json_without_trace_rows(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
