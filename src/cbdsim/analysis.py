@@ -102,10 +102,17 @@ def halforder_magnitude_estimate(n: int, h: float, amplitude: float) -> float:
 
     Kept alongside the exact table scan because the two disagree for
     n >= 2; both are reported by the command line so the difference stays
-    visible.
+    visible.  A quotient beyond the float range saturates: ``inf`` for a
+    positive amplitude when ``h**k`` underflows to 0, ``0.0`` when
+    ``h**k`` overflows.
     """
     k = n // 2
-    return amplitude / h ** k
+    try:
+        return amplitude / h ** k
+    except OverflowError:  # h**k overflows, so the quotient underflows
+        return 0.0
+    except ZeroDivisionError:  # h**k underflows to 0, so it overflows
+        return math.inf if amplitude else 0.0
 
 
 # --- trace comparison ---------------------------------------------------------

@@ -57,11 +57,19 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
         raise ValueError(f"{path}: ragged trace")
     if fmt == "csv":
         # One template holds a time step's rows and is filled from the
-        # columns and the step's time text; "%.17g" % x gives _fmt(x).
-        template = "".join("%s" + name.replace("%", "%%") + ",%.17g,%.17g\n"
-                           for name, _, _ in columns)
+        # columns and the step's time text; "%.17g" % x gives _fmt(x).  A
+        # right column with its left column's bits (so -0.0 is not 0.0)
+        # fills both fields from the left's texts, formatted once.
         stamps = ["%.17g," % t for t in trace.times]
-        fields = [c for _, left, right in columns for c in (stamps, left, right)]
+        template, fields = "", []
+        for name, left, right in columns:
+            template += "%s" + name.replace("%", "%%")
+            if right.tobytes() == left.tobytes():
+                left = right = list(map("%.17g".__mod__, left))
+                template += ",%s,%s\n"
+            else:
+                template += ",%.17g,%.17g\n"
+            fields += (stamps, left, right)
         with path.open("w") as out:
             out.write(TRACE_HEADER + "\n")
             out.writelines(map(template.__mod__, zip(*fields)))
@@ -148,8 +156,9 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
                 stream = trace.signals[name] = Stream()
                 pair = appenders[name] = (stream.left.append,
                                           stream.right.append)
-            pair[0](float(left))
-            pair[1](float(right))
+            # A repeated CSV text is the same float; in JSON 0.0 == -0.0.
+            pair[0](x := float(left))
+            pair[1](x if csv and right == left else float(right))
     except (KeyError, TypeError, ValueError) as err:
         # Every row read in full appended one right limit.
         row = sum(len(stream.right) for stream in trace.signals.values())

@@ -98,6 +98,11 @@ class TestMaxMagnitude:
         assert halforder_magnitude_estimate(6, 0.1, 1.0) == pytest.approx(1e3)
         assert halforder_magnitude_estimate(1, 0.1, 2.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("h, expected", [(1e-200, math.inf), (1e200, 0.0)])
+    def test_halforder_estimate_saturates(self, h, expected):
+        # h**2 underflows to 0 at 1e-200 and overflows at 1e200.
+        assert halforder_magnitude_estimate(4, h, 1.0) == expected
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_binomial_peak(self, n):
         h, amplitude = 0.5, 2.5

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -296,6 +300,26 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} must be ")
+
+    @pytest.mark.parametrize("step, estimate, err", [
+        ("1e-200", "inf", "warning: overflow-risk\n"), ("1e200", "0", ""),
+    ])
+    def test_extreme_finite_step_saturates(self, capsys, step, estimate, err):
+        # h**2 underflows to 0 at 1e-200 and overflows at 1e200.
+        assert cli.main(["table", "--order", "4", "--step", step]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == f"halforder_estimate,{estimate}"
+        assert captured.err == err
+
+    def test_python_dash_m_runs_the_command_line(self, capsys):
+        argv = ["table", "--order", "1", "--step", "0.5"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-m", "cbdsim", *argv],
+                                capture_output=True, text=True, env=env,
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert cli.main(argv) == 0
+        assert result.stdout == capsys.readouterr().out
 
 
 class TestCompare:

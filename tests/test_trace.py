@@ -5,9 +5,10 @@ limits as float columns.  A step's impulses are read from the trace's
 event log, ``Trace.impulses``, the only impulse record.  These tests read
 a stream's columns, its length, its iteration as one ``Limits`` per step
 and its equality, round-trip random traces through the CSV and JSON files
-bit for bit, keep the reader's malformed-file errors, reject ragged
-in-memory traces without writing a file and pin the overflow warnings
-of the numerical fold.
+bit for bit (a zero next to the zero of the other sign included), keep
+the reader's malformed-file errors, reject ragged in-memory traces
+without writing a file and pin the overflow warnings of the numerical
+fold.
 """
 
 import json
@@ -83,7 +84,18 @@ def traces(draw):
     column = st.lists(LIMITS, min_size=len(times), max_size=len(times))
     trace = Trace(mode="symbolic", times=times)
     for name in names:
-        trace.signals[name] = Stream(draw(column), draw(column))
+        # A right column of its own, the left column itself, or the left
+        # with a few entries replaced, some by the zero of the other sign:
+        # the writer shares a column's texts only where the bits repeat.
+        left = draw(column)
+        shape = draw(st.sampled_from(["own", "left", "patched"]))
+        right = draw(column) if shape == "own" else list(left)
+        if shape == "patched":
+            for i in draw(st.lists(st.integers(0, len(left) - 1),
+                                   min_size=1, max_size=3)):
+                flipped = math.copysign(0.0, -math.copysign(1.0, left[i]))
+                right[i] = draw(st.one_of(st.just(flipped), LIMITS))
+        trace.signals[name] = Stream(left, right)
     return trace
 
 
@@ -104,6 +116,21 @@ def test_write_read_round_trip(trace, fmt):
         assert _hexed(back) == _hexed(trace)
         cli.write_trace(back, second, fmt)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_next_to_the_other_zero_reads_back(tmp_path, fmt, zero):
+    """A right limit that is the zero of the other sign reads back as
+    written, in a column of its own and in one whose limits repeat.  Limits
+    are compared by ``float.hex``, because ``Stream`` equality (like JSON's
+    floats) takes 0.0 for -0.0."""
+    trace = Trace(mode="symbolic", times=[0.0, 1.0])
+    trace.signals["s"] = Stream([zero, zero], [-zero, zero])
+    trace.signals["t"] = Stream([zero, -zero], [zero, -zero])
+    path = tmp_path / f"zeros.{fmt}"
+    cli.write_trace(trace, path, fmt)
+    assert _hexed(cli.read_trace(path)) == _hexed(trace)
 
 
 @settings(max_examples=100, deadline=None)
