@@ -50,6 +50,7 @@ from .engine import (
     SingularLoop,
     Stream,
     Trace,
+    UnstablePropagation,
     ZenoSuspected,
     simulate,
 )

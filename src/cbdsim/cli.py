@@ -1,16 +1,16 @@
 """Command line front end: run, table, compare, plotdata.
 
 ``run`` simulates a ``.cbd`` model and writes the trace (and optionally the
-impulse log) as CSV or JSON; the resolved configuration is echoed to
-standard output as a single JSON manifest.  ``table`` prints the
-backward-difference cascade of a unit step together with both magnitude
-estimates.  ``compare`` aligns two trace files and reports deviations.
-``plotdata`` turns a trace into polyline segments split at discontinuities
-plus an arrow list for the impulses.  Both read their trace and impulse
-files through one row reader, ``_rows``, which chooses CSV or JSON by the
-file's extension and refuses a file of the wrong form; a malformed row is
-named by its line (CSV) or row (JSON), and a log is checked against the
-time grid and signals of the trace it is read with.
+impulse log); the resolved configuration is echoed to standard output as a
+single JSON manifest.  ``table`` prints the backward-difference cascade of
+a unit step together with both magnitude estimates.  ``compare`` aligns two
+trace files and reports deviations.  ``plotdata`` turns a trace into
+polyline segments split at discontinuities plus an arrow list for the
+impulses.  A trace file or impulse log is CSV or JSON by its name
+(``file_format``) and is read by one row reader, ``_rows``, which refuses a
+file of the wrong form; a malformed row is named by its line (CSV) or row
+(JSON), and a log is checked against the time grid and signals of the
+trace it is read with.
 
 Exit codes: 0 success, 1 model errors, 2 runtime/simulation errors,
 3 time-grid mismatch in ``compare``.
@@ -50,16 +50,26 @@ def _fmt(x: float) -> str:
 # --- trace serialization --------------------------------------------------
 
 
+def file_format(path: Path) -> str:
+    """``"json"`` for a ``.json`` file name, ``"csv"`` for any other."""
+    return "json" if path.suffix == ".json" else "csv"
+
+
+def _write_json(path: Path, key: str, header: str, rows) -> None:
+    """``rows`` as ``_rows`` reads them: ``key`` holds an object a row."""
+    names = header.split(",")
+    payload = {key: [dict(zip(names, row)) for row in rows]}
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
 def write_trace(trace: Trace, path: Path, fmt: str) -> None:
-    columns = [(name, s.left, s.right) for name, s in trace.signals.items()]
-    if any(not len(left) == len(right) == len(trace.times)
-           for _, left, right in columns):
-        raise ValueError(f"{path}: ragged trace")
+    trace.check_shape(f"{path}: ")
     if fmt == "csv":
         # One template holds a time step's rows and is filled from the
         # columns and the step's time text; "%.17g" % x gives _fmt(x).  A
         # right column with its left column's bits (so -0.0 is not 0.0)
         # fills both fields from the left's texts, formatted once.
+        columns = [(name, s.left, s.right) for name, s in trace.signals.items()]
         stamps = ["%.17g," % t for t in trace.times]
         template, fields = "", []
         for name, left, right in columns:
@@ -74,13 +84,9 @@ def write_trace(trace: Trace, path: Path, fmt: str) -> None:
             out.write(TRACE_HEADER + "\n")
             out.writelines(map(template.__mod__, zip(*fields)))
     else:
-        fields = [c for _, left, right in columns for c in (left, right)]
-        payload = {"trace": [
-            {"time": t, "signal": name, "left": left, "right": right}
-            for t, *row in zip(trace.times, *fields)
-            for (name, _, _), left, right in zip(columns, row[::2], row[1::2])
-        ]}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        _write_json(path, "trace", TRACE_HEADER, (
+            (t, name, s.left[k], s.right[k]) for k, t in enumerate(trace.times)
+            for name, s in trace.signals.items()))
 
 
 def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
@@ -89,19 +95,18 @@ def write_impulses(trace: Trace, path: Path, fmt: str) -> None:
             out.write(IMPULSE_HEADER + "\n")
             out.writelines(map("%.17g,%s,%d,%.17g\n".__mod__, trace.impulses))
     else:
-        payload = {"impulses": [e._asdict() for e in trace.impulses]}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        _write_json(path, "impulses", IMPULSE_HEADER, trace.impulses)
 
 
 def _rows(path: Path, header: str, key: str, what: str):
-    """The rows of the CSV or JSON (by extension) file ``path``, each a
+    """The rows of the CSV or JSON (``file_format``) file ``path``, each a
     sequence of the fields ``header`` names, in its order, and whether the
     file is CSV.  A CSV file holds ``header`` on its first line, a JSON
     file an object whose ``key`` holds a list of rows; a JSON row reads its
     fields by name, so a missing one is a ``KeyError`` when it is read.  A
     file that is not UTF-8, not JSON or not of this form is a
     ``ValueError`` naming it, with ``what`` for the form."""
-    csv = path.suffix != ".json"
+    csv = file_format(path) == "csv"
     try:
         text = path.read_text(encoding="utf-8")
         payload = text.splitlines() if csv else json.loads(text)
@@ -129,7 +134,7 @@ def _malformed(path: Path, what: str, csv: bool, row: int,
 
 
 def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
-    """Load a trace file (CSV or JSON by extension) back into a Trace, and
+    """Load a trace file (CSV or JSON, ``file_format``) into a Trace, and
     the impulse log into ``Trace.impulses``, its only impulse record.  An
     unreadable file or a malformed row, such as one whose time goes
     backwards, is a ``ValueError`` naming the file and any row (JSON) or
@@ -163,8 +168,7 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
         # Every row read in full appended one right limit.
         row = sum(len(stream.right) for stream in trace.signals.values())
         raise _malformed(path, "trace", csv, row + 1, err) from err
-    if any(len(stream) != len(times) for stream in trace.signals.values()):
-        raise ValueError(f"{path}: ragged trace")
+    trace.check_shape(f"{path}: ")
     if impulse_path is not None:
         trace.impulses.extend(read_impulses(impulse_path))
         # A TypeError is a JSON signal that is no dict key, such as a
@@ -177,7 +181,7 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
 
 
 def read_impulses(path: Path) -> list[ImpulseEvent]:
-    """Load an impulse log (CSV or JSON by extension).  An unreadable file,
+    """Load an impulse log (CSV or JSON, ``file_format``).  An unreadable file,
     a malformed row or an order that is not a non-negative integer is a
     ``ValueError`` naming the file and any row (JSON) or line (CSV).  A
     CSV order is parsed by ``int``; a JSON order keeps its JSON type."""
@@ -202,18 +206,22 @@ def read_impulses(path: Path) -> list[ImpulseEvent]:
 # --- subcommands ------------------------------------------------------------
 
 
+def _error(message: object, code: int) -> int:
+    """Print ``message`` as an error on standard error; returns ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    source_path = Path(args.model)
     try:
-        text = source_path.read_text(encoding="utf-8")
+        text = args.model.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"error: {source_path}: {err}", file=sys.stderr)
-        return 1
+        return _error(f"{args.model}: {err}", 1)
     try:
         model = dsl.load_model(text)
     except dsl.ModelTextError as err:
         for diagnostic in err.diagnostics:
-            print(f"{source_path}:{diagnostic}", file=sys.stderr)
+            print(f"{args.model}:{diagnostic}", file=sys.stderr)
         return 1
 
     watch = tuple(s for s in (args.watch or "").split(",") if s)
@@ -223,27 +231,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             zc_tol=args.zc_tol, h_min=args.min_step, watch=watch,
         )
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
 
     try:
         trace = simulate(model, args.top, config)
     except ModelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
     except EngineError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
 
-    out_path = Path(args.out)
-    impulse_path = Path(args.impulses) if args.impulses else None
     try:
-        write_trace(trace, out_path, args.format)
-        if impulse_path is not None:
-            write_impulses(trace, impulse_path, args.format)
+        write_trace(trace, args.out, file_format(args.out))
+        if args.impulses is not None:
+            write_impulses(trace, args.impulses, file_format(args.impulses))
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
 
     manifest = {
         "top": args.top,
@@ -258,8 +260,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "impulse_events": len(trace.impulses),
         "warnings": trace.warnings,
         "outputs": {
-            "trace": str(out_path),
-            "impulses": str(impulse_path) if impulse_path else None,
+            "trace": str(args.out),
+            "impulses": str(args.impulses) if args.impulses else None,
         },
     }
     print(json.dumps(manifest))
@@ -273,8 +275,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             estimate = analysis.max_magnitude(args.order, args.step,
                                               args.amplitude)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err, 1)
     header = ["offset"] + [f"order{k}" for k in range(args.order + 1)]
     print(",".join(header))
     for m in table.offsets:
@@ -293,32 +294,26 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        trace_a = read_trace(Path(args.a), Path(args.impulses_a)
-                             if args.impulses_a else None)
-        trace_b = read_trace(Path(args.b), Path(args.impulses_b)
-                             if args.impulses_b else None)
+        trace_a = read_trace(args.a, args.impulses_a)
+        trace_b = read_trace(args.b, args.impulses_b)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     try:
         report = analysis.compare_traces(trace_a, trace_b, args.rel_tol)
     except analysis.TimeGridMismatch as err:
         print(json.dumps({"ok": False, "error": str(err)}))
         return 3
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     print(json.dumps(report.to_dict()))
     return 0 if report.ok else 1
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
     try:
-        trace = read_trace(Path(args.trace),
-                           Path(args.impulses) if args.impulses else None)
+        trace = read_trace(args.trace, args.impulses)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     payload: dict[str, dict] = {}
     for name, stream in trace.signals.items():
         segments: list[list[list[float]]] = []
@@ -339,10 +334,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         payload[name] = {"segments": segments, "arrows": arrows}
     text = json.dumps({"signals": payload}, indent=1) + "\n"
     try:
-        Path(args.out).write_text(text)
+        args.out.write_text(text)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     return 0
 
 
@@ -355,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a .cbd model")
-    run.add_argument("model")
+    run.add_argument("model", type=Path)
     run.add_argument("--top", required=True)
     run.add_argument("--mode", choices=["symbolic", "numerical"],
                      default="symbolic")
@@ -364,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--zc-tol", type=float, default=1e-9)
     run.add_argument("--min-step", type=float, default=1e-12)
     run.add_argument("--watch", default="")
-    run.add_argument("--format", choices=["csv", "json"], default="csv")
-    run.add_argument("--out", required=True)
-    run.add_argument("--impulses")
+    run.add_argument("--out", type=Path, required=True)
+    run.add_argument("--impulses", type=Path)
     run.set_defaults(handler=cmd_run)
 
     table = sub.add_parser("table", help="print the difference cascade of a unit step")
@@ -376,17 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(handler=cmd_table)
 
     compare = sub.add_parser("compare", help="compare two trace files")
-    compare.add_argument("a")
-    compare.add_argument("b")
+    compare.add_argument("a", type=Path)
+    compare.add_argument("b", type=Path)
     compare.add_argument("--rel-tol", type=float, default=1e-12)
-    compare.add_argument("--impulses-a")
-    compare.add_argument("--impulses-b")
+    compare.add_argument("--impulses-a", type=Path)
+    compare.add_argument("--impulses-b", type=Path)
     compare.set_defaults(handler=cmd_compare)
 
     plotdata = sub.add_parser("plotdata", help="emit plot segments and arrows")
-    plotdata.add_argument("--trace", required=True)
-    plotdata.add_argument("--impulses")
-    plotdata.add_argument("--out", required=True)
+    plotdata.add_argument("--trace", type=Path, required=True)
+    plotdata.add_argument("--impulses", type=Path)
+    plotdata.add_argument("--out", type=Path, required=True)
     plotdata.set_defaults(handler=cmd_plotdata)
     return parser
 
@@ -394,7 +387,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.handler(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

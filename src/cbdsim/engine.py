@@ -117,6 +117,11 @@ class NonIncreasingTime(EngineError):
     """A commit time did not exceed the previous commit time."""
 
 
+class UnstablePropagation(EngineError):
+    """Phase 2 still changed a block, which the message names, in its last
+    sweep."""
+
+
 class SimulationError(EngineError):
     """A block error with the offending block path attached."""
 
@@ -196,6 +201,13 @@ class Trace:
     signals: dict[str, Stream] = field(default_factory=dict)
     impulses: list[ImpulseEvent] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    def check_shape(self, prefix: str = "") -> None:
+        """Raise ``ValueError(prefix + "ragged trace")`` unless every
+        stream's left and right columns hold one limit per time."""
+        if any(not len(s.left) == len(s.right) == len(self.times)
+               for s in self.signals.values()):
+            raise ValueError(prefix + "ragged trace")
 
 
 # --- internal node table ---------------------------------------------------
@@ -534,7 +546,9 @@ class Engine:
         return [self.groups[g] for g in sorted(positions)]
 
     def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
-                     vectors: list[ImpulseVector]) -> bool:
+                     vectors: list[ImpulseVector]) -> int | None:
+        """Solve the loop ``members`` into ``rights``; returns the last
+        member whose value changed, None if none did."""
         for idx in members:
             for dep in self.nodes[idx].in_idx:
                 if not vectors[dep].is_empty:
@@ -543,12 +557,12 @@ class Engine:
                     )
         plan = self.loop_plans[members]
         solved = plan.solve(*map(rights.__getitem__, plan.inputs))
-        changed = False
+        changed = None
         for idx, value in zip(members, solved):
             if rights[idx] != value:
                 _require_finite_right(self.nodes[idx], value, vectors[idx])
                 rights[idx] = value
-                changed = True
+                changed = idx
         return changed
 
     def commit(self, t: float, lefts: list[float],
@@ -572,10 +586,11 @@ class Engine:
         vectors = [EMPTY_IMPULSES] * len(nodes)
         limit = len(nodes) + 2
         for _ in range(limit):
-            changed = False
+            changed = None  # the last block the sweep changed
             for members, cyclic in sweep:
                 if cyclic:
-                    changed |= self._phase2_loop(members, rights, vectors)
+                    solved = self._phase2_loop(members, rights, vectors)
+                    changed = changed if solved is None else solved
                     continue
                 idx = members[0]
                 node = nodes[idx]
@@ -588,11 +603,12 @@ class Engine:
                     _require_finite_right(node, right, vector)
                     rights[idx] = right
                     vectors[idx] = vector
-                    changed = True
-            if not changed:
+                    changed = idx
+            if changed is None:
                 break
         else:
-            raise EngineError("impulse propagation failed to stabilise")
+            raise UnstablePropagation(f"{nodes[changed].path}: impulse "
+                                      f"propagation failed to stabilise")
 
         # Blocks outside the sweep carry no impulses; the error names the
         # first offending block in node order.
@@ -824,8 +840,6 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         if failed and h_star == config.h:
             raise failed
         t_new = t + h_star
-        if t_new <= t:
-            raise EngineError("step size underflowed the time resolution")
         recorder.record(engine.commit(t_new, lefts, flipped))
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \
                 <= ZENO_WINDOW * config.h_min * (1 + 1e-9):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cbdsim.analysis import (
+    MagnitudeEstimate,
     TimeGridMismatch,
     analytic_bouncing_ball,
     compare_traces,
@@ -93,6 +94,11 @@ class TestMaxMagnitude:
         # The step is checked by ``finite_difference_table``.
         with pytest.raises(ValueError, match=f"^{message} must be "):
             max_magnitude(2, h, amplitude)
+
+    @pytest.mark.parametrize("h", [0.1, 1e-200])
+    def test_zero_amplitude_bounds_nothing(self, h):
+        # At 1e-200 the table peak overflows to inf, and 0 * inf is nan.
+        assert max_magnitude(4, h, 0.0) == MagnitudeEstimate(0.0, False)
 
     def test_halforder_estimate(self):
         assert halforder_magnitude_estimate(6, 0.1, 1.0) == pytest.approx(1e3)
@@ -231,6 +237,32 @@ class TestCompareTraces:
         report = compare_traces(a, b)
         assert report.ok and report.impulse_checks[0].ok
 
+    @pytest.mark.parametrize("events_a, events_b, findings", [
+        ([ImpulseEvent(0.1, "s", 0, 3.0), ImpulseEvent(0.1, "s", 1, 2.0)],
+         [ImpulseEvent(0.1, "s", 0, 3.0)],
+         ["impulse ImpulseEvent(time=0.1, signal='s', order=1, "
+          "coefficient=2.0) has no counterpart in the second trace"]),
+        ([ImpulseEvent(0.1, "s", 0, 3.0)],
+         [ImpulseEvent(0.1, "s", 0, 3.0), ImpulseEvent(0.2, "s", 0, 1.0)],
+         ["impulse ImpulseEvent(time=0.2, signal='s', order=0, "
+          "coefficient=1.0) has no counterpart in the first trace"]),
+    ])
+    def test_log_to_log_unmatched_event(self, events_a, events_b, findings):
+        times = [0.0, 0.1, 0.2]
+        report = compare_traces(_trace(times, [0.0] * 3, events_a),
+                                _trace(times, [0.0] * 3, events_b))
+        assert not report.ok and report.findings == findings
+        assert [c.ok for c in report.impulse_checks] == [True]
+
+    def test_log_to_log_coefficient_mismatch(self):
+        a = _trace([0.0, 0.1], [0.0, 0.0], [ImpulseEvent(0.1, "s", 0, 3.0)])
+        b = _trace([0.0, 0.1], [0.0, 0.0], [ImpulseEvent(0.1, "s", 0, 4.0)])
+        report = compare_traces(a, b)
+        assert not report.ok and report.findings == []
+        [check] = report.impulse_checks
+        assert (check.expected, check.actual, check.ok) == (3.0, 4.0, False)
+        assert check.relative_error == 0.25
+
     def test_spike_time_off_the_grid_rejected(self):
         event = ImpulseEvent(0.05, "s", 0, 3.0)
         a = _trace([0.0, 0.1], [0.0, 0.0], [event])
@@ -272,6 +304,13 @@ class TestAnalyticBouncingBall:
         _, v, _ = analytic_bouncing_ball(10.0, 0.0, G, t_c + 1e-9,
                                          restitution=0.5)
         assert v == pytest.approx(0.5 * math.sqrt(2 * G * 10.0), rel=1e-6)
+
+    def test_no_restitution_rests_on_the_floor(self):
+        t_c = math.sqrt(2.0 * 10.0 / G)
+        y, v, bounces = analytic_bouncing_ball(10.0, 0.0, G, 5.0,
+                                               restitution=0.0)
+        assert (y, v) == (0.0, 0.0)
+        assert bounces == (pytest.approx(t_c, rel=1e-12),)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ def run_ball(ball_path, tmp_path, mode="symbolic", fmt="csv", tag=""):
     argv = [
         "run", str(ball_path), "--top", "Main", "--mode", mode,
         "--step", "1e-3", "--end", "2", "--zc-tol", "1e-9",
-        "--min-step", "1e-12", "--format", fmt,
+        "--min-step", "1e-12",
         "--out", str(out), "--impulses", str(imp),
     ]
     code = cli.main(argv)
@@ -265,6 +265,39 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
         assert imp1.read_bytes() == imp2.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["symbolic", "numerical"])
+    @pytest.mark.parametrize("trace_name, log_name", [
+        ("t.json", "i.json"), ("t.csv", "i.json"), ("t.json", "i.log"),
+    ])
+    def test_each_written_file_has_the_format_of_its_name(
+            self, ball_path, tmp_path, capsys, mode, trace_name, log_name):
+        out, imp = tmp_path / trace_name, tmp_path / log_name
+        assert cli.main(["run", str(ball_path), "--top", "Main", "--mode",
+                         mode, "--step", "1e-3", "--end", "2",
+                         "--out", str(out), "--impulses", str(imp)]) == 0
+        for path, key, header in ((out, "trace", cli.TRACE_HEADER),
+                                  (imp, "impulses", cli.IMPULSE_HEADER)):
+            if path.suffix == ".json":
+                assert set(json.loads(path.read_text())) == {key}
+            else:
+                assert path.read_text().startswith(header + "\n")
+        capsys.readouterr()
+        # A numerical log is empty, so one side's log is the whole check.
+        logs = ["--impulses-a", str(imp)]
+        if mode == "symbolic":
+            logs += ["--impulses-b", str(imp)]
+        assert cli.main(["compare", str(out), str(out), *logs]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_format_option_is_refused(self, ball_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", str(ball_path), "--top", "Main", "--step", "1e-3",
+                      "--end", "2", "--format", "json",
+                      "--out", str(tmp_path / "t.json")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestTable:
     def test_first_order(self, capsys):
@@ -310,6 +343,14 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1] == f"halforder_estimate,{estimate}"
         assert captured.err == err
+
+    def test_zero_amplitude_at_an_extreme_step_reads_zero(self, capsys):
+        argv = ["table", "--order", "4", "--step", "1e-200", "--amplitude", "0"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-2:] == ["max_magnitude,0",
+                                                  "halforder_estimate,0"]
+        assert captured.err == ""
 
     def test_python_dash_m_runs_the_command_line(self, capsys):
         argv = ["table", "--order", "1", "--step", "0.5"]

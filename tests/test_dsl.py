@@ -134,6 +134,10 @@ DIAGNOSED = {
     "duplicate-name": (
         "cbd Main(in c; out y){ block c = Constant(1); c -> y; }",
         ["1:24: error: duplicate name 'c'"]),
+    "duplicate-block": (
+        "cbd Main(out y){ block c = Constant(1); block c = Constant(2); "
+        "c -> y; }",
+        ["1:41: error: duplicate name 'c'"]),
     "bad-parameter": (
         "cbd Main(out y){ block c = Constant(weight=1); c.out -> y; }",
         [

@@ -17,6 +17,7 @@ from cbdsim.engine import (
     SimConfig,
     SimulationError,
     Trace,
+    UnstablePropagation,
     ZenoSuspected,
     _phase1_function,
     simulate,
@@ -228,6 +229,26 @@ class TestEventLocation:
                          SimConfig(h=1e-3, t_end=0.01, zc_tol=1e-9,
                                    h_min=1e-12))
         assert any("step-underflow" in w for w in trace.warnings)
+
+    def test_bisection_stops_when_no_midpoint_lies_inside(self):
+        # With both tolerances at 1e-300 only the float grid ends the
+        # bisection of the crossing at t = 1/3: it stops once the midpoint
+        # of two adjacent times is one of them, and commits the later one.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block r  = Constant(0.3);
+          block t  = Integrator(-0.1);
+          block sw = Switch();
+          r.out -> t.in;
+          t.out -> sw.c;
+          sw.out -> y;
+        }
+        """)
+        trace = simulate(model, "Main", SimConfig(h=0.25, t_end=1.0,
+                                                  zc_tol=1e-300, h_min=1e-300))
+        assert trace.warnings == [
+            "step-underflow: tolerance not met at t=0.33333333333333337"]
+        assert trace.times[:3] == [0.0, 0.25, 0.33333333333333337]
 
     def test_overflow_warned_at_every_step(self):
         model = dsl.load_model(CONSTANT_ONLY.replace("4.25", "1e301"))
@@ -526,6 +547,63 @@ class TestGuards:
                 "commit time 0.0 does not follow the previous commit at 0.0")):
             engine.commit(0.0, lefts, flipped)
         assert len(engine.past) == 1
+
+    def test_unsettled_phase_two_names_a_block(self):
+        # x feeds back into its own input through d: each sweep turns the
+        # switch's jump into a larger impulse, so the jump grows forever.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block one = Constant(1);
+          block t   = Integrator(-0.5);
+          block sw  = Switch();
+          block sum = Adder();
+          block d   = Derivative();
+          block x   = Integrator(0);
+          one.out -> t.in;
+          t.out -> sw.c;
+          sw.out -> sum.in1;
+          x.out -> sum.in2;
+          sum.out -> d.in;
+          d.out -> x.in;
+          x.out -> y;
+        }
+        """)
+        with pytest.raises(UnstablePropagation) as excinfo:
+            simulate(model, "Main", SimConfig(h=0.25, t_end=1.0))
+        # d is the last block of the schedule that the last sweep changed.
+        assert str(excinfo.value) == (
+            "d: impulse propagation failed to stabilise")
+
+    def test_inverter_input_zeroed_by_a_jump_names_the_inverter(self):
+        # At t = 0.5 the switch steps 0 -> 1, so 1 - sw jumps 1 -> 0: phase 1
+        # divides by 1, the inverter's right limit by 0.
+        model = dsl.load_model("""
+        cbd Main(out y) {
+          block one = Constant(1);
+          block t   = Integrator(-0.5);
+          block sw  = Switch();
+          block neg = Negator();
+          block s   = Adder();
+          block inv = Inverter();
+          one.out -> t.in;
+          t.out -> sw.c;
+          sw.out -> neg.in;
+          neg.out -> s.in1;
+          one.out -> s.in2;
+          s.out -> inv.in;
+          inv.out -> y;
+        }
+        """)
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.25, t_end=1.0))
+        engine.commit(0.25, *engine.compute_step(0.25))
+        lefts, flipped = engine.compute_step(0.25)
+        inv = next(n.idx for n in engine.nodes if n.path == "inv")
+        assert flipped and lefts[inv] == 1.0
+        with pytest.raises(SimulationError) as excinfo:
+            engine.commit(0.5, lefts, flipped)
+        assert excinfo.value.block_path == "inv"
+        assert isinstance(excinfo.value.cause, bk.DivisionNearZero)
+        assert str(excinfo.value) == "inv: inverter input magnitude 0.0 too small"
 
 
 SECOND_DERIVATIVE_PRODUCT = """

@@ -58,7 +58,7 @@ def _run(model, mode, fmt, out_dir, capsys):
     impulses = out_dir / f"impulses.{fmt}"
     code = cli.main([
         "run", str(MODELS / path), "--top", top, "--mode", mode,
-        "--step", step, "--end", end, "--format", fmt,
+        "--step", step, "--end", end,
         "--out", str(out), "--impulses", str(impulses),
     ])
     capsys.readouterr()

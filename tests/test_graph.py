@@ -92,6 +92,23 @@ class TestFlatten:
                            match=r"^recursive definition chain: A -> A$"):
             flatten(Model(definitions={"A": a}), "A")
 
+    def test_cyclic_port_wiring(self):
+        # a's output port is its input port, which a's output drives.
+        model = dsl.load_model(
+            "cbd A(in x; out y){ x -> y; }\n"
+            "cbd Main(out o){ block a = A(); a.y -> a.x; a.y -> o; }")
+        with pytest.raises(UnconnectedInput, match=(
+                r"^cyclic port wiring around a\.y in Main$")):
+            flatten(model, "Main")
+
+    def test_top_with_input_ports(self):
+        model = dsl.load_model(
+            "cbd Main(in u, w; out o){ block n = Negator(); u -> n.in; "
+            "n -> o; }")
+        with pytest.raises(UnconnectedInput, match=(
+                r"^top-level definition 'Main' has unbound input ports: u, w$")):
+            flatten(model, "Main")
+
     def test_unconnected_input(self):
         main = Definition(
             name="Main", out_ports=("y",),

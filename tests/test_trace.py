@@ -13,6 +13,7 @@ fold.
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -228,6 +229,31 @@ class TestRaggedInMemory:
     def test_compare_rejects_a_short_stream(self):
         with pytest.raises(ValueError):
             compare_traces(_ragged(), _ragged())
+
+
+def _short_right():
+    """A trace whose one stream has two left limits and one right limit."""
+    return Trace(mode="symbolic", times=[0.0, 0.5],
+                 signals={"y": Stream([1.0, 2.0], [1.0])})
+
+
+class TestShortRightColumn:
+    """The shape check reads the right column as well as the left."""
+
+    def test_compare_rejects_it(self):
+        whole = Trace(mode="symbolic", times=[0.0, 0.5],
+                      signals={"y": Stream([1.0, 2.0], [1.0, 99.0])})
+        for a, b in (_short_right(), whole), (whole, _short_right()):
+            with pytest.raises(ValueError, match="^ragged trace$"):
+                compare_traces(a, b)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_rejects_it(self, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f"ragged trace$"):
+            cli.write_trace(_short_right(), path, fmt)
+        assert not path.exists()
 
 
 # --- overflow screen of the numerical fold -----------------------------------
