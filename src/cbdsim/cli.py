@@ -141,7 +141,7 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
     line (CSV); so is a logged event that ``engine.impulse_steps``
     refuses on this trace, naming the log."""
     rows, csv = _rows(path, TRACE_HEADER, "trace", "not a trace file")
-    trace = Trace(mode="file")
+    trace = Trace()
     times = trace.times
     appenders: dict[str, tuple] = {}
     last = object()  # equal to no time field
@@ -240,11 +240,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     except EngineError as err:
         return _error(err, 2)
 
+    # A failed write removes the files this run created: no partial result.
+    created: list[Path] = []
     try:
-        write_trace(trace, args.out, file_format(args.out))
-        if args.impulses is not None:
-            write_impulses(trace, args.impulses, file_format(args.impulses))
+        for path, write in ((args.out, write_trace),
+                            (args.impulses, write_impulses)):
+            if path is not None:
+                if not path.exists():
+                    created.append(path)
+                write(trace, path, file_format(path))
     except OSError as err:
+        for path in created:
+            path.unlink(missing_ok=True)
         return _error(err, 2)
 
     manifest = {

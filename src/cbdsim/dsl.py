@@ -26,18 +26,18 @@ item a :class:`graph.Problem` can locate, and checks each rule that only
 text can break where its text is read:
 
 - a number out of range, in the argument list (a syntax error);
-- a duplicate block name, the parameter list against the kind and the
-  Constant value, in the block;
-- a bare block name as a link target, at the definition's ``}``, which
-  needs every block;
+- a duplicate block name and the parameter list against the kind, in the
+  block;
 - parameters on a composite block, at the end of the text, since the
   composite may be defined later;
 - a duplicate definition: the first wins, and the later one is reported
   and not checked further.
 
-:func:`validate` reports those, then every structural rule of
-:func:`graph.check_model` located back in the text: all violations rather
-than the first.
+A bare block name as a link target becomes a link into that block with
+no port, which :func:`graph.check_model` reports like any other broken
+rule.  :func:`validate` reports the parser's diagnostics, then every
+structural rule of :func:`graph.check_model` located back in the text:
+all violations rather than the first.
 """
 
 from __future__ import annotations
@@ -73,12 +73,10 @@ class Diagnostic:
 class SourceModel(Model):
     """The model a text defines, with what :func:`validate` needs of the
     text: the span of every ``(definition, locator)`` a
-    :class:`graph.Problem` can name, the diagnostics of the rules only text
-    can break, and the locators whose structural problem such a
-    diagnostic already reports."""
+    :class:`graph.Problem` can name and the diagnostics of the rules only
+    text can break."""
     spans: dict[tuple[str, tuple | None], Span] = field(default_factory=dict)
     rule_diagnostics: list[Diagnostic] = field(default_factory=list)
-    reported: set[tuple[str, tuple]] = field(default_factory=set)
 
 
 @dataclass
@@ -227,8 +225,6 @@ class _Parser:
             return
         defn = self.defn = Definition(name.text, tuple(ports["in"]),
                                       tuple(ports["out"]))
-        # (link index, target) of each link into a bare name
-        self.bare: list[tuple[int, Token]] = []
         while not self.check("}") and not self.check("EOF"):
             if self.check("IDENT", "block"):
                 self.parse_block()
@@ -247,16 +243,6 @@ class _Parser:
         model.definitions[defn.name] = defn
         model.spans.update(((defn.name, where), span)
                            for where, span in self.spans.items())
-        for i, target in self.bare:
-            if target.text in defn.blocks:
-                self.note(f"link into {target.text!r} must name an input "
-                          f"port", target.span)
-                model.reported.add((defn.name, ("dst", i)))
-        # check_model states the Constant rule again on the model.
-        model.reported.update(
-            (defn.name, ("block", bname))
-            for bname, decl in defn.blocks.items()
-            if decl.kind == "Constant" and "value" not in decl.params)
         self.notes += self.defn_notes
 
     def parse_ports(self, ports: dict[str, list[str]]) -> None:
@@ -307,10 +293,6 @@ class _Parser:
         params: dict[str, float] = {}
         if kind in KINDS:
             params = self.bind_params(kind, args)
-            if kind == "Constant" and not any(
-                arg_name in (None, "value") for arg_name, _, _ in args
-            ):
-                self.note("Constant requires a value parameter", start)
         elif args:
             self.note(f"composite block {kind!r} takes no parameters",
                       args[0][2], kind)
@@ -373,12 +355,15 @@ class _Parser:
         port = self.expect("IDENT", "port name")
         return None if port is None else (name, port.text)
 
-    def endpoint(self, name: Token, port: str | None) -> Endpoint:
+    def endpoint(self, name: Token, port: str | None,
+                 bare: str | None) -> Endpoint:
+        """The endpoint ``name[.port]`` names; a bare block name stands for
+        its port ``bare``."""
         if port is not None:
             return (name.text, port)
         if name.text in self.port_names:
             return (None, name.text)
-        return (name.text, "out")  # a bare block name: its single output
+        return (name.text, bare)
 
     def parse_link(self) -> None:
         src = self.parse_endpoint()
@@ -392,9 +377,10 @@ class _Parser:
         i = len(links)
         self.spans["src", i] = src[0].span
         self.spans["dst", i] = dst[0].span
-        if dst[1] is None and dst[0].text not in self.port_names:
-            self.bare.append((i, dst[0]))
-        links.append(Link(self.endpoint(*src), self.endpoint(*dst)))
+        # A bare source is the block's single output; a bare target names
+        # no port, which check_model reports.
+        links.append(Link(self.endpoint(*src, "out"),
+                          self.endpoint(*dst, None)))
 
 
 def parse(text: str) -> ParseResult:
@@ -413,15 +399,13 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
 
     The diagnostics of the rules only text can break, which :func:`parse`
     found, come first, then every structural problem
-    :func:`graph.check_model` finds, at the span recorded for its locator,
-    unless a text rule already reports it.  The model returned is a plain
-    :class:`Model` of the parsed definitions.
+    :func:`graph.check_model` finds, at the span recorded for its locator.
+    The model returned is a plain :class:`Model` of the parsed definitions.
     """
-    diagnostics = list(source.rule_diagnostics)
-    for problem in check_model(source):
-        key = (problem.definition, problem.where)
-        if key not in source.reported:
-            diagnostics.append(Diagnostic(problem.message, source.spans[key]))
+    diagnostics = source.rule_diagnostics + [
+        Diagnostic(problem.message,
+                   source.spans[problem.definition, problem.where])
+        for problem in check_model(source)]
     if diagnostics:
         return None, diagnostics
     return Model(source.definitions), diagnostics

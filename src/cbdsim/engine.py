@@ -196,7 +196,6 @@ class Stream:
 
 @dataclass
 class Trace:
-    mode: str
     times: list[float] = field(default_factory=list)
     signals: dict[str, Stream] = field(default_factory=dict)
     impulses: list[ImpulseEvent] = field(default_factory=list)
@@ -687,8 +686,8 @@ class _Recorder:
     events to a symbolic trace.  Each column entry is ``(name, node index,
     append left, append right)``."""
 
-    def __init__(self, config: SimConfig, watched: dict[str, int]):
-        self.trace = Trace(mode=config.mode)
+    def __init__(self, watched: dict[str, int]):
+        self.trace = Trace()
         self.columns = []
         for name, idx in watched.items():
             stream = self.trace.signals[name] = Stream()
@@ -810,7 +809,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     """
     flat = flatten(model, top)
     engine = Engine(flat, config)
-    recorder = _Recorder(config, resolve_watches(flat, config.watch))
+    recorder = _Recorder(resolve_watches(flat, config.watch))
 
     t = 0.0
     recorder.record(engine.past[-1])

@@ -60,7 +60,8 @@ class DuplicateName(ModelError):
 
 
 # An endpoint is (block_name, port_name); block_name None addresses a port
-# of the enclosing definition.
+# of the enclosing definition.  A link target whose port is not a name
+# (None for a bare block name in the text) breaks a rule of check_model.
 Endpoint = tuple[str | None, str]
 
 
@@ -240,6 +241,10 @@ def _check_definition(name: str, defn: Definition,
         elif block not in blocks:
             yield Problem(UnconnectedInput, name, ("dst", i),
                           f"unknown link target {block or port!r}")
+            continue
+        elif not isinstance(port, str):
+            yield Problem(UnconnectedInput, name, ("dst", i),
+                          f"link into {block!r} must name an input port")
             continue
         elif not _has_port(blocks[block].kind, port, "in", definitions):
             yield Problem(UnconnectedInput, name, ("dst", i),

@@ -119,7 +119,7 @@ class TestMaxMagnitude:
 
 
 def _trace(times, values, impulses=()):
-    trace = Trace(mode="symbolic", times=list(times))
+    trace = Trace(times=list(times))
     trace.signals["s"] = Stream(values, values)
     trace.impulses = list(impulses)
     return trace
@@ -154,7 +154,7 @@ class TestCompareTraces:
 
     def test_different_signals_rejected(self):
         a = _trace([0.0], [1.0])
-        b = Trace(mode="symbolic", times=[0.0])
+        b = Trace(times=[0.0])
         b.signals["other"] = Stream([1.0], [1.0])
         with pytest.raises(ValueError):
             compare_traces(a, b)

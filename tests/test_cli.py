@@ -166,6 +166,24 @@ class TestRun:
         assert captured.err.startswith("error: ")
         assert "missing" in captured.err
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_log_write_removes_only_what_the_run_created(
+            self, ball_path, tmp_path, capsys, existed):
+        out = tmp_path / "t.csv"
+        if existed:
+            out.write_text("an earlier trace\n")
+        log = tmp_path / "missing" / "i.csv"
+        code = cli.main([
+            "run", str(ball_path), "--top", "Main", "--step", "1e-2",
+            "--end", "0.1", "--out", str(out), "--impulses", str(log),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno 2] No such file or directory: "
+                                f"{str(log)!r}\n")
+        assert sorted(tmp_path.iterdir()) == ([out] if existed else [])
+
     @pytest.mark.parametrize("option, value", [
         ("--end", "inf"), ("--step", "inf"), ("--zc-tol", "nan"),
         ("--min-step", "-inf"),
@@ -206,7 +224,7 @@ class TestRun:
 
     def test_trace_text_of_special_values(self, tmp_path):
         inf, nan = math.inf, math.nan
-        trace = Trace(mode="symbolic", times=[0.0, 1 / 3], signals={
+        trace = Trace(times=[0.0, 1 / 3], signals={
             "a": Stream([-0.0, nan], [inf, -inf]),
             "b/c": Stream([5e-324, 0.1], [1e308, -2.5]),
         })

@@ -142,7 +142,7 @@ DIAGNOSED = {
         "cbd Main(out y){ block c = Constant(weight=1); c.out -> y; }",
         [
             "1:37: error: Constant has no parameter 'weight'",
-            "1:18: error: Constant requires a value parameter",
+            "1:18: error: 'c' (Constant) requires a value parameter",
         ]),
     "too-many-parameters": (
         "cbd Main(out y){ block c = Constant(1, 2); c.out -> y; }",
@@ -153,7 +153,13 @@ DIAGNOSED = {
         ["1:24: error: 'i' (Integrator) order must be 1 or 2, got 3"]),
     "constant-without-value": (
         "cbd Main(out y){ block c = Constant(); c.out -> y; }",
-        ["1:18: error: Constant requires a value parameter"]),
+        ["1:18: error: 'c' (Constant) requires a value parameter"]),
+    "constant-without-value-named-like-a-port": (
+        "cbd Main(out c){ block c = Constant(); c.out -> c; }",
+        [
+            "1:18: error: duplicate name 'c'",
+            "1:18: error: 'c' (Constant) requires a value parameter",
+        ]),
     "composite-parameters": (
         "cbd S(out z){ block c = Constant(1); c -> z; }\n"
         "cbd Main(out y){ block s = S(2); s.z -> y; }",
@@ -163,9 +169,9 @@ DIAGNOSED = {
         "block c = Constant(weight=2); n.out -> y; c -> n; }",
         [
             "1:79: error: Constant has no parameter 'weight'",
-            "1:60: error: Constant requires a value parameter",
-            "1:107: error: link into 'n' must name an input port",
             "1:21: error: unknown block kind 'Quux'",
+            "1:60: error: 'c' (Constant) requires a value parameter",
+            "1:107: error: link into 'n' must name an input port",
             "1:17: error: output port 'z' has no driver",
             "1:39: error: input port 'in' of 'n' has no driver",
         ]),

@@ -179,6 +179,34 @@ class TestFlatten:
                     "Main")
 
 
+@pytest.mark.parametrize("block, port", [
+    ("a", None), ("n", None), ("k", None), ("n", 3),
+], ids=["adder", "negator", "composite", "port-not-a-name"])
+def test_link_target_without_a_port_name(block, port):
+    # The text's bare block name as a link target reaches check_model as a
+    # target with port None; a model built in code meets the same rule.
+    sub = Definition(name="Sub", in_ports=("u",), out_ports=("y",),
+                     links=[Link((None, "u"), (None, "y"))])
+    main = Definition(
+        name="Main", out_ports=("y",),
+        blocks={"c": BlockDecl("Constant", {"value": 1.0}),
+                "a": BlockDecl("Adder"), "n": BlockDecl("Negator"),
+                "k": BlockDecl("Sub")},
+        links=[Link(("c", "out"), ("a", "in1")),
+               Link(("c", "out"), ("a", "in2")),
+               Link(("a", "out"), ("n", "in")),
+               Link(("n", "out"), ("k", "u")),
+               Link(("k", "y"), (None, "y")),
+               Link(("c", "out"), (block, port))],
+    )
+    model = Model(definitions={"Main": main, "Sub": sub})
+    message = f"link into {block!r} must name an input port"
+    assert list(check_model(model)) == [
+        (UnconnectedInput, "Main", ("dst", 5), message)]
+    with pytest.raises(UnconnectedInput, match=f"^Main: {re.escape(message)}$"):
+        flatten(model, "Main")
+
+
 def _with_block(decl: BlockDecl) -> Model:
     """``Main`` wiring ``decl`` as block ``c`` to its output, beside a
     composite ``Sub``."""

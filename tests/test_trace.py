@@ -83,7 +83,7 @@ def traces(draw):
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
                           unique=True))
     column = st.lists(LIMITS, min_size=len(times), max_size=len(times))
-    trace = Trace(mode="symbolic", times=times)
+    trace = Trace(times=times)
     for name in names:
         # A right column of its own, the left column itself, or the left
         # with a few entries replaced, some by the zero of the other sign:
@@ -126,7 +126,7 @@ def test_zero_next_to_the_other_zero_reads_back(tmp_path, fmt, zero):
     written, in a column of its own and in one whose limits repeat.  Limits
     are compared by ``float.hex``, because ``Stream`` equality (like JSON's
     floats) takes 0.0 for -0.0."""
-    trace = Trace(mode="symbolic", times=[0.0, 1.0])
+    trace = Trace(times=[0.0, 1.0])
     trace.signals["s"] = Stream([zero, zero], [-zero, zero])
     trace.signals["t"] = Stream([zero, -zero], [zero, -zero])
     path = tmp_path / f"zeros.{fmt}"
@@ -207,7 +207,7 @@ class TestReadErrors:
 
 
 def _ragged():
-    trace = Trace(mode="symbolic", times=[0.0, 0.5])
+    trace = Trace(times=[0.0, 0.5])
     trace.signals["y"] = Stream([1.0, 2.0], [1.0, 2.0])
     trace.signals["v"] = Stream([3.0], [3.0])
     return trace
@@ -233,7 +233,7 @@ class TestRaggedInMemory:
 
 def _short_right():
     """A trace whose one stream has two left limits and one right limit."""
-    return Trace(mode="symbolic", times=[0.0, 0.5],
+    return Trace(times=[0.0, 0.5],
                  signals={"y": Stream([1.0, 2.0], [1.0])})
 
 
@@ -241,7 +241,7 @@ class TestShortRightColumn:
     """The shape check reads the right column as well as the left."""
 
     def test_compare_rejects_it(self):
-        whole = Trace(mode="symbolic", times=[0.0, 0.5],
+        whole = Trace(times=[0.0, 0.5],
                       signals={"y": Stream([1.0, 2.0], [1.0, 99.0])})
         for a, b in (_short_right(), whole), (whole, _short_right()):
             with pytest.raises(ValueError, match="^ragged trace$"):
@@ -267,8 +267,7 @@ def _folded(names, *steps):
     """The trace a numerical run makes of ``(t, columns)`` steps: recorded
     symbolically, then encoded by ``_encode_numerically``, whose overflow
     warnings are the trace's."""
-    recorder = _Recorder(SimConfig(mode="numerical"),
-                         {name: k for k, name in enumerate(names)})
+    recorder = _Recorder({name: k for k, name in enumerate(names)})
     for t, columns in steps:
         recorder.record(Committed(t, *columns))
     trace = recorder.trace
