@@ -28,6 +28,7 @@ from .graph import (
     Definition,
     DuplicateName,
     FlatGraph,
+    InvalidName,
     InvalidParameter,
     Link,
     Model,

@@ -122,22 +122,22 @@ def estimate_derivatives(times: Sequence[float], values: Sequence[float],
 
     Uses Newton divided differences over the trailing samples, which reduce
     to plain backward finite differences on a uniform grid and stay correct
-    across event-shortened steps.  Estimating order k consumes the newest
-    k + 1 samples.
+    across event-shortened steps.  One table over the newest
+    ``max_order + 1`` samples serves every order: after level k its newest
+    entry is the divided difference of the newest k + 1 samples.
     """
     if len(values) < max_order + 1:
         raise InsufficientHistory(
             f"need {max_order + 1} retained samples for derivative order "
             f"{max_order}, have {len(values)}"
         )
-    derivs = [values[-1]]
-    for k in range(1, max_order + 1):
-        ts = times[-(k + 1):]
-        table = list(values[-(k + 1):])
-        for level in range(1, k + 1):
-            for i in range(len(table) - 1, level - 1, -1):
-                table[i] = (table[i] - table[i - 1]) / (ts[i] - ts[i - level])
-        derivs.append(table[-1] * math.factorial(k))
+    ts = times[-(max_order + 1):]
+    table = list(values[-(max_order + 1):])
+    derivs = [table[-1]]
+    for level in range(1, max_order + 1):
+        for i in range(len(table) - 1, level - 1, -1):
+            table[i] = (table[i] - table[i - 1]) / (ts[i] - ts[i - level])
+        derivs.append(table[-1] * math.factorial(level))
     return derivs
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .blocks import KINDS
-from .graph import (BlockDecl, Definition, Endpoint, Link, Model,
+from .graph import (NAME, BlockDecl, Definition, Endpoint, Link, Model,
                     _endpoint_str, check_model)
 
 
@@ -91,13 +91,13 @@ class ParseResult:
 
 # --- tokenizer --------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<NEWLINE>\n)
   | (?P<SKIP>[ \t\r]+|//[^\n]*)
   | (?P<ARROW>->)
   | (?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<PUNCT>[(){};,.=])
+  | (?P<IDENT>{NAME})
+  | (?P<PUNCT>[(){{}};,.=])
   | (?P<ERROR>.)
 """, re.VERBOSE)
 
@@ -421,7 +421,7 @@ def print_model(model: Model) -> str:
     chunks: list[str] = []
     for name, defn in model.definitions.items():
         ports = "; ".join(
-            f"{direction} {', '.join(names)}" for direction, names
+            f"{direction} {', '.join(map(str, names))}" for direction, names
             in (("in", defn.in_ports), ("out", defn.out_ports)) if names
         )
         chunks.append(f"cbd {name}({ports}) {{")

@@ -39,9 +39,9 @@ set by phase 2, stops the run with a ``SimulationError`` naming the block.
 A condition sign change bisects the step.  A bisection trial,
 ``compute_step(dt, closure=True)``, stops phase 1 after the condition
 closure, the blocks the crossing test reads within a step, so a discarded
-trial checks nothing outside it; the full step's phase 1 runs again at the
-located size.  An ``EngineError`` in the full step's trial likewise stands
-only if no earlier event commits.
+trial checks nothing outside it; every located step ends with the full
+step's phase 1, once, at the located size.  An ``EngineError`` in a full
+trial of size ``h`` stands unless a closure trial locates an earlier event.
 
 Both execution modes share this evaluator and one recorder, which appends
 each committed step's watched limits as floats to per-signal columns, a
@@ -267,16 +267,15 @@ def _phase1_function(nodes: Sequence[_Node],
                      groups: list[tuple[tuple[int, ...], bool]],
                      loop_plans: dict, first: bool, closure: Iterable = (),
                      ) -> Callable:
-    """Phase 1 of ``groups``, in one function ``(past, dt, known=None,
-    closure=False)`` that returns the left limits, indexed by node and None
-    outside ``groups`` (with ``closure``, outside ``closure``'s groups, which
-    run first), and reads an input outside them as ``known[j]``; ``first``
-    picks the first step's templates.  A block's guard, and then a screen of
-    the left limits, raise a ``SimulationError`` naming the failing block."""
-    inside = {idx for members, _ in groups for idx in members}
+    """Phase 1 of ``groups``, every node's, in one function ``(past, dt,
+    closure=False)`` that returns the left limits, indexed by node (with
+    ``closure``, None outside ``closure``'s groups, which run first);
+    ``first`` picks the first step's templates.  A block's guard, and then a
+    screen of the left limits, raise a ``SimulationError`` naming the
+    failing block."""
 
     def cells(in_idx):
-        return _Cells(f"v{j}" if j in inside else f"known[{j}]" for j in in_idx)
+        return _Cells(f"v{j}" for j in in_idx)
 
     def fail(idx, *values):
         cause = bk.KINDS[nodes[idx].kind].guard[1](*values)
@@ -329,7 +328,7 @@ def _phase1_function(nodes: Sequence[_Node],
         body.append(f"v{node.idx} = " + template.format(
             x=x, s=node.in_idx, i=node.idx, k=f"k{node.idx}"))
     name = "first_step" if first else "later_steps"
-    return _generate(bound, f"{name}(past, dt, known=None, closure=False)",
+    return _generate(bound, f"{name}(past, dt, closure=False)",
                      body + result(order))(*bound.values())
 
 
@@ -519,7 +518,7 @@ class Engine:
         """Phase 1 of a step of size ``dt`` after the engine's committed
         steps, of the condition closure alone with ``closure`` (a bisection
         trial): the step's left limits, None outside, and flipped conditions."""
-        lefts = self.phase1(self.past, dt, None, closure)
+        lefts = self.phase1(self.past, dt, closure)
         return lefts, self.flipped_conditions(lefts)
 
     def _sweep_groups(self, flipped: list[tuple[int, int]],
@@ -640,28 +639,24 @@ class Engine:
                 flipped.append((idx, cond))
         return flipped
 
-    def _condition_magnitude(self, lefts: list[float],
-                             flipped: list[tuple[int, int]]) -> float:
-        return max(abs(lefts[cond]) for _, cond in flipped)
-
     def locate_crossing(self, h: float, lefts: list[float],
                         flipped: list[tuple[int, int]],
                         ) -> tuple[float, list[float], list[tuple[int, int]], bool]:
         """Bisect the step of size ``h`` onto the earliest condition crossing.
 
-        ``lefts`` and ``flipped`` are ``compute_step``'s result for the full
-        step ``h``.  The bisection trials evaluate only the condition
-        closure; the full step's phase 1 runs again only at the located
-        size.  Returns the located step size, that step's left limits and
-        flipped conditions, and whether the bisection bottomed out at
-        ``h_min`` without reaching the value tolerance (the step is
-        committed regardless).
+        ``lefts`` and ``flipped`` are ``compute_step``'s result for the step
+        ``h``, of its condition closure at least.  The bisection trials
+        evaluate only the closure; then the full step's phase 1 runs once, at
+        the located size, ``h`` included.  Returns the located step size,
+        that step's left limits and flipped conditions, and whether the
+        bisection bottomed out at ``h_min`` without reaching the value
+        tolerance (the step is committed regardless).
         """
         cfg = self.config
         if not flipped:
             raise EngineError("locate_crossing called without a sign change")
         lo, hi, crossing = 0.0, h, flipped
-        while self._condition_magnitude(lefts, crossing) > cfg.zc_tol \
+        while max(abs(lefts[c]) for _, c in crossing) > cfg.zc_tol \
                 and (hi - lo) > cfg.h_min:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
@@ -671,10 +666,9 @@ class Engine:
                 hi, lefts, crossing = mid, lefts_mid, flipped_mid
             else:
                 lo = mid
-        if hi < h:
-            hi = max(hi, cfg.h_min)
-            lefts, flipped = self.compute_step(hi)
-        underflow = self._condition_magnitude(lefts, flipped or crossing) \
+        hi = max(hi, cfg.h_min)
+        lefts, flipped = self.compute_step(hi)
+        underflow = max(abs(lefts[c]) for _, c in flipped or crossing) \
             > cfg.zc_tol
         return hi, lefts, flipped, underflow
 
@@ -820,10 +814,13 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     end_slack = config.t_end + 1e-9 * config.h
     while t + config.h <= end_slack:
         try:
-            (lefts, flipped), failed = engine.compute_step(config.h), None
-        except EngineError as err:
-            # As in bisection, a block outside the closure fails only a full step.
-            (lefts, flipped), failed = engine.compute_step(config.h, closure=True), err
+            lefts, flipped = engine.compute_step(config.h)
+        except EngineError:
+            # As in bisection, a block outside the closure fails only a full
+            # step; a located step's own full trial raises again at h.
+            lefts, flipped = engine.compute_step(config.h, closure=True)
+            if not flipped:
+                raise
         if flipped:
             h_star, lefts, flipped, underflow = engine.locate_crossing(
                 config.h, lefts, flipped
@@ -836,8 +833,6 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
         else:
             h_star = config.h
             located_starts.clear()
-        if failed and h_star == config.h:
-            raise failed
         t_new = t + h_star
         recorder.record(engine.commit(t_new, lefts, flipped))
         if len(located_starts) == ZENO_WINDOW and (t_new - located_starts[0]) \

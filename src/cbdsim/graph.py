@@ -59,6 +59,15 @@ class DuplicateName(ModelError):
     """A port name repeated in one definition, or a block named like one."""
 
 
+class InvalidName(ModelError):
+    """A definition, port or block name that is not a ``NAME``."""
+
+
+# The grammar's NAME, which every definition, port and block name matches.
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(NAME)
+
+
 # An endpoint is (block_name, port_name); block_name None addresses a port
 # of the enclosing definition.  A link target whose port is not a name
 # (None for a bare block name in the text) breaks a rule of check_model.
@@ -160,12 +169,13 @@ class Problem(NamedTuple):
 
 
 def check_model(model: Model) -> Iterator[Problem]:
-    """Every broken structural rule of every definition, in order: port
-    and block names, unknown kinds, unknown parameters, parameters that are
-    not finite numbers and Integrator orders, link endpoints and drivers,
-    undriven ports and block inputs, then recursion.  A model that yields
-    nothing flattens from any top definition that declares no inputs,
-    unless its port wiring is cyclic."""
+    """Every broken structural rule of every definition, in order: names
+    that are not a ``NAME``, repeated port and block names, unknown kinds,
+    unknown parameters, parameters that are not finite numbers and
+    Integrator orders, link endpoints and drivers, undriven ports and block
+    inputs, then recursion.  A model that yields nothing flattens from any
+    top definition that declares no inputs, unless its port wiring is
+    cyclic."""
     definitions = model.definitions
     for name, defn in definitions.items():
         yield from _check_definition(name, defn, definitions)
@@ -184,6 +194,12 @@ def _check_definition(name: str, defn: Definition,
                       definitions: dict[str, Definition]) -> Iterator[Problem]:
     blocks = defn.blocks
     port_names = defn.in_ports + defn.out_ports
+    for where, what, item in [(None, "definition", name),
+                              *((("port", p), "port", p) for p in port_names),
+                              *((("block", b), "block", b) for b in blocks)]:
+        if not (isinstance(item, str) and _NAME_RE.fullmatch(item)):
+            yield Problem(InvalidName, name, where,
+                          f"{what} name {item!r} must match {NAME}")
     for k, port in enumerate(port_names):
         if port in port_names[:k]:
             yield Problem(DuplicateName, name, ("port", port),
@@ -276,7 +292,8 @@ def _check_definition(name: str, defn: Definition,
             declared = definitions[decl.kind].in_ports
         else:
             continue
-        for port in sorted(set(declared) - ports):
+        # By str: a port that is not a name (reported above) still sorts.
+        for port in sorted(set(declared) - ports, key=str):
             yield Problem(UnconnectedInput, name, ("block", bname),
                           f"input port {port!r} of {bname!r} has no driver")
 

@@ -16,15 +16,17 @@ def new_node(kind, idx, in_idx, params):
 
 def phase1(nodes, past, lefts, dt):
     """Fill in ``lefts`` at ``nodes``, each its own schedule group, from one
-    function generated from their templates; the other entries of
-    ``lefts`` are the inputs' left limits.  Raises the block's own error."""
-    groups = [((node.idx,), False) for node in nodes]
-    table = [None] * len(lefts)
-    for node in nodes:
-        table[node.idx] = node
+    whole plan generated from their templates, in which every other entry
+    of ``lefts``, an input's left limit, is a Constant holding it, scheduled
+    first.  Raises the block's own error."""
+    own = {node.idx: node for node in nodes}
+    table = [own.get(idx) or new_node("Constant", idx, (), {"value": left})
+             for idx, left in enumerate(lefts)]
+    groups = [((idx,), False) for idx in range(len(lefts)) if idx not in own]
+    groups += [((node.idx,), False) for node in nodes]
     function = _phase1_function(table, groups, {}, first=not past)
     try:
-        computed = function(past, dt, lefts)
+        computed = function(past, dt)
     except SimulationError as err:
         raise err.cause
     for node in nodes:

@@ -295,7 +295,7 @@ def test_closure_trial_is_the_full_step_on_the_closure(workload, ball_text):
     def checked(self, dt, closure=False, compute_step=Engine.compute_step):
         if closure:
             inside = {idx for members, _ in self.closure for idx in members}
-            lefts = self.phase1(self.past, dt, None, True)
+            lefts = self.phase1(self.past, dt, True)
             full = self.phase1(self.past, dt)
             assert [idx for idx, x in enumerate(lefts) if x is not None] \
                 == sorted(inside)
@@ -330,3 +330,22 @@ def test_every_bisection_iteration_is_one_closure_trial(
         simulate(dsl.load_model(text), "Main", config)
     assert located.call_count == events
     assert callers == [Engine.locate_crossing.__code__] * iterations
+
+
+@pytest.mark.parametrize("workload", ["ball", "switch_dense"])
+def test_every_located_step_ends_with_one_full_trial(workload, ball_text):
+    # One full trial a committed step, and one more after each bisection.
+    text, config = _bisected_runs(ball_text)[workload]
+    full = []
+
+    def counted(self, dt, closure=False, compute_step=Engine.compute_step):
+        if not closure:
+            full.append(dt)
+        return compute_step(self, dt, closure)
+
+    with mock.patch.object(Engine, "compute_step", counted), \
+            mock.patch.object(Engine, "locate_crossing", autospec=True,
+                              side_effect=Engine.locate_crossing) as located:
+        trace = simulate(dsl.load_model(text), "Main", config)
+    assert located.call_count
+    assert len(full) == len(trace.times) - 1 + located.call_count

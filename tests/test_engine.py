@@ -19,6 +19,7 @@ from cbdsim.engine import (
     Trace,
     UnstablePropagation,
     ZenoSuspected,
+    _Node,
     _phase1_function,
     simulate,
 )
@@ -271,6 +272,28 @@ class TestEventLocation:
         assert trace.warnings == overflow[:1] + [
             "step-underflow: tolerance not met at t=1.000240445137024e-09",
         ] + overflow[1:]
+
+    def test_unshortened_located_step_ends_with_its_full_trial(self):
+        # Position falls at rate 2 from 0.5 and crosses 0 at t = 0.25, on
+        # the grid, with a zero condition there: bisection takes no
+        # iteration, and the located step still runs its own full trial.
+        trials = []
+
+        def counted(self, dt, closure=False, compute_step=Engine.compute_step):
+            trials.append((dt, closure))
+            return compute_step(self, dt, closure)
+
+        model = dsl.load_model(DESCENT.replace("Constant(-1)", "Constant(-2)"))
+        with mock.patch.object(Engine, "compute_step", counted), \
+                mock.patch.object(Engine, "locate_crossing", autospec=True,
+                                  side_effect=Engine.locate_crossing) as located:
+            trace = simulate(model, "Main", SimConfig(h=0.125, t_end=0.5))
+        assert trace.times == [0.0, 0.125, 0.25, 0.375, 0.5]
+        y = trace.signals["y"]
+        assert list(y.left) == list(y.right) == [0.5, 0.25, 0.0, -0.25, -0.5]
+        assert located.call_count == 1
+        assert trials == [(0.125, False)] * (len(trace.times) - 1
+                                             + located.call_count)
 
     def test_locate_crossing_function(self):
         model = dsl.load_model(DESCENT)
@@ -875,9 +898,16 @@ class TestGeneratedPhase1:
             history = deque() if first else past
             whole = past[0].lefts if first else engine.phase1(past, dt)
             for group in engine.groups:
-                alone = _phase1_function(engine.nodes, [group],
+                # The group alone, after a Constant stand-in for every other
+                # node holding the whole plan's value.
+                table = [node if node.idx in group[0] else _Node(
+                    node.idx, node.path, "Constant", {"value": whole[node.idx]},
+                    ()) for node in engine.nodes]
+                stand_ins = [((node.idx,), False) for node in table
+                             if node.idx not in group[0]]
+                alone = _phase1_function(table, stand_ins + [group],
                                          engine.loop_plans, first=first)
-                lefts = alone(history, dt, whole)
+                lefts = alone(history, dt)
                 for idx in group[0]:
                     assert lefts[idx].hex() == whole[idx].hex(), \
                         (t, engine.nodes[idx].path)

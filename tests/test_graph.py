@@ -19,6 +19,7 @@ from cbdsim.graph import (
     Definition,
     DuplicateName,
     Group,
+    InvalidName,
     InvalidParameter,
     Link,
     Model,
@@ -205,6 +206,62 @@ def test_link_target_without_a_port_name(block, port):
         (UnconnectedInput, "Main", ("dst", 5), message)]
     with pytest.raises(UnconnectedInput, match=f"^Main: {re.escape(message)}$"):
         flatten(model, "Main")
+
+
+def _main(**changes) -> Definition:
+    """A Main whose Constant ``c`` drives its output ``y``, with
+    ``changes`` to its fields."""
+    return Definition(**{
+        "name": "Main", "out_ports": ("y",),
+        "blocks": {"c": BlockDecl("Constant", {"value": 2.0})},
+        "links": [Link(("c", "out"), (None, "y"))], **changes})
+
+
+_SUB = Definition(name="Sub", out_ports=("y",),
+                  blocks={"b": BlockDecl("Constant", {"value": 1.0})},
+                  links=[Link(("b", "out"), (None, "y"))])
+
+
+# An int port once made flatten raise TypeError; a block "a/b" clashed with
+# the flat path of a's block b, so y read its 2.0 for b's 1.0; an output
+# "a,b" wrote trace rows that read_trace refused.
+@pytest.mark.parametrize("definitions, definition, where, subject", [
+    ({"Main": _main(in_ports=(1,))}, "Main", ("port", 1), "port name 1"),
+    ({"Main": _main(blocks={"a": BlockDecl("Sub"),
+                            "a/b": BlockDecl("Constant", {"value": 2.0})},
+                    links=[Link(("a", "y"), (None, "y"))]), "Sub": _SUB},
+     "Main", ("block", "a/b"), "block name 'a/b'"),
+    ({"Main": _main(out_ports=("a,b",),
+                    links=[Link(("c", "out"), (None, "a,b"))])},
+     "Main", ("port", "a,b"), "port name 'a,b'"),
+    ({"Main": _main(), "Sub-1": Definition(name="Sub-1")},
+     "Sub-1", None, "definition name 'Sub-1'"),
+], ids=["int-port", "slash-block", "comma-port", "dash-definition"])
+def test_every_name_is_a_name(definitions, definition, where, subject):
+    model = Model(definitions=definitions)
+    message = f"{subject} must match [A-Za-z_][A-Za-z_0-9]*"
+    assert list(check_model(model)) == [
+        (InvalidName, definition, where, message)]
+    prefix = "" if where is None else "Main: "
+    with pytest.raises(InvalidName, match=f"^{re.escape(prefix + message)}$"):
+        flatten(model, "Main")
+    with pytest.raises(dsl.ModelTextError):
+        dsl.load_model(dsl.print_model(model))
+
+
+def test_ports_that_are_not_names_are_reported_with_the_rest():
+    # Sub's undriven inputs, one an int, sort in the instance's report.
+    sub = Definition(name="Sub", in_ports=(1, "u"), out_ports=("y",),
+                     links=[Link((None, "u"), (None, "y"))])
+    main = _main(blocks={"k": BlockDecl("Sub")},
+                 links=[Link(("k", "y"), (None, "y"))])
+    assert list(check_model(Model(definitions={"Main": main, "Sub": sub}))) \
+        == [(UnconnectedInput, "Main", ("block", "k"),
+             "input port 1 of 'k' has no driver"),
+            (UnconnectedInput, "Main", ("block", "k"),
+             "input port 'u' of 'k' has no driver"),
+            (InvalidName, "Sub", ("port", 1),
+             "port name 1 must match [A-Za-z_][A-Za-z_0-9]*")]
 
 
 def _with_block(decl: BlockDecl) -> Model:
