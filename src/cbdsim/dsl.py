@@ -14,11 +14,15 @@ The grammar, in EBNF::
 
 ``//`` starts a comment running to the end of the line.  NUMBER is a
 decimal real with optional sign and exponent.  The tokenizer is one master
-regular expression with a named group per token class, matched in order at
-each position (the "Writing a Tokenizer" idiom of the :mod:`re` docs); any
-other character becomes an ERROR token.  Parsing never raises on bad
-input; every problem becomes a :class:`Diagnostic`, always an error,
-carrying its source position.
+regular expression with a named group per token class, matched in order
+(the "Writing a Tokenizer" idiom of the :mod:`re` docs), one match per
+token: the blanks and comment before a token belong to its match, ahead of
+its group, so its span is still that of its own first character.  Any
+other character becomes an ERROR token.  An item that starts with
+``block`` followed by ``.`` or ``->`` is a link, so a block or an input
+port may be named ``block``.  Parsing never raises on bad input; every
+problem becomes a :class:`Diagnostic`, always an error, carrying its
+source position.
 
 There is one representation of a model: the parser builds each
 :class:`graph.Definition` while it reads it, records the span of every
@@ -72,10 +76,9 @@ class Diagnostic:
 @dataclass
 class SourceModel(Model):
     """The model a text defines, with what :func:`validate` needs of the
-    text: the span of every ``(definition, locator)`` a
-    :class:`graph.Problem` can name and the diagnostics of the rules only
-    text can break."""
-    spans: dict[tuple[str, tuple | None], Span] = field(default_factory=dict)
+    text: by definition, the span of every locator a :class:`graph.Problem`
+    can name, and the diagnostics of the rules only text can break."""
+    spans: dict[str, dict[tuple | None, Span]] = field(default_factory=dict)
     rule_diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -91,14 +94,21 @@ class ParseResult:
 
 # --- tokenizer --------------------------------------------------------------
 
+# One match per token: the blanks and the comment before a token are the
+# prefix of its match, so only newlines and tokens are matched, and END,
+# at the end of the text, ends the scan (without it a trailing comment
+# would be rescanned as ERROR characters).
 _TOKEN_RE = re.compile(rf"""
-    (?P<NEWLINE>\n)
-  | (?P<SKIP>[ \t\r]+|//[^\n]*)
-  | (?P<ARROW>->)
-  | (?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<IDENT>{NAME})
-  | (?P<PUNCT>[(){{}};,.=])
-  | (?P<ERROR>.)
+    [ \t\r]*(?://[^\n]*)?
+    (?:
+        (?P<NEWLINE>\n)
+      | (?P<ARROW>->)
+      | (?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<IDENT>{NAME})
+      | (?P<PUNCT>[(){{}};,.=])
+      | (?P<END>\Z)
+      | (?P<ERROR>.)
+    )
 """, re.VERBOSE)
 
 
@@ -111,21 +121,24 @@ class Token(NamedTuple):
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
+    new = tuple.__new__  # a Span or Token without the NamedTuple __new__
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "NEWLINE":
             line += 1
             line_start = match.end()
-        elif kind != "SKIP":
-            value = match.group()
-            span = Span(line, match.start() - line_start + 1)
-            if kind == "ERROR":
-                diagnostics.append(Diagnostic(
-                    f"unexpected character {value!r}", span))
-            elif kind in ("ARROW", "PUNCT"):
-                kind = value
-            tokens.append(Token(kind, value, span))
+            continue
+        if kind == "END":
+            break
+        value = match[kind]
+        span = new(Span, (line, match.end() - len(value) - line_start + 1))
+        if kind == "ARROW" or kind == "PUNCT":
+            kind = value
+        elif kind == "ERROR":
+            diagnostics.append(Diagnostic(
+                f"unexpected character {value!r}", span))
+        tokens.append(new(Token, (kind, value, span)))
     tokens.append(Token("EOF", "", Span(line, len(text) - line_start + 1)))
     return tokens, diagnostics
 
@@ -147,43 +160,30 @@ class _Parser:
         # composite kind it stands on (None: it stands).
         self.notes: list[tuple[str | None, Diagnostic]] = []
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.type != "EOF":
-            self.pos += 1
-        return token
-
-    def check(self, type_: str, text: str | None = None) -> bool:
-        token = self.current
-        return token.type == type_ and (text is None or token.text == text)
-
     def error(self, expected: str) -> None:
-        token = self.current
-        got = repr(token.text) if token.text else "end of input"
+        _, text, span = self.tokens[self.pos]
+        got = repr(text) if text else "end of input"
         self.diagnostics.append(Diagnostic(
-            f"expected {expected}, got {got}", token.span
+            f"expected {expected}, got {got}", span
         ))
 
     def expect(self, type_: str, expected: str | None = None) -> Token | None:
-        if self.check(type_):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.type == type_:
+            self.pos += 1
+            return token
         self.error(expected or f"'{type_}'")
         return None
 
     def synchronize(self, *stop: str) -> None:
         """Skip tokens until one of the stop types (consumed) or a '}' / EOF."""
-        while not self.check("EOF"):
-            token = self.current
-            if token.type in stop:
-                self.advance()
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos].type not in stop:
+            if tokens[pos].type in ("}", "EOF"):
+                self.pos = pos
                 return
-            if token.type == "}":
-                return
-            self.advance()
+            pos += 1
+        self.pos = pos + 1
 
     def note(self, message: str, span: Span, kind: str | None = None) -> None:
         self.defn_notes.append((kind, Diagnostic(message, span)))
@@ -193,13 +193,13 @@ class _Parser:
     # into ``defn_notes``
 
     def parse_model(self) -> SourceModel:
-        model = self.model
-        while not self.check("EOF"):
-            if self.check("IDENT", "cbd"):
+        model, tokens = self.model, self.tokens
+        while (token := tokens[self.pos]).type != "EOF":
+            if token.type == "IDENT" and token.text == "cbd":
                 self.parse_definition()
             else:
                 self.error("'cbd'")
-                self.advance()
+                self.pos += 1
         # A composite kind's diagnostic stands once the kind is defined.
         model.rule_diagnostics = self.duplicates + [
             diagnostic for kind, diagnostic in self.notes
@@ -208,7 +208,9 @@ class _Parser:
         return model
 
     def parse_definition(self) -> None:
-        start = self.advance().span  # 'cbd'
+        tokens = self.tokens
+        start = tokens[self.pos].span  # 'cbd'
+        self.pos += 1
         name = self.expect("IDENT", "definition name")
         if name is None or self.expect("(") is None:
             self.synchronize("}")
@@ -217,7 +219,7 @@ class _Parser:
         self.defn_notes: list[tuple[str | None, Diagnostic]] = []
         self.port_names: set[str] = set()
         ports: dict[str, list[str]] = {"in": [], "out": []}
-        if not self.check(")"):
+        if tokens[self.pos].type != ")":
             self.parse_ports(ports)
         self.expect(")")
         if self.expect("{") is None:
@@ -225,14 +227,16 @@ class _Parser:
             return
         defn = self.defn = Definition(name.text, tuple(ports["in"]),
                                       tuple(ports["out"]))
-        while not self.check("}") and not self.check("EOF"):
-            if self.check("IDENT", "block"):
-                self.parse_block()
-            elif self.check("IDENT"):
-                self.parse_link()
-            else:
+        while (token := tokens[self.pos]).type not in ("}", "EOF"):
+            if token.type != "IDENT":
                 self.error("'block' or a link")
                 self.synchronize(";")
+            # A link may start at a block or input port named 'block'.
+            elif token.text == "block" and \
+                    tokens[self.pos + 1].type not in (".", "->"):
+                self.parse_block()
+            else:
+                self.parse_link()
         self.expect("}")
 
         model = self.model
@@ -241,47 +245,45 @@ class _Parser:
                 f"duplicate definition {defn.name!r}", start))
             return
         model.definitions[defn.name] = defn
-        model.spans.update(((defn.name, where), span)
-                           for where, span in self.spans.items())
+        model.spans[defn.name] = self.spans
         self.notes += self.defn_notes
 
     def parse_ports(self, ports: dict[str, list[str]]) -> None:
+        tokens = self.tokens
         while True:
-            direction = self.current
-            if not (self.check("IDENT", "in") or self.check("IDENT", "out")):
+            direction = tokens[self.pos]
+            if direction.type != "IDENT" or direction.text not in ports:
                 self.error("'in' or 'out'")
                 self.synchronize(";", ")")
-                if not (self.check("IDENT", "in") or self.check("IDENT", "out")):
+                direction = tokens[self.pos]
+                if direction.type != "IDENT" or direction.text not in ports:
                     return
-                continue
-            self.advance()
+            self.pos += 1
             while True:
                 name = self.expect("IDENT", "port name")
                 if name is not None:
                     self.port_names.add(name.text)
                     ports[direction.text].append(name.text)
                     self.spans["port", name.text] = name.span
-                if self.check(","):
-                    self.advance()
-                    continue
-                break
-            if self.check(";"):
-                self.advance()
-                continue
-            return
+                if tokens[self.pos].type != ",":
+                    break
+                self.pos += 1
+            if tokens[self.pos].type != ";":
+                return
+            self.pos += 1
 
     def parse_block(self) -> None:
-        start = self.advance().span  # 'block'
+        start = self.tokens[self.pos].span  # 'block'
+        self.pos += 1
         name = self.expect("IDENT", "block name")
-        ok = name is not None
-        ok = ok and self.expect("=") is not None
+        ok = name is not None and self.expect("=") is not None
         kind = self.expect("IDENT", "block kind") if ok else None
-        ok = ok and kind is not None and self.expect("(") is not None
+        ok = kind is not None and self.expect("(") is not None
         args: list[_Arg] = []
-        if ok and not self.check(")"):
+        if ok and self.tokens[self.pos].type != ")":
             ok = self.parse_args(args)
         ok = ok and self.expect(")") is not None
-        ok = ok and self.expect(";", "';'") is not None
+        ok = ok and self.expect(";") is not None
         if not ok:
             self.synchronize(";")
             return
@@ -300,13 +302,14 @@ class _Parser:
         self.spans["block", name] = start
 
     def parse_args(self, args: list[_Arg]) -> bool:
+        tokens = self.tokens
         while True:
-            token = self.current
+            token = tokens[self.pos]
             if token.type == "NUMBER":
-                self.advance()
+                self.pos += 1
                 args.append((None, self.number(token), token.span))
             elif token.type == "IDENT":
-                self.advance()
+                self.pos += 1
                 if self.expect("=") is None:
                     return False
                 number = self.expect("NUMBER", "a number")
@@ -316,10 +319,9 @@ class _Parser:
             else:
                 self.error("a number or NAME '=' NUMBER")
                 return False
-            if self.check(","):
-                self.advance()
-                continue
-            return True
+            if tokens[self.pos].type != ",":
+                return True
+            self.pos += 1
 
     def number(self, token: Token) -> float:
         value = float(token.text)
@@ -344,43 +346,36 @@ class _Parser:
                 self.note(f"{kind} has no parameter {name!r}", span)
         return params
 
-    def parse_endpoint(self) -> tuple[Token, str | None] | None:
-        """The endpoint's name token and port, None for a bare name."""
+    def parse_endpoint(self, bare: str | None) -> tuple[Span, Endpoint] | None:
+        """The span of an endpoint's name and the endpoint ``name[.port]``
+        names, None after a syntax error; a bare block name stands for its
+        port ``bare``."""
         name = self.expect("IDENT", "an endpoint")
         if name is None:
             return None
-        if not self.check("."):
-            return name, None
-        self.advance()
+        if self.tokens[self.pos].type != ".":
+            if name.text in self.port_names:
+                return name.span, (None, name.text)
+            return name.span, (name.text, bare)
+        self.pos += 1
         port = self.expect("IDENT", "port name")
-        return None if port is None else (name, port.text)
-
-    def endpoint(self, name: Token, port: str | None,
-                 bare: str | None) -> Endpoint:
-        """The endpoint ``name[.port]`` names; a bare block name stands for
-        its port ``bare``."""
-        if port is not None:
-            return (name.text, port)
-        if name.text in self.port_names:
-            return (None, name.text)
-        return (name.text, bare)
+        return None if port is None else (name.span, (name.text, port.text))
 
     def parse_link(self) -> None:
-        src = self.parse_endpoint()
-        ok = src is not None and self.expect("->", "'->'") is not None
-        dst = self.parse_endpoint() if ok else None
-        ok = ok and dst is not None and self.expect(";", "';'") is not None
+        # A bare source is the block's single output; a bare target names
+        # no port, which check_model reports.
+        src = self.parse_endpoint("out")
+        ok = src is not None and self.expect("->") is not None
+        dst = self.parse_endpoint(None) if ok else None
+        ok = dst is not None and self.expect(";") is not None
         if not ok:
             self.synchronize(";")
             return
         links = self.defn.links
         i = len(links)
-        self.spans["src", i] = src[0].span
-        self.spans["dst", i] = dst[0].span
-        # A bare source is the block's single output; a bare target names
-        # no port, which check_model reports.
-        links.append(Link(self.endpoint(*src, "out"),
-                          self.endpoint(*dst, None)))
+        self.spans["src", i] = src[0]
+        self.spans["dst", i] = dst[0]
+        links.append(Link(src[1], dst[1]))
 
 
 def parse(text: str) -> ParseResult:
@@ -404,7 +399,7 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
     """
     diagnostics = source.rule_diagnostics + [
         Diagnostic(problem.message,
-                   source.spans[problem.definition, problem.where])
+                   source.spans[problem.definition][problem.where])
         for problem in check_model(source)]
     if diagnostics:
         return None, diagnostics

@@ -19,7 +19,6 @@ import heapq
 import math
 import re
 import reprlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -66,6 +65,7 @@ class InvalidName(ModelError):
 # The grammar's NAME, which every definition, port and block name matches.
 NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _NAME_RE = re.compile(NAME)
+_VARIADIC_PORT = re.compile(r"in[1-9]\d*")  # a variadic kind's inputs
 
 
 # An endpoint is (block_name, port_name); block_name None addresses a port
@@ -243,7 +243,7 @@ def _check_definition(name: str, defn: Definition,
             if not _has_port(blocks[block].kind, port, "out", definitions):
                 yield Problem(UnconnectedInput, name, ("src", i),
                               f"{block!r} has no output port {port!r}")
-        elif block is not None or port not in defn.in_ports + defn.out_ports:
+        elif block is not None or port not in port_names:
             yield Problem(UnconnectedInput, name, ("src", i),
                           f"unknown link source {block or port!r}")
         block, port = link.dst
@@ -292,6 +292,8 @@ def _check_definition(name: str, defn: Definition,
             declared = definitions[decl.kind].in_ports
         else:
             continue
+        if ports.issuperset(declared):
+            continue
         # By str: a port that is not a name (reported above) still sorts.
         for port in sorted(set(declared) - ports, key=str):
             yield Problem(UnconnectedInput, name, ("block", bname),
@@ -321,7 +323,7 @@ def _has_port(kind: str, port: str, direction: str,
     if direction == "out":
         return port == "out"
     return port in info.inputs or (
-        info.variadic and re.fullmatch(r"in[1-9]\d*", port) is not None
+        info.variadic and _VARIADIC_PORT.fullmatch(port) is not None
     )
 
 
@@ -430,6 +432,7 @@ def dependency_sort(flat: FlatGraph) -> tuple[Group, ...]:
     first propagation sweep.
     """
     paths = list(flat.blocks)
+    n = len(paths)
     index_of = {path: i for i, path in enumerate(paths)}
     late = [KINDS[block.kind].previous_input for block in flat.blocks.values()]
     succ: list[list[int]] = [[] for _ in paths]
@@ -440,23 +443,24 @@ def dependency_sort(flat: FlatGraph) -> tuple[Group, ...]:
     # Tarjan's algorithm over a stack of (node, successor iterator) pairs.
     # A visited node stays on ``stack`` until its component is emitted, and
     # a component is emitted after every component it reaches, so the
-    # components it feeds are known by then.
-    rank: dict[int, int] = {}
-    low: dict[int, int] = {}
-    component_of: dict[int, int] = {}
+    # components it feeds are known by then.  Per node: its visit rank and
+    # low link, and its component; -1 before it is visited or emitted.
+    rank, low, component_of = [-1] * n, [-1] * n, [-1] * n
+    visited = 0
     stack: list[int] = []
-    # Per component: its heap key (all members late, members, cyclic) and
-    # the components it feeds.
-    keys: list[tuple[bool, list[int], bool]] = []
+    # Per component: its heap key (the first member, plus n if every member
+    # is late), members and cyclic flag, and the components it feeds.
+    components: list[tuple[int, list[int], bool]] = []
     feeds: list[set[int]] = []
-    for root in range(len(paths)):
-        if root in rank:
+    for root in range(n):
+        if rank[root] >= 0:
             continue
         work = [(root, iter(succ[root]))]
         while work:
             node, successors = work[-1]
-            if node not in rank:
-                rank[node] = low[node] = len(rank)
+            if rank[node] < 0:
+                rank[node] = low[node] = visited
+                visited += 1
                 stack.append(node)
             nxt = next(successors, None)
             if nxt is None:
@@ -468,30 +472,37 @@ def dependency_sort(flat: FlatGraph) -> tuple[Group, ...]:
                     members = [stack.pop()]
                     while members[-1] != node:
                         members.append(stack.pop())
-                    c = len(keys)
-                    component_of.update(dict.fromkeys(members, c))
-                    out = {component_of[n] for m in members for n in succ[m]}
+                    c = len(components)
+                    for m in members:
+                        component_of[m] = c
+                    out = {component_of[j] for m in members for j in succ[m]}
                     out.discard(c)
                     feeds.append(out)
                     members.sort()
-                    keys.append((all(map(late.__getitem__, members)), members,
-                                 len(members) > 1 or node in succ[node]))
-            elif nxt not in rank:
+                    components.append((
+                        members[0] + n * all(map(late.__getitem__, members)),
+                        members, len(members) > 1 or node in succ[node]))
+            elif rank[nxt] < 0:
                 work.append((nxt, iter(succ[nxt])))
-            elif nxt not in component_of:
+            elif component_of[nxt] < 0:
                 low[node] = min(low[node], rank[nxt])
 
-    # Kahn's algorithm; first members are unique, so they decide every
-    # comparison of two heap keys.
-    waiting = Counter(c for out in feeds for c in out)
-    ready = [key for c, key in enumerate(keys) if not waiting[c]]
+    # Kahn's algorithm; first members are unique, so a key names its
+    # component: its first member is the key modulo n.
+    waiting = [0] * len(components)
+    for out in feeds:
+        for c in out:
+            waiting[c] += 1
+    ready = [key for c, (key, _, _) in enumerate(components)
+             if not waiting[c]]
     heapq.heapify(ready)
     groups = []
     while ready:
-        _, members, cyclic = heapq.heappop(ready)
-        groups.append(Group(tuple(paths[i] for i in members), cyclic))
-        for c in feeds[component_of[members[0]]]:
-            waiting[c] -= 1
-            if not waiting[c]:
-                heapq.heappush(ready, keys[c])
+        c = component_of[heapq.heappop(ready) % n]
+        _, members, cyclic = components[c]
+        groups.append(Group(tuple(map(paths.__getitem__, members)), cyclic))
+        for d in feeds[c]:
+            waiting[d] -= 1
+            if not waiting[d]:
+                heapq.heappush(ready, components[d][0])
     return tuple(groups)

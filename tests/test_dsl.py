@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbdsim import dsl
-from cbdsim.graph import BlockDecl, Link, Model, flatten
+from cbdsim.graph import BlockDecl, Definition, Link, Model, flatten
 
 from conftest import MODELS, ROOT, perfbench_module
 
@@ -405,6 +405,32 @@ class TestPrintFixpoint:
     def test_ball_model_fixpoint(self, ball_text):
         self.test_print_then_parse_is_identity(ball_text)
 
+    @pytest.mark.parametrize("sub", [
+        # A block named 'block': its links read 'block.in' and 'block.out'.
+        Definition("Sub", ("u",), ("y",), {"block": BlockDecl("Negator")},
+                   [Link((None, "u"), ("block", "in")),
+                    Link(("block", "out"), (None, "y"))]),
+        # An input port named 'block': its link reads 'block -> n.in'.
+        Definition("Sub", ("block",), ("y",), {"n": BlockDecl("Negator")},
+                   [Link((None, "block"), ("n", "in")),
+                    Link(("n", "out"), (None, "y"))]),
+    ], ids=["block-named-block", "input-port-named-block"])
+    def test_a_block_or_input_port_named_block_round_trips(self, sub):
+        main = Definition(
+            "Main", (), ("y",),
+            {"c": BlockDecl("Constant", {"value": 1.0}),
+             "k": BlockDecl("Sub")},
+            [Link(("c", "out"), ("k", sub.in_ports[0])),
+             Link(("k", "y"), (None, "y"))])
+        model = Model({"Sub": sub, "Main": main})
+        flatten(model, "Main")
+        assert dsl.load_model(dsl.print_model(model)) == model
+
+    def test_block_keyword_then_equals_wants_a_block_name(self):
+        result = dsl.parse("cbd Main(out y){ block = Constant(1); }")
+        assert [str(d) for d in result.diagnostics] == [
+            "1:24: error: expected block name, got '='"]
+
 
 class TestFuzz:
     def test_random_bytes_never_crash(self):
@@ -425,6 +451,21 @@ class TestFuzz:
             result = dsl.parse(text)
             if result.ok:
                 dsl.validate(result.model)
+
+    @pytest.mark.parametrize("name", ["bouncing_ball.cbd", "step_chain.cbd"])
+    def test_every_prefix_and_suffix_is_diagnosed_in_the_text(self, name):
+        text = (MODELS / name).read_text()
+        for cut in range(len(text) + 1):
+            for piece in (text[:cut], text[cut:]):
+                result = dsl.parse(piece)
+                diagnostics = result.diagnostics
+                if result.ok:
+                    diagnostics = dsl.validate(result.model)[1]
+                lines = piece.split("\n")
+                for diagnostic in diagnostics:
+                    line, col = diagnostic.span
+                    assert 1 <= line <= len(lines)
+                    assert 1 <= col <= len(lines[line - 1]) + 1
 
 
 # Pieces of scanner input: comments, blanks, number and identifier forms,

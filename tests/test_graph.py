@@ -34,7 +34,8 @@ from cbdsim.graph import (
     flatten,
 )
 
-from strategies import PORTS, wirings
+from conftest import MODELS
+from strategies import PORTS, diagrams, wirings
 
 
 def primitive_model() -> Model:
@@ -417,6 +418,38 @@ class TestDependencySort:
                     for producer in block.inputs.values():
                         assert producer in seen or producer in group.members
             seen.update(group.members)
+
+    @pytest.mark.parametrize("name, top, members", [
+        ("bouncing_ball.cbd", "Main", [
+            "ball/gravity", "ball/negG", "imp/one", "imp/minus2",
+            "ball/velInt", "imp/scaled", "ball/posInt", "det/negY",
+            "det/contact", "imp/edge", "imp/negC", "imp/armed", "imp/rising",
+            "imp/hit", "ball/accel"]),
+        ("step_chain.cbd", "Chain", [
+            "rate", "ramp", "sw", "da", "db", "dc", "acc"]),
+    ])
+    def test_bundled_schedules(self, name, top, members):
+        model = dsl.load_model((MODELS / name).read_text())
+        assert dependency_sort(flatten(model, top)) == tuple(
+            Group((path,), False) for path in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(diagrams(), diagrams(last="Product")))
+def test_drawn_schedules_cover_every_block_in_dependency_order(diagram):
+    text, _ = diagram
+    flat = flatten(dsl.load_model(text), "Main")
+    schedule = dependency_sort(flat)
+    group_of = {path: k for k, group in enumerate(schedule)
+                for path in group.members}
+    assert sorted(group_of) == sorted(flat.blocks)
+    assert sum(len(group.members) for group in schedule) == len(flat.blocks)
+    # Integrators and Delays read their input one step late.
+    for path, block in flat.blocks.items():
+        if block.kind not in ("Integrator", "Delay"):
+            for producer in block.inputs.values():
+                k, j = group_of[producer], group_of[path]
+                assert k < j or (k == j and schedule[k].cyclic)
 
 
 # --- generated diagrams ------------------------------------------------------
