@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce  # noqa: F401  (read by wide Adders' template)
-from math import prod  # noqa: F401  (read by the Multiplier's template)
+from math import prod  # noqa: F401  (read by wide Multipliers' template)
 from operator import add  # noqa: F401  (read by wide Adders' template)
 from typing import Callable, NamedTuple, Sequence
 
@@ -100,7 +100,7 @@ def heaviside(x: float) -> float:
 
 
 VARIADIC_MIN_INPUTS = 2
-WIDE_ADDER = 100  # Adders this wide fold by reduce: a + b + … nests too deep
+WIDE_ADDER = 100  # Adders, Multipliers this wide fold: a + b + … nests too deep
 INTEGRATOR_ORDERS = (1, 2)
 
 
@@ -276,7 +276,7 @@ def _init(params: dict[str, float]) -> float:
 class KindInfo:
     inputs: tuple[str, ...]   # fixed port names; empty tuple + variadic for n-ary kinds
     # The phase-1 template after the first step, or a function of the
-    # node that picks it (by the Integrator's order, the Adder's width).
+    # node that picks it (by the Integrator's order, a sum's or product's width).
     template: str | Callable[..., str]
     right: Callable
     variadic: bool = False
@@ -301,8 +301,8 @@ KINDS: dict[str, KindInfo] = {
     "Adder": KindInfo((), lambda node: "{x: + }" if len(node.in_idx) < WIDE_ADDER
                       else "reduce(add, ({x:, },))", _adder_right, variadic=True),
     "Negator": KindInfo(("in",), "-{x[0]}", _negator_right),
-    "Multiplier": KindInfo((), "prod(({x:, },))", _multiplier_right,
-                           variadic=True),
+    "Multiplier": KindInfo((), lambda node: "{x: * }" if len(node.in_idx) < WIDE_ADDER
+                           else "prod(({x:, },))", _multiplier_right, variadic=True),
     "Inverter": KindInfo(("in",), "1.0 / {x[0]}", _inverter_right,
                          guard=("abs({x[0]}) <= DIV_TOLERANCE", _too_small)),
     "Integrator": KindInfo(("in",), _integrator_template, _integrator_right,

@@ -43,9 +43,9 @@ trial checks nothing outside it; every located step ends with the full
 step's phase 1, once, at the located size.  An ``EngineError`` in a full
 trial of size ``h`` stands unless a closure trial locates an earlier event.
 
-Both execution modes share this evaluator and one recorder, which appends
-each committed step's watched limits as floats to per-signal columns, a
-:class:`Stream` each, and logs one event per impulse coefficient,
+Both execution modes share this evaluator and one recorder, which packs
+each committed step's watched limits into rows, cut into per-signal
+columns, a :class:`Stream` each, and logs one event per impulse coefficient,
 ``Trace.impulses``, the only impulse record.  That is the symbolic trace.
 A numerical trace is a function of it: after the run,
 :func:`fold_impulses` folds every coefficient into its signal's columns as
@@ -62,6 +62,7 @@ import itertools
 import linecache
 import math
 import operator
+import struct
 import weakref
 from array import array
 from bisect import bisect_left
@@ -85,6 +86,7 @@ _NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 _HIGH_BYTE = _NEGATIVE_ZERO.index(0x80)
 _BELOW_LIMIT = bytes(b for b in range(256) if b & 0x7F < 0x7E)
 ZENO_WINDOW = 1000
+ROW_BUFFER = 1 << 14  # the limits a recorder buffers per side between flushes
 # The highest impulse order a step may carry before MaxOrderExceeded.
 MAX_ORDER = 16
 
@@ -365,8 +367,10 @@ class _LoopPlan:
         self.matrix = [[0.0] * n for _ in range(n)]
         # The outside inputs: ``solve``'s arguments and the replay's ``kJ``.
         self.inputs = sorted({d for i in members for d in nodes[i].in_idx} - {*position})
+        self.signature = ", ".join(f"k{d}" for d in self.inputs)
         self.rhs: list[str] = []
-        self.gains: list[tuple[int, int, tuple[int, ...]]] = []
+        self.gains: list[tuple[int, int]] = []
+        products = []  # each gain's factor, its outside inputs' product
         for row, idx in enumerate(members):
             node = nodes[idx]
             self.matrix[row][row] = 1.0
@@ -388,13 +392,18 @@ class _LoopPlan:
                     f"{node.path}: multiplier with {len(cols)} in-loop inputs"
                 )
             else:
-                self.gains.append((row, cols[0], tuple(map(self.inputs.index, outside))))
+                self.gains.append((row, cols[0]))
+                # The Multiplier's template, ``math.prod``'s floats; 1 of none.
+                products.append(bk.KINDS["Multiplier"].template(node).format(
+                    x=_Cells(f"k{d}" for d in outside)) or "1")
                 self.rhs.append(f"b{row} = 0.0")
         self.factors = self.body = None
+        self.gain_factors = _generate((), f"factors({self.signature})",
+                                      [f"return ({''.join(f'{p}, ' for p in products)})"])()
 
     def _factor(self, factors: tuple[float, ...]) -> None:
         a = [row[:] for row in self.matrix]
-        for (row, col, _), factor in zip(self.gains, factors):
+        for (row, col), factor in zip(self.gains, factors):
             a[row][col] -= factor
         n = len(a)
         b, body, values = [f"b{row}" for row in range(n)], self.rhs[:], {}
@@ -420,13 +429,12 @@ class _LoopPlan:
         body.append(f"return [{', '.join(b)}]")
         if body != self.body:
             self.body, self.bind = body, _generate(
-                values, f"replay({', '.join(f'k{d}' for d in self.inputs)})", body)
+                values, f"replay({self.signature})", body)
         self.factors, self.replay = factors, self.bind(*values.values())
 
     def solve(self, *values: float) -> list[float]:
         """Member values, in member order, given the values of ``inputs``."""
-        factors = tuple(math.prod(map(values.__getitem__, positions))
-                        for _, _, positions in self.gains)
+        factors = self.gain_factors(*values)
         if factors != self.factors:
             self._factor(factors)
         return self.replay(*values)
@@ -508,6 +516,7 @@ class Engine:
         plans = nodes, self.groups, self.loop_plans
         self.phase1 = _phase1_function(*plans, first=False, closure=self.closure)
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
+        self.firing: list[int] = []  # the Delays that fire next (_sweep_groups)
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
         self.past.append(bk.Committed(0.0, lefts, lefts, self.quiet_vectors))
 
@@ -527,19 +536,14 @@ class Engine:
 
         With every right limit equal to its left limit and no impulses,
         each kind's phase 2 reproduces its left limit, except at a source:
-        a Switch or Decision whose condition flipped, or a Delay whose
-        previous input jumped or carried impulses.  Only a source's cone,
-        the source and every block reading it within the step, can change;
-        a step with no source sweeps nothing.
+        a Switch or Decision whose condition flipped, or a Delay whose input
+        jumped or carried impulses at the last, swept, commit (``firing``).
+        Only a source's cone, the source and every block reading it within
+        the step, can change; a step with no source sweeps nothing.
         """
-        sources = [idx for idx, _ in flipped]
-        last = self.past[-1]
-        for idx, src in self.delays:
-            if last.lefts[src] != last.rights[src] \
-                    or not last.vectors[src].is_empty:
-                sources.append(idx)
-        if not sources:
+        if not (flipped or self.firing):
             return []
+        sources = [idx for idx, _ in flipped] + self.firing
         positions = set().union(*map(self.cones.__getitem__, sources))
         return [self.groups[g] for g in sorted(positions)]
 
@@ -618,6 +622,8 @@ class Engine:
                 f"{nodes[idx].path}: impulse order {vectors[idx].max_order} "
                 f"exceeds the maximum {MAX_ORDER}"
             )
+        self.firing = [idx for idx, src in self.delays
+                       if lefts[src] != rights[src] or not vectors[src].is_empty]
         past.append(bk.Committed(t, lefts, rights, vectors))
         return past[-1]
 
@@ -676,31 +682,41 @@ class Engine:
 # --- trace recording --------------------------------------------------------
 
 class _Recorder:
-    """Appends each committed step's time, watched limits and impulse
-    events to a symbolic trace.  Each column entry is ``(name, node index,
-    append left, append right)``."""
+    """Records committed steps into a symbolic trace: per step its time, a
+    packed row of watched left limits and one of right limits (the left row
+    again where phase 2 skipped), and a swept step's impulse events."""
 
     def __init__(self, watched: dict[str, int]):
-        self.trace = Trace()
-        self.columns = []
-        for name, idx in watched.items():
-            stream = self.trace.signals[name] = Stream()
-            self.columns.append((name, idx, stream.left.append,
-                                 stream.right.append))
+        self.trace = Trace(signals={name: Stream() for name in watched})
+        indices = list(watched.values())
+        # ``itemgetter`` returns a lone item bare: under two signals, a slice.
+        self.take = operator.itemgetter(*indices) if len(indices) > 1 else \
+            operator.itemgetter(slice(*indices, indices[0] + 1 if indices else 0))
+        self.pack = struct.Struct(f"{len(indices)}d").pack
+        self.left, self.right = array("d"), array("d")
 
     def record(self, step: bk.Committed) -> None:
         t, lefts, rights, vectors = step
-        trace = self.trace
-        trace.times.append(t)
-        for name, idx, add_left, add_right in self.columns:
-            add_left(lefts[idx])
-            add_right(rights[idx])
-            vector = vectors[idx]
-            if vector is not EMPTY_IMPULSES and not vector.is_empty:
-                for order, coefficient in vector.items():
-                    trace.impulses.append(
-                        ImpulseEvent(t, name, order, coefficient)
-                    )
+        self.trace.times.append(t)
+        self.left.frombytes(row := self.pack(*self.take(lefts)))
+        if rights is not lefts:
+            row = self.pack(*self.take(rights))
+            for name, vector in zip(self.trace.signals, self.take(vectors)):
+                if vector is not EMPTY_IMPULSES and not vector.is_empty:
+                    self.trace.impulses += [ImpulseEvent(t, name, *item)
+                                            for item in vector.items()]
+        self.right.frombytes(row)
+        if len(self.right) >= ROW_BUFFER:
+            self.flush()
+
+    def flush(self) -> Trace:
+        """Cut the buffered rows into the watched columns; returns the trace."""
+        width = len(self.trace.signals)
+        for k, stream in enumerate(self.trace.signals.values()):
+            stream.left += self.left[k::width]
+            stream.right += self.right[k::width]
+        del self.left[:], self.right[:]
+        return self.trace
 
 
 def impulse_steps(times: list[float], signals: dict[str, Stream],
@@ -842,7 +858,7 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
                 f"advanced only {t_new - located_starts[0]!r}s"
             )
         t = t_new
-    trace = recorder.trace
+    trace = recorder.flush()
     overflows = _encode_numerically(trace) if config.mode == NUMERICAL else []
     trace.warnings = [w for *_, w in heapq.merge(underflows, overflows)]
     return trace

@@ -200,12 +200,18 @@ def _check_definition(name: str, defn: Definition,
         if not (isinstance(item, str) and _NAME_RE.fullmatch(item)):
             yield Problem(InvalidName, name, where,
                           f"{what} name {item!r} must match {NAME}")
-    for k, port in enumerate(port_names):
-        if port in port_names[:k]:
+    # The later rules hash port names: one that cannot be hashed has only
+    # its InvalidName.
+    out_ports = _hashable(defn.out_ports)
+    port_names = _hashable(defn.in_ports) + out_ports
+    port_set = set()
+    for port in port_names:
+        if port in port_set:
             yield Problem(DuplicateName, name, ("port", port),
                           f"duplicate port {port!r}")
+        port_set.add(port)
     for bname, decl in blocks.items():
-        if bname in port_names:
+        if bname in port_set:
             yield Problem(DuplicateName, name, ("block", bname),
                           f"duplicate name {bname!r}")
         info = KINDS.get(decl.kind)
@@ -247,7 +253,7 @@ def _check_definition(name: str, defn: Definition,
             yield Problem(UnconnectedInput, name, ("src", i),
                           f"unknown link source {block or port!r}")
         block, port = link.dst
-        if block is None and port in defn.out_ports:
+        if block is None and port in out_ports:
             pass
         elif block is None and port in defn.in_ports:
             yield Problem(UnconnectedInput, name, ("dst", i),
@@ -272,7 +278,7 @@ def _check_definition(name: str, defn: Definition,
                           f"multiple drivers for {_endpoint_str(link.dst)}")
         ports.add(port)
 
-    for port in defn.out_ports:
+    for port in out_ports:
         if port not in driven.get(None, ()):
             yield Problem(UnconnectedInput, name, ("port", port),
                           f"output port {port!r} has no driver")
@@ -289,7 +295,7 @@ def _check_definition(name: str, defn: Definition,
         if info is not None:
             declared = info.inputs
         elif decl.kind in definitions:
-            declared = definitions[decl.kind].in_ports
+            declared = _hashable(definitions[decl.kind].in_ports)
         else:
             continue
         if ports.issuperset(declared):
@@ -298,6 +304,17 @@ def _check_definition(name: str, defn: Definition,
         for port in sorted(set(declared) - ports, key=str):
             yield Problem(UnconnectedInput, name, ("block", bname),
                           f"input port {port!r} of {bname!r} has no driver")
+
+
+def _hashable(names: tuple) -> tuple:
+    """``names`` but those that cannot be hashed."""
+    def hashes(name: object) -> bool:
+        try:
+            hash(name)
+        except TypeError:
+            return False
+        return True
+    return names if hashes(names) else tuple(filter(hashes, names))
 
 
 def _not_a_finite_number(value: object) -> str:

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdsim import blocks as bk
 from cbdsim import dsl, engine
@@ -972,6 +973,48 @@ class TestGeneratedPhase1:
         trace = simulate(Model(definitions={"Main": main}), "Main",
                          SimConfig(h=0.1, t_end=0.2))
         assert trace.signals["y"].left.tolist() == [5000.0] * 3
+
+    @pytest.mark.parametrize("width", [bk.WIDE_ADDER - 1, bk.WIDE_ADDER, 5000])
+    def test_wide_multiplier_compiles(self, width):
+        # One Constant wired to every port of a Multiplier: from WIDE_ADDER
+        # inputs on its template is ``prod``, as ``a * b * …`` that wide
+        # nests too deep to compile.
+        main = Definition(
+            name="Main", out_ports=("y",),
+            blocks={"c": BlockDecl("Constant", {"value": -1}),
+                    "m": BlockDecl("Multiplier")},
+            links=[Link(("c", "out"), ("m", f"in{k + 1}")) for k in range(width)]
+            + [Link(("m", "out"), (None, "y"))],
+        )
+        trace = simulate(Model(definitions={"Main": main}), "Main",
+                         SimConfig(h=0.1, t_end=0.2))
+        assert trace.signals["y"].left.tolist() == [(-1.0) ** width] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1, -1, 0, 3, 0.5, -2.5, 1e200, -1e-200]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10 ** 6, 10 ** 6)), min_size=2, max_size=6))
+    def test_multiplier_gives_the_values_of_prod(self, factors):
+        # Code-built Constants keep int values: ``a * b`` must give what
+        # ``math.prod`` gives, its type and the sign of a zero included.
+        blocks = {f"c{k}": BlockDecl("Constant", {"value": value})
+                  for k, value in enumerate(factors)}
+        blocks["m"] = BlockDecl("Multiplier")
+        links = [Link((f"c{k}", "out"), ("m", f"in{k + 1}"))
+                 for k in range(len(factors))] + [Link(("m", "out"), (None, "y"))]
+        model = Model(definitions={"Main": Definition(
+            name="Main", out_ports=("y",), blocks=blocks, links=links)})
+        expected = math.prod(factors)
+        if not math.isfinite(expected):
+            with pytest.raises(SimulationError, match="^m: "):
+                Engine(flatten(model, "Main"), SimConfig(h=0.1))
+            return
+        engine = Engine(flatten(model, "Main"), SimConfig(h=0.1))
+        m = next(node.idx for node in engine.nodes if node.path == "m")
+        for lefts in engine.past[-1].lefts, engine.compute_step(0.1)[0]:
+            assert (type(lefts[m]), repr(lefts[m])) == \
+                (type(expected), repr(expected))
 
     def test_traceback_shows_the_generated_line(self):
         model = dsl.load_model("""

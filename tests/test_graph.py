@@ -223,11 +223,20 @@ _SUB = Definition(name="Sub", out_ports=("y",),
                   links=[Link(("b", "out"), (None, "y"))])
 
 
-# An int port once made flatten raise TypeError; a block "a/b" clashed with
-# the flat path of a's block b, so y read its 2.0 for b's 1.0; an output
-# "a,b" wrote trace rows that read_trace refused.
+# An int port once made flatten raise TypeError, and a list port made
+# check_model raise it where a later rule hashed the name; a block "a/b"
+# clashed with the flat path of a's block b, so y read its 2.0 for b's 1.0;
+# an output "a,b" wrote trace rows that read_trace refused.
 @pytest.mark.parametrize("definitions, definition, where, subject", [
     ({"Main": _main(in_ports=(1,))}, "Main", ("port", 1), "port name 1"),
+    ({"Main": _main(out_ports=("y", ["z"]))}, "Main", ("port", ["z"]),
+     "port name ['z']"),
+    ({"Main": _main(blocks={"k": BlockDecl("Sub")},
+                    links=[Link(("k", "y"), (None, "y"))]),
+      "Sub": Definition(name="Sub", in_ports=(["u"],), out_ports=("y",),
+                        blocks={"b": BlockDecl("Constant", {"value": 1.0})},
+                        links=[Link(("b", "out"), (None, "y"))])},
+     "Sub", ("port", ["u"]), "port name ['u']"),
     ({"Main": _main(blocks={"a": BlockDecl("Sub"),
                             "a/b": BlockDecl("Constant", {"value": 2.0})},
                     links=[Link(("a", "y"), (None, "y"))]), "Sub": _SUB},
@@ -237,13 +246,14 @@ _SUB = Definition(name="Sub", out_ports=("y",),
      "Main", ("port", "a,b"), "port name 'a,b'"),
     ({"Main": _main(), "Sub-1": Definition(name="Sub-1")},
      "Sub-1", None, "definition name 'Sub-1'"),
-], ids=["int-port", "slash-block", "comma-port", "dash-definition"])
+], ids=["int-port", "list-port", "list-port-of-an-instance", "slash-block",
+        "comma-port", "dash-definition"])
 def test_every_name_is_a_name(definitions, definition, where, subject):
     model = Model(definitions=definitions)
     message = f"{subject} must match [A-Za-z_][A-Za-z_0-9]*"
     assert list(check_model(model)) == [
         (InvalidName, definition, where, message)]
-    prefix = "" if where is None else "Main: "
+    prefix = "" if where is None else f"{definition}: "
     with pytest.raises(InvalidName, match=f"^{re.escape(prefix + message)}$"):
         flatten(model, "Main")
     with pytest.raises(dsl.ModelTextError):

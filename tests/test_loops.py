@@ -144,6 +144,26 @@ def test_plan_replay_is_bitwise_equal_to_reference(case):
             _outcome(lambda: reference_solve(nodes, members, known))
 
 
+@settings(max_examples=300, deadline=None)
+@given(loops())
+def test_gain_factors_are_the_products_of_math_prod(case):
+    # Each gain's factor is its Multiplier's outside inputs multiplied as
+    # ``math.prod`` multiplies them, type and sign of zero included.
+    nodes, members, n, solves = case
+    try:
+        plan = _LoopPlan(nodes, members)
+    except NonlinearLoop:
+        return
+    inside = set(members)
+    for values in solves:
+        known = lambda dep: values[dep - n]  # noqa: E731
+        expected = [math.prod(known(d) for d in nodes[idx].in_idx if d not in inside)
+                    for idx in members if nodes[idx].kind == "Multiplier"]
+        factors = plan.gain_factors(*map(known, plan.inputs))
+        assert [(type(f), repr(f)) for f in factors] == \
+            [(type(f), repr(f)) for f in expected]
+
+
 # --- a time-varying gain ------------------------------------------------------
 
 RAMP_GAIN = """

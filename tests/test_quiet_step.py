@@ -11,6 +11,8 @@ only the condition closure.  Each case runs ``simulate`` as is, again with
 requires the same trace, impulse log and warnings, compared through
 ``float.hex``, or the same error.  When both modes complete,
 ``compare_traces`` must find their traces equal at every step.
+``Engine.firing``, the Delays that fire on the next step, which only a
+swept commit sets, must equal a scan of the last committed step.
 """
 
 from unittest import mock
@@ -91,16 +93,17 @@ def _trial_with_phase2(self, dt, closure=False,
                        compute_step=Engine.compute_step):
     """``compute_step`` with a bisection trial over every block that also
     runs phase 2, as ``commit`` would, on a copy of ``past`` that it then
-    drops: every error of the step stands."""
+    drops, with the ``firing`` Delays the commit sets: every error of the
+    step stands."""
     lefts, flipped = compute_step(self, dt)
     if not closure:
         return lefts, flipped
-    past = self.past
+    past, firing = self.past, self.firing
     self.past = past.copy()
     try:
         Engine.commit(self, past[-1].t + dt, lefts, flipped)
     finally:
-        self.past = past
+        self.past, self.firing = past, firing
     return lefts, flipped
 
 
@@ -365,3 +368,59 @@ def test_decision_on_a_product_matches_full_trials():
 def test_random_diagrams_match_the_full_sweep(diagram, h):
     text, watch = diagram
     _assert_fast_path_equivalent(text, watch, h=h, t_end=2.0)
+
+
+# --- the firing Delays ---------------------------------------------------------
+
+def _delays_scanned(engine):
+    """The Delays whose input jumped or carried impulses at the last
+    commit, scanned from ``past[-1]``."""
+    last = engine.past[-1]
+    return [idx for idx, src in engine.delays
+            if last.lefts[src] != last.rights[src]
+            or not last.vectors[src].is_empty]
+
+
+def _firing_sets(text, h):
+    """``Engine.firing`` after every commit of a run of ``text``, each
+    checked against the scan, before the commit as well as after."""
+    seen = []
+
+    def commit(self, *args, commit=Engine.commit):
+        assert self.firing == _delays_scanned(self)
+        step = commit(self, *args)
+        assert self.firing == _delays_scanned(self)
+        seen.append(list(self.firing))
+        return step
+
+    with mock.patch.object(Engine, "commit", commit):
+        try:
+            simulate(dsl.load_model(text), "Main",
+                     SimConfig(h=h, t_end=2.0, **TOLERANCES))
+        except EngineError:
+            pass
+    return seen
+
+
+# A Delay reads a Switch of the oscillator's position: it fires on the
+# step after each located flip.
+DELAYED_SWITCH = "cbd Main(out y) {" + OSCILLATOR.format(
+    pos0=1.0, vel0=0.0) + """
+  block s = Switch(); pos.out -> s.c;
+  block d = Delay(0.5); s.out -> d.in;
+  d.out -> y;
+}
+"""
+
+
+def test_a_delay_fires_after_its_switch_flips():
+    # Two located flips in the 2 s, each followed by one firing step.
+    assert sum(map(bool, _firing_sets(DELAYED_SWITCH, 0.1))) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(diagrams(last="Delay"), diagrams()),
+       st.sampled_from((0.1, 0.25)))
+def test_firing_delays_match_the_scan_of_the_last_step(diagram, h):
+    text, _ = diagram
+    _firing_sets(text, h)  # it checks every commit the run makes
