@@ -1,29 +1,32 @@
-"""The evaluator's shortcuts against the full computation.
+"""The evaluator's shortcuts against the reference stepper.
 
-Phase 2, which ``Engine.commit`` runs, sweeps only the schedule groups
-that ``Engine._sweep_groups`` returns: none when no Switch, Decision or Delay
-fires, else the cones of the firing sources.  ``Engine.locate_crossing``
-bisects with ``Engine.compute_step(dt, closure=True)``, which evaluates
-only the condition closure.  Each case runs ``simulate`` as is, again with
-``_sweep_groups`` patched to return every group, and again with
-``compute_step`` patched to evaluate every block in every trial (see
-``_full_trial``), in both modes, and
-requires the same trace, impulse log and warnings, compared through
-``float.hex``, or the same error.  When both modes complete,
-``compare_traces`` must find their traces equal at every step.
+``Engine.commit`` sweeps only the cones of the sources that fire, and none
+on a quiet step; ``Engine.locate_crossing`` bisects with trials of the
+condition closure alone; ``engine._Recorder`` packs each step into rows.
+``tests/reference.py`` runs the same semantics with none of these: every
+trial a full phase 1, every commit a sweep of every group, every trace
+column appended per signal.  Each case runs ``simulate`` and the stepper
+in both modes and requires the same trace, impulse log and warnings,
+compared through ``float.hex``, or the same error type, block path and
+message.  When both modes complete, ``compare_traces`` must find their
+traces equal at every step.  The bundled ball and the benchmark's
+``switch_dense``, whose runs bisect, are compared the same way.
 ``Engine.firing``, the Delays that fire on the next step, which only a
 swept commit sets, must equal a scan of the last committed step.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from cbdsim import dsl, engine
 from cbdsim.analysis import compare_traces
-from cbdsim.engine import (Engine, EngineError, SimConfig,
-                           SimulationError, simulate)
+from cbdsim.engine import Engine, EngineError, SimConfig, SimulationError, simulate
+from cbdsim.graph import flatten
 
+from conftest import ROOT, perfbench_module
 from strategies import BASE_SIGNALS, OSCILLATOR, diagrams
 
 MODES = ("symbolic", "numerical")
@@ -31,31 +34,6 @@ MODES = ("symbolic", "numerical")
 # never commits its flip, crawls towards t_end in steps of h_min; this
 # h_min keeps such a run to a few thousand steps.
 TOLERANCES = dict(zc_tol=1e-4, h_min=1e-4)
-
-
-def _sample_key(s):
-    return (s.left.hex(), s.right.hex())
-
-
-def _run(model, watch, config):
-    """The run's trace, or its error as ("error", kind, message)."""
-    try:
-        return simulate(model, "Main", SimConfig(watch=watch, **config))
-    except EngineError as err:
-        return ("error", type(err).__name__, str(err))
-
-
-def _outcome(trace):
-    if isinstance(trace, tuple):
-        return trace
-    return (
-        [t.hex() for t in trace.times],
-        {name: [_sample_key(s) for s in stream]
-         for name, stream in trace.signals.items()},
-        [(e.time.hex(), e.signal, e.order, e.coefficient.hex())
-         for e in trace.impulses],
-        trace.warnings,
-    )
 
 
 def _condition_closure(engine):
@@ -115,25 +93,25 @@ REFERENCES = {
 
 
 def _assert_fast_path_equivalent(text, watch, **config):
-    """Compare every path in both modes, and the two modes' traces when
-    both complete; return the symbolic outcome."""
+    """Compare ``simulate`` with the reference stepper in both modes, and
+    the two modes' traces when both complete; return the symbolic outcome."""
     model = dsl.load_model(text)
-    traces = {}
+    runs = []
     for mode in MODES:
-        run = dict(TOLERANCES, **config, mode=mode)
-        traces[mode] = _run(model, watch, run)
-        fast = _outcome(traces[mode])
+        run = SimConfig(mode=mode, watch=watch, **dict(TOLERANCES, **config))
+        runs.append(reference.matches(model, "Main", run))
         for name, (attr, full) in REFERENCES.items():
             with mock.patch.object(Engine, attr, full):
-                assert _outcome(_run(model, watch, run)) == fast, (mode, name)
-    symbolic, numerical = traces.values()
-    if not isinstance(symbolic, tuple) and not isinstance(numerical, tuple):
+                assert reference.outcome(simulate, model, "Main", run)[1] \
+                    == runs[-1][1], (mode, name)
+    (symbolic, outcome), (numerical, _) = runs
+    if symbolic is not None and numerical is not None:
         # The symbolic trace with its impulse log folded in is the
         # numerical trace exactly.
         report = compare_traces(symbolic, numerical, 1e-12)
         assert report.ok, report.to_dict()
         assert all(d.max_relative == 0.0 for d in report.deviations)
-    return _outcome(symbolic)
+    return outcome
 
 
 # --- fixed cases: one per source kind -----------------------------------------
@@ -227,6 +205,22 @@ def test_two_switches_flipping_in_one_trial_step():
         ((1.0).hex(), (-1.0).hex())
 
 
+def test_switch_jump_through_a_decision():
+    # pick holds u, the switch, on a constant condition: it is in the
+    # switch's cone without being a source itself.
+    text = RAMP_INTO.format(
+        blocks="block one = Constant(1); block five = Constant(5); "
+               "block pick = Decision();",
+        wiring="sw.out -> pick.u; five.out -> pick.v; one.out -> pick.c; "
+               "pick.out -> y;",
+    )
+    _, signals, _, _ = _assert_fast_path_equivalent(
+        text, ("sw", "pick"), h=0.1, t_end=0.6)
+    assert signals["pick"] == signals["sw"]
+    assert [s for s in signals["pick"] if s[0] != s[1]] == \
+        [((0.0).hex(), (1.0).hex())]
+
+
 LOOP = ("block a = Adder(); block m = Multiplier(); block g = Constant(0.5); "
         "block e = Derivative(); block acc = Integrator(0);")
 # a = in + 0.5 a: an algebraic loop, swept whole inside the cone.
@@ -251,7 +245,7 @@ def test_switch_impulse_into_an_adder_loop_is_rejected():
         wiring="sw.out -> e.in; e.out -> a.in1; a.out -> acc.in; " + LOOP_WIRING,
     )
     outcome = _assert_fast_path_equivalent(text, ("a",), h=0.1, t_end=0.6)
-    assert outcome[:2] == ("error", "ImpulseInLoop")
+    assert outcome[:2] == ("ImpulseInLoop", None)
 
 
 def test_delay_cone_wrapping_around_the_schedule():
@@ -287,7 +281,7 @@ def test_max_order_error_names_the_first_block_in_node_order(monkeypatch):
     )
     outcome = _assert_fast_path_equivalent(
         text, ("e3",), h=0.1, t_end=0.6)
-    assert outcome[:2] == ("error", "MaxOrderExceeded")
+    assert outcome[:2] == ("MaxOrderExceeded", None)
     assert outcome[2].startswith("e3: impulse order 2")
 
 
@@ -324,18 +318,18 @@ cbd Main(out y) {
 def test_full_trial_error_outside_the_closure_is_discarded():
     watch = ("pos", "vel", "spring", "b0", "b1", "b2", "b3", "b4", "b5")
     model = dsl.load_model(TWO_PRODUCTS)
-    run = dict(TOLERANCES, h=0.25, t_end=2.0)
-    assert not isinstance(_run(model, watch, run), tuple)
+    run = SimConfig(watch=watch, h=0.25, t_end=2.0, **TOLERANCES)
     with mock.patch.object(Engine, "compute_step", _trial_with_phase2):
-        outcome = _run(model, watch, run)
-    assert outcome[:2] == ("error", "SimulationError")
-    assert outcome[2].startswith("b5: ")
-    _assert_fast_path_equivalent(TWO_PRODUCTS, watch, h=0.25, t_end=2.0)
+        outcome = reference.outcome(simulate, model, "Main", run)[1]
+    assert outcome[:2] == ("SimulationError", "b5")
+    times, *_ = _assert_fast_path_equivalent(TWO_PRODUCTS, watch,
+                                             h=0.25, t_end=2.0)
+    assert times[1:3] == [(0.25).hex(), (0.25 + 1e-4).hex()]
 
 
-# A diagram drawn by the property below, pinned: with full trials that ran
-# phase 2, a discarded bisection trial raised ImpulseAtSwitchingInstant at
-# the Decision b3, which a trial of phase 1 alone never checks.
+# A diagram drawn by the property below, pinned: a discarded bisection
+# trial that ran phase 2 would raise ImpulseAtSwitchingInstant at the
+# Decision b3, which a trial of phase 1 alone never checks.
 DECISION_ON_A_PRODUCT = "cbd Main(out y) {" + OSCILLATOR.format(
     pos0=1.0, vel0=-1.0) + """
   block b0 = Multiplier(); pos.out -> b0.in1; vel.out -> b0.in2;
@@ -360,14 +354,31 @@ def test_decision_on_a_product_matches_full_trials():
 
 # --- random diagrams ---------------------------------------------------------
 
-# About half the diagrams end in a "Product", whose Multiplier estimates the
-# other input's derivatives from the committed steps.
+# A "Product" Multiplier estimates the other input's derivatives from the
+# committed steps; a last Delay replays the diagram's jumps and impulses.
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(diagrams(), diagrams(last="Product")),
+@given(st.one_of(diagrams(), diagrams(last="Product"), diagrams(last="Delay")),
        st.sampled_from((0.1, 0.25)))
 def test_random_diagrams_match_the_full_sweep(diagram, h):
     text, watch = diagram
     _assert_fast_path_equivalent(text, watch, h=h, t_end=2.0)
+
+
+# --- the models whose runs bisect ----------------------------------------------
+
+@pytest.mark.parametrize("model, mode", [
+    ("ball", "symbolic"), ("ball", "numerical"), ("switch_dense", "numerical")])
+def test_bisected_models_match_the_reference(model, mode, ball_text):
+    # The bundled ball for 2 s, and the benchmark's switch_dense at seed 1,
+    # as the benchmark runs it.
+    if model == "ball":
+        text, config = ball_text, dict(h=1e-3, t_end=2.0)
+    else:
+        text = perfbench_module("workloads").switch_dense(ROOT, 1, False).text
+        config = dict(h=1e-3, t_end=1.0, zc_tol=1e-9, h_min=1e-12)
+    trace, _ = reference.matches(dsl.load_model(text), "Main",
+                                 SimConfig(mode=mode, **config))
+    assert trace is not None
 
 
 # --- the firing Delays ---------------------------------------------------------

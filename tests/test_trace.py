@@ -22,6 +22,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from cbdsim import cli, dsl, engine
 from cbdsim.analysis import compare_traces
 from cbdsim.blocks import Committed
@@ -413,6 +414,7 @@ def test_recorder_rows_match_the_per_column_recorder(diagram, h, row_buffer,
                                h_min=1e-4, watch=watch)
             with mock.patch.object(engine, "ROW_BUFFER", row_buffer):
                 rows = _run_hexed(model, top, config)
+                reference.matches(model, top, config)
             with mock.patch.object(engine, "_Recorder", _ColumnRecorder):
                 assert rows == _run_hexed(model, top, config), (top, watch, mode)
             if top == "Top" and not isinstance(rows[0], str):
