@@ -5,9 +5,9 @@ closure=True)``, which runs phase 1 over the condition closure only: the
 schedule groups reached backwards from every Switch and Decision condition
 input, stopping at Integrators and Delays.  The later-steps function runs
 those groups first and stops after them in such a trial.
-``tests/test_quiet_step.py`` compares whole runs against full-step trials;
-this file pins the closure's contents, its trials and the declared
-differences.
+``tests/test_quiet_step.py`` compares whole runs with the reference
+stepper, ``tests/reference.py``, whose trials are full steps; this file
+pins the closure's contents, its trials and the declared differences.
 """
 
 import sys
@@ -26,11 +26,6 @@ from conftest import ROOT, perfbench_module
 
 def _workloads():
     return perfbench_module("workloads")
-
-
-def _full_trials(self, dt, closure=False, compute_step=Engine.compute_step):
-    """``compute_step`` with every trial over every block."""
-    return compute_step(self, dt)
 
 
 def _engine(text, top="Main"):
@@ -142,10 +137,10 @@ def test_discarded_trial_skips_blocks_outside_the_closure():
     assert abs(trace.times[1] - 0.3) <= 1e-9
     assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
     assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.2)
-    # Full-step trials evaluate the inverter at p = 0 and stop the run.
-    with mock.patch.object(Engine, "compute_step", _full_trials):
-        with pytest.raises(SimulationError) as excinfo:
-            simulate(model, "Main", config)
+    # The first bisection trial, 0.5, as a full step evaluates the inverter
+    # at p = 0: the run would stop there if it ran beyond the closure.
+    with pytest.raises(SimulationError) as excinfo:
+        _engine(DISCARDED_TRIAL).compute_step(0.5)
     assert excinfo.value.block_path == "inv"
     assert isinstance(excinfo.value.cause, bk.DivisionNearZero)
 
@@ -153,17 +148,16 @@ def test_discarded_trial_skips_blocks_outside_the_closure():
 def test_failing_full_trial_is_discarded_like_a_bisection_trial():
     # p reaches zero at the full trial t = 1, where the inverter fails; the
     # event at t = 0.3 commits first, and no later step reaches p = 0.
-    model = dsl.load_model(DISCARDED_TRIAL.replace("Integrator(-0.5)",
-                                                   "Integrator(-1.0)"))
+    text = DISCARDED_TRIAL.replace("Integrator(-0.5)", "Integrator(-1.0)")
+    model = dsl.load_model(text)
     config = SimConfig(h=1.0, t_end=2.0)
     trace = simulate(model, "Main", config)
     assert abs(trace.times[1] - 0.3) <= 1e-9
     assert len(trace.times) == 3
     assert [(s.left, s.right) for s in trace.signals["c"]][1] == (0.0, 1.0)
     assert trace.signals["y"].left[1] == pytest.approx(1.0 / -0.7)
-    with mock.patch.object(Engine, "compute_step", _full_trials):
-        with pytest.raises(SimulationError) as excinfo:
-            simulate(model, "Main", config)
+    with pytest.raises(SimulationError) as excinfo:
+        _engine(text).compute_step(1.0)
     assert excinfo.value.block_path == "inv"
 
 

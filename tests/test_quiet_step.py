@@ -36,75 +36,14 @@ MODES = ("symbolic", "numerical")
 TOLERANCES = dict(zc_tol=1e-4, h_min=1e-4)
 
 
-def _condition_closure(engine):
-    """The paths of the blocks a crossing test reads, from the closure's
-    definition: reached backwards from every Switch and Decision condition
-    input, not through an Integrator or Delay, which read the committed
-    steps only."""
-    stack = [n.in_idx[-1] for n in engine.nodes
-             if n.kind in ("Switch", "Decision")]
-    seen = set()
-    while stack:
-        idx = stack.pop()
-        if idx not in seen:
-            seen.add(idx)
-            if engine.nodes[idx].kind not in ("Integrator", "Delay"):
-                stack.extend(engine.nodes[idx].in_idx)
-    return {engine.nodes[idx].path for idx in seen}
-
-
-def _full_trial(self, dt, closure=False, compute_step=Engine.compute_step):
-    """``compute_step`` with a bisection trial over every block.  A
-    discarded trial does not stop the run for an error at a block outside
-    the condition closure
-    (``test_discarded_trial_skips_blocks_outside_the_closure``), so only
-    such an error gives the closure trial instead; any other error stands."""
-    try:
-        return compute_step(self, dt)
-    except SimulationError as err:
-        if not closure or err.block_path in _condition_closure(self):
-            raise
-        return compute_step(self, dt, closure=True)
-
-
-def _trial_with_phase2(self, dt, closure=False,
-                       compute_step=Engine.compute_step):
-    """``compute_step`` with a bisection trial over every block that also
-    runs phase 2, as ``commit`` would, on a copy of ``past`` that it then
-    drops, with the ``firing`` Delays the commit sets: every error of the
-    step stands."""
-    lefts, flipped = compute_step(self, dt)
-    if not closure:
-        return lefts, flipped
-    past, firing = self.past, self.firing
-    self.past = past.copy()
-    try:
-        Engine.commit(self, past[-1].t + dt, lefts, flipped)
-    finally:
-        self.past, self.firing = past, firing
-    return lefts, flipped
-
-
-# Each reference patches one shortcut back to the full computation.
-REFERENCES = {
-    "full sweep": ("_sweep_groups", lambda self, *args: self.groups),
-    "full trials": ("compute_step", _full_trial),
-}
-
-
 def _assert_fast_path_equivalent(text, watch, **config):
     """Compare ``simulate`` with the reference stepper in both modes, and
     the two modes' traces when both complete; return the symbolic outcome."""
     model = dsl.load_model(text)
-    runs = []
-    for mode in MODES:
-        run = SimConfig(mode=mode, watch=watch, **dict(TOLERANCES, **config))
-        runs.append(reference.matches(model, "Main", run))
-        for name, (attr, full) in REFERENCES.items():
-            with mock.patch.object(Engine, attr, full):
-                assert reference.outcome(simulate, model, "Main", run)[1] \
-                    == runs[-1][1], (mode, name)
-    (symbolic, outcome), (numerical, _) = runs
+    (symbolic, outcome), (numerical, _) = [
+        reference.matches(model, "Main", SimConfig(
+            mode=mode, watch=watch, **dict(TOLERANCES, **config)))
+        for mode in MODES]
     if symbolic is not None and numerical is not None:
         # The symbolic trace with its impulse log folded in is the
         # numerical trace exactly.
@@ -317,14 +256,18 @@ cbd Main(out y) {
 
 def test_full_trial_error_outside_the_closure_is_discarded():
     watch = ("pos", "vel", "spring", "b0", "b1", "b2", "b3", "b4", "b5")
-    model = dsl.load_model(TWO_PRODUCTS)
-    run = SimConfig(watch=watch, h=0.25, t_end=2.0, **TOLERANCES)
-    with mock.patch.object(Engine, "compute_step", _trial_with_phase2):
-        outcome = reference.outcome(simulate, model, "Main", run)[1]
-    assert outcome[:2] == ("SimulationError", "b5")
     times, *_ = _assert_fast_path_equivalent(TWO_PRODUCTS, watch,
                                              h=0.25, t_end=2.0)
     assert times[1:3] == [(0.25).hex(), (0.25 + 1e-4).hex()]
+    # Those two steps again, then the step h = 0.25 flips, and its first
+    # bisection trial, 0.125, fails at b5 if it is committed.
+    run = Engine(flatten(dsl.load_model(TWO_PRODUCTS), "Main"),
+                 SimConfig(h=0.25, **TOLERANCES))
+    for dt in (0.25, 1e-4):
+        run.commit(run.past[-1].t + dt, *run.compute_step(dt))
+    assert run.compute_step(0.25)[1]
+    with pytest.raises(SimulationError, match="^b5: "):
+        run.commit(run.past[-1].t + 0.125, *run.compute_step(0.125))
 
 
 # A diagram drawn by the property below, pinned: a discarded bisection

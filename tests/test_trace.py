@@ -8,8 +8,8 @@ and its equality, round-trip random traces through the CSV and JSON files
 bit for bit (a zero next to the zero of the other sign included), keep
 the reader's malformed-file errors, reject ragged in-memory traces
 without writing a file, pin the overflow warnings of the numerical fold
-and hold the recorder's packed rows to the per-column recorder they
-replaced.
+and hold the recorder's packed rows to the columns of the reference
+stepper, ``tests/reference.py``.
 """
 
 import json
@@ -27,7 +27,7 @@ from cbdsim import cli, dsl, engine
 from cbdsim.analysis import compare_traces
 from cbdsim.blocks import Committed
 from cbdsim.engine import (
-    EngineError, ImpulseEvent, Limits, SimConfig, Stream, Trace, _Recorder,
+    EngineError, Limits, SimConfig, Stream, Trace, _Recorder,
     _encode_numerically, simulate,
 )
 from cbdsim.graph import flatten
@@ -344,51 +344,7 @@ class TestOverflowScreen:
         assert trace.warnings == ([_warning("b", 0.0)] if warns else [])
 
 
-# --- the recorder's rows against the per-column reference ----------------------
-
-class _ColumnRecorder:
-    """The recorder that the packed rows replaced, kept as their reference:
-    it appends each step's watched limits to each signal's columns, one
-    signal at a time, and scans every step's impulse vectors."""
-
-    def __init__(self, watched):
-        self.trace = Trace()
-        self.columns = []
-        for name, idx in watched.items():
-            stream = self.trace.signals[name] = Stream()
-            self.columns.append((name, idx, stream.left.append,
-                                 stream.right.append))
-
-    def record(self, step):
-        t, lefts, rights, vectors = step
-        trace = self.trace
-        trace.times.append(t)
-        for name, idx, add_left, add_right in self.columns:
-            add_left(lefts[idx])
-            add_right(rights[idx])
-            vector = vectors[idx]
-            if vector is not EMPTY_IMPULSES and not vector.is_empty:
-                for order, coefficient in vector.items():
-                    trace.impulses.append(
-                        ImpulseEvent(t, name, order, coefficient)
-                    )
-
-    def flush(self):
-        return self.trace
-
-
-def _run_hexed(model, top, config):
-    """A run's trace through ``float.hex``, its signals in order, or its
-    error."""
-    try:
-        trace = simulate(model, top, config)
-    except EngineError as err:
-        return type(err).__name__, str(err)
-    return (_hexed(trace), list(trace.signals),
-            [(e.time.hex(), e.signal, e.order, float(e.coefficient).hex())
-             for e in trace.impulses],
-            trace.warnings)
-
+# --- the recorder's rows against the reference stepper's columns --------------
 
 # A top definition without output ports watches no signal.
 NO_OUTPUTS = "cbd Top() { block m = Main(); }\n"
@@ -402,7 +358,8 @@ def test_recorder_rows_match_the_per_column_recorder(diagram, h, row_buffer,
                                                      data):
     """No signal, the one output, one drawn signal and every block, in
     both modes, with the rows cut into columns every ``row_buffer``
-    limits: the same trace, impulse log and warnings, or the same error."""
+    limits: the reference stepper, which appends each limit to its column,
+    gives the same trace, impulse log and warnings, or the same error."""
     text, names = diagram
     model = dsl.load_model(text + NO_OUTPUTS)
     every = tuple(flatten(model, "Main").blocks)
@@ -413,9 +370,6 @@ def test_recorder_rows_match_the_per_column_recorder(diagram, h, row_buffer,
             config = SimConfig(mode=mode, h=h, t_end=2.0, zc_tol=1e-4,
                                h_min=1e-4, watch=watch)
             with mock.patch.object(engine, "ROW_BUFFER", row_buffer):
-                rows = _run_hexed(model, top, config)
-                reference.matches(model, top, config)
-            with mock.patch.object(engine, "_Recorder", _ColumnRecorder):
-                assert rows == _run_hexed(model, top, config), (top, watch, mode)
-            if top == "Top" and not isinstance(rows[0], str):
-                assert rows[1:3] == ([], [])
+                trace, rows = reference.matches(model, top, config)
+            if top == "Top" and trace is not None:
+                assert rows[1:3] == ({}, [])
