@@ -516,7 +516,7 @@ class Engine:
         plans = nodes, self.groups, self.loop_plans
         self.phase1 = _phase1_function(*plans, first=False, closure=self.closure)
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
-        self.firing: list[int] = []  # the Delays that fire next (_sweep_groups)
+        self.firing: list[int] = []  # the Delays that fire at the next commit
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
         self.past.append(bk.Committed(0.0, lefts, lefts, self.quiet_vectors))
 
@@ -529,23 +529,6 @@ class Engine:
         trial): the step's left limits, None outside, and flipped conditions."""
         lefts = self.phase1(self.past, dt, closure)
         return lefts, self.flipped_conditions(lefts)
-
-    def _sweep_groups(self, flipped: list[tuple[int, int]],
-                      ) -> list[tuple[tuple[int, ...], bool]]:
-        """The schedule groups phase 2 must sweep, in schedule order.
-
-        With every right limit equal to its left limit and no impulses,
-        each kind's phase 2 reproduces its left limit, except at a source:
-        a Switch or Decision whose condition flipped, or a Delay whose input
-        jumped or carried impulses at the last, swept, commit (``firing``).
-        Only a source's cone, the source and every block reading it within
-        the step, can change; a step with no source sweeps nothing.
-        """
-        if not (flipped or self.firing):
-            return []
-        sources = [idx for idx, _ in flipped] + self.firing
-        positions = set().union(*map(self.cones.__getitem__, sources))
-        return [self.groups[g] for g in sorted(positions)]
 
     def _phase2_loop(self, members: tuple[int, ...], rights: list[float],
                      vectors: list[ImpulseVector]) -> int | None:
@@ -572,17 +555,20 @@ class Engine:
         """Phase 2 of the step at time ``t`` whose phase 1 gave ``lefts``
         and ``flipped``; appends the step to ``past``, which drops its
         oldest step when full, and returns it.  ``t`` must follow the last
-        commit."""
+        commit.  Phase 2 sweeps the cones of the sources that fire, the
+        flipped conditions and the ``firing`` Delays (module docstring)."""
         nodes, past = self.nodes, self.past
         if not t > past[-1].t:
             raise NonIncreasingTime(
                 f"commit time {t!r} does not follow the previous commit "
                 f"at {past[-1].t!r}"
             )
-        sweep = self._sweep_groups(flipped)
-        if not sweep:
+        if not (flipped or self.firing):
             past.append(bk.Committed(t, lefts, lefts, self.quiet_vectors))
             return past[-1]
+        sources = [idx for idx, _ in flipped] + self.firing
+        sweep = [self.groups[g] for g in
+                 sorted(set().union(*map(self.cones.__getitem__, sources)))]
 
         rights = lefts[:]
         vectors = [EMPTY_IMPULSES] * len(nodes)

@@ -274,11 +274,12 @@ def _bisected_runs(ball_text):
 
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
 def test_phase2_runs_once_per_committed_step(workload, ball_text):
+    # A trial that ran phase 2 through commit would add calls.
     text, config = _bisected_runs(ball_text)[workload]
-    with mock.patch.object(Engine, "_sweep_groups", autospec=True,
-                           side_effect=Engine._sweep_groups) as sweeps:
+    with mock.patch.object(Engine, "commit", autospec=True,
+                           side_effect=Engine.commit) as commits:
         trace = simulate(dsl.load_model(text), "Main", config)
-    assert sweeps.call_count == len(trace.times) - 1
+    assert commits.call_count == len(trace.times) - 1
 
 
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
