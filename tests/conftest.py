@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
+from cbdsim import dsl
+
 # The reference stepper's comparison asserts; pytest shows their operands.
 pytest.register_assert_rewrite("reference")
-
-from cbdsim import dsl  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"

@@ -261,13 +261,13 @@ def test_full_trial_error_outside_the_closure_is_discarded():
     assert times[1:3] == [(0.25).hex(), (0.25 + 1e-4).hex()]
     # Those two steps again, then the step h = 0.25 flips, and its first
     # bisection trial, 0.125, fails at b5 if it is committed.
-    run = Engine(flatten(dsl.load_model(TWO_PRODUCTS), "Main"),
+    eng = Engine(flatten(dsl.load_model(TWO_PRODUCTS), "Main"),
                  SimConfig(h=0.25, **TOLERANCES))
     for dt in (0.25, 1e-4):
-        run.commit(run.past[-1].t + dt, *run.compute_step(dt))
-    assert run.compute_step(0.25)[1]
+        eng.commit(eng.past[-1].t + dt, *eng.compute_step(dt))
+    assert eng.compute_step(0.25)[1]
     with pytest.raises(SimulationError, match="^b5: "):
-        run.commit(run.past[-1].t + 0.125, *run.compute_step(0.125))
+        eng.commit(eng.past[-1].t + 0.125, *eng.compute_step(0.125))
 
 
 # A diagram drawn by the property below, pinned: a discarded bisection
