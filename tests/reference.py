@@ -113,12 +113,12 @@ def run(model, top, config):
 
 
 def outcome(run_, *args):
-    """``run_(*args)`` and its floats by ``float.hex``, or None and its error."""
+    """``run_(*args)``, its signals in order by ``float.hex``, or None and its error."""
     try:
         trace = run_(*args)
     except engine.EngineError as err:
         return None, (type(err).__name__, getattr(err, "block_path", None), str(err))
-    signals = {n: [(a.hex(), b.hex()) for a, b in s] for n, s in trace.signals.items()}
+    signals = [(n, [(a.hex(), b.hex()) for a, b in s]) for n, s in trace.signals.items()]
     impulses = [(e.time.hex(), *e[1:3], e.coefficient.hex()) for e in trace.impulses]
     return trace, ([t.hex() for t in trace.times], signals, impulses, trace.warnings)
 

@@ -372,4 +372,4 @@ def test_recorder_rows_match_the_per_column_recorder(diagram, h, row_buffer,
             with mock.patch.object(engine, "ROW_BUFFER", row_buffer):
                 trace, rows = reference.matches(model, top, config)
             if top == "Top" and trace is not None:
-                assert rows[1:3] == ({}, [])
+                assert rows[1:3] == ([], [])
