@@ -32,16 +32,19 @@ Jumps and impulses originate only at a Switch or Decision whose selection
 flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
 the cones of the sources that fire, each source with every block that
 reads it within the step (an algebraic loop in a cone is swept whole);
-every other block would reproduce its left limit.  A step where no source
-fires skips phase 2.  A non-finite left limit, or a non-finite right limit
-set by phase 2, stops the run with a ``SimulationError`` naming the block.
+every other block would reproduce its left limit.  A quiet step, where no
+source fires, skips phase 2: ``simulate``'s loop commits and records it
+after phase 1 and one generated flip test, ``Engine.flips``.  A non-finite
+left limit, or a non-finite right limit set by phase 2, stops the run with
+a ``SimulationError`` naming the block.
 
 A condition sign change bisects the step.  A bisection trial,
 ``compute_step(dt, closure=True)``, stops phase 1 after the condition
 closure, the blocks the crossing test reads within a step, so a discarded
 trial checks nothing outside it; every located step ends with the full
-step's phase 1, once, at the located size.  An ``EngineError`` in a full
-trial of size ``h`` stands unless a closure trial locates an earlier event.
+step's phase 1, ``compute_step(dt)``, once, at the located size.  An
+``EngineError`` in a full trial of size ``h`` stands unless a closure trial
+locates an earlier event.
 
 Both execution modes share this evaluator and one recorder, which packs
 each committed step's watched limits into rows, cut into per-signal
@@ -460,8 +463,8 @@ class Engine:
     Construction builds the tables the steps read: the node table and
     schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
     for a loop that is not linear), the cone of every Switch, Decision and
-    Delay, the condition closure and the phase-1 function of later steps,
-    then commits t = 0 (module docstring).  A trial, ``compute_step``, is
+    Delay, the condition closure, the phase-1 function of later steps and
+    ``flips``, then commits t = 0 (module docstring).  A trial, ``compute_step``, is
     phase 1 and leaves ``past`` as is; ``commit`` runs phase 2 of the step
     that stands.
     """
@@ -515,6 +518,10 @@ class Engine:
                         for g in sorted({group_of[idx] for idx in seen})]
         plans = nodes, self.groups, self.loop_plans
         self.phase1 = _phase1_function(*plans, first=False, closure=self.closure)
+        # flips(lefts, past[-1].rights) is bool(flipped_conditions(lefts)), unrolled.
+        self.flips = _generate((), "flips(lefts, held)", ["return " + (" or ".join(
+            f"(lefts[{c}] >= 0.0) != (held[{c}] >= 0.0)"
+            for _, c in self.conditions) or "False")])()
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
         self.firing: list[int] = []  # the Delays that fire at the next commit
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
@@ -525,8 +532,9 @@ class Engine:
     def compute_step(self, dt: float, closure: bool = False,
                      ) -> tuple[list[float], list[tuple[int, int]]]:
         """Phase 1 of a step of size ``dt`` after the engine's committed
-        steps, of the condition closure alone with ``closure`` (a bisection
-        trial): the step's left limits, None outside, and flipped conditions."""
+        steps, of the condition closure alone with ``closure``: the left
+        limits, None outside, and flipped conditions, for bisection trials,
+        located full trials and failure retries (a quiet step skips it)."""
         lefts = self.phase1(self.past, dt, closure)
         return lefts, self.flipped_conditions(lefts)
 
@@ -800,8 +808,11 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     The first committed step is the initial instant t = 0; thereafter the
     loop takes nominal steps of size ``h``, shortened by bisection whenever
     a Switch or Decision condition changes sign, so that committed steps
-    land on crossing times within the configured tolerance.  A numerical
-    run then folds its log into its streams (:func:`_encode_numerically`).
+    land on crossing times within the configured tolerance.  The loop
+    commits and records a quiet step itself, after phase 1 and the
+    ``Engine.flips`` test; other steps go through ``compute_step``,
+    ``locate_crossing`` and ``commit``.  A numerical run then folds its log
+    into its streams (:func:`_encode_numerically`).
     """
     flat = flatten(model, top)
     engine = Engine(flat, config)
@@ -809,31 +820,45 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
 
     t = 0.0
     recorder.record(engine.past[-1])
+    h, phase1, flips, past = config.h, engine.phase1, engine.flips, engine.past
+    times, left, right = recorder.trace.times, recorder.left, recorder.right
 
     underflows = []  # (step, -1, message), ahead of the step's overflows
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
-    end_slack = config.t_end + 1e-9 * config.h
-    while t + config.h <= end_slack:
+    end_slack = config.t_end + 1e-9 * h
+    while t + h <= end_slack:
         try:
-            lefts, flipped = engine.compute_step(config.h)
+            lefts = phase1(past, h)
         except EngineError:
             # As in bisection, a block outside the closure fails only a full
             # step; a located step's own full trial raises again at h.
-            lefts, flipped = engine.compute_step(config.h, closure=True)
+            lefts, flipped = engine.compute_step(h, closure=True)
             if not flipped:
                 raise
+        else:
+            # A quiet step, committed and recorded here; commit refuses t_new <= t.
+            if (t_new := t + h) > t and not (
+                    engine.firing or flips(lefts, past[-1].rights)):
+                past.append(bk.Committed(t_new, lefts, lefts, engine.quiet_vectors))
+                times.append(t_new)
+                left.frombytes(row := recorder.pack(*recorder.take(lefts)))
+                right.frombytes(row)
+                if len(right) >= ROW_BUFFER:
+                    recorder.flush()
+                located_starts.clear()
+                t = t_new
+                continue
+            flipped = engine.flipped_conditions(lefts)
         if flipped:
-            h_star, lefts, flipped, underflow = engine.locate_crossing(
-                config.h, lefts, flipped
-            )
+            h_star, lefts, flipped, underflow = engine.locate_crossing(h, lefts, flipped)
             if underflow:
-                underflows.append((len(recorder.trace.times), -1,
+                underflows.append((len(times), -1,
                                    f"step-underflow: tolerance not met at "
                                    f"t={t + h_star!r}"))
             located_starts.append(t)
         else:
-            h_star = config.h
+            h_star = h
             located_starts.clear()
         t_new = t + h_star
         recorder.record(engine.commit(t_new, lefts, flipped))

@@ -4,11 +4,15 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 from cbdsim import dsl
 
 # The reference stepper's comparison asserts; pytest shows their operands.
 pytest.register_assert_rewrite("reference")
+# ``--hypothesis-profile=ci`` prints a failing example's blob, which
+# ``@reproduce_failure`` replays; examples, deadlines and seeds are as by default.
+settings.register_profile("ci", print_blob=True)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"

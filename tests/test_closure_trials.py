@@ -272,14 +272,34 @@ def _bisected_runs(ball_text):
     }
 
 
+def _located_starts(located):
+    """A ``locate_crossing`` that appends the start time of each step it
+    locates to ``located``."""
+    def locate(self, *args, locate_crossing=Engine.locate_crossing):
+        located.append(self.past[-1].t)
+        return locate_crossing(self, *args)
+    return locate
+
+
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
 def test_phase2_runs_once_per_committed_step(workload, ball_text):
-    # A trial that ran phase 2 through commit would add calls.
+    # A trial committed through phase 2 would add a time outside the trace
+    # or repeat one; every located step commits through phase 2.
     text, config = _bisected_runs(ball_text)[workload]
-    with mock.patch.object(Engine, "commit", autospec=True,
-                           side_effect=Engine.commit) as commits:
+    commits, located = [], []
+
+    def commit(self, t, *args, commit=Engine.commit):
+        commits.append(t)
+        return commit(self, t, *args)
+
+    with mock.patch.object(Engine, "commit", commit), \
+            mock.patch.object(Engine, "locate_crossing",
+                              _located_starts(located)):
         trace = simulate(dsl.load_model(text), "Main", config)
-    assert commits.call_count == len(trace.times) - 1
+    assert commits == sorted(set(commits))
+    assert set(commits) <= set(trace.times[1:])
+    after = dict(zip(trace.times, trace.times[1:]))
+    assert located and {after[t] for t in located} <= set(commits)
 
 
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
@@ -329,18 +349,22 @@ def test_every_bisection_iteration_is_one_closure_trial(
 
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
 def test_every_located_step_ends_with_one_full_trial(workload, ball_text):
-    # One full trial a committed step, and one more after each bisection.
+    # Only locate_crossing runs full trials, one a located step, at the
+    # step's length in the trace.
     text, config = _bisected_runs(ball_text)[workload]
-    full = []
+    full, located = [], []
 
     def counted(self, dt, closure=False, compute_step=Engine.compute_step):
         if not closure:
-            full.append(dt)
+            full.append((sys._getframe(1).f_code, self.past[-1].t, dt))
         return compute_step(self, dt, closure)
 
     with mock.patch.object(Engine, "compute_step", counted), \
-            mock.patch.object(Engine, "locate_crossing", autospec=True,
-                              side_effect=Engine.locate_crossing) as located:
+            mock.patch.object(Engine, "locate_crossing",
+                              _located_starts(located)):
         trace = simulate(dsl.load_model(text), "Main", config)
-    assert located.call_count
-    assert len(full) == len(trace.times) - 1 + located.call_count
+    assert located
+    assert [(code, t) for code, t, _ in full] == \
+        [(Engine.locate_crossing.__code__, t) for t in located]
+    after = dict(zip(trace.times, trace.times[1:]))
+    assert [t + dt for _, t, dt in full] == [after[t] for t in located]

@@ -293,8 +293,7 @@ class TestEventLocation:
         y = trace.signals["y"]
         assert list(y.left) == list(y.right) == [0.5, 0.25, 0.0, -0.25, -0.5]
         assert located.call_count == 1
-        assert trials == [(0.125, False)] * (len(trace.times) - 1
-                                             + located.call_count)
+        assert trials == [(0.125, False)] * located.call_count
 
     def test_locate_crossing_function(self):
         model = dsl.load_model(DESCENT)

@@ -12,7 +12,9 @@ message.  When both modes complete, ``compare_traces`` must find their
 traces equal at every step.  The bundled ball and the benchmark's
 ``switch_dense``, whose runs bisect, are compared the same way.
 ``Engine.firing``, the Delays that fire on the next step, which only a
-swept commit sets, must equal a scan of the last committed step.
+swept commit sets, must equal a scan of the last committed step, and
+``Engine.flips``, the generated flip test of a quiet step, must agree with
+``Engine.flipped_conditions``.
 """
 
 from unittest import mock
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from cbdsim import dsl, engine
 from cbdsim.analysis import compare_traces
+from cbdsim.blocks import Committed
 from cbdsim.engine import Engine, EngineError, SimConfig, SimulationError, simulate
 from cbdsim.graph import flatten
 
@@ -382,3 +385,67 @@ def test_a_delay_fires_after_its_switch_flips():
 def test_firing_delays_match_the_scan_of_the_last_step(diagram, h):
     text, _ = diagram
     _firing_sets(text, h)  # it checks every commit the run makes
+
+
+# --- the generated flip test ---------------------------------------------------
+
+class _CheckedEngine(Engine):
+    """An engine whose every trial checks ``flips`` against its flipped
+    conditions."""
+
+    def compute_step(self, dt, closure=False):
+        lefts, flipped = super().compute_step(dt, closure)
+        assert self.flips(lefts, self.past[-1].rights) is bool(flipped)
+        return lefts, flipped
+
+
+def _hand_step(text, h):
+    """Step ``text`` to t = 2 by ``compute_step``, ``locate_crossing`` and
+    ``commit``, checking ``flips`` at every trial and at every committed
+    step against its own right limits, until the run ends or fails; returns
+    the engine, None if its t = 0 step failed."""
+    eng = None
+    try:
+        eng = _CheckedEngine(flatten(dsl.load_model(text), "Main"),
+                             SimConfig(h=h, t_end=2.0, **TOLERANCES))
+        while eng.past[-1].t + h <= 2.0 + 1e-9 * h:
+            lefts, flipped = eng.compute_step(h)
+            h_star = h
+            if flipped:
+                h_star, lefts, flipped, _ = eng.locate_crossing(h, lefts, flipped)
+            step = eng.commit(eng.past[-1].t + h_star, lefts, flipped)
+            assert eng.flips(step.lefts, step.rights) \
+                is bool(eng.flipped_conditions(step.lefts))
+    except EngineError:
+        pass
+    return eng
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(diagrams(), diagrams(last="Delay")),
+       st.sampled_from((0.1, 0.25)))
+def test_flip_test_matches_the_flipped_conditions(diagram, h):
+    text, _ = diagram
+    _hand_step(text, h)
+
+
+@pytest.mark.parametrize("left, held", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_zero_of_either_sign_is_no_flip(left, held):
+    eng = Engine(flatten(dsl.load_model(RAMP_INTO.format(
+        blocks="", wiring="sw.out -> y;")), "Main"), SimConfig())
+    (sw, c), = eng.conditions
+    lefts, rights = [1.0] * len(eng.nodes), [1.0] * len(eng.nodes)
+    lefts[c], rights[c] = left, held
+    eng.past.append(Committed(0.1, rights, rights, eng.quiet_vectors))
+    assert eng.flips(lefts, rights) is False
+    assert eng.flipped_conditions(lefts) == []
+    lefts[c] = -5e-324  # the negative float nearest zero
+    assert eng.flips(lefts, rights) is True
+    assert eng.flipped_conditions(lefts) == [(sw, c)]
+
+
+def test_a_model_without_conditions_never_flips():
+    eng = _hand_step("cbd Main(out y) {" + OSCILLATOR.format(
+        pos0=1.0, vel0=0.0) + "pos.out -> y; }", 0.1)
+    assert eng.conditions == [] and eng.past[-1].t == pytest.approx(2.0)
+    assert eng.flips([], []) is False

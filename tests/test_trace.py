@@ -7,9 +7,10 @@ a stream's columns, its length, its iteration as one ``Limits`` per step
 and its equality, round-trip random traces through the CSV and JSON files
 bit for bit (a zero next to the zero of the other sign included), keep
 the reader's malformed-file errors, reject ragged in-memory traces
-without writing a file, pin the overflow warnings of the numerical fold
-and hold the recorder's packed rows to the columns of the reference
-stepper, ``tests/reference.py``.
+without writing a file, pin the overflow warnings of the numerical fold,
+hold the recorder's packed rows to the columns of the reference stepper,
+``tests/reference.py``, and check that a run cuts them every
+``ROW_BUFFER`` limits.
 """
 
 import json
@@ -373,3 +374,22 @@ def test_recorder_rows_match_the_per_column_recorder(diagram, h, row_buffer,
                 trace, rows = reference.matches(model, top, config)
             if top == "Top" and trace is not None:
                 assert rows[1:3] == ([], [])
+
+
+@pytest.mark.parametrize("row_buffer", [1, 7, 64])
+def test_recorder_cuts_its_rows_at_the_row_buffer(row_buffer, ball_model):
+    """Every flush during the run finds ``ROW_BUFFER`` limits or more, but
+    less than one row more; the last, at the end of the run, fewer."""
+    buffered = []
+
+    def flush(self, flush=_Recorder.flush):
+        buffered.append(len(self.right))
+        return flush(self)
+
+    with mock.patch.object(engine, "ROW_BUFFER", row_buffer), \
+            mock.patch.object(_Recorder, "flush", flush):
+        trace = simulate(ball_model, "Main", SimConfig(h=1e-3, t_end=0.5))
+    width = len(trace.signals)
+    assert len(buffered) > 1
+    assert all(row_buffer <= n < row_buffer + width for n in buffered[:-1])
+    assert buffered[-1] < row_buffer
