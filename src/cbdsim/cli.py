@@ -153,11 +153,16 @@ def read_trace(path: Path, impulse_path: Path | None = None) -> Trace:
                 t = float(time_field)
                 if not times or t > times[-1]:
                     times.append(t)
+                    unread = appenders.copy()  # the signals not read at t yet
                 elif t != times[-1]:
                     raise ValueError(f"time {t!r} does not follow "
                                      f"{times[-1]!r}")
-            pair = appenders.get(name)
+            pair = unread.pop(name, None)
             if pair is None:
+                # A signal read at its time already would be dated to the
+                # next; one missing at a time leaves its stream short.
+                if name in appenders:
+                    raise ValueError(f"signal {name!r} repeated at time {t!r}")
                 stream = trace.signals[name] = Stream()
                 pair = appenders[name] = (stream.left.append,
                                           stream.right.append)

@@ -33,10 +33,12 @@ flips and at a Delay replaying a jump or an impulse.  Phase 2 sweeps only
 the cones of the sources that fire, each source with every block that
 reads it within the step (an algebraic loop in a cone is swept whole);
 every other block would reproduce its left limit.  A quiet step, where no
-source fires, skips phase 2: ``simulate``'s loop commits and records it
-after phase 1 and one generated flip test, ``Engine.flips``.  A non-finite
-left limit, or a non-finite right limit set by phase 2, stops the run with
-a ``SimulationError`` naming the block.
+source fires, skips phase 2.  While no Delay fires, ``simulate`` hands the
+generated phase 1 the recorder's buffers, and it loops over its one body,
+committing and recording each step, until a condition flips, a guard or
+the screen fails or the run ends; a quiet commit fires no Delay.  A
+non-finite left limit, or a non-finite right limit set by phase 2, stops
+the run with a ``SimulationError`` naming the block.
 
 A condition sign change bisects the step.  A bisection trial,
 ``compute_step(dt, closure=True)``, stops phase 1 after the condition
@@ -271,13 +273,23 @@ def _generate(params: Iterable[str], signature: str, body: list[str]) -> Callabl
 def _phase1_function(nodes: Sequence[_Node],
                      groups: list[tuple[tuple[int, ...], bool]],
                      loop_plans: dict, first: bool, closure: Iterable = (),
-                     ) -> Callable:
+                     conditions: Iterable[int] = (), watched: Iterable[int] = (),
+                     quiet: tuple = ()) -> Callable:
     """Phase 1 of ``groups``, every node's, in one function ``(past, dt,
     closure=False)`` that returns the left limits, indexed by node (with
     ``closure``, None outside ``closure``'s groups, which run first);
     ``first`` picks the first step's templates.  A block's guard, and then a
     screen of the left limits, raise a ``SimulationError`` naming the
-    failing block."""
+    failing block.
+
+    With ``run``, a recorder's buffers ``(t_stop, times, left, right,
+    pack, flush, row_buffer)``, the later steps' function repeats its one
+    body.  It commits each step that changes no sign of ``conditions``
+    against ``R`` and ends after its start (``rights is lefts``, vectors
+    ``quiet``) and records it (``pack`` of the ``watched`` limits, ``flush``
+    at ``row_buffer``), and returns None once the next step would end after
+    ``t_stop``; any other step it returns uncommitted.  The caller must
+    not pass ``run`` while a Delay fires."""
 
     def cells(in_idx):
         return _Cells(f"v{j}" for j in in_idx)
@@ -300,18 +312,16 @@ def _phase1_function(nodes: Sequence[_Node],
         total = "lefts" if len(computed) == len(nodes) else \
             f"({''.join(f'v{i}, ' for i in computed)})"
         return [f"lefts = [{lefts}]", f"if not math.isfinite(sum({total})):",
-                "    screen(lefts)", "return lefts"]
+                "    screen(lefts)"]
 
     bound = {"fail": fail, "screen": screen}
-    body = [] if first else [
-        "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
-        "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
-        "h2 = 0.5 * dt * dt"]
+    body = []
     closure, order = set(closure), []
     for k, (members, cyclic) in enumerate(
             sorted(groups, key=lambda group: group not in closure)):
         if k == len(closure):
-            body += ["if closure:"] + [f"    {line}" for line in result(order)]
+            body += ["if closure:"] + [f"    {line}" for line in
+                                       result(order) + ["return lefts"]]
         order += members
         if cyclic:
             plan = loop_plans[members]
@@ -332,9 +342,30 @@ def _phase1_function(nodes: Sequence[_Node],
                      f"    fail({node.idx}, {x:, })"]
         body.append(f"v{node.idx} = " + template.format(
             x=x, s=node.in_idx, i=node.idx, k=f"k{node.idx}"))
-    name = "first_step" if first else "later_steps"
-    return _generate(bound, f"{name}(past, dt, closure=False)",
-                     body + result(order))(*bound.values())
+    body += result(order)
+    if first:
+        return _generate(bound, "first_step(past, dt, closure=False)",
+                         body + ["return lefts"])(*bound.values())
+    bound["quiet"] = quiet
+    bound["new"] = tuple.__new__  # a Committed without its Python __new__
+    stop = " or ".join(["not run"] + [f"(v{c} >= 0.0) != (R[{c}] >= 0.0)"
+                                      for c in conditions]
+                       + ["not (t_new := t + dt) > t"])
+    body += [f"if {stop}:", "    return lefts",
+             "past.append(new(Committed, (t_new, lefts, lefts, quiet)))",
+             "times.append(t_new)",
+             f"left.frombytes(row := pack({''.join(f'v{i}, ' for i in watched)}))",
+             "right.frombytes(row)",
+             "if len(right) >= row_buffer:", "    flush()",
+             "if t_new + dt > t_stop:", "    return None",
+             # The names the prologue would bind from ``past`` now.
+             "Q, L, R, dq, slope, t = R, lefts, lefts, t_new - t, True, t_new"]
+    return _generate(bound, "later_steps(past, dt, closure=False, run=None)", [
+        "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
+        "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
+        "h2 = 0.5 * dt * dt", "if run:",
+        "    t, (t_stop, times, left, right, pack, flush, row_buffer) = P.t, run",
+        "while True:"] + [f"    {line}" for line in body])(*bound.values())
 
 
 def _reach(starts: Iterable[int], step: Callable[[int], Iterable[int]],
@@ -463,14 +494,16 @@ class Engine:
     Construction builds the tables the steps read: the node table and
     schedule groups, a solve plan per algebraic loop (``NonlinearLoop``
     for a loop that is not linear), the cone of every Switch, Decision and
-    Delay, the condition closure, the phase-1 function of later steps and
-    ``flips``, then commits t = 0 (module docstring).  A trial, ``compute_step``, is
+    Delay, the condition closure, the watched signals (``resolve_watches``)
+    and the phase-1 function of later steps, then commits t = 0 (module
+    docstring).  A trial, ``compute_step``, is
     phase 1 and leaves ``past`` as is; ``commit`` runs phase 2 of the step
     that stands.
     """
 
     def __init__(self, flat: FlatGraph, config: SimConfig):
         self.config = config
+        self.watched = resolve_watches(flat, config.watch)
         index_of = {path: i for i, path in enumerate(flat.blocks)}
         self.nodes = nodes = [
             _Node(i, path, block.kind, block.params, tuple(
@@ -517,12 +550,11 @@ class Engine:
         self.closure = [self.groups[g]
                         for g in sorted({group_of[idx] for idx in seen})]
         plans = nodes, self.groups, self.loop_plans
-        self.phase1 = _phase1_function(*plans, first=False, closure=self.closure)
-        # flips(lefts, past[-1].rights) is bool(flipped_conditions(lefts)), unrolled.
-        self.flips = _generate((), "flips(lefts, held)", ["return " + (" or ".join(
-            f"(lefts[{c}] >= 0.0) != (held[{c}] >= 0.0)"
-            for _, c in self.conditions) or "False")])()
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
+        self.phase1 = _phase1_function(
+            *plans, first=False, closure=self.closure,
+            conditions=[c for _, c in self.conditions],
+            watched=self.watched.values(), quiet=self.quiet_vectors)
         self.firing: list[int] = []  # the Delays that fire at the next commit
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
         self.past.append(bk.Committed(0.0, lefts, lefts, self.quiet_vectors))
@@ -808,28 +840,33 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
     The first committed step is the initial instant t = 0; thereafter the
     loop takes nominal steps of size ``h``, shortened by bisection whenever
     a Switch or Decision condition changes sign, so that committed steps
-    land on crossing times within the configured tolerance.  The loop
-    commits and records a quiet step itself, after phase 1 and the
-    ``Engine.flips`` test; other steps go through ``compute_step``,
-    ``locate_crossing`` and ``commit``.  A numerical run then folds its log
-    into its streams (:func:`_encode_numerically`).
+    land on crossing times within the configured tolerance.  While no
+    Delay fires, phase 1 runs with the recorder's buffers and commits and
+    records the quiet steps itself (``_phase1_function``), up to the first
+    step that is not quiet, which it returns uncommitted; that step and a
+    failed phase 1 go through ``compute_step``, ``locate_crossing`` and
+    ``commit``, from the time of the last committed step.  A numerical run
+    then folds its log into its streams (:func:`_encode_numerically`).
     """
     flat = flatten(model, top)
     engine = Engine(flat, config)
-    recorder = _Recorder(resolve_watches(flat, config.watch))
+    recorder = _Recorder(engine.watched)
 
     t = 0.0
     recorder.record(engine.past[-1])
-    h, phase1, flips, past = config.h, engine.phase1, engine.flips, engine.past
-    times, left, right = recorder.trace.times, recorder.left, recorder.right
+    h, phase1, past = config.h, engine.phase1, engine.past
 
     underflows = []  # (step, -1, message), ahead of the step's overflows
     # Start times of the latest consecutive event-located steps.
     located_starts: deque[float] = deque(maxlen=ZENO_WINDOW)
     end_slack = config.t_end + 1e-9 * h
+    times = recorder.trace.times
+    run = (end_slack, times, recorder.left, recorder.right, recorder.pack,
+           recorder.flush, ROW_BUFFER)
     while t + h <= end_slack:
         try:
-            lefts = phase1(past, h)
+            # A quiet commit leaves ``firing`` empty: only a swept one sets it.
+            lefts = phase1(past, h, False, None if engine.firing else run)
         except EngineError:
             # As in bisection, a block outside the closure fails only a full
             # step; a located step's own full trial raises again at h.
@@ -837,19 +874,12 @@ def simulate(model: Model, top: str, config: SimConfig) -> Trace:
             if not flipped:
                 raise
         else:
-            # A quiet step, committed and recorded here; commit refuses t_new <= t.
-            if (t_new := t + h) > t and not (
-                    engine.firing or flips(lefts, past[-1].rights)):
-                past.append(bk.Committed(t_new, lefts, lefts, engine.quiet_vectors))
-                times.append(t_new)
-                left.frombytes(row := recorder.pack(*recorder.take(lefts)))
-                right.frombytes(row)
-                if len(right) >= ROW_BUFFER:
-                    recorder.flush()
-                located_starts.clear()
-                t = t_new
-                continue
+            if lefts is None:  # quiet up to the end
+                break
             flipped = engine.flipped_conditions(lefts)
+        if past[-1].t != t:  # phase 1 committed quiet steps
+            t = past[-1].t
+            located_starts.clear()
         if flipped:
             h_star, lefts, flipped, underflow = engine.locate_crossing(h, lefts, flipped)
             if underflow:

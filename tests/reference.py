@@ -3,7 +3,8 @@
 ``run`` does what ``engine.simulate`` does without its shortcuts: every trial
 is a full phase 1, every commit sweeps every group until nothing changes, and
 the trace is built a column per watched signal.  It reads the engine's tables
-and t = 0 step, patches nothing and needs no pytest.
+and t = 0 step, patches nothing and needs no pytest.  A list passed as
+``steps`` receives every step it commits, t = 0 first.
 """
 
 import heapq
@@ -14,13 +15,15 @@ from cbdsim.graph import flatten
 from cbdsim.signals import EMPTY_IMPULSES
 
 
-def run(model, top, config):
+def run(model, top, config, steps=None):
     eng = engine.Engine(flat := flatten(model, top), config)
     watched = engine.resolve_watches(flat, config.watch)
     nodes, phase1, past = eng.nodes, eng.phase1, deque(eng.past, bk.HISTORY_DEPTH)
     conditions = [n.in_idx[-1] for n in nodes if n.kind in ("Switch", "Decision")]
     # The condition closure: back from the conditions to Integrators and Delays.
-    stack, seen, steps = conditions[:], set(), [past[-1]]
+    stack, seen = conditions[:], set()
+    steps = [] if steps is None else steps
+    steps.append(past[-1])
     while stack:
         if (idx := stack.pop()) not in seen:
             seen.add(idx)

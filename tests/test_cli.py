@@ -643,8 +643,14 @@ class TestMalformedTraces:
          "could not convert string to float: 'abc'"),
         ("0,y,1,1\n0,v,1,1\n0.2,y,2,2\n0.2,v,2,2\n0.1,y,3,3\n",
          "line 6", "time 0.1 does not follow 0.2"),
+        # Read on, the second a would be dated to t = 1, where a is missing.
+        ("0,a,1,1\n0,a,2,2\n0,b,3,3\n1,b,4,4\n", "line 3",
+         "signal 'a' repeated at time 0.0"),
+        ("0,a,1,1\n0,b,1,1\n1,b,2,2\n1.0,b,3,3\n1,a,2,2\n", "line 5",
+         "signal 'b' repeated at time 1.0"),
     ], ids=["three-fields", "five-fields", "non-numeric-left",
-            "non-numeric-right", "time-backwards"])
+            "non-numeric-right", "time-backwards", "repeated-signal",
+            "repeated-under-another-time-text"])
     def test_csv_row(self, tmp_path, capsys, rows, where, cause):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{cli.TRACE_HEADER}\n{rows}")
@@ -660,6 +666,34 @@ class TestMalformedTraces:
         assert cli.main(["compare", str(bad), str(bad)]) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}: malformed trace: row 2: missing key 'right'\n")
+
+    def test_json_row_repeating_a_signal_at_its_time(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"trace": [
+            {"time": t, "signal": name, "left": x, "right": x}
+            for t, name, x in [(0.0, "a", 1.0), (0.0, "a", 2.0),
+                               (0.0, "b", 3.0), (1.0, "b", 4.0)]]}))
+        assert cli.main(["compare", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed trace: row 2: signal 'a' repeated at "
+            f"time 0.0\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_of_a_step_read_in_any_signal_order(self, tmp_path, fmt):
+        rows = [(0.0, "a", 1.0, 1.0), (0.0, "b", 2.0, 2.5),
+                (1.0, "b", 3.0, 3.0), (1.0, "a", 4.0, 4.5),
+                (2.0, "a", 5.0, 5.0), (2.0, "b", 6.0, 6.0)]
+        path = tmp_path / f"shuffled.{fmt}"
+        if fmt == "csv":
+            path.write_text(cli.TRACE_HEADER + "\n" + "".join(
+                f"{t},{name},{left},{right}\n" for t, name, left, right in rows))
+        else:
+            path.write_text(json.dumps({"trace": [dict(zip(
+                cli.TRACE_HEADER.split(","), row)) for row in rows]}))
+        trace = cli.read_trace(path)
+        assert trace.times == [0.0, 1.0, 2.0]
+        assert trace.signals == {"a": Stream([1.0, 4.0, 5.0], [1.0, 4.5, 5.0]),
+                                 "b": Stream([2.0, 3.0, 6.0], [2.5, 3.0, 6.0])}
 
     @pytest.mark.parametrize("payload", [
         [], {"rows": []}, {"trace": 5}, {"trace": None}, {"trace": {"a": 1}}])

@@ -12,21 +12,28 @@ message.  When both modes complete, ``compare_traces`` must find their
 traces equal at every step.  The bundled ball and the benchmark's
 ``switch_dense``, whose runs bisect, are compared the same way.
 ``Engine.firing``, the Delays that fire on the next step, which only a
-swept commit sets, must equal a scan of the last committed step, and
-``Engine.flips``, the generated flip test of a quiet step, must agree with
-``Engine.flipped_conditions``.
+swept commit sets, must equal a scan of the last committed step.  The
+generated phase 1, given a recorder's buffers as ``run``, commits a step
+exactly when ``Engine.flipped_conditions`` finds no flip; a run that it
+ends by an error, or at its end time, leaves the reference's committed
+steps and trace.
 """
 
+import linecache
+import math
+import re
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from cbdsim import dsl, engine
+from cbdsim import blocks as bk, dsl, engine
 from cbdsim.analysis import compare_traces
 from cbdsim.blocks import Committed
-from cbdsim.engine import Engine, EngineError, SimConfig, SimulationError, simulate
+from cbdsim.engine import (Engine, EngineError, NonIncreasingTime, SimConfig,
+                           SimulationError, _Recorder, simulate)
 from cbdsim.graph import flatten
 
 from conftest import ROOT, perfbench_module
@@ -387,35 +394,44 @@ def test_firing_delays_match_the_scan_of_the_last_step(diagram, h):
     _firing_sets(text, h)  # it checks every commit the run makes
 
 
-# --- the generated flip test ---------------------------------------------------
+# --- the quiet run of the generated phase 1 -------------------------------------
 
-class _CheckedEngine(Engine):
-    """An engine whose every trial checks ``flips`` against its flipped
-    conditions."""
-
-    def compute_step(self, dt, closure=False):
-        lefts, flipped = super().compute_step(dt, closure)
-        assert self.flips(lefts, self.past[-1].rights) is bool(flipped)
-        return lefts, flipped
+def _run(recorder, t_stop):
+    """The ``run`` argument of ``Engine.phase1``: ``recorder``'s buffers,
+    up to ``t_stop``, cut at ``ROW_BUFFER``."""
+    return (t_stop, recorder.trace.times, recorder.left, recorder.right,
+            recorder.pack, recorder.flush, engine.ROW_BUFFER)
 
 
 def _hand_step(text, h):
-    """Step ``text`` to t = 2 by ``compute_step``, ``locate_crossing`` and
-    ``commit``, checking ``flips`` at every trial and at every committed
-    step against its own right limits, until the run ends or fails; returns
-    the engine, None if its t = 0 step failed."""
+    """Step ``text`` to t = 2 one step at a time, until the run ends or
+    fails; returns the engine, None if its t = 0 step failed.  While no
+    Delay fires, ``phase1`` runs each step with ``run`` stopping after it,
+    and must commit it exactly when the full trial finds no condition
+    flipped, and otherwise return the trial's left limits uncommitted;
+    ``locate_crossing`` and ``commit`` take the steps it returns."""
     eng = None
     try:
-        eng = _CheckedEngine(flatten(dsl.load_model(text), "Main"),
-                             SimConfig(h=h, t_end=2.0, **TOLERANCES))
-        while eng.past[-1].t + h <= 2.0 + 1e-9 * h:
+        eng = Engine(flatten(dsl.load_model(text), "Main"),
+                     SimConfig(h=h, t_end=2.0, **TOLERANCES))
+        recorder = _Recorder(eng.watched)
+        while (t := eng.past[-1].t) + h <= 2.0 + 1e-9 * h:
             lefts, flipped = eng.compute_step(h)
+            if not eng.firing:
+                stopped = eng.phase1(eng.past, h, False, _run(recorder, t + h))
+                if stopped is None:
+                    assert not flipped
+                    step = eng.past[-1]
+                    assert (step.t, step.lefts, step.vectors) == \
+                        (t + h, lefts, eng.quiet_vectors)
+                    assert step.rights is step.lefts
+                    assert recorder.trace.times[-1] == t + h
+                    continue
+                assert flipped and stopped == lefts and eng.past[-1].t == t
             h_star = h
             if flipped:
                 h_star, lefts, flipped, _ = eng.locate_crossing(h, lefts, flipped)
-            step = eng.commit(eng.past[-1].t + h_star, lefts, flipped)
-            assert eng.flips(step.lefts, step.rights) \
-                is bool(eng.flipped_conditions(step.lefts))
+            eng.commit(t + h_star, lefts, flipped)
     except EngineError:
         pass
     return eng
@@ -429,23 +445,189 @@ def test_flip_test_matches_the_flipped_conditions(diagram, h):
     _hand_step(text, h)
 
 
+# A Switch whose condition, a Delay, replays a Constant's left limit: a
+# hand-appended step sets both the next condition and its held sign.
+DELAYED_CONDITION = """
+cbd Main(out y) {
+  block one = Constant(1);
+  block d = Delay(0);
+  block sw = Switch();
+  one.out -> d.in;
+  d.out -> sw.c;
+  sw.out -> y;
+}
+"""
+
+
 @pytest.mark.parametrize("left, held", [(0.0, -0.0), (-0.0, 0.0)])
 def test_a_zero_of_either_sign_is_no_flip(left, held):
-    eng = Engine(flatten(dsl.load_model(RAMP_INTO.format(
-        blocks="", wiring="sw.out -> y;")), "Main"), SimConfig())
+    eng = Engine(flatten(dsl.load_model(DELAYED_CONDITION), "Main"),
+                 SimConfig(h=0.1))
     (sw, c), = eng.conditions
-    lefts, rights = [1.0] * len(eng.nodes), [1.0] * len(eng.nodes)
-    lefts[c], rights[c] = left, held
-    eng.past.append(Committed(0.1, rights, rights, eng.quiet_vectors))
-    assert eng.flips(lefts, rights) is False
-    assert eng.flipped_conditions(lefts) == []
-    lefts[c] = -5e-324  # the negative float nearest zero
-    assert eng.flips(lefts, rights) is True
+    (_, src), = eng.delays
+    recorder = _Recorder(eng.watched)
+
+    def step(t, condition):
+        """Append a step at ``t`` holding ``held`` whose Delay replays
+        ``condition``; returns the next step's left limits, and what
+        ``phase1`` returns when it runs that step."""
+        column = [1.0] * len(eng.nodes)
+        column[src], column[c] = condition, held
+        eng.past.append(Committed(t, column, column, eng.quiet_vectors))
+        lefts = eng.phase1(eng.past, 0.1)
+        assert lefts[c].hex() == condition.hex()
+        return lefts, eng.phase1(eng.past, 0.1, False, _run(recorder, t + 0.1))
+
+    lefts, stopped = step(0.1, left)
+    assert eng.flipped_conditions(lefts) == [] and stopped is None
+    assert eng.past[-1].t == 0.1 + 0.1
+    lefts, stopped = step(0.3, -5e-324)  # the negative float nearest zero
     assert eng.flipped_conditions(lefts) == [(sw, c)]
+    assert stopped == lefts and eng.past[-1].t == 0.3
+
+
+# The oscillator alone: a model without conditions.
+OSCILLATOR_ALONE = "cbd Main(out y) {" + OSCILLATOR.format(
+    pos0=1.0, vel0=0.0) + "pos.out -> y; }"
+
+
+def _oscillator(**config):
+    """An engine of ``OSCILLATOR_ALONE`` and a recorder holding its t = 0
+    step."""
+    eng = Engine(flatten(dsl.load_model(OSCILLATOR_ALONE), "Main"),
+                 SimConfig(**config))
+    recorder = _Recorder(eng.watched)
+    recorder.record(eng.past[-1])
+    return eng, recorder
 
 
 def test_a_model_without_conditions_never_flips():
-    eng = _hand_step("cbd Main(out y) {" + OSCILLATOR.format(
-        pos0=1.0, vel0=0.0) + "pos.out -> y; }", 0.1)
-    assert eng.conditions == [] and eng.past[-1].t == pytest.approx(2.0)
-    assert eng.flips([], []) is False
+    config = dict(h=0.1, t_end=2.0)
+    eng, recorder = _oscillator(**config)
+    assert eng.conditions == []
+    # One call commits every step.
+    assert eng.phase1(eng.past, 0.1, False, _run(recorder, 2.0 + 1e-10)) is None
+    trace = recorder.flush()
+    assert len(trace.times) == 21 and eng.past[-1].t == trace.times[-1]
+    assert reference.outcome(lambda: trace)[1] == reference.outcome(
+        reference.run, dsl.load_model(OSCILLATOR_ALONE), "Main",
+        SimConfig(**config))[1]
+
+
+def test_a_step_that_does_not_advance_is_returned_uncommitted():
+    # 2**53 + 1.0 rounds to 2**53: commit, not the run, refuses the step.
+    eng, recorder = _oscillator(h=1.0)
+    last = eng.past[-1]
+    eng.past.append(Committed(2.0 ** 53, last.lefts, last.rights,
+                              eng.quiet_vectors))
+    stopped = eng.phase1(eng.past, 1.0, False, _run(recorder, math.inf))
+    assert stopped == eng.phase1(eng.past, 1.0)
+    assert (len(eng.past), eng.past[-1].t) == (2, 2.0 ** 53)
+    assert recorder.trace.times == [0.0] and len(recorder.right) == 1
+    with pytest.raises(NonIncreasingTime):
+        eng.commit(2.0 ** 53 + 1.0, stopped, [])
+
+
+# A ramp from -0.5 at h = 0.125 reaches 0.0 exactly at t = 0.5, after
+# three quiet steps, where its Inverter's guard fails; the Switch reads the
+# Inverter (inside the condition closure), the ramp's rate, which never
+# flips, or the ramp 0.0625 ahead, flipping at t = 0.4375 within the
+# failing step (both outside it).
+INVERTED_RAMP = """
+cbd Main(out y) {{
+  block rate = Constant(1);
+  block ramp = Integrator(-0.5);
+  block inv = Inverter();
+  block ahead = Constant(0.0625);
+  block cond = Adder();
+  block sw = Switch();
+  rate.out -> ramp.in;
+  ramp.out -> inv.in;
+  ramp.out -> cond.in1;
+  ahead.out -> cond.in2;
+  {condition}.out -> sw.c;
+  sw.out -> y;
+}}
+"""
+INVERTED_WATCH = ("ramp", "inv", "cond", "sw")
+
+
+@pytest.mark.parametrize("condition", ["inv", "rate"],
+                         ids=["inside-the-closure", "outside-it"])
+def test_a_guard_failing_with_no_flip_stops_the_run(condition):
+    text = INVERTED_RAMP.format(condition=condition)
+    outcome = _assert_fast_path_equivalent(text, INVERTED_WATCH,
+                                           h=0.125, t_end=1.0)
+    assert outcome[:2] == ("SimulationError", "inv")
+    # The run commits three quiet steps, then fails in the step from
+    # t = 0.375 with the reference's trace up to there.
+    config = SimConfig(h=0.125, t_end=1.0, watch=INVERTED_WATCH)
+    eng = Engine(flatten(model := dsl.load_model(text), "Main"), config)
+    recorder = _Recorder(eng.watched)
+    recorder.record(eng.past[-1])
+    with pytest.raises(SimulationError, match="^inv: ") as failed:
+        eng.phase1(eng.past, 0.125, False, _run(recorder, 1.0))
+    assert str(failed.value) == outcome[2]
+    assert eng.past[-1].t == 0.375
+    prefix = reference.run(model, "Main", SimConfig(
+        h=0.125, t_end=0.375, watch=INVERTED_WATCH))
+    assert reference.outcome(recorder.flush)[1] == \
+        reference.outcome(lambda: prefix)[1]
+
+
+def test_a_guard_failing_outside_the_closure_retries_at_its_step():
+    times, signals, _, _ = _assert_fast_path_equivalent(
+        INVERTED_RAMP.format(condition="cond"), INVERTED_WATCH,
+        h=0.125, t_end=1.0)
+    # The closure retry of the step from 0.375 locates the flip at 0.4375.
+    assert times[:5] == [x.hex() for x in (0.0, 0.125, 0.25, 0.375, 0.4375)]
+    assert [s[0] != s[1] for s in signals["sw"]].index(True) == 4
+
+
+def _hexed(steps):
+    return [(s.t.hex(), [x.hex() for x in s.lefts], [x.hex() for x in s.rights],
+             list(s.vectors)) for s in steps]
+
+
+@pytest.mark.parametrize("case", ["ball", "delayed_switch", "two_products"])
+def test_the_last_steps_are_the_references(case, ball_text):
+    text, h = {"ball": (ball_text, 1e-3), "delayed_switch": (DELAYED_SWITCH, 0.1),
+               "two_products": (TWO_PRODUCTS, 0.25)}[case]
+    config = SimConfig(h=h, t_end=2.0, **TOLERANCES)
+    engines = []
+
+    class Kept(Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    model = dsl.load_model(text)
+    with mock.patch.object(engine, "Engine", Kept):
+        simulate(model, "Main", config)
+    steps = []
+    reference.run(model, "Main", config, steps)
+    eng, = engines
+    assert _hexed(eng.past) == _hexed(steps[-len(eng.past):])
+    assert len(eng.past) == bk.HISTORY_DEPTH
+
+
+@pytest.mark.parametrize("case", ["ball", "inverted_ramp", "loop40",
+                                  "switch_dense"])
+def test_the_later_steps_source_holds_each_block_once(case, ball_text):
+    """The quiet run repeats the one body: every node's value, and every
+    guard, is written once in the generated source."""
+    text = {"ball": ball_text,
+            "inverted_ramp": INVERTED_RAMP.format(condition="inv")}.get(case)
+    if text is None:
+        text = getattr(perfbench_module("workloads"), case)(ROOT, 1, False).text
+    eng = Engine(flatten(dsl.load_model(text), "Main"), SimConfig())
+    lines = [line.strip() for line in
+             linecache.getlines(eng.phase1.__code__.co_filename)]
+    written = Counter(int(v) for line in lines
+                      if (target := re.match(r"((?:v\d+,? )+)= ", line))
+                      for v in re.findall(r"v(\d+)", target[1]))
+    assert written == Counter(range(len(eng.nodes)))
+    guards = Counter(line for line in lines if line.startswith("fail("))
+    assert sorted(guards.values()) == [1] * sum(
+        bool(bk.KINDS[node.kind].guard) for node in eng.nodes)
+    assert lines.count("while True:") == 1
