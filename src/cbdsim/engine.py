@@ -40,13 +40,15 @@ the screen fails or the run ends; a quiet commit fires no Delay.  A
 non-finite left limit, or a non-finite right limit set by phase 2, stops
 the run with a ``SimulationError`` naming the block.
 
-A condition sign change bisects the step.  A bisection trial,
-``compute_step(dt, closure=True)``, stops phase 1 after the condition
-closure, the blocks the crossing test reads within a step, so a discarded
-trial checks nothing outside it; every located step ends with the full
-step's phase 1, ``compute_step(dt)``, once, at the located size.  An
-``EngineError`` in a full trial of size ``h`` stands unless a closure trial
-locates an earlier event.
+A condition sign change bisects the step.  A bisection trial stops phase 1
+after the condition closure, the blocks the crossing test reads within a
+step, so a discarded trial checks nothing outside it; given the bisection's
+state, the generated phase 1 runs every trial of a bisection in its one
+body, each with the unrolled flip test, and returns the located size.
+Every located step ends with the full step's phase 1, ``compute_step(dt)``,
+once, at the located size.  An ``EngineError`` in a full trial of size ``h``
+stands unless the step's closure trial, ``compute_step(h, closure=True)``,
+flips a condition, whose earlier event the bisection then locates.
 
 Both execution modes share this evaluator and one recorder, which packs
 each committed step's watched limits into rows, cut into per-signal
@@ -273,23 +275,34 @@ def _generate(params: Iterable[str], signature: str, body: list[str]) -> Callabl
 def _phase1_function(nodes: Sequence[_Node],
                      groups: list[tuple[tuple[int, ...], bool]],
                      loop_plans: dict, first: bool, closure: Iterable = (),
-                     conditions: Iterable[int] = (), watched: Iterable[int] = (),
-                     quiet: tuple = ()) -> Callable:
-    """Phase 1 of ``groups``, every node's, in one function ``(past, dt,
-    closure=False)`` that returns the left limits, indexed by node (with
-    ``closure``, None outside ``closure``'s groups, which run first);
-    ``first`` picks the first step's templates.  A block's guard, and then a
-    screen of the left limits, raise a ``SimulationError`` naming the
-    failing block.
+                     conditions: Sequence[tuple[int, int]] = (),
+                     watched: Iterable[int] = (), quiet: tuple = ()) -> Callable:
+    """Phase 1 of ``groups``, every node's, in one function ``(past, dt)``
+    that returns the left limits, indexed by node; ``first`` picks the first
+    step's templates.  A block's guard, and then a screen of the left
+    limits, raise a ``SimulationError`` naming the failing block.  The later
+    steps' function, ``(past, dt, closure=False, run=None, locate=None)``,
+    runs ``closure``'s groups first, and with ``closure`` returns after them
+    (None outside them).
 
     With ``run``, a recorder's buffers ``(t_stop, times, left, right,
     pack, flush, row_buffer)``, the later steps' function repeats its one
-    body.  It commits each step that changes no sign of ``conditions``
-    against ``R`` and ends after its start (``rights is lefts``, vectors
-    ``quiet``) and records it (``pack`` of the ``watched`` limits, ``flush``
-    at ``row_buffer``), and returns None once the next step would end after
-    ``t_stop``; any other step it returns uncommitted.  The caller must
-    not pass ``run`` while a Delay fires."""
+    body.  It commits each step that changes no sign of the ``conditions``
+    (block, condition input pairs) against ``R`` and ends after its start
+    (``rights is lefts``, vectors ``quiet``) and records it (``pack`` of
+    the ``watched`` limits, ``flush`` at ``row_buffer``), and returns None
+    once the next step would end after ``t_stop``; any other step it
+    returns uncommitted.  The caller must not pass ``run`` while a Delay
+    fires.
+
+    With ``closure`` and ``locate``, ``(lo, hi, mag, crossing, zc_tol,
+    h_min)``, it runs the bisection of ``Engine.locate_crossing`` from its
+    midpoint ``dt``: ``crossing`` are the conditions that flip at the step
+    ``hi``, ``mag`` their largest magnitude.  After each closure trial it
+    moves ``hi``, ``mag`` and ``crossing`` to the trial if a condition
+    flips, else ``lo``, and runs the next midpoint in the same body; it
+    returns ``(hi, crossing)`` once ``mag`` is within ``zc_tol``, ``hi -
+    lo`` within ``h_min`` or no float lies between them."""
 
     def cells(in_idx):
         return _Cells(f"v{j}" for j in in_idx)
@@ -304,24 +317,34 @@ def _phase1_function(nodes: Sequence[_Node],
                 raise SimulationError(nodes[idx].path, bk.NonFiniteValue(
                     f"left limit {lefts[idx]!r} is not finite"))
 
-    def result(computed):
+    def padded(computed):
         named = {i: f"v{i}" for i in computed}
-        lefts = ", ".join(named.get(i, "None") for i in range(len(nodes)))
+        return f"[{', '.join(named.get(i, 'None') for i in range(len(nodes)))}]"
+
+    def screened(total, lefts):
         # A sum of finite floats is finite unless it overflows, so one sum
         # screens the step and the scan runs only when the sum is not finite.
-        total = "lefts" if len(computed) == len(nodes) else \
-            f"({''.join(f'v{i}, ' for i in computed)})"
-        return [f"lefts = [{lefts}]", f"if not math.isfinite(sum({total})):",
-                "    screen(lefts)"]
+        return [f"if not math.isfinite(sum({total})):", f"    screen({lefts})"]
 
+    # A bisection trial's flip test: the flipped pairs, their largest magnitude.
+    trial = ["flips, m = [], 0.0"]
+    for idx, c in conditions:
+        trial += [f"if (v{c} >= 0.0) != (R[{c}] >= 0.0):",
+                  f"    flips.append(({idx}, {c}))", f"    m = max(m, abs(v{c}))"]
+    trial += ["if flips:", "    hi, mag, crossing = dt, m, flips",
+              "else:", "    lo = dt", "dt = 0.5 * (lo + hi)",
+              "if not (mag > zc_tol and hi - lo > h_min and lo < dt < hi):",
+              "    return hi, crossing", "h2 = 0.5 * dt * dt", "continue"]
     bound = {"fail": fail, "screen": screen}
     body = []
     closure, order = set(closure), []
     for k, (members, cyclic) in enumerate(
             sorted(groups, key=lambda group: group not in closure)):
-        if k == len(closure):
-            body += ["if closure:"] + [f"    {line}" for line in
-                                       result(order) + ["return lefts"]]
+        if k == len(closure) and not first:
+            closed = padded(order)
+            body += ["if closure:"] + [f"    {line}" for line in screened(
+                f"({''.join(f'v{i}, ' for i in order)})", closed)
+                + ["if not locate:", f"    return {closed}"] + trial]
         order += members
         if cyclic:
             plan = loop_plans[members]
@@ -342,14 +365,14 @@ def _phase1_function(nodes: Sequence[_Node],
                      f"    fail({node.idx}, {x:, })"]
         body.append(f"v{node.idx} = " + template.format(
             x=x, s=node.in_idx, i=node.idx, k=f"k{node.idx}"))
-    body += result(order)
+    body += [f"lefts = {padded(order)}"] + screened("lefts", "lefts")
     if first:
-        return _generate(bound, "first_step(past, dt, closure=False)",
+        return _generate(bound, "first_step(past, dt)",
                          body + ["return lefts"])(*bound.values())
     bound["quiet"] = quiet
     bound["new"] = tuple.__new__  # a Committed without its Python __new__
     stop = " or ".join(["not run"] + [f"(v{c} >= 0.0) != (R[{c}] >= 0.0)"
-                                      for c in conditions]
+                                      for _, c in conditions]
                        + ["not (t_new := t + dt) > t"])
     body += [f"if {stop}:", "    return lefts",
              "past.append(new(Committed, (t_new, lefts, lefts, quiet)))",
@@ -360,11 +383,13 @@ def _phase1_function(nodes: Sequence[_Node],
              "if t_new + dt > t_stop:", "    return None",
              # The names the prologue would bind from ``past`` now.
              "Q, L, R, dq, slope, t = R, lefts, lefts, t_new - t, True, t_new"]
-    return _generate(bound, "later_steps(past, dt, closure=False, run=None)", [
+    return _generate(bound, "later_steps(past, dt, closure=False, run=None, "
+                     "locate=None)", [
         "P = past[-1]", "L, R = P.lefts, P.rights", "slope = len(past) > 1",
         "if slope:", "    Q, dq = past[-2].rights, P.t - past[-2].t",
         "h2 = 0.5 * dt * dt", "if run:",
         "    t, (t_stop, times, left, right, pack, flush, row_buffer) = P.t, run",
+        "if locate:", "    lo, hi, mag, crossing, zc_tol, h_min = locate",
         "while True:"] + [f"    {line}" for line in body])(*bound.values())
 
 
@@ -553,7 +578,7 @@ class Engine:
         self.quiet_vectors = (EMPTY_IMPULSES,) * len(nodes)
         self.phase1 = _phase1_function(
             *plans, first=False, closure=self.closure,
-            conditions=[c for _, c in self.conditions],
+            conditions=self.conditions,
             watched=self.watched.values(), quiet=self.quiet_vectors)
         self.firing: list[int] = []  # the Delays that fire at the next commit
         lefts = _phase1_function(*plans, first=True)(self.past, config.h)
@@ -565,8 +590,9 @@ class Engine:
                      ) -> tuple[list[float], list[tuple[int, int]]]:
         """Phase 1 of a step of size ``dt`` after the engine's committed
         steps, of the condition closure alone with ``closure``: the left
-        limits, None outside, and flipped conditions, for bisection trials,
-        located full trials and failure retries (a quiet step skips it)."""
+        limits, None outside, and flipped conditions, for located full
+        trials and, with ``closure``, failure retries (a quiet step and a
+        bisection trial skip it)."""
         lefts = self.phase1(self.past, dt, closure)
         return lefts, self.flipped_conditions(lefts)
 
@@ -677,27 +703,26 @@ class Engine:
         """Bisect the step of size ``h`` onto the earliest condition crossing.
 
         ``lefts`` and ``flipped`` are ``compute_step``'s result for the step
-        ``h``, of its condition closure at least.  The bisection trials
-        evaluate only the closure; then the full step's phase 1 runs once, at
-        the located size, ``h`` included.  Returns the located step size,
-        that step's left limits and flipped conditions, and whether the
-        bisection bottomed out at ``h_min`` without reaching the value
-        tolerance (the step is committed regardless).
+        ``h``, of its condition closure at least.  While the largest flipped
+        magnitude exceeds ``zc_tol``, ``hi - lo`` exceeds ``h_min`` and a
+        float lies strictly between them, a closure trial at the midpoint
+        moves ``hi`` (and the magnitude and flipped conditions) to it if a
+        condition flips, else ``lo``; the generated phase 1 runs these
+        trials in one call (``_phase1_function``).  Then the full step's
+        phase 1 runs once, at the located size, ``h`` included.  Returns the
+        located step size, that step's left limits and flipped conditions,
+        and whether the bisection bottomed out at ``h_min`` without reaching
+        the value tolerance (the step is committed regardless).
         """
         cfg = self.config
         if not flipped:
             raise EngineError("locate_crossing called without a sign change")
-        lo, hi, crossing = 0.0, h, flipped
-        while max(abs(lefts[c]) for _, c in crossing) > cfg.zc_tol \
-                and (hi - lo) > cfg.h_min:
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            lefts_mid, flipped_mid = self.compute_step(mid, closure=True)
-            if flipped_mid:
-                hi, lefts, crossing = mid, lefts_mid, flipped_mid
-            else:
-                lo = mid
+        hi, crossing = h, flipped
+        mag = max(abs(lefts[c]) for _, c in flipped)
+        # The loop's test at lo = 0: 0 < h / 2 < h for any h > h_min > 0.
+        if mag > cfg.zc_tol and h > cfg.h_min:
+            hi, crossing = self.phase1(self.past, 0.5 * h, True, None, (
+                0.0, h, mag, flipped, cfg.zc_tol, cfg.h_min))
         hi = max(hi, cfg.h_min)
         lefts, flipped = self.compute_step(hi)
         underflow = max(abs(lefts[c]) for _, c in flipped or crossing) \
@@ -800,9 +825,11 @@ def _encode_numerically(trace: Trace) -> list[tuple[int, int, str]]:
     flagged = []
     for position, (name, stream) in enumerate(trace.signals.items()):
         for column in stream.left, stream.right:
-            # x + 0.0 changes only a -0.0; the byte search may also match
-            # across two floats, which costs one needless pass.
-            if _NEGATIVE_ZERO in column.tobytes():
+            # x + 0.0 changes only a -0.0, whose high byte is 0x80; the byte
+            # search may also match across two floats, which costs one
+            # needless pass.
+            data = column.tobytes()
+            if 0x80 in data[_HIGH_BYTE::8] and _NEGATIVE_ZERO in data:
                 column[:] = array("d", [x + 0.0 for x in column])
         # The per-step scan runs only if some high byte allows |x| > the limit.
         if any(c.tobytes()[_HIGH_BYTE::8].translate(None, _BELOW_LIMIT)

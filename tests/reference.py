@@ -2,12 +2,15 @@
 
 ``run`` does what ``engine.simulate`` does without its shortcuts: every trial
 is a full phase 1, every commit sweeps every group until nothing changes, and
-the trace is built a column per watched signal.  It reads the engine's tables
-and t = 0 step, patches nothing and needs no pytest.  A list passed as
-``steps`` receives every step it commits, t = 0 first.
+the trace is built and encoded numerically a column per watched signal.  It
+reads the engine's tables and t = 0 step, patches nothing and needs no
+pytest.  A list passed as ``steps`` receives every step it commits, t = 0
+first.  ``bisect`` states the bisection of a step, for ``run`` and for the
+tests that replay the engine's.
 """
 
 import heapq
+from array import array
 from collections import deque
 
 from cbdsim import blocks as bk, engine
@@ -84,15 +87,10 @@ def run(model, top, config, steps=None):
 
     t, underflows, located = 0.0, [], deque(maxlen=engine.ZENO_WINDOW)
     while t + config.h <= config.t_end + 1e-9 * config.h:
-        h, lo = config.h, 0.0
-        if crossing := flipped(lefts := trial(h, stands=True)):
-            while max(abs(lefts[c]) for c in crossing) > config.zc_tol \
-                    and h - lo > config.h_min and lo < 0.5 * (lo + h) < h:
-                if mid_crossing := flipped(mid_lefts := trial(mid := 0.5 * (lo + h))):
-                    h, lefts, crossing = mid, mid_lefts, mid_crossing
-                else:
-                    lo = mid
-            lefts = phase1(past, h := max(h, config.h_min))
+        h = config.h
+        if flipped(lefts := trial(h, stands=True)):
+            h, crossing = bisect(trial, flipped, h, lefts, config)
+            lefts = phase1(past, h)
             if max(abs(lefts[c]) for c in flipped(lefts) or crossing) > config.zc_tol:
                 underflows.append((len(steps), -1, f"step-underflow: tolerance "
                                    f"not met at t={t + h!r}"))
@@ -109,10 +107,36 @@ def run(model, top, config, steps=None):
         for name, i in watched.items()}, [
         engine.ImpulseEvent(s.t, name, *item) for s in steps
         for name, i in watched.items() for item in s.vectors[i].items()])
-    overflows = engine._encode_numerically(trace) \
-        if config.mode == engine.NUMERICAL else []
+    overflows = []
+    if config.mode == engine.NUMERICAL:
+        engine.fold_impulses(trace.times, trace.signals, trace.impulses)
+        trace.impulses.clear()
+        for position, (name, stream) in enumerate(trace.signals.items()):
+            stream.left, stream.right = (array("d", [x + 0.0 for x in column])
+                                         for column in (stream.left, stream.right))
+            overflows += [(k, position, f"overflow-risk: |{name}| exceeds "
+                           f"{engine.OVERFLOW_LIMIT:g} at t={trace.times[k]!r}")
+                          for k, limits in enumerate(stream)
+                          if any(abs(x) > engine.OVERFLOW_LIMIT for x in limits)]
+        overflows.sort()
     trace.warnings = [w for *_, w in heapq.merge(underflows, overflows)]
     return trace
+
+
+def bisect(trial, flipped, h, lefts, config):
+    """Bisect the step of size ``h``, whose left limits are ``lefts``,
+    onto the earliest crossing of the conditions that ``flipped(lefts)``
+    names, with the left limits ``trial(dt)`` of each midpoint ``dt``.
+    Returns the located size, at least ``h_min``, and the conditions
+    flipped at the last step that flipped."""
+    lo, crossing = 0.0, flipped(lefts)
+    while max(abs(lefts[c]) for c in crossing) > config.zc_tol \
+            and h - lo > config.h_min and lo < 0.5 * (lo + h) < h:
+        if mid_crossing := flipped(mid_lefts := trial(mid := 0.5 * (lo + h))):
+            h, lefts, crossing = mid, mid_lefts, mid_crossing
+        else:
+            lo = mid
+    return max(h, config.h_min), crossing
 
 
 def outcome(run_, *args):

@@ -1,20 +1,23 @@
 """The condition closure that bisection trials evaluate.
 
-``Engine.locate_crossing`` bisects with ``Engine.compute_step(dt,
-closure=True)``, which runs phase 1 over the condition closure only: the
-schedule groups reached backwards from every Switch and Decision condition
-input, stopping at Integrators and Delays.  The later-steps function runs
-those groups first and stops after them in such a trial.
+``Engine.locate_crossing`` bisects with trials of the condition closure
+only: the schedule groups reached backwards from every Switch and Decision
+condition input, stopping at Integrators and Delays.  The later-steps
+function runs those groups first and stops after them in such a trial;
+given ``locate``, it runs every trial of a bisection in its one body.
 ``tests/test_quiet_step.py`` compares whole runs with the reference
 stepper, ``tests/reference.py``, whose trials are full steps; this file
-pins the closure's contents, its trials and the declared differences.
+pins the closure's contents, its trials, replayed through
+``reference.bisect``, and the declared differences.
 """
 
+import functools
 import sys
 from unittest import mock
 
 import pytest
 
+import reference
 from cbdsim import blocks as bk
 from cbdsim import dsl
 from cbdsim.engine import (Engine, ImpulseInLoop, SimConfig, SimulationError,
@@ -302,25 +305,55 @@ def test_phase2_runs_once_per_committed_step(workload, ball_text):
     assert located and {after[t] for t in located} <= set(commits)
 
 
+def _bisections(text, config):
+    """A run's ``locate_crossing`` calls, each as the engine, a copy of its
+    committed steps, the call's ``h``, ``lefts`` and ``flipped`` and the
+    size it located."""
+    calls = []
+
+    def locate(self, h, lefts, flipped, locate_crossing=Engine.locate_crossing):
+        past = list(self.past)
+        located = locate_crossing(self, h, lefts, flipped)
+        calls.append((self, past, h, lefts, flipped, located[0]))
+        return located
+
+    with mock.patch.object(Engine, "locate_crossing", locate):
+        simulate(dsl.load_model(text), "Main", config)
+    return calls
+
+
+def _replay(call, config, trial):
+    """``reference.bisect`` of a ``locate_crossing`` call, with
+    ``trial(engine, past, dt)`` at each midpoint; asserts that it locates
+    the engine's size, compared by ``float.hex``."""
+    eng, past, h, lefts, flipped, located = call
+    held = past[-1].rights
+    size, _ = reference.bisect(
+        functools.partial(trial, eng, past),
+        lambda lefts: [c for _, c in eng.conditions
+                       if (lefts[c] >= 0.0) != (held[c] >= 0.0)],
+        h, lefts, config)
+    assert size.hex() == located.hex()
+
+
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])
 def test_closure_trial_is_the_full_step_on_the_closure(workload, ball_text):
+    # The generated phase 1 runs the bisection's trials itself; the replay
+    # runs each midpoint's closure trial and full trial.
     text, config = _bisected_runs(ball_text)[workload]
     trials = []
 
-    def checked(self, dt, closure=False, compute_step=Engine.compute_step):
-        if closure:
-            inside = {idx for members, _ in self.closure for idx in members}
-            lefts = self.phase1(self.past, dt, True)
-            full = self.phase1(self.past, dt)
-            assert [idx for idx, x in enumerate(lefts) if x is not None] \
-                == sorted(inside)
-            assert [lefts[idx].hex() for idx in sorted(inside)] \
-                == [full[idx].hex() for idx in sorted(inside)]
-            trials.append(dt)
-        return compute_step(self, dt, closure)
+    def checked(eng, past, dt):
+        inside = sorted({idx for members, _ in eng.closure for idx in members})
+        lefts, full = eng.phase1(past, dt, True), eng.phase1(past, dt)
+        assert [idx for idx, x in enumerate(lefts) if x is not None] == inside
+        assert [lefts[idx].hex() for idx in inside] \
+            == [full[idx].hex() for idx in inside]
+        trials.append(dt)
+        return lefts
 
-    with mock.patch.object(Engine, "compute_step", checked):
-        simulate(dsl.load_model(text), "Main", config)
+    for call in _bisections(text, config):
+        _replay(call, config, checked)
     assert trials
 
 
@@ -332,19 +365,17 @@ def test_closure_trial_is_the_full_step_on_the_closure(workload, ball_text):
 def test_every_bisection_iteration_is_one_closure_trial(
         workload, events, iterations, ball_text):
     text, config = _bisected_runs(ball_text)[workload]
-    callers = []
+    trials = []
 
-    def counted(self, dt, closure=False, compute_step=Engine.compute_step):
-        if closure:
-            callers.append(sys._getframe(1).f_code)
-        return compute_step(self, dt, closure)
+    def counted(eng, past, dt):
+        trials.append(dt)
+        return eng.phase1(past, dt, True)
 
-    with mock.patch.object(Engine, "compute_step", counted), \
-            mock.patch.object(Engine, "locate_crossing", autospec=True,
-                              side_effect=Engine.locate_crossing) as located:
-        simulate(dsl.load_model(text), "Main", config)
-    assert located.call_count == events
-    assert callers == [Engine.locate_crossing.__code__] * iterations
+    calls = _bisections(text, config)
+    for call in calls:
+        _replay(call, config, counted)
+    assert len(calls) == events
+    assert len(trials) == iterations
 
 
 @pytest.mark.parametrize("workload", ["ball", "switch_dense"])

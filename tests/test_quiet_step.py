@@ -631,3 +631,79 @@ def test_the_later_steps_source_holds_each_block_once(case, ball_text):
     assert sorted(guards.values()) == [1] * sum(
         bool(bk.KINDS[node.kind].guard) for node in eng.nodes)
     assert lines.count("while True:") == 1
+
+
+# --- the bisection inside the generated phase 1 ---------------------------------
+
+# A ramp from r0 at rate 1; the Switch reads ``condition``.
+BISECTED = """
+cbd Main(out y) {{
+  block rate = Constant(1);
+  block ramp = Integrator({r0});
+  block sw = Switch();
+  {blocks}
+  rate.out -> ramp.in;
+  {condition}.out -> sw.c;
+  sw.out -> y;
+}}
+"""
+INVERTED = "block inv = Inverter(); ramp.out -> inv.in;"
+# 1e300 / (ramp at t = 0.5) overflows; at t = 0 and t = 1 it is 2e300.
+OVERFLOWING = INVERTED + """
+  block big = Constant(1e300); block m = Multiplier();
+  inv.out -> m.in1; big.out -> m.in2;
+"""
+# The ramp squared, less 2, which no float t makes 0.
+SQUARED = """
+  block sq = Multiplier(); block two = Constant(-2); block cond = Adder();
+  ramp.out -> sq.in1; ramp.out -> sq.in2; sq.out -> cond.in1; two.out -> cond.in2;
+"""
+
+
+@pytest.mark.parametrize("r0, blocks, condition", [
+    (-0.5, INVERTED, "inv"),            # the ramp is 0.0 at the first midpoint
+    (-0.4999999999, OVERFLOWING, "m"),  # m is inf at the first midpoint
+], ids=["guard", "non-finite"])
+def test_a_closure_trial_failing_at_a_midpoint_stops_the_run(r0, blocks, condition):
+    text = BISECTED.format(r0=r0, blocks=blocks, condition=condition)
+    outcome = _assert_fast_path_equivalent(text, ("ramp", condition), h=1.0,
+                                           t_end=2.0)
+    assert outcome[:2] == ("SimulationError", condition)
+    eng = Engine(flatten(dsl.load_model(text), "Main"), SimConfig(h=1.0))
+    lefts, flipped = eng.compute_step(1.0)
+    assert flipped
+    with pytest.raises(SimulationError) as failed:
+        eng.locate_crossing(1.0, lefts, flipped)
+    assert str(failed.value) == outcome[2]
+
+
+def test_a_condition_zero_at_a_midpoint_ends_the_bisection():
+    # The first midpoint, 0.5, is the crossing: 0.0 selects as a positive
+    # condition does.
+    times, signals, _, warnings = _assert_fast_path_equivalent(
+        BISECTED.format(r0=-0.5, blocks="", condition="ramp"), ("ramp", "sw"),
+        h=1.0, t_end=2.0, zc_tol=1e-9, h_min=1e-12)
+    assert times[:2] == [0.0.hex(), 0.5.hex()]
+    assert signals["sw"][1] == (0.0.hex(), 1.0.hex()) and warnings == []
+
+
+@pytest.mark.parametrize("r0", [-0.3, -1e-4], ids=["bottoms-out", "raised-to-h_min"])
+def test_a_bisection_down_to_h_min_warns(r0):
+    # The ramp crosses at -r0; below h_min the located size is raised to it.
+    times, _, _, warnings = _assert_fast_path_equivalent(
+        BISECTED.format(r0=r0, blocks="", condition="ramp"), ("ramp", "sw"),
+        h=1.0, t_end=2.0, zc_tol=1e-9, h_min=1e-3)
+    located = float.fromhex(times[1])
+    assert 0.0 < located + r0 <= 1e-3
+    assert (located == 1e-3) == (-r0 < 1e-3)
+    assert warnings == [f"step-underflow: tolerance not met at t={located!r}"]
+
+
+def test_a_bisection_stops_where_no_float_lies_between():
+    times, _, _, warnings = _assert_fast_path_equivalent(
+        BISECTED.format(r0=0.0, blocks=SQUARED, condition="cond"),
+        ("ramp", "cond"), h=2.0, t_end=2.0, zc_tol=1e-300, h_min=5e-324)
+    located = float.fromhex(times[1])
+    assert located * located - 2.0 > 0.0 > (below := math.nextafter(located, 0.0)) \
+        * below - 2.0
+    assert warnings == [f"step-underflow: tolerance not met at t={located!r}"]

@@ -7,16 +7,17 @@ a stream's columns, its length, its iteration as one ``Limits`` per step
 and its equality, round-trip random traces through the CSV and JSON files
 bit for bit (a zero next to the zero of the other sign included), keep
 the reader's malformed-file errors, reject ragged in-memory traces
-without writing a file, pin the overflow warnings of the numerical fold,
-hold the recorder's packed rows to the columns of the reference stepper,
-``tests/reference.py``, and check that a run cuts them every
-``ROW_BUFFER`` limits.
+without writing a file, pin the overflow warnings and the ``-0.0`` scrub
+of the numerical fold, hold the recorder's packed rows to the columns of
+the reference stepper, ``tests/reference.py``, and check that a run cuts
+them every ``ROW_BUFFER`` limits.
 """
 
 import json
 import math
 import re
 import tempfile
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -343,6 +344,32 @@ class TestOverflowScreen:
         trace = _folded("ab", (0.0, _columns([1.0, 1.0, EMPTY_IMPULSES],
                                              [1.0, value, EMPTY_IMPULSES])))
         assert trace.warnings == ([_warning("b", 0.0)] if warns else [])
+
+
+def test_only_a_negative_zero_becomes_zero():
+    """The fold scans a column for ``-0.0`` only where some float's high
+    byte is 0x80: ``-0.0`` becomes ``0.0``, while ``-5e-324``, whose high
+    byte is 0x80 too, and the float after ``0.0`` whose low byte is 0x80,
+    which the byte search matches across the two, keep their bits."""
+    shifted = 1.0 + 2.0 ** -45  # its low byte is 0x80
+    assert engine._NEGATIVE_ZERO in array("d", [0.0, shifted, 0.0]).tobytes()
+    trace = _folded("abc", *[(t, _columns(*cells)) for t, cells in [
+        (0.0, [[-0.0, 0.0, EMPTY_IMPULSES], [-5e-324, 0.0, EMPTY_IMPULSES],
+               [0.0, shifted, EMPTY_IMPULSES]]),
+        (1.0, [[1.0, -0.0, EMPTY_IMPULSES], [0.0, -5e-324, EMPTY_IMPULSES],
+               [shifted, 0.0, EMPTY_IMPULSES]]),
+        (2.0, [[-0.0, -0.0, EMPTY_IMPULSES], [-5e-324, 1e301, EMPTY_IMPULSES],
+               [0.0, -1e301, EMPTY_IMPULSES]]),
+    ]])
+    assert {name: [(a.hex(), b.hex()) for a, b in stream]
+            for name, stream in trace.signals.items()} == {
+        "a": [(x.hex(), y.hex()) for x, y in [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]],
+        "b": [(x.hex(), y.hex()) for x, y in [(-5e-324, 0.0), (0.0, -5e-324),
+                                              (-5e-324, 1e301)]],
+        "c": [(x.hex(), y.hex()) for x, y in [(0.0, shifted), (shifted, 0.0),
+                                              (0.0, -1e301)]],
+    }
+    assert trace.warnings == [_warning("b", 2.0), _warning("c", 2.0)]
 
 
 # --- the recorder's rows against the reference stepper's columns --------------
