@@ -13,21 +13,21 @@ The grammar, in EBNF::
     endpoint  := NAME [ "." NAME ] ;
 
 ``//`` starts a comment running to the end of the line.  NUMBER is a
-decimal real with optional sign and exponent.  The tokenizer is one master
-regular expression with a named group per token class, matched in order
-(the "Writing a Tokenizer" idiom of the :mod:`re` docs), one match per
-token: the blanks and comment before a token belong to its match, ahead of
-its group, so its span is still that of its own first character.  Any
-other character becomes an ERROR token.  An item that starts with
-``block`` followed by ``.`` or ``->`` is a link, so a block or an input
-port may be named ``block``.  Parsing never raises on bad input; every
-problem becomes a :class:`Diagnostic`, always an error, carrying its
-source position.
+decimal real with optional sign and exponent.  The scanner is one pattern
+matched once per token, with the blanks, newlines and comments before the
+token ahead of its one group, the token's text; a character that starts
+no token is an ERROR token.  One ``findall`` gives every text, each
+distinct text is typed once, and the parser keeps token numbers: a line
+and column are found only for a diagnostic, by one positional pass
+(:func:`tokenize`).  An item that starts with ``block`` followed by ``.``
+or ``->`` is a link, so a block or an input port may be named ``block``.
+Parsing never raises on bad input; every problem becomes a
+:class:`Diagnostic`, always an error, carrying its source position.
 
 There is one representation of a model: the parser builds each
-:class:`graph.Definition` while it reads it, records the span of every
-item a :class:`graph.Problem` can locate, and checks each rule that only
-text can break where its text is read:
+:class:`graph.Definition` while it reads it, records the first token of
+every item a :class:`graph.Problem` can locate, and checks each rule that
+only text can break where its text is read:
 
 - a number out of range, in the argument list (a syntax error);
 - a duplicate block name and the parameter list against the kind, in the
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .blocks import KINDS
@@ -76,10 +77,20 @@ class Diagnostic:
 @dataclass
 class SourceModel(Model):
     """The model a text defines, with what :func:`validate` needs of the
-    text: by definition, the span of every locator a :class:`graph.Problem`
-    can name, and the diagnostics of the rules only text can break."""
-    spans: dict[str, dict[tuple | None, Span]] = field(default_factory=dict)
+    text: by definition, the first token of every locator a
+    :class:`graph.Problem` can name, as its number in the text's scan,
+    and the diagnostics of the rules only text can break."""
+    spans: dict[str, dict[tuple | None, int]] = field(default_factory=dict)
     rule_diagnostics: list[Diagnostic] = field(default_factory=list)
+    text: str = field(default="", repr=False)
+
+    def span(self, token: int) -> Span:
+        """Tokenizes the text the first time a diagnostic needs a span."""
+        return self._tokenized[0][token].span
+
+    @cached_property
+    def _tokenized(self) -> tuple[list[Token], list[Diagnostic]]:
+        return tokenize(self.text)
 
 
 @dataclass
@@ -92,24 +103,24 @@ class ParseResult:
         return not self.diagnostics
 
 
-# --- tokenizer --------------------------------------------------------------
+# --- scanner -----------------------------------------------------------------
 
-# One match per token: the blanks and the comment before a token are the
-# prefix of its match, so only newlines and tokens are matched, and END,
-# at the end of the text, ends the scan (without it a trailing comment
-# would be rescanned as ERROR characters).
-_TOKEN_RE = re.compile(rf"""
-    [ \t\r]*(?://[^\n]*)?
-    (?:
-        (?P<NEWLINE>\n)
-      | (?P<ARROW>->)
-      | (?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<IDENT>{NAME})
-      | (?P<PUNCT>[(){{}};,.=])
-      | (?P<END>\Z)
-      | (?P<ERROR>.)
-    )
-""", re.VERBOSE)
+# The pattern of each token type, tried in order; the type of an arrow or a
+# punctuation token is its text.  EOF, the empty text at the end, keeps a
+# trailing comment from being rescanned as ERROR characters.
+_TYPES = {
+    "NUMBER": r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?",
+    "IDENT": NAME,
+    "PUNCT": r"->|[(){};,.=]",
+    "ERROR": r".",
+    "EOF": r"\Z",
+}
+# One match per token: the blanks, newlines and comments before a token are
+# the prefix of its match, and its one group is the token's text.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*("
+                       + "|".join(_TYPES.values()) + ")")
+_TYPE_RE = re.compile("|".join(
+    f"(?P<{type_}>{pattern})" for type_, pattern in _TYPES.items()))
 
 
 class Token(NamedTuple):
@@ -118,84 +129,100 @@ class Token(NamedTuple):
     span: Span
 
 
+def _types(texts: list[str]) -> list[str]:
+    """The type of each token text, found once per distinct text."""
+    types = {}
+    for text in set(texts):
+        type_ = _TYPE_RE.fullmatch(text).lastgroup
+        types[text] = text if type_ == "PUNCT" else type_
+    return list(map(types.__getitem__, texts))
+
+
+def scan(text: str) -> tuple[list[str], list[str]]:
+    """The type and the text of every token of ``text``, EOF last, from
+    one ``findall`` of the token pattern."""
+    texts = _TOKEN_RE.findall(text)
+    if len(texts) > 1 and not texts[-2]:  # a second, empty match at the end
+        del texts[-1]
+    return _types(texts), texts
+
+
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    new = tuple.__new__  # a Span or Token without the NamedTuple __new__
-    line, line_start = 1, 0
+    """The tokens of :func:`scan` with their spans, from one positional
+    pass of the token pattern, and a diagnostic for each ERROR token."""
+    texts: list[str] = []
+    spans: list[Span] = []
+    line = 1
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-            continue
-        if kind == "END":
+        start = match.start(1)
+        line += text.count("\n", match.start(), start)
+        texts.append(match[1])
+        spans.append(Span(line, start - text.rfind("\n", 0, start)))
+        if start == len(text):  # EOF
             break
-        value = match[kind]
-        span = new(Span, (line, match.end() - len(value) - line_start + 1))
-        if kind == "ARROW" or kind == "PUNCT":
-            kind = value
-        elif kind == "ERROR":
-            diagnostics.append(Diagnostic(
-                f"unexpected character {value!r}", span))
-        tokens.append(new(Token, (kind, value, span)))
-    tokens.append(Token("EOF", "", Span(line, len(text) - line_start + 1)))
-    return tokens, diagnostics
+    tokens = list(map(Token, _types(texts), texts, spans))
+    return tokens, [Diagnostic(f"unexpected character {token.text!r}",
+                               token.span)
+                    for token in tokens if token.type == "ERROR"]
 
 
 # --- parser ------------------------------------------------------------------
 
-# A block argument: its name (None if positional), value and span.
-_Arg = tuple[str | None, float, Span]
+# A block argument: its name (None if positional), value and first token.
+_Arg = tuple[str | None, float, int]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]):
-        self.tokens = tokens
+    # Reads the token types and texts by index; a token is its number.
+    def __init__(self, text: str):
+        self.types, self.texts = scan(text)
         self.pos = 0
-        self.diagnostics = diagnostics
-        self.model = SourceModel()
+        self.model = SourceModel(text=text)
+        self.diagnostics = list(self.model._tokenized[1]) \
+            if "ERROR" in self.types else []
         self.duplicates: list[Diagnostic] = []
         # The text-rule diagnostics of the definitions kept, each with the
         # composite kind it stands on (None: it stands).
         self.notes: list[tuple[str | None, Diagnostic]] = []
 
     def error(self, expected: str) -> None:
-        _, text, span = self.tokens[self.pos]
+        text = self.texts[self.pos]
         got = repr(text) if text else "end of input"
         self.diagnostics.append(Diagnostic(
-            f"expected {expected}, got {got}", span
+            f"expected {expected}, got {got}", self.model.span(self.pos)
         ))
 
-    def expect(self, type_: str, expected: str | None = None) -> Token | None:
-        token = self.tokens[self.pos]
-        if token.type == type_:
-            self.pos += 1
-            return token
+    def expect(self, type_: str, expected: str | None = None) -> int | None:
+        """The next token, consumed, if it is a ``type_``."""
+        pos = self.pos
+        if self.types[pos] == type_:
+            self.pos = pos + 1
+            return pos
         self.error(expected or f"'{type_}'")
         return None
 
     def synchronize(self, *stop: str) -> None:
         """Skip tokens until one of the stop types (consumed) or a '}' / EOF."""
-        tokens, pos = self.tokens, self.pos
-        while tokens[pos].type not in stop:
-            if tokens[pos].type in ("}", "EOF"):
+        types, pos = self.types, self.pos
+        while types[pos] not in stop:
+            if types[pos] in ("}", "EOF"):
                 self.pos = pos
                 return
             pos += 1
         self.pos = pos + 1
 
-    def note(self, message: str, span: Span, kind: str | None = None) -> None:
-        self.defn_notes.append((kind, Diagnostic(message, span)))
+    def note(self, message: str, token: int, kind: str | None = None) -> None:
+        self.defn_notes.append(
+            (kind, Diagnostic(message, self.model.span(token))))
 
     # grammar productions; a definition's items go straight into its
-    # Definition, their spans into ``spans`` and their text-rule diagnostics
-    # into ``defn_notes``
+    # Definition, their first tokens into ``spans`` and their text-rule
+    # diagnostics into ``defn_notes``
 
     def parse_model(self) -> SourceModel:
-        model, tokens = self.model, self.tokens
-        while (token := tokens[self.pos]).type != "EOF":
-            if token.type == "IDENT" and token.text == "cbd":
+        model, types, texts = self.model, self.types, self.texts
+        while (type_ := types[self.pos]) != "EOF":
+            if type_ == "IDENT" and texts[self.pos] == "cbd":
                 self.parse_definition()
             else:
                 self.error("'cbd'")
@@ -208,32 +235,32 @@ class _Parser:
         return model
 
     def parse_definition(self) -> None:
-        tokens = self.tokens
-        start = tokens[self.pos].span  # 'cbd'
+        types, texts = self.types, self.texts
+        start = self.pos  # 'cbd'
         self.pos += 1
         name = self.expect("IDENT", "definition name")
         if name is None or self.expect("(") is None:
             self.synchronize("}")
             return
-        self.spans: dict[tuple | None, Span] = {None: start}
+        self.spans: dict[tuple | None, int] = {None: start}
         self.defn_notes: list[tuple[str | None, Diagnostic]] = []
         self.port_names: set[str] = set()
         ports: dict[str, list[str]] = {"in": [], "out": []}
-        if tokens[self.pos].type != ")":
+        if types[self.pos] != ")":
             self.parse_ports(ports)
         self.expect(")")
         if self.expect("{") is None:
             self.synchronize("}")
             return
-        defn = self.defn = Definition(name.text, tuple(ports["in"]),
+        defn = self.defn = Definition(texts[name], tuple(ports["in"]),
                                       tuple(ports["out"]))
-        while (token := tokens[self.pos]).type not in ("}", "EOF"):
-            if token.type != "IDENT":
+        while (type_ := types[self.pos]) not in ("}", "EOF"):
+            if type_ != "IDENT":
                 self.error("'block' or a link")
                 self.synchronize(";")
             # A link may start at a block or input port named 'block'.
-            elif token.text == "block" and \
-                    tokens[self.pos + 1].type not in (".", "->"):
+            elif texts[self.pos] == "block" and \
+                    types[self.pos + 1] not in (".", "->"):
                 self.parse_block()
             else:
                 self.parse_link()
@@ -242,52 +269,51 @@ class _Parser:
         model = self.model
         if defn.name in model.definitions:
             self.duplicates.append(Diagnostic(
-                f"duplicate definition {defn.name!r}", start))
+                f"duplicate definition {defn.name!r}", model.span(start)))
             return
         model.definitions[defn.name] = defn
         model.spans[defn.name] = self.spans
         self.notes += self.defn_notes
 
     def parse_ports(self, ports: dict[str, list[str]]) -> None:
-        tokens = self.tokens
+        types, texts = self.types, self.texts
         while True:
-            direction = tokens[self.pos]
-            if direction.type != "IDENT" or direction.text not in ports:
+            if types[self.pos] != "IDENT" or texts[self.pos] not in ports:
                 self.error("'in' or 'out'")
                 self.synchronize(";", ")")
-                direction = tokens[self.pos]
-                if direction.type != "IDENT" or direction.text not in ports:
+                if types[self.pos] != "IDENT" or texts[self.pos] not in ports:
                     return
+            names = ports[texts[self.pos]]
             self.pos += 1
             while True:
                 name = self.expect("IDENT", "port name")
                 if name is not None:
-                    self.port_names.add(name.text)
-                    ports[direction.text].append(name.text)
-                    self.spans["port", name.text] = name.span
-                if tokens[self.pos].type != ",":
+                    self.port_names.add(texts[name])
+                    names.append(texts[name])
+                    self.spans["port", texts[name]] = name
+                if types[self.pos] != ",":
                     break
                 self.pos += 1
-            if tokens[self.pos].type != ";":
+            if types[self.pos] != ";":
                 return
             self.pos += 1
 
     def parse_block(self) -> None:
-        start = self.tokens[self.pos].span  # 'block'
+        start = self.pos  # 'block'
         self.pos += 1
         name = self.expect("IDENT", "block name")
         ok = name is not None and self.expect("=") is not None
         kind = self.expect("IDENT", "block kind") if ok else None
         ok = kind is not None and self.expect("(") is not None
         args: list[_Arg] = []
-        if ok and self.tokens[self.pos].type != ")":
+        if ok and self.types[self.pos] != ")":
             ok = self.parse_args(args)
         ok = ok and self.expect(")") is not None
         ok = ok and self.expect(";") is not None
         if not ok:
             self.synchronize(";")
             return
-        name, kind = name.text, kind.text
+        name, kind = self.texts[name], self.texts[kind]
         blocks = self.defn.blocks
         # check_model states the rule for a block named like a port.
         if name in blocks and name not in self.port_names:
@@ -302,64 +328,66 @@ class _Parser:
         self.spans["block", name] = start
 
     def parse_args(self, args: list[_Arg]) -> bool:
-        tokens = self.tokens
+        types, texts = self.types, self.texts
         while True:
-            token = tokens[self.pos]
-            if token.type == "NUMBER":
-                self.pos += 1
-                args.append((None, self.number(token), token.span))
-            elif token.type == "IDENT":
-                self.pos += 1
+            pos = self.pos
+            if types[pos] == "NUMBER":
+                self.pos = pos + 1
+                args.append((None, self.number(pos), pos))
+            elif types[pos] == "IDENT":
+                self.pos = pos + 1
                 if self.expect("=") is None:
                     return False
                 number = self.expect("NUMBER", "a number")
                 if number is None:
                     return False
-                args.append((token.text, self.number(number), token.span))
+                args.append((texts[pos], self.number(number), pos))
             else:
                 self.error("a number or NAME '=' NUMBER")
                 return False
-            if tokens[self.pos].type != ",":
+            if types[self.pos] != ",":
                 return True
             self.pos += 1
 
-    def number(self, token: Token) -> float:
-        value = float(token.text)
+    def number(self, token: int) -> float:
+        text = self.texts[token]
+        value = float(text)
         if math.isinf(value):
             self.diagnostics.append(Diagnostic(
-                f"number {token.text!r} is out of range", token.span))
+                f"number {text!r} is out of range", self.model.span(token)))
         return value
 
     def bind_params(self, kind: str, args: list[_Arg]) -> dict[str, float]:
         declared = KINDS[kind].params
         params: dict[str, float] = {}
-        for position, (name, value, span) in enumerate(args):
+        for position, (name, value, token) in enumerate(args):
             if name is None:
                 if position < len(declared):
                     params[declared[position]] = value
                 else:
                     self.note(f"{kind} takes at most {len(declared)} "
-                              f"parameter(s)", span)
+                              f"parameter(s)", token)
             elif name in declared:
                 params[name] = value
             else:
-                self.note(f"{kind} has no parameter {name!r}", span)
+                self.note(f"{kind} has no parameter {name!r}", token)
         return params
 
-    def parse_endpoint(self, bare: str | None) -> tuple[Span, Endpoint] | None:
-        """The span of an endpoint's name and the endpoint ``name[.port]``
+    def parse_endpoint(self, bare: str | None) -> tuple[int, Endpoint] | None:
+        """The first token of an endpoint and the endpoint ``name[.port]``
         names, None after a syntax error; a bare block name stands for its
         port ``bare``."""
         name = self.expect("IDENT", "an endpoint")
         if name is None:
             return None
-        if self.tokens[self.pos].type != ".":
-            if name.text in self.port_names:
-                return name.span, (None, name.text)
-            return name.span, (name.text, bare)
+        text = self.texts[name]
+        if self.types[self.pos] != ".":
+            if text in self.port_names:
+                return name, (None, text)
+            return name, (text, bare)
         self.pos += 1
         port = self.expect("IDENT", "port name")
-        return None if port is None else (name.span, (name.text, port.text))
+        return None if port is None else (name, (text, self.texts[port]))
 
     def parse_link(self) -> None:
         # A bare source is the block's single output; a bare target names
@@ -381,9 +409,8 @@ class _Parser:
 def parse(text: str) -> ParseResult:
     """Parse model source text into the model it defines; problems become
     diagnostics, never raises."""
-    tokens, diagnostics = tokenize(text)
-    model = _Parser(tokens, diagnostics).parse_model()
-    return ParseResult(model, diagnostics)
+    parser = _Parser(text)
+    return ParseResult(parser.parse_model(), parser.diagnostics)
 
 
 # --- validation --------------------------------------------------------------
@@ -397,9 +424,10 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
     :func:`graph.check_model` finds, at the span recorded for its locator.
     The model returned is a plain :class:`Model` of the parsed definitions.
     """
+    spans = source.spans
     diagnostics = source.rule_diagnostics + [
         Diagnostic(problem.message,
-                   source.spans[problem.definition][problem.where])
+                   source.span(spans[problem.definition][problem.where]))
         for problem in check_model(source)]
     if diagnostics:
         return None, diagnostics

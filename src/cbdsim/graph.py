@@ -19,7 +19,8 @@ import heapq
 import math
 import re
 import reprlib
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .blocks import (INTEGRATOR_ORDERS, KINDS, VARIADIC_MIN_INPUTS,
@@ -60,6 +61,10 @@ class DuplicateName(ModelError):
 
 class InvalidName(ModelError):
     """A definition, port or block name that is not a ``NAME``."""
+
+
+class InvalidField(ModelError):
+    """A field of a model built in code that is not of its declared type."""
 
 
 # The grammar's NAME, which every definition, port and block name matches.
@@ -169,15 +174,20 @@ class Problem(NamedTuple):
 
 
 def check_model(model: Model) -> Iterator[Problem]:
-    """Every broken structural rule of every definition, in order: names
-    that are not a ``NAME``, repeated port and block names, unknown kinds,
-    unknown parameters, parameters that are not finite numbers and
-    Integrator orders, link endpoints and drivers, undriven ports and block
-    inputs, then recursion.  A model that yields nothing flattens from any
+    """Every broken structural rule of every definition, in order: fields
+    of the wrong type and names that are not a ``NAME``, repeated port and
+    block names, unknown kinds, unknown parameters, parameters that are not
+    finite numbers and Integrator orders, link endpoints and drivers,
+    undriven ports and block inputs, then recursion.  A model that yields nothing flattens from any
     top definition that declares no inputs, unless its port wiring is
     cyclic."""
-    definitions = model.definitions
-    for name, defn in definitions.items():
+    # Every rule after the first reads the definitions as _shaped leaves
+    # them, the instances of a definition included.
+    shaped = {name: _shaped(name, defn)
+              for name, defn in model.definitions.items()}
+    definitions = {name: defn for name, (_, defn) in shaped.items()}
+    for name, (problems, defn) in shaped.items():
+        yield from problems
         yield from _check_definition(name, defn, definitions)
     # A definition instanced twice in one parent is one reference, so each
     # chain is reported once.
@@ -190,20 +200,77 @@ def check_model(model: Model) -> Iterator[Problem]:
                       f"recursive definition chain: {' -> '.join(cycle)}")
 
 
+# The containers of a definition: each field, its types and their name.
+_FIELDS = (("in_ports", tuple, "a tuple"), ("out_ports", tuple, "a tuple"),
+           ("blocks", Mapping, "a mapping"),
+           ("links", (list, tuple), "a list or tuple"))
+# What _shaped leaves of a block it reports: a block of no kind, which has
+# every port and is checked no further.
+_SHAPELESS = BlockDecl(None)
+
+
+def _shaped(name: str, defn: Definition) -> tuple[list[Problem], Definition]:
+    """The problems of a definition's field types and names, and the
+    definition as the later rules read it: empty if a field of
+    :data:`_FIELDS` is of another type, a block that is not a
+    :class:`BlockDecl` of a str kind and a mapping of parameters as
+    :data:`_SHAPELESS`, a link that is not a :class:`Link` of two
+    ``(block name or None, port)`` tuples as None, and without the port
+    names that cannot be hashed."""
+    def shape(where, what: str, value: object, must: str) -> Problem:
+        return Problem(InvalidField, name, where,
+                       f"{what} {reprlib.repr(value)} must be {must}")
+    problems = [shape(None, f"definition {name!r} {field}", value, what)
+                for field, types, what in _FIELDS
+                if not isinstance(value := getattr(defn, field), types)]
+    if problems:
+        return problems, Definition(name)
+    ports, blocks = defn.in_ports + defn.out_ports, defn.blocks
+    for where, what, item in [(None, "definition", name),
+                              *((("port", p), "port", p) for p in ports),
+                              *((("block", b), "block", b) for b in blocks)]:
+        if not (isinstance(item, str) and _NAME_RE.fullmatch(item)):
+            problems.append(Problem(InvalidName, name, where,
+                                    f"{what} name {item!r} must match {NAME}"))
+    changes: dict = {}
+    if not _hashes(ports):
+        changes["in_ports"] = tuple(filter(_hashes, defn.in_ports))
+        changes["out_ports"] = tuple(filter(_hashes, defn.out_ports))
+    for bname, decl in blocks.items():
+        if isinstance(decl, BlockDecl) and isinstance(decl.kind, str) and \
+                isinstance(decl.params, (dict, Mapping)):
+            continue
+        what, where = f"block {bname!r}", ("block", bname)
+        if not isinstance(decl, BlockDecl):
+            problems.append(shape(where, what, decl, "a BlockDecl"))
+        elif not isinstance(decl.kind, str):
+            problems.append(shape(where, f"{what} kind", decl.kind, "a str"))
+        else:
+            problems.append(shape(where, f"{what} params", decl.params,
+                                  "a mapping"))
+        changes.setdefault("blocks", dict(blocks))[bname] = _SHAPELESS
+    endpoint = "a (block name or None, port) pair"
+    for i, link in enumerate(defn.links):
+        if isinstance(link, Link) and _is_endpoint(link.src) and \
+                _is_endpoint(link.dst):
+            continue
+        if not isinstance(link, Link):
+            problems.append(shape(("src", i), f"link {i}", link, "a Link"))
+        elif not _is_endpoint(link.src):
+            problems.append(shape(("src", i), "link source", link.src,
+                                  endpoint))
+        else:
+            problems.append(shape(("dst", i), "link target", link.dst,
+                                  endpoint))
+        changes.setdefault("links", list(defn.links))[i] = None
+    return problems, replace(defn, **changes) if changes else defn
+
+
 def _check_definition(name: str, defn: Definition,
                       definitions: dict[str, Definition]) -> Iterator[Problem]:
     blocks = defn.blocks
-    port_names = defn.in_ports + defn.out_ports
-    for where, what, item in [(None, "definition", name),
-                              *((("port", p), "port", p) for p in port_names),
-                              *((("block", b), "block", b) for b in blocks)]:
-        if not (isinstance(item, str) and _NAME_RE.fullmatch(item)):
-            yield Problem(InvalidName, name, where,
-                          f"{what} name {item!r} must match {NAME}")
-    # The later rules hash port names: one that cannot be hashed has only
-    # its InvalidName.
-    out_ports = _hashable(defn.out_ports)
-    port_names = _hashable(defn.in_ports) + out_ports
+    out_ports = defn.out_ports
+    port_names = defn.in_ports + out_ports
     port_set = set()
     for port in port_names:
         if port in port_set:
@@ -214,6 +281,8 @@ def _check_definition(name: str, defn: Definition,
         if bname in port_set:
             yield Problem(DuplicateName, name, ("block", bname),
                           f"duplicate name {bname!r}")
+        if decl is _SHAPELESS:  # its shape was reported
+            continue
         info = KINDS.get(decl.kind)
         if info is None and decl.kind not in definitions:
             yield Problem(UnknownKind, name, ("block", bname),
@@ -244,6 +313,8 @@ def _check_definition(name: str, defn: Definition,
     # block name (None for the definition's own ports) -> driven ports
     driven: dict[str | None, set[str]] = {}
     for i, link in enumerate(defn.links):
+        if link is None:  # its shape was reported
+            continue
         block, port = link.src
         if block in blocks:
             if not _has_port(blocks[block].kind, port, "out", definitions):
@@ -295,7 +366,7 @@ def _check_definition(name: str, defn: Definition,
         if info is not None:
             declared = info.inputs
         elif decl.kind in definitions:
-            declared = _hashable(definitions[decl.kind].in_ports)
+            declared = definitions[decl.kind].in_ports
         else:
             continue
         if ports.issuperset(declared):
@@ -306,15 +377,17 @@ def _check_definition(name: str, defn: Definition,
                           f"input port {port!r} of {bname!r} has no driver")
 
 
-def _hashable(names: tuple) -> tuple:
-    """``names`` but those that cannot be hashed."""
-    def hashes(name: object) -> bool:
-        try:
-            hash(name)
-        except TypeError:
-            return False
-        return True
-    return names if hashes(names) else tuple(filter(hashes, names))
+def _hashes(value: object) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _is_endpoint(value: object) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and \
+        (value[0] is None or isinstance(value[0], str))
 
 
 def _not_a_finite_number(value: object) -> str:

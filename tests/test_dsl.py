@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbdsim import dsl
 from cbdsim.graph import BlockDecl, Definition, Link, Model, flatten
@@ -515,17 +515,47 @@ def test_eof_sits_one_past_the_text(text, eof):
 
 def test_validate_and_flatten_leave_no_cyclic_garbage(ball_text):
     # Garbage held only by reference cycles waits for the cycle collector;
-    # with automatic collection off, each call must leave none of it.
-    source = dsl.parse(ball_text).model
+    # with automatic collection off, each call must leave none of it.  A
+    # parse that reports a diagnostic keeps the spans it found.
     gc.collect()
     gc.disable()
     try:
+        source = dsl.parse(ball_text).model
+        assert gc.collect() == 0
+        assert not dsl.parse(ball_text.replace(";", "", 1)).ok
+        assert gc.collect() == 0
         model, _ = dsl.validate(source)
         assert gc.collect() == 0
         flatten(model, "Main")
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SCANNER_ALPHABET), max_size=30).map("".join))
+# At the end of these, findall makes a second, empty match.
+@example("")
+@example("a //x")
+@example("a\n")
+def test_scan_and_spans_found_on_demand_match_tokenize(text):
+    tokens, _ = dsl.tokenize(text)
+    assert dsl.scan(text) == ([token.type for token in tokens],
+                              [token.text for token in tokens])
+    source = dsl.SourceModel(text=text)
+    assert [source.span(i) for i in range(len(tokens))] == \
+        [token.span for token in tokens]
+
+
+def test_spans_are_found_only_for_a_diagnostic(ball_text):
+    source = dsl.parse(ball_text).model
+    assert dsl.validate(source)[1] == []
+    assert "_tokenized" not in vars(source)
+    source = dsl.parse("cbd Main(out y){ block c = Quux(); c -> y; }").model
+    assert "_tokenized" not in vars(source)
+    assert [str(d) for d in dsl.validate(source)[1]] == [
+        "1:18: error: unknown block kind 'Quux'"]
+    assert "_tokenized" in vars(source)
 
 
 def _token_pieces(text):

@@ -19,6 +19,7 @@ from cbdsim.graph import (
     Definition,
     DuplicateName,
     Group,
+    InvalidField,
     InvalidName,
     InvalidParameter,
     Link,
@@ -273,6 +274,49 @@ def test_ports_that_are_not_names_are_reported_with_the_rest():
              "input port 'u' of 'k' has no driver"),
             (InvalidName, "Sub", ("port", 1),
              "port name 1 must match [A-Za-z_][A-Za-z_0-9]*")]
+
+
+_ENDPOINT = "must be a (block name or None, port) pair"
+
+
+# Each once made check_model and flatten raise a TypeError, AttributeError
+# or ValueError.  A link left out (the last flag) drives nothing.
+@pytest.mark.parametrize("changes, where, message, link_left_out", [
+    ({"links": [Link((["c"], "out"), (None, "y"))]},
+     ("src", 0), f"link source (['c'], 'out') {_ENDPOINT}", True),
+    ({"links": [Link(("c", "out"), (["y"], "y"))]},
+     ("dst", 0), f"link target (['y'], 'y') {_ENDPOINT}", True),
+    ({"blocks": {"c": BlockDecl(["Constant"], {"value": 1.0})}},
+     ("block", "c"), "block 'c' kind ['Constant'] must be a str", False),
+    ({"blocks": {"c": BlockDecl("Constant", [("value", 1)])}},
+     ("block", "c"), "block 'c' params [('value', 1)] must be a mapping",
+     False),
+    ({"links": [Link(("c",), (None, "y"))]},
+     ("src", 0), f"link source ('c',) {_ENDPOINT}", True),
+    ({"in_ports": ["a"]},
+     None, "definition 'Main' in_ports ['a'] must be a tuple", False),
+    ({"links": None},
+     None, "definition 'Main' links None must be a list or tuple", False),
+    ({"links": [(("c", "out"), (None, "y"))]},
+     ("src", 0), "link 0 (('c', 'out'), (None, 'y')) must be a Link", True),
+    ({"blocks": {"c": ("Constant", {"value": 1})}},
+     ("block", "c"), "block 'c' ('Constant', {'value': 1}) must be a "
+     "BlockDecl", False),
+    ({"blocks": [("c", BlockDecl("Constant", {"value": 1}))]},
+     None, "definition 'Main' blocks [('c', BlockDecl(kin...={'value': "
+     "1}))] must be a mapping", False),
+], ids=["list-source-block", "list-target-block", "list-kind", "pair-params",
+        "one-name-endpoint", "list-in-ports", "no-links", "tuple-link",
+        "tuple-block", "block-pairs"])
+def test_fields_of_the_wrong_type(changes, where, message, link_left_out):
+    model = Model(definitions={"Main": _main(**changes)})
+    undriven = [(UnconnectedInput, "Main", ("port", "y"),
+                 "output port 'y' has no driver")]
+    assert list(check_model(model)) == [
+        (InvalidField, "Main", where, message)] + undriven * link_left_out
+    prefix = "" if where is None else "Main: "
+    with pytest.raises(InvalidField, match=f"^{re.escape(prefix + message)}$"):
+        flatten(model, "Main")
 
 
 def _with_block(decl: BlockDecl) -> Model:
