@@ -421,7 +421,7 @@ def validate(source: SourceModel) -> tuple[Model | None, list[Diagnostic]]:
 
     The diagnostics of the rules only text can break, which :func:`parse`
     found, come first, then every structural problem
-    :func:`graph.check_model` finds, at the span recorded for its locator.
+    :func:`graph.check_model` finds, at the span of its locator's token.
     The model returned is a plain :class:`Model` of the parsed definitions.
     """
     spans = source.spans

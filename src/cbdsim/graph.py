@@ -204,6 +204,7 @@ def check_model(model: Model) -> Iterator[Problem]:
 _FIELDS = (("in_ports", tuple, "a tuple"), ("out_ports", tuple, "a tuple"),
            ("blocks", Mapping, "a mapping"),
            ("links", (list, tuple), "a list or tuple"))
+_ENDPOINT = "a (block name or None, port) pair"
 # What _shaped leaves of a block it reports: a block of no kind, which has
 # every port and is checked no further.
 _SHAPELESS = BlockDecl(None)
@@ -237,31 +238,26 @@ def _shaped(name: str, defn: Definition) -> tuple[list[Problem], Definition]:
         changes["in_ports"] = tuple(filter(_hashes, defn.in_ports))
         changes["out_ports"] = tuple(filter(_hashes, defn.out_ports))
     for bname, decl in blocks.items():
-        if isinstance(decl, BlockDecl) and isinstance(decl.kind, str) and \
-                isinstance(decl.params, (dict, Mapping)):
-            continue
-        what, where = f"block {bname!r}", ("block", bname)
         if not isinstance(decl, BlockDecl):
-            problems.append(shape(where, what, decl, "a BlockDecl"))
+            bad = f"block {bname!r}", decl, "a BlockDecl"
         elif not isinstance(decl.kind, str):
-            problems.append(shape(where, f"{what} kind", decl.kind, "a str"))
+            bad = f"block {bname!r} kind", decl.kind, "a str"
+        elif not isinstance(decl.params, (dict, Mapping)):
+            bad = f"block {bname!r} params", decl.params, "a mapping"
         else:
-            problems.append(shape(where, f"{what} params", decl.params,
-                                  "a mapping"))
-        changes.setdefault("blocks", dict(blocks))[bname] = _SHAPELESS
-    endpoint = "a (block name or None, port) pair"
-    for i, link in enumerate(defn.links):
-        if isinstance(link, Link) and _is_endpoint(link.src) and \
-                _is_endpoint(link.dst):
             continue
+        problems.append(shape(("block", bname), *bad))
+        changes.setdefault("blocks", dict(blocks))[bname] = _SHAPELESS
+    for i, link in enumerate(defn.links):
         if not isinstance(link, Link):
-            problems.append(shape(("src", i), f"link {i}", link, "a Link"))
+            bad = ("src", i), f"link {i}", link, "a Link"
         elif not _is_endpoint(link.src):
-            problems.append(shape(("src", i), "link source", link.src,
-                                  endpoint))
+            bad = ("src", i), "link source", link.src, _ENDPOINT
+        elif not _is_endpoint(link.dst):
+            bad = ("dst", i), "link target", link.dst, _ENDPOINT
         else:
-            problems.append(shape(("dst", i), "link target", link.dst,
-                                  endpoint))
+            continue
+        problems.append(shape(*bad))
         changes.setdefault("links", list(defn.links))[i] = None
     return problems, replace(defn, **changes) if changes else defn
 
